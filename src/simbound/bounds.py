@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import philox_generator
-from .norms import NormKind, dual_norm_rank1
-from .similarity import empirical_similarity_error
+from .norms import NormKind, _rank1_factors
+from .similarity import _signed_features, empirical_similarity_error
 
 
 @dataclass(frozen=True)
@@ -68,6 +68,26 @@ def x_star(data, kind):
     return max_two ** 2
 
 
+# Sign lookup: draw bit 0 -> -1, bit 1 -> +1, as 2 * bit - 1.
+_SIGNS = np.array([-1.0, 1.0])
+_WORD = (1 << 64) - 1
+
+
+def _restart_stream(rng, state, stream):
+    """Put rng where philox_generator(seed, stream) starts.
+
+    state is the documented state of philox_generator(seed) before its first
+    draw: the key, an empty output buffer and the 256-bit counter as four
+    64-bit words, low word first.  philox_generator sets that counter to
+    stream << 128, that is words 2 and 3.  Resetting the state of one
+    generator is much cheaper than building a new one per stream.
+    """
+    counter = state["state"]["counter"]
+    counter[2] = stream & _WORD
+    counter[3] = stream >> 64
+    rng.bit_generator.state = state
+
+
 def rademacher_empirical(data, kind, mc_draws, seed=0):
     """Monte-Carlo estimate of the dual-norm Rademacher average.
 
@@ -86,12 +106,19 @@ def rademacher_empirical(data, kind, mc_draws, seed=0):
     else:
         ref_scores = np.linalg.norm(data.features, axis=1)
     x_ref = data.features[int(np.argmax(ref_scores))]
+    # dual_norm_rank1(v, x_ref, kind) = v_factor(v) * x_factor(x_ref).
+    v_factor, x_factor = _rank1_factors(kind)
+    ref_factor = x_factor(x_ref)
+    # (sigma * y) @ X equals sigma @ signed bit for bit: every factor but
+    # the features is +-1.
+    signed = _signed_features(data)
+    rng = philox_generator(seed)
+    state = rng.bit_generator.state
     values = np.empty(mc_draws)
     for draw in range(mc_draws):
-        rng = philox_generator(seed, stream=draw)
-        sigma = rng.integers(0, 2, size=data.m).astype(float) * 2.0 - 1.0
-        v = (sigma * data.labels) @ data.features / data.m
-        values[draw] = dual_norm_rank1(v, x_ref, kind)
+        _restart_stream(rng, state, draw)
+        sigma = _SIGNS[rng.integers(0, 2, size=data.m)]
+        values[draw] = v_factor(sigma @ signed / data.m) * ref_factor
     estimate = float(np.mean(values))
     if mc_draws == 1:
         return estimate, 0.0

@@ -8,6 +8,7 @@ environment details are emitted.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -32,7 +33,7 @@ from .data import (
 from .errors import NumericalError
 from .norms import NormKind
 from .separator import (
-    Separator,
+    _values,
     empirical_hinge_error,
     load_separator,
     save_separator,
@@ -120,10 +121,9 @@ def _norm_flag(parser):
     )
 
 
-def _solver_flags(parser, max_iters_default=2000):
-    parser.add_argument("--max-iters", type=int, default=max_iters_default)
+def _solver_flags(parser):
+    parser.add_argument("--max-iters", type=int, default=2000)
     parser.add_argument("--step0", type=float, default=1.0)
-    parser.add_argument("--seed", type=int, default=0)
 
 
 def build_parser():
@@ -196,7 +196,6 @@ def cmd_train(args):
         max_iters=args.max_iters,
         step0=args.step0,
         rel_tol=args.rel_tol,
-        seed=args.seed,
     )
     model = train_similarity(data, config)
     save_model(model, args.out)
@@ -207,9 +206,7 @@ def cmd_train(args):
 def cmd_separator(args):
     model = load_model(args.model)
     data = load_csv(args.data)
-    sep = train_separator(
-        model, data, max_iters=args.max_iters, step0=args.step0, seed=args.seed
-    )
+    sep = train_separator(model, data, max_iters=args.max_iters, step0=args.step0)
     save_separator(sep, args.out)
     print(f"hinge_error {empirical_hinge_error(sep, data)!r}")
     return 0
@@ -228,13 +225,6 @@ def cmd_bounds(args):
     return 0
 
 
-def _separator_zero_one_error(sep, data):
-    pooled = sep.anchor_features.T @ sep.alpha
-    values = data.features @ (sep.model.matrix @ pooled)
-    predicted = np.where(values >= 0.0, 1.0, -1.0)
-    return float(np.mean(predicted != data.labels))
-
-
 def cmd_eval(args):
     if args.model is None and args.separator is None:
         raise ValueError("eval needs --model and/or --separator")
@@ -248,7 +238,8 @@ def cmd_eval(args):
     if args.separator is not None:
         sep = load_separator(args.separator)
         doc["hinge_error"] = empirical_hinge_error(sep, data)
-        doc["zero_one_error"] = _separator_zero_one_error(sep, data)
+        predicted = np.where(_values(sep, data.features) >= 0.0, 1.0, -1.0)
+        doc["zero_one_error"] = float(np.mean(predicted != data.labels))
     text = json.dumps(doc, indent=2) + "\n"
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -338,7 +329,6 @@ def _run_trial(config, m, d, kind, trial):
         norm_kind=kind,
         max_iters=config["max_iters"],
         step0=config["step0"],
-        seed=train_seed,
     )
     model = train_similarity(train_data, sim_config)
     sep = train_separator(model, train_data, max_iters=config["max_iters"], step0=config["step0"])
@@ -459,9 +449,15 @@ def cmd_khinchin(args):
     return 0
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    # Building the parser costs more than a small experiment trial's
+    # bookkeeping; parse_args leaves it unchanged, so one serves every call.
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except NumericalError as exc:

@@ -39,6 +39,9 @@ class Dataset:
             raise ValueError(
                 f"labels shape {labels.shape} does not match {features.shape[0]} rows"
             )
+        bad_row = _first_nonfinite_row(features)
+        if bad_row is not None:
+            raise ValueError(f"features must be finite; row {bad_row} (counting from 0) is not")
         if not np.all((labels == 1.0) | (labels == -1.0)):
             raise ValueError("labels must be exactly -1 or +1")
         object.__setattr__(self, "features", features)
@@ -51,6 +54,12 @@ class Dataset:
     @property
     def d(self):
         return self.features.shape[1]
+
+
+def _first_nonfinite_row(features):
+    finite = np.isfinite(features)
+    # The per-row reduction is an order of magnitude slower than the flat one.
+    return None if finite.all() else int(finite.all(axis=1).argmin())
 
 
 @dataclass(frozen=True)
@@ -139,6 +148,7 @@ def load_csv(path):
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
     rows = []
+    line_numbers = []
     expected_d = None
     for line_no, line in enumerate(lines, start=1):
         if line.strip() == "":
@@ -164,10 +174,14 @@ def load_csv(path):
         except ValueError as exc:
             raise ValueError(f"row {line_no}: non-numeric feature value ({exc})") from None
         rows.append((_LABEL_TOKENS[token], feats))
+        line_numbers.append(line_no)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     labels = np.array([r[0] for r in rows])
     features = np.array([r[1] for r in rows])
+    bad_row = _first_nonfinite_row(features)
+    if bad_row is not None:
+        raise ValueError(f"row {line_numbers[bad_row]}: non-finite feature value")
     return Dataset(features, labels)
 
 

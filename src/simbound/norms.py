@@ -99,12 +99,21 @@ def dual_norm_rank1(v, x, kind):
         raise ValueError(
             f"expected two vectors of equal length, got shapes {v.shape} and {x.shape}"
         )
-    kind = NormKind(kind)
+    v_factor, x_factor = _rank1_factors(NormKind(kind))
+    return float(v_factor(v) * x_factor(x))
+
+
+def _rank1_factors(kind):
+    """The pair (f, g) with dual_norm(v x^T, kind) = f(v) * g(x)."""
     if kind is NormKind.L1:
-        return float(np.abs(v).max() * np.abs(x).max())
+        return _max_abs, _max_abs
     if kind is NormKind.MIXED21:
-        return float(np.abs(v).max() * np.linalg.norm(x))
-    return float(np.linalg.norm(v) * np.linalg.norm(x))
+        return _max_abs, np.linalg.norm
+    return np.linalg.norm, np.linalg.norm
+
+
+def _max_abs(v):
+    return np.abs(v).max()
 
 
 def prox(b, tau, kind):
@@ -127,16 +136,17 @@ def prox(b, tau, kind):
 def _prox(b, tau, kind):
     """``prox`` on an already validated symmetric B and tau >= 0.
 
-    Returns the prox point and its norm.  For l1 and fro the norm is
-    computed from the point as ``norm`` does; mixed21 and trace return the
-    value their own computation already produced (row norms, thresholded
-    eigenvalues), which spares trace a second eigendecomposition.
+    Returns the prox point and its norm.  For fro the norm is computed from
+    the point as ``norm`` does; l1, mixed21 and trace return the value their
+    own computation already produced (shrunk magnitudes, row norms,
+    thresholded eigenvalues), which spares trace a second eigendecomposition.
     """
     if tau == 0.0:
         return b.copy(), _norm(b, kind)
     if kind is NormKind.L1:
-        a = np.sign(b) * np.maximum(np.abs(b) - tau, 0.0)
-        return a, _norm(a, kind)
+        # |a| is exactly the shrunk magnitudes, so their sum is norm(a).
+        shrunk = np.maximum(np.abs(b) - tau, 0.0)
+        return np.sign(b) * shrunk, float(shrunk.sum())
     if kind is NormKind.FROBENIUS:
         total = np.linalg.norm(b)
         a = np.zeros_like(b) if total <= tau else b * (1.0 - tau / total)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .similarity import SimilarityModel, model_from_json_dict, model_to_json_dict
+from .similarity import SimilarityModel, _hinge_error, model_from_json_dict, model_to_json_dict
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,14 +83,19 @@ def project_l1_ball(v, radius):
     """
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    v = np.asarray(v, dtype=float)
+    v = np.array(v, dtype=float)
     magnitudes = np.abs(v)
-    if magnitudes.sum() <= radius:
-        return v.copy()
+    return _project_l1_ball(v, magnitudes, magnitudes.sum(), radius)
+
+
+def _project_l1_ball(v, magnitudes, mass, radius):
+    """``project_l1_ball`` given |v| and its sum; returns v itself inside the ball."""
+    if mass <= radius:
+        return v
     u = np.sort(magnitudes)[::-1]
     cumulative = np.cumsum(u)
     counts = np.arange(1, u.shape[0] + 1)
-    rho = np.nonzero(u * counts > cumulative - radius)[0][-1]
+    rho = (u * counts > cumulative - radius).nonzero()[0][-1]
     theta = (cumulative[rho] - radius) / (rho + 1.0)
     return np.sign(v) * np.maximum(magnitudes - theta, 0.0)
 
@@ -108,16 +113,7 @@ def true_hinge_error(sep, holdout):
     return empirical_hinge_error(sep, holdout)
 
 
-def _hinge_error_and_grad(gram, labels, alpha):
-    values = gram @ alpha
-    slack = 1.0 - labels * values
-    active = slack > 0.0
-    err = float(np.mean(np.maximum(0.0, slack)))
-    grad = -(gram.T @ (labels * active)) / labels.shape[0]
-    return err, grad
-
-
-def train_separator(model, data, max_iters=2000, step0=1.0, seed=0):
+def train_separator(model, data, max_iters=2000, step0=1.0):
     """Projected subgradient descent for the constrained hinge problem.
 
     The iteration never leaves the L1 ball of radius 1/margin, and the best
@@ -132,21 +128,32 @@ def train_separator(model, data, max_iters=2000, step0=1.0, seed=0):
         raise ValueError(f"step0 must be positive, got {step0}")
     margin = model.config.margin
     radius = 1.0 / margin
-    # gram[i, j] = K_A(x_j, x_i); symmetric because the matrix is.
-    gram = data.features @ model.matrix @ data.features.T
+    # signed[i, j] = y_i K_A(x_j, x_i).  Flipping signs is exact, so
+    # 1 - signed @ alpha is the slack 1 - y * (gram @ alpha) bit for bit, and
+    # signed.T @ active is gram.T @ (y * active) bit for bit.
+    signed = data.features @ model.matrix @ data.features.T
+    signed *= data.labels[:, None]
     alpha = anchor_coefficients(data.labels, margin)
     best_alpha = alpha
-    best_err, grad = _hinge_error_and_grad(gram, data.labels, alpha)
+    slack = 1.0 - signed @ alpha
+    best_err = _hinge_error(slack)
     if not math.isfinite(best_err):
         raise NumericalError("non-finite hinge error at the starting point")
     for t in range(1, max_iters + 1):
-        stepped = alpha - (step0 / math.sqrt(t)) * grad
-        if not np.all(np.isfinite(stepped)):
+        # The hinge subgradient is -signed.T @ active / m; stepping against
+        # it adds rather than subtracts the negated term, which is exact.
+        stepped = alpha + (step0 / math.sqrt(t)) * ((signed.T @ (slack > 0.0)) / data.m)
+        magnitudes = np.abs(stepped)
+        mass = magnitudes.sum()
+        # The sum of magnitudes is finite only if every entry is; a sum that
+        # overflows stops the iteration as well.
+        if not math.isfinite(mass):
             raise NumericalError(
                 f"non-finite coefficients at iteration {t}; try a smaller step0 than {step0}"
             )
-        alpha = project_l1_ball(stepped, radius)
-        err, grad = _hinge_error_and_grad(gram, data.labels, alpha)
+        alpha = _project_l1_ball(stepped, magnitudes, mass, radius)
+        slack = 1.0 - signed @ alpha
+        err = _hinge_error(slack)
         if not math.isfinite(err):
             raise NumericalError(
                 f"non-finite hinge error at iteration {t}; try a smaller step0 than {step0}"

@@ -41,7 +41,6 @@ class SimilarityConfig:
     max_iters: int = 2000
     step0: float = 1.0
     rel_tol: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "norm_kind", NormKind(self.norm_kind))
@@ -55,8 +54,6 @@ class SimilarityConfig:
             raise ValueError(f"step0 must be positive, got {self.step0}")
         if not self.rel_tol >= 0:
             raise ValueError(f"rel_tol must be nonnegative, got {self.rel_tol}")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,9 +109,14 @@ def _label_sum(data):
     return data.features.T @ data.labels
 
 
-def _pair_margins(a, data, margin, w):
-    scores = data.features @ (a @ w)
-    return data.labels * scores / (data.m * margin)
+def _signed_features(data):
+    # Row i is y_i x_i.  Flipping signs is exact, so products with these rows
+    # equal the label-weighted products with the plain features bit for bit.
+    return data.labels[:, None] * data.features
+
+
+def _pair_margins(a, signed, w, margin):
+    return signed @ (a @ w) / (signed.shape[0] * margin)
 
 
 def _hinge_error(slack):
@@ -123,13 +125,11 @@ def _hinge_error(slack):
     return float(np.maximum(0.0, slack).sum() / len(slack))
 
 
-def _subgradient(slack, data, margin, w):
+def _subgradient(slack, signed, w, margin):
     # One division by -2 m^2 margin rounds exactly like halving, negating
     # and dividing by m^2 margin in turn.
-    active = slack > 0.0
-    u = data.features.T @ (data.labels * active)
-    outer = u[:, None] * w
-    return (outer + outer.T) / (-2.0 * (data.m ** 2 * margin))
+    outer = (signed.T @ (slack > 0.0))[:, None] * w
+    return (outer + outer.T) / (-2.0 * (signed.shape[0] ** 2 * margin))
 
 
 def empirical_similarity_error(a, data, margin):
@@ -137,7 +137,7 @@ def empirical_similarity_error(a, data, margin):
     a = _check_data_dims(a, data)
     if not margin > 0:
         raise ValueError(f"margin must be positive, got {margin}")
-    return _hinge_error(1.0 - _pair_margins(a, data, margin, _label_sum(data)))
+    return _hinge_error(1.0 - _pair_margins(a, _signed_features(data), _label_sum(data), margin))
 
 
 def true_similarity_error(a, holdout, margin):
@@ -168,9 +168,10 @@ def hinge_subgradient(a, data, margin):
     a = _check_data_dims(a, data)
     if not margin > 0:
         raise ValueError(f"margin must be positive, got {margin}")
+    signed = _signed_features(data)
     w = _label_sum(data)
-    slack = 1.0 - _pair_margins(a, data, margin, w)
-    return _subgradient(slack, data, margin, w)
+    slack = 1.0 - _pair_margins(a, signed, w, margin)
+    return _subgradient(slack, signed, w, margin)
 
 
 def train_similarity(data, config):
@@ -184,11 +185,12 @@ def train_similarity(data, config):
     kind = config.norm_kind
     lam = config.lam
     margin = config.margin
+    signed = _signed_features(data)
     w = _label_sum(data)
     a = np.zeros((data.d, data.d))
     # The slack 1 - margins of the current iterate serves its objective and
     # the next subgradient; every iterate is symmetric by construction.
-    slack = 1.0 - _pair_margins(a, data, margin, w)
+    slack = 1.0 - _pair_margins(a, signed, w, margin)
     best_a = a
     best_obj = _hinge_error(slack) + lam * _norm(a, kind)
     window = 50
@@ -196,9 +198,9 @@ def train_similarity(data, config):
     iterations = 0
     for t in range(1, config.max_iters + 1):
         eta = config.step0 / math.sqrt(t)
-        g = _subgradient(slack, data, margin, w)
+        g = _subgradient(slack, signed, w, margin)
         a, a_norm = _prox(a - eta * g, eta * lam, kind)
-        slack = 1.0 - _pair_margins(a, data, margin, w)
+        slack = 1.0 - _pair_margins(a, signed, w, margin)
         obj = _hinge_error(slack) + lam * a_norm
         if not math.isfinite(obj):
             raise NumericalError(

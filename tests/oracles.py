@@ -291,3 +291,81 @@ def sample_l1_ball(rng, n, radius):
     signs = rng.integers(0, 2, size=n) * 2.0 - 1.0
     scale = radius * rng.uniform() ** (1.0 / n)
     return signs * exps / np.sum(exps) * scale
+
+
+# ---------------------------------------------------------------------------
+# Reference loops for the solvers' fast paths.  Each is the straightforward
+# form of the same arithmetic, one step at a time, so the package must match
+# it bit for bit.
+
+def reference_l1_projection(v, radius):
+    """Sort-based Euclidean projection onto the L1 ball (Duchi et al. 2008)."""
+    magnitudes = np.abs(v)
+    if magnitudes.sum() <= radius:
+        return v.copy()
+    u = np.sort(magnitudes)[::-1]
+    cumulative = np.cumsum(u)
+    counts = np.arange(1, u.shape[0] + 1)
+    rho = np.nonzero(u * counts > cumulative - radius)[0][-1]
+    theta = (cumulative[rho] - radius) / (rho + 1.0)
+    return np.sign(v) * np.maximum(magnitudes - theta, 0.0)
+
+
+def reference_separator_alpha(features, labels, a, margin, max_iters, step0):
+    """Best iterate of projected subgradient descent on the separator hinge.
+
+    Starts at alpha0 = y / (m margin), steps by step0 / sqrt(t) against
+    -(gram^T (y * active)) / m, projects onto the L1 ball of radius 1/margin,
+    and keeps the first iterate of least hinge error.
+    """
+    m = labels.shape[0]
+    gram = features @ a @ features.T
+
+    def hinge_and_grad(alpha):
+        slack = 1.0 - labels * (gram @ alpha)
+        err = float(np.mean(np.maximum(0.0, slack)))
+        return err, -(gram.T @ (labels * (slack > 0.0))) / m
+
+    alpha = labels / (m * margin)
+    best_alpha = alpha
+    best_err, grad = hinge_and_grad(alpha)
+    for t in range(1, max_iters + 1):
+        alpha = reference_l1_projection(alpha - (step0 / math.sqrt(t)) * grad, 1.0 / margin)
+        err, grad = hinge_and_grad(alpha)
+        if err < best_err:
+            best_err = err
+            best_alpha = alpha
+    return best_alpha
+
+
+def reference_philox_signs(seed, stream, m):
+    """m Rademacher signs from a fresh Philox generator on counter stream << 128."""
+    rng = np.random.Generator(np.random.Philox(key=seed, counter=stream << 128))
+    return rng.integers(0, 2, size=m).astype(float) * 2.0 - 1.0
+
+
+def reference_rademacher_empirical(features, labels, kind, mc_draws, seed):
+    """Monte-Carlo Rademacher average with a fresh generator for every draw.
+
+    Returns (mean, standard error).  The sup over the sample is the rank-1
+    dual norm of v x_ref^T, with x_ref the sample point of largest infinity
+    norm (l1) or Euclidean norm (the other kinds).
+    """
+    m = labels.shape[0]
+    if kind == "l1":
+        x_ref = features[int(np.argmax(np.max(np.abs(features), axis=1)))]
+    else:
+        x_ref = features[int(np.argmax(np.linalg.norm(features, axis=1)))]
+    values = np.empty(mc_draws)
+    for draw in range(mc_draws):
+        v = (reference_philox_signs(seed, draw, m) * labels) @ features / m
+        if kind == "l1":
+            values[draw] = np.abs(v).max() * np.abs(x_ref).max()
+        elif kind == "mixed21":
+            values[draw] = np.abs(v).max() * np.linalg.norm(x_ref)
+        else:
+            values[draw] = np.linalg.norm(v) * np.linalg.norm(x_ref)
+    estimate = float(np.mean(values))
+    if mc_draws == 1:
+        return estimate, 0.0
+    return estimate, float(np.std(values, ddof=1) / math.sqrt(mc_draws))

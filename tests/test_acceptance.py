@@ -50,6 +50,9 @@ from oracles import (
     prox_oracle,
 )
 
+# Every check here is slow; `pytest -m "not slow"` runs the unit tests alone.
+pytestmark = pytest.mark.slow
+
 ALL_KINDS = ("l1", "fro", "mixed21", "trace")
 
 # Every (model, training data, separator-or-None) trained in this module.

@@ -26,8 +26,10 @@ from simbound import (
     train_similarity,
     x_star,
 )
-from simbound.bounds import _analytic_estimate
+from simbound.bounds import _analytic_estimate, _restart_stream
+from simbound.data import philox_generator
 from conftest import make_rng, random_dataset
+from oracles import reference_philox_signs, reference_rademacher_empirical
 
 
 def test_x_star_hand_values():
@@ -71,6 +73,33 @@ def test_rademacher_empirical_determinism():
     first = rademacher_empirical(data, "mixed21", mc_draws=200, seed=9)
     second = rademacher_empirical(data, "mixed21", mc_draws=200, seed=9)
     assert first == second
+
+
+@pytest.mark.parametrize("kind", ["l1", "fro", "mixed21", "trace"])
+def test_rademacher_empirical_matches_fresh_generator_per_draw(kind):
+    for seed, (m, d) in zip((0, 7, 2 ** 63 + 11, 2 ** 64 - 1), ((1, 1), (13, 4), (100, 5), (37, 9))):
+        data = random_dataset(make_rng(470 + m), m=m, d=d)
+        for mc_draws in (1, 3, 64):
+            expected = reference_rademacher_empirical(
+                data.features, data.labels, kind, mc_draws, seed
+            )
+            assert rademacher_empirical(data, kind, mc_draws, seed) == expected
+
+
+def test_restart_stream_matches_fresh_generator():
+    # Streams at and above 2^64 set the top counter word as well.  Odd sizes
+    # leave half of a 64-bit output buffered, which the restart must discard.
+    seed = 123456789
+    rng = philox_generator(seed)
+    state = rng.bit_generator.state
+    for stream in (0, 5, 2 ** 64 - 1, 2 ** 64, 2 ** 64 + 3, 3 * 2 ** 64 + 7, 2 ** 127 + 1, 2):
+        for size in (1, 7, 100):
+            _restart_stream(rng, state, stream)
+            signs = rng.integers(0, 2, size=size).astype(float) * 2.0 - 1.0
+            np.testing.assert_array_equal(signs, reference_philox_signs(seed, stream, size))
+    _restart_stream(rng, state, 2 ** 64 + 3)
+    fresh = philox_generator(seed, stream=2 ** 64 + 3)
+    np.testing.assert_array_equal(rng.random(9), fresh.random(9))
 
 
 def test_rademacher_trace_equals_frobenius():

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from simbound import load_model, load_separator, norm, save_csv
-from simbound.cli import EXPERIMENT_CSV_COLUMNS, derive_seed, main
+from simbound import khinchin_check, load_model, load_separator, norm, save_csv
+from simbound.cli import EXPERIMENT_CSV_COLUMNS, _parser, derive_seed, main
 from conftest import make_rng, random_dataset
 
 
@@ -239,3 +239,21 @@ def test_experiment_missing_field(tmp_path):
 def test_no_subcommand_exits_1(capsys):
     assert run_cli([]) == 1
     capsys.readouterr()
+
+
+def test_repeated_calls_share_one_parser_without_leaking_flags(capsys):
+    # The parser is built once per process; flags of one call must not
+    # become defaults of the next, and a usage error must not break it.
+    assert _parser() is _parser()
+    assert run_cli(["khinchin", "--f", "1,1", "--p", "2", "--q", "4", "--bogus"]) == 1
+    argv = ["khinchin", "--f", "1,2", "--p", "2", "--q", "4"]
+    capsys.readouterr()
+    assert run_cli(argv + ["--mode", "mc", "--mc-draws", "500", "--seed", "3"]) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert run_cli(argv) == 0
+    second = json.loads(capsys.readouterr().out)
+    mc = khinchin_check(np.array([1.0, 2.0]), 2.0, 4.0, mode="mc", mc_draws=500, seed=3)
+    exact = khinchin_check(np.array([1.0, 2.0]), 2.0, 4.0)
+    assert mc != exact
+    assert (first["lhs"], first["rhs"], first["holds"]) == mc
+    assert (second["lhs"], second["rhs"], second["holds"]) == exact

@@ -19,6 +19,25 @@ def test_dataset_validation():
     assert data.features.dtype == np.float64
 
 
+def test_dataset_rejects_non_finite_features():
+    features = np.ones((4, 3))
+    features[2, 1] = np.nan
+    features[3, 0] = np.inf
+    with pytest.raises(ValueError, match=r"row 2 \(counting from 0\)"):
+        Dataset(features, np.ones(4))
+    features[2, 1] = 0.0
+    with pytest.raises(ValueError, match="row 3"):
+        Dataset(features, np.ones(4))
+
+
+def test_load_csv_rejects_non_finite_features(tmp_path):
+    for token in ("nan", "inf", "-inf", "NaN"):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"label,f1,f2\n1,1.0,2.0\n\n-1,{token},0.5\n1,3.0,4.0\n")
+        with pytest.raises(ValueError, match="row 4: non-finite feature"):
+            load_csv(path)
+
+
 def test_load_csv_basic(tmp_path):
     path = tmp_path / "toy.csv"
     path.write_text("1,0.5,0.25\n-1,1.0,0.0\n")

@@ -22,7 +22,13 @@ from simbound import (
     true_hinge_error,
 )
 from conftest import make_rng, random_dataset
-from oracles import grid_separator_oracle, naive_separator_value, sample_l1_ball
+from oracles import (
+    grid_separator_oracle,
+    naive_separator_value,
+    reference_l1_projection,
+    reference_separator_alpha,
+    sample_l1_ball,
+)
 
 
 def make_model(matrix, lam=0.1, margin=1.0, kind="fro"):
@@ -271,6 +277,33 @@ def test_train_determinism():
     first = train_separator(model, data, max_iters=500)
     second = train_separator(model, data, max_iters=500)
     np.testing.assert_array_equal(first.alpha, second.alpha)
+
+
+@pytest.mark.parametrize("kind", ["l1", "fro", "mixed21", "trace"])
+def test_train_matches_reference_loop_exactly(kind):
+    # Margins 1 and 0.25 give radii 1 and 4: iterates both leave the ball
+    # (sort-based projection) and stay inside it (no projection).
+    for seed in range(4):
+        rng = make_rng(470 + seed)
+        data = random_dataset(rng, m=9 + 7 * seed, d=2 + seed, noise=1.0)
+        margin = (1.0, 0.25)[seed % 2]
+        config = SimilarityConfig(lam=0.1, margin=margin, norm_kind=kind, max_iters=200)
+        model = train_similarity(data, config)
+        step0 = (1.0, 3.0)[seed // 2]
+        sep = train_separator(model, data, max_iters=300, step0=step0)
+        expected = reference_separator_alpha(
+            data.features, data.labels, model.matrix, margin, 300, step0
+        )
+        np.testing.assert_array_equal(sep.alpha, expected)
+
+
+def test_project_matches_reference_exactly(rng):
+    for n in (1, 2, 5, 40):
+        for radius in (0.1, 1.0, 3.0):
+            v = rng.standard_normal(n) * rng.uniform(0.1, 4.0)
+            np.testing.assert_array_equal(
+                project_l1_ball(v, radius), reference_l1_projection(v, radius)
+            )
 
 
 def test_train_validation():
