@@ -11,13 +11,12 @@ All Monte-Carlo work uses counter-based substreams indexed by draw number,
 so estimates do not depend on evaluation order and are reproducible.
 """
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import philox_generator
+from .data import _csv_cell, _write_json, philox_generator
 from .norms import NormKind, _rank1_factors
 from .similarity import _signed_features, empirical_similarity_error
 
@@ -253,57 +252,22 @@ def build_bound_report(model, data, delta=0.05, mc_draws=1000, seed=0):
     )
 
 
-REPORT_FIELDS = (
-    "norm_kind",
-    "x_star",
-    "r_m_empirical",
-    "r_m_std_error",
-    "r_m_analytic",
-    "r_m_used",
-    "empirical_error",
-    "delta",
-    "m",
-    "lambda",
-    "margin",
-    "theorem1_bound",
-    "theorem2_bound",
-    "mc_draws",
-    "seed",
-)
+# Report JSON and CSV use the dataclass field order; only lam is renamed.
+_JSON_NAMES = {"lam": "lambda"}
+REPORT_FIELDS = tuple(_JSON_NAMES.get(field.name, field.name) for field in fields(BoundReport))
 
 
 def report_to_json_dict(report):
-    return {
-        "norm_kind": report.norm_kind.value,
-        "x_star": report.x_star,
-        "r_m_empirical": report.r_m_empirical,
-        "r_m_std_error": report.r_m_std_error,
-        "r_m_analytic": report.r_m_analytic,
-        "r_m_used": report.r_m_used,
-        "empirical_error": report.empirical_error,
-        "delta": report.delta,
-        "m": report.m,
-        "lambda": report.lam,
-        "margin": report.margin,
-        "theorem1_bound": report.theorem1_bound,
-        "theorem2_bound": report.theorem2_bound,
-        "mc_draws": report.mc_draws,
-        "seed": report.seed,
+    doc = {
+        _JSON_NAMES.get(field.name, field.name): getattr(report, field.name)
+        for field in fields(BoundReport)
     }
+    doc["norm_kind"] = report.norm_kind.value
+    return doc
 
 
 def save_report(report, path):
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report_to_json_dict(report), handle, indent=2)
-        handle.write("\n")
-
-
-def _csv_cell(value):
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, NormKind):
-        return value.value
-    return str(value)
+    _write_json(report_to_json_dict(report), path)
 
 
 def report_csv_header():
@@ -311,5 +275,4 @@ def report_csv_header():
 
 
 def report_csv_row(report):
-    doc = report_to_json_dict(report)
-    return ",".join(_csv_cell(doc[field]) for field in REPORT_FIELDS)
+    return ",".join(_csv_cell(value) for value in report_to_json_dict(report).values())

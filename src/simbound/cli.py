@@ -10,23 +10,21 @@ environment details are emitted.
 import argparse
 import functools
 import hashlib
-import json
 import math
 import os
 import sys
+import textwrap
 
 import numpy as np
 
-from .bounds import (
-    build_bound_report,
-    khinchin_check,
-    report_to_json_dict,
-    save_report,
-)
+from .bounds import build_bound_report, khinchin_check, save_report
 from .data import (
-    Dataset,
     GeneratorKind,
     GeneratorSpec,
+    _csv_cell,
+    _read_json,
+    _require_fields,
+    _write_json,
     generate,
     load_csv,
 )
@@ -70,14 +68,14 @@ EXPERIMENT_CSV_COLUMNS = (
     "trial_seed",
 )
 
-_EXPERIMENT_HELP = """\
+_EXPERIMENT_HELP = f"""\
 Config JSON fields:
-  generator     {"kind": "two_gaussians"|"sparse_blobs", "mean_separation": f,
-                 "noise_sigma": f, "irrelevant_dims": n}
+  generator     {{"kind": "two_gaussians"|"sparse_blobs", "mean_separation": f,
+                 "noise_sigma": f, "irrelevant_dims": n}}
                 (dimension and seed are filled in per cell)
-  m_values      nonempty list of positive ints
-  d_values      nonempty list of positive ints
-  norm_kinds    nonempty list from {l1, fro, mixed21, trace}
+  m_values      nonempty list of distinct positive ints
+  d_values      nonempty list of distinct positive ints
+  norm_kinds    nonempty list of distinct kinds from {{l1, fro, mixed21, trace}}
   lambda, margin, delta    positive reals, 0 < delta < 1
   trials        runs per (m, d, norm) cell
   mc_draws      Monte-Carlo draws per Rademacher estimate
@@ -89,9 +87,7 @@ Config JSON fields:
   output_dir    directory for results.csv and summary.json
 
 results.csv columns, in order:
-  m,d,norm_kind,trial,e_z,e_holdout,similarity_gap,separator_hinge_holdout,
-  x_star,r_m_empirical,r_m_std_error,r_m_analytic,r_m_used,theorem1_bound,
-  theorem2_bound,theorem1_holds,theorem2_holds,trial_seed
+{textwrap.indent(textwrap.fill(", ".join(EXPERIMENT_CSV_COLUMNS), 74), "  ")}
 
 e_z is the training similarity error, e_holdout its fresh-sample value,
 similarity_gap their difference, separator_hinge_holdout the stage-two
@@ -240,12 +236,7 @@ def cmd_eval(args):
         doc["hinge_error"] = empirical_hinge_error(sep, data)
         predicted = np.where(_values(sep, data.features) >= 0.0, 1.0, -1.0)
         doc["zero_one_error"] = float(np.mean(predicted != data.labels))
-    text = json.dumps(doc, indent=2) + "\n"
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_json(doc, args.out)
     return 0
 
 
@@ -260,53 +251,82 @@ def derive_seed(master_seed, *parts):
     return int.from_bytes(digest, "little")
 
 
-def _require_fields(doc, fields, context):
-    for field in fields:
-        if field not in doc:
-            raise ValueError(f"{context} missing field {field!r}")
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _load_experiment_config(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    _require_fields(
-        doc,
-        (
-            "generator",
-            "m_values",
-            "d_values",
-            "norm_kinds",
-            "lambda",
-            "margin",
-            "delta",
-            "trials",
-            "mc_draws",
-            "seed",
-            "output_dir",
-        ),
-        "experiment config",
+def _is_count(value):
+    return _is_int(value) and value > 0
+
+
+def _is_number(value):
+    return _is_int(value) or isinstance(value, float)
+
+
+def _is_value_of(enum):
+    return lambda value: value in [member.value for member in enum]
+
+
+def _is_grid(check):
+    # Each grid value names one cell; a repeated value would name it twice.
+    return lambda values: (
+        isinstance(values, list)
+        and len(values) > 0
+        and all(map(check, values))
+        and len(set(values)) == len(values)
     )
-    _require_fields(doc["generator"], ("kind", "mean_separation", "noise_sigma"), "generator block")
-    for list_field in ("m_values", "d_values", "norm_kinds"):
-        if not doc[list_field]:
-            raise ValueError(f"{list_field} must be nonempty")
-    if doc["trials"] < 1:
-        raise ValueError(f"trials must be at least 1, got {doc['trials']}")
-    if not 0 < doc["delta"] < 1:
-        raise ValueError(f"delta must lie in (0, 1), got {doc['delta']}")
-    doc.setdefault("holdout_m", 10000)
-    doc.setdefault("max_iters", 500)
-    doc.setdefault("step0", 1.0)
-    doc["norm_kinds"] = [NormKind(kind) for kind in doc["norm_kinds"]]
+
+
+_GENERATOR_CHECKS = (
+    ("kind", _is_value_of(GeneratorKind), "a generator kind"),
+    ("mean_separation", _is_number, "a number"),
+    ("noise_sigma", _is_number, "a number"),
+    ("irrelevant_dims", _is_int, "an int"),
+)
+
+# Missing fields are reported in this order.
+_CONFIG_CHECKS = (
+    ("generator", lambda value: isinstance(value, dict), "an object"),
+    ("m_values", _is_grid(_is_count), "a nonempty list of distinct positive ints"),
+    ("d_values", _is_grid(_is_count), "a nonempty list of distinct positive ints"),
+    ("norm_kinds", _is_grid(_is_value_of(NormKind)), "a nonempty list of distinct norm kinds"),
+    ("lambda", _is_number, "a number"),
+    ("margin", _is_number, "a number"),
+    ("delta", _is_number, "a number"),
+    ("trials", _is_count, "a positive int"),
+    ("mc_draws", _is_count, "a positive int"),
+    ("seed", _is_int, "an int"),
+    ("holdout_m", _is_count, "a positive int"),
+    ("max_iters", _is_count, "a positive int"),
+    ("step0", _is_number, "a number"),
+    ("output_dir", lambda value: isinstance(value, str), "a string"),
+)
+
+
+def _checked(doc, checks, defaults, context, prefix=""):
+    """doc with defaults filled in, once every field is present and well typed."""
+    _require_fields(doc, [field for field, _, _ in checks if field not in defaults], context)
+    doc = {**defaults, **doc}
+    for field, check, what in checks:
+        if not check(doc[field]):
+            raise ValueError(f"{prefix}{field} must be {what}, got {doc[field]!r}")
     return doc
 
 
-def _csv_value(value):
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, bool):
-        return str(int(value))
-    return str(value)
+def _load_experiment_config(path):
+    doc = _checked(
+        _read_json(path),
+        _CONFIG_CHECKS,
+        {"holdout_m": 10000, "max_iters": 500, "step0": 1.0},
+        "experiment config",
+    )
+    doc["generator"] = _checked(
+        doc["generator"], _GENERATOR_CHECKS, {"irrelevant_dims": 0}, "generator block", "generator."
+    )
+    if not 0 < doc["delta"] < 1:
+        raise ValueError(f"delta must lie in (0, 1), got {doc['delta']}")
+    doc["norm_kinds"] = [NormKind(kind) for kind in doc["norm_kinds"]]
+    return doc
 
 
 def _run_trial(config, m, d, kind, trial):
@@ -315,11 +335,11 @@ def _run_trial(config, m, d, kind, trial):
     holdout_seed = derive_seed(config["seed"], m, d, kind.value, trial, "holdout")
     mc_seed = derive_seed(config["seed"], m, d, kind.value, trial, "mc")
     spec_fields = dict(
-        kind=GeneratorKind(gen["kind"]),
+        kind=gen["kind"],
         d=d,
         mean_separation=gen["mean_separation"],
         noise_sigma=gen["noise_sigma"],
-        irrelevant_dims=gen.get("irrelevant_dims", 0),
+        irrelevant_dims=gen["irrelevant_dims"],
     )
     train_data = generate(GeneratorSpec(seed=train_seed, **spec_fields), m)
     holdout = generate(GeneratorSpec(seed=holdout_seed, **spec_fields), config["holdout_m"])
@@ -361,20 +381,18 @@ def _run_trial(config, m, d, kind, trial):
     }
 
 
-def _fit_scaling_slopes(rows, config):
-    """Least-squares slope of log r_m_empirical against log m, per (d, kind)."""
+def _fit_scaling_slopes(cells, config):
+    """Least-squares slope of log mean r_m_empirical against log m, per (d, kind)."""
     slopes = []
     for d in config["d_values"]:
         for kind in config["norm_kinds"]:
-            points = []
-            for m in config["m_values"]:
-                cell = [
-                    row["r_m_empirical"]
-                    for row in rows
-                    if row["m"] == m and row["d"] == d and row["norm_kind"] == kind.value
-                ]
-                if cell and np.mean(cell) > 0:
-                    points.append((math.log(m), math.log(float(np.mean(cell)))))
+            points = [
+                (math.log(cell["m"]), math.log(cell["mean_r_m_empirical"]))
+                for cell in cells
+                if cell["d"] == d
+                and cell["norm_kind"] == kind.value
+                and cell["mean_r_m_empirical"] > 0
+            ]
             if len(points) >= 2:
                 xs = np.array([p[0] for p in points])
                 ys = np.array([p[1] for p in points])
@@ -387,30 +405,19 @@ def cmd_experiment(args):
     config = _load_experiment_config(args.config)
     os.makedirs(config["output_dir"], exist_ok=True)
     rows = []
-    for m in config["m_values"]:
-        for d in config["d_values"]:
-            for kind in config["norm_kinds"]:
-                for trial in range(config["trials"]):
-                    try:
-                        rows.append(_run_trial(config, m, d, kind, trial))
-                    except (ValueError, NumericalError) as exc:
-                        raise type(exc)(
-                            f"cell m={m} d={d} norm={kind.value} trial={trial}: {exc}"
-                        ) from exc
-    csv_path = os.path.join(config["output_dir"], "results.csv")
-    with open(csv_path, "w", encoding="utf-8") as handle:
-        handle.write(",".join(EXPERIMENT_CSV_COLUMNS) + "\n")
-        for row in rows:
-            handle.write(",".join(_csv_value(row[col]) for col in EXPERIMENT_CSV_COLUMNS) + "\n")
     cells = []
     for m in config["m_values"]:
         for d in config["d_values"]:
             for kind in config["norm_kinds"]:
-                cell_rows = [
-                    row
-                    for row in rows
-                    if row["m"] == m and row["d"] == d and row["norm_kind"] == kind.value
-                ]
+                cell_rows = []
+                for trial in range(config["trials"]):
+                    try:
+                        cell_rows.append(_run_trial(config, m, d, kind, trial))
+                    except (ValueError, NumericalError) as exc:
+                        raise type(exc)(
+                            f"cell m={m} d={d} norm={kind.value} trial={trial}: {exc}"
+                        ) from exc
+                rows += cell_rows
                 cells.append(
                     {
                         "m": m,
@@ -428,11 +435,13 @@ def cmd_experiment(args):
                         ),
                     }
                 )
-    summary = {"cells": cells, "scaling_slopes": _fit_scaling_slopes(rows, config)}
-    summary_path = os.path.join(config["output_dir"], "summary.json")
-    with open(summary_path, "w", encoding="utf-8") as handle:
-        json.dump(summary, handle, indent=2)
-        handle.write("\n")
+    csv_path = os.path.join(config["output_dir"], "results.csv")
+    with open(csv_path, "w", encoding="utf-8") as handle:
+        handle.write(",".join(EXPERIMENT_CSV_COLUMNS) + "\n")
+        for row in rows:
+            handle.write(",".join(_csv_cell(row[col]) for col in EXPERIMENT_CSV_COLUMNS) + "\n")
+    summary = {"cells": cells, "scaling_slopes": _fit_scaling_slopes(cells, config)}
+    _write_json(summary, os.path.join(config["output_dir"], "summary.json"))
     print(f"wrote {len(rows)} rows to {csv_path}")
     return 0
 
@@ -445,7 +454,7 @@ def cmd_khinchin(args):
     lhs, rhs, holds = khinchin_check(
         f, args.p, args.q, mode=args.mode, mc_draws=args.mc_draws, seed=args.seed
     )
-    sys.stdout.write(json.dumps({"lhs": lhs, "rhs": rhs, "holds": holds}, indent=2) + "\n")
+    _write_json({"lhs": lhs, "rhs": rhs, "holds": holds})
     return 0
 
 

@@ -10,6 +10,7 @@ then the noise matrix) is fixed, so generation is reproducible byte for byte.
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -197,6 +198,36 @@ def save_csv(data, path):
             handle.write(",".join(cells) + "\n")
 
 
+def _csv_cell(value):
+    """One CSV cell: floats in shortest round-trip form, booleans as 0/1."""
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, bool):
+        return str(int(value))
+    return str(value)
+
+
+def _write_json(doc, path=None):
+    """Write doc with two-space indent and a final newline; stdout if no path."""
+    text = json.dumps(doc, indent=2) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+
+
+def _read_json(path):
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def _require_fields(doc, fields, context):
+    for field in fields:
+        if not isinstance(doc, dict) or field not in doc:
+            raise ValueError(f"{context} missing field {field!r}")
+
+
 def dataset_to_json_dict(data):
     return {
         "m": data.m,
@@ -207,18 +238,13 @@ def dataset_to_json_dict(data):
 
 
 def dataset_from_json_dict(doc):
-    for field in ("labels", "features"):
-        if field not in doc:
-            raise ValueError(f"dataset document missing field {field!r}")
+    _require_fields(doc, ("labels", "features"), "dataset document")
     return Dataset(np.array(doc["features"], dtype=float), np.array(doc["labels"], dtype=float))
 
 
 def save_json(data, path):
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(dataset_to_json_dict(data), handle, indent=2)
-        handle.write("\n")
+    _write_json(dataset_to_json_dict(data), path)
 
 
 def load_json(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return dataset_from_json_dict(json.load(handle))
+    return dataset_from_json_dict(_read_json(path))

@@ -7,12 +7,12 @@ error coincides with the stage-one similarity error, and projected
 subgradient steps can only improve on that.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _read_json, _require_fields, _write_json
 from .errors import NumericalError
 from .similarity import SimilarityModel, _hinge_error, model_from_json_dict, model_to_json_dict
 
@@ -179,17 +179,12 @@ def separator_to_json_dict(sep):
 
 
 def save_separator(sep, path):
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(separator_to_json_dict(sep), handle, indent=2)
-        handle.write("\n")
+    _write_json(separator_to_json_dict(sep), path)
 
 
 def load_separator(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    for field in ("alpha", "margin", "anchor_features", "model"):
-        if field not in doc:
-            raise ValueError(f"separator document missing field {field!r}")
+    doc = _read_json(path)
+    _require_fields(doc, ("alpha", "margin", "anchor_features", "model"), "separator document")
     model = model_from_json_dict(doc["model"])
     alpha = np.asarray(doc["alpha"], dtype=float)
     anchors = np.asarray(doc["anchor_features"], dtype=float).reshape(alpha.shape[0], model.d)

@@ -11,12 +11,12 @@ objective at zero is exactly 1 and the best iterate is returned, the learnt
 matrix always satisfies norm(A) <= 1/lam.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _read_json, _require_fields, _write_json
 from .errors import NumericalError
 from .norms import NormKind, _norm, _prox, norm, require_symmetric
 
@@ -181,7 +181,6 @@ def train_similarity(data, config):
     than the zero start (objective exactly 1).  Raises NumericalError when
     the objective stops being finite, which indicates a divergent step size.
     """
-    _check_data_dims(np.zeros((data.d, data.d)), data)
     kind = config.norm_kind
     lam = config.lam
     margin = config.margin
@@ -236,9 +235,7 @@ def model_to_json_dict(model):
 
 def save_model(model, path):
     """Serialize to JSON with row-major entries; floats survive exactly."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(model_to_json_dict(model), handle, indent=2)
-        handle.write("\n")
+    _write_json(model_to_json_dict(model), path)
 
 
 def model_from_json_dict(doc):
@@ -247,9 +244,11 @@ def model_from_json_dict(doc):
     Solver settings are not persisted, so the embedded config carries the
     stored lambda, margin, and norm kind with default solver fields.
     """
-    for field in ("dim", "norm_kind", "lambda", "margin", "entries", "final_objective", "iterations_run"):
-        if field not in doc:
-            raise ValueError(f"model document missing field {field!r}")
+    _require_fields(
+        doc,
+        ("dim", "norm_kind", "lambda", "margin", "entries", "final_objective", "iterations_run"),
+        "model document",
+    )
     dim = int(doc["dim"])
     entries = np.asarray(doc["entries"], dtype=float)
     if entries.shape != (dim * dim,):
@@ -269,5 +268,4 @@ def model_from_json_dict(doc):
 
 
 def load_model(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return model_from_json_dict(json.load(handle))
+    return model_from_json_dict(_read_json(path))

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line harness (in-process)."""
 
+import csv
 import json
 
 import numpy as np
@@ -234,6 +235,99 @@ def test_experiment_missing_field(tmp_path):
     config_path = tmp_path / "exp.json"
     config_path.write_text(json.dumps(config))
     assert run_cli(["experiment", "--config", str(config_path)]) == 1
+
+
+def test_experiment_scaling_slopes_and_violation_rates(tmp_path, capsys):
+    config = experiment_config(tmp_path, "out")
+    config.update(m_values=[8, 16], norm_kinds=["l1", "fro"], trials=2, mc_draws=16,
+                  holdout_m=100, max_iters=50)
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps(config))
+    assert run_cli(["experiment", "--config", str(config_path)]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "out" / "results.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert len(rows) == 8 and len(summary["cells"]) == 4
+    for cell in summary["cells"]:
+        cell_rows = [row for row in rows if (int(row["m"]), int(row["d"]), row["norm_kind"])
+                     == (cell["m"], cell["d"], cell["norm_kind"])]
+        assert cell["trials"] == len(cell_rows) == 2
+        for n in (1, 2):
+            holds = [int(row[f"theorem{n}_holds"]) for row in cell_rows]
+            assert cell[f"theorem{n}_violation_rate"] == np.mean([1 - h for h in holds])
+        assert cell["mean_r_m_empirical"] == np.mean([float(row["r_m_empirical"]) for row in cell_rows])
+    assert [(s["d"], s["norm_kind"]) for s in summary["scaling_slopes"]] == [(2, "l1"), (2, "fro")]
+    for slope in summary["scaling_slopes"]:
+        cells = [c for c in summary["cells"]
+                 if (c["d"], c["norm_kind"]) == (slope["d"], slope["norm_kind"])]
+        xs = np.log([c["m"] for c in cells])
+        ys = np.log([c["mean_r_m_empirical"] for c in cells])
+        assert slope["slope"] == float(np.polyfit(xs, ys, 1)[0])
+
+
+def test_experiment_trains_through_cli_globals(tmp_path, monkeypatch, capsys):
+    # perfbench's certify workload captures these two module globals and
+    # unpacks train_similarity's positional (data, config) arguments.
+    import simbound.cli as cli
+
+    calls = {}
+    for name in ("train_similarity", "train_separator"):
+        def record(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+            calls[_name] = (args, kwargs)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, record)
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps(experiment_config(tmp_path, "out")))
+    assert run_cli(["experiment", "--config", str(config_path)]) == 0
+    capsys.readouterr()
+    args, kwargs = calls["train_similarity"]
+    assert len(args) == 2 and kwargs == {}
+    assert "train_separator" in calls
+
+
+def set_field(config, dotted, value):
+    doc = config
+    *parents, field = dotted.split(".")
+    for parent in parents:
+        doc = doc[parent]
+    doc[field] = value
+
+
+@pytest.mark.parametrize("field, value", [
+    ("trials", "2"),
+    ("trials", 0),
+    ("trials", True),
+    ("m_values", 20),
+    ("m_values", [20.5]),
+    ("m_values", []),
+    ("m_values", [8, 8]),
+    ("d_values", [0]),
+    ("norm_kinds", "fro"),
+    ("norm_kinds", ["nuclear"]),
+    ("mc_draws", 1.5),
+    ("holdout_m", "100"),
+    ("max_iters", False),
+    ("lambda", "0.1"),
+    ("margin", None),
+    ("delta", "0.05"),
+    ("step0", [1.0]),
+    ("seed", 1.5),
+    ("output_dir", 5),
+    ("generator", 5),
+    ("generator.kind", "uniform"),
+    ("generator.noise_sigma", "1"),
+    ("generator.irrelevant_dims", 0.5),
+])
+def test_experiment_mistyped_config(tmp_path, capsys, field, value):
+    config = experiment_config(tmp_path, "out")
+    set_field(config, field, value)
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps(config))
+    assert run_cli(["experiment", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{field} must be" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_no_subcommand_exits_1(capsys):
