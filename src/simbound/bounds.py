@@ -56,15 +56,14 @@ class BoundReport:
 
 
 def x_star(data, kind):
-    """Largest dual norm of x x2^T over sample pairs, via rank-1 identities."""
-    kind = NormKind(kind)
-    max_inf = float(np.max(np.abs(data.features)))
-    max_two = float(np.max(np.linalg.norm(data.features, axis=1)))
-    if kind is NormKind.L1:
-        return max_inf ** 2
-    if kind is NormKind.MIXED21:
-        return max_inf * max_two
-    return max_two ** 2
+    """Largest dual norm of x x2^T over sample pairs, via rank-1 identities.
+
+    The dual norm of x x2^T is f(x) g(x2) with both factors nonnegative, so
+    the sup over pairs is max f times max g.
+    """
+    v_factor, x_factor = _rank1_factors(NormKind(kind))
+    features = data.features
+    return float(v_factor(features, axis=1).max() * x_factor(features, axis=1).max())
 
 
 # Sign lookup: draw bit 0 -> -1, bit 1 -> +1, as 2 * bit - 1.
@@ -92,21 +91,16 @@ def rademacher_empirical(data, kind, mc_draws, seed=0):
 
     Each draw samples one sign vector from its own substream, forms
     v = (1/m) sum_i sigma_i y_i x_i, and evaluates the sup over the sample
-    by the rank-1 dual identity against the sample point of largest vector
-    norm.  Returns (mean, standard error) over draws, reduced in draw order.
+    by the rank-1 dual identity against the sample point of largest
+    x-factor.  Returns (mean, standard error) over draws, reduced in draw
+    order.
     """
-    kind = NormKind(kind)
     if mc_draws < 1:
         raise ValueError(f"mc_draws must be at least 1, got {mc_draws}")
-    if data.m < 1:
-        raise ValueError("data must be nonempty")
-    if kind is NormKind.L1:
-        ref_scores = np.max(np.abs(data.features), axis=1)
-    else:
-        ref_scores = np.linalg.norm(data.features, axis=1)
-    x_ref = data.features[int(np.argmax(ref_scores))]
-    # dual_norm_rank1(v, x_ref, kind) = v_factor(v) * x_factor(x_ref).
-    v_factor, x_factor = _rank1_factors(kind)
+    # dual_norm_rank1(v, x, kind) = v_factor(v) * x_factor(x), so the sup
+    # over the sample is attained at the row of largest x_factor.
+    v_factor, x_factor = _rank1_factors(NormKind(kind))
+    x_ref = data.features[int(np.argmax(x_factor(data.features, axis=1)))]
     ref_factor = x_factor(x_ref)
     # (sigma * y) @ X equals sigma @ signed bit for bit: every factor but
     # the features is +-1.
@@ -124,30 +118,27 @@ def rademacher_empirical(data, kind, mc_draws, seed=0):
     return estimate, float(np.std(values, ddof=1) / math.sqrt(mc_draws))
 
 
-def _analytic_estimate(kind, max_inf, max_two, sum_sq_two, m, d):
-    """Closed-form upper estimates with the sample maxima already extracted.
+def _analytic_estimate(kind, x_star_value, max_two, sum_sq_two, m, d):
+    """Closed-form upper estimates with the sample suprema already extracted.
 
+    l1, fro and mixed21 give 2 X* sqrt(c / m), with c = e ln(d + 1) for the
+    kinds whose dual takes a max over entries or rows and c = 1 for fro.
     Kept separate from rademacher_analytic so the formulas can be probed at
     arbitrary real m in tests.
     """
     kind = NormKind(kind)
-    if kind is NormKind.L1:
-        return 2.0 * max_inf ** 2 * math.sqrt(math.e * math.log(d + 1) / m)
-    if kind is NormKind.FROBENIUS:
-        return 2.0 * max_two ** 2 * math.sqrt(1.0 / m)
-    if kind is NormKind.MIXED21:
-        return 2.0 * max_two * max_inf * math.sqrt(math.e * math.log(d + 1) / m)
-    return max_two * math.sqrt(sum_sq_two) / m
+    if kind is NormKind.TRACE:
+        return max_two * math.sqrt(sum_sq_two) / m
+    c = 1.0 if kind is NormKind.FROBENIUS else math.e * math.log(d + 1)
+    return 2.0 * x_star_value * math.sqrt(c / m)
 
 
 def rademacher_analytic(data, kind):
     """Per-kind closed-form upper estimate with suprema over the sample."""
-    if data.m < 1:
-        raise ValueError("data must be nonempty")
     row_norms = np.linalg.norm(data.features, axis=1)
     return _analytic_estimate(
         kind,
-        float(np.max(np.abs(data.features))),
+        x_star(data, kind),
         float(np.max(row_norms)),
         float(np.sum(row_norms ** 2)),
         data.m,
@@ -155,30 +146,30 @@ def rademacher_analytic(data, kind):
     )
 
 
-def _check_bound_params(margin, lam, delta, m):
-    if not margin > 0:
-        raise ValueError(f"margin must be positive, got {margin}")
-    if not lam > 0:
-        raise ValueError(f"lam must be positive, got {lam}")
+def _deviation_tail(x_star_value, margin, lam, delta, m):
+    """The confidence term shared by both theorems, once its inputs are checked."""
+    if not 0 < margin < math.inf:
+        raise ValueError(f"margin must be positive and finite, got {margin}")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam}")
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
+    return (2.0 * x_star_value / (margin * lam)) * math.sqrt(2.0 * math.log(1.0 / delta) / m)
 
 
 def theorem1_bound(x_star_value, r_m, margin, lam, delta, m):
     """Deviation bound on the similarity error gap."""
-    _check_bound_params(margin, lam, delta, m)
-    tail = (2.0 * x_star_value / (margin * lam)) * math.sqrt(2.0 * math.log(1.0 / delta) / m)
+    tail = _deviation_tail(x_star_value, margin, lam, delta, m)
     return 6.0 * r_m / (margin * lam) + tail
 
 
 def theorem2_bound(e_z_of_a, x_star_value, r_m, margin, lam, delta, m):
     """Bound on the separator's population hinge error."""
-    _check_bound_params(margin, lam, delta, m)
+    tail = _deviation_tail(x_star_value, margin, lam, delta, m)
     if e_z_of_a < 0:
         raise ValueError(f"e_z_of_a must be nonnegative, got {e_z_of_a}")
-    tail = (2.0 * x_star_value / (margin * lam)) * math.sqrt(2.0 * math.log(1.0 / delta) / m)
     return e_z_of_a + 4.0 * r_m / (margin * lam) + tail
 
 
@@ -193,8 +184,10 @@ def khinchin_check(f, p, q, mode="exact", mc_draws=100000, seed=0):
     f = np.asarray(f, dtype=float)
     if f.ndim != 1 or f.shape[0] < 1:
         raise ValueError(f"f must be a nonempty vector, got shape {f.shape}")
-    if not (1.0 < p < q):
-        raise ValueError(f"need 1 < p < q, got p={p}, q={q}")
+    if not np.isfinite(f).all():
+        raise ValueError(f"f must be finite, got {f.tolist()}")
+    if not 1.0 < p < q < math.inf:
+        raise ValueError(f"need 1 < p < q < inf, got p={p}, q={q}")
     n = f.shape[0]
     if mode == "exact":
         if n > 20:

@@ -17,13 +17,19 @@ import textwrap
 
 import numpy as np
 
-from .bounds import build_bound_report, khinchin_check, save_report
+from .bounds import build_bound_report, khinchin_check, report_to_json_dict, save_report
 from .data import (
     GeneratorKind,
     GeneratorSpec,
+    _checked,
     _csv_cell,
+    _is_count,
+    _is_grid,
+    _is_int,
+    _is_number,
+    _is_object,
+    _is_value_of,
     _read_json,
-    _require_fields,
     _write_json,
     generate,
     load_csv,
@@ -251,66 +257,30 @@ def derive_seed(master_seed, *parts):
     return int.from_bytes(digest, "little")
 
 
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_count(value):
-    return _is_int(value) and value > 0
-
-
-def _is_number(value):
-    return _is_int(value) or isinstance(value, float)
-
-
-def _is_value_of(enum):
-    return lambda value: value in [member.value for member in enum]
-
-
-def _is_grid(check):
-    # Each grid value names one cell; a repeated value would name it twice.
-    return lambda values: (
-        isinstance(values, list)
-        and len(values) > 0
-        and all(map(check, values))
-        and len(set(values)) == len(values)
-    )
-
-
 _GENERATOR_CHECKS = (
     ("kind", _is_value_of(GeneratorKind), "a generator kind"),
-    ("mean_separation", _is_number, "a number"),
-    ("noise_sigma", _is_number, "a number"),
+    ("mean_separation", _is_number, "a finite number"),
+    ("noise_sigma", _is_number, "a finite number"),
     ("irrelevant_dims", _is_int, "an int"),
 )
 
 # Missing fields are reported in this order.
 _CONFIG_CHECKS = (
-    ("generator", lambda value: isinstance(value, dict), "an object"),
+    ("generator", _is_object, "an object"),
     ("m_values", _is_grid(_is_count), "a nonempty list of distinct positive ints"),
     ("d_values", _is_grid(_is_count), "a nonempty list of distinct positive ints"),
     ("norm_kinds", _is_grid(_is_value_of(NormKind)), "a nonempty list of distinct norm kinds"),
-    ("lambda", _is_number, "a number"),
-    ("margin", _is_number, "a number"),
-    ("delta", _is_number, "a number"),
+    ("lambda", _is_number, "a finite number"),
+    ("margin", _is_number, "a finite number"),
+    ("delta", _is_number, "a finite number"),
     ("trials", _is_count, "a positive int"),
     ("mc_draws", _is_count, "a positive int"),
     ("seed", _is_int, "an int"),
     ("holdout_m", _is_count, "a positive int"),
     ("max_iters", _is_count, "a positive int"),
-    ("step0", _is_number, "a number"),
+    ("step0", _is_number, "a finite number"),
     ("output_dir", lambda value: isinstance(value, str), "a string"),
 )
-
-
-def _checked(doc, checks, defaults, context, prefix=""):
-    """doc with defaults filled in, once every field is present and well typed."""
-    _require_fields(doc, [field for field, _, _ in checks if field not in defaults], context)
-    doc = {**defaults, **doc}
-    for field, check, what in checks:
-        if not check(doc[field]):
-            raise ValueError(f"{prefix}{field} must be {what}, got {doc[field]!r}")
-    return doc
 
 
 def _load_experiment_config(path):
@@ -355,26 +325,19 @@ def _run_trial(config, m, d, kind, trial):
     report = build_bound_report(
         model, train_data, delta=config["delta"], mc_draws=config["mc_draws"], seed=mc_seed
     )
-    e_z = report.empirical_error
     e_holdout = true_similarity_error(model.matrix, holdout, config["margin"])
-    gap = e_holdout - e_z
+    gap = e_holdout - report.empirical_error
     sep_holdout = true_hinge_error(sep, holdout)
+    # The report supplies m, norm_kind, x_star, the Rademacher values and
+    # both bounds; the CSV writer selects EXPERIMENT_CSV_COLUMNS.
     return {
-        "m": m,
+        **report_to_json_dict(report),
         "d": d,
-        "norm_kind": kind.value,
         "trial": trial,
-        "e_z": e_z,
+        "e_z": report.empirical_error,
         "e_holdout": e_holdout,
         "similarity_gap": gap,
         "separator_hinge_holdout": sep_holdout,
-        "x_star": report.x_star,
-        "r_m_empirical": report.r_m_empirical,
-        "r_m_std_error": report.r_m_std_error,
-        "r_m_analytic": report.r_m_analytic,
-        "r_m_used": report.r_m_used,
-        "theorem1_bound": report.theorem1_bound,
-        "theorem2_bound": report.theorem2_bound,
         "theorem1_holds": gap <= report.theorem1_bound,
         "theorem2_holds": sep_holdout <= report.theorem2_bound,
         "trial_seed": train_seed,

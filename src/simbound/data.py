@@ -85,8 +85,10 @@ class GeneratorSpec:
         object.__setattr__(self, "kind", GeneratorKind(self.kind))
         if self.d < 1:
             raise ValueError(f"d must be positive, got {self.d}")
-        if not self.noise_sigma > 0:
-            raise ValueError(f"noise_sigma must be positive, got {self.noise_sigma}")
+        if not math.isfinite(self.mean_separation):
+            raise ValueError(f"mean_separation must be finite, got {self.mean_separation}")
+        if not 0 < self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be positive and finite, got {self.noise_sigma}")
         if self.irrelevant_dims < 0:
             raise ValueError(f"irrelevant_dims must be nonnegative, got {self.irrelevant_dims}")
         if self.kind is GeneratorKind.SPARSE_BLOBS and self.irrelevant_dims >= self.d:
@@ -208,8 +210,11 @@ def _csv_cell(value):
 
 
 def _write_json(doc, path=None):
-    """Write doc with two-space indent and a final newline; stdout if no path."""
-    text = json.dumps(doc, indent=2) + "\n"
+    """Write doc with two-space indent and a final newline; stdout if no path.
+
+    Strict JSON: a non-finite float raises ValueError, not a NaN token.
+    """
+    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     if path is None:
         sys.stdout.write(text)
         return
@@ -226,6 +231,56 @@ def _require_fields(doc, fields, context):
     for field in fields:
         if not isinstance(doc, dict) or field not in doc:
             raise ValueError(f"{context} missing field {field!r}")
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_count(value):
+    return _is_int(value) and value > 0
+
+
+def _is_number(value):
+    # json.load reads the NaN and Infinity tokens as floats; they are no
+    # number any field of ours can take.
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+
+
+def _is_numbers(values):
+    return isinstance(values, list) and all(map(_is_number, values))
+
+
+def _is_object(value):
+    return isinstance(value, dict)
+
+
+def _is_value_of(enum):
+    return lambda value: value in [member.value for member in enum]
+
+
+def _is_grid(check):
+    # Each grid value names one cell; a repeated value would name it twice.
+    return lambda values: (
+        isinstance(values, list)
+        and len(values) > 0
+        and all(map(check, values))
+        and len(set(values)) == len(values)
+    )
+
+
+def _checked(doc, checks, defaults, context, prefix=""):
+    """doc with defaults filled in, once every field is present and well typed.
+
+    checks holds (field, predicate, description) triples; missing fields are
+    reported in their order.
+    """
+    _require_fields(doc, [field for field, _, _ in checks if field not in defaults], context)
+    doc = {**defaults, **doc}
+    for field, check, what in checks:
+        if not check(doc[field]):
+            raise ValueError(f"{prefix}{field} must be {what}, got {doc[field]!r}")
+    return doc
 
 
 def dataset_to_json_dict(data):

@@ -104,7 +104,11 @@ def dual_norm_rank1(v, x, kind):
 
 
 def _rank1_factors(kind):
-    """The pair (f, g) with dual_norm(v x^T, kind) = f(v) * g(x)."""
+    """The pair (f, g) with dual_norm(v x^T, kind) = f(v) * g(x).
+
+    Both factors take numpy's ``axis`` argument, so ``f(X, axis=1)`` scores
+    every row of X in one call.
+    """
     if kind is NormKind.L1:
         return _max_abs, _max_abs
     if kind is NormKind.MIXED21:
@@ -112,8 +116,8 @@ def _rank1_factors(kind):
     return np.linalg.norm, np.linalg.norm
 
 
-def _max_abs(v):
-    return np.abs(v).max()
+def _max_abs(v, axis=None):
+    return np.abs(v).max(axis=axis)
 
 
 def prox(b, tau, kind):

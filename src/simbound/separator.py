@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _read_json, _require_fields, _write_json
+from .data import _checked, _is_number, _is_numbers, _is_object, _read_json, _write_json
 from .errors import NumericalError
 from .similarity import SimilarityModel, _hinge_error, model_from_json_dict, model_to_json_dict
 
@@ -36,8 +36,8 @@ class Separator:
                 f"anchor_features shape {anchors.shape} does not match "
                 f"{alpha.shape[0]} coefficients of dimension {self.model.d}"
             )
-        if not self.margin > 0:
-            raise ValueError(f"margin must be positive, got {self.margin}")
+        if not 0 < self.margin < math.inf:
+            raise ValueError(f"margin must be positive and finite, got {self.margin}")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "anchor_features", anchors)
 
@@ -102,14 +102,11 @@ def _project_l1_ball(v, magnitudes, mass, radius):
 
 def empirical_hinge_error(sep, data):
     """(1/m) sum_i [1 - y_i f(x_i)]_+ on the given sample."""
-    values = _values(sep, data.features)
-    return float(np.mean(np.maximum(0.0, 1.0 - data.labels * values)))
+    return _hinge_error(1.0 - data.labels * _values(sep, data.features))
 
 
 def true_hinge_error(sep, holdout):
     """Plug-in estimate of the population hinge error on held-out data."""
-    if holdout.m < 1:
-        raise ValueError("holdout must be nonempty")
     return empirical_hinge_error(sep, holdout)
 
 
@@ -124,8 +121,8 @@ def train_separator(model, data, max_iters=2000, step0=1.0):
         raise ValueError(f"model dimension {model.d} does not match data dimension {data.d}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
-    if not step0 > 0:
-        raise ValueError(f"step0 must be positive, got {step0}")
+    if not 0 < step0 < math.inf:
+        raise ValueError(f"step0 must be positive and finite, got {step0}")
     margin = model.config.margin
     radius = 1.0 / margin
     # signed[i, j] = y_i K_A(x_j, x_i).  Flipping signs is exact, so
@@ -182,15 +179,27 @@ def save_separator(sep, path):
     _write_json(separator_to_json_dict(sep), path)
 
 
+_SEPARATOR_CHECKS = (
+    ("alpha", _is_numbers, "a list of finite numbers"),
+    ("margin", _is_number, "a finite number"),
+    ("anchor_features", _is_numbers, "a list of finite numbers"),
+    ("model", _is_object, "an object"),
+)
+
+
 def load_separator(path):
-    doc = _read_json(path)
-    _require_fields(doc, ("alpha", "margin", "anchor_features", "model"), "separator document")
+    doc = _checked(_read_json(path), _SEPARATOR_CHECKS, {}, "separator document")
     model = model_from_json_dict(doc["model"])
     alpha = np.asarray(doc["alpha"], dtype=float)
-    anchors = np.asarray(doc["anchor_features"], dtype=float).reshape(alpha.shape[0], model.d)
+    anchors = np.asarray(doc["anchor_features"], dtype=float)
+    if anchors.size != alpha.size * model.d:
+        raise ValueError(
+            f"anchor_features must hold {alpha.size} rows of dimension {model.d}, "
+            f"got {anchors.size} values"
+        )
     return Separator(
         alpha=alpha,
         margin=float(doc["margin"]),
-        anchor_features=anchors,
+        anchor_features=anchors.reshape(alpha.size, model.d),
         model=model,
     )

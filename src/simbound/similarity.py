@@ -16,7 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _read_json, _require_fields, _write_json
+from .data import (
+    _checked,
+    _is_count,
+    _is_int,
+    _is_number,
+    _is_numbers,
+    _is_value_of,
+    _read_json,
+    _write_json,
+)
 from .errors import NumericalError
 from .norms import NormKind, _norm, _prox, norm, require_symmetric
 
@@ -44,14 +53,14 @@ class SimilarityConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "norm_kind", NormKind(self.norm_kind))
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if not self.margin > 0:
-            raise ValueError(f"margin must be positive, got {self.margin}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
+        if not 0 < self.margin < math.inf:
+            raise ValueError(f"margin must be positive and finite, got {self.margin}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
-        if not self.step0 > 0:
-            raise ValueError(f"step0 must be positive, got {self.step0}")
+        if not 0 < self.step0 < math.inf:
+            raise ValueError(f"step0 must be positive and finite, got {self.step0}")
         if not self.rel_tol >= 0:
             raise ValueError(f"rel_tol must be nonnegative, got {self.rel_tol}")
 
@@ -147,8 +156,6 @@ def true_similarity_error(a, holdout, margin):
     never saw; with a fresh holdout it is a Monte-Carlo estimate of the
     population quantity.
     """
-    if holdout.m < 1:
-        raise ValueError("holdout must be nonempty")
     return empirical_similarity_error(a, holdout, margin)
 
 
@@ -238,18 +245,25 @@ def save_model(model, path):
     _write_json(model_to_json_dict(model), path)
 
 
+_MODEL_CHECKS = (
+    ("dim", _is_count, "a positive int"),
+    ("norm_kind", _is_value_of(NormKind), "a norm kind"),
+    ("lambda", _is_number, "a finite number"),
+    ("margin", _is_number, "a finite number"),
+    ("entries", _is_numbers, "a list of finite numbers"),
+    ("final_objective", _is_number, "a finite number"),
+    ("iterations_run", _is_int, "an int"),
+)
+
+
 def model_from_json_dict(doc):
     """Rebuild a model from its JSON document.
 
     Solver settings are not persisted, so the embedded config carries the
     stored lambda, margin, and norm kind with default solver fields.
     """
-    _require_fields(
-        doc,
-        ("dim", "norm_kind", "lambda", "margin", "entries", "final_objective", "iterations_run"),
-        "model document",
-    )
-    dim = int(doc["dim"])
+    doc = _checked(doc, _MODEL_CHECKS, {}, "model document")
+    dim = doc["dim"]
     entries = np.asarray(doc["entries"], dtype=float)
     if entries.shape != (dim * dim,):
         raise ValueError(f"expected {dim * dim} entries for dim {dim}, got {entries.shape}")
@@ -263,7 +277,7 @@ def model_from_json_dict(doc):
         matrix=matrix,
         config=config,
         final_objective=float(doc["final_objective"]),
-        iterations_run=int(doc["iterations_run"]),
+        iterations_run=doc["iterations_run"],
     )
 
 

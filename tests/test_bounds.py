@@ -14,6 +14,7 @@ from simbound import (
     SimilarityConfig,
     SimilarityModel,
     build_bound_report,
+    dual_norm_rank1,
     khinchin_check,
     rademacher_analytic,
     rademacher_empirical,
@@ -43,6 +44,29 @@ def test_x_star_hand_values():
     zeros = Dataset(np.zeros((3, 2)), np.array([1.0, -1.0, 1.0]))
     for kind in ("l1", "fro", "mixed21", "trace"):
         assert x_star(zeros, kind) == 0.0
+
+
+@pytest.mark.parametrize("kind", ["l1", "fro", "mixed21", "trace"])
+def test_x_star_is_sup_over_pairs(kind):
+    # Each pair is scored on two single vectors, which may round the
+    # Euclidean factor one ulp away from the row-wise norm.
+    for seed in range(4):
+        rng = make_rng(530 + seed)
+        data = random_dataset(rng, m=int(rng.integers(1, 12)), d=int(rng.integers(1, 6)))
+        expected = max(
+            dual_norm_rank1(x, x2, kind) for x in data.features for x2 in data.features
+        )
+        assert abs(x_star(data, kind) - expected) <= 2 * math.ulp(expected)
+
+
+@pytest.mark.parametrize("kind", ["l1", "fro", "mixed21", "trace"])
+def test_rademacher_single_draw_is_sup_over_sample(kind):
+    for seed in range(4):
+        rng = make_rng(540 + seed)
+        data = random_dataset(rng, m=int(rng.integers(1, 30)), d=int(rng.integers(1, 6)))
+        v = (reference_philox_signs(seed, 0, data.m) * data.labels) @ data.features / data.m
+        expected = max(dual_norm_rank1(v, x, kind) for x in data.features)
+        assert rademacher_empirical(data, kind, mc_draws=1, seed=seed)[0] == expected
 
 
 def test_rademacher_empirical_single_point():
@@ -189,6 +213,12 @@ def test_bound_domain_violations():
         theorem1_bound(1.0, 0.1, 1.0, 0.1, 0.05, 0)
     with pytest.raises(ValueError):
         theorem2_bound(-0.1, 1.0, 0.1, 1.0, 0.1, 0.05, 10)
+    # A non-finite margin or lambda would make the certificate vacuous.
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="margin"):
+            theorem1_bound(1.0, 0.1, value, 0.1, 0.05, 10)
+        with pytest.raises(ValueError, match="lam"):
+            theorem2_bound(0.1, 1.0, 0.1, 1.0, value, 0.05, 10)
 
 
 def test_khinchin_hand_example():
@@ -264,6 +294,11 @@ def test_khinchin_validation():
         khinchin_check(f, 2.0, 4.0, mode="nope")
     with pytest.raises(ValueError):
         khinchin_check(f, 2.0, 4.0, mode="mc", mc_draws=0)
+    with pytest.raises(ValueError):
+        khinchin_check(f, 2.0, math.inf)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="f must be finite"):
+            khinchin_check(np.array([value, 1.0]), 2.0, 4.0)
 
 
 def _trained_pair(seed, kind="fro"):

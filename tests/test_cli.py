@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -175,6 +176,69 @@ def test_khinchin_bad_vector():
     assert run_cli(["khinchin", "--f", "1,oops", "--p", "2", "--q", "4"]) == 1
 
 
+def trained_artifacts(train_csv, tmp_path):
+    model_path = tmp_path / "model.json"
+    sep_path = tmp_path / "sep.json"
+    assert run_cli(train_args(train_csv, model_path)) == 0
+    assert run_cli(["separator", "--model", str(model_path), "--data", str(train_csv),
+                    "--max-iters", "50", "--out", str(sep_path)]) == 0
+    return model_path, sep_path
+
+
+@pytest.mark.parametrize("command, flag, value, named", [
+    ("train", "--margin", "inf", "margin"),
+    ("train", "--lambda", "inf", "lam"),
+    ("train", "--step0", "inf", "step0"),
+    ("separator", "--step0", "inf", "step0"),
+    ("khinchin", "--f", "nan,1", "f"),
+    ("khinchin", "--f", "inf,1", "f"),
+])
+def test_non_finite_flag_exits_1(train_csv, tmp_path, capsys, command, flag, value, named):
+    if command == "train":
+        argv = train_args(train_csv, tmp_path / "m.json", extra=[flag, value])
+    elif command == "separator":
+        model_path, _ = trained_artifacts(train_csv, tmp_path)
+        argv = ["separator", "--model", str(model_path), "--data", str(train_csv),
+                flag, value, "--out", str(tmp_path / "s2.json")]
+    else:
+        argv = ["khinchin", flag, value, "--p", "2", "--q", "4"]
+    capsys.readouterr()
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and f"{named} must be" in captured.err
+
+
+@pytest.mark.parametrize("artifact, field, corrupt", [
+    ("model", "margin", lambda old: math.inf),
+    ("model", "dim", lambda old: None),
+    ("model", "lambda", lambda old: [1]),
+    ("model", "entries", lambda old: old[:-1]),
+    ("separator", "alpha", lambda old: 1.0),
+    ("separator", "anchor_features", lambda old: old[:-1]),
+], ids=["model-margin-inf", "model-dim-null", "model-lambda-list", "model-entries-short",
+        "separator-alpha-scalar", "separator-anchors-short"])
+def test_malformed_artifact_exits_1(train_csv, tmp_path, capsys, artifact, field, corrupt):
+    # A model goes through bounds, a separator through eval; either must
+    # exit 1 with an error that names the field, and write nothing.
+    model_path, sep_path = trained_artifacts(train_csv, tmp_path)
+    path = model_path if artifact == "model" else sep_path
+    doc = json.loads(path.read_text())
+    doc[field] = corrupt(doc[field])
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    if artifact == "model":
+        argv = ["bounds", "--model", str(model_path), "--data", str(train_csv),
+                "--mc-draws", "8", "--out", str(out)]
+    else:
+        argv = ["eval", "--data", str(train_csv), "--separator", str(sep_path), "--out", str(out)]
+    capsys.readouterr()
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert not out.exists()
+
+
 def test_derive_seed_is_stable_and_spread():
     assert derive_seed(7, 10, 2, "fro", 0) == derive_seed(7, 10, 2, "fro", 0)
     seen = {derive_seed(7, m, d, kind, t)
@@ -309,14 +373,20 @@ def set_field(config, dotted, value):
     ("holdout_m", "100"),
     ("max_iters", False),
     ("lambda", "0.1"),
+    ("lambda", math.inf),
     ("margin", None),
+    ("margin", -math.inf),
     ("delta", "0.05"),
+    ("delta", math.nan),
     ("step0", [1.0]),
+    ("step0", math.inf),
     ("seed", 1.5),
     ("output_dir", 5),
     ("generator", 5),
     ("generator.kind", "uniform"),
     ("generator.noise_sigma", "1"),
+    ("generator.noise_sigma", math.inf),
+    ("generator.mean_separation", math.nan),
     ("generator.irrelevant_dims", 0.5),
 ])
 def test_experiment_mistyped_config(tmp_path, capsys, field, value):

@@ -158,6 +158,11 @@ def test_generator_spec_validation():
         GeneratorSpec(kind="two_gaussians", d=0, mean_separation=1.0, noise_sigma=1.0)
     with pytest.raises(ValueError):
         GeneratorSpec(kind="two_gaussians", d=2, mean_separation=1.0, noise_sigma=0.0)
+    with pytest.raises(ValueError, match="noise_sigma"):
+        GeneratorSpec(kind="two_gaussians", d=2, mean_separation=1.0, noise_sigma=math.inf)
+    for separation in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="mean_separation"):
+            GeneratorSpec(kind="two_gaussians", d=2, mean_separation=separation, noise_sigma=1.0)
     with pytest.raises(ValueError):
         GeneratorSpec(
             kind="sparse_blobs", d=2, mean_separation=1.0, noise_sigma=1.0, irrelevant_dims=2

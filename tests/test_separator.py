@@ -98,13 +98,14 @@ def test_separator_validation():
             anchor_features=np.array([[1.0, 0.0]]),
             model=model,
         )
-    with pytest.raises(ValueError):
-        Separator(
-            alpha=np.array([1.0]),
-            margin=0.0,
-            anchor_features=np.array([[1.0, 0.0]]),
-            model=model,
-        )
+    for margin in (0.0, float("inf")):
+        with pytest.raises(ValueError, match="margin"):
+            Separator(
+                alpha=np.array([1.0]),
+                margin=margin,
+                anchor_features=np.array([[1.0, 0.0]]),
+                model=model,
+            )
 
 
 def test_classify_signs_and_tie():
@@ -316,6 +317,8 @@ def test_train_validation():
         train_separator(model, data, max_iters=0)
     with pytest.raises(ValueError):
         train_separator(model, data, step0=0.0)
+    with pytest.raises(ValueError, match="step0"):
+        train_separator(model, data, step0=float("inf"))
 
 
 def test_train_non_finite_raises():

@@ -234,6 +234,13 @@ def test_config_validation():
         SimilarityConfig(lam=0.1, margin=1.0, norm_kind="l1", max_iters=0)
     with pytest.raises(ValueError):
         SimilarityConfig(lam=0.1, margin=1.0, norm_kind="l1", step0=0.0)
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="lam"):
+            SimilarityConfig(lam=value, margin=1.0, norm_kind="l1")
+        with pytest.raises(ValueError, match="margin"):
+            SimilarityConfig(lam=0.1, margin=value, norm_kind="l1")
+        with pytest.raises(ValueError, match="step0"):
+            SimilarityConfig(lam=0.1, margin=1.0, norm_kind="l1", step0=value)
     with pytest.raises(ValueError):
         SimilarityConfig(lam=0.1, margin=1.0, norm_kind="banana")
 
