@@ -373,21 +373,21 @@ def set_field(config, dotted, value):
     ("holdout_m", "100"),
     ("max_iters", False),
     ("lambda", "0.1"),
-    ("lambda", math.inf),
     ("margin", None),
-    ("margin", -math.inf),
     ("delta", "0.05"),
-    ("delta", math.nan),
     ("step0", [1.0]),
-    ("step0", math.inf),
     ("seed", 1.5),
     ("output_dir", 5),
     ("generator", 5),
     ("generator.kind", "uniform"),
     ("generator.noise_sigma", "1"),
+    ("generator.irrelevant_dims", 0.5),
+    ("lambda", math.inf),
+    ("margin", -math.inf),
+    ("delta", math.nan),
+    ("step0", math.inf),
     ("generator.noise_sigma", math.inf),
     ("generator.mean_separation", math.nan),
-    ("generator.irrelevant_dims", 0.5),
 ])
 def test_experiment_mistyped_config(tmp_path, capsys, field, value):
     config = experiment_config(tmp_path, "out")
