@@ -7,14 +7,11 @@ deviation bounds that can be checked empirically.
 """
 
 from .bounds import (
-    REPORT_FIELDS,
     BoundReport,
     build_bound_report,
     khinchin_check,
     rademacher_analytic,
     rademacher_empirical,
-    report_csv_header,
-    report_csv_row,
     report_to_json_dict,
     save_report,
     theorem1_bound,
@@ -27,10 +24,7 @@ from .data import (
     GeneratorSpec,
     generate,
     load_csv,
-    load_json,
     save_csv,
-    save_json,
-    split,
 )
 from .errors import NumericalError
 from .norms import (
@@ -50,7 +44,6 @@ from .separator import (
     load_separator,
     project_l1_ball,
     save_separator,
-    separator_value,
     train_separator,
     true_hinge_error,
 )
@@ -62,14 +55,12 @@ from .similarity import (
     load_model,
     save_model,
     similarity_objective,
-    similarity_score,
     train_similarity,
     true_similarity_error,
 )
 
 __all__ = [
     "BoundReport",
-    "REPORT_FIELDS",
     "Dataset",
     "GeneratorKind",
     "GeneratorSpec",
@@ -89,7 +80,6 @@ __all__ = [
     "hinge_subgradient",
     "khinchin_check",
     "load_csv",
-    "load_json",
     "load_model",
     "load_separator",
     "norm",
@@ -97,18 +87,12 @@ __all__ = [
     "prox",
     "rademacher_analytic",
     "rademacher_empirical",
-    "report_csv_header",
-    "report_csv_row",
     "report_to_json_dict",
     "save_csv",
-    "save_json",
     "save_model",
     "save_report",
     "save_separator",
-    "separator_value",
     "similarity_objective",
-    "similarity_score",
-    "split",
     "sym_eigendecomposition",
     "symmetrize",
     "theorem1_bound",

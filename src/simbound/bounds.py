@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import _csv_cell, _write_json, philox_generator
+from .data import _write_json, philox_generator
 from .norms import NormKind, _rank1_factors
 from .similarity import _signed_features, empirical_similarity_error
 
@@ -72,13 +72,13 @@ _WORD = (1 << 64) - 1
 
 
 def _restart_stream(rng, state, stream):
-    """Put rng where philox_generator(seed, stream) starts.
+    """Put rng where a fresh Philox(key=seed, counter=stream << 128) starts.
 
     state is the documented state of philox_generator(seed) before its first
     draw: the key, an empty output buffer and the 256-bit counter as four
-    64-bit words, low word first.  philox_generator sets that counter to
-    stream << 128, that is words 2 and 3.  Resetting the state of one
-    generator is much cheaper than building a new one per stream.
+    64-bit words, low word first, all zero.  stream << 128 sets words 2 and
+    3.  Resetting the state of one generator is much cheaper than building a
+    new one per stream.
     """
     counter = state["state"]["counter"]
     counter[2] = stream & _WORD
@@ -188,6 +188,11 @@ def khinchin_check(f, p, q, mode="exact", mc_draws=100000, seed=0):
         raise ValueError(f"f must be finite, got {f.tolist()}")
     if not 1.0 < p < q < math.inf:
         raise ValueError(f"need 1 < p < q < inf, got p={p}, q={q}")
+    # Both moments are homogeneous of degree 1 in f.  Scaling f by a power
+    # of two near 1/max|f| is exact, keeps |sum|^q finite for large f, and
+    # is undone on the two roots.
+    exponent = math.frexp(float(np.max(np.abs(f))))[1]
+    f = np.ldexp(f, -exponent)
     n = f.shape[0]
     if mode == "exact":
         if n > 20:
@@ -204,8 +209,10 @@ def khinchin_check(f, p, q, mode="exact", mc_draws=100000, seed=0):
     else:
         raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")
     magnitudes = np.abs(sums)
-    lhs = float(np.mean(magnitudes ** q) ** (1.0 / q))
-    rhs = math.sqrt((q - 1.0) / (p - 1.0)) * float(np.mean(magnitudes ** p) ** (1.0 / p))
+    lhs = math.ldexp(float(np.mean(magnitudes ** q) ** (1.0 / q)), exponent)
+    rhs = math.ldexp(
+        math.sqrt((q - 1.0) / (p - 1.0)) * float(np.mean(magnitudes ** p) ** (1.0 / p)), exponent
+    )
     return lhs, rhs, bool(lhs <= rhs + 1e-12)
 
 
@@ -245,9 +252,8 @@ def build_bound_report(model, data, delta=0.05, mc_draws=1000, seed=0):
     )
 
 
-# Report JSON and CSV use the dataclass field order; only lam is renamed.
+# Report JSON uses the dataclass field order; only lam is renamed.
 _JSON_NAMES = {"lam": "lambda"}
-REPORT_FIELDS = tuple(_JSON_NAMES.get(field.name, field.name) for field in fields(BoundReport))
 
 
 def report_to_json_dict(report):
@@ -261,11 +267,3 @@ def report_to_json_dict(report):
 
 def save_report(report, path):
     _write_json(report_to_json_dict(report), path)
-
-
-def report_csv_header():
-    return ",".join(REPORT_FIELDS)
-
-
-def report_csv_row(report):
-    return ",".join(_csv_cell(value) for value in report_to_json_dict(report).values())

@@ -37,7 +37,7 @@ from .data import (
 from .errors import NumericalError
 from .norms import NormKind
 from .separator import (
-    _values,
+    classify,
     empirical_hinge_error,
     load_separator,
     save_separator,
@@ -240,8 +240,7 @@ def cmd_eval(args):
     if args.separator is not None:
         sep = load_separator(args.separator)
         doc["hinge_error"] = empirical_hinge_error(sep, data)
-        predicted = np.where(_values(sep, data.features) >= 0.0, 1.0, -1.0)
-        doc["zero_one_error"] = float(np.mean(predicted != data.labels))
+        doc["zero_one_error"] = float(np.mean(classify(sep, data.features) != data.labels))
     _write_json(doc, args.out)
     return 0
 

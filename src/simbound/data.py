@@ -1,4 +1,4 @@
-"""Dataset container, CSV and JSON serialization, generators, and splits.
+"""Dataset container, CSV and JSON serialization, and generators.
 
 CSV layout: one row per example, ``label,feat_1,...,feat_d``.  Labels must be
 one of the tokens ``-1``, ``1``, ``+1``.  A header row is recognized only when
@@ -99,9 +99,9 @@ class GeneratorSpec:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
-def philox_generator(seed, stream=0):
-    """Philox counter-based generator; distinct streams never overlap."""
-    return np.random.Generator(np.random.Philox(key=seed, counter=stream << 128))
+def philox_generator(seed):
+    """Philox counter-based generator keyed by seed, counter at zero."""
+    return np.random.Generator(np.random.Philox(key=seed))
 
 
 def generate(spec, m):
@@ -116,28 +116,6 @@ def generate(spec, m):
     mean[:informative] = spec.mean_separation / (2.0 * math.sqrt(spec.d))
     features = labels[:, None] * mean[None, :] + spec.noise_sigma * noise
     return Dataset(features, labels)
-
-
-def split(data, train_fraction, seed):
-    """Partition rows into (train, test) by a seeded shuffle.
-
-    The train part receives ceil(train_fraction * m) rows.  Raises if either
-    side would be empty.
-    """
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train_fraction must lie strictly between 0 and 1, got {train_fraction}")
-    n_train = math.ceil(train_fraction * data.m)
-    if n_train < 1 or n_train >= data.m:
-        raise ValueError(
-            f"degenerate split: {n_train} of {data.m} rows on the train side"
-        )
-    perm = philox_generator(seed).permutation(data.m)
-    train_idx = perm[:n_train]
-    test_idx = perm[n_train:]
-    return (
-        Dataset(data.features[train_idx], data.labels[train_idx]),
-        Dataset(data.features[test_idx], data.labels[test_idx]),
-    )
 
 
 _LABEL_TOKENS = {"-1": -1.0, "1": 1.0, "+1": 1.0}
@@ -295,11 +273,3 @@ def dataset_to_json_dict(data):
 def dataset_from_json_dict(doc):
     _require_fields(doc, ("labels", "features"), "dataset document")
     return Dataset(np.array(doc["features"], dtype=float), np.array(doc["labels"], dtype=float))
-
-
-def save_json(data, path):
-    _write_json(dataset_to_json_dict(data), path)
-
-
-def load_json(path):
-    return dataset_from_json_dict(_read_json(path))

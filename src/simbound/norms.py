@@ -46,8 +46,10 @@ def symmetrize(b):
 
 
 def require_symmetric(a):
-    """Return A as a float array, raising ValueError unless exactly symmetric."""
+    """Return A as a float array, raising ValueError unless finite and exactly symmetric."""
     a = _as_square(a)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix must be finite")
     if not np.array_equal(a, a.T):
         raise ValueError("matrix is not symmetric")
     return a

@@ -61,17 +61,12 @@ def _values(sep, features):
     return features @ (sep.model.matrix @ pooled)
 
 
-def separator_value(sep, x):
-    """Evaluate f(x) = sum_j alpha_j K_A(x_j, x)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (sep.model.d,):
-        raise ValueError(f"vector shape {x.shape} does not match model dimension {sep.model.d}")
-    return float(_values(sep, x[None, :])[0])
-
-
-def classify(sep, x):
-    """Sign of the separator value; exact zero maps to +1."""
-    return 1 if separator_value(sep, x) >= 0.0 else -1
+def classify(sep, features):
+    """Labels +-1 for the rows of features (n, d) by the sign of f; exact zero maps to +1."""
+    features = np.asarray(features, dtype=float)
+    if features.ndim != 2:
+        raise ValueError(f"features must be 2-dimensional, got shape {features.shape}")
+    return np.where(_values(sep, features) >= 0.0, 1.0, -1.0)
 
 
 def project_l1_ball(v, radius):

@@ -84,25 +84,6 @@ class SimilarityModel:
         return self.matrix.shape[0]
 
 
-def _check_pair_dims(a, x, x2):
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"similarity matrix must be square, got shape {a.shape}")
-    if x.shape != (a.shape[0],) or x2.shape != (a.shape[0],):
-        raise ValueError(
-            f"vectors of shape {x.shape} and {x2.shape} do not match matrix dimension {a.shape[0]}"
-        )
-    return a, x, x2
-
-
-def similarity_score(a, x, x2):
-    """Bilinear score x^T a x2."""
-    a, x, x2 = _check_pair_dims(a, x, x2)
-    return float(x @ a @ x2)
-
-
 def _check_data_dims(a, data):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

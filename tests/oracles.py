@@ -104,16 +104,17 @@ def prox_objective(x, b, tau, kind):
     return quad + tau * _matrix_norm(x, kind)
 
 
-def prox_oracle(bs, tau, kind, iters, symmetric=True):
+def prox_oracle(bs, tau, kind, iters):
     """Projected-subgradient minimizer of the proximal objective.
 
-    Batched over the leading axis of bs; tau is a scalar or an array that
-    broadcasts against bs (shape (n, 1, 1) for one threshold per input),
-    except for the trace norm, which takes a scalar.  Iterates stay in the
-    symmetric subspace (the projection step) when symmetric is set, the step
-    schedule is 2/(k+10), the start is b itself, and the answer is the
-    average of the final fifth of the trajectory, which smooths subgradient
-    chatter.
+    Batched over the leading axis of bs, which must hold exactly symmetric
+    matrices; tau is a scalar or an array that broadcasts against bs (shape
+    (n, 1, 1) for one threshold per input).  Iterates stay in the symmetric
+    subspace: the l1 and fro updates keep a symmetric iterate exactly
+    symmetric, and the mixed21 update is projected back after each step.
+    The step schedule is 2/(k+10), the start is b itself, and the answer is
+    the average of the final fifth of the trajectory, which smooths
+    subgradient chatter.
     """
     if kind == "trace":
         return _prox_oracle_trace(bs, tau, iters)
@@ -125,7 +126,7 @@ def prox_oracle(bs, tau, kind, iters, symmetric=True):
         step = 2.0 / (k + 10.0)
         grad = (x - bs) + tau * _norm_subgradient(x, kind)
         x = x - step * grad
-        if symmetric:
+        if kind == "mixed21":
             x = (x + np.swapaxes(x, -2, -1)) / 2.0
         if k >= tail_from:
             acc += x
@@ -139,8 +140,13 @@ def _prox_oracle_trace(bs, tau, iters):
     The iterates of the matrix recursion started at b stay polynomials in b,
     so they share b's eigenbasis (LAPACK's, not the package's) and the whole
     run collapses to independent scalar problems on the eigenvalues:
-    minimize 0.5 (s - v)^2 + tau |s| by the same subgradient schedule.
+    minimize 0.5 (s - v)^2 + tau |s| by the same subgradient schedule.  A
+    per-input tau of shape (n, 1, 1) drops its last axis to meet the
+    eigenvalues, shape (n, d).
     """
+    tau = np.asarray(tau, dtype=float)
+    if tau.ndim > 0:
+        tau = tau[..., 0]
     vals, vecs = np.linalg.eigh((bs + np.swapaxes(bs, -2, -1)) / 2.0)
     s = vals.copy()
     tail_from = int(iters * 0.8)

@@ -15,14 +15,12 @@ from simbound import (
     Separator,
     SimilarityConfig,
     SimilarityModel,
-    report_csv_header,
-    report_csv_row,
-    save_json,
     save_model,
     save_report,
     save_separator,
 )
 from simbound import cli
+from simbound.data import _write_json, dataset_to_json_dict
 
 SEVENTEEN_DIGITS = 0.1 + 0.2
 
@@ -97,17 +95,6 @@ def test_report_json_bytes(tmp_path):
 """
 
 
-def test_report_csv_bytes():
-    assert report_csv_header() == (
-        "norm_kind,x_star,r_m_empirical,r_m_std_error,r_m_analytic,r_m_used,"
-        "empirical_error,delta,m,lambda,margin,theorem1_bound,theorem2_bound,mc_draws,seed"
-    )
-    assert report_csv_row(hand_report()) == (
-        "mixed21,2.5,0.30000000000000004,0.0,1e-17,0.30000000000000004,"
-        "0.75,0.05,8,0.1,1.0,12.5,1e+300,64,18446744073709551615"
-    )
-
-
 def test_model_json_bytes(tmp_path):
     path = tmp_path / "model.json"
     save_model(hand_model(), path)
@@ -144,7 +131,8 @@ def test_separator_json_bytes(tmp_path):
 
 def test_dataset_json_bytes(tmp_path):
     path = tmp_path / "data.json"
-    save_json(Dataset(np.array([[SEVENTEEN_DIGITS, -1.0]]), np.array([-1.0])), path)
+    data = Dataset(np.array([[SEVENTEEN_DIGITS, -1.0]]), np.array([-1.0]))
+    _write_json(dataset_to_json_dict(data), path)
     assert path.read_text() == """\
 {
   "m": 1,

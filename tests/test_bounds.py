@@ -1,5 +1,6 @@
 """Tests for the certificate machinery: X*, Rademacher estimates, bounds."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -10,7 +11,6 @@ import pytest
 from simbound import (
     BoundReport,
     Dataset,
-    REPORT_FIELDS,
     SimilarityConfig,
     SimilarityModel,
     build_bound_report,
@@ -18,8 +18,6 @@ from simbound import (
     khinchin_check,
     rademacher_analytic,
     rademacher_empirical,
-    report_csv_header,
-    report_csv_row,
     report_to_json_dict,
     save_report,
     theorem1_bound,
@@ -122,7 +120,7 @@ def test_restart_stream_matches_fresh_generator():
             signs = rng.integers(0, 2, size=size).astype(float) * 2.0 - 1.0
             np.testing.assert_array_equal(signs, reference_philox_signs(seed, stream, size))
     _restart_stream(rng, state, 2 ** 64 + 3)
-    fresh = philox_generator(seed, stream=2 ** 64 + 3)
+    fresh = np.random.Generator(np.random.Philox(key=seed, counter=(2 ** 64 + 3) << 128))
     np.testing.assert_array_equal(rng.random(9), fresh.random(9))
 
 
@@ -332,9 +330,8 @@ def test_build_report_determinism():
     model, data = _trained_pair(521, kind="l1")
     first = build_bound_report(model, data, delta=0.1, mc_draws=150, seed=7)
     second = build_bound_report(model, data, delta=0.1, mc_draws=150, seed=7)
-    for field in REPORT_FIELDS:
-        attr = "lam" if field == "lambda" else field
-        assert getattr(first, attr) == getattr(second, attr)
+    for field in dataclasses.fields(BoundReport):
+        assert getattr(first, field.name) == getattr(second, field.name)
 
 
 def test_build_report_zero_features():
@@ -377,15 +374,3 @@ def test_report_json_round_trip(tmp_path):
     assert parsed["lambda"] == report.lam
     assert parsed["theorem1_bound"] == report.theorem1_bound
     assert parsed["norm_kind"] == "trace"
-
-
-def test_report_csv_emission():
-    model, data = _trained_pair(524, kind="mixed21")
-    report = build_bound_report(model, data, mc_draws=100, seed=2)
-    header = report_csv_header()
-    row = report_csv_row(report)
-    assert header.split(",") == list(REPORT_FIELDS)
-    cells = row.split(",")
-    assert len(cells) == len(REPORT_FIELDS)
-    assert float(cells[REPORT_FIELDS.index("r_m_used")]) == report.r_m_used
-    assert cells[0] == "mixed21"

@@ -172,6 +172,16 @@ def test_khinchin_command(capsys):
     assert doc["rhs"] == pytest.approx(6.0 ** 0.5, rel=1e-12)
 
 
+def test_khinchin_large_coefficients(capsys):
+    # |sum|^4 of these coefficients overflows unless f is scaled first.
+    assert run_cli(["khinchin", "--f", "1e200,1", "--p", "2", "--q", "4"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert math.isfinite(doc["lhs"]) and math.isfinite(doc["rhs"])
+    assert doc["holds"] is True
+    assert doc["lhs"] == pytest.approx(1e200, rel=1e-12)
+    assert doc["rhs"] == pytest.approx(3.0 ** 0.5 * 1e200, rel=1e-12)
+
+
 def test_khinchin_bad_vector():
     assert run_cli(["khinchin", "--f", "1,oops", "--p", "2", "--q", "4"]) == 1
 

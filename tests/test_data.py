@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from simbound import Dataset, GeneratorKind, GeneratorSpec, generate, load_csv, save_csv, split
-from simbound.data import load_json, save_json
+from simbound import Dataset, GeneratorKind, GeneratorSpec, generate, load_csv, save_csv
+from simbound.data import dataset_from_json_dict, dataset_to_json_dict
 
 
 def test_dataset_validation():
@@ -92,11 +93,9 @@ def test_csv_round_trip_exact(tmp_path, rng):
     assert np.array_equal(back.labels, data.labels)
 
 
-def test_json_round_trip(tmp_path, rng):
+def test_json_round_trip(rng):
     data = Dataset(rng.standard_normal((4, 2)), [1.0, -1.0, 1.0, -1.0])
-    path = tmp_path / "data.json"
-    save_json(data, path)
-    back = load_json(path)
+    back = dataset_from_json_dict(json.loads(json.dumps(dataset_to_json_dict(data))))
     assert np.array_equal(back.features, data.features)
     assert np.array_equal(back.labels, data.labels)
 
@@ -172,29 +171,3 @@ def test_generator_spec_validation():
             GeneratorSpec(kind="two_gaussians", d=2, mean_separation=1.0, noise_sigma=1.0), 0
         )
     assert GeneratorSpec(kind="sparse_blobs", d=2, mean_separation=1.0, noise_sigma=1.0).kind is GeneratorKind.SPARSE_BLOBS
-
-
-def test_split_sizes_and_partition(rng):
-    data = Dataset(rng.standard_normal((10, 2)), np.where(rng.integers(0, 2, 10) == 1, 1.0, -1.0))
-    train, test = split(data, 0.8, seed=4)
-    assert train.m == 8 and test.m == 2
-    merged = np.vstack([train.features, test.features])
-    assert np.array_equal(np.sort(merged, axis=0), np.sort(data.features, axis=0))
-
-
-def test_split_deterministic(rng):
-    data = Dataset(rng.standard_normal((9, 3)), np.ones(9))
-    a_train, a_test = split(data, 0.5, seed=7)
-    b_train, b_test = split(data, 0.5, seed=7)
-    assert np.array_equal(a_train.features, b_train.features)
-    assert np.array_equal(a_test.features, b_test.features)
-    c_train, _ = split(data, 0.5, seed=8)
-    assert not np.array_equal(a_train.features, c_train.features)
-
-
-def test_split_degenerate():
-    data = Dataset(np.ones((3, 1)), np.ones(3))
-    with pytest.raises(ValueError):
-        split(data, 0.99, seed=0)
-    with pytest.raises(ValueError):
-        split(data, 1.2, seed=0)

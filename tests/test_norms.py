@@ -6,6 +6,8 @@ import pytest
 from simbound import (
     NormKind,
     NumericalError,
+    SimilarityConfig,
+    SimilarityModel,
     dual_norm,
     dual_norm_rank1,
     norm,
@@ -29,8 +31,20 @@ def test_norm_hand_values():
 
 
 def test_norm_rejects_asymmetric():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not symmetric"):
         norm(np.array([[0.0, 1.0], [0.0, 0.0]]), "l1")
+    # NaN != NaN, so a non-finite matrix must be named as such before the
+    # symmetry test, also where the non-finite entries mirror each other.
+    config = SimilarityConfig(lam=0.1, margin=1.0, norm_kind="fro")
+    for bad in (np.full((2, 2), np.nan), np.array([[1.0, np.inf], [np.inf, 1.0]])):
+        for check in (
+            lambda a: norm(a, "fro"),
+            lambda a: prox(a, 0.1, "trace"),
+            sym_eigendecomposition,
+            lambda a: SimilarityModel(a, config, 1.0, 0),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                check(bad)
 
 
 def test_norm_identity_scaling():

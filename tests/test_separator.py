@@ -16,11 +16,11 @@ from simbound import (
     load_separator,
     project_l1_ball,
     save_separator,
-    separator_value,
     train_separator,
     train_similarity,
     true_hinge_error,
 )
+from simbound.separator import _values
 from conftest import make_rng, random_dataset
 from oracles import (
     grid_separator_oracle,
@@ -49,8 +49,7 @@ def test_value_hand_case():
         anchor_features=np.array([[1.0, 0.0]]),
         model=make_model(np.eye(2)),
     )
-    assert separator_value(sep, np.array([2.0, 0.0])) == 1.0
-    assert separator_value(sep, np.array([0.0, 7.0])) == 0.0
+    np.testing.assert_array_equal(_values(sep, np.array([[2.0, 0.0], [0.0, 7.0]])), [1.0, 0.0])
 
 
 def test_value_matches_naive_oracle():
@@ -64,11 +63,10 @@ def test_value_matches_naive_oracle():
         sep = Separator(
             alpha=alpha, margin=0.5, anchor_features=anchors, model=make_model(a)
         )
-        for _ in range(4):
-            x = rng.standard_normal(d)
-            assert separator_value(sep, x) == pytest.approx(
-                naive_separator_value(alpha, anchors, a, x), abs=1e-12
-            )
+        xs = rng.standard_normal((4, d))
+        values = _values(sep, xs)
+        for x, value in zip(xs, values):
+            assert value == pytest.approx(naive_separator_value(alpha, anchors, a, x), abs=1e-12)
 
 
 def test_value_shape_mismatch():
@@ -78,8 +76,13 @@ def test_value_shape_mismatch():
         anchor_features=np.array([[1.0, 0.0]]),
         model=make_model(np.eye(2)),
     )
-    with pytest.raises(ValueError):
-        separator_value(sep, np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError, match="dimension"):
+        _values(sep, np.array([[1.0, 2.0, 3.0]]))
+    with pytest.raises(ValueError, match="dimension"):
+        classify(sep, np.array([[1.0, 2.0, 3.0]]))
+    # classify takes a matrix of rows, not a single vector.
+    with pytest.raises(ValueError, match="2-dimensional"):
+        classify(sep, np.array([1.0, 2.0]))
 
 
 def test_separator_validation():
@@ -115,8 +118,7 @@ def test_classify_signs_and_tie():
         anchor_features=np.array([[1.0, 0.0]]),
         model=make_model(np.eye(2)),
     )
-    assert classify(sep, np.array([3.0, 0.0])) == 1
-    assert classify(sep, np.array([-3.0, 0.0])) == -1
+    np.testing.assert_array_equal(classify(sep, np.array([[3.0, 0.0], [-3.0, 0.0]])), [1.0, -1.0])
     zero = Separator(
         alpha=np.array([0.0]),
         margin=1.0,
@@ -124,7 +126,7 @@ def test_classify_signs_and_tie():
         model=make_model(np.eye(2)),
     )
     # Exact zero is assigned to the positive class.
-    assert classify(zero, np.array([5.0, 5.0])) == 1
+    np.testing.assert_array_equal(classify(zero, np.array([[5.0, 5.0], [-5.0, 0.0]])), [1.0, 1.0])
 
 
 def test_anchor_coefficients_hand():

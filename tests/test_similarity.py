@@ -13,7 +13,6 @@ from simbound import (
     load_model,
     save_model,
     similarity_objective,
-    similarity_score,
     symmetrize,
     train_similarity,
     true_similarity_error,
@@ -29,25 +28,6 @@ from oracles import (
 
 def two_point_toy():
     return Dataset(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, -1.0]))
-
-
-def test_similarity_score_values():
-    assert similarity_score(np.eye(2), [1.0, 0.0], [0.0, 1.0]) == 0.0
-    assert similarity_score(np.eye(2), [1.0, 0.0], [1.0, 0.0]) == 1.0
-    assert similarity_score(np.array([[1.0, 2.0], [2.0, 0.0]]), [1.0, 1.0], [1.0, 0.0]) == 3.0
-
-
-def test_similarity_score_symmetric_in_arguments(rng):
-    a = symmetrize(rng.standard_normal((3, 3)))
-    for _ in range(10):
-        x = rng.standard_normal(3)
-        x2 = rng.standard_normal(3)
-        assert similarity_score(a, x, x2) == pytest.approx(similarity_score(a, x2, x), rel=1e-12)
-
-
-def test_similarity_score_dimension_mismatch():
-    with pytest.raises(ValueError):
-        similarity_score(np.eye(2), [1.0, 0.0, 0.0], [1.0, 0.0])
 
 
 def test_empirical_error_zero_matrix():
