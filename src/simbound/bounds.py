@@ -208,11 +208,15 @@ def khinchin_check(f, p, q, mode="exact", mc_draws=100000, seed=0):
         sums = signs @ f
     else:
         raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")
+    # |sum| can still reach n, so |sum|^q overflows for large q.  Dividing by
+    # the largest |sum| makes the largest term exactly 1: neither mean can
+    # overflow or underflow to 0.  The zero vector is left as it is.
     magnitudes = np.abs(sums)
-    lhs = math.ldexp(float(np.mean(magnitudes ** q) ** (1.0 / q)), exponent)
-    rhs = math.ldexp(
-        math.sqrt((q - 1.0) / (p - 1.0)) * float(np.mean(magnitudes ** p) ** (1.0 / p)), exponent
-    )
+    top = float(np.max(magnitudes)) or 1.0
+    ratios = magnitudes / top
+    scale = math.ldexp(top, exponent)
+    lhs = scale * float(np.mean(ratios ** q) ** (1.0 / q))
+    rhs = scale * math.sqrt((q - 1.0) / (p - 1.0)) * float(np.mean(ratios ** p) ** (1.0 / p))
     return lhs, rhs, bool(lhs <= rhs + 1e-12)
 
 

@@ -10,10 +10,12 @@ environment details are emitted.
 import argparse
 import functools
 import hashlib
+import itertools
 import math
 import os
 import sys
 import textwrap
+from dataclasses import replace
 
 import numpy as np
 
@@ -283,48 +285,51 @@ _CONFIG_CHECKS = (
 
 
 def _load_experiment_config(path):
+    """The checked config plus ``specs`` (a seed-0 GeneratorSpec per d) and
+    ``settings`` (a SimilarityConfig per norm kind), built here so that
+    their range checks run before anything is written."""
     doc = _checked(
         _read_json(path),
         _CONFIG_CHECKS,
         {"holdout_m": 10000, "max_iters": 500, "step0": 1.0},
         "experiment config",
     )
-    doc["generator"] = _checked(
+    gen = _checked(
         doc["generator"], _GENERATOR_CHECKS, {"irrelevant_dims": 0}, "generator block", "generator."
     )
     if not 0 < doc["delta"] < 1:
         raise ValueError(f"delta must lie in (0, 1), got {doc['delta']}")
-    doc["norm_kinds"] = [NormKind(kind) for kind in doc["norm_kinds"]]
+    doc["specs"] = {
+        d: GeneratorSpec(d=d, **{field: gen[field] for field, _, _ in _GENERATOR_CHECKS})
+        for d in doc["d_values"]
+    }
+    doc["settings"] = [
+        SimilarityConfig(
+            lam=doc["lambda"],
+            margin=doc["margin"],
+            norm_kind=kind,
+            max_iters=doc["max_iters"],
+            step0=doc["step0"],
+        )
+        for kind in doc["norm_kinds"]
+    ]
     return doc
 
 
-def _run_trial(config, m, d, kind, trial):
-    gen = config["generator"]
-    train_seed = derive_seed(config["seed"], m, d, kind.value, trial, "train")
-    holdout_seed = derive_seed(config["seed"], m, d, kind.value, trial, "holdout")
-    mc_seed = derive_seed(config["seed"], m, d, kind.value, trial, "mc")
-    spec_fields = dict(
-        kind=gen["kind"],
-        d=d,
-        mean_separation=gen["mean_separation"],
-        noise_sigma=gen["noise_sigma"],
-        irrelevant_dims=gen["irrelevant_dims"],
+def _run_trial(config, m, d, settings, trial):
+    train_seed, holdout_seed, mc_seed = (
+        derive_seed(config["seed"], m, d, settings.norm_kind.value, trial, role)
+        for role in ("train", "holdout", "mc")
     )
-    train_data = generate(GeneratorSpec(seed=train_seed, **spec_fields), m)
-    holdout = generate(GeneratorSpec(seed=holdout_seed, **spec_fields), config["holdout_m"])
-    sim_config = SimilarityConfig(
-        lam=config["lambda"],
-        margin=config["margin"],
-        norm_kind=kind,
-        max_iters=config["max_iters"],
-        step0=config["step0"],
-    )
-    model = train_similarity(train_data, sim_config)
-    sep = train_separator(model, train_data, max_iters=config["max_iters"], step0=config["step0"])
+    spec = config["specs"][d]
+    train_data = generate(replace(spec, seed=train_seed), m)
+    holdout = generate(replace(spec, seed=holdout_seed), config["holdout_m"])
+    model = train_similarity(train_data, settings)
+    sep = train_separator(model, train_data, max_iters=settings.max_iters, step0=settings.step0)
     report = build_bound_report(
         model, train_data, delta=config["delta"], mc_draws=config["mc_draws"], seed=mc_seed
     )
-    e_holdout = true_similarity_error(model.matrix, holdout, config["margin"])
+    e_holdout = true_similarity_error(model.matrix, holdout, settings.margin)
     gap = e_holdout - report.empirical_error
     sep_holdout = true_hinge_error(sep, holdout)
     # The report supplies m, norm_kind, x_star, the Rademacher values and
@@ -343,66 +348,54 @@ def _run_trial(config, m, d, kind, trial):
     }
 
 
-def _fit_scaling_slopes(cells, config):
-    """Least-squares slope of log mean r_m_empirical against log m, per (d, kind)."""
-    slopes = []
-    for d in config["d_values"]:
-        for kind in config["norm_kinds"]:
-            points = [
-                (math.log(cell["m"]), math.log(cell["mean_r_m_empirical"]))
-                for cell in cells
-                if cell["d"] == d
-                and cell["norm_kind"] == kind.value
-                and cell["mean_r_m_empirical"] > 0
-            ]
-            if len(points) >= 2:
-                xs = np.array([p[0] for p in points])
-                ys = np.array([p[1] for p in points])
-                slope = float(np.polyfit(xs, ys, 1)[0])
-                slopes.append({"d": d, "norm_kind": kind.value, "slope": slope})
-    return slopes
-
-
 def cmd_experiment(args):
     config = _load_experiment_config(args.config)
     os.makedirs(config["output_dir"], exist_ok=True)
     rows = []
     cells = []
-    for m in config["m_values"]:
-        for d in config["d_values"]:
-            for kind in config["norm_kinds"]:
-                cell_rows = []
-                for trial in range(config["trials"]):
-                    try:
-                        cell_rows.append(_run_trial(config, m, d, kind, trial))
-                    except (ValueError, NumericalError) as exc:
-                        raise type(exc)(
-                            f"cell m={m} d={d} norm={kind.value} trial={trial}: {exc}"
-                        ) from exc
-                rows += cell_rows
-                cells.append(
-                    {
-                        "m": m,
-                        "d": d,
-                        "norm_kind": kind.value,
-                        "trials": len(cell_rows),
-                        "theorem1_violation_rate": float(
-                            np.mean([not row["theorem1_holds"] for row in cell_rows])
-                        ),
-                        "theorem2_violation_rate": float(
-                            np.mean([not row["theorem2_holds"] for row in cell_rows])
-                        ),
-                        "mean_r_m_empirical": float(
-                            np.mean([row["r_m_empirical"] for row in cell_rows])
-                        ),
-                    }
-                )
+    # (log m, log mean r_m_empirical) per (d, kind), keyed in d-major order.
+    points = {(d, kind): [] for d in config["d_values"] for kind in config["norm_kinds"]}
+    for m, d, settings in itertools.product(
+        config["m_values"], config["d_values"], config["settings"]
+    ):
+        kind = settings.norm_kind.value
+        cell_rows = []
+        for trial in range(config["trials"]):
+            try:
+                cell_rows.append(_run_trial(config, m, d, settings, trial))
+            except (ValueError, NumericalError) as exc:
+                raise type(exc)(f"cell m={m} d={d} norm={kind} trial={trial}: {exc}") from exc
+        rows += cell_rows
+        mean_r_m = float(np.mean([row["r_m_empirical"] for row in cell_rows]))
+        cells.append(
+            {
+                "m": m,
+                "d": d,
+                "norm_kind": kind,
+                "trials": len(cell_rows),
+                "theorem1_violation_rate": float(
+                    np.mean([not row["theorem1_holds"] for row in cell_rows])
+                ),
+                "theorem2_violation_rate": float(
+                    np.mean([not row["theorem2_holds"] for row in cell_rows])
+                ),
+                "mean_r_m_empirical": mean_r_m,
+            }
+        )
+        if mean_r_m > 0:
+            points[d, kind].append((math.log(m), math.log(mean_r_m)))
     csv_path = os.path.join(config["output_dir"], "results.csv")
     with open(csv_path, "w", encoding="utf-8") as handle:
         handle.write(",".join(EXPERIMENT_CSV_COLUMNS) + "\n")
         for row in rows:
             handle.write(",".join(_csv_cell(row[col]) for col in EXPERIMENT_CSV_COLUMNS) + "\n")
-    summary = {"cells": cells, "scaling_slopes": _fit_scaling_slopes(cells, config)}
+    # Least-squares slope of log mean r_m_empirical against log m.
+    slopes = [
+        {"d": d, "norm_kind": kind, "slope": float(np.polyfit(*zip(*xy), 1)[0])}
+        for (d, kind), xy in points.items()
+        if len(xy) >= 2
+    ]
+    summary = {"cells": cells, "scaling_slopes": slopes}
     _write_json(summary, os.path.join(config["output_dir"], "summary.json"))
     print(f"wrote {len(rows)} rows to {csv_path}")
     return 0

@@ -101,6 +101,8 @@ class GeneratorSpec:
 
 def philox_generator(seed):
     """Philox counter-based generator keyed by seed, counter at zero."""
+    if not 0 <= seed < 2 ** 128:
+        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
     return np.random.Generator(np.random.Philox(key=seed))
 
 

@@ -79,6 +79,10 @@ def project_l1_ball(v, radius):
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
     v = np.array(v, dtype=float)
+    if v.ndim != 1:
+        raise ValueError(f"v must be a vector, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError("v must be finite")
     magnitudes = np.abs(v)
     return _project_l1_ball(v, magnitudes, magnitudes.sum(), radius)
 

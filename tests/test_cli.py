@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -173,13 +174,22 @@ def test_khinchin_command(capsys):
 
 
 def test_khinchin_large_coefficients(capsys):
-    # |sum|^4 of these coefficients overflows unless f is scaled first.
-    assert run_cli(["khinchin", "--f", "1e200,1", "--p", "2", "--q", "4"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert math.isfinite(doc["lhs"]) and math.isfinite(doc["rhs"])
-    assert doc["holds"] is True
-    assert doc["lhs"] == pytest.approx(1e200, rel=1e-12)
-    assert doc["rhs"] == pytest.approx(3.0 ** 0.5 * 1e200, rel=1e-12)
+    # |sum|^4 of 1e200 overflows unless f is scaled first; |sum|^2000 of
+    # 4 = 1+1+1+1 overflows unless the sums are scaled as well.  Exact
+    # values: E|sum|^q = 4^q/8 + 2^q/2 and E sum^2 = 4 for the second.
+    cases = [
+        ("1e200,1", "4", 1e200, 3.0 ** 0.5 * 1e200),
+        ("1,1,1,1", "2000", 4.0 * (1 / 8 + 2.0 ** -2001) ** (1 / 2000), 2.0 * 1999 ** 0.5),
+    ]
+    for f, q, lhs, rhs in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["khinchin", "--f", f, "--p", "2", "--q", q]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert math.isfinite(doc["lhs"]) and math.isfinite(doc["rhs"])
+        assert doc["holds"] is True
+        assert doc["lhs"] == pytest.approx(lhs, rel=1e-12)
+        assert doc["rhs"] == pytest.approx(rhs, rel=1e-12)
 
 
 def test_khinchin_bad_vector():
@@ -202,6 +212,8 @@ def trained_artifacts(train_csv, tmp_path):
     ("separator", "--step0", "inf", "step0"),
     ("khinchin", "--f", "nan,1", "f"),
     ("khinchin", "--f", "inf,1", "f"),
+    ("bounds", "--seed", "-1", "seed"),
+    ("khinchin", "--seed", str(2 ** 128), "seed"),
 ])
 def test_non_finite_flag_exits_1(train_csv, tmp_path, capsys, command, flag, value, named):
     if command == "train":
@@ -210,8 +222,15 @@ def test_non_finite_flag_exits_1(train_csv, tmp_path, capsys, command, flag, val
         model_path, _ = trained_artifacts(train_csv, tmp_path)
         argv = ["separator", "--model", str(model_path), "--data", str(train_csv),
                 flag, value, "--out", str(tmp_path / "s2.json")]
-    else:
+    elif command == "bounds":
+        model_path, _ = trained_artifacts(train_csv, tmp_path)
+        argv = ["bounds", "--model", str(model_path), "--data", str(train_csv),
+                "--mc-draws", "8", flag, value, "--out", str(tmp_path / "r.json")]
+    elif flag == "--f":
         argv = ["khinchin", flag, value, "--p", "2", "--q", "4"]
+    else:
+        # Only mc mode draws from a seeded generator.
+        argv = ["khinchin", "--f", "1,1", "--p", "2", "--q", "4", "--mode", "mc", flag, value]
     capsys.readouterr()
     assert run_cli(argv) == 1
     captured = capsys.readouterr()
@@ -408,6 +427,45 @@ def test_experiment_mistyped_config(tmp_path, capsys, field, value):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{field} must be" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"lambda": -1}, "lam must be positive and finite, got -1"),
+    ({"margin": 0}, "margin must be positive and finite, got 0"),
+    ({"step0": -1}, "step0 must be positive and finite, got -1"),
+    ({"generator.noise_sigma": 0}, "noise_sigma must be positive and finite, got 0"),
+    ({"generator.irrelevant_dims": -1}, "irrelevant_dims must be nonnegative, got -1"),
+    ({"generator.kind": "sparse_blobs", "generator.irrelevant_dims": 1, "d_values": [3, 1]},
+     "irrelevant_dims must be below d for sparse blobs, got 1 with d=1"),
+], ids=["lambda-negative", "margin-zero", "step0-negative", "noise_sigma-zero",
+        "irrelevant_dims-negative", "sparse_blobs-irrelevant_dims-at-later-d"])
+def test_experiment_out_of_range_config(tmp_path, monkeypatch, capsys, changes, message):
+    # Ranges are checked at load: no trial runs and output_dir is not made,
+    # even when only the last d of the grid is out of range.
+    import simbound.cli as cli
+
+    def no_trial(*args):
+        raise AssertionError("a trial ran before the config was checked")
+
+    monkeypatch.setattr(cli, "_run_trial", no_trial)
+    config = experiment_config(tmp_path, "out")
+    for field, value in changes.items():
+        set_field(config, field, value)
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps(config))
+    assert run_cli(["experiment", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_experiment_ignores_unknown_generator_keys(tmp_path, capsys):
+    config = experiment_config(tmp_path, "out")
+    config["generator"]["comment"] = "not a GeneratorSpec field"
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps(config))
+    assert run_cli(["experiment", "--config", str(config_path)]) == 0
+    capsys.readouterr()
+    assert len((tmp_path / "out" / "results.csv").read_text().splitlines()) == 2
 
 
 def test_no_subcommand_exits_1(capsys):

@@ -156,6 +156,9 @@ def test_project_hand_values():
 def test_project_radius_validation():
     with pytest.raises(ValueError):
         project_l1_ball(np.array([1.0]), 0.0)
+    for v in ([[1.0, 2.0]], 1.0, [np.nan, 1.0], [np.inf, 1.0]):
+        with pytest.raises(ValueError, match="v must be"):
+            project_l1_ball(v, 1.0)
 
 
 def test_project_feasible_and_optimal():
