@@ -7,8 +7,10 @@ estimates of the same average for each norm kind, and the two deviation
 bounds assembled from those ingredients.  A moment-comparison check for
 Rademacher sums is included because the analytic estimates lean on it.
 
-All Monte-Carlo work uses counter-based substreams indexed by draw number,
-so estimates do not depend on evaluation order and are reproducible.
+Each Monte-Carlo estimate draws its signs from one Philox stream keyed by
+its seed: draw k's signs are row k of one sign matrix, so a longer run's
+first k draws use the same signs, and estimates are reproducible.  The sign
+matrix peaks at about 16 * mc_draws * m bytes.
 """
 
 import math
@@ -16,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import _write_json, philox_generator
+from .data import _rademacher_signs, _write_json, philox_generator
 from .norms import NormKind, _rank1_factors
 from .similarity import _signed_features, empirical_similarity_error
 
@@ -66,34 +68,15 @@ def x_star(data, kind):
     return float(v_factor(features, axis=1).max() * x_factor(features, axis=1).max())
 
 
-# Sign lookup: draw bit 0 -> -1, bit 1 -> +1, as 2 * bit - 1.
-_SIGNS = np.array([-1.0, 1.0])
-_WORD = (1 << 64) - 1
-
-
-def _restart_stream(rng, state, stream):
-    """Put rng where a fresh Philox(key=seed, counter=stream << 128) starts.
-
-    state is the documented state of philox_generator(seed) before its first
-    draw: the key, an empty output buffer and the 256-bit counter as four
-    64-bit words, low word first, all zero.  stream << 128 sets words 2 and
-    3.  Resetting the state of one generator is much cheaper than building a
-    new one per stream.
-    """
-    counter = state["state"]["counter"]
-    counter[2] = stream & _WORD
-    counter[3] = stream >> 64
-    rng.bit_generator.state = state
-
-
 def rademacher_empirical(data, kind, mc_draws, seed=0):
     """Monte-Carlo estimate of the dual-norm Rademacher average.
 
-    Each draw samples one sign vector from its own substream, forms
-    v = (1/m) sum_i sigma_i y_i x_i, and evaluates the sup over the sample
-    by the rank-1 dual identity against the sample point of largest
-    x-factor.  Returns (mean, standard error) over draws, reduced in draw
-    order.
+    Draw k takes row k of one (mc_draws, m) sign matrix drawn from
+    philox_generator(seed), forms v = (1/m) sum_i sigma_i y_i x_i, and
+    evaluates the sup over the sample by the rank-1 dual identity against
+    the sample point of largest x-factor.  All draws are one matrix product,
+    so peak memory is about 16 * mc_draws * m bytes.  Returns (mean,
+    standard error) over draws.
     """
     if mc_draws < 1:
         raise ValueError(f"mc_draws must be at least 1, got {mc_draws}")
@@ -101,17 +84,10 @@ def rademacher_empirical(data, kind, mc_draws, seed=0):
     # over the sample is attained at the row of largest x_factor.
     v_factor, x_factor = _rank1_factors(NormKind(kind))
     x_ref = data.features[int(np.argmax(x_factor(data.features, axis=1)))]
-    ref_factor = x_factor(x_ref)
     # (sigma * y) @ X equals sigma @ signed bit for bit: every factor but
     # the features is +-1.
-    signed = _signed_features(data)
-    rng = philox_generator(seed)
-    state = rng.bit_generator.state
-    values = np.empty(mc_draws)
-    for draw in range(mc_draws):
-        _restart_stream(rng, state, draw)
-        sigma = _SIGNS[rng.integers(0, 2, size=data.m)]
-        values[draw] = v_factor(sigma @ signed / data.m) * ref_factor
+    signs = _rademacher_signs(philox_generator(seed), (mc_draws, data.m))
+    values = v_factor(signs @ _signed_features(data) / data.m, axis=1) * x_factor(x_ref)
     estimate = float(np.mean(values))
     if mc_draws == 1:
         return estimate, 0.0
@@ -151,7 +127,7 @@ def _deviation_tail(x_star_value, margin, lam, delta, m):
     if not 0 < margin < math.inf:
         raise ValueError(f"margin must be positive and finite, got {margin}")
     if not 0 < lam < math.inf:
-        raise ValueError(f"lam must be positive and finite, got {lam}")
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if m < 1:
@@ -194,6 +170,8 @@ def khinchin_check(f, p, q, mode="exact", mc_draws=100000, seed=0):
     exponent = math.frexp(float(np.max(np.abs(f))))[1]
     f = np.ldexp(f, -exponent)
     n = f.shape[0]
+    # Built in both modes, so a bad seed fails in exact mode too.
+    rng = philox_generator(seed)
     if mode == "exact":
         if n > 20:
             raise ValueError(f"exact mode enumerates 2^n sign vectors; n={n} exceeds 20")
@@ -203,9 +181,7 @@ def khinchin_check(f, p, q, mode="exact", mc_draws=100000, seed=0):
     elif mode == "mc":
         if mc_draws < 1:
             raise ValueError(f"mc_draws must be at least 1, got {mc_draws}")
-        rng = philox_generator(seed)
-        signs = rng.integers(0, 2, size=(mc_draws, n)).astype(float) * 2.0 - 1.0
-        sums = signs @ f
+        sums = _rademacher_signs(rng, (mc_draws, n)) @ f
     else:
         raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")
     # |sum| can still reach n, so |sum|^q overflows for large q.  Dividing by

@@ -71,7 +71,7 @@ class GeneratorSpec:
     Normal(y * mu, noise_sigma^2 I) with mu = (mean_separation / 2) * 1/sqrt(d)
     in every coordinate.  sparse_blobs uses the same mean on the first
     d - irrelevant_dims coordinates and leaves the remaining coordinates as
-    pure Normal(0, noise_sigma^2) noise.
+    pure Normal(0, noise_sigma^2) noise; two_gaussians takes irrelevant_dims 0.
     """
 
     kind: GeneratorKind
@@ -95,6 +95,10 @@ class GeneratorSpec:
             raise ValueError(
                 f"irrelevant_dims must be below d for sparse blobs, got {self.irrelevant_dims} with d={self.d}"
             )
+        if self.kind is GeneratorKind.TWO_GAUSSIANS and self.irrelevant_dims != 0:
+            raise ValueError(
+                f"irrelevant_dims must be 0 for two_gaussians, got {self.irrelevant_dims}"
+            )
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
@@ -106,12 +110,17 @@ def philox_generator(seed):
     return np.random.Generator(np.random.Philox(key=seed))
 
 
+def _rademacher_signs(rng, shape):
+    """Rademacher signs of the given shape from rng: bit 0 is -1, bit 1 is +1."""
+    return rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
+
+
 def generate(spec, m):
     """Draw m examples from the generator described by spec."""
     if m < 1:
         raise ValueError(f"sample size must be positive, got {m}")
     rng = philox_generator(spec.seed)
-    labels = rng.integers(0, 2, size=m).astype(float) * 2.0 - 1.0
+    labels = _rademacher_signs(rng, m)
     noise = rng.standard_normal((m, spec.d))
     mean = np.zeros(spec.d)
     informative = spec.d - spec.irrelevant_dims if spec.kind is GeneratorKind.SPARSE_BLOBS else spec.d

@@ -54,15 +54,15 @@ class SimilarityConfig:
     def __post_init__(self):
         object.__setattr__(self, "norm_kind", NormKind(self.norm_kind))
         if not 0 < self.lam < math.inf:
-            raise ValueError(f"lam must be positive and finite, got {self.lam}")
+            raise ValueError(f"lambda must be positive and finite, got {self.lam}")
         if not 0 < self.margin < math.inf:
             raise ValueError(f"margin must be positive and finite, got {self.margin}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         if not 0 < self.step0 < math.inf:
             raise ValueError(f"step0 must be positive and finite, got {self.step0}")
-        if not self.rel_tol >= 0:
-            raise ValueError(f"rel_tol must be nonnegative, got {self.rel_tol}")
+        if not 0 <= self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be nonnegative and finite, got {self.rel_tol}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -344,33 +344,35 @@ def reference_separator_alpha(features, labels, a, margin, max_iters, step0):
     return best_alpha
 
 
-def reference_philox_signs(seed, stream, m):
-    """m Rademacher signs from a fresh Philox generator on counter stream << 128."""
-    rng = np.random.Generator(np.random.Philox(key=seed, counter=stream << 128))
+def reference_philox_signs(seed, m):
+    """m Rademacher signs from a fresh Philox generator keyed by seed."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
     return rng.integers(0, 2, size=m).astype(float) * 2.0 - 1.0
 
 
 def reference_rademacher_empirical(features, labels, kind, mc_draws, seed):
-    """Monte-Carlo Rademacher average with a fresh generator for every draw.
+    """Monte-Carlo Rademacher average with draw k's signs from row k of one stream.
 
-    Returns (mean, standard error).  The sup over the sample is the rank-1
-    dual norm of v x_ref^T, with x_ref the sample point of largest infinity
-    norm (l1) or Euclidean norm (the other kinds).
+    One Philox generator keyed by seed yields the signs of every draw, m at
+    a time; the rows are stacked, weighted by the labels and multiplied with
+    the features in one product.  Returns (mean, standard error).  The sup over
+    the sample is the rank-1 dual norm of v x_ref^T, with x_ref the sample
+    point of largest infinity norm (l1) or Euclidean norm (the other kinds).
     """
     m = labels.shape[0]
     if kind == "l1":
         x_ref = features[int(np.argmax(np.max(np.abs(features), axis=1)))]
     else:
         x_ref = features[int(np.argmax(np.linalg.norm(features, axis=1)))]
-    values = np.empty(mc_draws)
-    for draw in range(mc_draws):
-        v = (reference_philox_signs(seed, draw, m) * labels) @ features / m
-        if kind == "l1":
-            values[draw] = np.abs(v).max() * np.abs(x_ref).max()
-        elif kind == "mixed21":
-            values[draw] = np.abs(v).max() * np.linalg.norm(x_ref)
-        else:
-            values[draw] = np.linalg.norm(v) * np.linalg.norm(x_ref)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    signs = np.stack([rng.integers(0, 2, size=m) for _ in range(mc_draws)]) * 2.0 - 1.0
+    v = (signs * labels) @ features / m
+    if kind == "l1":
+        values = np.abs(v).max(axis=1) * np.abs(x_ref).max()
+    elif kind == "mixed21":
+        values = np.abs(v).max(axis=1) * np.linalg.norm(x_ref)
+    else:
+        values = np.linalg.norm(v, axis=1) * np.linalg.norm(x_ref)
     estimate = float(np.mean(values))
     if mc_draws == 1:
         return estimate, 0.0

@@ -50,8 +50,8 @@ from oracles import (
     prox_oracle,
 )
 
-# Every check here is slow; `pytest -m "not slow"` runs the unit tests alone.
-pytestmark = pytest.mark.slow
+# Checks 01-05 take minutes and carry the slow marker, so `pytest -m "not
+# slow"` leaves them out; checks 06-11 take seconds and run with the unit tests.
 
 ALL_KINDS = ("l1", "fro", "mixed21", "trace")
 
@@ -68,6 +68,7 @@ def verdict(tag, ok, detail):
 # ---------------------------------------------------------------- check 01
 
 
+@pytest.mark.slow
 def test_01_prox_closed_forms_match_oracle():
     rng = make_rng(1)
     raw = rng.standard_normal((200, 3, 3))
@@ -163,6 +164,7 @@ def tiny_solver_gaps():
     return {"gaps": gaps, "elapsed": time.monotonic() - started}
 
 
+@pytest.mark.slow
 def test_02_solver_matches_grid_oracle(tiny_solver_gaps):
     gaps = tiny_solver_gaps["gaps"]
     elapsed = tiny_solver_gaps["elapsed"]
@@ -223,6 +225,7 @@ def certificate_trials():
     return {"fractions": fractions, "elapsed": time.monotonic() - started}
 
 
+@pytest.mark.slow
 def test_05_certificates_hold_on_fresh_data(certificate_trials):
     fractions = certificate_trials["fractions"]
     elapsed = certificate_trials["elapsed"]
@@ -243,6 +246,7 @@ def test_05_certificates_hold_on_fresh_data(certificate_trials):
 # ---------------------------------------------------------------- check 03
 
 
+@pytest.mark.slow
 def test_03_feasibility_invariant(tiny_solver_gaps, certificate_trials):
     # A few extra configurations so margins other than 1 are covered.
     for margin in (0.5, 2.0):
@@ -274,6 +278,7 @@ def test_03_feasibility_invariant(tiny_solver_gaps, certificate_trials):
 # ---------------------------------------------------------------- check 04
 
 
+@pytest.mark.slow
 def test_04_anchor_identity_and_improvement(tiny_solver_gaps, certificate_trials):
     worst_identity = 0.0
     worst_improve = -1.0

@@ -25,8 +25,8 @@ from simbound import (
     train_similarity,
     x_star,
 )
-from simbound.bounds import _analytic_estimate, _restart_stream
-from simbound.data import philox_generator
+from simbound.bounds import _analytic_estimate
+from simbound.data import _rademacher_signs, philox_generator
 from conftest import make_rng, random_dataset
 from oracles import reference_philox_signs, reference_rademacher_empirical
 
@@ -62,7 +62,7 @@ def test_rademacher_single_draw_is_sup_over_sample(kind):
     for seed in range(4):
         rng = make_rng(540 + seed)
         data = random_dataset(rng, m=int(rng.integers(1, 30)), d=int(rng.integers(1, 6)))
-        v = (reference_philox_signs(seed, 0, data.m) * data.labels) @ data.features / data.m
+        v = (reference_philox_signs(seed, data.m) * data.labels) @ data.features / data.m
         expected = max(dual_norm_rank1(v, x, kind) for x in data.features)
         assert rademacher_empirical(data, kind, mc_draws=1, seed=seed)[0] == expected
 
@@ -98,7 +98,7 @@ def test_rademacher_empirical_determinism():
 
 
 @pytest.mark.parametrize("kind", ["l1", "fro", "mixed21", "trace"])
-def test_rademacher_empirical_matches_fresh_generator_per_draw(kind):
+def test_rademacher_empirical_matches_one_stream(kind):
     for seed, (m, d) in zip((0, 7, 2 ** 63 + 11, 2 ** 64 - 1), ((1, 1), (13, 4), (100, 5), (37, 9))):
         data = random_dataset(make_rng(470 + m), m=m, d=d)
         for mc_draws in (1, 3, 64):
@@ -108,20 +108,16 @@ def test_rademacher_empirical_matches_fresh_generator_per_draw(kind):
             assert rademacher_empirical(data, kind, mc_draws, seed) == expected
 
 
-def test_restart_stream_matches_fresh_generator():
-    # Streams at and above 2^64 set the top counter word as well.  Odd sizes
-    # leave half of a 64-bit output buffered, which the restart must discard.
-    seed = 123456789
-    rng = philox_generator(seed)
-    state = rng.bit_generator.state
-    for stream in (0, 5, 2 ** 64 - 1, 2 ** 64, 2 ** 64 + 3, 3 * 2 ** 64 + 7, 2 ** 127 + 1, 2):
-        for size in (1, 7, 100):
-            _restart_stream(rng, state, stream)
-            signs = rng.integers(0, 2, size=size).astype(float) * 2.0 - 1.0
-            np.testing.assert_array_equal(signs, reference_philox_signs(seed, stream, size))
-    _restart_stream(rng, state, 2 ** 64 + 3)
-    fresh = np.random.Generator(np.random.Philox(key=seed, counter=(2 ** 64 + 3) << 128))
-    np.testing.assert_array_equal(rng.random(9), fresh.random(9))
+def test_rademacher_signs_prefix_of_longer_draw():
+    # An odd row length leaves half of a 64-bit output buffered between
+    # rows; the rows must still follow one another on the stream.
+    for seed in (0, 123456789, 2 ** 64 - 1):
+        for n in (1, 3, 7, 101):
+            longer = _rademacher_signs(philox_generator(seed), (64, n))
+            for k in (1, 2, 5, 63):
+                np.testing.assert_array_equal(
+                    longer[:k], _rademacher_signs(philox_generator(seed), (k, n))
+                )
 
 
 def test_rademacher_trace_equals_frobenius():
@@ -215,7 +211,7 @@ def test_bound_domain_violations():
     for value in (math.inf, math.nan):
         with pytest.raises(ValueError, match="margin"):
             theorem1_bound(1.0, 0.1, value, 0.1, 0.05, 10)
-        with pytest.raises(ValueError, match="lam"):
+        with pytest.raises(ValueError, match="lambda"):
             theorem2_bound(0.1, 1.0, 0.1, 1.0, value, 0.05, 10)
 
 

@@ -207,13 +207,15 @@ def trained_artifacts(train_csv, tmp_path):
 
 @pytest.mark.parametrize("command, flag, value, named", [
     ("train", "--margin", "inf", "margin"),
-    ("train", "--lambda", "inf", "lam"),
+    ("train", "--lambda", "inf", "lambda"),
     ("train", "--step0", "inf", "step0"),
     ("separator", "--step0", "inf", "step0"),
     ("khinchin", "--f", "nan,1", "f"),
     ("khinchin", "--f", "inf,1", "f"),
     ("bounds", "--seed", "-1", "seed"),
     ("khinchin", "--seed", str(2 ** 128), "seed"),
+    ("khinchin", "--seed", "-1", "seed"),
+    ("train", "--rel-tol", "inf", "rel_tol"),
 ])
 def test_non_finite_flag_exits_1(train_csv, tmp_path, capsys, command, flag, value, named):
     if command == "train":
@@ -229,8 +231,10 @@ def test_non_finite_flag_exits_1(train_csv, tmp_path, capsys, command, flag, val
     elif flag == "--f":
         argv = ["khinchin", flag, value, "--p", "2", "--q", "4"]
     else:
-        # Only mc mode draws from a seeded generator.
-        argv = ["khinchin", "--f", "1,1", "--p", "2", "--q", "4", "--mode", "mc", flag, value]
+        # The seed of 2**128 goes to mc mode, which draws from it; the seed
+        # of -1 to exact mode, which draws nothing yet checks it all the same.
+        mode = [] if value == "-1" else ["--mode", "mc"]
+        argv = ["khinchin", "--f", "1,1", "--p", "2", "--q", "4", *mode, flag, value]
     capsys.readouterr()
     assert run_cli(argv) == 1
     captured = capsys.readouterr()
@@ -430,15 +434,17 @@ def test_experiment_mistyped_config(tmp_path, capsys, field, value):
 
 
 @pytest.mark.parametrize("changes, message", [
-    ({"lambda": -1}, "lam must be positive and finite, got -1"),
+    ({"lambda": -1}, "lambda must be positive and finite, got -1"),
     ({"margin": 0}, "margin must be positive and finite, got 0"),
     ({"step0": -1}, "step0 must be positive and finite, got -1"),
     ({"generator.noise_sigma": 0}, "noise_sigma must be positive and finite, got 0"),
     ({"generator.irrelevant_dims": -1}, "irrelevant_dims must be nonnegative, got -1"),
     ({"generator.kind": "sparse_blobs", "generator.irrelevant_dims": 1, "d_values": [3, 1]},
      "irrelevant_dims must be below d for sparse blobs, got 1 with d=1"),
+    ({"generator.irrelevant_dims": 7}, "irrelevant_dims must be 0 for two_gaussians, got 7"),
 ], ids=["lambda-negative", "margin-zero", "step0-negative", "noise_sigma-zero",
-        "irrelevant_dims-negative", "sparse_blobs-irrelevant_dims-at-later-d"])
+        "irrelevant_dims-negative", "sparse_blobs-irrelevant_dims-at-later-d",
+        "two_gaussians-irrelevant_dims"])
 def test_experiment_out_of_range_config(tmp_path, monkeypatch, capsys, changes, message):
     # Ranges are checked at load: no trial runs and output_dir is not made,
     # even when only the last d of the grid is out of range.

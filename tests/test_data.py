@@ -166,6 +166,10 @@ def test_generator_spec_validation():
         GeneratorSpec(
             kind="sparse_blobs", d=2, mean_separation=1.0, noise_sigma=1.0, irrelevant_dims=2
         )
+    with pytest.raises(ValueError, match="irrelevant_dims must be 0 for two_gaussians, got 1"):
+        GeneratorSpec(
+            kind="two_gaussians", d=3, mean_separation=1.0, noise_sigma=1.0, irrelevant_dims=1
+        )
     with pytest.raises(ValueError):
         generate(
             GeneratorSpec(kind="two_gaussians", d=2, mean_separation=1.0, noise_sigma=1.0), 0

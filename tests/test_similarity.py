@@ -215,12 +215,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimilarityConfig(lam=0.1, margin=1.0, norm_kind="l1", step0=0.0)
     for value in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="lam"):
+        with pytest.raises(ValueError, match="lambda"):
             SimilarityConfig(lam=value, margin=1.0, norm_kind="l1")
         with pytest.raises(ValueError, match="margin"):
             SimilarityConfig(lam=0.1, margin=value, norm_kind="l1")
         with pytest.raises(ValueError, match="step0"):
             SimilarityConfig(lam=0.1, margin=1.0, norm_kind="l1", step0=value)
+    for value in (math.inf, math.nan, -1e-9):
+        with pytest.raises(ValueError, match="rel_tol"):
+            SimilarityConfig(lam=0.1, margin=1.0, norm_kind="l1", rel_tol=value)
     with pytest.raises(ValueError):
         SimilarityConfig(lam=0.1, margin=1.0, norm_kind="banana")
 
