@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import _rademacher_signs, _write_json, philox_generator
+from .data import _is_count, _rademacher_signs, _write_json, philox_generator
 from .norms import NormKind, _rank1_factors
 from .similarity import _signed_features, empirical_similarity_error
 
@@ -78,8 +78,8 @@ def rademacher_empirical(data, kind, mc_draws, seed=0):
     so peak memory is about 16 * mc_draws * m bytes.  Returns (mean,
     standard error) over draws.
     """
-    if mc_draws < 1:
-        raise ValueError(f"mc_draws must be at least 1, got {mc_draws}")
+    if not _is_count(mc_draws):
+        raise ValueError(f"mc_draws must be a positive int, got {mc_draws!r}")
     # dual_norm_rank1(v, x, kind) = v_factor(v) * x_factor(x), so the sup
     # over the sample is attained at the row of largest x_factor.
     v_factor, x_factor = _rank1_factors(NormKind(kind))
@@ -179,8 +179,8 @@ def khinchin_check(f, p, q, mode="exact", mc_draws=100000, seed=0):
         for value in f:
             sums = np.concatenate([sums + value, sums - value])
     elif mode == "mc":
-        if mc_draws < 1:
-            raise ValueError(f"mc_draws must be at least 1, got {mc_draws}")
+        if not _is_count(mc_draws):
+            raise ValueError(f"mc_draws must be a positive int, got {mc_draws!r}")
         sums = _rademacher_signs(rng, (mc_draws, n)) @ f
     else:
         raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")

@@ -125,7 +125,7 @@ def _max_abs(v, axis=None):
 def prox(b, tau, kind):
     """Proximal operator: argmin over symmetric A of 0.5*||A - B||_F^2 + tau*||A||.
 
-    B must be symmetric and tau nonnegative.  The output is exactly
+    B must be symmetric and tau nonnegative and finite.  The output is exactly
     symmetric.  l1, fro and trace are closed forms; mixed21 has none and is
     solved by ``_prox_mixed21`` to a certified duality gap of at most
     ``tau * MIXED21_GAP_RTOL * (||A||_{2,1} + ||B||_{2,1})``.  Strong
@@ -134,8 +134,8 @@ def prox(b, tau, kind):
     """
     b = require_symmetric(b)
     tau = float(tau)
-    if not tau >= 0.0:
-        raise ValueError(f"threshold must be nonnegative, got {tau}")
+    if not 0.0 <= tau < math.inf:
+        raise ValueError(f"threshold must be nonnegative and finite, got {tau}")
     return _prox(b, tau, NormKind(kind))[0]
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _checked, _is_number, _is_numbers, _is_object, _read_json, _write_json
+from .data import _checked, _is_count, _is_number, _is_numbers, _is_object, _read_json, _write_json
 from .errors import NumericalError
 from .similarity import SimilarityModel, _hinge_error, model_from_json_dict, model_to_json_dict
 
@@ -74,7 +74,9 @@ def project_l1_ball(v, radius):
 
     Inside the ball the input is returned unchanged; otherwise the unique
     theta >= 0 with sum max(|v_j| - theta, 0) = radius is found from the
-    sorted absolute values and applied by soft thresholding.
+    sorted absolute values and applied by soft thresholding.  Raises
+    NumericalError when the radius is lost in rounding against magnitudes
+    above about 2^53 times it.
     """
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -84,19 +86,34 @@ def project_l1_ball(v, radius):
     if not np.isfinite(v).all():
         raise ValueError("v must be finite")
     magnitudes = np.abs(v)
-    return _project_l1_ball(v, magnitudes, magnitudes.sum(), radius)
+    return _project_l1_ball(v, magnitudes, magnitudes.sum(), radius, np.arange(1, v.shape[0] + 1))
 
 
-def _project_l1_ball(v, magnitudes, mass, radius):
-    """``project_l1_ball`` given |v| and its sum; returns v itself inside the ball."""
+def _project_l1_ball(v, magnitudes, mass, radius, counts):
+    """``project_l1_ball`` given |v|, its sum and ``arange(1, len(v) + 1)``.
+
+    Returns v itself inside the ball; otherwise overwrites magnitudes.
+    """
     if mass <= radius:
         return v
     u = np.sort(magnitudes)[::-1]
-    cumulative = np.cumsum(u)
-    counts = np.arange(1, u.shape[0] + 1)
-    rho = (u * counts > cumulative - radius).nonzero()[0][-1]
-    theta = (cumulative[rho] - radius) / (rho + 1.0)
-    return np.sign(v) * np.maximum(magnitudes - theta, 0.0)
+    # np.cumsum is np.add.accumulate behind a slower Python wrapper.
+    cumulative = np.add.accumulate(u)
+    holds = u * counts > cumulative - radius
+    # rho is the last index where the rule holds.  It holds at index 0 unless
+    # u[0] - radius rounds to u[0]; argmax of an all-False array is 0, so
+    # that case is checked on its own.
+    rho = u.shape[0] - 1 - int(holds[::-1].argmax())
+    if not holds[rho]:
+        raise NumericalError(
+            f"L1-ball projection lost precision: radius {radius!r} vanishes "
+            f"against magnitudes up to {float(u[0])!r}"
+        )
+    theta = (float(cumulative[rho]) - radius) / (rho + 1.0)
+    np.subtract(magnitudes, theta, out=magnitudes)
+    np.maximum(magnitudes, 0.0, out=magnitudes)
+    # np.copysign would give -0.0 where v holds -0.0; np.sign gives +0.0.
+    return np.sign(v) * magnitudes
 
 
 def empirical_hinge_error(sep, data):
@@ -115,20 +132,27 @@ def train_separator(model, data, max_iters=2000, step0=1.0):
     The iteration never leaves the L1 ball of radius 1/margin, and the best
     iterate (including the starting point) is returned, so the result's
     hinge error is at most that of alpha0.
+
+    Cost: the label-signed m x m Gram matrix takes 8 m^2 bytes (32 MB at
+    m = 2000).  Each step makes two m x m matrix-vector products, plus one
+    sort of m magnitudes when the step leaves the ball.
     """
     if model.d != data.d:
         raise ValueError(f"model dimension {model.d} does not match data dimension {data.d}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
+    if not _is_count(max_iters):
+        raise ValueError(f"max_iters must be a positive int, got {max_iters!r}")
     if not 0 < step0 < math.inf:
         raise ValueError(f"step0 must be positive and finite, got {step0}")
     margin = model.config.margin
     radius = 1.0 / margin
+    m = data.m
+    counts = np.arange(1, m + 1)
     # signed[i, j] = y_i K_A(x_j, x_i).  Flipping signs is exact, so
     # 1 - signed @ alpha is the slack 1 - y * (gram @ alpha) bit for bit, and
     # signed.T @ active is gram.T @ (y * active) bit for bit.
     signed = data.features @ model.matrix @ data.features.T
     signed *= data.labels[:, None]
+    signed_t = signed.T
     alpha = anchor_coefficients(data.labels, margin)
     best_alpha = alpha
     slack = 1.0 - signed @ alpha
@@ -138,17 +162,26 @@ def train_separator(model, data, max_iters=2000, step0=1.0):
     for t in range(1, max_iters + 1):
         # The hinge subgradient is -signed.T @ active / m; stepping against
         # it adds rather than subtracts the negated term, which is exact.
-        stepped = alpha + (step0 / math.sqrt(t)) * ((signed.T @ (slack > 0.0)) / data.m)
+        # In place, this rounds as alpha + (step0 / sqrt(t)) * (product / m).
+        # ndarray.dot calls the same BLAS gemv as @ with less dispatch.  At
+        # m = 1 it multiplies instead, so a zero product may carry the other
+        # sign; adding the one-point alpha, which is never -0.0, or
+        # subtracting from 1 gives the same result either way.
+        stepped = signed_t.dot(slack > 0.0)
+        stepped /= m
+        stepped *= step0 / math.sqrt(t)
+        stepped += alpha
         magnitudes = np.abs(stepped)
-        mass = magnitudes.sum()
+        mass = np.add.reduce(magnitudes)
         # The sum of magnitudes is finite only if every entry is; a sum that
         # overflows stops the iteration as well.
         if not math.isfinite(mass):
             raise NumericalError(
                 f"non-finite coefficients at iteration {t}; try a smaller step0 than {step0}"
             )
-        alpha = _project_l1_ball(stepped, magnitudes, mass, radius)
-        slack = 1.0 - signed @ alpha
+        alpha = _project_l1_ball(stepped, magnitudes, mass, radius, counts)
+        slack = signed.dot(alpha)
+        np.subtract(1.0, slack, out=slack)
         err = _hinge_error(slack)
         if not math.isfinite(err):
             raise NumericalError(

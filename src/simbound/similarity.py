@@ -57,8 +57,8 @@ class SimilarityConfig:
             raise ValueError(f"lambda must be positive and finite, got {self.lam}")
         if not 0 < self.margin < math.inf:
             raise ValueError(f"margin must be positive and finite, got {self.margin}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        if not _is_count(self.max_iters):
+            raise ValueError(f"max_iters must be a positive int, got {self.max_iters!r}")
         if not 0 < self.step0 < math.inf:
             raise ValueError(f"step0 must be positive and finite, got {self.step0}")
         if not 0 <= self.rel_tol < math.inf:
@@ -112,7 +112,7 @@ def _pair_margins(a, signed, w, margin):
 def _hinge_error(slack):
     # slack = 1 - margins; sum / count is what np.mean computes, without its
     # Python overhead.
-    return float(np.maximum(0.0, slack).sum() / len(slack))
+    return float(np.add.reduce(np.maximum(0.0, slack)) / len(slack))
 
 
 def _subgradient(slack, signed, w, margin):
@@ -233,7 +233,7 @@ _MODEL_CHECKS = (
     ("margin", _is_number, "a finite number"),
     ("entries", _is_numbers, "a list of finite numbers"),
     ("final_objective", _is_number, "a finite number"),
-    ("iterations_run", _is_int, "an int"),
+    ("iterations_run", lambda value: _is_int(value) and value >= 0, "a nonnegative int"),
 )
 
 

@@ -144,6 +144,9 @@ def test_rademacher_empirical_validation():
     data = Dataset(np.array([[1.0]]), np.array([1.0]))
     with pytest.raises(ValueError):
         rademacher_empirical(data, "l1", mc_draws=0)
+    for value in (2.5, True):
+        with pytest.raises(ValueError, match=f"mc_draws must be a positive int, got {value}"):
+            rademacher_empirical(data, "l1", mc_draws=value)
 
 
 def test_rademacher_analytic_hand_values():
@@ -288,6 +291,8 @@ def test_khinchin_validation():
         khinchin_check(f, 2.0, 4.0, mode="nope")
     with pytest.raises(ValueError):
         khinchin_check(f, 2.0, 4.0, mode="mc", mc_draws=0)
+    with pytest.raises(ValueError, match="mc_draws must be a positive int, got 2.5"):
+        khinchin_check(f, 2.0, 4.0, mode="mc", mc_draws=2.5)
     with pytest.raises(ValueError):
         khinchin_check(f, 2.0, math.inf)
     for value in (math.nan, math.inf):
@@ -353,6 +358,8 @@ def test_build_report_validation():
     other = Dataset(np.zeros((2, 5)), np.array([1.0, -1.0]))
     with pytest.raises(ValueError):
         build_bound_report(model, other)
+    with pytest.raises(ValueError, match="mc_draws must be a positive int, got 2.5"):
+        build_bound_report(model, data, mc_draws=2.5)
 
 
 def test_report_json_round_trip(tmp_path):

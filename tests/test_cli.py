@@ -111,6 +111,28 @@ def test_separator_dimension_mismatch(train_csv, tmp_path):
     assert code == 1
 
 
+def test_separator_lost_precision_exits_2(tmp_path, capsys):
+    # Features near 1e10 put Gram entries near 1e20: the L1-ball radius 1 is
+    # lost in rounding against the stepped coefficients.
+    from simbound import Dataset
+
+    rng = make_rng(603)
+    labels = np.array([1.0, -1.0] * 5)
+    data_path = tmp_path / "huge.csv"
+    save_csv(Dataset(rng.standard_normal((10, 2)) * 1e10, labels), data_path)
+    model_path = tmp_path / "identity.json"
+    model_path.write_text(json.dumps({
+        "dim": 2, "norm_kind": "fro", "lambda": 0.1, "margin": 1.0,
+        "entries": [1.0, 0.0, 0.0, 1.0], "final_objective": 1.0, "iterations_run": 1,
+    }))
+    out = tmp_path / "sep.json"
+    code = run_cli(["separator", "--model", str(model_path), "--data", str(data_path),
+                    "--max-iters", "5", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("numeric failure: L1-ball projection lost precision")
+    assert not out.exists()
+
+
 def test_separator_corrupted_model(train_csv, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -249,8 +271,9 @@ def test_non_finite_flag_exits_1(train_csv, tmp_path, capsys, command, flag, val
     ("model", "entries", lambda old: old[:-1]),
     ("separator", "alpha", lambda old: 1.0),
     ("separator", "anchor_features", lambda old: old[:-1]),
+    ("model", "iterations_run", lambda old: -5),
 ], ids=["model-margin-inf", "model-dim-null", "model-lambda-list", "model-entries-short",
-        "separator-alpha-scalar", "separator-anchors-short"])
+        "separator-alpha-scalar", "separator-anchors-short", "model-iterations-negative"])
 def test_malformed_artifact_exits_1(train_csv, tmp_path, capsys, artifact, field, corrupt):
     # A model goes through bounds, a separator through eval; either must
     # exit 1 with an error that names the field, and write nothing.

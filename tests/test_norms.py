@@ -111,6 +111,9 @@ def test_prox_zero_threshold_is_identity(rng):
 def test_prox_rejects_negative_threshold():
     with pytest.raises(ValueError):
         prox(np.eye(2), -0.1, "l1")
+    for kind in ALL_KINDS:
+        with pytest.raises(ValueError, match="threshold must be nonnegative and finite, got inf"):
+            prox(np.eye(2), math.inf, kind)
 
 
 def test_prox_l1_hand_values():

@@ -1,5 +1,8 @@
 """Tests for the L1-constrained separator stage."""
 
+import itertools
+import json
+
 import numpy as np
 import pytest
 
@@ -20,7 +23,7 @@ from simbound import (
     train_similarity,
     true_hinge_error,
 )
-from simbound.separator import _values
+from simbound.separator import _values, separator_to_json_dict
 from conftest import make_rng, random_dataset
 from oracles import (
     grid_separator_oracle,
@@ -303,6 +306,42 @@ def test_train_matches_reference_loop_exactly(kind):
         np.testing.assert_array_equal(sep.alpha, expected)
 
 
+def _assert_json_matches_reference(sep, data, model, margin, max_iters, step0):
+    expected = Separator(
+        alpha=reference_separator_alpha(
+            data.features, data.labels, model.matrix, margin, max_iters, step0
+        ),
+        margin=margin,
+        anchor_features=data.features,
+        model=model,
+    )
+    assert json.dumps(separator_to_json_dict(sep)) == json.dumps(
+        separator_to_json_dict(expected)
+    )
+
+
+@pytest.mark.parametrize("kind", ["l1", "fro", "mixed21", "trace"])
+def test_train_json_matches_reference_loop(kind):
+    # assert_array_equal takes -0.0 and +0.0 as equal; the JSON text does
+    # not.  Same cases as test_train_matches_reference_loop_exactly.
+    for seed in range(4):
+        rng = make_rng(470 + seed)
+        data = random_dataset(rng, m=9 + 7 * seed, d=2 + seed, noise=1.0)
+        margin = (1.0, 0.25)[seed % 2]
+        config = SimilarityConfig(lam=0.1, margin=margin, norm_kind=kind, max_iters=200)
+        model = train_similarity(data, config)
+        step0 = (1.0, 3.0)[seed // 2]
+        sep = train_separator(model, data, max_iters=300, step0=step0)
+        _assert_json_matches_reference(sep, data, model, margin, 300, step0)
+    # One and two points, where products of a 1 x 1 Gram may be -0.0.
+    for m, scale in itertools.product((1, 2), (1.0, -1.0, 0.0)):
+        rng = make_rng(480 + m)
+        data = Dataset(rng.standard_normal((m, 2)), np.array([-1.0, 1.0][:m]))
+        model = make_model(scale * np.eye(2), kind=kind)
+        sep = train_separator(model, data, max_iters=50, step0=3.0)
+        _assert_json_matches_reference(sep, data, model, 1.0, 50, 3.0)
+
+
 def test_project_matches_reference_exactly(rng):
     for n in (1, 2, 5, 40):
         for radius in (0.1, 1.0, 3.0):
@@ -310,6 +349,29 @@ def test_project_matches_reference_exactly(rng):
             np.testing.assert_array_equal(
                 project_l1_ball(v, radius), reference_l1_projection(v, radius)
             )
+    # Exact zeros, -0.0 entries (kept inside the ball, +0.0 outside it) and
+    # tied magnitudes; thresholded negative entries come out as -0.0.
+    for v, radius in (
+        ([0.0, 3.0, -0.0, -2.0], 1.0),
+        ([-0.0, -0.0, 5.0], 2.0),
+        ([-0.0, 0.5, -0.25], 1.0),
+        ([2.0, -2.0, 2.0, 1.0], 1.0),
+        ([1.0, -1.0], 1.0),
+        ([-1.5, 1.5, -1.5], 3.0),
+        ([-0.5, 3.0, -0.5, 0.0], 1.0),
+        ([0.0, -0.0, 0.0], 1.0),
+    ):
+        v = np.array(v)
+        out, expected = project_l1_ball(v, radius), reference_l1_projection(v, radius)
+        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(np.signbit(out), np.signbit(expected))
+
+
+def test_project_lost_precision_raises():
+    # u - radius rounds to u, so the threshold rule holds at no index.
+    for v in ([1e17], [1e17, -3e17, 5.0]):
+        with pytest.raises(NumericalError, match="L1-ball projection lost precision"):
+            project_l1_ball(np.array(v), 1.0)
 
 
 def test_train_validation():
@@ -320,6 +382,9 @@ def test_train_validation():
         train_separator(make_model(np.eye(2)), data)
     with pytest.raises(ValueError):
         train_separator(model, data, max_iters=0)
+    for value in (2.5, True, 5.0):
+        with pytest.raises(ValueError, match=f"max_iters must be a positive int, got {value}"):
+            train_separator(model, data, max_iters=value)
     with pytest.raises(ValueError):
         train_separator(model, data, step0=0.0)
     with pytest.raises(ValueError, match="step0"):

@@ -226,6 +226,9 @@ def test_config_validation():
             SimilarityConfig(lam=0.1, margin=1.0, norm_kind="l1", rel_tol=value)
     with pytest.raises(ValueError):
         SimilarityConfig(lam=0.1, margin=1.0, norm_kind="banana")
+    for value in (2.5, True, 5.0):
+        with pytest.raises(ValueError, match=f"max_iters must be a positive int, got {value}"):
+            SimilarityConfig(lam=0.1, margin=1.0, norm_kind="l1", max_iters=value)
 
 
 def test_true_error_on_train_equals_empirical(rng):
