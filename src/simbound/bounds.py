@@ -18,7 +18,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import _is_count, _rademacher_signs, _write_json, philox_generator
+from .data import (
+    _COUNT, _NONNEGATIVE, _POSITIVE, _PROBABILITY, _rademacher_signs, _require, _write_json,
+    philox_generator,
+)
 from .norms import NormKind, _rank1_factors
 from .similarity import _signed_features, empirical_similarity_error
 
@@ -51,10 +54,9 @@ class BoundReport:
 
     def __post_init__(self):
         object.__setattr__(self, "norm_kind", NormKind(self.norm_kind))
-        if not 0 < self.delta < 1:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.x_star < 0 or self.r_m_empirical < 0:
-            raise ValueError("x_star and r_m_empirical must be nonnegative")
+        _require("delta", self.delta, _PROBABILITY)
+        _require("x_star", self.x_star, _NONNEGATIVE)
+        _require("r_m_empirical", self.r_m_empirical, _NONNEGATIVE)
 
 
 def x_star(data, kind):
@@ -78,8 +80,7 @@ def rademacher_empirical(data, kind, mc_draws, seed=0):
     so peak memory is about 16 * mc_draws * m bytes.  Returns (mean,
     standard error) over draws.
     """
-    if not _is_count(mc_draws):
-        raise ValueError(f"mc_draws must be a positive int, got {mc_draws!r}")
+    _require("mc_draws", mc_draws, _COUNT)
     # dual_norm_rank1(v, x, kind) = v_factor(v) * x_factor(x), so the sup
     # over the sample is attained at the row of largest x_factor.
     v_factor, x_factor = _rank1_factors(NormKind(kind))
@@ -124,14 +125,10 @@ def rademacher_analytic(data, kind):
 
 def _deviation_tail(x_star_value, margin, lam, delta, m):
     """The confidence term shared by both theorems, once its inputs are checked."""
-    if not 0 < margin < math.inf:
-        raise ValueError(f"margin must be positive and finite, got {margin}")
-    if not 0 < lam < math.inf:
-        raise ValueError(f"lambda must be positive and finite, got {lam}")
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if m < 1:
-        raise ValueError(f"m must be at least 1, got {m}")
+    _require("margin", margin, _POSITIVE)
+    _require("lambda", lam, _POSITIVE)
+    _require("delta", delta, _PROBABILITY)
+    _require("m", m, _COUNT)
     return (2.0 * x_star_value / (margin * lam)) * math.sqrt(2.0 * math.log(1.0 / delta) / m)
 
 
@@ -144,8 +141,7 @@ def theorem1_bound(x_star_value, r_m, margin, lam, delta, m):
 def theorem2_bound(e_z_of_a, x_star_value, r_m, margin, lam, delta, m):
     """Bound on the separator's population hinge error."""
     tail = _deviation_tail(x_star_value, margin, lam, delta, m)
-    if e_z_of_a < 0:
-        raise ValueError(f"e_z_of_a must be nonnegative, got {e_z_of_a}")
+    _require("e_z_of_a", e_z_of_a, _NONNEGATIVE)
     return e_z_of_a + 4.0 * r_m / (margin * lam) + tail
 
 
@@ -172,18 +168,16 @@ def khinchin_check(f, p, q, mode="exact", mc_draws=100000, seed=0):
     n = f.shape[0]
     # Built in both modes, so a bad seed fails in exact mode too.
     rng = philox_generator(seed)
+    _require("mode", mode, (lambda value: value in ("exact", "mc"), "'exact' or 'mc'"))
     if mode == "exact":
         if n > 20:
             raise ValueError(f"exact mode enumerates 2^n sign vectors; n={n} exceeds 20")
         sums = np.zeros(1)
         for value in f:
             sums = np.concatenate([sums + value, sums - value])
-    elif mode == "mc":
-        if not _is_count(mc_draws):
-            raise ValueError(f"mc_draws must be a positive int, got {mc_draws!r}")
-        sums = _rademacher_signs(rng, (mc_draws, n)) @ f
     else:
-        raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")
+        _require("mc_draws", mc_draws, _COUNT)
+        sums = _rademacher_signs(rng, (mc_draws, n)) @ f
     # |sum| can still reach n, so |sum|^q overflows for large q.  Dividing by
     # the largest |sum| makes the largest term exactly 1: neither mean can
     # overflow or underflow to 0.  The zero vector is left as it is.

@@ -23,13 +23,15 @@ from .bounds import build_bound_report, khinchin_check, report_to_json_dict, sav
 from .data import (
     GeneratorKind,
     GeneratorSpec,
+    _COUNT,
+    _INT,
+    _NUMBER,
+    _OBJECT,
+    _PROBABILITY,
     _checked,
     _csv_cell,
     _is_count,
     _is_grid,
-    _is_int,
-    _is_number,
-    _is_object,
     _is_value_of,
     _read_json,
     _write_json,
@@ -258,29 +260,32 @@ def derive_seed(master_seed, *parts):
     return int.from_bytes(digest, "little")
 
 
+# Types only: GeneratorSpec, built at load, checks the ranges.
 _GENERATOR_CHECKS = (
-    ("kind", _is_value_of(GeneratorKind), "a generator kind"),
-    ("mean_separation", _is_number, "a finite number"),
-    ("noise_sigma", _is_number, "a finite number"),
-    ("irrelevant_dims", _is_int, "an int"),
+    ("kind", (_is_value_of(GeneratorKind), "a generator kind")),
+    ("mean_separation", _NUMBER),
+    ("noise_sigma", _NUMBER),
+    ("irrelevant_dims", _INT),
 )
+
+_COUNT_GRID = (_is_grid(_is_count), "a nonempty list of distinct positive ints")
 
 # Missing fields are reported in this order.
 _CONFIG_CHECKS = (
-    ("generator", _is_object, "an object"),
-    ("m_values", _is_grid(_is_count), "a nonempty list of distinct positive ints"),
-    ("d_values", _is_grid(_is_count), "a nonempty list of distinct positive ints"),
-    ("norm_kinds", _is_grid(_is_value_of(NormKind)), "a nonempty list of distinct norm kinds"),
-    ("lambda", _is_number, "a finite number"),
-    ("margin", _is_number, "a finite number"),
-    ("delta", _is_number, "a finite number"),
-    ("trials", _is_count, "a positive int"),
-    ("mc_draws", _is_count, "a positive int"),
-    ("seed", _is_int, "an int"),
-    ("holdout_m", _is_count, "a positive int"),
-    ("max_iters", _is_count, "a positive int"),
-    ("step0", _is_number, "a finite number"),
-    ("output_dir", lambda value: isinstance(value, str), "a string"),
+    ("generator", _OBJECT),
+    ("m_values", _COUNT_GRID),
+    ("d_values", _COUNT_GRID),
+    ("norm_kinds", (_is_grid(_is_value_of(NormKind)), "a nonempty list of distinct norm kinds")),
+    ("lambda", _NUMBER),
+    ("margin", _NUMBER),
+    ("delta", _PROBABILITY),
+    ("trials", _COUNT),
+    ("mc_draws", _COUNT),
+    ("seed", _INT),
+    ("holdout_m", _COUNT),
+    ("max_iters", _COUNT),
+    ("step0", _NUMBER),
+    ("output_dir", (lambda value: isinstance(value, str), "a string")),
 )
 
 
@@ -297,10 +302,8 @@ def _load_experiment_config(path):
     gen = _checked(
         doc["generator"], _GENERATOR_CHECKS, {"irrelevant_dims": 0}, "generator block", "generator."
     )
-    if not 0 < doc["delta"] < 1:
-        raise ValueError(f"delta must lie in (0, 1), got {doc['delta']}")
     doc["specs"] = {
-        d: GeneratorSpec(d=d, **{field: gen[field] for field, _, _ in _GENERATOR_CHECKS})
+        d: GeneratorSpec(d=d, **{field: gen[field] for field, _ in _GENERATOR_CHECKS})
         for d in doc["d_values"]
     }
     doc["settings"] = [

@@ -83,14 +83,10 @@ class GeneratorSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", GeneratorKind(self.kind))
-        if self.d < 1:
-            raise ValueError(f"d must be positive, got {self.d}")
-        if not math.isfinite(self.mean_separation):
-            raise ValueError(f"mean_separation must be finite, got {self.mean_separation}")
-        if not 0 < self.noise_sigma < math.inf:
-            raise ValueError(f"noise_sigma must be positive and finite, got {self.noise_sigma}")
-        if self.irrelevant_dims < 0:
-            raise ValueError(f"irrelevant_dims must be nonnegative, got {self.irrelevant_dims}")
+        _require("d", self.d, _COUNT)
+        _require("mean_separation", self.mean_separation, _NUMBER)
+        _require("noise_sigma", self.noise_sigma, _POSITIVE)
+        _require("irrelevant_dims", self.irrelevant_dims, _NONNEGATIVE_INT)
         if self.kind is GeneratorKind.SPARSE_BLOBS and self.irrelevant_dims >= self.d:
             raise ValueError(
                 f"irrelevant_dims must be below d for sparse blobs, got {self.irrelevant_dims} with d={self.d}"
@@ -99,14 +95,12 @@ class GeneratorSpec:
             raise ValueError(
                 f"irrelevant_dims must be 0 for two_gaussians, got {self.irrelevant_dims}"
             )
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+        _require("seed", self.seed, _SEED)
 
 
 def philox_generator(seed):
     """Philox counter-based generator keyed by seed, counter at zero."""
-    if not 0 <= seed < 2 ** 128:
-        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+    _require("seed", seed, _SEED)
     return np.random.Generator(np.random.Philox(key=seed))
 
 
@@ -117,8 +111,7 @@ def _rademacher_signs(rng, shape):
 
 def generate(spec, m):
     """Draw m examples from the generator described by spec."""
-    if m < 1:
-        raise ValueError(f"sample size must be positive, got {m}")
+    _require("m", m, _COUNT)
     rng = philox_generator(spec.seed)
     labels = _rademacher_signs(rng, m)
     noise = rng.standard_normal((m, spec.d))
@@ -236,12 +229,27 @@ def _is_number(value):
     return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
 
 
-def _is_numbers(values):
-    return isinstance(values, list) and all(map(_is_number, values))
+# One rule per kind of value: a predicate and the phrase that names it.  No
+# rule converts the value it checks.
+_NUMBER = (_is_number, "a finite number")
+_POSITIVE = (lambda value: _is_number(value) and value > 0, "positive and finite")
+_NONNEGATIVE = (lambda value: _is_number(value) and value >= 0, "nonnegative and finite")
+_PROBABILITY = (lambda value: _is_number(value) and 0 < value < 1, "in (0, 1)")
+_INT = (_is_int, "an int")
+_COUNT = (_is_count, "a positive int")
+_NONNEGATIVE_INT = (lambda value: _is_int(value) and value >= 0, "a nonnegative int")
+# philox_generator keys a Philox stream with any int in this range.
+_SEED = (lambda value: _is_int(value) and 0 <= value < 2 ** 128, "an int in [0, 2**128)")
+_NUMBERS = (lambda value: isinstance(value, list) and all(map(_is_number, value)),
+            "a list of finite numbers")
+_OBJECT = (lambda value: isinstance(value, dict), "an object")
 
 
-def _is_object(value):
-    return isinstance(value, dict)
+def _require(name, value, rule):
+    """Raise ValueError naming name unless value satisfies rule."""
+    check, phrase = rule
+    if not check(value):
+        raise ValueError(f"{name} must be {phrase}, got {value!r}")
 
 
 def _is_value_of(enum):
@@ -261,14 +269,13 @@ def _is_grid(check):
 def _checked(doc, checks, defaults, context, prefix=""):
     """doc with defaults filled in, once every field is present and well typed.
 
-    checks holds (field, predicate, description) triples; missing fields are
-    reported in their order.
+    checks holds (field, rule) pairs; missing fields are reported in their
+    order.
     """
-    _require_fields(doc, [field for field, _, _ in checks if field not in defaults], context)
+    _require_fields(doc, [field for field, _ in checks if field not in defaults], context)
     doc = {**defaults, **doc}
-    for field, check, what in checks:
-        if not check(doc[field]):
-            raise ValueError(f"{prefix}{field} must be {what}, got {doc[field]!r}")
+    for field, rule in checks:
+        _require(prefix + field, doc[field], rule)
     return doc
 
 

@@ -20,6 +20,7 @@ from enum import Enum
 
 import numpy as np
 
+from .data import _NONNEGATIVE, _require
 from .errors import NumericalError
 
 
@@ -133,10 +134,8 @@ def prox(b, tau, kind):
     minimizer.
     """
     b = require_symmetric(b)
-    tau = float(tau)
-    if not 0.0 <= tau < math.inf:
-        raise ValueError(f"threshold must be nonnegative and finite, got {tau}")
-    return _prox(b, tau, NormKind(kind))[0]
+    _require("threshold", tau, _NONNEGATIVE)
+    return _prox(b, float(tau), NormKind(kind))[0]
 
 
 def _prox(b, tau, kind):
@@ -271,9 +270,8 @@ def sym_eigendecomposition(a):
     """Eigendecomposition of a symmetric matrix by LAPACK (``np.linalg.eigh``).
 
     Returns (eigenvalues ascending, eigenvector columns) with
-    A = Q diag(w) Q^T.  Raises NumericalError only if LAPACK reports that
-    it did not converge; non-finite entries give non-finite eigenvalues
-    rather than an error.
+    A = Q diag(w) Q^T.  Raises ValueError on a non-finite or asymmetric
+    matrix, and NumericalError if LAPACK reports that it did not converge.
     """
     return _eigh(require_symmetric(a))
 

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _checked, _is_count, _is_number, _is_numbers, _is_object, _read_json, _write_json
+from .data import (
+    _COUNT, _NUMBER, _NUMBERS, _OBJECT, _POSITIVE, _checked, _read_json, _require, _write_json,
+)
 from .errors import NumericalError
 from .similarity import SimilarityModel, _hinge_error, model_from_json_dict, model_to_json_dict
 
@@ -36,14 +38,9 @@ class Separator:
                 f"anchor_features shape {anchors.shape} does not match "
                 f"{alpha.shape[0]} coefficients of dimension {self.model.d}"
             )
-        if not 0 < self.margin < math.inf:
-            raise ValueError(f"margin must be positive and finite, got {self.margin}")
+        _require("margin", self.margin, _POSITIVE)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "anchor_features", anchors)
-
-    @property
-    def m(self):
-        return self.alpha.shape[0]
 
 
 def anchor_coefficients(labels, margin):
@@ -78,8 +75,7 @@ def project_l1_ball(v, radius):
     NumericalError when the radius is lost in rounding against magnitudes
     above about 2^53 times it.
     """
-    if not radius > 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    _require("radius", radius, _POSITIVE)
     v = np.array(v, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"v must be a vector, got shape {v.shape}")
@@ -121,9 +117,8 @@ def empirical_hinge_error(sep, data):
     return _hinge_error(1.0 - data.labels * _values(sep, data.features))
 
 
-def true_hinge_error(sep, holdout):
-    """Plug-in estimate of the population hinge error on held-out data."""
-    return empirical_hinge_error(sep, holdout)
+# On held-out data, a plug-in estimate of the population hinge error.
+true_hinge_error = empirical_hinge_error
 
 
 def train_separator(model, data, max_iters=2000, step0=1.0):
@@ -139,10 +134,8 @@ def train_separator(model, data, max_iters=2000, step0=1.0):
     """
     if model.d != data.d:
         raise ValueError(f"model dimension {model.d} does not match data dimension {data.d}")
-    if not _is_count(max_iters):
-        raise ValueError(f"max_iters must be a positive int, got {max_iters!r}")
-    if not 0 < step0 < math.inf:
-        raise ValueError(f"step0 must be positive and finite, got {step0}")
+    _require("max_iters", max_iters, _COUNT)
+    _require("step0", step0, _POSITIVE)
     margin = model.config.margin
     radius = 1.0 / margin
     m = data.m
@@ -212,10 +205,10 @@ def save_separator(sep, path):
 
 
 _SEPARATOR_CHECKS = (
-    ("alpha", _is_numbers, "a list of finite numbers"),
-    ("margin", _is_number, "a finite number"),
-    ("anchor_features", _is_numbers, "a list of finite numbers"),
-    ("model", _is_object, "an object"),
+    ("alpha", _NUMBERS),
+    ("margin", _NUMBER),
+    ("anchor_features", _NUMBERS),
+    ("model", _OBJECT),
 )
 
 

@@ -17,14 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (
-    _checked,
-    _is_count,
-    _is_int,
-    _is_number,
-    _is_numbers,
-    _is_value_of,
-    _read_json,
-    _write_json,
+    _COUNT, _NONNEGATIVE, _NONNEGATIVE_INT, _NUMBER, _NUMBERS, _POSITIVE, _checked, _is_value_of,
+    _read_json, _require, _write_json,
 )
 from .errors import NumericalError
 from .norms import NormKind, _norm, _prox, norm, require_symmetric
@@ -53,16 +47,11 @@ class SimilarityConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "norm_kind", NormKind(self.norm_kind))
-        if not 0 < self.lam < math.inf:
-            raise ValueError(f"lambda must be positive and finite, got {self.lam}")
-        if not 0 < self.margin < math.inf:
-            raise ValueError(f"margin must be positive and finite, got {self.margin}")
-        if not _is_count(self.max_iters):
-            raise ValueError(f"max_iters must be a positive int, got {self.max_iters!r}")
-        if not 0 < self.step0 < math.inf:
-            raise ValueError(f"step0 must be positive and finite, got {self.step0}")
-        if not 0 <= self.rel_tol < math.inf:
-            raise ValueError(f"rel_tol must be nonnegative and finite, got {self.rel_tol}")
+        _require("lambda", self.lam, _POSITIVE)
+        _require("margin", self.margin, _POSITIVE)
+        _require("max_iters", self.max_iters, _COUNT)
+        _require("step0", self.step0, _POSITIVE)
+        _require("rel_tol", self.rel_tol, _NONNEGATIVE)
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,6 +66,8 @@ class SimilarityModel:
     def __post_init__(self):
         matrix = np.asarray(self.matrix, dtype=float)
         require_symmetric(matrix)
+        _require("final_objective", self.final_objective, _NUMBER)
+        _require("iterations_run", self.iterations_run, _NONNEGATIVE_INT)
         object.__setattr__(self, "matrix", matrix)
 
     @property
@@ -125,19 +116,13 @@ def _subgradient(slack, signed, w, margin):
 def empirical_similarity_error(a, data, margin):
     """Average hinge loss of the pairwise margins on the sample itself."""
     a = _check_data_dims(a, data)
-    if not margin > 0:
-        raise ValueError(f"margin must be positive, got {margin}")
+    _require("margin", margin, _POSITIVE)
     return _hinge_error(1.0 - _pair_margins(a, _signed_features(data), _label_sum(data), margin))
 
 
-def true_similarity_error(a, holdout, margin):
-    """Plug-in estimate of the population similarity error on held-out data.
-
-    This is the same hinge average, just evaluated on a sample the matrix
-    never saw; with a fresh holdout it is a Monte-Carlo estimate of the
-    population quantity.
-    """
-    return empirical_similarity_error(a, holdout, margin)
+# On a holdout the matrix never saw, the same hinge average is a plug-in
+# (Monte-Carlo) estimate of the population similarity error.
+true_similarity_error = empirical_similarity_error
 
 
 def similarity_objective(a, data, config):
@@ -154,8 +139,7 @@ def hinge_subgradient(a, data, margin):
     treated as inactive, so a fully satisfied matrix gets an exact zero.
     """
     a = _check_data_dims(a, data)
-    if not margin > 0:
-        raise ValueError(f"margin must be positive, got {margin}")
+    _require("margin", margin, _POSITIVE)
     signed = _signed_features(data)
     w = _label_sum(data)
     slack = 1.0 - _pair_margins(a, signed, w, margin)
@@ -227,13 +211,13 @@ def save_model(model, path):
 
 
 _MODEL_CHECKS = (
-    ("dim", _is_count, "a positive int"),
-    ("norm_kind", _is_value_of(NormKind), "a norm kind"),
-    ("lambda", _is_number, "a finite number"),
-    ("margin", _is_number, "a finite number"),
-    ("entries", _is_numbers, "a list of finite numbers"),
-    ("final_objective", _is_number, "a finite number"),
-    ("iterations_run", lambda value: _is_int(value) and value >= 0, "a nonnegative int"),
+    ("dim", _COUNT),
+    ("norm_kind", (_is_value_of(NormKind), "a norm kind")),
+    ("lambda", _NUMBER),
+    ("margin", _NUMBER),
+    ("entries", _NUMBERS),
+    ("final_objective", _NUMBER),
+    ("iterations_run", _NONNEGATIVE_INT),
 )
 
 

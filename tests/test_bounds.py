@@ -147,6 +147,8 @@ def test_rademacher_empirical_validation():
     for value in (2.5, True):
         with pytest.raises(ValueError, match=f"mc_draws must be a positive int, got {value}"):
             rademacher_empirical(data, "l1", mc_draws=value)
+    with pytest.raises(ValueError, match="seed must be an int"):
+        rademacher_empirical(data, "l1", mc_draws=4, seed=1.5)
 
 
 def test_rademacher_analytic_hand_values():
@@ -216,6 +218,8 @@ def test_bound_domain_violations():
             theorem1_bound(1.0, 0.1, value, 0.1, 0.05, 10)
         with pytest.raises(ValueError, match="lambda"):
             theorem2_bound(0.1, 1.0, 0.1, 1.0, value, 0.05, 10)
+    with pytest.raises(ValueError, match="e_z_of_a must be nonnegative and finite, got nan"):
+        theorem2_bound(math.nan, 1.0, 0.1, 1.0, 0.1, 0.05, 10)
 
 
 def test_khinchin_hand_example():

@@ -461,7 +461,7 @@ def test_experiment_mistyped_config(tmp_path, capsys, field, value):
     ({"margin": 0}, "margin must be positive and finite, got 0"),
     ({"step0": -1}, "step0 must be positive and finite, got -1"),
     ({"generator.noise_sigma": 0}, "noise_sigma must be positive and finite, got 0"),
-    ({"generator.irrelevant_dims": -1}, "irrelevant_dims must be nonnegative, got -1"),
+    ({"generator.irrelevant_dims": -1}, "irrelevant_dims must be a nonnegative int, got -1"),
     ({"generator.kind": "sparse_blobs", "generator.irrelevant_dims": 1, "d_values": [3, 1]},
      "irrelevant_dims must be below d for sparse blobs, got 1 with d=1"),
     ({"generator.irrelevant_dims": 7}, "irrelevant_dims must be 0 for two_gaussians, got 7"),

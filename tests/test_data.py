@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from simbound import Dataset, GeneratorKind, GeneratorSpec, generate, load_csv, save_csv
-from simbound.data import dataset_from_json_dict, dataset_to_json_dict
+from simbound.data import dataset_from_json_dict, dataset_to_json_dict, philox_generator
 
 
 def test_dataset_validation():
@@ -174,4 +174,19 @@ def test_generator_spec_validation():
         generate(
             GeneratorSpec(kind="two_gaussians", d=2, mean_separation=1.0, noise_sigma=1.0), 0
         )
+    # A count or a seed is an int: a fraction is refused, never truncated.
+    with pytest.raises(ValueError, match="d must be a positive int, got 2.5"):
+        GeneratorSpec(kind="two_gaussians", d=2.5, mean_separation=1.0, noise_sigma=1.0)
+    with pytest.raises(ValueError, match=r"seed must be an int in \[0, 2\*\*128\), got 1.5"):
+        GeneratorSpec(kind="two_gaussians", d=2, mean_separation=1.0, noise_sigma=1.0, seed=1.5)
+    with pytest.raises(ValueError, match="m must be a positive int, got 2.5"):
+        generate(
+            GeneratorSpec(kind="two_gaussians", d=2, mean_separation=1.0, noise_sigma=1.0), 2.5
+        )
+    with pytest.raises(ValueError, match="seed must be an int"):
+        philox_generator(1.5)
+    # GeneratorSpec takes every seed philox_generator takes.
+    assert GeneratorSpec(
+        kind="two_gaussians", d=2, mean_separation=1.0, noise_sigma=1.0, seed=2 ** 128 - 1
+    ).seed == 2 ** 128 - 1
     assert GeneratorSpec(kind="sparse_blobs", d=2, mean_separation=1.0, noise_sigma=1.0).kind is GeneratorKind.SPARSE_BLOBS

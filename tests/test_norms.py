@@ -264,14 +264,14 @@ def test_prox_nonexpansive(rng):
             assert lhs <= rhs + slack, kind
 
 
-def test_jacobi_hand_matrix():
+def test_eigendecomposition_hand_matrix():
     a = np.array([[2.0, 1.0], [1.0, 2.0]])
     vals, vecs = sym_eigendecomposition(a)
     assert np.allclose(vals, [1.0, 3.0], atol=1e-13)
     assert np.allclose(vecs @ np.diag(vals) @ vecs.T, a, atol=1e-13)
 
 
-def test_jacobi_matches_lapack(rng):
+def test_eigendecomposition_matches_lapack(rng):
     for _ in range(50):
         d = int(rng.integers(2, 9))
         a = symmetrize(rng.standard_normal((d, d)) * rng.uniform(0.1, 10.0))
@@ -284,7 +284,7 @@ def test_jacobi_matches_lapack(rng):
         assert np.max(np.abs(vecs.T @ vecs - np.eye(d))) < 1e-12
 
 
-def test_jacobi_zero_and_diagonal():
+def test_eigendecomposition_zero_and_diagonal():
     vals, vecs = sym_eigendecomposition(np.zeros((3, 3)))
     assert np.array_equal(vals, np.zeros(3))
     assert np.array_equal(vecs, np.eye(3))

@@ -8,6 +8,7 @@ from simbound import (
     Dataset,
     NumericalError,
     SimilarityConfig,
+    SimilarityModel,
     empirical_similarity_error,
     hinge_subgradient,
     load_model,
@@ -229,6 +230,18 @@ def test_config_validation():
     for value in (2.5, True, 5.0):
         with pytest.raises(ValueError, match=f"max_iters must be a positive int, got {value}"):
             SimilarityConfig(lam=0.1, margin=1.0, norm_kind="l1", max_iters=value)
+    # A bool is no number, so it is refused rather than trained with as 1.
+    with pytest.raises(ValueError, match="lambda must be positive and finite, got True"):
+        SimilarityConfig(lam=True, margin=1.0, norm_kind="l1")
+    # A model that save_model would write must be one that load_model reads.
+    config = SimilarityConfig(lam=0.1, margin=1.0, norm_kind="l1")
+    with pytest.raises(ValueError, match="iterations_run must be a nonnegative int, got -5"):
+        SimilarityModel(np.zeros((2, 2)), config, final_objective=1.0, iterations_run=-5)
+    with pytest.raises(ValueError, match="final_objective must be a finite number, got nan"):
+        SimilarityModel(np.zeros((2, 2)), config, final_objective=math.nan, iterations_run=0)
+    for value in (math.inf, "1"):
+        with pytest.raises(ValueError, match="margin must be positive and finite"):
+            empirical_similarity_error(np.zeros((2, 2)), two_point_toy(), value)
 
 
 def test_true_error_on_train_equals_empirical(rng):
