@@ -377,3 +377,146 @@ def reference_rademacher_empirical(features, labels, kind, mc_draws, seed):
     if mc_draws == 1:
         return estimate, 0.0
     return estimate, float(np.std(values, ddof=1) / math.sqrt(mc_draws))
+
+
+def _reference_row_norms(x):
+    return np.sqrt((x * x).sum(axis=1))
+
+
+def _reference_norm(a, kind):
+    if kind == "l1":
+        return float(np.abs(a).sum())
+    if kind == "fro":
+        return float(np.linalg.norm(a))
+    if kind == "mixed21":
+        return float(_reference_row_norms(a).sum())
+    return float(np.abs(np.linalg.eigh(a)[0]).sum())
+
+
+def reference_prox(b, tau, kind):
+    """Prox point of symmetric b and its norm, one array expression at a time.
+
+    l1 and fro shrink in closed form, trace thresholds the eigenvalues and
+    symmetrizes the product, and mixed21 runs ``_reference_prox_mixed21``.
+    """
+    if tau == 0.0:
+        return b.copy(), _reference_norm(b, kind)
+    if kind == "l1":
+        shrunk = np.maximum(np.abs(b) - tau, 0.0)
+        return np.sign(b) * shrunk, float(shrunk.sum())
+    if kind == "fro":
+        total = np.linalg.norm(b)
+        a = np.zeros_like(b) if total <= tau else b * (1.0 - tau / total)
+        return a, _reference_norm(a, kind)
+    if kind == "mixed21":
+        return _reference_prox_mixed21(b, tau)
+    eigenvalues, vectors = np.linalg.eigh(b)
+    thresholded = np.sign(eigenvalues) * np.maximum(np.abs(eigenvalues) - tau, 0.0)
+    product = (vectors * thresholded) @ vectors.T
+    return (product + product.T) / 2.0, float(np.abs(thresholded).sum())
+
+
+def _reference_prox_mixed21(b, tau, gap_rtol=1e-12, newton_steps=8, dual_steps=200000):
+    """Mixed21 prox: Newton on the row scales s, then dual FISTA if it stalls.
+
+    The entries are A_ij = 2 B_ij s_i s_j / (s_i + s_j); Newton solves
+    s_i = 1 - tau / max(||h_i||, tau) for H = 2 B * s_j / (s_i + s_j) and
+    stops on the duality-gap bound.  The fallback is accelerated projected
+    gradient with gradient restart on the skew part of the dual.
+    """
+    b_rows = _reference_row_norms(b)
+    scale = b_rows.sum()
+    twice_b = b + b
+    s = 1.0 - tau / np.maximum(b_rows, tau)
+    for _ in range(newton_steps):
+        pair = s[:, None] + s
+        all_live = s.min() > 0.0
+        if all_live:
+            h = twice_b * (s / pair)
+        else:
+            live = pair > 0.0
+            pair = np.where(live, pair, 1.0)
+            h = twice_b * np.where(live, s / pair, 0.5)
+        n = _reference_row_norms(h)
+        clipped = np.maximum(n, tau)
+        target = 1.0 - tau / clipped
+        residual = s - target
+        weighted = residual * b_rows
+        gap = float(weighted @ weighted)
+        if n.min() < tau:
+            gap += float((s * n) @ np.maximum(tau - n, 0.0))
+        total = float(s @ n)
+        if gap <= tau * gap_rtol * (total + scale):
+            return twice_b * (s[:, None] * s / pair), total
+        c = h * twice_b / (pair * pair)
+        weight = tau / (clipped * clipped * clipped)
+        jacobian = np.diag(1.0 + weight * (c @ s)) - (weight * s)[:, None] * c
+        if all_live and target.min() > 0.0:
+            s = np.minimum(np.maximum(s - np.linalg.solve(jacobian, residual), 0.0), 1.0)
+            continue
+        idx = np.flatnonzero((target > 0.0) & (s > 0.0))
+        if idx.size:
+            step = np.linalg.solve(jacobian[np.ix_(idx, idx)], residual[idx])
+            target[idx] = np.minimum(np.maximum(s[idx] - step, 0.0), 1.0)
+        s = target
+
+    scaled = b / tau
+    k = k_prev = (h - b) / tau
+    t = 1.0
+    for _ in range(dual_steps):
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        y = k + ((t - 1.0) / t_next) * (k - k_prev)
+        shifted = scaled + y
+        g = shifted / np.maximum(_reference_row_norms(shifted), 1.0)[:, None]
+        a = b - (g + g.T) * (0.5 * tau)
+        total = float(_reference_row_norms(a).sum())
+        if total - float((g * a).sum()) <= gap_rtol * (total + scale):
+            return a, total
+        k_prev, k = k, (g - g.T) * 0.5
+        if ((y - k) * (k - k_prev)).sum() > 0.0:
+            t_next = 1.0
+        t = t_next
+    raise RuntimeError("reference mixed21 prox did not certify its duality gap")
+
+
+def reference_train_similarity(features, labels, lam, margin, kind, max_iters, step0, rel_tol):
+    """Best iterate of proximal subgradient descent on the similarity objective.
+
+    Starts at A = 0, steps by step0 / sqrt(t) against the hinge subgradient,
+    applies ``reference_prox`` with threshold eta * lam, keeps the first
+    iterate of least objective, and stops once the best objective improved
+    by less than rel_tol relative over a 50-iteration window.  Returns
+    (matrix, objective, iterations run).
+    """
+    m = labels.shape[0]
+    signed = labels[:, None] * features
+    w = features.T @ labels
+
+    def slack_of(a):
+        return 1.0 - signed @ (a @ w) / (m * margin)
+
+    def hinge(slack):
+        return float(np.add.reduce(np.maximum(0.0, slack)) / len(slack))
+
+    a = np.zeros((features.shape[1], features.shape[1]))
+    slack = slack_of(a)
+    best_a = a
+    best_obj = hinge(slack) + lam * _reference_norm(a, kind)
+    window_best = best_obj
+    iterations = 0
+    for t in range(1, max_iters + 1):
+        eta = step0 / math.sqrt(t)
+        outer = (signed.T @ (slack > 0.0))[:, None] * w
+        g = (outer + outer.T) / (-2.0 * (m ** 2 * margin))
+        a, a_norm = reference_prox(a - eta * g, eta * lam, kind)
+        slack = slack_of(a)
+        obj = hinge(slack) + lam * a_norm
+        if obj < best_obj:
+            best_obj = obj
+            best_a = a
+        iterations = t
+        if t % 50 == 0:
+            if window_best - best_obj < rel_tol * abs(window_best):
+                break
+            window_best = best_obj
+    return best_a.copy(), best_obj, iterations

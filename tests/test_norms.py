@@ -15,8 +15,8 @@ from simbound import (
     sym_eigendecomposition,
     symmetrize,
 )
-from simbound.norms import MIXED21_GAP_RTOL
-from oracles import closed_form_prox, prox_objective, prox_oracle
+from simbound.norms import MIXED21_GAP_RTOL, _prox
+from oracles import closed_form_prox, prox_objective, prox_oracle, reference_prox
 
 ALL_KINDS = ["l1", "fro", "mixed21", "trace"]
 
@@ -163,6 +163,36 @@ def test_prox_matches_independent_closed_forms(rng):
         )
         assert float(np.max(gap)) <= 1e-10, d
         assert float(np.max(np.abs(ours - oracle))) < 1e-4, d
+
+
+def _signed_zero_inputs(rng):
+    """Symmetric matrices with exact zeros, -0.0 entries and all-zero rows."""
+    for d in (2, 3, 5):
+        for _ in range(8):
+            b = symmetrize(rng.standard_normal((d, d)) * rng.uniform(0.5, 3.0))
+            zero = np.triu(rng.random((d, d)) < 0.3)
+            negative = zero & (rng.random((d, d)) < 0.5)
+            b[zero | zero.T] = 0.0
+            b[negative | negative.T] = -0.0
+            yield b
+        dead = symmetrize(rng.standard_normal((d, d)))
+        dead[0] = dead[:, 0] = -0.0
+        yield dead
+    yield np.full((3, 3), -0.0)
+
+
+def test_prox_matches_reference_bits(rng):
+    # assert_array_equal takes -0.0 and +0.0 as equal; signbit does not.
+    # Thresholds hit an entry exactly, shrink every entry to zero, and skip
+    # the prox (tau = 0).
+    for b in _signed_zero_inputs(rng):
+        for tau in (0.0, 0.1, 0.5, abs(float(b[0, -1])), 10.0):
+            for kind in ALL_KINDS:
+                out, out_norm = _prox(b, tau, NormKind(kind))
+                expected, expected_norm = reference_prox(b, tau, kind)
+                np.testing.assert_array_equal(out, expected)
+                np.testing.assert_array_equal(np.signbit(out), np.signbit(expected))
+                assert out_norm == expected_norm and type(out_norm) is float, kind
 
 
 def test_prox_output_symmetric(rng):

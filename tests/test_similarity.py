@@ -6,10 +6,12 @@ import pytest
 
 from simbound import (
     Dataset,
+    GeneratorSpec,
     NumericalError,
     SimilarityConfig,
     SimilarityModel,
     empirical_similarity_error,
+    generate,
     hinge_subgradient,
     load_model,
     save_model,
@@ -18,12 +20,14 @@ from simbound import (
     train_similarity,
     true_similarity_error,
 )
+from simbound.similarity import model_to_json_dict
 from conftest import assert_model_invariants, make_rng, random_dataset
 from oracles import (
     fd_inner_product,
     grid_similarity_oracle,
     naive_similarity_error,
     naive_subgradient,
+    reference_train_similarity,
 )
 
 
@@ -204,6 +208,57 @@ def test_train_non_finite_raises():
     config = SimilarityConfig(lam=0.1, margin=1.0, norm_kind="l1", max_iters=10, step0=1e300)
     with np.errstate(all="ignore"), pytest.raises(NumericalError):
         train_similarity(data, config)
+
+
+def _assert_json_matches_reference(data, config):
+    # The JSON text tells -0.0 from +0.0, which assert_array_equal does not.
+    model = train_similarity(data, config)
+    matrix, objective, iterations = reference_train_similarity(
+        data.features, data.labels, config.lam, config.margin, config.norm_kind.value,
+        config.max_iters, config.step0, config.rel_tol,
+    )
+    expected = SimilarityModel(matrix, config, final_objective=objective, iterations_run=iterations)
+    assert json.dumps(model_to_json_dict(model)) == json.dumps(model_to_json_dict(expected))
+    return model
+
+
+def _tiny_dataset(rng, m):
+    """Two tight clusters in 2-d, the shape of acceptance check 02's data."""
+    angle = rng.uniform(0.0, 2.0 * math.pi)
+    mu = rng.uniform(1.2, 1.8) * np.array([math.cos(angle), math.sin(angle)])
+    labels = np.concatenate([np.ones(m // 2), -np.ones(m - m // 2)])[rng.permutation(m)]
+    return Dataset(labels[:, None] * mu + 0.15 * rng.standard_normal((m, 2)), labels)
+
+
+@pytest.mark.parametrize("kind", ["l1", "fro", "mixed21", "trace"])
+def test_train_json_matches_reference_loop(kind):
+    rng = make_rng(530)
+    for m in range(1, 7):
+        config = SimilarityConfig(
+            lam=(0.05, 0.2)[m % 2], margin=1.0, norm_kind=kind, max_iters=2000, step0=2.0,
+            rel_tol=0.0,
+        )
+        _assert_json_matches_reference(_tiny_dataset(rng, m), config)
+    # Experiment-shaped fits: fro, mixed21 and trace end on the window stop,
+    # l1 runs to the iteration cap.
+    for seed in (2029, 2032):
+        spec = GeneratorSpec(
+            kind="two_gaussians", d=5, mean_separation=2.0, noise_sigma=1.0, seed=seed
+        )
+        config = SimilarityConfig(lam=0.1, margin=1.0, norm_kind=kind, max_iters=500)
+        model = _assert_json_matches_reference(generate(spec, 100), config)
+        assert kind == "l1" or model.iterations_run < config.max_iters
+
+
+def test_train_json_matches_reference_loop_mixed21_dual_fallback():
+    # At d=20 with most coordinates pure noise, some iterations' mixed21 prox
+    # leaves Newton for the dual FISTA iteration.
+    spec = GeneratorSpec(
+        kind="sparse_blobs", d=20, mean_separation=2.0, noise_sigma=1.0, irrelevant_dims=15,
+        seed=1,
+    )
+    config = SimilarityConfig(lam=0.1, margin=1.0, norm_kind="mixed21", max_iters=200)
+    _assert_json_matches_reference(generate(spec, 20), config)
 
 
 def test_config_validation():
