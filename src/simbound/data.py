@@ -224,9 +224,13 @@ def _is_count(value):
 
 
 def _is_number(value):
-    # json.load reads the NaN and Infinity tokens as floats; they are no
-    # number any field of ours can take.
-    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+    # json.load reads the NaN and Infinity tokens as floats, and digits of
+    # any length as an int; neither a non-finite float nor an int beyond the
+    # float range is a number any field of ours can take.
+    try:
+        return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 # One rule per kind of value: a predicate and the phrase that names it.  No

@@ -66,10 +66,17 @@ def _norm(a, kind):
     if kind is NormKind.L1:
         return float(np.abs(a).sum())
     if kind is NormKind.FROBENIUS:
-        return float(np.linalg.norm(a))
+        return _fro(a)
     if kind is NormKind.MIXED21:
         return float(_row_norms(a).sum())
     return float(np.abs(_eigh(a)[0]).sum())
+
+
+def _fro(a):
+    # What np.linalg.norm computes for a real array (the square root of the
+    # dot product of the flat array with itself), without its wrapper.
+    flat = a.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
 
 
 def dual_norm(b, kind):
@@ -141,26 +148,41 @@ def prox(b, tau, kind):
 def _prox(b, tau, kind):
     """``prox`` on an already validated symmetric B and tau >= 0.
 
-    Returns the prox point and its norm.  For fro the norm is computed from
-    the point as ``norm`` does; l1, mixed21 and trace return the value their
-    own computation already produced (shrunk magnitudes, row norms,
-    thresholded eigenvalues), which spares trace a second eigendecomposition.
+    Returns the prox point and its norm.  For fro both the shrink factor and
+    the returned norm come from ``_fro``, which rounds as ``norm`` does; l1,
+    mixed21 and trace return the value their own computation already
+    produced (shrunk magnitudes, row norms, thresholded eigenvalues), which
+    spares trace a second eigendecomposition.  B is never written to.
     """
     if tau == 0.0:
         return b.copy(), _norm(b, kind)
     if kind is NormKind.L1:
         # |a| is exactly the shrunk magnitudes, so their sum is norm(a).
-        shrunk = np.maximum(np.abs(b) - tau, 0.0)
-        return np.sign(b) * shrunk, float(shrunk.sum())
+        shrunk = _shrunk_magnitudes(b, tau)
+        a = np.sign(b)
+        a *= shrunk
+        return a, float(np.add.reduce(shrunk, axis=None))
     if kind is NormKind.FROBENIUS:
-        total = np.linalg.norm(b)
+        total = _fro(b)
         a = np.zeros_like(b) if total <= tau else b * (1.0 - tau / total)
-        return a, _norm(a, kind)
+        return a, _fro(a)
     if kind is NormKind.MIXED21:
         return _prox_mixed21(b, tau)
     eigenvalues, vectors = _eigh(b)
-    thresholded = np.sign(eigenvalues) * np.maximum(np.abs(eigenvalues) - tau, 0.0)
-    return symmetrize((vectors * thresholded) @ vectors.T), float(np.abs(thresholded).sum())
+    shrunk = _shrunk_magnitudes(eigenvalues, tau)
+    thresholded = np.sign(eigenvalues)
+    thresholded *= shrunk
+    product = (vectors * thresholded) @ vectors.T
+    a = product + product.T
+    a /= 2.0
+    return a, float(np.add.reduce(shrunk))
+
+
+def _shrunk_magnitudes(x, tau):
+    # max(|x| - tau, 0), formed in one buffer.
+    shrunk = np.abs(x)
+    shrunk -= tau
+    return np.maximum(shrunk, 0.0, out=shrunk)
 
 
 # Relative duality-gap tolerance of the mixed21 prox and the step caps of
@@ -172,7 +194,8 @@ _MIXED21_DUAL_STEPS = 200000
 
 
 def _row_norms(x):
-    return np.sqrt((x * x).sum(axis=1))
+    # np.add.reduce is what ndarray.sum calls, without its Python wrapper.
+    return np.sqrt(np.add.reduce(x * x, axis=1))
 
 
 def _prox_mixed21(b, tau):
@@ -204,12 +227,12 @@ def _prox_mixed21(b, tau):
     A = B - tau sym(G) is exactly symmetric and has R = 0.
     """
     b_rows = _row_norms(b)
-    scale = b_rows.sum()
+    scale = np.add.reduce(b_rows)
     twice_b = b + b
     s = 1.0 - tau / np.maximum(b_rows, tau)
     for _ in range(_MIXED21_NEWTON_STEPS):
         pair = s[:, None] + s
-        all_live = s.min() > 0.0
+        all_live = np.minimum.reduce(s) > 0.0
         if all_live:
             h = twice_b * (s / pair)
         else:
@@ -221,10 +244,10 @@ def _prox_mixed21(b, tau):
         target = 1.0 - tau / clipped
         residual = s - target
         weighted = residual * b_rows
-        gap = float(weighted @ weighted)
-        if n.min() < tau:
-            gap += float((s * n) @ np.maximum(tau - n, 0.0))
-        total = float(s @ n)
+        gap = float(weighted.dot(weighted))
+        if np.minimum.reduce(n) < tau:
+            gap += float((s * n).dot(np.maximum(tau - n, 0.0)))
+        total = float(s.dot(n))
         if gap <= tau * MIXED21_GAP_RTOL * (total + scale):
             return twice_b * (s[:, None] * s / pair), total
         # d||h_i||/ds_k = (C_ik s_i - [i = k] (C s)_i) / ||h_i|| with
@@ -232,8 +255,13 @@ def _prox_mixed21(b, tau):
         # ||h_i|| <= tau get a finite stand-in weight; they are not solved for.
         c = h * twice_b / (pair * pair)
         weight = tau / (clipped * clipped * clipped)
-        jacobian = np.diag(1.0 + weight * (c @ s)) - (weight * s)[:, None] * c
-        if all_live and target.min() > 0.0:
+        # diag(1 + weight * (C s)) - (weight * s)_i C_ij, entry by entry as
+        # that difference rounds: 0 - x off the diagonal, then the diagonal
+        # added on.
+        jacobian = (weight * s)[:, None] * c
+        np.subtract(0.0, jacobian, out=jacobian)
+        jacobian.ravel()[:: b.shape[0] + 1] += 1.0 + weight * c.dot(s)
+        if all_live and np.minimum.reduce(target) > 0.0:
             s = np.minimum(np.maximum(s - np.linalg.solve(jacobian, residual), 0.0), 1.0)
             continue
         # Rows at or heading to zero take their target; Newton moves the rest.

@@ -96,8 +96,21 @@ def _signed_features(data):
     return data.labels[:, None] * data.features
 
 
-def _pair_margins(a, signed, w, margin):
-    return signed @ (a @ w) / (signed.shape[0] * margin)
+def _scales(m, margin):
+    """The divisors of ``_slack`` and ``_subgradient`` for m examples.
+
+    One division by -2 m^2 margin rounds exactly like halving, negating and
+    dividing by m^2 margin in turn.
+    """
+    return m * margin, -2.0 * (m ** 2 * margin)
+
+
+def _slack(a, signed, w, margin_scale):
+    # 1 - the pair margins signed (A w) / (m margin), formed in one buffer;
+    # it rounds as 1.0 - signed @ (a @ w) / margin_scale does.
+    slack = signed.dot(a.dot(w))
+    slack /= margin_scale
+    return np.subtract(1.0, slack, out=slack)
 
 
 def _hinge_error(slack):
@@ -106,18 +119,21 @@ def _hinge_error(slack):
     return float(np.add.reduce(np.maximum(0.0, slack)) / len(slack))
 
 
-def _subgradient(slack, signed, w, margin):
-    # One division by -2 m^2 margin rounds exactly like halving, negating
-    # and dividing by m^2 margin in turn.
-    outer = (signed.T @ (slack > 0.0))[:, None] * w
-    return (outer + outer.T) / (-2.0 * (signed.shape[0] ** 2 * margin))
+def _subgradient(slack, signed_t, w, step_scale):
+    # signed_t is signed.T.  The result is a fresh buffer, which the caller
+    # may scale in place.
+    outer = signed_t.dot(slack > 0.0)[:, None] * w
+    g = outer + outer.T
+    g /= step_scale
+    return g
 
 
 def empirical_similarity_error(a, data, margin):
     """Average hinge loss of the pairwise margins on the sample itself."""
     a = _check_data_dims(a, data)
     _require("margin", margin, _POSITIVE)
-    return _hinge_error(1.0 - _pair_margins(a, _signed_features(data), _label_sum(data), margin))
+    margin_scale, _ = _scales(data.m, margin)
+    return _hinge_error(_slack(a, _signed_features(data), _label_sum(data), margin_scale))
 
 
 # On a holdout the matrix never saw, the same hinge average is a plug-in
@@ -142,8 +158,8 @@ def hinge_subgradient(a, data, margin):
     _require("margin", margin, _POSITIVE)
     signed = _signed_features(data)
     w = _label_sum(data)
-    slack = 1.0 - _pair_margins(a, signed, w, margin)
-    return _subgradient(slack, signed, w, margin)
+    margin_scale, step_scale = _scales(data.m, margin)
+    return _subgradient(_slack(a, signed, w, margin_scale), signed.T, w, step_scale)
 
 
 def train_similarity(data, config):
@@ -152,16 +168,23 @@ def train_similarity(data, config):
     Returns the best iterate seen, which by construction never does worse
     than the zero start (objective exactly 1).  Raises NumericalError when
     the objective stops being finite, which indicates a divergent step size.
+
+    Cost: no m x m matrix is formed.  Each iteration makes two products
+    with the label-signed m x d features (the margins, and the sum over the
+    active examples in the subgradient) and one d x d prox.  At small m and
+    d the NumPy call overhead dominates, so the step is formed in place; it
+    rounds exactly like A - eta * g.
     """
     kind = config.norm_kind
     lam = config.lam
-    margin = config.margin
     signed = _signed_features(data)
+    signed_t = signed.T
     w = _label_sum(data)
+    margin_scale, step_scale = _scales(data.m, config.margin)
     a = np.zeros((data.d, data.d))
     # The slack 1 - margins of the current iterate serves its objective and
     # the next subgradient; every iterate is symmetric by construction.
-    slack = 1.0 - _pair_margins(a, signed, w, margin)
+    slack = _slack(a, signed, w, margin_scale)
     best_a = a
     best_obj = _hinge_error(slack) + lam * _norm(a, kind)
     window = 50
@@ -169,9 +192,10 @@ def train_similarity(data, config):
     iterations = 0
     for t in range(1, config.max_iters + 1):
         eta = config.step0 / math.sqrt(t)
-        g = _subgradient(slack, signed, w, margin)
-        a, a_norm = _prox(a - eta * g, eta * lam, kind)
-        slack = 1.0 - _pair_margins(a, signed, w, margin)
+        step = _subgradient(slack, signed_t, w, step_scale)
+        step *= eta
+        a, a_norm = _prox(np.subtract(a, step, out=step), eta * lam, kind)
+        slack = _slack(a, signed, w, margin_scale)
         obj = _hinge_error(slack) + lam * a_norm
         if not math.isfinite(obj):
             raise NumericalError(

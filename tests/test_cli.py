@@ -465,9 +465,14 @@ def test_experiment_mistyped_config(tmp_path, capsys, field, value):
     ({"generator.kind": "sparse_blobs", "generator.irrelevant_dims": 1, "d_values": [3, 1]},
      "irrelevant_dims must be below d for sparse blobs, got 1 with d=1"),
     ({"generator.irrelevant_dims": 7}, "irrelevant_dims must be 0 for two_gaussians, got 7"),
+    # json.load reads any run of digits as an int; one beyond the float
+    # range is no finite number.
+    ({"margin": 10 ** 400}, f"margin must be a finite number, got {10 ** 400}"),
+    ({"generator.mean_separation": -10 ** 400},
+     f"generator.mean_separation must be a finite number, got {-10 ** 400}"),
 ], ids=["lambda-negative", "margin-zero", "step0-negative", "noise_sigma-zero",
         "irrelevant_dims-negative", "sparse_blobs-irrelevant_dims-at-later-d",
-        "two_gaussians-irrelevant_dims"])
+        "two_gaussians-irrelevant_dims", "margin-huge-int", "mean_separation-huge-int"])
 def test_experiment_out_of_range_config(tmp_path, monkeypatch, capsys, changes, message):
     # Ranges are checked at load: no trial runs and output_dir is not made,
     # even when only the last d of the grid is out of range.

@@ -285,6 +285,13 @@ def test_config_validation():
     for value in (2.5, True, 5.0):
         with pytest.raises(ValueError, match=f"max_iters must be a positive int, got {value}"):
             SimilarityConfig(lam=0.1, margin=1.0, norm_kind="l1", max_iters=value)
+    # An int beyond the float range is no finite number.
+    for value in (10 ** 400, 2 ** 1024 - 2 ** 970):
+        with pytest.raises(ValueError, match="lambda must be positive and finite"):
+            SimilarityConfig(lam=value, margin=1.0, norm_kind="fro")
+        with pytest.raises(ValueError, match="margin must be positive and finite"):
+            SimilarityConfig(lam=0.1, margin=value, norm_kind="fro")
+    assert SimilarityConfig(lam=2 ** 1024 - 2 ** 970 - 1, margin=1.0, norm_kind="fro").lam > 0
     # A bool is no number, so it is refused rather than trained with as 1.
     with pytest.raises(ValueError, match="lambda must be positive and finite, got True"):
         SimilarityConfig(lam=True, margin=1.0, norm_kind="l1")
