@@ -83,8 +83,8 @@ Config JSON fields:
   generator     {{"kind": "two_gaussians"|"sparse_blobs", "mean_separation": f,
                  "noise_sigma": f, "irrelevant_dims": n}}
                 (dimension and seed are filled in per cell)
-  m_values      nonempty list of distinct positive ints
-  d_values      nonempty list of distinct positive ints
+  m_values      nonempty list of distinct positive ints below 2**63
+  d_values      nonempty list of distinct positive ints below 2**63
   norm_kinds    nonempty list of distinct kinds from {{l1, fro, mixed21, trace}}
   lambda, margin, delta    positive reals, 0 < delta < 1
   trials        runs per (m, d, norm) cell
@@ -268,7 +268,7 @@ _GENERATOR_CHECKS = (
     ("irrelevant_dims", _INT),
 )
 
-_COUNT_GRID = (_is_grid(_is_count), "a nonempty list of distinct positive ints")
+_COUNT_GRID = (_is_grid(_is_count), "a nonempty list of distinct positive ints below 2**63")
 
 # Missing fields are reported in this order.
 _CONFIG_CHECKS = (

@@ -220,7 +220,8 @@ def _is_int(value):
 
 
 def _is_count(value):
-    return _is_int(value) and value > 0
+    # Counts size numpy arrays, whose dimensions are int64.
+    return _is_int(value) and 0 < value < 2 ** 63
 
 
 def _is_number(value):
@@ -240,7 +241,7 @@ _POSITIVE = (lambda value: _is_number(value) and value > 0, "positive and finite
 _NONNEGATIVE = (lambda value: _is_number(value) and value >= 0, "nonnegative and finite")
 _PROBABILITY = (lambda value: _is_number(value) and 0 < value < 1, "in (0, 1)")
 _INT = (_is_int, "an int")
-_COUNT = (_is_count, "a positive int")
+_COUNT = (_is_count, "a positive int below 2**63")
 _NONNEGATIVE_INT = (lambda value: _is_int(value) and value >= 0, "a nonnegative int")
 # philox_generator keys a Philox stream with any int in this range.
 _SEED = (lambda value: _is_int(value) and 0 <= value < 2 ** 128, "an int in [0, 2**128)")

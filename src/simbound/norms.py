@@ -211,7 +211,10 @@ def _prox_mixed21(b, tau):
     row, and s_i = 1 - tau / max(||h_i||, tau) for the rows of
     H = 2 B * s_j / (s_i + s_j).  Newton's method solves these d equations,
     started at the row-group shrink scales of B (what shrink-then-symmetrize
-    uses).  With G = H / max(||h_i||, tau) and the Newton residual
+    uses).  Each step moves every row whose target
+    1 - tau / max(||h_i||, tau) is positive, a row at s_i = 0 that comes
+    back to life included, and sets the rows whose target is 0 to it.
+    With G = H / max(||h_i||, tau) and the Newton residual
     r = s - (1 - tau / max(||h||, tau)), the gap of A(s) works out to
     sum_i s_i ||h_i|| max(tau - ||h_i||, 0) + 0.5 ||R||^2 with
     R_ij = B_ij (s_j r_i + s_i r_j) / (s_i + s_j).  R_ij is a convex
@@ -261,11 +264,12 @@ def _prox_mixed21(b, tau):
         jacobian = (weight * s)[:, None] * c
         np.subtract(0.0, jacobian, out=jacobian)
         jacobian.ravel()[:: b.shape[0] + 1] += 1.0 + weight * c.dot(s)
-        if all_live and np.minimum.reduce(target) > 0.0:
+        if np.minimum.reduce(target) > 0.0:
             s = np.minimum(np.maximum(s - np.linalg.solve(jacobian, residual), 0.0), 1.0)
             continue
-        # Rows at or heading to zero take their target; Newton moves the rest.
-        idx = np.flatnonzero((target > 0.0) & (s > 0.0))
+        # Rows heading to zero take their target; Newton moves the rest,
+        # dead rows that come back to life included.
+        idx = np.flatnonzero(target > 0.0)
         if idx.size:
             step = np.linalg.solve(jacobian[np.ix_(idx, idx)], residual[idx])
             target[idx] = np.minimum(np.maximum(s[idx] - step, 0.0), 1.0)

@@ -114,7 +114,8 @@ def _project_l1_ball(v, magnitudes, mass, radius, counts):
 
 def empirical_hinge_error(sep, data):
     """(1/m) sum_i [1 - y_i f(x_i)]_+ on the given sample."""
-    return _hinge_error(1.0 - data.labels * _values(sep, data.features))
+    slack = 1.0 - data.labels * _values(sep, data.features)
+    return _hinge_error(slack, slack > 0.0)
 
 
 # On held-out data, a plug-in estimate of the population hinge error.
@@ -140,29 +141,28 @@ def train_separator(model, data, max_iters=2000, step0=1.0):
     radius = 1.0 / margin
     m = data.m
     counts = np.arange(1, m + 1)
-    # signed[i, j] = y_i K_A(x_j, x_i).  Flipping signs is exact, so
-    # 1 - signed @ alpha is the slack 1 - y * (gram @ alpha) bit for bit, and
-    # signed.T @ active is gram.T @ (y * active) bit for bit.
+    # signed[i, j] = y_i K_A(x_j, x_i), so 1 - signed @ alpha is the slack
+    # and signed.T @ active is m times minus the hinge subgradient.
     signed = data.features @ model.matrix @ data.features.T
     signed *= data.labels[:, None]
     signed_t = signed.T
     alpha = anchor_coefficients(data.labels, margin)
     best_alpha = alpha
     slack = 1.0 - signed @ alpha
-    best_err = _hinge_error(slack)
+    # The mask slack > 0 serves an iterate's hinge error and the next step.
+    active = np.greater(slack, 0.0, out=np.empty(m))
+    best_err = _hinge_error(slack, active)
     if not math.isfinite(best_err):
         raise NumericalError("non-finite hinge error at the starting point")
     for t in range(1, max_iters + 1):
-        # The hinge subgradient is -signed.T @ active / m; stepping against
-        # it adds rather than subtracts the negated term, which is exact.
-        # In place, this rounds as alpha + (step0 / sqrt(t)) * (product / m).
-        # ndarray.dot calls the same BLAS gemv as @ with less dispatch.  At
-        # m = 1 it multiplies instead, so a zero product may carry the other
-        # sign; adding the one-point alpha, which is never -0.0, or
-        # subtracting from 1 gives the same result either way.
-        stepped = signed_t.dot(slack > 0.0)
-        stepped /= m
-        stepped *= step0 / math.sqrt(t)
+        # Stepping against the subgradient adds the product, with the 1/m
+        # of the hinge average folded into the step factor.  ndarray.dot
+        # calls the same BLAS gemv as @ with less dispatch.  At m = 1 it
+        # multiplies instead, so a zero product may carry the other sign;
+        # adding the one-point alpha, which is never zero, or subtracting
+        # from 1 gives the same result either way.
+        stepped = signed_t.dot(active)
+        stepped *= step0 / (m * math.sqrt(t))
         stepped += alpha
         magnitudes = np.abs(stepped)
         mass = np.add.reduce(magnitudes)
@@ -173,9 +173,10 @@ def train_separator(model, data, max_iters=2000, step0=1.0):
                 f"non-finite coefficients at iteration {t}; try a smaller step0 than {step0}"
             )
         alpha = _project_l1_ball(stepped, magnitudes, mass, radius, counts)
-        slack = signed.dot(alpha)
+        signed.dot(alpha, slack)
         np.subtract(1.0, slack, out=slack)
-        err = _hinge_error(slack)
+        np.greater(slack, 0.0, out=active)
+        err = _hinge_error(slack, active)
         if not math.isfinite(err):
             raise NumericalError(
                 f"non-finite hinge error at iteration {t}; try a smaller step0 than {step0}"

@@ -91,40 +91,35 @@ def _label_sum(data):
 
 
 def _signed_features(data):
-    # Row i is y_i x_i.  Flipping signs is exact, so products with these rows
-    # equal the label-weighted products with the plain features bit for bit.
+    # Row i is y_i x_i.
     return data.labels[:, None] * data.features
 
 
-def _scales(m, margin):
-    """The divisors of ``_slack`` and ``_subgradient`` for m examples.
-
-    One division by -2 m^2 margin rounds exactly like halving, negating and
-    dividing by m^2 margin in turn.
-    """
-    return m * margin, -2.0 * (m ** 2 * margin)
+def _scaled_features(data, margin):
+    # Row i is y_i x_i / (m margin), so the pair margins are these rows
+    # times A w, with no division per step.
+    return _signed_features(data) / (data.m * margin)
 
 
-def _slack(a, signed, w, margin_scale):
-    # 1 - the pair margins signed (A w) / (m margin), formed in one buffer;
-    # it rounds as 1.0 - signed @ (a @ w) / margin_scale does.
-    slack = signed.dot(a.dot(w))
-    slack /= margin_scale
+def _slack(a, scaled, w, out=None):
+    # 1 - the pair margins scaled (A w), formed in one buffer (out, if given).
+    slack = scaled.dot(a.dot(w), out)
     return np.subtract(1.0, slack, out=slack)
 
 
-def _hinge_error(slack):
-    # slack = 1 - margins; sum / count is what np.mean computes, without its
-    # Python overhead.
-    return float(np.add.reduce(np.maximum(0.0, slack)) / len(slack))
+def _hinge_error(slack, active):
+    # active holds slack > 0 as 0/1 (bools or floats), so the product sums
+    # the positive slack: the hinge average over len(slack) examples.
+    return float(slack.dot(active) / len(slack))
 
 
-def _subgradient(slack, signed_t, w, step_scale):
-    # signed_t is signed.T.  The result is a fresh buffer, which the caller
-    # may scale in place.
-    outer = signed_t.dot(slack > 0.0)[:, None] * w
+def _subgradient(active, scaled_t, w, factor):
+    # factor times the hinge subgradient, in a fresh buffer the caller may
+    # write to.  scaled_t is the transposed scaled features and active the
+    # hinge mask of the m examples.
+    outer = scaled_t.dot(active)[:, None] * w
     g = outer + outer.T
-    g /= step_scale
+    g *= factor / (-2.0 * len(active))
     return g
 
 
@@ -132,8 +127,8 @@ def empirical_similarity_error(a, data, margin):
     """Average hinge loss of the pairwise margins on the sample itself."""
     a = _check_data_dims(a, data)
     _require("margin", margin, _POSITIVE)
-    margin_scale, _ = _scales(data.m, margin)
-    return _hinge_error(_slack(a, _signed_features(data), _label_sum(data), margin_scale))
+    slack = _slack(a, _scaled_features(data, margin), _label_sum(data))
+    return _hinge_error(slack, slack > 0.0)
 
 
 # On a holdout the matrix never saw, the same hinge average is a plug-in
@@ -156,10 +151,9 @@ def hinge_subgradient(a, data, margin):
     """
     a = _check_data_dims(a, data)
     _require("margin", margin, _POSITIVE)
-    signed = _signed_features(data)
+    scaled = _scaled_features(data, margin)
     w = _label_sum(data)
-    margin_scale, step_scale = _scales(data.m, margin)
-    return _subgradient(_slack(a, signed, w, margin_scale), signed.T, w, step_scale)
+    return _subgradient(_slack(a, scaled, w) > 0.0, scaled.T, w, 1.0)
 
 
 def train_similarity(data, config):
@@ -170,33 +164,35 @@ def train_similarity(data, config):
     the objective stops being finite, which indicates a divergent step size.
 
     Cost: no m x m matrix is formed.  Each iteration makes two products
-    with the label-signed m x d features (the margins, and the sum over the
-    active examples in the subgradient) and one d x d prox.  At small m and
-    d the NumPy call overhead dominates, so the step is formed in place; it
-    rounds exactly like A - eta * g.
+    with the scaled label-signed m x d features (the margins, and the sum
+    over the active examples in the subgradient) and one d x d prox.  At
+    small m and d the NumPy call overhead dominates, so the features are
+    scaled once, each iterate forms its hinge mask once, and the step is
+    formed in place.
     """
     kind = config.norm_kind
     lam = config.lam
-    signed = _signed_features(data)
-    signed_t = signed.T
+    scaled = _scaled_features(data, config.margin)
+    scaled_t = scaled.T
     w = _label_sum(data)
-    margin_scale, step_scale = _scales(data.m, config.margin)
     a = np.zeros((data.d, data.d))
-    # The slack 1 - margins of the current iterate serves its objective and
-    # the next subgradient; every iterate is symmetric by construction.
-    slack = _slack(a, signed, w, margin_scale)
+    # The slack 1 - margins of the current iterate and its mask slack > 0
+    # serve its objective and the next subgradient; both buffers are reused.
+    # Every iterate is symmetric by construction.
+    slack = _slack(a, scaled, w)
+    active = np.greater(slack, 0.0, out=np.empty(data.m))
     best_a = a
-    best_obj = _hinge_error(slack) + lam * _norm(a, kind)
+    best_obj = _hinge_error(slack, active) + lam * _norm(a, kind)
     window = 50
     window_best = best_obj
     iterations = 0
     for t in range(1, config.max_iters + 1):
         eta = config.step0 / math.sqrt(t)
-        step = _subgradient(slack, signed_t, w, step_scale)
-        step *= eta
+        step = _subgradient(active, scaled_t, w, eta)
         a, a_norm = _prox(np.subtract(a, step, out=step), eta * lam, kind)
-        slack = _slack(a, signed, w, margin_scale)
-        obj = _hinge_error(slack) + lam * a_norm
+        _slack(a, scaled, w, slack)
+        np.greater(slack, 0.0, out=active)
+        obj = _hinge_error(slack, active) + lam * a_norm
         if not math.isfinite(obj):
             raise NumericalError(
                 f"non-finite objective at iteration {t}; try a smaller step0 than {config.step0}"

@@ -321,23 +321,28 @@ def reference_separator_alpha(features, labels, a, margin, max_iters, step0):
     """Best iterate of projected subgradient descent on the separator hinge.
 
     Starts at alpha0 = y / (m margin), steps by step0 / sqrt(t) against
-    -(gram^T (y * active)) / m, projects onto the L1 ball of radius 1/margin,
-    and keeps the first iterate of least hinge error.
+    -(gram^T (y * active)) / m, with the 1/m folded into the step factor,
+    projects onto the L1 ball of radius 1/margin, and keeps the first
+    iterate of least hinge error.  The hinge error is the dot product of the
+    slack with its 0/1 active mask, over m.
     """
     m = labels.shape[0]
     gram = features @ a @ features.T
 
-    def hinge_and_grad(alpha):
+    def hinge_and_active(alpha):
         slack = 1.0 - labels * (gram @ alpha)
-        err = float(np.mean(np.maximum(0.0, slack)))
-        return err, -(gram.T @ (labels * (slack > 0.0))) / m
+        active = (slack > 0.0).astype(float)
+        return float(slack @ active / m), active
 
     alpha = labels / (m * margin)
     best_alpha = alpha
-    best_err, grad = hinge_and_grad(alpha)
+    best_err, active = hinge_and_active(alpha)
     for t in range(1, max_iters + 1):
-        alpha = reference_l1_projection(alpha - (step0 / math.sqrt(t)) * grad, 1.0 / margin)
-        err, grad = hinge_and_grad(alpha)
+        product = gram.T @ (labels * active)
+        alpha = reference_l1_projection(
+            (step0 / (m * math.sqrt(t))) * product + alpha, 1.0 / margin
+        )
+        err, active = hinge_and_active(alpha)
         if err < best_err:
             best_err = err
             best_alpha = alpha
@@ -420,8 +425,9 @@ def _reference_prox_mixed21(b, tau, gap_rtol=1e-12, newton_steps=8, dual_steps=2
     """Mixed21 prox: Newton on the row scales s, then dual FISTA if it stalls.
 
     The entries are A_ij = 2 B_ij s_i s_j / (s_i + s_j); Newton solves
-    s_i = 1 - tau / max(||h_i||, tau) for H = 2 B * s_j / (s_i + s_j) and
-    stops on the duality-gap bound.  The fallback is accelerated projected
+    s_i = 1 - tau / max(||h_i||, tau) for H = 2 B * s_j / (s_i + s_j) over
+    the rows whose right-hand side (target) is positive, dead rows included,
+    sets the others to 0, and stops on the duality-gap bound.  The fallback is accelerated projected
     gradient with gradient restart on the skew part of the dual.
     """
     b_rows = _reference_row_norms(b)
@@ -451,15 +457,19 @@ def _reference_prox_mixed21(b, tau, gap_rtol=1e-12, newton_steps=8, dual_steps=2
         c = h * twice_b / (pair * pair)
         weight = tau / (clipped * clipped * clipped)
         jacobian = np.diag(1.0 + weight * (c @ s)) - (weight * s)[:, None] * c
-        if all_live and target.min() > 0.0:
+        if target.min() > 0.0:
             s = np.minimum(np.maximum(s - np.linalg.solve(jacobian, residual), 0.0), 1.0)
             continue
-        idx = np.flatnonzero((target > 0.0) & (s > 0.0))
+        idx = np.flatnonzero(target > 0.0)
         if idx.size:
             step = np.linalg.solve(jacobian[np.ix_(idx, idx)], residual[idx])
             target[idx] = np.minimum(np.maximum(s[idx] - step, 0.0), 1.0)
         s = target
+    return _reference_dual_mixed21(b, tau, h, scale, gap_rtol, dual_steps)
 
+
+def _reference_dual_mixed21(b, tau, h, scale, gap_rtol, dual_steps):
+    """The dual FISTA phase of ``_reference_prox_mixed21``, warm-started at h."""
     scaled = b / tau
     k = k_prev = (h - b) / tau
     t = 1.0
@@ -485,32 +495,35 @@ def reference_train_similarity(features, labels, lam, margin, kind, max_iters, s
     Starts at A = 0, steps by step0 / sqrt(t) against the hinge subgradient,
     applies ``reference_prox`` with threshold eta * lam, keeps the first
     iterate of least objective, and stops once the best objective improved
-    by less than rel_tol relative over a 50-iteration window.  Returns
-    (matrix, objective, iterations run).
+    by less than rel_tol relative over a 50-iteration window.  The signed
+    features are divided by m margin once, the subgradient's 1/(-2 m) is
+    folded into the step factor, and the hinge is the dot product of the
+    slack with its 0/1 active mask, over m.  Returns (matrix, objective,
+    iterations run).
     """
     m = labels.shape[0]
-    signed = labels[:, None] * features
+    scaled = (labels[:, None] * features) / (m * margin)
     w = features.T @ labels
 
-    def slack_of(a):
-        return 1.0 - signed @ (a @ w) / (m * margin)
+    def slack_and_active(a):
+        slack = 1.0 - scaled @ (a @ w)
+        return slack, (slack > 0.0).astype(float)
 
-    def hinge(slack):
-        return float(np.add.reduce(np.maximum(0.0, slack)) / len(slack))
+    def hinge(slack, active):
+        return float(slack @ active / m)
 
     a = np.zeros((features.shape[1], features.shape[1]))
-    slack = slack_of(a)
+    slack, active = slack_and_active(a)
     best_a = a
-    best_obj = hinge(slack) + lam * _reference_norm(a, kind)
+    best_obj = hinge(slack, active) + lam * _reference_norm(a, kind)
     window_best = best_obj
     iterations = 0
     for t in range(1, max_iters + 1):
         eta = step0 / math.sqrt(t)
-        outer = (signed.T @ (slack > 0.0))[:, None] * w
-        g = (outer + outer.T) / (-2.0 * (m ** 2 * margin))
-        a, a_norm = reference_prox(a - eta * g, eta * lam, kind)
-        slack = slack_of(a)
-        obj = hinge(slack) + lam * a_norm
+        outer = (scaled.T @ active)[:, None] * w
+        a, a_norm = reference_prox(a - (eta / (-2.0 * m)) * (outer + outer.T), eta * lam, kind)
+        slack, active = slack_and_active(a)
+        obj = hinge(slack, active) + lam * a_norm
         if obj < best_obj:
             best_obj = obj
             best_a = a

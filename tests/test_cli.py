@@ -470,9 +470,14 @@ def test_experiment_mistyped_config(tmp_path, capsys, field, value):
     ({"margin": 10 ** 400}, f"margin must be a finite number, got {10 ** 400}"),
     ({"generator.mean_separation": -10 ** 400},
      f"generator.mean_separation must be a finite number, got {-10 ** 400}"),
+    # A count must fit the int64 that numpy sizes arrays with.
+    ({"m_values": [8, 10 ** 400]},
+     "m_values must be a nonempty list of distinct positive ints below 2**63, "
+     f"got [8, {10 ** 400}]"),
 ], ids=["lambda-negative", "margin-zero", "step0-negative", "noise_sigma-zero",
         "irrelevant_dims-negative", "sparse_blobs-irrelevant_dims-at-later-d",
-        "two_gaussians-irrelevant_dims", "margin-huge-int", "mean_separation-huge-int"])
+        "two_gaussians-irrelevant_dims", "margin-huge-int", "mean_separation-huge-int",
+        "m_values-huge-int"])
 def test_experiment_out_of_range_config(tmp_path, monkeypatch, capsys, changes, message):
     # Ranges are checked at load: no trial runs and output_dir is not made,
     # even when only the last d of the grid is out of range.

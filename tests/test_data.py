@@ -175,16 +175,22 @@ def test_generator_spec_validation():
             GeneratorSpec(kind="two_gaussians", d=2, mean_separation=1.0, noise_sigma=1.0), 0
         )
     # A count or a seed is an int: a fraction is refused, never truncated.
-    with pytest.raises(ValueError, match="d must be a positive int, got 2.5"):
+    with pytest.raises(ValueError, match=r"d must be a positive int below 2\*\*63, got 2.5"):
         GeneratorSpec(kind="two_gaussians", d=2.5, mean_separation=1.0, noise_sigma=1.0)
     with pytest.raises(ValueError, match=r"seed must be an int in \[0, 2\*\*128\), got 1.5"):
         GeneratorSpec(kind="two_gaussians", d=2, mean_separation=1.0, noise_sigma=1.0, seed=1.5)
-    with pytest.raises(ValueError, match="m must be a positive int, got 2.5"):
+    with pytest.raises(ValueError, match=r"m must be a positive int below 2\*\*63, got 2.5"):
         generate(
             GeneratorSpec(kind="two_gaussians", d=2, mean_separation=1.0, noise_sigma=1.0), 2.5
         )
     with pytest.raises(ValueError, match="seed must be an int"):
         philox_generator(1.5)
+    # numpy sizes arrays with int64, so a count stops below 2**63.
+    with pytest.raises(ValueError, match=rf"d must be a positive int below 2\*\*63, got {2 ** 63}"):
+        GeneratorSpec(kind="two_gaussians", d=2 ** 63, mean_separation=1.0, noise_sigma=1.0)
+    assert GeneratorSpec(
+        kind="two_gaussians", d=2 ** 63 - 1, mean_separation=1.0, noise_sigma=1.0
+    ).d == 2 ** 63 - 1
     # GeneratorSpec takes every seed philox_generator takes.
     assert GeneratorSpec(
         kind="two_gaussians", d=2, mean_separation=1.0, noise_sigma=1.0, seed=2 ** 128 - 1

@@ -179,6 +179,9 @@ def _signed_zero_inputs(rng):
         dead[0] = dead[:, 0] = -0.0
         yield dead
     yield np.full((3, 3), -0.0)
+    # At tau = 0.5 the mixed21 row 0 starts dead (norm 0.45) and comes back
+    # to life: with row 1 live, its row of H has norm 0.9.
+    yield np.array([[0.0, 0.45, 0.0], [0.45, 1.5, 0.375], [0.0, 0.375, 2.25]])
 
 
 def test_prox_matches_reference_bits(rng):

@@ -383,7 +383,7 @@ def test_train_validation():
     with pytest.raises(ValueError):
         train_separator(model, data, max_iters=0)
     for value in (2.5, True, 5.0):
-        with pytest.raises(ValueError, match=f"max_iters must be a positive int, got {value}"):
+        with pytest.raises(ValueError, match=rf"max_iters must be a positive int below 2\*\*63, got {value}"):
             train_separator(model, data, max_iters=value)
     with pytest.raises(ValueError):
         train_separator(model, data, step0=0.0)

@@ -21,6 +21,7 @@ from simbound import (
     true_similarity_error,
 )
 from simbound.similarity import model_to_json_dict
+import oracles
 from conftest import assert_model_invariants, make_rng, random_dataset
 from oracles import (
     fd_inner_product,
@@ -250,15 +251,24 @@ def test_train_json_matches_reference_loop(kind):
         assert kind == "l1" or model.iterations_run < config.max_iters
 
 
-def test_train_json_matches_reference_loop_mixed21_dual_fallback():
-    # At d=20 with most coordinates pure noise, some iterations' mixed21 prox
-    # leaves Newton for the dual FISTA iteration.
+def test_train_json_matches_reference_loop_mixed21_dual_fallback(monkeypatch):
+    # At d=50 a few iterations' mixed21 prox leave Newton for the dual FISTA
+    # iteration; the reference counts how many.
+    reference_dual = oracles._reference_dual_mixed21
+    dual_runs = 0
+
+    def counted(*args):
+        nonlocal dual_runs
+        dual_runs += 1
+        return reference_dual(*args)
+
+    monkeypatch.setattr(oracles, "_reference_dual_mixed21", counted)
     spec = GeneratorSpec(
-        kind="sparse_blobs", d=20, mean_separation=2.0, noise_sigma=1.0, irrelevant_dims=15,
-        seed=1,
+        kind="two_gaussians", d=50, mean_separation=2.0, noise_sigma=1.0, seed=5
     )
-    config = SimilarityConfig(lam=0.1, margin=1.0, norm_kind="mixed21", max_iters=200)
-    _assert_json_matches_reference(generate(spec, 20), config)
+    config = SimilarityConfig(lam=0.1, margin=1.0, norm_kind="mixed21", max_iters=60)
+    _assert_json_matches_reference(generate(spec, 100), config)
+    assert dual_runs > 0
 
 
 def test_config_validation():
@@ -283,7 +293,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimilarityConfig(lam=0.1, margin=1.0, norm_kind="banana")
     for value in (2.5, True, 5.0):
-        with pytest.raises(ValueError, match=f"max_iters must be a positive int, got {value}"):
+        with pytest.raises(ValueError, match=rf"max_iters must be a positive int below 2\*\*63, got {value}"):
             SimilarityConfig(lam=0.1, margin=1.0, norm_kind="l1", max_iters=value)
     # An int beyond the float range is no finite number.
     for value in (10 ** 400, 2 ** 1024 - 2 ** 970):
