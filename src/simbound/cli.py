@@ -430,7 +430,9 @@ def main(argv=None):
     except NumericalError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
+        # A count that passes its rule may still ask for more memory than
+        # the machine has; numpy refuses such an array before filling it.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -145,37 +145,49 @@ def prox(b, tau, kind):
     return _prox(b, float(tau), NormKind(kind))[0]
 
 
-def _prox(b, tau, kind):
+def _prox(b, tau, kind, spectrum=None):
     """``prox`` on an already validated symmetric B and tau >= 0.
 
-    Returns the prox point and its norm.  For fro both the shrink factor and
+    Returns the prox point, its norm, and for trace its spectrum: the
+    thresholded eigenvalues and the eigenvectors, from which the point was
+    rebuilt (None for the other kinds).  For fro both the shrink factor and
     the returned norm come from ``_fro``, which rounds as ``norm`` does; l1,
     mixed21 and trace return the value their own computation already
     produced (shrunk magnitudes, row norms, thresholded eigenvalues), which
-    spares trace a second eigendecomposition.  B is never written to.
+    spares trace a second eigendecomposition.
+
+    ``spectrum``, if given, is the spectrum that a trace prox returned
+    together with B itself.  The trace prox then thresholds it by tau and
+    skips the eigendecomposition.  This is the prox of B because spectral
+    soft-thresholds compose: thresholding by tau1 and then by tau2 is
+    thresholding by tau1 + tau2.  Stage one passes it on every zero step,
+    where the prox input is the previous prox output.  The mixed21 prox
+    does not compose that way, so it takes no such shortcut.
+
+    B and the spectrum are never written to.
     """
     if tau == 0.0:
-        return b.copy(), _norm(b, kind)
+        return b.copy(), _norm(b, kind), spectrum
     if kind is NormKind.L1:
         # |a| is exactly the shrunk magnitudes, so their sum is norm(a).
         shrunk = _shrunk_magnitudes(b, tau)
         a = np.sign(b)
         a *= shrunk
-        return a, float(np.add.reduce(shrunk, axis=None))
+        return a, float(np.add.reduce(shrunk, axis=None)), None
     if kind is NormKind.FROBENIUS:
         total = _fro(b)
         a = np.zeros_like(b) if total <= tau else b * (1.0 - tau / total)
-        return a, _fro(a)
+        return a, _fro(a), None
     if kind is NormKind.MIXED21:
-        return _prox_mixed21(b, tau)
-    eigenvalues, vectors = _eigh(b)
+        return (*_prox_mixed21(b, tau), None)
+    eigenvalues, vectors = _eigh(b) if spectrum is None else spectrum
     shrunk = _shrunk_magnitudes(eigenvalues, tau)
     thresholded = np.sign(eigenvalues)
     thresholded *= shrunk
     product = (vectors * thresholded) @ vectors.T
     a = product + product.T
     a /= 2.0
-    return a, float(np.add.reduce(shrunk))
+    return a, float(np.add.reduce(shrunk)), (thresholded, vectors)
 
 
 def _shrunk_magnitudes(x, tau):

@@ -415,10 +415,20 @@ def reference_prox(b, tau, kind):
         return a, _reference_norm(a, kind)
     if kind == "mixed21":
         return _reference_prox_mixed21(b, tau)
-    eigenvalues, vectors = np.linalg.eigh(b)
+    return reference_trace_prox(np.linalg.eigh(b), tau)[:2]
+
+
+def reference_trace_prox(spectrum, tau):
+    """Trace prox of the matrix with eigenpairs ``spectrum``, by threshold.
+
+    Returns the prox point, its norm and its own (thresholded eigenvalues,
+    eigenvectors); thresholding those again by tau2 gives the prox of the
+    first matrix with threshold tau + tau2.
+    """
+    eigenvalues, vectors = spectrum
     thresholded = np.sign(eigenvalues) * np.maximum(np.abs(eigenvalues) - tau, 0.0)
     product = (vectors * thresholded) @ vectors.T
-    return (product + product.T) / 2.0, float(np.abs(thresholded).sum())
+    return (product + product.T) / 2.0, float(np.abs(thresholded).sum()), (thresholded, vectors)
 
 
 def _reference_prox_mixed21(b, tau, gap_rtol=1e-12, newton_steps=8, dual_steps=200000):
@@ -498,8 +508,10 @@ def reference_train_similarity(features, labels, lam, margin, kind, max_iters, s
     by less than rel_tol relative over a 50-iteration window.  The signed
     features are divided by m margin once, the subgradient's 1/(-2 m) is
     folded into the step factor, and the hinge is the dot product of the
-    slack with its 0/1 active mask, over m.  Returns (matrix, objective,
-    iterations run).
+    slack with its 0/1 active mask, over m.  An iterate whose summed
+    positive slack is 0 takes no step: the prox gets the iterate itself,
+    and trace thresholds the spectrum its previous prox returned instead
+    of decomposing again.  Returns (matrix, objective, iterations run).
     """
     m = labels.shape[0]
     scaled = (labels[:, None] * features) / (m * margin)
@@ -509,21 +521,29 @@ def reference_train_similarity(features, labels, lam, margin, kind, max_iters, s
         slack = 1.0 - scaled @ (a @ w)
         return slack, (slack > 0.0).astype(float)
 
-    def hinge(slack, active):
-        return float(slack @ active / m)
-
     a = np.zeros((features.shape[1], features.shape[1]))
     slack, active = slack_and_active(a)
+    hinge_sum = slack @ active
     best_a = a
-    best_obj = hinge(slack, active) + lam * _reference_norm(a, kind)
+    best_obj = float(hinge_sum / m) + lam * _reference_norm(a, kind)
     window_best = best_obj
+    spectrum = None
     iterations = 0
     for t in range(1, max_iters + 1):
         eta = step0 / math.sqrt(t)
-        outer = (scaled.T @ active)[:, None] * w
-        a, a_norm = reference_prox(a - (eta / (-2.0 * m)) * (outer + outer.T), eta * lam, kind)
+        if hinge_sum > 0.0:
+            outer = (scaled.T @ active)[:, None] * w
+            a = a - (eta / (-2.0 * m)) * (outer + outer.T)
+            spectrum = None
+        if kind == "trace":
+            if spectrum is None:
+                spectrum = np.linalg.eigh(a)
+            a, a_norm, spectrum = reference_trace_prox(spectrum, eta * lam)
+        else:
+            a, a_norm = reference_prox(a, eta * lam, kind)
         slack, active = slack_and_active(a)
-        obj = hinge(slack, active) + lam * a_norm
+        hinge_sum = slack @ active
+        obj = float(hinge_sum / m) + lam * a_norm
         if obj < best_obj:
             best_obj = obj
             best_a = a

@@ -218,6 +218,28 @@ def test_khinchin_bad_vector():
     assert run_cli(["khinchin", "--f", "1,oops", "--p", "2", "--q", "4"]) == 1
 
 
+@pytest.mark.parametrize("command", ["khinchin", "bounds"])
+def test_unallocatable_draw_count_exits_1(train_csv, tmp_path, capsys, command):
+    # 2**40 draws pass the count rule, but their sign matrix (16 TiB for
+    # khinchin's two coefficients) cannot be allocated; numpy refuses it
+    # at once, before writing any of it.
+    draws = str(2 ** 40)
+    if command == "khinchin":
+        argv = ["khinchin", "--f", "1,1", "--p", "2", "--q", "4", "--mode", "mc",
+                "--mc-draws", draws]
+    else:
+        model_path, _ = trained_artifacts(train_csv, tmp_path)
+        argv = ["bounds", "--model", str(model_path), "--data", str(train_csv),
+                "--mc-draws", draws, "--out", str(tmp_path / "r.json")]
+    capsys.readouterr()
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Unable to allocate")
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "r.json").exists()
+
+
 def trained_artifacts(train_csv, tmp_path):
     model_path = tmp_path / "model.json"
     sep_path = tmp_path / "sep.json"

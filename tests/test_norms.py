@@ -191,11 +191,35 @@ def test_prox_matches_reference_bits(rng):
     for b in _signed_zero_inputs(rng):
         for tau in (0.0, 0.1, 0.5, abs(float(b[0, -1])), 10.0):
             for kind in ALL_KINDS:
-                out, out_norm = _prox(b, tau, NormKind(kind))
+                out, out_norm, _ = _prox(b, tau, NormKind(kind))
                 expected, expected_norm = reference_prox(b, tau, kind)
                 np.testing.assert_array_equal(out, expected)
                 np.testing.assert_array_equal(np.signbit(out), np.signbit(expected))
                 assert out_norm == expected_norm and type(out_norm) is float, kind
+
+
+def test_prox_leaves_input_bits(rng):
+    # Stage one hands its live iterate to the prox on a zero step, so no
+    # kind may write its input, signs of zero included.  The trace output is
+    # also thresholded again from its own spectrum, which must match the
+    # prox from a fresh eigendecomposition and leave both inputs as they
+    # were.  (The d=50 stage-one pin in test_similarity covers the mixed21
+    # dual phase.)
+    for b in _signed_zero_inputs(rng):
+        before = b.tobytes()
+        for tau in (0.0, 0.1, 0.5, 10.0):
+            for kind in ALL_KINDS:
+                out, _, spectrum = _prox(b, tau, NormKind(kind))
+                assert b.tobytes() == before, kind
+                assert (spectrum is not None) == (kind == "trace" and tau > 0.0)
+            if spectrum is None:
+                continue
+            saved = out.tobytes(), [part.tobytes() for part in spectrum]
+            again, again_norm, _ = _prox(out, 0.05, NormKind.TRACE, spectrum)
+            assert (out.tobytes(), [part.tobytes() for part in spectrum]) == saved
+            expected = prox(out, 0.05, "trace")
+            assert np.max(np.abs(again - expected)) <= 1e-12 * max(1.0, norm(out, "trace"))
+            assert again_norm == pytest.approx(norm(expected, "trace"), rel=1e-12, abs=1e-12)
 
 
 def test_prox_output_symmetric(rng):

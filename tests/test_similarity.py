@@ -14,12 +14,15 @@ from simbound import (
     generate,
     hinge_subgradient,
     load_model,
+    norm,
+    prox,
     save_model,
     similarity_objective,
     symmetrize,
     train_similarity,
     true_similarity_error,
 )
+from simbound import similarity
 from simbound.similarity import model_to_json_dict
 import oracles
 from conftest import assert_model_invariants, make_rng, random_dataset
@@ -251,6 +254,27 @@ def test_train_json_matches_reference_loop(kind):
         assert kind == "l1" or model.iterations_run < config.max_iters
 
 
+def _watch_prox(monkeypatch):
+    """Record every prox stage one makes, checking that none writes its input.
+
+    Each record is (input, tau, whether a spectrum was passed, output).
+    """
+    calls = []
+    prox_kernel = similarity._prox
+
+    def watched(b, tau, kind, spectrum=None):
+        before = b.tobytes()
+        saved = None if spectrum is None else [part.tobytes() for part in spectrum]
+        result = prox_kernel(b, tau, kind, spectrum)
+        assert b.tobytes() == before
+        assert saved is None or [part.tobytes() for part in spectrum] == saved
+        calls.append((b, tau, spectrum is not None, result[0]))
+        return result
+
+    monkeypatch.setattr(similarity, "_prox", watched)
+    return calls
+
+
 def test_train_json_matches_reference_loop_mixed21_dual_fallback(monkeypatch):
     # At d=50 a few iterations' mixed21 prox leave Newton for the dual FISTA
     # iteration; the reference counts how many.
@@ -263,12 +287,73 @@ def test_train_json_matches_reference_loop_mixed21_dual_fallback(monkeypatch):
         return reference_dual(*args)
 
     monkeypatch.setattr(oracles, "_reference_dual_mixed21", counted)
+    calls = _watch_prox(monkeypatch)
     spec = GeneratorSpec(
         kind="two_gaussians", d=50, mean_separation=2.0, noise_sigma=1.0, seed=5
     )
     config = SimilarityConfig(lam=0.1, margin=1.0, norm_kind="mixed21", max_iters=60)
     _assert_json_matches_reference(generate(spec, 100), config)
     assert dual_runs > 0
+    # The dual FISTA phase, like the Newton phase, leaves its input as it was.
+    assert len(calls) == 60
+
+
+@pytest.mark.parametrize("kind", ["l1", "fro", "mixed21", "trace"])
+def test_train_zero_step_skips_subgradient(monkeypatch, kind):
+    # On check-02-shaped data most iterates meet every margin.  An empty
+    # hinge mask means a zero subgradient: the next step computes none and
+    # hands the iterate itself to the prox.
+    nonempty = []
+    slack_kernel = similarity._slack
+
+    def recorded_slack(*args):
+        slack = slack_kernel(*args)
+        nonempty.append(bool((slack > 0.0).any()))
+        return slack
+
+    subgradients = 0
+    subgradient_kernel = similarity._subgradient
+
+    def counted_subgradient(*args):
+        nonlocal subgradients
+        subgradients += 1
+        return subgradient_kernel(*args)
+
+    monkeypatch.setattr(similarity, "_slack", recorded_slack)
+    monkeypatch.setattr(similarity, "_subgradient", counted_subgradient)
+    calls = _watch_prox(monkeypatch)
+    config = SimilarityConfig(
+        lam=0.05, margin=1.0, norm_kind=kind, max_iters=400, step0=2.0, rel_tol=0.0
+    )
+    model = train_similarity(_tiny_dataset(make_rng(531), 6), config)
+    # One mask per iterate, the start included; the last one takes no step.
+    assert len(nonempty) == len(calls) + 1 == model.iterations_run + 1
+    assert subgradients == sum(nonempty[:-1])
+    assert subgradients < model.iterations_run
+    previous = None
+    for (b, _, reused, a), stepped in zip(calls, nonempty):
+        assert (b is previous) == (not stepped)
+        # Only trace keeps a spectrum, and only a zero step passes it back.
+        assert reused == (kind == "trace" and not stepped)
+        previous = a
+
+
+def test_train_trace_spectrum_reuse_is_the_prox(monkeypatch):
+    # On a zero step the trace prox thresholds the spectrum its previous
+    # call returned.  Spectral soft-thresholds compose, so that is the prox
+    # of the previous output; check it against a fresh eigendecomposition.
+    calls = _watch_prox(monkeypatch)
+    rng = make_rng(532)
+    for m, lam in ((4, 0.05), (5, 0.2), (6, 0.05)):
+        config = SimilarityConfig(
+            lam=lam, margin=1.0, norm_kind="trace", max_iters=500, step0=2.0, rel_tol=0.0
+        )
+        train_similarity(_tiny_dataset(rng, m), config)
+    reused = [(b, tau, a) for b, tau, spectrum, a in calls if spectrum]
+    assert len(reused) > len(calls) // 2
+    for b, tau, a in reused:
+        tolerance = 1e-12 * max(1.0, norm(a, "trace"))
+        assert float(np.max(np.abs(a - prox(b, tau, "trace")))) <= tolerance
 
 
 def test_config_validation():
