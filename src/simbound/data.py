@@ -40,9 +40,7 @@ class Dataset:
             raise ValueError(
                 f"labels shape {labels.shape} does not match {features.shape[0]} rows"
             )
-        bad_row = _first_nonfinite_row(features)
-        if bad_row is not None:
-            raise ValueError(f"features must be finite; row {bad_row} (counting from 0) is not")
+        _require_finite_rows("features", features)
         if not np.all((labels == 1.0) | (labels == -1.0)):
             raise ValueError("labels must be exactly -1 or +1")
         object.__setattr__(self, "features", features)
@@ -61,6 +59,13 @@ def _first_nonfinite_row(features):
     finite = np.isfinite(features)
     # The per-row reduction is an order of magnitude slower than the flat one.
     return None if finite.all() else int(finite.all(axis=1).argmin())
+
+
+def _require_finite_rows(name, rows):
+    """Raise ValueError naming name and its first row holding a NaN or infinity."""
+    bad_row = _first_nonfinite_row(rows)
+    if bad_row is not None:
+        raise ValueError(f"{name} must be finite; row {bad_row} (counting from 0) is not")
 
 
 @dataclass(frozen=True)

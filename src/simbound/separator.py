@@ -13,10 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (
-    _COUNT, _NUMBER, _NUMBERS, _OBJECT, _POSITIVE, _checked, _read_json, _require, _write_json,
+    _COUNT, _NUMBER, _NUMBERS, _OBJECT, _POSITIVE,
+    _checked, _read_json, _require, _require_finite_rows, _write_json,
 )
 from .errors import NumericalError
-from .similarity import SimilarityModel, _hinge_error, model_from_json_dict, model_to_json_dict
+from .similarity import (
+    SimilarityModel, _hinge_error, _signed_features, model_from_json_dict, model_to_json_dict,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,18 +32,27 @@ class Separator:
     model: SimilarityModel
 
     def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=float)
+        alpha = _finite_vector("alpha", self.alpha)
         anchors = np.asarray(self.anchor_features, dtype=float)
-        if alpha.ndim != 1:
-            raise ValueError(f"alpha must be a vector, got shape {alpha.shape}")
         if anchors.ndim != 2 or anchors.shape != (alpha.shape[0], self.model.d):
             raise ValueError(
                 f"anchor_features shape {anchors.shape} does not match "
                 f"{alpha.shape[0]} coefficients of dimension {self.model.d}"
             )
+        _require_finite_rows("anchor_features", anchors)
         _require("margin", self.margin, _POSITIVE)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "anchor_features", anchors)
+
+
+def _finite_vector(name, value):
+    # A float copy of value, once it is a vector of finite entries.
+    value = np.array(value, dtype=float)
+    if value.ndim != 1:
+        raise ValueError(f"{name} must be a vector, got shape {value.shape}")
+    if not np.isfinite(value).all():
+        raise ValueError(f"{name} must be finite")
+    return value
 
 
 def anchor_coefficients(labels, margin):
@@ -54,8 +66,9 @@ def _values(sep, features):
         raise ValueError(
             f"feature dimension {features.shape[1]} does not match model dimension {sep.model.d}"
         )
-    pooled = sep.anchor_features.T @ sep.alpha
-    return features @ (sep.model.matrix @ pooled)
+    # The products of train_separator in its order, so that y * f on the
+    # training sample is its margins to the bit.
+    return (features @ sep.model.matrix).dot(sep.anchor_features.T.dot(sep.alpha))
 
 
 def classify(sep, features):
@@ -63,6 +76,7 @@ def classify(sep, features):
     features = np.asarray(features, dtype=float)
     if features.ndim != 2:
         raise ValueError(f"features must be 2-dimensional, got shape {features.shape}")
+    _require_finite_rows("features", features)
     return np.where(_values(sep, features) >= 0.0, 1.0, -1.0)
 
 
@@ -76,11 +90,7 @@ def project_l1_ball(v, radius):
     above about 2^53 times it.
     """
     _require("radius", radius, _POSITIVE)
-    v = np.array(v, dtype=float)
-    if v.ndim != 1:
-        raise ValueError(f"v must be a vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError("v must be finite")
+    v = _finite_vector("v", v)
     magnitudes = np.abs(v)
     return _project_l1_ball(v, magnitudes, magnitudes.sum(), radius, np.arange(1, v.shape[0] + 1))
 
@@ -129,9 +139,10 @@ def train_separator(model, data, max_iters=2000, step0=1.0):
     iterate (including the starting point) is returned, so the result's
     hinge error is at most that of alpha0.
 
-    Cost: the label-signed m x m Gram matrix takes 8 m^2 bytes (32 MB at
-    m = 2000).  Each step makes two m x m matrix-vector products, plus one
-    sort of m magnitudes when the step leaves the ball.
+    Cost: one m x d factor, the label-signed features times A, takes
+    8 m d bytes; no m x m array is formed.  Each step makes four m x d
+    matrix-vector products, plus one sort of m magnitudes when the step
+    leaves the ball.
     """
     if model.d != data.d:
         raise ValueError(f"model dimension {model.d} does not match data dimension {data.d}")
@@ -141,14 +152,13 @@ def train_separator(model, data, max_iters=2000, step0=1.0):
     radius = 1.0 / margin
     m = data.m
     counts = np.arange(1, m + 1)
-    # signed[i, j] = y_i K_A(x_j, x_i), so 1 - signed @ alpha is the slack
-    # and signed.T @ active is m times minus the hinge subgradient.
-    signed = data.features @ model.matrix @ data.features.T
-    signed *= data.labels[:, None]
-    signed_t = signed.T
+    # Row i of signed is y_i x_i^T A, so 1 - signed (X^T alpha) is the
+    # slack and X (signed^T active) is m times minus the hinge subgradient.
+    signed = _signed_features(data) @ model.matrix
+    features_t = data.features.T
     alpha = anchor_coefficients(data.labels, margin)
     best_alpha = alpha
-    slack = 1.0 - signed @ alpha
+    slack = 1.0 - signed.dot(features_t.dot(alpha))
     # The mask slack > 0 serves an iterate's hinge error and the next step.
     active = np.greater(slack, 0.0, out=np.empty(m))
     best_err = _hinge_error(slack, active)
@@ -157,11 +167,12 @@ def train_separator(model, data, max_iters=2000, step0=1.0):
     for t in range(1, max_iters + 1):
         # Stepping against the subgradient adds the product, with the 1/m
         # of the hinge average folded into the step factor.  ndarray.dot
-        # calls the same BLAS gemv as @ with less dispatch.  At m = 1 it
-        # multiplies instead, so a zero product may carry the other sign;
-        # adding the one-point alpha, which is never zero, or subtracting
-        # from 1 gives the same result either way.
-        stepped = signed_t.dot(active)
+        # calls the same BLAS gemv as @ with less dispatch.  At m = d = 1
+        # every operand is 1 x 1 and it multiplies instead, so a zero
+        # product may carry the other sign; adding the one-point alpha,
+        # which is never -0.0, or subtracting from 1 gives the same result
+        # either way.
+        stepped = data.features.dot(signed.T.dot(active))
         stepped *= step0 / (m * math.sqrt(t))
         stepped += alpha
         magnitudes = np.abs(stepped)
@@ -173,7 +184,7 @@ def train_separator(model, data, max_iters=2000, step0=1.0):
                 f"non-finite coefficients at iteration {t}; try a smaller step0 than {step0}"
             )
         alpha = _project_l1_ball(stepped, magnitudes, mass, radius, counts)
-        signed.dot(alpha, slack)
+        signed.dot(features_t.dot(alpha), slack)
         np.subtract(1.0, slack, out=slack)
         np.greater(slack, 0.0, out=active)
         err = _hinge_error(slack, active)
@@ -184,12 +195,7 @@ def train_separator(model, data, max_iters=2000, step0=1.0):
         if err < best_err:
             best_err = err
             best_alpha = alpha
-    return Separator(
-        alpha=best_alpha.copy(),
-        margin=margin,
-        anchor_features=data.features,
-        model=model,
-    )
+    return Separator(alpha=best_alpha, margin=margin, anchor_features=data.features, model=model)
 
 
 def separator_to_json_dict(sep):
@@ -218,14 +224,13 @@ def load_separator(path):
     model = model_from_json_dict(doc["model"])
     alpha = np.asarray(doc["alpha"], dtype=float)
     anchors = np.asarray(doc["anchor_features"], dtype=float)
-    if anchors.size != alpha.size * model.d:
-        raise ValueError(
-            f"anchor_features must hold {alpha.size} rows of dimension {model.d}, "
-            f"got {anchors.size} values"
-        )
+    # Rows of the model's dimension, one per coefficient, if the count
+    # fits; otherwise Separator refuses the shape, naming the field.
+    if anchors.size == alpha.size * model.d:
+        anchors = anchors.reshape(alpha.size, model.d)
     return Separator(
         alpha=alpha,
         margin=float(doc["margin"]),
-        anchor_features=anchors.reshape(alpha.size, model.d),
+        anchor_features=anchors,
         model=model,
     )

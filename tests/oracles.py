@@ -320,17 +320,20 @@ def reference_l1_projection(v, radius):
 def reference_separator_alpha(features, labels, a, margin, max_iters, step0):
     """Best iterate of projected subgradient descent on the separator hinge.
 
-    Starts at alpha0 = y / (m margin), steps by step0 / sqrt(t) against
-    -(gram^T (y * active)) / m, with the 1/m folded into the step factor,
-    projects onto the L1 ball of radius 1/margin, and keeps the first
-    iterate of least hinge error.  The hinge error is the dot product of the
-    slack with its 0/1 active mask, over m.
+    With S the features with row i scaled by y_i, and SA = S A, the margins
+    are SA (X^T alpha) and the hinge subgradient is -(X (SA^T active)) / m,
+    in that product order; no m x m matrix is formed.  Starts at
+    alpha0 = y / (m margin), steps by step0 / sqrt(t) against the
+    subgradient, with the 1/m folded into the step factor, projects onto the
+    L1 ball of radius 1/margin, and keeps the first iterate of least hinge
+    error.  The hinge error is the dot product of the slack with its 0/1
+    active mask, over m.
     """
     m = labels.shape[0]
-    gram = features @ a @ features.T
+    sa = (labels[:, None] * features) @ a
 
     def hinge_and_active(alpha):
-        slack = 1.0 - labels * (gram @ alpha)
+        slack = 1.0 - sa @ (features.T @ alpha)
         active = (slack > 0.0).astype(float)
         return float(slack @ active / m), active
 
@@ -338,7 +341,7 @@ def reference_separator_alpha(features, labels, a, margin, max_iters, step0):
     best_alpha = alpha
     best_err, active = hinge_and_active(alpha)
     for t in range(1, max_iters + 1):
-        product = gram.T @ (labels * active)
+        product = features @ (sa.T @ active)
         alpha = reference_l1_projection(
             (step0 / (m * math.sqrt(t))) * product + alpha, 1.0 / margin
         )

@@ -2,12 +2,15 @@
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import simbound.separator
 from simbound import (
     Dataset,
+    GeneratorSpec,
     NumericalError,
     Separator,
     SimilarityConfig,
@@ -16,6 +19,7 @@ from simbound import (
     classify,
     empirical_hinge_error,
     empirical_similarity_error,
+    generate,
     load_separator,
     project_l1_ball,
     save_separator,
@@ -112,6 +116,23 @@ def test_separator_validation():
                 anchor_features=np.array([[1.0, 0.0]]),
                 model=model,
             )
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            Separator(
+                alpha=np.array([bad, 0.5]),
+                margin=1.0,
+                anchor_features=np.eye(2),
+                model=model,
+            )
+        with pytest.raises(
+            ValueError, match=r"anchor_features must be finite; row 1 \(counting from 0\) is not"
+        ):
+            Separator(
+                alpha=np.array([1.0, 0.5]),
+                margin=1.0,
+                anchor_features=np.array([[1.0, 0.0], [0.0, bad]]),
+                model=model,
+            )
 
 
 def test_classify_signs_and_tie():
@@ -130,6 +151,19 @@ def test_classify_signs_and_tie():
     )
     # Exact zero is assigned to the positive class.
     np.testing.assert_array_equal(classify(zero, np.array([[5.0, 5.0], [-5.0, 0.0]])), [1.0, 1.0])
+
+
+def test_classify_rejects_non_finite_rows():
+    sep = Separator(
+        alpha=np.array([1.0]),
+        margin=1.0,
+        anchor_features=np.array([[1.0, 0.0]]),
+        model=make_model(np.eye(2)),
+    )
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        features = np.array([[3.0, 0.0], [1.0, 1.0], [bad, 1.0], [0.0, bad]])
+        with pytest.raises(ValueError, match=r"features must be finite; row 2 \(counting from 0\)"):
+            classify(sep, features)
 
 
 def test_anchor_coefficients_hand():
@@ -278,6 +312,46 @@ def test_train_beats_grid_oracle_small():
             assert empirical_hinge_error(sep, data) <= grid_min + 1e-3
 
 
+def test_train_selects_the_hinge_it_reports(monkeypatch):
+    """The best iterate's hinge error, as training computed it, is the one
+    empirical_hinge_error reports for the returned separator, to the bit."""
+    hinge_error = simbound.separator._hinge_error
+    recorded = []
+
+    def recording(slack, active):
+        recorded.append(hinge_error(slack, active))
+        return recorded[-1]
+
+    for kind, seed in itertools.product(("l1", "fro", "mixed21", "trace"), range(6)):
+        spec = GeneratorSpec(
+            kind="two_gaussians", d=5, mean_separation=2.0, noise_sigma=1.0, seed=490 + seed
+        )
+        data = generate(spec, 100)
+        config = SimilarityConfig(lam=0.1, margin=0.5, norm_kind=kind, max_iters=200)
+        model = train_similarity(data, config)
+        recorded.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(simbound.separator, "_hinge_error", recording)
+            sep = train_separator(model, data, max_iters=500)
+        assert len(recorded) == 501
+        assert min(recorded) == empirical_hinge_error(sep, data)
+
+
+def test_train_memory_is_linear_in_m():
+    # An m x m Gram matrix alone would take 8 m^2 bytes, 128 MB here; the
+    # m x d factor takes 160 kB.
+    rng = make_rng(495)
+    data = random_dataset(rng, m=4000, d=5)
+    model = make_model(np.eye(5))
+    tracemalloc.start()
+    try:
+        train_separator(model, data, max_iters=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 def test_train_determinism():
     rng = make_rng(460)
     data = random_dataset(rng, m=6, d=3)
@@ -333,11 +407,12 @@ def test_train_json_matches_reference_loop(kind):
         step0 = (1.0, 3.0)[seed // 2]
         sep = train_separator(model, data, max_iters=300, step0=step0)
         _assert_json_matches_reference(sep, data, model, margin, 300, step0)
-    # One and two points, where products of a 1 x 1 Gram may be -0.0.
-    for m, scale in itertools.product((1, 2), (1.0, -1.0, 0.0)):
+    # One and two points in one and two dimensions, where a zero product
+    # may be -0.0: at m = d = 1 every product is a 1 x 1 multiplication.
+    for m, d, scale in itertools.product((1, 2), (1, 2), (1.0, -1.0, 0.0)):
         rng = make_rng(480 + m)
-        data = Dataset(rng.standard_normal((m, 2)), np.array([-1.0, 1.0][:m]))
-        model = make_model(scale * np.eye(2), kind=kind)
+        data = Dataset(rng.standard_normal((m, d)), np.array([-1.0, 1.0][:m]))
+        model = make_model(scale * np.eye(d), kind=kind)
         sep = train_separator(model, data, max_iters=50, step0=3.0)
         _assert_json_matches_reference(sep, data, model, 1.0, 50, 3.0)
 
@@ -400,8 +475,6 @@ def test_train_non_finite_raises():
 
 
 def test_true_hinge_error_holdout_consistency():
-    from simbound import GeneratorSpec, generate
-
     def spec(seed):
         return GeneratorSpec(
             kind="two_gaussians", d=3, mean_separation=2.0, noise_sigma=1.0, seed=seed
