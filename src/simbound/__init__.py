@@ -34,7 +34,6 @@ from .norms import (
     norm,
     prox,
     sym_eigendecomposition,
-    symmetrize,
 )
 from .separator import (
     Separator,
@@ -94,7 +93,6 @@ __all__ = [
     "save_separator",
     "similarity_objective",
     "sym_eigendecomposition",
-    "symmetrize",
     "theorem1_bound",
     "theorem2_bound",
     "train_separator",

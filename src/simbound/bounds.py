@@ -19,8 +19,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import (
-    _COUNT, _NONNEGATIVE, _POSITIVE, _PROBABILITY, _rademacher_signs, _require, _write_json,
-    philox_generator,
+    _COUNT, _NONNEGATIVE, _POSITIVE, _PROBABILITY, _SEED, _finite_vector, _rademacher_signs,
+    _require, _write_json, philox_generator,
 )
 from .norms import NormKind, _rank1_factors
 from .similarity import _signed_features, empirical_similarity_error
@@ -153,11 +153,9 @@ def khinchin_check(f, p, q, mode="exact", mc_draws=100000, seed=0):
     lhs <= rhs + 1e-12.  Exact mode enumerates all 2^n sign vectors and is
     limited to n <= 20; mc mode samples sign vectors instead.
     """
-    f = np.asarray(f, dtype=float)
-    if f.ndim != 1 or f.shape[0] < 1:
+    f = _finite_vector("f", f)
+    if f.shape[0] < 1:
         raise ValueError(f"f must be a nonempty vector, got shape {f.shape}")
-    if not np.isfinite(f).all():
-        raise ValueError(f"f must be finite, got {f.tolist()}")
     if not 1.0 < p < q < math.inf:
         raise ValueError(f"need 1 < p < q < inf, got p={p}, q={q}")
     # Both moments are homogeneous of degree 1 in f.  Scaling f by a power
@@ -166,8 +164,8 @@ def khinchin_check(f, p, q, mode="exact", mc_draws=100000, seed=0):
     exponent = math.frexp(float(np.max(np.abs(f))))[1]
     f = np.ldexp(f, -exponent)
     n = f.shape[0]
-    # Built in both modes, so a bad seed fails in exact mode too.
-    rng = philox_generator(seed)
+    # Checked in both modes, though only mc mode draws from it.
+    _require("seed", seed, _SEED)
     _require("mode", mode, (lambda value: value in ("exact", "mc"), "'exact' or 'mc'"))
     if mode == "exact":
         if n > 20:
@@ -177,7 +175,7 @@ def khinchin_check(f, p, q, mode="exact", mc_draws=100000, seed=0):
             sums = np.concatenate([sums + value, sums - value])
     else:
         _require("mc_draws", mc_draws, _COUNT)
-        sums = _rademacher_signs(rng, (mc_draws, n)) @ f
+        sums = _rademacher_signs(philox_generator(seed), (mc_draws, n)) @ f
     # |sum| can still reach n, so |sum|^q overflows for large q.  Dividing by
     # the largest |sum| makes the largest term exactly 1: neither mean can
     # overflow or underflow to 0.  The zero vector is left as it is.
@@ -199,6 +197,8 @@ def build_bound_report(model, data, delta=0.05, mc_draws=1000, seed=0):
     """
     if model.d != data.d:
         raise ValueError(f"model dimension {model.d} does not match data dimension {data.d}")
+    # Checked before the Monte-Carlo draws, which may be many.
+    _require("delta", delta, _PROBABILITY)
     lam = model.config.lam
     margin = model.config.margin
     kind = model.config.norm_kind

@@ -30,17 +30,14 @@ class Dataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        features = np.ascontiguousarray(np.asarray(self.features, dtype=float))
+        features = np.ascontiguousarray(_finite_rows("features", self.features))
         labels = np.asarray(self.labels, dtype=float)
-        if features.ndim != 2:
-            raise ValueError(f"features must be 2-dimensional, got shape {features.shape}")
         if features.shape[0] < 1 or features.shape[1] < 1:
             raise ValueError(f"dataset needs at least one row and one column, got shape {features.shape}")
         if labels.shape != (features.shape[0],):
             raise ValueError(
                 f"labels shape {labels.shape} does not match {features.shape[0]} rows"
             )
-        _require_finite_rows("features", features)
         if not np.all((labels == 1.0) | (labels == -1.0)):
             raise ValueError("labels must be exactly -1 or +1")
         object.__setattr__(self, "features", features)
@@ -61,11 +58,30 @@ def _first_nonfinite_row(features):
     return None if finite.all() else int(finite.all(axis=1).argmin())
 
 
-def _require_finite_rows(name, rows):
-    """Raise ValueError naming name and its first row holding a NaN or infinity."""
+# One rule per kind of array input, each raising ValueError that names the
+# input: sample rows and vectors here, square matrices in
+# norms.require_symmetric, which builds on _finite_rows.
+def _finite_rows(name, value):
+    """value as a float matrix, without a copy where it is one already, once
+    it is 2-d and finite; a row holding a NaN or an infinity is named by
+    its index."""
+    rows = np.asarray(value, dtype=float)
+    if rows.ndim != 2:
+        raise ValueError(f"{name} must be 2-dimensional, got shape {rows.shape}")
     bad_row = _first_nonfinite_row(rows)
     if bad_row is not None:
         raise ValueError(f"{name} must be finite; row {bad_row} (counting from 0) is not")
+    return rows
+
+
+def _finite_vector(name, value):
+    """A float copy of value, once it is a vector of finite entries."""
+    value = np.array(value, dtype=float)
+    if value.ndim != 1:
+        raise ValueError(f"{name} must be a vector, got shape {value.shape}")
+    if not np.isfinite(value).all():
+        raise ValueError(f"{name} must be finite")
+    return value
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ Four regularizers are supported on symmetric matrices:
 * ``mixed21``  sum over rows of the row Euclidean norm
 * ``trace``    sum of singular values (equal to ``sum |eigenvalue|`` by symmetry)
 
-Dual norms accept arbitrary square matrices: max entry magnitude, Frobenius,
+Dual norms accept any finite square matrix: max entry magnitude, Frobenius,
 max row Euclidean norm, and the largest singular value respectively.
 
 Every proximal operator is exact over the symmetric subspace: l1, fro and
@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import _NONNEGATIVE, _require
+from .data import _NONNEGATIVE, _finite_rows, _finite_vector, _require
 from .errors import NumericalError
 
 
@@ -34,23 +34,15 @@ class NormKind(str, Enum):
 
 
 def _as_square(b):
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
+    b = _finite_rows("matrix", b)
+    if b.shape[0] != b.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {b.shape}")
     return b
-
-
-def symmetrize(b):
-    """Return (B + B^T) / 2, the symmetric part of a square matrix."""
-    b = _as_square(b)
-    return (b + b.T) / 2.0
 
 
 def require_symmetric(a):
     """Return A as a float array, raising ValueError unless finite and exactly symmetric."""
     a = _as_square(a)
-    if not np.isfinite(a).all():
-        raise ValueError("matrix must be finite")
     if not np.array_equal(a, a.T):
         raise ValueError("matrix is not symmetric")
     return a
@@ -80,7 +72,7 @@ def _fro(a):
 
 
 def dual_norm(b, kind):
-    """Dual norm of a square (not necessarily symmetric) matrix B.
+    """Dual norm of a finite square (not necessarily symmetric) matrix B.
 
     l1 -> max entry magnitude; mixed21 -> max row Euclidean norm;
     fro -> Frobenius; trace -> spectral norm (largest singular value).
@@ -103,9 +95,9 @@ def dual_norm_rank1(v, x, kind):
     mixed21 -> ||v||_inf ||x||; trace -> ||v|| ||x|| (the spectral and
     Frobenius norms agree on rank-1 matrices).
     """
-    v = np.asarray(v, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if v.ndim != 1 or x.ndim != 1 or v.shape != x.shape:
+    v = _finite_vector("v", v)
+    x = _finite_vector("x", x)
+    if v.shape != x.shape:
         raise ValueError(
             f"expected two vectors of equal length, got shapes {v.shape} and {x.shape}"
         )

@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import (
     _COUNT, _NUMBER, _NUMBERS, _OBJECT, _POSITIVE,
-    _checked, _read_json, _require, _require_finite_rows, _write_json,
+    _checked, _finite_rows, _finite_vector, _read_json, _require, _write_json,
 )
 from .errors import NumericalError
 from .similarity import (
@@ -33,26 +33,15 @@ class Separator:
 
     def __post_init__(self):
         alpha = _finite_vector("alpha", self.alpha)
-        anchors = np.asarray(self.anchor_features, dtype=float)
-        if anchors.ndim != 2 or anchors.shape != (alpha.shape[0], self.model.d):
+        anchors = _finite_rows("anchor_features", self.anchor_features)
+        if anchors.shape != (alpha.shape[0], self.model.d):
             raise ValueError(
                 f"anchor_features shape {anchors.shape} does not match "
                 f"{alpha.shape[0]} coefficients of dimension {self.model.d}"
             )
-        _require_finite_rows("anchor_features", anchors)
         _require("margin", self.margin, _POSITIVE)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "anchor_features", anchors)
-
-
-def _finite_vector(name, value):
-    # A float copy of value, once it is a vector of finite entries.
-    value = np.array(value, dtype=float)
-    if value.ndim != 1:
-        raise ValueError(f"{name} must be a vector, got shape {value.shape}")
-    if not np.isfinite(value).all():
-        raise ValueError(f"{name} must be finite")
-    return value
 
 
 def anchor_coefficients(labels, margin):
@@ -73,10 +62,7 @@ def _values(sep, features):
 
 def classify(sep, features):
     """Labels +-1 for the rows of features (n, d) by the sign of f; exact zero maps to +1."""
-    features = np.asarray(features, dtype=float)
-    if features.ndim != 2:
-        raise ValueError(f"features must be 2-dimensional, got shape {features.shape}")
-    _require_finite_rows("features", features)
+    features = _finite_rows("features", features)
     return np.where(_values(sep, features) >= 0.0, 1.0, -1.0)
 
 
@@ -222,6 +208,11 @@ _SEPARATOR_CHECKS = (
 def load_separator(path):
     doc = _checked(_read_json(path), _SEPARATOR_CHECKS, {}, "separator document")
     model = model_from_json_dict(doc["model"])
+    # The L1 radius 1/margin that alpha was trained inside is the model's.
+    if doc["margin"] != model.config.margin:
+        raise ValueError(
+            f"margin {doc['margin']!r} does not match the model's margin {model.config.margin!r}"
+        )
     alpha = np.asarray(doc["alpha"], dtype=float)
     anchors = np.asarray(doc["anchor_features"], dtype=float)
     # Rows of the model's dimension, one per coefficient, if the count
@@ -230,7 +221,7 @@ def load_separator(path):
         anchors = anchors.reshape(alpha.size, model.d)
     return Separator(
         alpha=alpha,
-        margin=float(doc["margin"]),
+        margin=model.config.margin,
         anchor_features=anchors,
         model=model,
     )

@@ -64,8 +64,7 @@ class SimilarityModel:
     iterations_run: int
 
     def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=float)
-        require_symmetric(matrix)
+        matrix = require_symmetric(self.matrix)
         _require("final_objective", self.final_objective, _NUMBER)
         _require("iterations_run", self.iterations_run, _NONNEGATIVE_INT)
         object.__setattr__(self, "matrix", matrix)
@@ -76,9 +75,7 @@ class SimilarityModel:
 
 
 def _check_data_dims(a, data):
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"similarity matrix must be square, got shape {a.shape}")
+    a = require_symmetric(a)
     if a.shape[0] != data.d:
         raise ValueError(f"matrix dimension {a.shape[0]} does not match data dimension {data.d}")
     return a

@@ -8,6 +8,11 @@ def make_rng(seed):
     return np.random.Generator(np.random.Philox(key=seed))
 
 
+def symmetric_part(b):
+    """(B + B^T) / 2, the symmetric part of a square matrix."""
+    return (b + b.T) / 2.0
+
+
 def random_dataset(rng, m, d, separation=2.0, noise=0.5):
     """Two linearly separated clusters with Gaussian noise."""
     direction = rng.standard_normal(d)

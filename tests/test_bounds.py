@@ -311,6 +311,21 @@ def _trained_pair(seed, kind="fro"):
     return train_similarity(data, config), data
 
 
+def test_khinchin_exact_mode_builds_no_generator(monkeypatch):
+    import simbound.bounds as bounds
+
+    def no_generator(seed):
+        raise AssertionError("exact mode built a generator")
+
+    monkeypatch.setattr(bounds, "philox_generator", no_generator)
+    lhs, rhs, holds = khinchin_check([1.0, 1.0], 2.0, 4.0, seed=5)
+    assert holds and lhs == 2.0 ** 0.75
+    # The seed is still checked, by its rule alone.
+    for seed in (-1, 2 ** 128, 1.5):
+        with pytest.raises(ValueError, match=r"seed must be an int in \[0, 2\*\*128\)"):
+            khinchin_check([1.0, 1.0], 2.0, 4.0, seed=seed)
+
+
 def test_build_report_internal_consistency():
     model, data = _trained_pair(520)
     report = build_bound_report(model, data, delta=0.05, mc_draws=300, seed=4)
@@ -364,6 +379,19 @@ def test_build_report_validation():
         build_bound_report(model, other)
     with pytest.raises(ValueError, match=r"mc_draws must be a positive int below 2\*\*63, got 2.5"):
         build_bound_report(model, data, mc_draws=2.5)
+
+
+def test_build_report_checks_delta_before_drawing(monkeypatch):
+    import simbound.bounds as bounds
+
+    def no_draws(*args):
+        raise AssertionError("the Monte-Carlo draws ran before delta was checked")
+
+    monkeypatch.setattr(bounds, "rademacher_empirical", no_draws)
+    model, data = _trained_pair(524)
+    for delta in (2.0, 0.0, math.nan):
+        with pytest.raises(ValueError, match=rf"delta must be in \(0, 1\), got {delta}"):
+            build_bound_report(model, data, delta=delta, mc_draws=2 ** 40)
 
 
 def test_report_json_round_trip(tmp_path):

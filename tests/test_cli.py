@@ -112,8 +112,8 @@ def test_separator_dimension_mismatch(train_csv, tmp_path):
 
 
 def test_separator_lost_precision_exits_2(tmp_path, capsys):
-    # Features near 1e10 put Gram entries near 1e20: the L1-ball radius 1 is
-    # lost in rounding against the stepped coefficients.
+    # Features near 1e10 step the coefficients to magnitudes near 1e20:
+    # the L1-ball radius 1 is lost in rounding against them.
     from simbound import Dataset
 
     rng = make_rng(603)
@@ -159,12 +159,20 @@ def test_bounds_flow(train_csv, tmp_path):
     assert report_path.read_bytes() == again.read_bytes()
 
 
-def test_bounds_bad_delta(train_csv, tmp_path):
+def test_bounds_bad_delta(train_csv, tmp_path, capsys):
     model_path = tmp_path / "model.json"
     run_cli(train_args(train_csv, model_path))
     code = run_cli(["bounds", "--model", str(model_path), "--data", str(train_csv),
                     "--delta", "1.5", "--out", str(tmp_path / "r.json")])
     assert code == 1
+    # delta is checked before the draws, so a draw count that could not be
+    # allocated does not hide it.
+    capsys.readouterr()
+    code = run_cli(["bounds", "--model", str(model_path), "--data", str(train_csv),
+                    "--delta", "2", "--mc-draws", str(2 ** 40), "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: delta must be in (0, 1), got 2.0\n"
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_eval_requires_some_artifact(train_csv):
@@ -294,8 +302,11 @@ def test_non_finite_flag_exits_1(train_csv, tmp_path, capsys, command, flag, val
     ("separator", "alpha", lambda old: 1.0),
     ("separator", "anchor_features", lambda old: old[:-1]),
     ("model", "iterations_run", lambda old: -5),
+    # alpha was trained inside the L1 radius 1/margin of the embedded model.
+    ("separator", "margin", lambda old: 0.01),
 ], ids=["model-margin-inf", "model-dim-null", "model-lambda-list", "model-entries-short",
-        "separator-alpha-scalar", "separator-anchors-short", "model-iterations-negative"])
+        "separator-alpha-scalar", "separator-anchors-short", "model-iterations-negative",
+        "separator-margin-mismatch"])
 def test_malformed_artifact_exits_1(train_csv, tmp_path, capsys, artifact, field, corrupt):
     # A model goes through bounds, a separator through eval; either must
     # exit 1 with an error that names the field, and write nothing.
@@ -369,6 +380,18 @@ def test_experiment_deterministic_across_dirs(tmp_path):
         paths.append(tmp_path / name)
     assert (paths[0] / "results.csv").read_bytes() == (paths[1] / "results.csv").read_bytes()
     assert (paths[0] / "summary.json").read_bytes() == (paths[1] / "summary.json").read_bytes()
+
+
+def test_experiment_numeric_failure_names_the_cell(tmp_path, capsys):
+    config = experiment_config(tmp_path, "out")
+    config["step0"] = 1e300
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps(config))
+    with np.errstate(all="ignore"):
+        assert run_cli(["experiment", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: cell m=8 d=2 norm=fro trial=0: ")
+    assert not (tmp_path / "out" / "results.csv").exists()
 
 
 def test_experiment_missing_field(tmp_path):

@@ -81,6 +81,17 @@ def test_load_csv_ragged_and_nonnumeric(tmp_path):
         load_csv(textual)
 
 
+def test_load_csv_without_data_or_features(tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("label,f1\n\n")
+    with pytest.raises(ValueError, match="no data rows"):
+        load_csv(empty)
+    label_only = tmp_path / "label_only.csv"
+    label_only.write_text("1\n-1,2.0\n")
+    with pytest.raises(ValueError, match="row 1: no feature columns"):
+        load_csv(label_only)
+
+
 def test_csv_round_trip_exact(tmp_path, rng):
     # shortest round-trip decimals must reproduce doubles bit for bit
     features = rng.standard_normal((7, 3)) * np.array([1e-8, 1.0, 1e8])

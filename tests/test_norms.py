@@ -13,9 +13,9 @@ from simbound import (
     norm,
     prox,
     sym_eigendecomposition,
-    symmetrize,
 )
 from simbound.norms import MIXED21_GAP_RTOL, _prox
+from conftest import symmetric_part
 from oracles import closed_form_prox, prox_objective, prox_oracle, reference_prox
 
 ALL_KINDS = ["l1", "fro", "mixed21", "trace"]
@@ -56,8 +56,8 @@ def test_norms_are_norms(rng):
     for kind in ALL_KINDS:
         for _ in range(25):
             d = int(rng.integers(2, 6))
-            a = symmetrize(rng.standard_normal((d, d)))
-            b = symmetrize(rng.standard_normal((d, d)))
+            a = symmetric_part(rng.standard_normal((d, d)))
+            b = symmetric_part(rng.standard_normal((d, d)))
             t = float(rng.uniform(0.1, 3.0))
             assert norm(t * a, kind) == pytest.approx(t * norm(a, kind), rel=1e-10, abs=1e-12)
             assert norm(a + b, kind) <= norm(a, kind) + norm(b, kind) + 1e-10
@@ -77,7 +77,7 @@ def test_dual_norm_holder(rng):
     for kind in ALL_KINDS:
         for _ in range(50):
             d = int(rng.integers(2, 5))
-            a = symmetrize(rng.standard_normal((d, d)))
+            a = symmetric_part(rng.standard_normal((d, d)))
             b = rng.standard_normal((d, d))
             inner = float(np.sum(a * b))
             assert inner <= norm(a, kind) * dual_norm(b, kind) + 1e-9
@@ -93,6 +93,22 @@ def test_dual_norm_rank1_matches_dense(rng):
             assert dual_norm_rank1(v, x, kind) == pytest.approx(direct, abs=1e-12)
 
 
+def test_dual_norms_refuse_non_finite_input():
+    # A NaN used to come back as a NaN norm.
+    for kind in ALL_KINDS:
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=r"matrix must be finite; row 1 \(counting from 0\)"):
+                dual_norm(np.array([[1.0, 0.0], [0.0, bad]]), kind)
+            with pytest.raises(ValueError, match="v must be finite"):
+                dual_norm_rank1(np.array([bad, 1.0]), np.ones(2), kind)
+            with pytest.raises(ValueError, match="x must be finite"):
+                dual_norm_rank1(np.ones(2), np.array([1.0, bad]), kind)
+        with pytest.raises(ValueError, match="expected two vectors of equal length"):
+            dual_norm_rank1(np.ones(2), np.ones(3), kind)
+        with pytest.raises(ValueError, match=r"v must be a vector, got shape \(2, 2\)"):
+            dual_norm_rank1(np.ones((2, 2)), np.ones(2), kind)
+
+
 def test_trace_dual_equals_fro_dual_on_rank1(rng):
     for _ in range(50):
         d = int(rng.integers(2, 7))
@@ -103,7 +119,7 @@ def test_trace_dual_equals_fro_dual_on_rank1(rng):
 
 def test_prox_zero_threshold_is_identity(rng):
     for kind in ALL_KINDS:
-        b = symmetrize(rng.standard_normal((4, 4)))
+        b = symmetric_part(rng.standard_normal((4, 4)))
         out = prox(b, 0.0, kind)
         assert np.array_equal(out, b)
 
@@ -142,7 +158,7 @@ def test_prox_matches_independent_closed_forms(rng):
     for kind in ALL_KINDS:
         for _ in range(50):
             d = int(rng.integers(2, 6))
-            b = symmetrize(rng.standard_normal((d, d)) * rng.uniform(0.5, 3.0))
+            b = symmetric_part(rng.standard_normal((d, d)) * rng.uniform(0.5, 3.0))
             tau = float(rng.uniform(0.01, 1.5))
             ours = prox(b, tau, kind)
             if kind == "mixed21":
@@ -169,13 +185,13 @@ def _signed_zero_inputs(rng):
     """Symmetric matrices with exact zeros, -0.0 entries and all-zero rows."""
     for d in (2, 3, 5):
         for _ in range(8):
-            b = symmetrize(rng.standard_normal((d, d)) * rng.uniform(0.5, 3.0))
+            b = symmetric_part(rng.standard_normal((d, d)) * rng.uniform(0.5, 3.0))
             zero = np.triu(rng.random((d, d)) < 0.3)
             negative = zero & (rng.random((d, d)) < 0.5)
             b[zero | zero.T] = 0.0
             b[negative | negative.T] = -0.0
             yield b
-        dead = symmetrize(rng.standard_normal((d, d)))
+        dead = symmetric_part(rng.standard_normal((d, d)))
         dead[0] = dead[:, 0] = -0.0
         yield dead
     yield np.full((3, 3), -0.0)
@@ -225,7 +241,7 @@ def test_prox_leaves_input_bits(rng):
 def test_prox_output_symmetric(rng):
     for kind in ALL_KINDS:
         for _ in range(20):
-            b = symmetrize(rng.standard_normal((5, 5)))
+            b = symmetric_part(rng.standard_normal((5, 5)))
             out = prox(b, 0.3, kind)
             assert np.array_equal(out, out.T)
 
@@ -234,7 +250,7 @@ def test_prox_optimality_probe(rng):
     """Random symmetric perturbations never beat the prox point."""
     for kind in ALL_KINDS:
         for tau in (0.01, 0.1, 0.5, 1.0):
-            b = symmetrize(rng.standard_normal((3, 3)))
+            b = symmetric_part(rng.standard_normal((3, 3)))
             out = prox(b, tau, kind)
             base = prox_objective(out, b, tau, kind)
             noise = rng.standard_normal((10000, 3, 3))
@@ -285,7 +301,7 @@ def test_norm_matches_mc_dual_characterization(rng):
     """norm(A) is the sup of <A, B> over unit-dual-norm B, to 5% slack."""
     for kind in ALL_KINDS:
         for _ in range(5):
-            a = symmetrize(rng.standard_normal((2, 2)))
+            a = symmetric_part(rng.standard_normal((2, 2)))
             value = norm(a, kind)
             best = max(
                 float(np.sum(a * b)) for b in _extreme_dual_directions(rng, a, kind)
@@ -306,8 +322,8 @@ def test_prox_nonexpansive(rng):
     for kind in ALL_KINDS:
         for _ in range(25):
             d = int(rng.integers(2, 5))
-            b1 = symmetrize(rng.standard_normal((d, d)))
-            b2 = symmetrize(rng.standard_normal((d, d)))
+            b1 = symmetric_part(rng.standard_normal((d, d)))
+            b2 = symmetric_part(rng.standard_normal((d, d)))
             tau = float(rng.uniform(0.01, 1.0))
             p1 = prox(b1, tau, kind)
             p2 = prox(b2, tau, kind)
@@ -331,7 +347,7 @@ def test_eigendecomposition_hand_matrix():
 def test_eigendecomposition_matches_lapack(rng):
     for _ in range(50):
         d = int(rng.integers(2, 9))
-        a = symmetrize(rng.standard_normal((d, d)) * rng.uniform(0.1, 10.0))
+        a = symmetric_part(rng.standard_normal((d, d)) * rng.uniform(0.1, 10.0))
         vals, vecs = sym_eigendecomposition(a)
         expected = np.sort(np.linalg.eigvalsh(a))
         scale = max(1.0, float(np.max(np.abs(expected))))
@@ -347,14 +363,6 @@ def test_eigendecomposition_zero_and_diagonal():
     assert np.array_equal(vecs, np.eye(3))
     vals, _ = sym_eigendecomposition(np.diag([3.0, -1.0, 2.0]))
     assert np.allclose(vals, [-1.0, 2.0, 3.0], atol=0.0)
-
-
-def test_symmetrize_and_require():
-    b = np.array([[1.0, 2.0], [0.0, 1.0]])
-    s = symmetrize(b)
-    assert np.array_equal(s, np.array([[1.0, 1.0], [1.0, 1.0]]))
-    with pytest.raises(ValueError):
-        symmetrize(np.ones((2, 3)))
 
 
 def test_norm_kind_values():

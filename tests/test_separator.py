@@ -472,6 +472,12 @@ def test_train_non_finite_raises():
     model = make_model(np.eye(2))
     with np.errstate(all="ignore"), pytest.raises(NumericalError):
         train_separator(model, data, max_iters=10)
+    # A finite start whose first step overflows the coefficients.
+    data = random_dataset(make_rng(476), m=50, d=3)
+    with np.errstate(all="ignore"), pytest.raises(
+        NumericalError, match=r"non-finite coefficients at iteration 1; try a smaller step0 than 1e\+308"
+    ):
+        train_separator(make_model(np.eye(3)), data, step0=1e308)
 
 
 def test_true_hinge_error_holdout_consistency():

@@ -18,14 +18,13 @@ from simbound import (
     prox,
     save_model,
     similarity_objective,
-    symmetrize,
     train_similarity,
     true_similarity_error,
 )
 from simbound import similarity
 from simbound.similarity import model_to_json_dict
 import oracles
-from conftest import assert_model_invariants, make_rng, random_dataset
+from conftest import assert_model_invariants, make_rng, random_dataset, symmetric_part
 from oracles import (
     fd_inner_product,
     grid_similarity_oracle,
@@ -37,6 +36,26 @@ from oracles import (
 
 def two_point_toy():
     return Dataset(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, -1.0]))
+
+
+def test_error_and_subgradient_refuse_bad_matrices():
+    # Both used to accept an asymmetric matrix, and to return NaN for a
+    # NaN one, with the data they score it on.
+    data = two_point_toy()
+    for check in (
+        lambda a: empirical_similarity_error(a, data, 1.0),
+        lambda a: true_similarity_error(a, data, 1.0),
+        lambda a: hinge_subgradient(a, data, 1.0),
+    ):
+        with pytest.raises(ValueError, match="matrix is not symmetric"):
+            check(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=r"matrix must be finite; row 0 \(counting from 0\)"):
+                check(np.array([[bad, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="matrix dimension 3 does not match data dimension 2"):
+            check(np.eye(3))
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            check(np.ones((2, 3)))
 
 
 def test_empirical_error_zero_matrix():
@@ -59,7 +78,7 @@ def test_empirical_error_matches_naive_oracle(rng):
         m = int(rng.integers(2, 8))
         d = int(rng.integers(2, 5))
         data = random_dataset(rng, m, d)
-        a = symmetrize(rng.standard_normal((d, d)))
+        a = symmetric_part(rng.standard_normal((d, d)))
         margin = float(rng.uniform(0.3, 2.0))
         ours = empirical_similarity_error(a, data, margin)
         naive = naive_similarity_error(a, data.features, data.labels, margin)
@@ -70,8 +89,8 @@ def test_empirical_error_convex(rng):
     for _ in range(30):
         d = int(rng.integers(2, 4))
         data = random_dataset(rng, int(rng.integers(2, 7)), d)
-        a1 = symmetrize(rng.standard_normal((d, d)))
-        a2 = symmetrize(rng.standard_normal((d, d)))
+        a1 = symmetric_part(rng.standard_normal((d, d)))
+        a2 = symmetric_part(rng.standard_normal((d, d)))
         theta = float(rng.uniform(0.0, 1.0))
         mix = empirical_similarity_error(theta * a1 + (1 - theta) * a2, data, 1.0)
         sides = theta * empirical_similarity_error(a1, data, 1.0) + (
@@ -85,7 +104,7 @@ def test_empirical_error_label_flip_invariant(rng):
         d = 3
         data = random_dataset(rng, 6, d)
         flipped = Dataset(data.features, -data.labels)
-        a = symmetrize(rng.standard_normal((d, d)))
+        a = symmetric_part(rng.standard_normal((d, d)))
         assert empirical_similarity_error(a, data, 1.0) == pytest.approx(
             empirical_similarity_error(a, flipped, 1.0), abs=1e-12
         )
@@ -102,7 +121,7 @@ def test_objective_dominates_penalty(rng):
     data = random_dataset(rng, 5, 2)
     config = SimilarityConfig(lam=0.3, margin=1.0, norm_kind="fro")
     for _ in range(20):
-        a = symmetrize(rng.standard_normal((2, 2)) * 5.0)
+        a = symmetric_part(rng.standard_normal((2, 2)) * 5.0)
         obj = similarity_objective(a, data, config)
         assert obj >= 0.3 * float(np.linalg.norm(a)) - 1e-12
 
@@ -126,7 +145,7 @@ def test_subgradient_matches_naive(rng):
         m = int(rng.integers(2, 7))
         d = int(rng.integers(2, 4))
         data = random_dataset(rng, m, d)
-        a = symmetrize(rng.standard_normal((d, d)))
+        a = symmetric_part(rng.standard_normal((d, d)))
         ours = hinge_subgradient(a, data, 1.0)
         naive = naive_subgradient(a, data.features, data.labels, 1.0)
         assert np.max(np.abs(ours - naive)) < 1e-12
@@ -137,7 +156,7 @@ def test_subgradient_finite_differences(rng):
     while checked < 25:
         d = int(rng.integers(2, 4))
         data = random_dataset(rng, int(rng.integers(2, 6)), d)
-        a = symmetrize(rng.standard_normal((d, d)))
+        a = symmetric_part(rng.standard_normal((d, d)))
         margin = 1.0
         m = data.m
         w = data.features.T @ data.labels
@@ -145,7 +164,7 @@ def test_subgradient_finite_differences(rng):
         if np.min(np.abs(arg)) < 1e-3:
             continue  # too close to a hinge kink for finite differences
         g = hinge_subgradient(a, data, margin)
-        direction = symmetrize(rng.standard_normal((d, d)))
+        direction = symmetric_part(rng.standard_normal((d, d)))
         fd = fd_inner_product(
             lambda mat: empirical_similarity_error(mat, data, margin), a, direction
         )
@@ -403,7 +422,7 @@ def test_config_validation():
 
 def test_true_error_on_train_equals_empirical(rng):
     data = random_dataset(rng, 6, 3)
-    a = symmetrize(rng.standard_normal((3, 3)))
+    a = symmetric_part(rng.standard_normal((3, 3)))
     assert true_similarity_error(a, data, 1.0) == empirical_similarity_error(a, data, 1.0)
 
 
