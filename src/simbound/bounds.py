@@ -19,8 +19,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import (
-    _COUNT, _NONNEGATIVE, _POSITIVE, _PROBABILITY, _SEED, _finite_vector, _rademacher_signs,
-    _require, _write_json, philox_generator,
+    _COUNT, _NONNEGATIVE, _NUMBER, _POSITIVE, _PROBABILITY, _SEED, _finite_vector,
+    _rademacher_signs, _require, _write_json, philox_generator,
 )
 from .norms import NormKind, _rank1_factors
 from .similarity import _signed_features, empirical_similarity_error
@@ -156,7 +156,9 @@ def khinchin_check(f, p, q, mode="exact", mc_draws=100000, seed=0):
     f = _finite_vector("f", f)
     if f.shape[0] < 1:
         raise ValueError(f"f must be a nonempty vector, got shape {f.shape}")
-    if not 1.0 < p < q < math.inf:
+    _require("p", p, _NUMBER)
+    _require("q", q, _NUMBER)
+    if not 1.0 < p < q:
         raise ValueError(f"need 1 < p < q < inf, got p={p}, q={q}")
     # Both moments are homogeneous of degree 1 in f.  Scaling f by a power
     # of two near 1/max|f| is exact, keeps |sum|^q finite for large f, and

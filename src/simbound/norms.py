@@ -195,6 +195,14 @@ def _shrunk_magnitudes(x, tau):
 MIXED21_GAP_RTOL = 1e-12
 _MIXED21_NEWTON_STEPS = 8
 _MIXED21_DUAL_STEPS = 200000
+# The largest d whose mixed21 Newton phase runs on Python floats.  On small
+# matrices a NumPy call costs more than its arithmetic.  Per prox, on inputs
+# captured from stage-one fits (2-vCPU host, Python 3.11, numpy 2.4), the
+# float phase ran 3.5-3.9x as fast as the array phase at d = 2, 2.1x at
+# d = 3, 1.5x at d = 4, 1.0-1.1x at d = 5 and 0.5x at d = 8.  The benchmark's
+# d = 5 workload gained nothing end to end from floats, so d = 5 stays on
+# arrays.
+_MIXED21_FLOAT_MAX_D = 4
 
 
 def _row_norms(x):
@@ -228,11 +236,21 @@ def _prox_mixed21(b, tau):
     on dead rows.
 
     When two rows vanish, the split of the dual between them is no longer
-    free in this parametrization and Newton may stall.  The fallback is
-    accelerated projected gradient on the dual (FISTA with gradient restart,
-    Beck & Teboulle 2009), warm-started at the last H.  Its primal point
-    A = B - tau sym(G) is exactly symmetric and has R = 0.
+    free in this parametrization and Newton may stall; ``_dual_mixed21``
+    then takes over from the last H.
+
+    Up to d = ``_MIXED21_FLOAT_MAX_D`` the Newton phase runs on Python
+    floats (``_newton_mixed21_floats``), above it on arrays
+    (``_newton_mixed21_arrays``).  The two round differently: dot products
+    and the Newton solve may differ in the last bits.
     """
+    if b.shape[0] <= _MIXED21_FLOAT_MAX_D:
+        return _newton_mixed21_floats(b, tau)
+    return _newton_mixed21_arrays(b, tau)
+
+
+def _newton_mixed21_arrays(b, tau):
+    """The Newton phase of ``_prox_mixed21`` on d x d arrays."""
     b_rows = _row_norms(b)
     scale = np.add.reduce(b_rows)
     twice_b = b + b
@@ -278,9 +296,139 @@ def _prox_mixed21(b, tau):
             step = np.linalg.solve(jacobian[np.ix_(idx, idx)], residual[idx])
             target[idx] = np.minimum(np.maximum(s[idx] - step, 0.0), 1.0)
         s = target
+    return _dual_mixed21(b, tau, h, scale)
 
-    # Dual iteration in K = skew(G): G <- P_rows(B/tau + K), which is
-    # projected gradient with step 1/tau^2; momentum is applied to K.
+
+def _newton_mixed21_floats(b, tau):
+    """The Newton phase of ``_prox_mixed21`` on Python floats, for small d.
+
+    The array phase's steps, entry by entry, with no NumPy call until the
+    one array built at exit.  Every sum accumulates with += in index order:
+    the built-in sum compensates from Python 3.12 on, which would tie the
+    bits to the interpreter.  The Newton system is solved by
+    ``_solve_floats`` instead of LAPACK.  Dead pairs (s_i = s_j = 0) take
+    pair 1, so the output entry (b_ij + b_ij) * (s_i s_j / pair_ij) keeps
+    the array phase's signed zeros and is exactly symmetric.
+    """
+    rows = b.tolist()
+    span = range(len(rows))
+    twice = [[x + x for x in row] for row in rows]
+    b_rows = []
+    scale = 0.0
+    for row in rows:
+        acc = 0.0
+        for x in row:
+            acc += x * x
+        norm_i = math.sqrt(acc)
+        b_rows.append(norm_i)
+        scale += norm_i
+    s = [1.0 - tau / max(r, tau) for r in b_rows]
+    for _ in range(_MIXED21_NEWTON_STEPS):
+        pair = []
+        h = []
+        clipped = []
+        target = []
+        gap = 0.0
+        below = 0.0
+        total = 0.0
+        for i in span:
+            s_i = s[i]
+            twice_i = twice[i]
+            pair_i = []
+            h_i = []
+            acc = 0.0
+            for j in span:
+                p = s_i + s[j]
+                if p > 0.0:
+                    x = twice_i[j] * (s[j] / p)
+                else:
+                    p = 1.0
+                    x = twice_i[j] * 0.5
+                pair_i.append(p)
+                h_i.append(x)
+                acc += x * x
+            pair.append(pair_i)
+            h.append(h_i)
+            n_i = math.sqrt(acc)
+            clipped_i = max(n_i, tau)
+            target_i = 1.0 - tau / clipped_i
+            weighted = (s_i - target_i) * b_rows[i]
+            gap += weighted * weighted
+            if n_i < tau:
+                below += (s_i * n_i) * (tau - n_i)
+            total += s_i * n_i
+            clipped.append(clipped_i)
+            target.append(target_i)
+        gap += below
+        if gap <= tau * MIXED21_GAP_RTOL * (total + scale):
+            return np.array(
+                [[twice[i][j] * (s[i] * s[j] / pair[i][j]) for j in span] for i in span]
+            ), total
+        # The array phase's Jacobian, restricted to the rows it solves for.
+        live = [i for i in span if target[i] > 0.0]
+        system = []
+        for row, i in enumerate(live):
+            twice_i = twice[i]
+            pair_i = pair[i]
+            h_i = h[i]
+            c_i = [h_i[j] * twice_i[j] / (pair_i[j] * pair_i[j]) for j in span]
+            weight = tau / (clipped[i] * clipped[i] * clipped[i])
+            c_s = 0.0
+            for j in span:
+                c_s += c_i[j] * s[j]
+            weighted_s = weight * s[i]
+            equation = [0.0 - weighted_s * c_i[j] for j in live]
+            equation[row] += 1.0 + weight * c_s
+            equation.append(s[i] - target[i])
+            system.append(equation)
+        step = _solve_floats(system)
+        for row, i in enumerate(live):
+            x = s[i] - step[row]
+            target[i] = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+        s = target
+    return _dual_mixed21(b, tau, np.array(h), scale)
+
+
+def _solve_floats(system):
+    """Solution of the augmented system [M | r], as a list.
+
+    Gaussian elimination with partial pivoting (the first largest pivot on
+    ties), then back substitution; each row is a list of floats and is
+    overwritten.
+    """
+    size = len(system)
+    for k in range(size):
+        best = k
+        for i in range(k + 1, size):
+            if abs(system[i][k]) > abs(system[best][k]):
+                best = i
+        system[k], system[best] = system[best], system[k]
+        pivot_row = system[k]
+        pivot = pivot_row[k]
+        for i in range(k + 1, size):
+            row = system[i]
+            factor = row[k] / pivot
+            for j in range(k + 1, size + 1):
+                row[j] -= factor * pivot_row[j]
+    x = [0.0] * size
+    for k in range(size - 1, -1, -1):
+        row = system[k]
+        acc = row[size]
+        for j in range(k + 1, size):
+            acc -= row[j] * x[j]
+        x[k] = acc / row[k]
+    return x
+
+
+def _dual_mixed21(b, tau, h, scale):
+    """The dual phase of ``_prox_mixed21``, warm-started at the Newton phase's H.
+
+    Accelerated projected gradient on the dual (FISTA with gradient restart,
+    Beck & Teboulle 2009), iterating in K = skew(G): G <- P_rows(B/tau + K)
+    is projected gradient with step 1/tau^2, and momentum is applied to K.
+    Its primal point A = B - tau sym(G) is exactly symmetric and has R = 0.
+    ``scale`` is ||B||_{2,1}.
+    """
     scaled = b / tau
     k = k_prev = (h - b) / tau
     t = 1.0

@@ -46,7 +46,13 @@ class Separator:
 
 def anchor_coefficients(labels, margin):
     """The feasible starting point alpha0 = y / (m * margin)."""
-    labels = np.asarray(labels, dtype=float)
+    labels = _finite_vector("labels", labels)
+    _require("margin", margin, _POSITIVE)
+    return _anchor_coefficients(labels, margin)
+
+
+def _anchor_coefficients(labels, margin):
+    """``anchor_coefficients`` on a float label vector and a positive margin."""
     return labels / (labels.shape[0] * margin)
 
 
@@ -142,7 +148,7 @@ def train_separator(model, data, max_iters=2000, step0=1.0):
     # slack and X (signed^T active) is m times minus the hinge subgradient.
     signed = _signed_features(data) @ model.matrix
     features_t = data.features.T
-    alpha = anchor_coefficients(data.labels, margin)
+    alpha = _anchor_coefficients(data.labels, margin)
     best_alpha = alpha
     slack = 1.0 - signed.dot(features_t.dot(alpha))
     # The mask slack > 0 serves an iterate's hinge error and the next step.

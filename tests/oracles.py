@@ -405,7 +405,8 @@ def reference_prox(b, tau, kind):
     """Prox point of symmetric b and its norm, one array expression at a time.
 
     l1 and fro shrink in closed form, trace thresholds the eigenvalues and
-    symmetrizes the product, and mixed21 runs ``_reference_prox_mixed21``.
+    symmetrizes the product, and mixed21 runs ``_reference_prox_mixed21``,
+    whose Newton phase works on Python floats up to d = 4.
     """
     if tau == 0.0:
         return b.copy(), _reference_norm(b, kind)
@@ -440,9 +441,13 @@ def _reference_prox_mixed21(b, tau, gap_rtol=1e-12, newton_steps=8, dual_steps=2
     The entries are A_ij = 2 B_ij s_i s_j / (s_i + s_j); Newton solves
     s_i = 1 - tau / max(||h_i||, tau) for H = 2 B * s_j / (s_i + s_j) over
     the rows whose right-hand side (target) is positive, dead rows included,
-    sets the others to 0, and stops on the duality-gap bound.  The fallback is accelerated projected
-    gradient with gradient restart on the skew part of the dual.
+    sets the others to 0, and stops on the duality-gap bound.  The fallback
+    is accelerated projected gradient with gradient restart on the skew part
+    of the dual.  Up to d = 4 the Newton phase is
+    ``_reference_prox_mixed21_floats``.
     """
+    if b.shape[0] <= 4:
+        return _reference_prox_mixed21_floats(b, tau, gap_rtol, newton_steps, dual_steps)
     b_rows = _reference_row_norms(b)
     scale = b_rows.sum()
     twice_b = b + b
@@ -479,6 +484,97 @@ def _reference_prox_mixed21(b, tau, gap_rtol=1e-12, newton_steps=8, dual_steps=2
             target[idx] = np.minimum(np.maximum(s[idx] - step, 0.0), 1.0)
         s = target
     return _reference_dual_mixed21(b, tau, h, scale, gap_rtol, dual_steps)
+
+
+def _float_dot(x, y):
+    total = 0.0
+    for x_i, y_i in zip(x, y):
+        total += x_i * y_i
+    return total
+
+
+def _float_norm(x):
+    return math.sqrt(_float_dot(x, x))
+
+
+def _reference_solve(matrix, rhs):
+    """Gaussian elimination with partial pivoting on lists.
+
+    The pivot is the first entry of largest magnitude in its column.
+    """
+    n = len(rhs)
+    matrix = [list(row) for row in matrix]
+    rhs = list(rhs)
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(matrix[i][k]))
+        matrix[k], matrix[p] = matrix[p], matrix[k]
+        rhs[k], rhs[p] = rhs[p], rhs[k]
+        for i in range(k + 1, n):
+            factor = matrix[i][k] / matrix[k][k]
+            for j in range(k + 1, n):
+                matrix[i][j] -= factor * matrix[k][j]
+            rhs[i] -= factor * rhs[k]
+    x = [0.0] * n
+    for k in reversed(range(n)):
+        acc = rhs[k]
+        for j in range(k + 1, n):
+            acc -= matrix[k][j] * x[j]
+        x[k] = acc / matrix[k][k]
+    return x
+
+
+def _reference_prox_mixed21_floats(b, tau, gap_rtol, newton_steps, dual_steps):
+    """``_reference_prox_mixed21``'s Newton phase with every entry a Python float.
+
+    Each array expression of the array form becomes a list comprehension
+    over the same operands; sums and dot products accumulate in index order
+    with +=, and the Newton system is solved by ``_reference_solve``.
+    """
+    d = b.shape[0]
+    rng = range(d)
+    bb = [[float(b[i, j]) for j in rng] for i in rng]
+    twice_b = [[bb[i][j] + bb[i][j] for j in rng] for i in rng]
+    b_rows = [_float_norm(row) for row in bb]
+    scale = 0.0
+    for r in b_rows:
+        scale += r
+    s = [1.0 - tau / max(b_rows[i], tau) for i in rng]
+    for _ in range(newton_steps):
+        pair = [[s[i] + s[j] for j in rng] for i in rng]
+        if min(s) > 0.0:
+            h = [[twice_b[i][j] * (s[j] / pair[i][j]) for j in rng] for i in rng]
+        else:
+            live = [[pair[i][j] > 0.0 for j in rng] for i in rng]
+            pair = [[pair[i][j] if live[i][j] else 1.0 for j in rng] for i in rng]
+            h = [
+                [twice_b[i][j] * (s[j] / pair[i][j] if live[i][j] else 0.5) for j in rng]
+                for i in rng
+            ]
+        n = [_float_norm(row) for row in h]
+        clipped = [max(n[i], tau) for i in rng]
+        target = [1.0 - tau / clipped[i] for i in rng]
+        residual = [s[i] - target[i] for i in rng]
+        weighted = [residual[i] * b_rows[i] for i in rng]
+        gap = _float_dot(weighted, weighted)
+        if min(n) < tau:
+            gap += _float_dot([s[i] * n[i] for i in rng], [max(tau - n[i], 0.0) for i in rng])
+        total = _float_dot(s, n)
+        if gap <= tau * gap_rtol * (total + scale):
+            a = [[twice_b[i][j] * (s[i] * s[j] / pair[i][j]) for j in rng] for i in rng]
+            return np.array(a), total
+        c = [[h[i][j] * twice_b[i][j] / (pair[i][j] * pair[i][j]) for j in rng] for i in rng]
+        weight = [tau / (clipped[i] * clipped[i] * clipped[i]) for i in rng]
+        jacobian = [[0.0 - weight[i] * s[i] * c[i][j] for j in rng] for i in rng]
+        for i in rng:
+            jacobian[i][i] += 1.0 + weight[i] * _float_dot(c[i], s)
+        idx = [i for i in rng if target[i] > 0.0]
+        step = _reference_solve(
+            [[jacobian[i][j] for j in idx] for i in idx], [residual[i] for i in idx]
+        )
+        for k, i in enumerate(idx):
+            target[i] = min(max(s[i] - step[k], 0.0), 1.0)
+        s = target
+    return _reference_dual_mixed21(b, tau, np.array(h), scale, gap_rtol, dual_steps)
 
 
 def _reference_dual_mixed21(b, tau, h, scale, gap_rtol, dual_steps):

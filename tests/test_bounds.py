@@ -281,6 +281,15 @@ def test_khinchin_mc_mode():
     assert (lhs, rhs, holds) == again
 
 
+def test_khinchin_names_an_order_that_is_not_a_number():
+    f = np.ones(2)
+    for bad in ("2", None, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^p must be a finite number"):
+            khinchin_check(f, bad, 4.0)
+        with pytest.raises(ValueError, match="^q must be a finite number"):
+            khinchin_check(f, 2.0, bad)
+
+
 def test_khinchin_validation():
     f = np.ones(2)
     with pytest.raises(ValueError):

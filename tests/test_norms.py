@@ -14,9 +14,12 @@ from simbound import (
     prox,
     sym_eigendecomposition,
 )
+import simbound.norms as norms
 from simbound.norms import MIXED21_GAP_RTOL, _prox
 from conftest import symmetric_part
-from oracles import closed_form_prox, prox_objective, prox_oracle, reference_prox
+from oracles import (
+    _reference_prox_mixed21, closed_form_prox, prox_objective, prox_oracle, reference_prox,
+)
 
 ALL_KINDS = ["l1", "fro", "mixed21", "trace"]
 
@@ -182,8 +185,11 @@ def test_prox_matches_independent_closed_forms(rng):
 
 
 def _signed_zero_inputs(rng):
-    """Symmetric matrices with exact zeros, -0.0 entries and all-zero rows."""
-    for d in (2, 3, 5):
+    """Symmetric matrices with exact zeros, -0.0 entries and all-zero rows.
+
+    d = 2, 3 and 4 run the mixed21 Newton phase on floats, d = 5 on arrays.
+    """
+    for d in (2, 3, 4, 5):
         for _ in range(8):
             b = symmetric_part(rng.standard_normal((d, d)) * rng.uniform(0.5, 3.0))
             zero = np.triu(rng.random((d, d)) < 0.3)
@@ -212,6 +218,94 @@ def test_prox_matches_reference_bits(rng):
                 np.testing.assert_array_equal(out, expected)
                 np.testing.assert_array_equal(np.signbit(out), np.signbit(expected))
                 assert out_norm == expected_norm and type(out_norm) is float, kind
+
+
+# Certified on its third evaluation, after two Newton steps.
+_TWO_STEP_B = np.array([[1.0, 0.5, 0.0], [0.5, 2.0, 0.25], [0.0, 0.25, 0.5]])
+_TWO_STEP_TAU = 0.5
+
+
+def test_mixed21_newton_phase_chosen_by_dimension(monkeypatch):
+    chosen = []
+    for name in ("_newton_mixed21_floats", "_newton_mixed21_arrays"):
+        monkeypatch.setattr(norms, name, lambda b, tau, name=name: chosen.append(name))
+    for d in (2, 3, 4, 5, 6):
+        norms._prox_mixed21(np.eye(d), 0.5)
+    assert chosen == ["_newton_mixed21_floats"] * 3 + ["_newton_mixed21_arrays"] * 2
+
+
+def test_mixed21_float_newton_hands_over_to_dual_phase(monkeypatch):
+    # Capped at one Newton step, the float phase at d = 3 hands its H to
+    # the dual phase, which certifies the gap (it raises otherwise) and
+    # matches the reference run with the same cap.
+    handovers = []
+    dual = norms._dual_mixed21
+
+    def counted(*args):
+        handovers.append(args[0].shape[0])
+        return dual(*args)
+
+    monkeypatch.setattr(norms, "_dual_mixed21", counted)
+    b, tau = _TWO_STEP_B, _TWO_STEP_TAU
+    full, _ = norms._prox_mixed21(b, tau)
+    assert handovers == []
+    monkeypatch.setattr(norms, "_MIXED21_NEWTON_STEPS", 1)
+    out, out_norm = norms._prox_mixed21(b, tau)
+    assert handovers == [3]
+    expected, expected_norm = _reference_prox_mixed21(b, tau, newton_steps=1)
+    np.testing.assert_array_equal(out, expected)
+    np.testing.assert_array_equal(np.signbit(out), np.signbit(expected))
+    assert out_norm == expected_norm and type(out_norm) is float
+    assert np.array_equal(out, out.T)
+    bound = _mixed21_distance_bound(out, b, tau) + _mixed21_distance_bound(full, b, tau)
+    assert np.linalg.norm(out - full) <= bound
+
+
+def test_mixed21_float_newton_calls_numpy_once(monkeypatch):
+    # Up to d = 4 the Newton loop calls no NumPy function: the one call is
+    # the array built from the certified point at exit.
+    expected, expected_norm = norms._newton_mixed21_floats(_TWO_STEP_B, _TWO_STEP_TAU)
+    calls = []
+
+    class ArrayOnly:
+        @staticmethod
+        def array(value):
+            calls.append(value)
+            return np.array(value)
+
+    monkeypatch.setattr(norms, "np", ArrayOnly)
+    out, out_norm = norms._newton_mixed21_floats(_TWO_STEP_B, _TWO_STEP_TAU)
+    assert len(calls) == 1
+    assert out.tobytes() == expected.tobytes() and out_norm == expected_norm
+
+
+def _reviving(d):
+    # At tau = 0.5 row 0 starts dead (norm 0.45) and comes back to life:
+    # with row 1 live, its row of H has norm 0.9.
+    b = np.diag([0.0, 1.5, 2.25, 1.0][:d])
+    b[0, 1] = b[1, 0] = 0.45
+    return b
+
+
+def test_mixed21_newton_phases_agree(rng):
+    # Both phases certify a duality gap, so each lies within sqrt(2 gap)
+    # of the exact prox, and they lie within the sum of those of each other.
+    cases = []
+    for d in (2, 3, 4):
+        for _ in range(30):
+            b = symmetric_part(rng.standard_normal((d, d)) * rng.uniform(0.5, 3.0))
+            cases.append((b, float(rng.uniform(0.01, 1.5))))
+        dead = symmetric_part(rng.standard_normal((d, d)))
+        dead[0] = dead[:, 0] = 0.0
+        cases += [(dead, 0.1), (dead, 0.5), (_reviving(d), 0.5)]
+    for b, tau in cases:
+        floats, floats_norm = norms._newton_mixed21_floats(b, tau)
+        arrays, _ = norms._newton_mixed21_arrays(b, tau)
+        bound = _mixed21_distance_bound(floats, b, tau) + _mixed21_distance_bound(arrays, b, tau)
+        assert np.linalg.norm(floats - arrays) <= bound
+        assert np.array_equal(floats, floats.T)
+        assert floats_norm == pytest.approx(norm(floats, "mixed21"), rel=1e-15, abs=1e-300)
+    assert all(norms._newton_mixed21_floats(_reviving(d), 0.5)[0][0, 1] > 0.0 for d in (2, 3, 4))
 
 
 def test_prox_leaves_input_bits(rng):

@@ -173,6 +173,17 @@ def test_anchor_coefficients_hand():
     assert np.abs(alpha0).sum() == pytest.approx(2.0, abs=1e-15)
 
 
+def test_anchor_coefficients_checks_its_inputs():
+    labels = np.array([1.0, -1.0])
+    for margin in (0.0, -0.5, float("nan"), float("inf"), "1", None):
+        with pytest.raises(ValueError, match="^margin must be positive and finite"):
+            anchor_coefficients(labels, margin)
+    with pytest.raises(ValueError, match=r"^labels must be a vector, got shape \(2, 1\)"):
+        anchor_coefficients(labels[:, None], 1.0)
+    with pytest.raises(ValueError, match="^labels must be finite"):
+        anchor_coefficients(np.array([1.0, float("nan")]), 1.0)
+
+
 def test_project_inside_ball_is_identity_copy():
     v = np.array([0.3, -0.2])
     out = project_l1_ball(v, 1.0)
