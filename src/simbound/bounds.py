@@ -154,8 +154,6 @@ def khinchin_check(f, p, q, mode="exact", mc_draws=100000, seed=0):
     limited to n <= 20; mc mode samples sign vectors instead.
     """
     f = _finite_vector("f", f)
-    if f.shape[0] < 1:
-        raise ValueError(f"f must be a nonempty vector, got shape {f.shape}")
     _require("p", p, _NUMBER)
     _require("q", q, _NUMBER)
     if not 1.0 < p < q:

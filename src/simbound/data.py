@@ -75,10 +75,12 @@ def _finite_rows(name, value):
 
 
 def _finite_vector(name, value):
-    """A float copy of value, once it is a vector of finite entries."""
+    """A float copy of value, once it is a nonempty vector of finite entries."""
     value = np.array(value, dtype=float)
     if value.ndim != 1:
         raise ValueError(f"{name} must be a vector, got shape {value.shape}")
+    if not value.size:
+        raise ValueError(f"{name} must be a nonempty vector, got shape {value.shape}")
     if not np.isfinite(value).all():
         raise ValueError(f"{name} must be finite")
     return value

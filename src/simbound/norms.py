@@ -13,6 +13,10 @@ max row Euclidean norm, and the largest singular value respectively.
 Every proximal operator is exact over the symmetric subspace: l1, fro and
 trace in closed form, mixed21 by a Newton iteration that stops on a
 duality-gap certificate (see ``prox``).  Eigendecompositions go to LAPACK.
+
+Stage one calls the kernels in two sets: ``_prox`` on arrays, and
+``_prox_floats`` on lists of Python floats for small matrices (see
+``similarity.train_similarity``).
 """
 
 import math
@@ -37,6 +41,8 @@ def _as_square(b):
     b = _finite_rows("matrix", b)
     if b.shape[0] != b.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {b.shape}")
+    if not b.size:
+        raise ValueError(f"matrix must be nonempty, got shape {b.shape}")
     return b
 
 
@@ -50,7 +56,11 @@ def require_symmetric(a):
 
 def norm(a, kind):
     """Norm of the symmetric matrix A under the selected regularizer."""
-    return _norm(require_symmetric(a), NormKind(kind))
+    a = require_symmetric(a)
+    kind = NormKind(kind)
+    # A sum of squares that overflows is detected and recomputed rescaled.
+    with np.errstate(over="ignore"):
+        return _norm(a, kind)
 
 
 def _norm(a, kind):
@@ -60,15 +70,50 @@ def _norm(a, kind):
     if kind is NormKind.FROBENIUS:
         return _fro(a)
     if kind is NormKind.MIXED21:
-        return float(_row_norms(a).sum())
+        return _mixed21(a)
     return float(np.abs(_eigh(a)[0]).sum())
+
+
+# A norm in [_NORM_MIN, _NORM_MAX] comes from sums of squares that did not
+# overflow, and the squares that underflowed were too small against it to
+# matter.  Out of that range (or at exactly 0) the kernels compute it again
+# on the matrix scaled by a power of two near its largest entry, which is
+# exact down to subnormals: the cold path of ``_rescaled_norm`` and
+# ``_rescaled_prox_mixed21``.  The hot path pays one scalar compare.
+_NORM_MIN = 2.0 ** -400
+_NORM_MAX = 2.0 ** 400
 
 
 def _fro(a):
     # What np.linalg.norm computes for a real array (the square root of the
     # dot product of the flat array with itself), without its wrapper.
     flat = a.ravel(order="K")
-    return math.sqrt(flat.dot(flat))
+    value = math.sqrt(flat.dot(flat))
+    if _NORM_MIN <= value <= _NORM_MAX:
+        return value
+    return _rescaled_norm(_fro, a)
+
+
+def _mixed21(a):
+    value = float(_row_norms(a).sum())
+    if _NORM_MIN <= value <= _NORM_MAX:
+        return value
+    return _rescaled_norm(_mixed21, a)
+
+
+def _rescaled_norm(kernel, a):
+    """kernel(a) for a norm kernel, computed on A scaled by a power of two.
+
+    A zero A has norm 0; a non-finite one (a diverging stage one) has no
+    scale to take out, and its norm is not finite either.
+    """
+    largest = float(np.abs(a).max())
+    if not largest:
+        return 0.0
+    if not math.isfinite(largest):
+        return largest
+    exponent = math.frexp(largest)[1]
+    return float(np.ldexp(kernel(np.ldexp(a, -exponent)), exponent))
 
 
 def dual_norm(b, kind):
@@ -134,7 +179,10 @@ def prox(b, tau, kind):
     """
     b = require_symmetric(b)
     _require("threshold", tau, _NONNEGATIVE)
-    return _prox(b, float(tau), NormKind(kind))[0]
+    kind = NormKind(kind)
+    # A sum of squares that overflows is detected and recomputed rescaled.
+    with np.errstate(over="ignore"):
+        return _prox(b, float(tau), kind)[0]
 
 
 def _prox(b, tau, kind, spectrum=None):
@@ -168,7 +216,9 @@ def _prox(b, tau, kind, spectrum=None):
         return a, float(np.add.reduce(shrunk, axis=None)), None
     if kind is NormKind.FROBENIUS:
         total = _fro(b)
-        a = np.zeros_like(b) if total <= tau else b * (1.0 - tau / total)
+        if total <= tau:
+            return np.zeros_like(b), 0.0, None
+        a = b * (1.0 - tau / total)
         return a, _fro(a), None
     if kind is NormKind.MIXED21:
         return (*_prox_mixed21(b, tau), None)
@@ -187,6 +237,102 @@ def _shrunk_magnitudes(x, tau):
     shrunk = np.abs(x)
     shrunk -= tau
     return np.maximum(shrunk, 0.0, out=shrunk)
+
+
+def _prox_floats(rows, tau, kind, spectrum=None):
+    """``_prox`` on a symmetric matrix held as a list of rows of floats.
+
+    Stage one's float kernel set calls it on small matrices, where a NumPy
+    call costs more than its arithmetic.  Returns the prox point as rows,
+    its norm, and for trace the spectrum as two lists.  l1 and fro shrink
+    entry by entry; trace calls ``_eigh`` only when no spectrum is given
+    and rebuilds A from the thresholded spectrum; mixed21 runs
+    ``_newton_mixed21_floats``.  Every sum accumulates with += in index
+    order, from 0.0, which puts -0.0 where ``_prox`` puts it; nonzero
+    entries and the norm may differ from ``_prox`` in the last bits.
+    Sums of squares out of the safe range go to the array kernels, which
+    rescale.  Neither the rows nor the spectrum are written to.
+    """
+    if tau == 0.0:
+        return rows, _norm(np.array(rows), kind), spectrum
+    if kind is NormKind.L1:
+        return (*_soft_threshold_floats(rows, tau), None)
+    if kind is NormKind.FROBENIUS:
+        total = _fro_floats(rows)
+        if total <= tau:
+            return [[0.0] * len(rows) for _ in rows], 0.0, None
+        factor = 1.0 - tau / total
+        a = []
+        for row in rows:
+            a_i = []
+            for x in row:
+                a_i.append(x * factor)
+            a.append(a_i)
+        return a, _fro_floats(a), None
+    if kind is NormKind.MIXED21:
+        return (*_newton_mixed21_floats(rows, tau), None)
+    if spectrum is None:
+        eigenvalues, vectors = _eigh(np.array(rows))
+        spectrum = eigenvalues.tolist(), vectors.tolist()
+    eigenvalues, vectors = spectrum
+    (thresholded,), total = _soft_threshold_floats((eigenvalues,), tau)
+    # P = (vectors * thresholded) @ vectors.T, then A = (P + P^T) / 2.
+    span = range(len(vectors))
+    product = []
+    for v_i in vectors:
+        weighted = []
+        for k in span:
+            weighted.append(v_i[k] * thresholded[k])
+        product_i = []
+        for v_j in vectors:
+            acc = 0.0
+            for k in span:
+                acc += weighted[k] * v_j[k]
+            product_i.append(acc)
+        product.append(product_i)
+    a = []
+    for i in span:
+        product_i = product[i]
+        a_i = []
+        for j in span:
+            a_i.append((product_i[j] + product[j][i]) / 2.0)
+        a.append(a_i)
+    return a, total, (thresholded, vectors)
+
+
+def _soft_threshold_floats(rows, tau):
+    """sign(x) max(|x| - tau, 0) for each entry of rows, and the sum of the
+    shrunk magnitudes.
+
+    Rounds as ``_prox`` does: a negative entry that shrinks to zero becomes
+    -0.0, and sign(x) (|x| - tau) is x - tau or x + tau exactly.
+    """
+    total = 0.0
+    out = []
+    for row in rows:
+        out_row = []
+        for x in row:
+            shrunk = abs(x) - tau
+            if shrunk <= 0.0:
+                out_row.append(-0.0 if x < 0.0 else 0.0)
+            else:
+                # A NaN lands here and propagates, as np.maximum makes it.
+                total += shrunk
+                out_row.append(x - tau if x > 0.0 else x + tau)
+        out.append(out_row)
+    return out, total
+
+
+def _fro_floats(rows):
+    """``_fro`` on a list of rows, summed with += in index order."""
+    acc = 0.0
+    for row in rows:
+        for x in row:
+            acc += x * x
+    value = math.sqrt(acc)
+    if _NORM_MIN <= value <= _NORM_MAX:
+        return value
+    return _fro(np.array(rows))
 
 
 # Relative duality-gap tolerance of the mixed21 prox and the step caps of
@@ -243,16 +389,43 @@ def _prox_mixed21(b, tau):
     floats (``_newton_mixed21_floats``), above it on arrays
     (``_newton_mixed21_arrays``).  The two round differently: dot products
     and the Newton solve may differ in the last bits.
+
+    Where ||B||_{2,1} leaves [_NORM_MIN, _NORM_MAX], both phases solve the
+    problem rescaled instead (``_rescaled_prox_mixed21``).
     """
     if b.shape[0] <= _MIXED21_FLOAT_MAX_D:
-        return _newton_mixed21_floats(b, tau)
+        rows, total = _newton_mixed21_floats(b.tolist(), tau)
+        return np.array(rows), total
     return _newton_mixed21_arrays(b, tau)
+
+
+def _rescaled_prox_mixed21(b, tau):
+    """``_newton_mixed21_arrays`` on B and tau scaled by a power of two.
+
+    The prox is homogeneous, prox(c B, c tau) = c prox(B, tau), so this
+    is the prox of B, exact down to subnormals.  A tau above d max|b_ij|,
+    which bounds every row norm of B, gives A = 0 as the cap on it does,
+    and the cap keeps the scaled tau finite.  The prox of B = 0 is B, and
+    a non-finite B (a diverging stage one) has a non-finite norm.
+    """
+    largest = float(np.abs(b).max())
+    if not largest:
+        return b.copy(), 0.0
+    if not math.isfinite(largest):
+        return b.copy(), largest
+    exponent = math.frexp(largest)[1]
+    a, total = _newton_mixed21_arrays(
+        np.ldexp(b, -exponent), math.ldexp(min(tau, b.shape[0] * largest), -exponent)
+    )
+    return np.ldexp(a, exponent), float(np.ldexp(total, exponent))
 
 
 def _newton_mixed21_arrays(b, tau):
     """The Newton phase of ``_prox_mixed21`` on d x d arrays."""
     b_rows = _row_norms(b)
     scale = np.add.reduce(b_rows)
+    if not _NORM_MIN <= scale <= _NORM_MAX:
+        return _rescaled_prox_mixed21(b, tau)
     twice_b = b + b
     s = 1.0 - tau / np.maximum(b_rows, tau)
     for _ in range(_MIXED21_NEWTON_STEPS):
@@ -299,18 +472,18 @@ def _newton_mixed21_arrays(b, tau):
     return _dual_mixed21(b, tau, h, scale)
 
 
-def _newton_mixed21_floats(b, tau):
+def _newton_mixed21_floats(rows, tau):
     """The Newton phase of ``_prox_mixed21`` on Python floats, for small d.
 
-    The array phase's steps, entry by entry, with no NumPy call until the
-    one array built at exit.  Every sum accumulates with += in index order:
-    the built-in sum compensates from Python 3.12 on, which would tie the
-    bits to the interpreter.  The Newton system is solved by
+    Takes B as a list of rows and returns A as one, with the array phase's
+    steps entry by entry and no NumPy call.  Every sum accumulates with +=
+    in index order: the built-in sum compensates from Python 3.12 on, which
+    would tie the bits to the interpreter.  The Newton system is solved by
     ``_solve_floats`` instead of LAPACK.  Dead pairs (s_i = s_j = 0) take
     pair 1, so the output entry (b_ij + b_ij) * (s_i s_j / pair_ij) keeps
-    the array phase's signed zeros and is exactly symmetric.
+    the array phase's signed zeros and is exactly symmetric.  The cold
+    paths (rescaling, the dual phase) run on arrays.
     """
-    rows = b.tolist()
     span = range(len(rows))
     twice = [[x + x for x in row] for row in rows]
     b_rows = []
@@ -322,6 +495,9 @@ def _newton_mixed21_floats(b, tau):
         norm_i = math.sqrt(acc)
         b_rows.append(norm_i)
         scale += norm_i
+    if not _NORM_MIN <= scale <= _NORM_MAX:
+        a, total = _rescaled_prox_mixed21(np.array(rows), tau)
+        return a.tolist(), total
     s = [1.0 - tau / max(r, tau) for r in b_rows]
     for _ in range(_MIXED21_NEWTON_STEPS):
         pair = []
@@ -361,9 +537,7 @@ def _newton_mixed21_floats(b, tau):
             target.append(target_i)
         gap += below
         if gap <= tau * MIXED21_GAP_RTOL * (total + scale):
-            return np.array(
-                [[twice[i][j] * (s[i] * s[j] / pair[i][j]) for j in span] for i in span]
-            ), total
+            return [[twice[i][j] * (s[i] * s[j] / pair[i][j]) for j in span] for i in span], total
         # The array phase's Jacobian, restricted to the rows it solves for.
         live = [i for i in span if target[i] > 0.0]
         system = []
@@ -386,7 +560,8 @@ def _newton_mixed21_floats(b, tau):
             x = s[i] - step[row]
             target[i] = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
         s = target
-    return _dual_mixed21(b, tau, np.array(h), scale)
+    a, total = _dual_mixed21(np.array(rows), tau, np.array(h), scale)
+    return a.tolist(), total
 
 
 def _solve_floats(system):

@@ -21,7 +21,7 @@ from .data import (
     _read_json, _require, _write_json,
 )
 from .errors import NumericalError
-from .norms import NormKind, _norm, _prox, norm, require_symmetric
+from .norms import _MIXED21_FLOAT_MAX_D, NormKind, _prox, _prox_floats, norm, require_symmetric
 
 # Stage one calls the unchecked kernels; the public prox stays bound here
 # so that tools which rebind it by module (perfbench/spans.py) still find it.
@@ -173,24 +173,27 @@ def train_similarity(data, config):
     benchmark, 69-74% of the iterations of the check-02-shaped
     2000-iteration fits are zero steps, against none of those of the
     experiment fits at m=100, d=5 and of the CLI fits at m=800.
+
+    The loop runs on one of two kernel sets, chosen once per fit by
+    ``_uses_floats``: ``_array_kernels`` on NumPy arrays, or, for tiny
+    problems, ``_float_kernels`` on lists of Python floats.  The two round
+    differently, so their models may differ in the last bits.
     """
     kind = config.norm_kind
     lam = config.lam
     m = data.m
-    scaled = _scaled_features(data, config.margin)
-    scaled_t = scaled.T
-    w = _label_sum(data)
-    a = np.zeros((data.d, data.d))
-    # The slack 1 - margins of the current iterate and its mask slack > 0
-    # serve its objective and the next step; both buffers are reused.  The
-    # summed positive slack is 0 exactly when the mask is empty, even where
-    # the hinge average would round a subnormal slack to 0.  Every iterate
-    # is symmetric by construction.
-    slack = _slack(a, scaled, w)
-    active = np.greater(slack, 0.0, out=np.empty(m))
-    hinge_sum = slack.dot(active)
+    kernels = _float_kernels if _uses_floats(m, data.d) else _array_kernels
+    a, hinge, step, prox_kernel = kernels(
+        _scaled_features(data, config.margin), _label_sum(data)
+    )
+    # hinge(a) forms the slack of iterate a and its mask slack > 0, which
+    # serve its objective and the next step, and returns the summed positive
+    # slack.  That sum is 0 exactly when the mask is empty, even where the
+    # hinge average would round a subnormal slack to 0.  The zero start has
+    # norm 0.  Every iterate is symmetric by construction.
+    hinge_sum = hinge(a)
     best_a = a
-    best_obj = float(hinge_sum / m) + lam * _norm(a, kind)
+    best_obj = float(hinge_sum / m)
     spectrum = None
     window = 50
     window_best = best_obj
@@ -198,15 +201,12 @@ def train_similarity(data, config):
     for t in range(1, config.max_iters + 1):
         eta = config.step0 / math.sqrt(t)
         if hinge_sum:
-            step = _subgradient(active, scaled_t, w, eta)
-            a = np.subtract(a, step, out=step)
+            a = step(a, eta)
             spectrum = None
         # A zero step hands the iterate itself, and its spectrum, to the
         # prox, which never writes them; best_a may alias it.
-        a, a_norm, spectrum = _prox(a, eta * lam, kind, spectrum)
-        _slack(a, scaled, w, slack)
-        np.greater(slack, 0.0, out=active)
-        hinge_sum = slack.dot(active)
+        a, a_norm, spectrum = prox_kernel(a, eta * lam, kind, spectrum)
+        hinge_sum = hinge(a)
         obj = float(hinge_sum / m) + lam * a_norm
         if not math.isfinite(obj):
             raise NumericalError(
@@ -221,11 +221,133 @@ def train_similarity(data, config):
                 break
             window_best = best_obj
     return SimilarityModel(
-        matrix=best_a.copy(),
+        matrix=np.array(best_a),
         config=config,
         final_objective=best_obj,
         iterations_run=iterations,
     )
+
+
+# The largest m * d that stage one runs on Python floats, for d up to
+# norms._MIXED21_FLOAT_MAX_D.  Float work grows with m * d, while an array
+# call costs about the same at every small size.  Over 300-iteration fits
+# on two-cluster data (2-vCPU host, Python 3.11, numpy 2.4), the float
+# kernels ran 1.04-4.9x as fast as the array kernels for every kind and
+# d <= 4 up to m * d = 24, and fro lost from m * d = 32 (0.96x at d = 4);
+# the README lists the scan.
+_FLOAT_MAX_MD = 24
+
+
+def _uses_floats(m, d):
+    """Whether a fit on m examples in d dimensions runs the float kernels."""
+    return d <= _MIXED21_FLOAT_MAX_D and m * d <= _FLOAT_MAX_MD
+
+
+def _array_kernels(scaled, w):
+    """Stage one's kernels on NumPy arrays: (zero start, hinge, step, prox).
+
+    hinge(a) forms the slack and the 0/1 hinge mask of iterate a in reused
+    buffers and returns the summed positive slack; step(a, eta) is a minus
+    eta times the hinge subgradient at the iterate hinge saw last, formed in
+    place; the prox is ``norms._prox``.
+    """
+    m, d = scaled.shape
+    scaled_t = scaled.T
+    slack = np.empty(m)
+    active = np.empty(m)
+
+    def hinge(a):
+        _slack(a, scaled, w, slack)
+        np.greater(slack, 0.0, out=active)
+        return slack.dot(active)
+
+    def step(a, eta):
+        g = _subgradient(active, scaled_t, w, eta)
+        return np.subtract(a, g, out=g)
+
+    return np.zeros((d, d)), hinge, step, _prox
+
+
+def _float_kernels(scaled, w):
+    """``_array_kernels`` on lists of Python floats, A as a list of rows.
+
+    The same arithmetic with every sum accumulated with += in index order
+    (the built-in sum compensates from Python 3.12 on, which would tie the
+    bits to the interpreter); the prox is ``norms._prox_floats``.  The loops
+    are written out over index ranges: in Python 3.11 a list comprehension
+    costs a call, and a zip over a few entries costs more than indexing.
+    """
+    rows = scaled.tolist()
+    columns = scaled.T.tolist()
+    w = w.tolist()
+    d = len(w)
+    minus_twice_m = -2.0 * len(rows)
+    active = []
+
+    def hinge(a):
+        return _hinge_floats(a, rows, w, active)
+
+    def step(a, eta):
+        return _step_floats(a, columns, active, w, eta / minus_twice_m)
+
+    return [[0.0] * d for _ in range(d)], hinge, step, _prox_floats
+
+
+def _hinge_floats(a, rows, w, active):
+    """The slack 1 - rows (A w) on lists, summed over its positive entries.
+
+    Sets active to the indices of those entries, the hinge mask.
+    """
+    span = range(len(w))
+    image = []
+    for a_k in a:
+        acc = 0.0
+        for k in span:
+            acc += a_k[k] * w[k]
+        image.append(acc)
+    active.clear()
+    total = 0.0
+    i = 0
+    for row in rows:
+        acc = 0.0
+        for k in span:
+            acc += row[k] * image[k]
+        slack = 1.0 - acc
+        if slack > 0.0:
+            total += slack
+            active.append(i)
+        else:
+            # Adds 0 for a finite slack; a non-finite one makes the sum NaN,
+            # as the array kernels' slack . mask does.
+            total += slack * 0.0
+        i += 1
+    return total
+
+
+def _step_floats(a, columns, active, w, factor):
+    """A minus factor (u w^T + w u^T) on lists, with u the sum of the active
+    scaled rows: the step of ``_array_kernels`` with factor eta / (-2 m).
+
+    Entries (k, l) and (l, k) add the same two products, so the step is
+    exactly symmetric.
+    """
+    span = range(len(w))
+    u = []
+    for column in columns:
+        acc = 0.0
+        for i in active:
+            acc += column[i]
+        u.append(acc)
+    out = []
+    for k in span:
+        a_k = a[k]
+        u_k = u[k]
+        w_k = w[k]
+        out_k = []
+        for l in span:
+            out_k.append(a_k[l] - (u_k * w[l] + u[l] * w_k) * factor)
+        out.append(out_k)
+    return out
 
 
 def model_to_json_dict(model):

@@ -598,50 +598,139 @@ def _reference_dual_mixed21(b, tau, h, scale, gap_rtol, dual_steps):
     raise RuntimeError("reference mixed21 prox did not certify its duality gap")
 
 
-def reference_train_similarity(features, labels, lam, margin, kind, max_iters, step0, rel_tol):
+def reference_prox_floats(rows, tau, kind, spectrum=None):
+    """``reference_prox`` on a list of rows of floats, and the trace spectrum.
+
+    Returns (rows, norm, spectrum).  Every sum accumulates with += in index
+    order from 0.0.  Soft thresholds are sign(x) max(|x| - tau, 0) with
+    sign(0) = 0.  A given trace spectrum (thresholded eigenvalues,
+    eigenvector rows) is thresholded again instead of decomposing; mixed21
+    runs ``_reference_prox_mixed21`` on the array of the rows.
+    """
+    d = len(rows)
+    rng = range(d)
+    if tau == 0.0:
+        return rows, _reference_norm(np.array(rows), kind), spectrum
+    if kind == "l1":
+        a = [[_float_sign(x) * max(abs(x) - tau, 0.0) for x in row] for row in rows]
+        total = 0.0
+        for row in rows:
+            for x in row:
+                total += max(abs(x) - tau, 0.0)
+        return a, total, None
+    if kind == "fro":
+        total = _float_norm([x for row in rows for x in row])
+        if total <= tau:
+            return [[0.0] * d for _ in rng], 0.0, None
+        a = [[x * (1.0 - tau / total) for x in row] for row in rows]
+        return a, _float_norm([x for row in a for x in row]), None
+    if kind == "mixed21":
+        a, total = _reference_prox_mixed21(np.array(rows), tau)
+        return a.tolist(), total, None
+    if spectrum is None:
+        values, vectors = np.linalg.eigh(np.array(rows))
+        spectrum = values.tolist(), vectors.tolist()
+    values, vectors = spectrum
+    thresholded = [_float_sign(x) * max(abs(x) - tau, 0.0) for x in values]
+    total = 0.0
+    for x in values:
+        total += max(abs(x) - tau, 0.0)
+    product = [
+        [_float_dot([vectors[i][k] * thresholded[k] for k in rng], vectors[j]) for j in rng]
+        for i in rng
+    ]
+    a = [[(product[i][j] + product[j][i]) / 2.0 for j in rng] for i in rng]
+    return a, total, (thresholded, vectors)
+
+
+def _float_sign(x):
+    return 1.0 if x > 0.0 else -1.0 if x < 0.0 else 0.0
+
+
+def reference_train_similarity(
+    features, labels, lam, margin, kind, max_iters, step0, rel_tol, floats=False
+):
     """Best iterate of proximal subgradient descent on the similarity objective.
 
     Starts at A = 0, steps by step0 / sqrt(t) against the hinge subgradient,
-    applies ``reference_prox`` with threshold eta * lam, keeps the first
-    iterate of least objective, and stops once the best objective improved
-    by less than rel_tol relative over a 50-iteration window.  The signed
-    features are divided by m margin once, the subgradient's 1/(-2 m) is
-    folded into the step factor, and the hinge is the dot product of the
-    slack with its 0/1 active mask, over m.  An iterate whose summed
-    positive slack is 0 takes no step: the prox gets the iterate itself,
-    and trace thresholds the spectrum its previous prox returned instead
-    of decomposing again.  Returns (matrix, objective, iterations run).
+    applies the prox with threshold eta * lam, keeps the first iterate of
+    least objective, and stops once the best objective improved by less
+    than rel_tol relative over a 50-iteration window.  The signed features
+    are divided by m margin once, the subgradient's 1/(-2 m) is folded into
+    the step factor, and the hinge sum is the slack dotted with its 0/1
+    mask.  An iterate whose summed positive slack is 0 takes no step: the
+    prox gets the iterate itself, and trace thresholds the spectrum its
+    previous prox returned instead of decomposing again.  Returns (matrix,
+    objective, iterations run).
+
+    With floats set, A is a list of rows of Python floats: the products are
+    dot products summed with += in index order, the hinge sum adds each
+    slack times its 0/1 mask in index order, and the prox is
+    ``reference_prox_floats``.  Otherwise A is an array, and the prox is
+    ``reference_prox`` (``reference_trace_prox`` for trace).
     """
     m = labels.shape[0]
+    d = features.shape[1]
     scaled = (labels[:, None] * features) / (m * margin)
     w = features.T @ labels
 
-    def slack_and_active(a):
-        slack = 1.0 - scaled @ (a @ w)
-        return slack, (slack > 0.0).astype(float)
+    if floats:
+        rows = scaled.tolist()
+        w_list = w.tolist()
 
-    a = np.zeros((features.shape[1], features.shape[1]))
-    slack, active = slack_and_active(a)
-    hinge_sum = slack @ active
+        def hinge(a):
+            image = [_float_dot(a_k, w_list) for a_k in a]
+            slack = [1.0 - _float_dot(row, image) for row in rows]
+            active = [x > 0.0 for x in slack]
+            total = 0.0
+            for x, on in zip(slack, active):
+                total += x * float(on)
+            return total, active
+
+        def step(a, active, eta):
+            u = [0.0] * d
+            for row, on in zip(rows, active):
+                if on:
+                    u = [u_k + x for u_k, x in zip(u, row)]
+            factor = eta / (-2.0 * m)
+            return [
+                [a[k][l] - (u[k] * w_list[l] + u[l] * w_list[k]) * factor for l in range(d)]
+                for k in range(d)
+            ]
+
+        def prox(a, tau, spectrum):
+            return reference_prox_floats(a, tau, kind, spectrum)
+
+        a = [[0.0] * d for _ in range(d)]
+    else:
+        def hinge(a):
+            slack = 1.0 - scaled @ (a @ w)
+            active = (slack > 0.0).astype(float)
+            return slack @ active, active
+
+        def step(a, active, eta):
+            outer = (scaled.T @ active)[:, None] * w
+            return a - (eta / (-2.0 * m)) * (outer + outer.T)
+
+        def prox(a, tau, spectrum):
+            if kind != "trace":
+                return (*reference_prox(a, tau, kind), None)
+            return reference_trace_prox(np.linalg.eigh(a) if spectrum is None else spectrum, tau)
+
+        a = np.zeros((d, d))
+    hinge_sum, active = hinge(a)
     best_a = a
-    best_obj = float(hinge_sum / m) + lam * _reference_norm(a, kind)
+    best_obj = float(hinge_sum / m) + lam * _reference_norm(np.array(a), kind)
     window_best = best_obj
     spectrum = None
     iterations = 0
     for t in range(1, max_iters + 1):
         eta = step0 / math.sqrt(t)
         if hinge_sum > 0.0:
-            outer = (scaled.T @ active)[:, None] * w
-            a = a - (eta / (-2.0 * m)) * (outer + outer.T)
+            a = step(a, active, eta)
             spectrum = None
-        if kind == "trace":
-            if spectrum is None:
-                spectrum = np.linalg.eigh(a)
-            a, a_norm, spectrum = reference_trace_prox(spectrum, eta * lam)
-        else:
-            a, a_norm = reference_prox(a, eta * lam, kind)
-        slack, active = slack_and_active(a)
-        hinge_sum = slack @ active
+        a, a_norm, spectrum = prox(a, eta * lam, spectrum)
+        hinge_sum, active = hinge(a)
         obj = float(hinge_sum / m) + lam * a_norm
         if obj < best_obj:
             best_obj = obj
@@ -651,4 +740,4 @@ def reference_train_similarity(features, labels, lam, margin, kind, max_iters, s
             if window_best - best_obj < rel_tol * abs(window_best):
                 break
             window_best = best_obj
-    return best_a.copy(), best_obj, iterations
+    return np.array(best_a), best_obj, iterations

@@ -298,7 +298,7 @@ def test_khinchin_validation():
         khinchin_check(f, 2.0, 2.0)
     with pytest.raises(ValueError):
         khinchin_check(np.ones(21), 2.0, 4.0, mode="exact")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"f must be a nonempty vector, got shape \(0,\)"):
         khinchin_check(np.empty(0), 2.0, 4.0)
     with pytest.raises(ValueError):
         khinchin_check(f, 2.0, 4.0, mode="nope")

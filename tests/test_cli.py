@@ -384,7 +384,10 @@ def test_experiment_deterministic_across_dirs(tmp_path):
 
 def test_experiment_numeric_failure_names_the_cell(tmp_path, capsys):
     config = experiment_config(tmp_path, "out")
+    # The first step overflows A.  (With margin 1 it stays near 1e300,
+    # whose Frobenius norm is finite.)
     config["step0"] = 1e300
+    config["margin"] = 1e-10
     config_path = tmp_path / "exp.json"
     config_path.write_text(json.dumps(config))
     with np.errstate(all="ignore"):

@@ -15,10 +15,11 @@ from simbound import (
     sym_eigendecomposition,
 )
 import simbound.norms as norms
-from simbound.norms import MIXED21_GAP_RTOL, _prox
+from simbound.norms import MIXED21_GAP_RTOL, _prox, _prox_floats
 from conftest import symmetric_part
 from oracles import (
     _reference_prox_mixed21, closed_form_prox, prox_objective, prox_oracle, reference_prox,
+    reference_prox_floats,
 )
 
 ALL_KINDS = ["l1", "fro", "mixed21", "trace"]
@@ -209,15 +210,37 @@ def _signed_zero_inputs(rng):
 def test_prox_matches_reference_bits(rng):
     # assert_array_equal takes -0.0 and +0.0 as equal; signbit does not.
     # Thresholds hit an entry exactly, shrink every entry to zero, and skip
-    # the prox (tau = 0).
+    # the prox (tau = 0).  Both kernel sets: the float kernels up to d = 4,
+    # where stage one runs them, trace also from a given spectrum.
     for b in _signed_zero_inputs(rng):
         for tau in (0.0, 0.1, 0.5, abs(float(b[0, -1])), 10.0):
             for kind in ALL_KINDS:
-                out, out_norm, _ = _prox(b, tau, NormKind(kind))
+                out, out_norm, spectrum = _prox(b, tau, NormKind(kind))
                 expected, expected_norm = reference_prox(b, tau, kind)
-                np.testing.assert_array_equal(out, expected)
-                np.testing.assert_array_equal(np.signbit(out), np.signbit(expected))
+                _assert_same_bits(out, expected)
                 assert out_norm == expected_norm and type(out_norm) is float, kind
+                if b.shape[0] > 4:
+                    continue
+                rows, rows_norm, spectrum = _prox_floats(b.tolist(), tau, NormKind(kind))
+                expected, expected_norm, expected_spectrum = reference_prox_floats(
+                    b.tolist(), tau, kind
+                )
+                _assert_same_bits(rows, expected)
+                assert rows_norm == expected_norm and type(rows_norm) is float, kind
+                if spectrum is None:
+                    continue
+                again, again_norm, _ = _prox_floats(rows, 0.05, NormKind.TRACE, spectrum)
+                expected, expected_norm, _ = reference_prox_floats(
+                    expected, 0.05, kind, expected_spectrum
+                )
+                _assert_same_bits(again, expected)
+                assert again_norm == expected_norm
+
+
+def _assert_same_bits(out, expected):
+    assert type(out) is type(expected)
+    out, expected = np.asarray(out), np.asarray(expected)
+    assert out.tobytes() == expected.tobytes(), (out, expected)
 
 
 # Certified on its third evaluation, after two Newton steps.
@@ -228,7 +251,11 @@ _TWO_STEP_TAU = 0.5
 def test_mixed21_newton_phase_chosen_by_dimension(monkeypatch):
     chosen = []
     for name in ("_newton_mixed21_floats", "_newton_mixed21_arrays"):
-        monkeypatch.setattr(norms, name, lambda b, tau, name=name: chosen.append(name))
+        def recorded(b, tau, name=name):
+            chosen.append(name)
+            return b, 0.0
+
+        monkeypatch.setattr(norms, name, recorded)
     for d in (2, 3, 4, 5, 6):
         norms._prox_mixed21(np.eye(d), 0.5)
     assert chosen == ["_newton_mixed21_floats"] * 3 + ["_newton_mixed21_arrays"] * 2
@@ -262,9 +289,9 @@ def test_mixed21_float_newton_hands_over_to_dual_phase(monkeypatch):
 
 
 def test_mixed21_float_newton_calls_numpy_once(monkeypatch):
-    # Up to d = 4 the Newton loop calls no NumPy function: the one call is
-    # the array built from the certified point at exit.
-    expected, expected_norm = norms._newton_mixed21_floats(_TWO_STEP_B, _TWO_STEP_TAU)
+    # Up to d = 4 the Newton loop takes and returns rows and calls no NumPy
+    # function; the prox's one call is the array built from its rows.
+    expected, expected_norm = norms._prox_mixed21(_TWO_STEP_B, _TWO_STEP_TAU)
     calls = []
 
     class ArrayOnly:
@@ -274,9 +301,12 @@ def test_mixed21_float_newton_calls_numpy_once(monkeypatch):
             return np.array(value)
 
     monkeypatch.setattr(norms, "np", ArrayOnly)
-    out, out_norm = norms._newton_mixed21_floats(_TWO_STEP_B, _TWO_STEP_TAU)
+    rows, rows_norm = norms._newton_mixed21_floats(_TWO_STEP_B.tolist(), _TWO_STEP_TAU)
+    assert calls == [] and type(rows) is list and rows_norm == expected_norm
+    out, out_norm = norms._prox_mixed21(_TWO_STEP_B, _TWO_STEP_TAU)
     assert len(calls) == 1
-    assert out.tobytes() == expected.tobytes() and out_norm == expected_norm
+    assert out.tobytes() == expected.tobytes() == np.array(rows).tobytes()
+    assert out_norm == expected_norm
 
 
 def _reviving(d):
@@ -299,13 +329,13 @@ def test_mixed21_newton_phases_agree(rng):
         dead[0] = dead[:, 0] = 0.0
         cases += [(dead, 0.1), (dead, 0.5), (_reviving(d), 0.5)]
     for b, tau in cases:
-        floats, floats_norm = norms._newton_mixed21_floats(b, tau)
+        floats, floats_norm = norms._prox_mixed21(b, tau)
         arrays, _ = norms._newton_mixed21_arrays(b, tau)
         bound = _mixed21_distance_bound(floats, b, tau) + _mixed21_distance_bound(arrays, b, tau)
         assert np.linalg.norm(floats - arrays) <= bound
         assert np.array_equal(floats, floats.T)
         assert floats_norm == pytest.approx(norm(floats, "mixed21"), rel=1e-15, abs=1e-300)
-    assert all(norms._newton_mixed21_floats(_reviving(d), 0.5)[0][0, 1] > 0.0 for d in (2, 3, 4))
+    assert all(norms._prox_mixed21(_reviving(d), 0.5)[0][0, 1] > 0.0 for d in (2, 3, 4))
 
 
 def test_prox_leaves_input_bits(rng):
@@ -317,8 +347,16 @@ def test_prox_leaves_input_bits(rng):
     # dual phase.)
     for b in _signed_zero_inputs(rng):
         before = b.tobytes()
+        rows = b.tolist()
         for tau in (0.0, 0.1, 0.5, 10.0):
             for kind in ALL_KINDS:
+                if b.shape[0] <= 4:
+                    _, _, spectrum = _prox_floats(rows, tau, NormKind(kind))
+                    assert np.array(rows).tobytes() == before, kind
+                    if spectrum is not None:
+                        saved = [np.array(part).tobytes() for part in spectrum]
+                        _prox_floats(rows, 0.05, NormKind.TRACE, spectrum)
+                        assert [np.array(part).tobytes() for part in spectrum] == saved
                 out, _, spectrum = _prox(b, tau, NormKind(kind))
                 assert b.tobytes() == before, kind
                 assert (spectrum is not None) == (kind == "trace" and tau > 0.0)
@@ -330,6 +368,57 @@ def test_prox_leaves_input_bits(rng):
             expected = prox(out, 0.05, "trace")
             assert np.max(np.abs(again - expected)) <= 1e-12 * max(1.0, norm(out, "trace"))
             assert again_norm == pytest.approx(norm(expected, "trace"), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_norm_and_prox_at_extreme_scales(kind):
+    # Entries near 1e+-200 have sums of squares beyond the float range.  fro
+    # and mixed21 used to return inf as the norm, and zero as the prox of
+    # 1e-170 I (fro) or 1e-300 I (mixed21); they rescale now.  norm and prox
+    # are homogeneous, so the scaled answers are the scaled answers at 1.
+    # d = 2 runs the mixed21 Newton on floats, d = 5 on arrays; the float
+    # kernels of stage one go through their cold path too.
+    b5 = np.diag([2.0, -1.0, 0.5, 1.5, -0.75])
+    b5[0, 1:] = b5[1:, 0] = 0.25
+    for b in (np.array([[1.0, -0.5], [-0.5, 2.0]]), b5):
+        tau = 0.3
+        expected = prox(b, tau, kind)
+        for scale in (1e200, 1e-200, 1e-300):
+            assert norm(scale * b, kind) == pytest.approx(scale * norm(b, kind), rel=1e-14)
+            out = prox(scale * b, scale * tau, kind)
+            assert np.max(np.abs(out - scale * expected)) <= 1e-13 * scale
+            if b.shape[0] > 4:
+                continue
+            with np.errstate(over="ignore"):
+                rows, rows_norm, _ = _prox_floats((scale * b).tolist(), scale * tau, NormKind(kind))
+            assert np.max(np.abs(np.array(rows) - scale * expected)) <= 1e-13 * scale
+            assert rows_norm == pytest.approx(norm(out, kind), rel=1e-14)
+    assert norm(1e200 * np.eye(2), "fro") == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+    assert norm(1e200 * np.eye(2), "mixed21") == pytest.approx(2e200, rel=1e-15)
+    shrunk = prox(1e-170 * np.eye(2), 1e-175, "fro")
+    assert np.max(np.abs(shrunk - (1e-170 - 1e-175 / math.sqrt(2.0)) * np.eye(2))) <= 1e-185
+    shrunk = prox(1e-300 * np.eye(2), 1e-310, "mixed21")
+    assert np.max(np.abs(shrunk - (1e-300 - 1e-310) * np.eye(2))) <= 1e-315
+
+
+def test_empty_inputs_are_refused_by_name():
+    # l1 and mixed21 rank-1 duals and the l1 dual used to fail inside a
+    # NumPy reduction, fro and trace returned 0, and the mixed21 prox
+    # returned shape (0,).
+    for kind in ALL_KINDS:
+        with pytest.raises(ValueError, match=r"v must be a nonempty vector, got shape \(0,\)"):
+            dual_norm_rank1([], [], kind)
+        with pytest.raises(ValueError, match=r"x must be a nonempty vector, got shape \(0,\)"):
+            dual_norm_rank1([1.0], [], kind)
+        for check in (
+            lambda b: dual_norm(b, kind),
+            lambda b: norm(b, kind),
+            lambda b: prox(b, 1.0, kind),
+        ):
+            with pytest.raises(ValueError, match=r"matrix must be nonempty, got shape \(0, 0\)"):
+                check(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="matrix must be nonempty"):
+        sym_eigendecomposition(np.zeros((0, 0)))
 
 
 def test_prox_output_symmetric(rng):

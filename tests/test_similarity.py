@@ -226,11 +226,17 @@ def test_train_early_stop_with_loose_tolerance():
     assert model.iterations_run < 2000
 
 
-def test_train_non_finite_raises():
+def test_train_non_finite_raises(monkeypatch):
+    # The first step overflows A, in every kind and both kernel sets.
     data = Dataset(np.array([[1e8, 0.0], [0.0, 1e8]]), np.array([1.0, -1.0]))
-    config = SimilarityConfig(lam=0.1, margin=1.0, norm_kind="l1", max_iters=10, step0=1e300)
-    with np.errstate(all="ignore"), pytest.raises(NumericalError):
-        train_similarity(data, config)
+    for float_max_md, *_ in KERNEL_SETS.values():
+        monkeypatch.setattr(similarity, "_FLOAT_MAX_MD", float_max_md)
+        for kind in ("l1", "fro", "mixed21", "trace"):
+            config = SimilarityConfig(
+                lam=0.1, margin=1.0, norm_kind=kind, max_iters=10, step0=1e300
+            )
+            with np.errstate(all="ignore"), pytest.raises(NumericalError):
+                train_similarity(data, config)
 
 
 def _assert_json_matches_reference(data, config):
@@ -239,6 +245,7 @@ def _assert_json_matches_reference(data, config):
     matrix, objective, iterations = reference_train_similarity(
         data.features, data.labels, config.lam, config.margin, config.norm_kind.value,
         config.max_iters, config.step0, config.rel_tol,
+        floats=similarity._uses_floats(data.m, data.d),
     )
     expected = SimilarityModel(matrix, config, final_objective=objective, iterations_run=iterations)
     assert json.dumps(model_to_json_dict(model)) == json.dumps(model_to_json_dict(expected))
@@ -253,17 +260,32 @@ def _tiny_dataset(rng, m):
     return Dataset(labels[:, None] * mu + 0.15 * rng.standard_normal((m, 2)), labels)
 
 
+# Each stage-one kernel set: the float set's size bound that forces it, and
+# the module names of its slack pass and its step.
+KERNEL_SETS = {
+    "arrays": (0, "_slack", "_subgradient"),
+    "floats": (10 ** 9, "_hinge_floats", "_step_floats"),
+}
+
+
 @pytest.mark.parametrize("kind", ["l1", "fro", "mixed21", "trace"])
-def test_train_json_matches_reference_loop(kind):
-    rng = make_rng(530)
-    for m in range(1, 7):
-        config = SimilarityConfig(
-            lam=(0.05, 0.2)[m % 2], margin=1.0, norm_kind=kind, max_iters=2000, step0=2.0,
-            rel_tol=0.0,
-        )
-        _assert_json_matches_reference(_tiny_dataset(rng, m), config)
-    # Experiment-shaped fits: fro, mixed21 and trace end on the window stop,
-    # l1 runs to the iteration cap.
+def test_train_json_matches_reference_loop(monkeypatch, kind):
+    # Check-02-shaped fits run the float kernels, and again the array
+    # kernels with the float set switched off.
+    for float_max_md, *_ in KERNEL_SETS.values():
+        monkeypatch.setattr(similarity, "_FLOAT_MAX_MD", float_max_md)
+        rng = make_rng(530)
+        for m in range(1, 7):
+            config = SimilarityConfig(
+                lam=(0.05, 0.2)[m % 2], margin=1.0, norm_kind=kind, max_iters=2000, step0=2.0,
+                rel_tol=0.0,
+            )
+            data = _tiny_dataset(rng, m)
+            assert similarity._uses_floats(m, 2) == bool(float_max_md)
+            _assert_json_matches_reference(data, config)
+    monkeypatch.undo()
+    # Experiment-shaped fits run the array kernels: fro, mixed21 and trace
+    # end on the window stop, l1 runs to the iteration cap.
     for seed in (2029, 2032):
         spec = GeneratorSpec(
             kind="two_gaussians", d=5, mean_separation=2.0, noise_sigma=1.0, seed=seed
@@ -273,24 +295,84 @@ def test_train_json_matches_reference_loop(kind):
         assert kind == "l1" or model.iterations_run < config.max_iters
 
 
+def test_train_chooses_kernel_set_by_size(monkeypatch):
+    # Floats up to d = 4 and m * d = _FLOAT_MAX_MD, arrays beyond either.
+    chosen = []
+    for name in ("_float_kernels", "_array_kernels"):
+        kernels = getattr(similarity, name)
+
+        def recorded(scaled, w, name=name, kernels=kernels):
+            chosen.append((name, scaled.shape))
+            return kernels(scaled, w)
+
+        monkeypatch.setattr(similarity, name, recorded)
+    limit = similarity._FLOAT_MAX_MD
+    d_max = similarity._MIXED21_FLOAT_MAX_D
+    shapes = {
+        (limit, 1): "_float_kernels",
+        (limit + 1, 1): "_array_kernels",
+        (limit // 2, 2): "_float_kernels",
+        (limit // 2 + 1, 2): "_array_kernels",
+        (limit // d_max, d_max): "_float_kernels",
+        (limit // d_max + 1, d_max): "_array_kernels",
+        (1, d_max + 1): "_array_kernels",
+    }
+    rng = make_rng(533)
+    for (m, d), name in shapes.items():
+        config = SimilarityConfig(lam=0.1, margin=1.0, norm_kind="fro", max_iters=3)
+        model = train_similarity(random_dataset(rng, m, d), config)
+        assert chosen.pop() == (name, (m, d))
+        assert type(model.matrix) is np.ndarray and model.matrix.shape == (d, d)
+    assert chosen == []
+
+
+@pytest.mark.parametrize("kind", ["l1", "fro", "mixed21", "trace"])
+def test_kernel_sets_agree(monkeypatch, kind):
+    # Check-02-shaped fits through both kernel sets: the sets round
+    # differently, but stop at the same iteration with the same objective.
+    # The loose rel_tol makes some fits end on the window stop.
+    rng = make_rng(534)
+    for m in (4, 5, 6):
+        data = _tiny_dataset(rng, m)
+        for lam, rel_tol in ((0.05, 0.0), (0.2, 0.0), (0.05, 1e-4)):
+            config = SimilarityConfig(
+                lam=lam, margin=1.0, norm_kind=kind, max_iters=2000, step0=2.0, rel_tol=rel_tol
+            )
+            models = {}
+            for name, (float_max_md, *_) in KERNEL_SETS.items():
+                monkeypatch.setattr(similarity, "_FLOAT_MAX_MD", float_max_md)
+                models[name] = train_similarity(data, config)
+            arrays, floats = models["arrays"], models["floats"]
+            assert floats.iterations_run == arrays.iterations_run
+            assert abs(floats.final_objective - arrays.final_objective) <= 1e-12
+            assert np.max(np.abs(floats.matrix - arrays.matrix)) <= 1e-12
+
+
+def _snapshot(x):
+    # The bytes of an array or of a list of rows, signs of zero included.
+    return np.asarray(x, dtype=float).tobytes()
+
+
 def _watch_prox(monkeypatch):
-    """Record every prox stage one makes, checking that none writes its input.
+    """Record every prox stage one makes, in either kernel set, checking that
+    none writes its input.
 
     Each record is (input, tau, whether a spectrum was passed, output).
     """
     calls = []
-    prox_kernel = similarity._prox
+    for name in ("_prox", "_prox_floats"):
+        prox_kernel = getattr(similarity, name)
 
-    def watched(b, tau, kind, spectrum=None):
-        before = b.tobytes()
-        saved = None if spectrum is None else [part.tobytes() for part in spectrum]
-        result = prox_kernel(b, tau, kind, spectrum)
-        assert b.tobytes() == before
-        assert saved is None or [part.tobytes() for part in spectrum] == saved
-        calls.append((b, tau, spectrum is not None, result[0]))
-        return result
+        def watched(b, tau, kind, spectrum=None, prox_kernel=prox_kernel):
+            before = _snapshot(b)
+            saved = None if spectrum is None else [_snapshot(part) for part in spectrum]
+            result = prox_kernel(b, tau, kind, spectrum)
+            assert _snapshot(b) == before
+            assert saved is None or [_snapshot(part) for part in spectrum] == saved
+            calls.append((b, tau, spectrum is not None, result[0]))
+            return result
 
-    monkeypatch.setattr(similarity, "_prox", watched)
+        monkeypatch.setattr(similarity, name, watched)
     return calls
 
 
@@ -321,58 +403,68 @@ def test_train_json_matches_reference_loop_mixed21_dual_fallback(monkeypatch):
 def test_train_zero_step_skips_subgradient(monkeypatch, kind):
     # On check-02-shaped data most iterates meet every margin.  An empty
     # hinge mask means a zero subgradient: the next step computes none and
-    # hands the iterate itself to the prox.
-    nonempty = []
-    slack_kernel = similarity._slack
+    # hands the iterate itself to the prox.  Both kernel sets.
+    for float_max_md, slack_name, step_name in KERNEL_SETS.values():
+        with monkeypatch.context() as patch:
+            patch.setattr(similarity, "_FLOAT_MAX_MD", float_max_md)
+            nonempty = []
+            slack_kernel = getattr(similarity, slack_name)
 
-    def recorded_slack(*args):
-        slack = slack_kernel(*args)
-        nonempty.append(bool((slack > 0.0).any()))
-        return slack
+            def recorded_slack(*args, slack_kernel=slack_kernel):
+                # The array pass returns the slack, the float pass the
+                # summed positive slack.
+                result = slack_kernel(*args)
+                nonempty.append(bool(np.any(np.asarray(result) > 0.0)))
+                return result
 
-    subgradients = 0
-    subgradient_kernel = similarity._subgradient
+            steps = 0
+            step_kernel = getattr(similarity, step_name)
 
-    def counted_subgradient(*args):
-        nonlocal subgradients
-        subgradients += 1
-        return subgradient_kernel(*args)
+            def counted_step(*args, step_kernel=step_kernel):
+                nonlocal steps
+                steps += 1
+                return step_kernel(*args)
 
-    monkeypatch.setattr(similarity, "_slack", recorded_slack)
-    monkeypatch.setattr(similarity, "_subgradient", counted_subgradient)
-    calls = _watch_prox(monkeypatch)
-    config = SimilarityConfig(
-        lam=0.05, margin=1.0, norm_kind=kind, max_iters=400, step0=2.0, rel_tol=0.0
-    )
-    model = train_similarity(_tiny_dataset(make_rng(531), 6), config)
-    # One mask per iterate, the start included; the last one takes no step.
-    assert len(nonempty) == len(calls) + 1 == model.iterations_run + 1
-    assert subgradients == sum(nonempty[:-1])
-    assert subgradients < model.iterations_run
-    previous = None
-    for (b, _, reused, a), stepped in zip(calls, nonempty):
-        assert (b is previous) == (not stepped)
-        # Only trace keeps a spectrum, and only a zero step passes it back.
-        assert reused == (kind == "trace" and not stepped)
-        previous = a
+            patch.setattr(similarity, slack_name, recorded_slack)
+            patch.setattr(similarity, step_name, counted_step)
+            calls = _watch_prox(patch)
+            config = SimilarityConfig(
+                lam=0.05, margin=1.0, norm_kind=kind, max_iters=400, step0=2.0, rel_tol=0.0
+            )
+            model = train_similarity(_tiny_dataset(make_rng(531), 6), config)
+        # One mask per iterate, the start included; the last one takes no step.
+        assert len(nonempty) == len(calls) + 1 == model.iterations_run + 1
+        assert steps == sum(nonempty[:-1])
+        assert steps < model.iterations_run
+        previous = None
+        for (b, _, reused, a), stepped in zip(calls, nonempty):
+            assert (b is previous) == (not stepped)
+            # Only trace keeps a spectrum, and only a zero step passes it back.
+            assert reused == (kind == "trace" and not stepped)
+            previous = a
 
 
 def test_train_trace_spectrum_reuse_is_the_prox(monkeypatch):
     # On a zero step the trace prox thresholds the spectrum its previous
     # call returned.  Spectral soft-thresholds compose, so that is the prox
-    # of the previous output; check it against a fresh eigendecomposition.
-    calls = _watch_prox(monkeypatch)
-    rng = make_rng(532)
-    for m, lam in ((4, 0.05), (5, 0.2), (6, 0.05)):
-        config = SimilarityConfig(
-            lam=lam, margin=1.0, norm_kind="trace", max_iters=500, step0=2.0, rel_tol=0.0
-        )
-        train_similarity(_tiny_dataset(rng, m), config)
-    reused = [(b, tau, a) for b, tau, spectrum, a in calls if spectrum]
-    assert len(reused) > len(calls) // 2
-    for b, tau, a in reused:
-        tolerance = 1e-12 * max(1.0, norm(a, "trace"))
-        assert float(np.max(np.abs(a - prox(b, tau, "trace")))) <= tolerance
+    # of the previous output; check it against a fresh eigendecomposition,
+    # in both kernel sets.
+    for float_max_md, *_ in KERNEL_SETS.values():
+        with monkeypatch.context() as patch:
+            patch.setattr(similarity, "_FLOAT_MAX_MD", float_max_md)
+            calls = _watch_prox(patch)
+            rng = make_rng(532)
+            for m, lam in ((4, 0.05), (5, 0.2), (6, 0.05)):
+                config = SimilarityConfig(
+                    lam=lam, margin=1.0, norm_kind="trace", max_iters=500, step0=2.0, rel_tol=0.0
+                )
+                train_similarity(_tiny_dataset(rng, m), config)
+        reused = [(b, tau, a) for b, tau, spectrum, a in calls if spectrum]
+        assert len(reused) > len(calls) // 2
+        for b, tau, a in reused:
+            a = np.array(a)
+            tolerance = 1e-12 * max(1.0, norm(a, "trace"))
+            assert float(np.max(np.abs(a - prox(np.array(b), tau, "trace")))) <= tolerance
 
 
 def test_config_validation():
