@@ -22,7 +22,7 @@ from .data import (
     _COUNT, _NONNEGATIVE, _NUMBER, _POSITIVE, _PROBABILITY, _SEED, _finite_vector,
     _rademacher_signs, _require, _write_json, philox_generator,
 )
-from .norms import NormKind, _rank1_factors
+from .norms import NormKind, _norm_kind, _rank1_factors
 from .similarity import _signed_features, empirical_similarity_error
 
 
@@ -53,7 +53,7 @@ class BoundReport:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "norm_kind", NormKind(self.norm_kind))
+        object.__setattr__(self, "norm_kind", _norm_kind(self.norm_kind, "norm_kind"))
         _require("delta", self.delta, _PROBABILITY)
         _require("x_star", self.x_star, _NONNEGATIVE)
         _require("r_m_empirical", self.r_m_empirical, _NONNEGATIVE)
@@ -65,7 +65,7 @@ def x_star(data, kind):
     The dual norm of x x2^T is f(x) g(x2) with both factors nonnegative, so
     the sup over pairs is max f times max g.
     """
-    v_factor, x_factor = _rank1_factors(NormKind(kind))
+    v_factor, x_factor = _rank1_factors(_norm_kind(kind))
     features = data.features
     return float(v_factor(features, axis=1).max() * x_factor(features, axis=1).max())
 
@@ -83,7 +83,7 @@ def rademacher_empirical(data, kind, mc_draws, seed=0):
     _require("mc_draws", mc_draws, _COUNT)
     # dual_norm_rank1(v, x, kind) = v_factor(v) * x_factor(x), so the sup
     # over the sample is attained at the row of largest x_factor.
-    v_factor, x_factor = _rank1_factors(NormKind(kind))
+    v_factor, x_factor = _rank1_factors(_norm_kind(kind))
     x_ref = data.features[int(np.argmax(x_factor(data.features, axis=1)))]
     # (sigma * y) @ X equals sigma @ signed bit for bit: every factor but
     # the features is +-1.
@@ -103,7 +103,7 @@ def _analytic_estimate(kind, x_star_value, max_two, sum_sq_two, m, d):
     Kept separate from rademacher_analytic so the formulas can be probed at
     arbitrary real m in tests.
     """
-    kind = NormKind(kind)
+    kind = _norm_kind(kind)
     if kind is NormKind.TRACE:
         return max_two * math.sqrt(sum_sq_two) / m
     c = 1.0 if kind is NormKind.FROBENIUS else math.e * math.log(d + 1)

@@ -21,9 +21,9 @@ import numpy as np
 
 from .bounds import build_bound_report, khinchin_check, report_to_json_dict, save_report
 from .data import (
-    GeneratorKind,
     GeneratorSpec,
     _COUNT,
+    _GENERATOR_KIND,
     _INT,
     _NUMBER,
     _OBJECT,
@@ -32,14 +32,13 @@ from .data import (
     _csv_cell,
     _is_count,
     _is_grid,
-    _is_value_of,
     _read_json,
     _write_json,
     generate,
     load_csv,
 )
 from .errors import NumericalError
-from .norms import NormKind
+from .norms import _NORM_KIND, NormKind
 from .separator import (
     classify,
     empirical_hinge_error,
@@ -262,7 +261,7 @@ def derive_seed(master_seed, *parts):
 
 # Types only: GeneratorSpec, built at load, checks the ranges.
 _GENERATOR_CHECKS = (
-    ("kind", (_is_value_of(GeneratorKind), "a generator kind")),
+    ("kind", _GENERATOR_KIND),
     ("mean_separation", _NUMBER),
     ("noise_sigma", _NUMBER),
     ("irrelevant_dims", _INT),
@@ -275,7 +274,7 @@ _CONFIG_CHECKS = (
     ("generator", _OBJECT),
     ("m_values", _COUNT_GRID),
     ("d_values", _COUNT_GRID),
-    ("norm_kinds", (_is_grid(_is_value_of(NormKind)), "a nonempty list of distinct norm kinds")),
+    ("norm_kinds", (_is_grid(_NORM_KIND[0]), "a nonempty list of distinct norm kinds")),
     ("lambda", _NUMBER),
     ("margin", _NUMBER),
     ("delta", _PROBABILITY),

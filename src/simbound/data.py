@@ -105,7 +105,7 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", GeneratorKind(self.kind))
+        object.__setattr__(self, "kind", GeneratorKind(_require("kind", self.kind, _GENERATOR_KIND)))
         _require("d", self.d, _COUNT)
         _require("mean_separation", self.mean_separation, _NUMBER)
         _require("noise_sigma", self.noise_sigma, _POSITIVE)
@@ -123,8 +123,7 @@ class GeneratorSpec:
 
 def philox_generator(seed):
     """Philox counter-based generator keyed by seed, counter at zero."""
-    _require("seed", seed, _SEED)
-    return np.random.Generator(np.random.Philox(key=seed))
+    return np.random.Generator(np.random.Philox(key=_require("seed", seed, _SEED)))
 
 
 def _rademacher_signs(rng, shape):
@@ -232,12 +231,6 @@ def _read_json(path):
         return json.load(handle)
 
 
-def _require_fields(doc, fields, context):
-    for field in fields:
-        if not isinstance(doc, dict) or field not in doc:
-            raise ValueError(f"{context} missing field {field!r}")
-
-
 def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -257,29 +250,6 @@ def _is_number(value):
         return False
 
 
-# One rule per kind of value: a predicate and the phrase that names it.  No
-# rule converts the value it checks.
-_NUMBER = (_is_number, "a finite number")
-_POSITIVE = (lambda value: _is_number(value) and value > 0, "positive and finite")
-_NONNEGATIVE = (lambda value: _is_number(value) and value >= 0, "nonnegative and finite")
-_PROBABILITY = (lambda value: _is_number(value) and 0 < value < 1, "in (0, 1)")
-_INT = (_is_int, "an int")
-_COUNT = (_is_count, "a positive int below 2**63")
-_NONNEGATIVE_INT = (lambda value: _is_int(value) and value >= 0, "a nonnegative int")
-# philox_generator keys a Philox stream with any int in this range.
-_SEED = (lambda value: _is_int(value) and 0 <= value < 2 ** 128, "an int in [0, 2**128)")
-_NUMBERS = (lambda value: isinstance(value, list) and all(map(_is_number, value)),
-            "a list of finite numbers")
-_OBJECT = (lambda value: isinstance(value, dict), "an object")
-
-
-def _require(name, value, rule):
-    """Raise ValueError naming name unless value satisfies rule."""
-    check, phrase = rule
-    if not check(value):
-        raise ValueError(f"{name} must be {phrase}, got {value!r}")
-
-
 def _is_value_of(enum):
     return lambda value: value in [member.value for member in enum]
 
@@ -294,28 +264,67 @@ def _is_grid(check):
     )
 
 
-def _checked(doc, checks, defaults, context, prefix=""):
-    """doc with defaults filled in, once every field is present and well typed.
+# One rule per kind of value: a predicate and the phrase that names it.  No
+# rule converts the value it checks.
+_NUMBER = (_is_number, "a finite number")
+_POSITIVE = (lambda value: _is_number(value) and value > 0, "positive and finite")
+_NONNEGATIVE = (lambda value: _is_number(value) and value >= 0, "nonnegative and finite")
+_PROBABILITY = (lambda value: _is_number(value) and 0 < value < 1, "in (0, 1)")
+_INT = (_is_int, "an int")
+_COUNT = (_is_count, "a positive int below 2**63")
+_NONNEGATIVE_INT = (lambda value: _is_int(value) and value >= 0, "a nonnegative int")
+# philox_generator keys a Philox stream with any int in this range.
+_SEED = (lambda value: _is_int(value) and 0 <= value < 2 ** 128, "an int in [0, 2**128)")
+_NUMBERS = (lambda value: isinstance(value, list) and all(map(_is_number, value)),
+            "a list of finite numbers")
+_NUMBER_ROWS = (lambda value: isinstance(value, list) and all(map(_NUMBERS[0], value)),
+                "a list of lists of finite numbers")
+_OBJECT = (lambda value: isinstance(value, dict), "an object")
+_GENERATOR_KIND = (_is_value_of(GeneratorKind), "a generator kind")
 
-    checks holds (field, rule) pairs; missing fields are reported in their
-    order.
+
+def _require(name, value, rule):
+    """value, once it satisfies rule; a ValueError naming name otherwise."""
+    check, phrase = rule
+    if not check(value):
+        raise ValueError(f"{name} must be {phrase}, got {value!r}")
+    return value
+
+
+def _checked(doc, fields, defaults, context, prefix=""):
+    """doc with defaults filled in, once it is an object holding every field.
+
+    fields is a document's table, one row per field: its name, the rule its
+    value must meet and, in a document simbound writes, how the object
+    produces the value.  Missing fields are reported in row order.
     """
-    _require_fields(doc, [field for field, _ in checks if field not in defaults], context)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{context} must be an object, got {type(doc).__name__}")
+    for name, *_ in fields:
+        if name not in doc and name not in defaults:
+            raise ValueError(f"{context} missing field {name!r}")
     doc = {**defaults, **doc}
-    for field, rule in checks:
-        _require(prefix + field, doc[field], rule)
+    for name, rule, *_ in fields:
+        _require(prefix + name, doc[name], rule)
     return doc
 
 
+# The dataset document's fields (see _checked).
+_DATASET_FIELDS = (
+    ("m", _COUNT, lambda data: data.m),
+    ("d", _COUNT, lambda data: data.d),
+    ("labels", _NUMBERS, lambda data: [int(v) for v in data.labels]),
+    ("features", _NUMBER_ROWS, lambda data: data.features.tolist()),
+)
+
+
 def dataset_to_json_dict(data):
-    return {
-        "m": data.m,
-        "d": data.d,
-        "labels": [int(v) for v in data.labels],
-        "features": [[float(v) for v in row] for row in data.features],
-    }
+    return {name: value(data) for name, _, value in _DATASET_FIELDS}
 
 
 def dataset_from_json_dict(doc):
-    _require_fields(doc, ("labels", "features"), "dataset document")
-    return Dataset(np.array(doc["features"], dtype=float), np.array(doc["labels"], dtype=float))
+    doc = _checked(doc, _DATASET_FIELDS, {}, "dataset document")
+    m, d, labels, features = doc["m"], doc["d"], doc["labels"], doc["features"]
+    if len(labels) != m or len(features) != m or any(len(row) != d for row in features):
+        raise ValueError(f"labels and features must be m = {m} labels and rows of d = {d} numbers")
+    return Dataset(features, labels)

@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import _NONNEGATIVE, _finite_rows, _finite_vector, _require
+from .data import _NONNEGATIVE, _finite_rows, _finite_vector, _is_value_of, _require
 from .errors import NumericalError
 
 
@@ -35,6 +35,14 @@ class NormKind(str, Enum):
     FROBENIUS = "fro"
     MIXED21 = "mixed21"
     TRACE = "trace"
+
+
+_NORM_KIND = (_is_value_of(NormKind), "a norm kind")
+
+
+def _norm_kind(kind, name="kind"):
+    """kind as a NormKind, once it meets _NORM_KIND."""
+    return NormKind(_require(name, kind, _NORM_KIND))
 
 
 def _as_square(b):
@@ -57,7 +65,7 @@ def require_symmetric(a):
 def norm(a, kind):
     """Norm of the symmetric matrix A under the selected regularizer."""
     a = require_symmetric(a)
-    kind = NormKind(kind)
+    kind = _norm_kind(kind)
     # A sum of squares that overflows is detected and recomputed rescaled.
     with np.errstate(over="ignore"):
         return _norm(a, kind)
@@ -94,11 +102,12 @@ def _fro(a):
     return _rescaled_norm(_fro, a)
 
 
-def _mixed21(a):
-    value = float(_row_norms(a).sum())
+def _mixed21(a, reduce=np.add.reduce):
+    # The sum of the row norms; np.maximum.reduce gives the dual norm.
+    value = float(reduce(_row_norms(a)))
     if _NORM_MIN <= value <= _NORM_MAX:
         return value
-    return _rescaled_norm(_mixed21, a)
+    return _rescaled_norm(lambda scaled: _mixed21(scaled, reduce), a)
 
 
 def _rescaled_norm(kernel, a):
@@ -123,14 +132,14 @@ def dual_norm(b, kind):
     fro -> Frobenius; trace -> spectral norm (largest singular value).
     """
     b = _as_square(b)
-    kind = NormKind(kind)
+    kind = _norm_kind(kind)
     if kind is NormKind.L1:
         return float(np.abs(b).max())
-    if kind is NormKind.FROBENIUS:
-        return float(np.linalg.norm(b))
-    if kind is NormKind.MIXED21:
-        return float(np.linalg.norm(b, axis=1).max())
-    return float(np.linalg.norm(b, 2))
+    if kind is NormKind.TRACE:
+        return float(np.linalg.norm(b, 2))
+    # Sums of squares out of range are detected and recomputed rescaled.
+    with np.errstate(over="ignore"):
+        return _fro(b) if kind is NormKind.FROBENIUS else _mixed21(b, np.maximum.reduce)
 
 
 def dual_norm_rank1(v, x, kind):
@@ -146,8 +155,10 @@ def dual_norm_rank1(v, x, kind):
         raise ValueError(
             f"expected two vectors of equal length, got shapes {v.shape} and {x.shape}"
         )
-    v_factor, x_factor = _rank1_factors(NormKind(kind))
-    return float(v_factor(v) * x_factor(x))
+    v_factor, x_factor = _rank1_factors(_norm_kind(kind))
+    # Each factor is homogeneous, so it is computed on its vector scaled by
+    # a power of two, with no sum of squares out of range, and scaled back.
+    return _rescaled_norm(v_factor, v) * _rescaled_norm(x_factor, x)
 
 
 def _rank1_factors(kind):
@@ -179,7 +190,7 @@ def prox(b, tau, kind):
     """
     b = require_symmetric(b)
     _require("threshold", tau, _NONNEGATIVE)
-    kind = NormKind(kind)
+    kind = _norm_kind(kind)
     # A sum of squares that overflows is detected and recomputed rescaled.
     with np.errstate(over="ignore"):
         return _prox(b, float(tau), kind)[0]

@@ -47,8 +47,7 @@ class Separator:
 def anchor_coefficients(labels, margin):
     """The feasible starting point alpha0 = y / (m * margin)."""
     labels = _finite_vector("labels", labels)
-    _require("margin", margin, _POSITIVE)
-    return _anchor_coefficients(labels, margin)
+    return _anchor_coefficients(labels, _require("margin", margin, _POSITIVE))
 
 
 def _anchor_coefficients(labels, margin):
@@ -190,29 +189,25 @@ def train_separator(model, data, max_iters=2000, step0=1.0):
     return Separator(alpha=best_alpha, margin=margin, anchor_features=data.features, model=model)
 
 
+# The separator document's fields (see data._checked); anchors are row-major.
+_SEPARATOR_FIELDS = (
+    ("alpha", _NUMBERS, lambda sep: sep.alpha.tolist()),
+    ("margin", _NUMBER, lambda sep: sep.margin),
+    ("anchor_features", _NUMBERS, lambda sep: sep.anchor_features.ravel().tolist()),
+    ("model", _OBJECT, lambda sep: model_to_json_dict(sep.model)),
+)
+
+
 def separator_to_json_dict(sep):
-    return {
-        "alpha": [float(v) for v in sep.alpha],
-        "margin": sep.margin,
-        "anchor_features": [float(v) for v in sep.anchor_features.ravel()],
-        "model": model_to_json_dict(sep.model),
-    }
+    return {name: value(sep) for name, _, value in _SEPARATOR_FIELDS}
 
 
 def save_separator(sep, path):
     _write_json(separator_to_json_dict(sep), path)
 
 
-_SEPARATOR_CHECKS = (
-    ("alpha", _NUMBERS),
-    ("margin", _NUMBER),
-    ("anchor_features", _NUMBERS),
-    ("model", _OBJECT),
-)
-
-
 def load_separator(path):
-    doc = _checked(_read_json(path), _SEPARATOR_CHECKS, {}, "separator document")
+    doc = _checked(_read_json(path), _SEPARATOR_FIELDS, {}, "separator document")
     model = model_from_json_dict(doc["model"])
     # The L1 radius 1/margin that alpha was trained inside is the model's.
     if doc["margin"] != model.config.margin:
@@ -225,9 +220,4 @@ def load_separator(path):
     # fits; otherwise Separator refuses the shape, naming the field.
     if anchors.size == alpha.size * model.d:
         anchors = anchors.reshape(alpha.size, model.d)
-    return Separator(
-        alpha=alpha,
-        margin=model.config.margin,
-        anchor_features=anchors,
-        model=model,
-    )
+    return Separator(alpha, model.config.margin, anchors, model)

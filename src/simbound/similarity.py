@@ -17,11 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (
-    _COUNT, _NONNEGATIVE, _NONNEGATIVE_INT, _NUMBER, _NUMBERS, _POSITIVE, _checked, _is_value_of,
-    _read_json, _require, _write_json,
+    _COUNT, _NONNEGATIVE, _NONNEGATIVE_INT, _NUMBER, _NUMBERS, _POSITIVE, _checked, _read_json,
+    _require, _write_json,
 )
 from .errors import NumericalError
-from .norms import _MIXED21_FLOAT_MAX_D, NormKind, _prox, _prox_floats, norm, require_symmetric
+from .norms import (
+    _MIXED21_FLOAT_MAX_D, _NORM_KIND, NormKind, _norm_kind, _prox, _prox_floats, norm,
+    require_symmetric,
+)
 
 # Stage one calls the unchecked kernels; the public prox stays bound here
 # so that tools which rebind it by module (perfbench/spans.py) still find it.
@@ -46,7 +49,7 @@ class SimilarityConfig:
     rel_tol: float = 1e-8
 
     def __post_init__(self):
-        object.__setattr__(self, "norm_kind", NormKind(self.norm_kind))
+        object.__setattr__(self, "norm_kind", _norm_kind(self.norm_kind, "norm_kind"))
         _require("lambda", self.lam, _POSITIVE)
         _require("margin", self.margin, _POSITIVE)
         _require("max_iters", self.max_iters, _COUNT)
@@ -350,32 +353,25 @@ def _step_floats(a, columns, active, w, factor):
     return out
 
 
+# The model document's fields (see data._checked); entries are row-major.
+_MODEL_FIELDS = (
+    ("dim", _COUNT, lambda model: model.d),
+    ("norm_kind", _NORM_KIND, lambda model: model.config.norm_kind.value),
+    ("lambda", _NUMBER, lambda model: model.config.lam),
+    ("margin", _NUMBER, lambda model: model.config.margin),
+    ("entries", _NUMBERS, lambda model: model.matrix.ravel().tolist()),
+    ("final_objective", _NUMBER, lambda model: model.final_objective),
+    ("iterations_run", _NONNEGATIVE_INT, lambda model: model.iterations_run),
+)
+
+
 def model_to_json_dict(model):
-    return {
-        "dim": model.d,
-        "norm_kind": model.config.norm_kind.value,
-        "lambda": model.config.lam,
-        "margin": model.config.margin,
-        "entries": [float(v) for v in model.matrix.ravel()],
-        "final_objective": model.final_objective,
-        "iterations_run": model.iterations_run,
-    }
+    return {name: value(model) for name, _, value in _MODEL_FIELDS}
 
 
 def save_model(model, path):
     """Serialize to JSON with row-major entries; floats survive exactly."""
     _write_json(model_to_json_dict(model), path)
-
-
-_MODEL_CHECKS = (
-    ("dim", _COUNT),
-    ("norm_kind", (_is_value_of(NormKind), "a norm kind")),
-    ("lambda", _NUMBER),
-    ("margin", _NUMBER),
-    ("entries", _NUMBERS),
-    ("final_objective", _NUMBER),
-    ("iterations_run", _NONNEGATIVE_INT),
-)
 
 
 def model_from_json_dict(doc):
@@ -384,22 +380,16 @@ def model_from_json_dict(doc):
     Solver settings are not persisted, so the embedded config carries the
     stored lambda, margin, and norm kind with default solver fields.
     """
-    doc = _checked(doc, _MODEL_CHECKS, {}, "model document")
+    doc = _checked(doc, _MODEL_FIELDS, {}, "model document")
     dim = doc["dim"]
     entries = np.asarray(doc["entries"], dtype=float)
     if entries.shape != (dim * dim,):
         raise ValueError(f"expected {dim * dim} entries for dim {dim}, got {entries.shape}")
-    matrix = entries.reshape(dim, dim)
     config = SimilarityConfig(
-        lam=float(doc["lambda"]),
-        margin=float(doc["margin"]),
-        norm_kind=NormKind(doc["norm_kind"]),
+        lam=float(doc["lambda"]), margin=float(doc["margin"]), norm_kind=doc["norm_kind"]
     )
     return SimilarityModel(
-        matrix=matrix,
-        config=config,
-        final_objective=float(doc["final_objective"]),
-        iterations_run=doc["iterations_run"],
+        entries.reshape(dim, dim), config, float(doc["final_objective"]), doc["iterations_run"]
     )
 
 

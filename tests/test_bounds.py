@@ -363,6 +363,20 @@ def test_build_report_determinism():
         assert getattr(first, field.name) == getattr(second, field.name)
 
 
+def test_unknown_kind_is_named_by_its_rule():
+    model, data = _trained_pair(521, kind="l1")
+    report = build_bound_report(model, data, mc_draws=8)
+    for call in (
+        lambda kind: x_star(data, kind),
+        lambda kind: rademacher_empirical(data, kind, 8),
+        lambda kind: rademacher_analytic(data, kind),
+    ):
+        with pytest.raises(ValueError, match="^kind must be a norm kind, got 'banana'$"):
+            call("banana")
+    with pytest.raises(ValueError, match="^norm_kind must be a norm kind, got 'banana'$"):
+        dataclasses.replace(report, norm_kind="banana")
+
+
 def test_build_report_zero_features():
     """Certificates degenerate to the bare training error without signal."""
     data = Dataset(np.zeros((4, 2)), np.array([1.0, -1.0, 1.0, -1.0]))

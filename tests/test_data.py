@@ -111,6 +111,31 @@ def test_json_round_trip(rng):
     assert np.array_equal(back.labels, data.labels)
 
 
+def test_dataset_json_checks_values_and_counts():
+    # Strings and bools used to load as numbers, and m and d went unread.
+    with pytest.raises(ValueError, match="^dataset document missing field 'm'$"):
+        dataset_from_json_dict({"labels": ["1", True], "features": [["2.5"], [False]]})
+    doc = {"m": 2, "d": 1, "labels": [1, -1], "features": [[2.5], [1.0]]}
+    for field, value, message in (
+        ("labels", ["1", -1], r"labels must be a list of finite numbers, got \['1', -1\]"),
+        ("labels", [True, -1], r"labels must be a list of finite numbers, got \[True, -1\]"),
+        ("labels", [1, 0], r"labels must be exactly -1 or \+1"),
+        ("features", [["2.5"], [1.0]], "features must be a list of lists of finite numbers"),
+        ("features", [[2.5], [False]], "features must be a list of lists of finite numbers"),
+        ("features", [[2.5], [math.nan]], "features must be a list of lists of finite numbers"),
+        ("m", 7, "labels and features must be m = 7 labels and rows of d = 1 numbers"),
+        ("d", 9, "labels and features must be m = 2 labels and rows of d = 9 numbers"),
+        ("features", [[2.5], [1.0, 3.0]], "labels and features must be m = 2 labels and rows of d = 1"),
+        ("features", [[2.5]], "labels and features must be m = 2 labels and rows of d = 1"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            dataset_from_json_dict({**doc, field: value})
+    with pytest.raises(ValueError, match="^dataset document must be an object, got list$"):
+        dataset_from_json_dict([doc])
+    back = dataset_from_json_dict({**doc, "labels": [1.0, -1.0]})
+    assert back.labels.tolist() == [1.0, -1.0] and back.features.tolist() == [[2.5], [1.0]]
+
+
 def test_generate_deterministic():
     spec = GeneratorSpec(kind="two_gaussians", d=3, mean_separation=1.0, noise_sigma=1.0, seed=9)
     a = generate(spec, 16)
@@ -164,6 +189,8 @@ def test_sparse_blobs_irrelevant_coordinates():
 
 
 def test_generator_spec_validation():
+    with pytest.raises(ValueError, match="^kind must be a generator kind, got 'uniform'$"):
+        GeneratorSpec(kind="uniform", d=2, mean_separation=1.0, noise_sigma=1.0)
     with pytest.raises(ValueError):
         GeneratorSpec(kind="two_gaussians", d=0, mean_separation=1.0, noise_sigma=1.0)
     with pytest.raises(ValueError):

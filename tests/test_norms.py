@@ -374,17 +374,25 @@ def test_prox_leaves_input_bits(rng):
 def test_norm_and_prox_at_extreme_scales(kind):
     # Entries near 1e+-200 have sums of squares beyond the float range.  fro
     # and mixed21 used to return inf as the norm, and zero as the prox of
-    # 1e-170 I (fro) or 1e-300 I (mixed21); they rescale now.  norm and prox
-    # are homogeneous, so the scaled answers are the scaled answers at 1.
-    # d = 2 runs the mixed21 Newton on floats, d = 5 on arrays; the float
-    # kernels of stage one go through their cold path too.
+    # 1e-170 I (fro) or 1e-300 I (mixed21); they rescale now, and so do the
+    # dual norms.  All of these are homogeneous, so the scaled answers are
+    # the scaled answers at 1.  d = 2 runs the mixed21 Newton on floats,
+    # d = 5 on arrays; the float kernels of stage one go through their cold
+    # path too.
     b5 = np.diag([2.0, -1.0, 0.5, 1.5, -0.75])
     b5[0, 1:] = b5[1:, 0] = 0.25
     for b in (np.array([[1.0, -0.5], [-0.5, 2.0]]), b5):
         tau = 0.3
         expected = prox(b, tau, kind)
+        v, x = b[0], b[-1]
         for scale in (1e200, 1e-200, 1e-300):
             assert norm(scale * b, kind) == pytest.approx(scale * norm(b, kind), rel=1e-14)
+            assert dual_norm(scale * b, kind) == pytest.approx(scale * dual_norm(b, kind), rel=1e-14)
+            rank1 = dual_norm_rank1(v, x, kind)
+            for pair, expected_rank1 in (((scale * v, x), scale * rank1),
+                                         ((v, scale * x), scale * rank1),
+                                         ((scale * v, x / scale), rank1)):
+                assert dual_norm_rank1(*pair, kind) == pytest.approx(expected_rank1, rel=1e-14)
             out = prox(scale * b, scale * tau, kind)
             assert np.max(np.abs(out - scale * expected)) <= 1e-13 * scale
             if b.shape[0] > 4:
@@ -399,6 +407,12 @@ def test_norm_and_prox_at_extreme_scales(kind):
     assert np.max(np.abs(shrunk - (1e-170 - 1e-175 / math.sqrt(2.0)) * np.eye(2))) <= 1e-185
     shrunk = prox(1e-300 * np.eye(2), 1e-310, "mixed21")
     assert np.max(np.abs(shrunk - (1e-300 - 1e-310) * np.eye(2))) <= 1e-315
+    assert dual_norm(1e200 * np.eye(2), "fro") == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+    assert dual_norm(1e200 * np.eye(2), "mixed21") == pytest.approx(1e200, rel=1e-15)
+    assert dual_norm(1e-200 * np.eye(2), "fro") == pytest.approx(math.sqrt(2.0) * 1e-200, rel=1e-15)
+    assert dual_norm_rank1([1e200, 1e200], [1.0, 0.0], "fro") == pytest.approx(
+        math.sqrt(2.0) * 1e200, rel=1e-15
+    )
 
 
 def test_empty_inputs_are_refused_by_name():
@@ -553,3 +567,21 @@ def test_norm_kind_values():
     assert NormKind("fro") is NormKind.FROBENIUS
     with pytest.raises(ValueError):
         NormKind("nuclear")
+
+
+def test_unknown_kind_is_named_by_its_rule():
+    # A kind breaks its rule like any other scalar input, in the words
+    # "<name> must be <rule>, got <value>", not in the enum's own.
+    a = np.eye(2)
+    for call in (
+        lambda kind: norm(a, kind),
+        lambda kind: prox(a, 0.1, kind),
+        lambda kind: dual_norm(a, kind),
+        lambda kind: dual_norm_rank1([1.0], [1.0], kind),
+    ):
+        for kind in ("banana", None, 2):
+            with pytest.raises(ValueError, match=rf"^kind must be a norm kind, got {kind!r}$"):
+                call(kind)
+    with pytest.raises(ValueError, match="^norm_kind must be a norm kind, got 'banana'$"):
+        SimilarityConfig(lam=0.1, margin=1.0, norm_kind="banana")
+    assert SimilarityConfig(lam=0.1, margin=1.0, norm_kind=NormKind.TRACE).norm_kind is NormKind.TRACE
