@@ -275,20 +275,45 @@ _COUNT = (_is_count, "a positive int below 2**63")
 _NONNEGATIVE_INT = (lambda value: _is_int(value) and value >= 0, "a nonnegative int")
 # philox_generator keys a Philox stream with any int in this range.
 _SEED = (lambda value: _is_int(value) and 0 <= value < 2 ** 128, "an int in [0, 2**128)")
-_NUMBERS = (lambda value: isinstance(value, list) and all(map(_is_number, value)),
-            "a list of finite numbers")
-_NUMBER_ROWS = (lambda value: isinstance(value, list) and all(map(_NUMBERS[0], value)),
-                "a list of lists of finite numbers")
+
+
+def _list_of(element_rule, phrase):
+    """The rule for a list whose elements all meet element_rule; it carries
+    that rule third, so that a message can name the first bad element."""
+    check = element_rule[0]
+    return (lambda value: isinstance(value, list) and all(map(check, value)), phrase, element_rule)
+
+
+_NUMBERS = _list_of(_NUMBER, "a list of finite numbers")
+_NUMBER_ROWS = _list_of(_NUMBERS, "a list of lists of finite numbers")
 _OBJECT = (lambda value: isinstance(value, dict), "an object")
 _GENERATOR_KIND = (_is_value_of(GeneratorKind), "a generator kind")
 
 
 def _require(name, value, rule):
-    """value, once it satisfies rule; a ValueError naming name otherwise."""
-    check, phrase = rule
+    """value, once it satisfies rule; a ValueError naming name otherwise.
+
+    A list that a list rule refuses is not printed whole: the message names
+    its first bad element by index, as name[i] or name[i][j].
+    """
+    check, phrase, *_ = rule
     if not check(value):
-        raise ValueError(f"{name} must be {phrase}, got {value!r}")
+        path, bad = _first_bad(value, rule)
+        where = f"{name}{path} = " if path else ""
+        raise ValueError(f"{name} must be {phrase}, got {where}{bad!r}")
     return value
+
+
+def _first_bad(value, rule, path=""):
+    """The index path of value's first element that breaks a list rule's
+    element rule, followed down nested lists, and that element; ("", value)
+    where there is none."""
+    if len(rule) > 2 and isinstance(value, list):
+        element_rule = rule[2]
+        for index, element in enumerate(value):
+            if not element_rule[0](element):
+                return _first_bad(element, element_rule, f"{path}[{index}]")
+    return path, value
 
 
 def _checked(doc, fields, defaults, context, prefix=""):

@@ -354,12 +354,12 @@ _MIXED21_NEWTON_STEPS = 8
 _MIXED21_DUAL_STEPS = 200000
 # The largest d whose mixed21 Newton phase runs on Python floats.  On small
 # matrices a NumPy call costs more than its arithmetic.  Per prox, on inputs
-# captured from stage-one fits (2-vCPU host, Python 3.11, numpy 2.4), the
-# float phase ran 3.5-3.9x as fast as the array phase at d = 2, 2.1x at
-# d = 3, 1.5x at d = 4, 1.0-1.1x at d = 5 and 0.5x at d = 8.  The benchmark's
-# d = 5 workload gained nothing end to end from floats, so d = 5 stays on
-# arrays.
-_MIXED21_FLOAT_MAX_D = 4
+# captured from stage-one fits (2-vCPU host, Python 3.11, numpy 2.4; three
+# interleaved runs, best of 7 rounds each), the float phase ran 6.4-6.6x as
+# fast as the array phase at d = 2, 2.1-2.2x at d = 4, 1.5-1.6x at d = 5,
+# 1.1-1.2x at d = 6 and 0.9x at d = 8.  d = 6 and above stay on arrays:
+# float work grows faster with d, and floats lose by d = 8.
+_MIXED21_FLOAT_MAX_D = 5
 
 
 def _row_norms(x):
@@ -396,10 +396,11 @@ def _prox_mixed21(b, tau):
     free in this parametrization and Newton may stall; ``_dual_mixed21``
     then takes over from the last H.
 
-    Up to d = ``_MIXED21_FLOAT_MAX_D`` the Newton phase runs on Python
+    Up to d = ``_MIXED21_FLOAT_MAX_D`` (5) the Newton phase runs on Python
     floats (``_newton_mixed21_floats``), above it on arrays
-    (``_newton_mixed21_arrays``).  The two round differently: dot products
-    and the Newton solve may differ in the last bits.
+    (``_newton_mixed21_arrays``), whose cost grows more slowly with d.  The
+    two round differently: dot products and the Newton solve may differ in
+    the last bits.
 
     Where ||B||_{2,1} leaves [_NORM_MIN, _NORM_MAX], both phases solve the
     problem rescaled instead (``_rescaled_prox_mixed21``).
@@ -489,30 +490,41 @@ def _newton_mixed21_floats(rows, tau):
     Takes B as a list of rows and returns A as one, with the array phase's
     steps entry by entry and no NumPy call.  Every sum accumulates with +=
     in index order: the built-in sum compensates from Python 3.12 on, which
-    would tie the bits to the interpreter.  The Newton system is solved by
-    ``_solve_floats`` instead of LAPACK.  Dead pairs (s_i = s_j = 0) take
+    would tie the bits to the interpreter.  Dead pairs (s_i = s_j = 0) take
     pair 1, so the output entry (b_ij + b_ij) * (s_i s_j / pair_ij) keeps
-    the array phase's signed zeros and is exactly symmetric.  The cold
-    paths (rescaling, the dual phase) run on arrays.
+    the array phase's signed zeros and is exactly symmetric.
+
+    Each evaluation makes one pass over H for its row norms, the gap and
+    the total, and keeps no entry of H.  An iterate that does not certify
+    forms its Jacobian rows from the same products again, and so, after
+    the last step, does the H handed to the dual phase.  The Newton system
+    is solved by ``_solve_floats`` instead of LAPACK.  The cold paths
+    (rescaling, the dual phase) run on arrays.  The loops index their
+    lists: in Python 3.11 a zip over a few entries costs more.
     """
+    sqrt = math.sqrt
     span = range(len(rows))
-    twice = [[x + x for x in row] for row in rows]
+    twice = []
     b_rows = []
     scale = 0.0
     for row in rows:
+        twice_i = []
         acc = 0.0
         for x in row:
+            twice_i.append(x + x)
             acc += x * x
-        norm_i = math.sqrt(acc)
+        twice.append(twice_i)
+        norm_i = sqrt(acc)
         b_rows.append(norm_i)
         scale += norm_i
     if not _NORM_MIN <= scale <= _NORM_MAX:
         a, total = _rescaled_prox_mixed21(np.array(rows), tau)
         return a.tolist(), total
-    s = [1.0 - tau / max(r, tau) for r in b_rows]
+    # max(x, tau) is written tau if tau > x else x, NaN included.
+    s = []
+    for norm_i in b_rows:
+        s.append(1.0 - tau / (tau if tau > norm_i else norm_i))
     for _ in range(_MIXED21_NEWTON_STEPS):
-        pair = []
-        h = []
         clipped = []
         target = []
         gap = 0.0
@@ -521,56 +533,86 @@ def _newton_mixed21_floats(rows, tau):
         for i in span:
             s_i = s[i]
             twice_i = twice[i]
-            pair_i = []
-            h_i = []
             acc = 0.0
             for j in span:
-                p = s_i + s[j]
-                if p > 0.0:
-                    x = twice_i[j] * (s[j] / p)
-                else:
-                    p = 1.0
-                    x = twice_i[j] * 0.5
-                pair_i.append(p)
-                h_i.append(x)
+                s_j = s[j]
+                p = s_i + s_j
+                x = twice_i[j] * (s_j / p) if p > 0.0 else twice_i[j] * 0.5
                 acc += x * x
-            pair.append(pair_i)
-            h.append(h_i)
-            n_i = math.sqrt(acc)
-            clipped_i = max(n_i, tau)
+            n_i = sqrt(acc)
+            if tau > n_i:
+                clipped_i = tau
+                below += (s_i * n_i) * (tau - n_i)
+            else:
+                clipped_i = n_i
             target_i = 1.0 - tau / clipped_i
             weighted = (s_i - target_i) * b_rows[i]
             gap += weighted * weighted
-            if n_i < tau:
-                below += (s_i * n_i) * (tau - n_i)
             total += s_i * n_i
             clipped.append(clipped_i)
             target.append(target_i)
         gap += below
         if gap <= tau * MIXED21_GAP_RTOL * (total + scale):
-            return [[twice[i][j] * (s[i] * s[j] / pair[i][j]) for j in span] for i in span], total
-        # The array phase's Jacobian, restricted to the rows it solves for.
-        live = [i for i in span if target[i] > 0.0]
+            a = []
+            for i in span:
+                s_i = s[i]
+                twice_i = twice[i]
+                a_i = []
+                for j in span:
+                    s_j = s[j]
+                    p = s_i + s_j
+                    a_i.append(twice_i[j] * (s_i * s_j / (p if p > 0.0 else 1.0)))
+                a.append(a_i)
+            return a, total
+        # The array phase's Jacobian, restricted to the rows it solves for,
+        # with C = H * 2B / pair^2 formed row by row from the same products.
+        live = []
+        for i in span:
+            if target[i] > 0.0:
+                live.append(i)
         system = []
-        for row, i in enumerate(live):
+        for row in range(len(live)):
+            i = live[row]
+            s_i = s[i]
             twice_i = twice[i]
-            pair_i = pair[i]
-            h_i = h[i]
-            c_i = [h_i[j] * twice_i[j] / (pair_i[j] * pair_i[j]) for j in span]
-            weight = tau / (clipped[i] * clipped[i] * clipped[i])
+            clipped_i = clipped[i]
+            weight = tau / (clipped_i * clipped_i * clipped_i)
+            weighted_s = weight * s_i
+            equation = []
             c_s = 0.0
             for j in span:
-                c_s += c_i[j] * s[j]
-            weighted_s = weight * s[i]
-            equation = [0.0 - weighted_s * c_i[j] for j in live]
+                s_j = s[j]
+                p = s_i + s_j
+                if p > 0.0:
+                    x = twice_i[j] * (s_j / p)
+                else:
+                    p = 1.0
+                    x = twice_i[j] * 0.5
+                c = x * twice_i[j] / (p * p)
+                c_s += c * s_j
+                equation.append(0.0 - weighted_s * c)
+            if len(live) < len(span):
+                equation = [equation[j] for j in live]
             equation[row] += 1.0 + weight * c_s
-            equation.append(s[i] - target[i])
+            equation.append(s_i - target[i])
             system.append(equation)
         step = _solve_floats(system)
-        for row, i in enumerate(live):
+        for row in range(len(live)):
+            i = live[row]
             x = s[i] - step[row]
             target[i] = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
-        s = target
+        evaluated, s = s, target
+    # The H of the last evaluation.
+    h = []
+    for i in span:
+        s_i = evaluated[i]
+        twice_i = twice[i]
+        h_i = []
+        for j in span:
+            s_j = evaluated[j]
+            p = s_i + s_j
+            h_i.append(twice_i[j] * (s_j / p) if p > 0.0 else twice_i[j] * 0.5)
+        h.append(h_i)
     a, total = _dual_mixed21(np.array(rows), tau, np.array(h), scale)
     return a.tolist(), total
 
@@ -579,22 +621,39 @@ def _solve_floats(system):
     """Solution of the augmented system [M | r], as a list.
 
     Gaussian elimination with partial pivoting (the first largest pivot on
-    ties), then back substitution; each row is a list of floats and is
-    overwritten.
+    ties), then back substitution; each row is a list of floats and may be
+    overwritten.  One and two unknowns skip the loops, with the same
+    operations.
     """
     size = len(system)
+    if size == 1:
+        pivot, rhs = system[0]
+        return [rhs / pivot]
+    if size == 2:
+        (a, b, r), (c, e, t) = system
+        if abs(c) > abs(a):
+            a, b, r, c, e, t = c, e, t, a, b, r
+        factor = c / a
+        e -= factor * b
+        t -= factor * r
+        x_1 = t / e
+        return [(r - b * x_1) / a, x_1]
     for k in range(size):
         best = k
+        largest = abs(system[k][k])
         for i in range(k + 1, size):
-            if abs(system[i][k]) > abs(system[best][k]):
+            x = abs(system[i][k])
+            if x > largest:
                 best = i
+                largest = x
         system[k], system[best] = system[best], system[k]
         pivot_row = system[k]
         pivot = pivot_row[k]
+        columns = range(k + 1, size + 1)
         for i in range(k + 1, size):
             row = system[i]
             factor = row[k] / pivot
-            for j in range(k + 1, size + 1):
+            for j in columns:
                 row[j] -= factor * pivot_row[j]
     x = [0.0] * size
     for k in range(size - 1, -1, -1):

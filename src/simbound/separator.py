@@ -192,7 +192,7 @@ def train_separator(model, data, max_iters=2000, step0=1.0):
 # The separator document's fields (see data._checked); anchors are row-major.
 _SEPARATOR_FIELDS = (
     ("alpha", _NUMBERS, lambda sep: sep.alpha.tolist()),
-    ("margin", _NUMBER, lambda sep: sep.margin),
+    ("margin", _NUMBER, lambda sep: float(sep.margin)),
     ("anchor_features", _NUMBERS, lambda sep: sep.anchor_features.ravel().tolist()),
     ("model", _OBJECT, lambda sep: model_to_json_dict(sep.model)),
 )

@@ -21,10 +21,7 @@ from .data import (
     _require, _write_json,
 )
 from .errors import NumericalError
-from .norms import (
-    _MIXED21_FLOAT_MAX_D, _NORM_KIND, NormKind, _norm_kind, _prox, _prox_floats, norm,
-    require_symmetric,
-)
+from .norms import _NORM_KIND, NormKind, _norm_kind, _prox, _prox_floats, norm, require_symmetric
 
 # Stage one calls the unchecked kernels; the public prox stays bound here
 # so that tools which rebind it by module (perfbench/spans.py) still find it.
@@ -231,19 +228,21 @@ def train_similarity(data, config):
     )
 
 
-# The largest m * d that stage one runs on Python floats, for d up to
-# norms._MIXED21_FLOAT_MAX_D.  Float work grows with m * d, while an array
-# call costs about the same at every small size.  Over 300-iteration fits
-# on two-cluster data (2-vCPU host, Python 3.11, numpy 2.4), the float
-# kernels ran 1.04-4.9x as fast as the array kernels for every kind and
-# d <= 4 up to m * d = 24, and fro lost from m * d = 32 (0.96x at d = 4);
-# the README lists the scan.
+# The largest d and m * d that stage one runs on Python floats.  Float work
+# grows with m * d, while an array call costs about the same at every small
+# size.  Over 300-iteration fits on two-cluster data (2-vCPU host, Python
+# 3.11, numpy 2.4), the float kernels ran 1.04-4.9x as fast as the array
+# kernels for every kind and d <= 4 up to m * d = 24, and fro lost from
+# m * d = 32 (0.96x at d = 4); the README lists the scan.  The mixed21 prox
+# runs its Newton phase on floats one d further (norms._MIXED21_FLOAT_MAX_D),
+# which the scan did not measure for the whole kernel set.
+_FLOAT_MAX_D = 4
 _FLOAT_MAX_MD = 24
 
 
 def _uses_floats(m, d):
     """Whether a fit on m examples in d dimensions runs the float kernels."""
-    return d <= _MIXED21_FLOAT_MAX_D and m * d <= _FLOAT_MAX_MD
+    return d <= _FLOAT_MAX_D and m * d <= _FLOAT_MAX_MD
 
 
 def _array_kernels(scaled, w):
@@ -354,13 +353,15 @@ def _step_floats(a, columns, active, w, factor):
 
 
 # The model document's fields (see data._checked); entries are row-major.
+# The numbers are written as floats, as the loader reads them back, so a
+# config given in ints round-trips byte for byte.
 _MODEL_FIELDS = (
     ("dim", _COUNT, lambda model: model.d),
     ("norm_kind", _NORM_KIND, lambda model: model.config.norm_kind.value),
-    ("lambda", _NUMBER, lambda model: model.config.lam),
-    ("margin", _NUMBER, lambda model: model.config.margin),
+    ("lambda", _NUMBER, lambda model: float(model.config.lam)),
+    ("margin", _NUMBER, lambda model: float(model.config.margin)),
     ("entries", _NUMBERS, lambda model: model.matrix.ravel().tolist()),
-    ("final_objective", _NUMBER, lambda model: model.final_objective),
+    ("final_objective", _NUMBER, lambda model: float(model.final_objective)),
     ("iterations_run", _NONNEGATIVE_INT, lambda model: model.iterations_run),
 )
 

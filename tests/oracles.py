@@ -406,7 +406,7 @@ def reference_prox(b, tau, kind):
 
     l1 and fro shrink in closed form, trace thresholds the eigenvalues and
     symmetrizes the product, and mixed21 runs ``_reference_prox_mixed21``,
-    whose Newton phase works on Python floats up to d = 4.
+    whose Newton phase works on Python floats up to d = 5.
     """
     if tau == 0.0:
         return b.copy(), _reference_norm(b, kind)
@@ -443,10 +443,10 @@ def _reference_prox_mixed21(b, tau, gap_rtol=1e-12, newton_steps=8, dual_steps=2
     the rows whose right-hand side (target) is positive, dead rows included,
     sets the others to 0, and stops on the duality-gap bound.  The fallback
     is accelerated projected gradient with gradient restart on the skew part
-    of the dual.  Up to d = 4 the Newton phase is
+    of the dual.  Up to d = 5 the Newton phase is
     ``_reference_prox_mixed21_floats``.
     """
-    if b.shape[0] <= 4:
+    if b.shape[0] <= 5:
         return _reference_prox_mixed21_floats(b, tau, gap_rtol, newton_steps, dual_steps)
     b_rows = _reference_row_norms(b)
     scale = b_rows.sum()

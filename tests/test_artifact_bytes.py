@@ -15,6 +15,8 @@ from simbound import (
     Separator,
     SimilarityConfig,
     SimilarityModel,
+    load_model,
+    load_separator,
     save_model,
     save_report,
     save_separator,
@@ -127,6 +129,22 @@ def test_separator_json_bytes(tmp_path):
   "model": {embedded}
 }}
 """
+
+
+def test_int_config_round_trips_bytes(tmp_path):
+    # lambda, margin and the objective are written as floats, as the
+    # loaders read them, so a model and a separator built from ints write
+    # the same bytes before and after a round trip.
+    model = SimilarityModel(np.eye(2), SimilarityConfig(lam=1, margin=2, norm_kind="fro"), 1, 0)
+    sep = Separator(np.array([0.5]), 2, np.array([[1.0, 0.0]]), model)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    for value, save, load in ((model, save_model, load_model), (sep, save_separator, load_separator)):
+        save(value, first)
+        save(load(first), second)
+        assert first.read_bytes() == second.read_bytes()
+    doc = json.loads(first.read_text())
+    assert type(doc["margin"]) is float
+    assert all(type(doc["model"][name]) is float for name in ("lambda", "margin", "final_objective"))
 
 
 def test_dataset_json_bytes(tmp_path):

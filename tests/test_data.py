@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from simbound import Dataset, GeneratorKind, GeneratorSpec, generate, load_csv, save_csv
-from simbound.data import dataset_from_json_dict, dataset_to_json_dict, philox_generator
+from simbound.data import (
+    _NUMBER_ROWS, _NUMBERS, _require, dataset_from_json_dict, dataset_to_json_dict, philox_generator,
+)
 
 
 def test_dataset_validation():
@@ -117,12 +119,18 @@ def test_dataset_json_checks_values_and_counts():
         dataset_from_json_dict({"labels": ["1", True], "features": [["2.5"], [False]]})
     doc = {"m": 2, "d": 1, "labels": [1, -1], "features": [[2.5], [1.0]]}
     for field, value, message in (
-        ("labels", ["1", -1], r"labels must be a list of finite numbers, got \['1', -1\]"),
-        ("labels", [True, -1], r"labels must be a list of finite numbers, got \[True, -1\]"),
+        ("labels", ["1", -1], r"labels must be a list of finite numbers, got labels\[0\] = '1'$"),
+        ("labels", [True, -1], r"labels must be a list of finite numbers, got labels\[0\] = True$"),
         ("labels", [1, 0], r"labels must be exactly -1 or \+1"),
-        ("features", [["2.5"], [1.0]], "features must be a list of lists of finite numbers"),
-        ("features", [[2.5], [False]], "features must be a list of lists of finite numbers"),
-        ("features", [[2.5], [math.nan]], "features must be a list of lists of finite numbers"),
+        ("features", [["2.5"], [1.0]],
+         r"features must be a list of lists of finite numbers, got features\[0\]\[0\] = '2.5'$"),
+        ("features", [[2.5], [False]],
+         r"features must be a list of lists of finite numbers, got features\[1\]\[0\] = False$"),
+        ("features", [[2.5], [math.nan]],
+         r"features must be a list of lists of finite numbers, got features\[1\]\[0\] = nan$"),
+        ("features", [[2.5], 1.0],
+         r"features must be a list of lists of finite numbers, got features\[1\] = 1.0$"),
+        ("features", "2.5", r"features must be a list of lists of finite numbers, got '2.5'$"),
         ("m", 7, "labels and features must be m = 7 labels and rows of d = 1 numbers"),
         ("d", 9, "labels and features must be m = 2 labels and rows of d = 9 numbers"),
         ("features", [[2.5], [1.0, 3.0]], "labels and features must be m = 2 labels and rows of d = 1"),
@@ -134,6 +142,23 @@ def test_dataset_json_checks_values_and_counts():
         dataset_from_json_dict([doc])
     back = dataset_from_json_dict({**doc, "labels": [1.0, -1.0]})
     assert back.labels.tolist() == [1.0, -1.0] and back.features.tolist() == [[2.5], [1.0]]
+
+
+def test_list_messages_name_the_first_bad_element():
+    # A long list is not printed whole: the message names the field and its
+    # first bad element by index, at any length and nesting.
+    numbers = [0.5] * 100_000
+    numbers[77_777] = math.inf
+    rows = [[0.5] * 5 for _ in range(20_000)]
+    rows[12_345][3] = "x"
+    for value, rule, message in (
+        (numbers, _NUMBERS, "entries must be a list of finite numbers, got entries[77777] = inf"),
+        (rows, _NUMBER_ROWS,
+         "entries must be a list of lists of finite numbers, got entries[12345][3] = 'x'"),
+    ):
+        with pytest.raises(ValueError) as info:
+            _require("entries", value, rule)
+        assert str(info.value) == message
 
 
 def test_generate_deterministic():

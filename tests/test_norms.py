@@ -17,9 +17,10 @@ from simbound import (
 import simbound.norms as norms
 from simbound.norms import MIXED21_GAP_RTOL, _prox, _prox_floats
 from conftest import symmetric_part
+import oracles
 from oracles import (
-    _reference_prox_mixed21, closed_form_prox, prox_objective, prox_oracle, reference_prox,
-    reference_prox_floats,
+    _reference_prox_mixed21, _reference_prox_mixed21_floats, _reference_solve, closed_form_prox,
+    prox_objective, prox_oracle, reference_prox, reference_prox_floats,
 )
 
 ALL_KINDS = ["l1", "fro", "mixed21", "trace"]
@@ -188,9 +189,9 @@ def test_prox_matches_independent_closed_forms(rng):
 def _signed_zero_inputs(rng):
     """Symmetric matrices with exact zeros, -0.0 entries and all-zero rows.
 
-    d = 2, 3 and 4 run the mixed21 Newton phase on floats, d = 5 on arrays.
+    d = 2 to 5 run the mixed21 Newton phase on floats, d = 6 on arrays.
     """
-    for d in (2, 3, 4, 5):
+    for d in (2, 3, 4, 5, 6):
         for _ in range(8):
             b = symmetric_part(rng.standard_normal((d, d)) * rng.uniform(0.5, 3.0))
             zero = np.triu(rng.random((d, d)) < 0.3)
@@ -258,7 +259,7 @@ def test_mixed21_newton_phase_chosen_by_dimension(monkeypatch):
         monkeypatch.setattr(norms, name, recorded)
     for d in (2, 3, 4, 5, 6):
         norms._prox_mixed21(np.eye(d), 0.5)
-    assert chosen == ["_newton_mixed21_floats"] * 3 + ["_newton_mixed21_arrays"] * 2
+    assert chosen == ["_newton_mixed21_floats"] * 4 + ["_newton_mixed21_arrays"]
 
 
 def test_mixed21_float_newton_hands_over_to_dual_phase(monkeypatch):
@@ -289,9 +290,9 @@ def test_mixed21_float_newton_hands_over_to_dual_phase(monkeypatch):
 
 
 def test_mixed21_float_newton_calls_numpy_once(monkeypatch):
-    # Up to d = 4 the Newton loop takes and returns rows and calls no NumPy
-    # function; the prox's one call is the array built from its rows.
-    expected, expected_norm = norms._prox_mixed21(_TWO_STEP_B, _TWO_STEP_TAU)
+    # Up to d = 5 the Newton loop takes and returns rows and calls no NumPy
+    # function; the prox's one call is the array built from its rows.  The
+    # d = 5 input takes three Newton steps.
     calls = []
 
     class ArrayOnly:
@@ -300,19 +301,23 @@ def test_mixed21_float_newton_calls_numpy_once(monkeypatch):
             calls.append(value)
             return np.array(value)
 
-    monkeypatch.setattr(norms, "np", ArrayOnly)
-    rows, rows_norm = norms._newton_mixed21_floats(_TWO_STEP_B.tolist(), _TWO_STEP_TAU)
-    assert calls == [] and type(rows) is list and rows_norm == expected_norm
-    out, out_norm = norms._prox_mixed21(_TWO_STEP_B, _TWO_STEP_TAU)
-    assert len(calls) == 1
-    assert out.tobytes() == expected.tobytes() == np.array(rows).tobytes()
-    assert out_norm == expected_norm
+    for b, tau in ((_TWO_STEP_B, _TWO_STEP_TAU), (_reviving(5), 0.5)):
+        expected, expected_norm = norms._prox_mixed21(b, tau)
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(norms, "np", ArrayOnly)
+            rows, rows_norm = norms._newton_mixed21_floats(b.tolist(), tau)
+            assert calls == [] and type(rows) is list and rows_norm == expected_norm
+            out, out_norm = norms._prox_mixed21(b, tau)
+        assert len(calls) == 1
+        assert out.tobytes() == expected.tobytes() == np.array(rows).tobytes()
+        assert out_norm == expected_norm
 
 
 def _reviving(d):
     # At tau = 0.5 row 0 starts dead (norm 0.45) and comes back to life:
     # with row 1 live, its row of H has norm 0.9.
-    b = np.diag([0.0, 1.5, 2.25, 1.0][:d])
+    b = np.diag([0.0, 1.5, 2.25, 1.0, 1.75][:d])
     b[0, 1] = b[1, 0] = 0.45
     return b
 
@@ -321,7 +326,7 @@ def test_mixed21_newton_phases_agree(rng):
     # Both phases certify a duality gap, so each lies within sqrt(2 gap)
     # of the exact prox, and they lie within the sum of those of each other.
     cases = []
-    for d in (2, 3, 4):
+    for d in (2, 3, 4, 5):
         for _ in range(30):
             b = symmetric_part(rng.standard_normal((d, d)) * rng.uniform(0.5, 3.0))
             cases.append((b, float(rng.uniform(0.01, 1.5))))
@@ -335,7 +340,110 @@ def test_mixed21_newton_phases_agree(rng):
         assert np.linalg.norm(floats - arrays) <= bound
         assert np.array_equal(floats, floats.T)
         assert floats_norm == pytest.approx(norm(floats, "mixed21"), rel=1e-15, abs=1e-300)
-    assert all(norms._prox_mixed21(_reviving(d), 0.5)[0][0, 1] > 0.0 for d in (2, 3, 4))
+    assert all(norms._prox_mixed21(_reviving(d), 0.5)[0][0, 1] > 0.0 for d in (2, 3, 4, 5))
+
+
+# Rows 1 and 2 mirror each other, so the first column of the Newton system
+# holds two largest entries of equal magnitude below a smaller pivot.
+_TIED_PIVOT_B = np.array([[-1.0, -1.0, 1.0], [-1.0, 0.0, 0.25], [1.0, 0.25, 0.0]])
+# Newton does not certify this d = 5 input in its 8 steps at tau = 1.2.
+_HANDOVER_B = np.array([
+    [0.5, -0.15, -0.37, -0.92, 0.83],
+    [-0.15, -0.71, 0.37, -0.41, 0.62],
+    [-0.37, 0.37, -0.08, 0.46, 0.38],
+    [-0.92, -0.41, 0.46, 0.84, -0.13],
+    [0.83, 0.62, 0.38, -0.13, -0.14],
+])
+
+
+def _has_tied_pivot(system):
+    """Whether partial pivoting on the augmented system [M | r] meets two
+    largest candidates of equal magnitude in some column."""
+    system = [list(row) for row in system]
+    size = len(system)
+    for k in range(size):
+        column = [abs(system[i][k]) for i in range(k, size)]
+        if column.count(max(column)) > 1:
+            return True
+        best = k + column.index(max(column))
+        system[k], system[best] = system[best], system[k]
+        for i in range(k + 1, size):
+            factor = system[i][k] / system[k][k]
+            for j in range(k + 1, size + 1):
+                system[i][j] -= factor * system[k][j]
+    return False
+
+
+def test_mixed21_float_newton_matches_reference_bits(rng, monkeypatch):
+    # Every bit of the float Newton phase's output, -0.0 included, and its
+    # norm equal the reference's at d = 1 to 5.  The inputs make Newton
+    # systems of 1, 2 and more unknowns, a tied pivot and a dead row that
+    # comes back to life; at d = 5 the dual phase takes over, from the H of
+    # the last evaluation in both.
+    systems = []
+    solve = norms._solve_floats
+
+    def recorded(system):
+        systems.append([list(row) for row in system])
+        return solve(system)
+
+    handed = {}
+
+    def handover(name, dual):
+        def recorded_dual(b, tau, h, *rest):
+            handed[name] = h.tobytes()
+            return dual(b, tau, h, *rest)
+
+        return recorded_dual
+
+    monkeypatch.setattr(norms, "_solve_floats", recorded)
+    monkeypatch.setattr(norms, "_dual_mixed21", handover("floats", norms._dual_mixed21))
+    monkeypatch.setattr(
+        oracles, "_reference_dual_mixed21", handover("reference", oracles._reference_dual_mixed21)
+    )
+    cases = [(np.array([[x]]), tau) for x in (1.5, -0.25, -0.0) for tau in (0.1, 1.0)]
+    for b in _signed_zero_inputs(rng):
+        if b.shape[0] <= 5:
+            # The prox returns B itself at tau = 0, before any Newton phase.
+            cases += [(b, tau) for tau in (0.1, 0.5, abs(float(b[0, -1]))) if tau]
+    cases += [(_reviving(d), 0.5) for d in (2, 3, 4, 5)]
+    cases += [(_TIED_PIVOT_B, 1.0), (_HANDOVER_B, 1.2)]
+    for b, tau in cases:
+        handed.clear()
+        rows, rows_norm = norms._newton_mixed21_floats(b.tolist(), tau)
+        expected, expected_norm = _reference_prox_mixed21_floats(
+            b, tau, MIXED21_GAP_RTOL, norms._MIXED21_NEWTON_STEPS, norms._MIXED21_DUAL_STEPS
+        )
+        _assert_same_bits(np.array(rows), expected)
+        assert rows_norm == expected_norm and type(rows_norm) is float
+        assert handed.get("floats") == handed.get("reference")
+        if b is _HANDOVER_B:
+            assert len(handed) == 2
+    sizes = {len(system) for system in systems}
+    assert {1, 2} <= sizes and max(sizes) >= 3
+    assert any(map(_has_tied_pivot, systems))
+
+
+def test_solve_floats_matches_reference_bits(rng):
+    # Sizes 1 to 3, with pivots that tie in magnitude (the first one wins):
+    # at size 2, and at size 3 in the first column and, after elimination,
+    # in the second.
+    systems = [
+        [[-2.0, -0.0]],
+        [[3.0, 0.1]],
+        [[1.0, 2.0, 3.0], [-1.0, 5.0, 7.0]],
+        [[1.0, 2.0, 3.0], [-2.0, 5.0, 7.0]],
+        [[0.5, 2.0, 3.0, 1.0], [-2.0, 5.0, 7.0, -0.0], [2.0, 1.0, -1.0, 4.0]],
+        [[4.0, 2.0, 2.0, 1.0], [1.0, 3.0, 3.0, 2.0], [1.0, -2.0, 1.0, -3.0]],
+    ]
+    for size in (1, 2, 3):
+        for _ in range(20):
+            systems.append(rng.standard_normal((size, size + 1)).tolist())
+    assert [i for i, system in enumerate(systems) if _has_tied_pivot(system)] == [2, 4, 5]
+    for system in systems:
+        expected = _reference_solve([row[:-1] for row in system], [row[-1] for row in system])
+        out = norms._solve_floats([list(row) for row in system])
+        assert np.array(out).tobytes() == np.array(expected).tobytes(), system
 
 
 def test_prox_leaves_input_bits(rng):

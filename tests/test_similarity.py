@@ -21,7 +21,7 @@ from simbound import (
     train_similarity,
     true_similarity_error,
 )
-from simbound import similarity
+from simbound import norms, similarity
 from simbound.similarity import model_to_json_dict
 import oracles
 from conftest import assert_model_invariants, make_rng, random_dataset, symmetric_part
@@ -307,7 +307,7 @@ def test_train_chooses_kernel_set_by_size(monkeypatch):
 
         monkeypatch.setattr(similarity, name, recorded)
     limit = similarity._FLOAT_MAX_MD
-    d_max = similarity._MIXED21_FLOAT_MAX_D
+    d_max = similarity._FLOAT_MAX_D
     shapes = {
         (limit, 1): "_float_kernels",
         (limit + 1, 1): "_array_kernels",
@@ -324,6 +324,26 @@ def test_train_chooses_kernel_set_by_size(monkeypatch):
         assert chosen.pop() == (name, (m, d))
         assert type(model.matrix) is np.ndarray and model.matrix.shape == (d, d)
     assert chosen == []
+
+
+def test_mixed21_at_d5_keeps_the_array_kernel_set(monkeypatch):
+    # The mixed21 prox runs its Newton phase on floats up to d = 5, but
+    # stage one keeps the d <= 4 bound of its own scan: m = 4, d = 5 is
+    # within _FLOAT_MAX_MD and still runs the array set.
+    assert similarity._FLOAT_MAX_D == 4 < norms._MIXED21_FLOAT_MAX_D == 5
+    assert 4 * 5 <= similarity._FLOAT_MAX_MD
+    chosen = []
+    for name in ("_float_kernels", "_array_kernels"):
+        kernels = getattr(similarity, name)
+
+        def recorded(scaled, w, name=name, kernels=kernels):
+            chosen.append(name)
+            return kernels(scaled, w)
+
+        monkeypatch.setattr(similarity, name, recorded)
+    config = SimilarityConfig(lam=0.1, margin=1.0, norm_kind="mixed21", max_iters=3)
+    model = train_similarity(random_dataset(make_rng(534), 4, 5), config)
+    assert chosen == ["_array_kernels"] and model.matrix.shape == (5, 5)
 
 
 @pytest.mark.parametrize("kind", ["l1", "fro", "mixed21", "trace"])
