@@ -25,6 +25,11 @@ from .data import (
 from .norms import NormKind, _norm_kind, _rank1_factors
 from .similarity import _signed_features, empirical_similarity_error
 
+__all__ = [
+    "BoundReport", "build_bound_report", "x_star", "rademacher_empirical", "rademacher_analytic",
+    "theorem1_bound", "theorem2_bound", "khinchin_check", "report_to_json_dict", "save_report",
+]
+
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -123,8 +128,11 @@ def rademacher_analytic(data, kind):
     )
 
 
-def _deviation_tail(x_star_value, margin, lam, delta, m):
-    """The confidence term shared by both theorems, once its inputs are checked."""
+def _deviation_tail(x_star_value, r_m, margin, lam, delta, m):
+    """The confidence term shared by both theorems, once the inputs they
+    share (r_m among them, which the term does not use) are checked."""
+    _require("x_star", x_star_value, _NONNEGATIVE)
+    _require("r_m", r_m, _NONNEGATIVE)
     _require("margin", margin, _POSITIVE)
     _require("lambda", lam, _POSITIVE)
     _require("delta", delta, _PROBABILITY)
@@ -134,13 +142,13 @@ def _deviation_tail(x_star_value, margin, lam, delta, m):
 
 def theorem1_bound(x_star_value, r_m, margin, lam, delta, m):
     """Deviation bound on the similarity error gap."""
-    tail = _deviation_tail(x_star_value, margin, lam, delta, m)
+    tail = _deviation_tail(x_star_value, r_m, margin, lam, delta, m)
     return 6.0 * r_m / (margin * lam) + tail
 
 
 def theorem2_bound(e_z_of_a, x_star_value, r_m, margin, lam, delta, m):
     """Bound on the separator's population hinge error."""
-    tail = _deviation_tail(x_star_value, margin, lam, delta, m)
+    tail = _deviation_tail(x_star_value, r_m, margin, lam, delta, m)
     _require("e_z_of_a", e_z_of_a, _NONNEGATIVE)
     return e_z_of_a + 4.0 * r_m / (margin * lam) + tail
 

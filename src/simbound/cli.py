@@ -94,6 +94,7 @@ Config JSON fields:
   max_iters     solver iteration cap for both stages (default 500)
   step0         solver step scale (default 1.0)
   output_dir    directory for results.csv and summary.json
+  Any other key is not read; stderr names each one in a warning line.
 
 results.csv columns, in order:
 {textwrap.indent(textwrap.fill(", ".join(EXPERIMENT_CSV_COLUMNS), 74), "  ")}
@@ -288,6 +289,16 @@ _CONFIG_CHECKS = (
 )
 
 
+def _warn_unread(block, checks, context):
+    """One stderr line per field of block that no row of checks names: a
+    misspelled optional key would otherwise leave its default in force
+    without a word."""
+    read = {name for name, _ in checks}
+    for name in block:
+        if name not in read:
+            print(f"warning: {context} field {name!r} is not read", file=sys.stderr)
+
+
 def _load_experiment_config(path):
     """The checked config plus ``specs`` (a seed-0 GeneratorSpec per d) and
     ``settings`` (a SimilarityConfig per norm kind), built here so that
@@ -301,6 +312,8 @@ def _load_experiment_config(path):
     gen = _checked(
         doc["generator"], _GENERATOR_CHECKS, {"irrelevant_dims": 0}, "generator block", "generator."
     )
+    _warn_unread(doc, _CONFIG_CHECKS, "experiment config")
+    _warn_unread(gen, _GENERATOR_CHECKS, "generator")
     doc["specs"] = {
         d: GeneratorSpec(d=d, **{field: gen[field] for field, _ in _GENERATOR_CHECKS})
         for d in doc["d_values"]

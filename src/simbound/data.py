@@ -16,6 +16,8 @@ from enum import Enum
 
 import numpy as np
 
+__all__ = ["Dataset", "GeneratorKind", "GeneratorSpec", "generate", "load_csv", "save_csv"]
+
 
 class GeneratorKind(str, Enum):
     TWO_GAUSSIANS = "two_gaussians"

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["NumericalError"]
+
 
 class NumericalError(ArithmeticError):
     """Raised when an iterative routine diverges or fails to converge.

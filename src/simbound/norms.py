@@ -27,6 +27,8 @@ import numpy as np
 from .data import _NONNEGATIVE, _finite_rows, _finite_vector, _is_value_of, _require
 from .errors import NumericalError
 
+__all__ = ["NormKind", "norm", "prox", "dual_norm", "dual_norm_rank1", "sym_eigendecomposition"]
+
 
 class NormKind(str, Enum):
     """Regularizer selector."""

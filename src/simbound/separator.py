@@ -21,6 +21,11 @@ from .similarity import (
     SimilarityModel, _hinge_error, _signed_features, model_from_json_dict, model_to_json_dict,
 )
 
+__all__ = [
+    "Separator", "anchor_coefficients", "train_separator", "classify", "empirical_hinge_error",
+    "true_hinge_error", "project_l1_ball", "save_separator", "load_separator",
+]
+
 
 @dataclass(frozen=True, eq=False)
 class Separator:

@@ -27,6 +27,12 @@ from .norms import _NORM_KIND, NormKind, _norm_kind, _prox, _prox_floats, norm, 
 # so that tools which rebind it by module (perfbench/spans.py) still find it.
 from .norms import prox  # noqa: F401
 
+__all__ = [
+    "SimilarityConfig", "SimilarityModel", "train_similarity", "empirical_similarity_error",
+    "true_similarity_error", "similarity_objective", "hinge_subgradient", "save_model",
+    "load_model",
+]
+
 
 @dataclass(frozen=True)
 class SimilarityConfig:

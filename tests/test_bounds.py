@@ -220,6 +220,15 @@ def test_bound_domain_violations():
             theorem2_bound(0.1, 1.0, 0.1, 1.0, value, 0.05, 10)
     with pytest.raises(ValueError, match="e_z_of_a must be nonnegative and finite, got nan"):
         theorem2_bound(math.nan, 1.0, 0.1, 1.0, 0.1, 0.05, 10)
+    # X* and R_m scale the bound; a NaN, an infinity or a negative value
+    # would give a NaN, an infinite or a negative "bound".
+    for value in (math.nan, math.inf, -1.0):
+        for name, args in (("x_star", (value, 0.1)), ("r_m", (1.0, value))):
+            message = f"{name} must be nonnegative and finite, got {value!r}$"
+            with pytest.raises(ValueError, match=message):
+                theorem1_bound(*args, 1.0, 0.1, 0.05, 10)
+            with pytest.raises(ValueError, match=message):
+                theorem2_bound(0.1, *args, 1.0, 0.1, 0.05, 10)
 
 
 def test_khinchin_hand_example():

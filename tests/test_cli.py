@@ -555,6 +555,39 @@ def test_experiment_ignores_unknown_generator_keys(tmp_path, capsys):
     assert len((tmp_path / "out" / "results.csv").read_text().splitlines()) == 2
 
 
+def test_experiment_warns_of_unread_keys(tmp_path, monkeypatch, capsys):
+    # Misspelled keys keep their defaults in force, and so the outputs; each
+    # is named on stderr before the first trial trains.
+    import simbound.cli as cli
+
+    config = experiment_config(tmp_path, "plain")
+    config_path = tmp_path / "plain.json"
+    config_path.write_text(json.dumps(config))
+    assert run_cli(["experiment", "--config", str(config_path)]) == 0
+    assert capsys.readouterr().err == ""
+    config.update(output_dir=str(tmp_path / "typo"), max_iter=5)
+    config["generator"]["irrelevant_dim"] = 3
+    config_path = tmp_path / "typo.json"
+    config_path.write_text(json.dumps(config))
+    train = cli.train_similarity
+    stderr_at_first_trial = []
+
+    def recording_train(*args):
+        if not stderr_at_first_trial:
+            stderr_at_first_trial.append(capsys.readouterr().err)
+        return train(*args)
+
+    monkeypatch.setattr(cli, "train_similarity", recording_train)
+    assert run_cli(["experiment", "--config", str(config_path)]) == 0
+    assert stderr_at_first_trial == [
+        "warning: experiment config field 'max_iter' is not read\n"
+        "warning: generator field 'irrelevant_dim' is not read\n"
+    ]
+    assert capsys.readouterr().err == ""
+    assert ((tmp_path / "typo" / "results.csv").read_bytes()
+            == (tmp_path / "plain" / "results.csv").read_bytes())
+
+
 def test_no_subcommand_exits_1(capsys):
     assert run_cli([]) == 1
     capsys.readouterr()

@@ -1,6 +1,8 @@
 """Each JSON document simbound writes and reads back is stated by one field
 table: every field the writer emits is checked by the loader, and the
-README's field lists are the tables'."""
+README's field lists are the tables'.  Likewise each public name is stated
+once, in the ``__all__`` of the module that defines it, and the README's
+Python API lists are those."""
 
 import dataclasses
 import json
@@ -9,6 +11,7 @@ import re
 
 import pytest
 
+import simbound
 from simbound import BoundReport, SimilarityConfig, load_separator, train_separator, train_similarity
 from simbound.data import _DATASET_FIELDS, _write_json, dataset_from_json_dict, dataset_to_json_dict
 from simbound.separator import _SEPARATOR_FIELDS, separator_to_json_dict
@@ -76,3 +79,27 @@ def test_readme_field_lists_are_the_tables():
         "Separator": [row[0] for row in _SEPARATOR_FIELDS],
         "Bound report": report_fields,
     }
+
+
+def _readme_api_lists():
+    """Each "- `simbound.<module>` ...: `name`, ..." list of the Python API."""
+    section = README.read_text(encoding="utf-8").split("\n## Python API\n")[1].split("\n## ")[0]
+    found = re.findall(r"^- `simbound\.(\w+)`[^:\n]*:(.*?)(?=\n- |\n\n)",
+                       section, re.MULTILINE | re.DOTALL)
+    return [(module, re.findall(r"`(\w+)`", names)) for module, names in found]
+
+
+def test_each_public_name_has_one_owner():
+    modules = [simbound.data, simbound.norms, simbound.similarity, simbound.separator,
+               simbound.bounds, simbound.errors]
+    names = [name for module in modules for name in module.__all__]
+    assert len(set(names)) == len(names)
+    assert simbound.__all__ == names
+    for module in modules:
+        for name in module.__all__:
+            # An alias such as true_hinge_error names a function of its own
+            # module, and the package re-exports the module's object.
+            assert getattr(module, name).__module__ == module.__name__, name
+            assert getattr(simbound, name) is getattr(module, name), name
+    assert _readme_api_lists() == [(module.__name__.split(".")[1], module.__all__)
+                                   for module in modules]
