@@ -23,7 +23,7 @@ from .data import (
     _rademacher_signs, _require, _write_json, philox_generator,
 )
 from .norms import NormKind, _norm_kind, _rank1_factors
-from .similarity import _signed_features, empirical_similarity_error
+from .similarity import _check_dim, _signed_features, empirical_similarity_error
 
 __all__ = [
     "BoundReport", "build_bound_report", "x_star", "rademacher_empirical", "rademacher_analytic",
@@ -117,15 +117,14 @@ def _analytic_estimate(kind, x_star_value, max_two, sum_sq_two, m, d):
 
 def rademacher_analytic(data, kind):
     """Per-kind closed-form upper estimate with suprema over the sample."""
+    return _sample_analytic_estimate(data, kind, x_star(data, kind))
+
+
+def _sample_analytic_estimate(data, kind, x_star_value):
+    # build_bound_report passes the X* it has already computed.
     row_norms = np.linalg.norm(data.features, axis=1)
-    return _analytic_estimate(
-        kind,
-        x_star(data, kind),
-        float(np.max(row_norms)),
-        float(np.sum(row_norms ** 2)),
-        data.m,
-        data.d,
-    )
+    max_two, sum_sq_two = float(np.max(row_norms)), float(np.sum(row_norms ** 2))
+    return _analytic_estimate(kind, x_star_value, max_two, sum_sq_two, data.m, data.d)
 
 
 def _deviation_tail(x_star_value, r_m, margin, lam, delta, m):
@@ -203,8 +202,7 @@ def build_bound_report(model, data, delta=0.05, mc_draws=1000, seed=0):
     Rademacher estimates; both are recorded, along with the Monte-Carlo
     standard error, so the choice can be audited.
     """
-    if model.d != data.d:
-        raise ValueError(f"model dimension {model.d} does not match data dimension {data.d}")
+    _check_dim("model", model.d, data)
     # Checked before the Monte-Carlo draws, which may be many.
     _require("delta", delta, _PROBABILITY)
     lam = model.config.lam
@@ -212,7 +210,7 @@ def build_bound_report(model, data, delta=0.05, mc_draws=1000, seed=0):
     kind = model.config.norm_kind
     x_s = x_star(data, kind)
     r_emp, r_se = rademacher_empirical(data, kind, mc_draws, seed)
-    r_ana = rademacher_analytic(data, kind)
+    r_ana = _sample_analytic_estimate(data, kind, x_s)
     r_used = min(r_emp, r_ana)
     e_z = empirical_similarity_error(model.matrix, data, margin)
     return BoundReport(

@@ -11,6 +11,7 @@ import argparse
 import functools
 import hashlib
 import itertools
+import json
 import math
 import os
 import sys
@@ -21,21 +22,9 @@ import numpy as np
 
 from .bounds import build_bound_report, khinchin_check, report_to_json_dict, save_report
 from .data import (
-    GeneratorSpec,
-    _COUNT,
-    _GENERATOR_KIND,
-    _INT,
-    _NUMBER,
-    _OBJECT,
-    _PROBABILITY,
-    _checked,
-    _csv_cell,
-    _is_count,
-    _is_grid,
-    _read_json,
-    _write_json,
-    generate,
-    load_csv,
+    GeneratorKind, GeneratorSpec, _COUNT, _GENERATOR_KIND, _INT, _NONNEGATIVE_INT, _NUMBER,
+    _OBJECT, _POSITIVE, _PROBABILITY, _checked, _csv_cell, _is_count, _is_grid, _read_json,
+    _write_json, generate, load_csv,
 )
 from .errors import NumericalError
 from .norms import _NORM_KIND, NormKind
@@ -77,24 +66,62 @@ EXPERIMENT_CSV_COLUMNS = (
     "trial_seed",
 )
 
+# Each block of the experiment config is stated by one table, a row per key:
+# its name, the whole rule its value must meet, its default (or _REQUIRED)
+# and what it sets.  The rows drive the loader's checks, its defaults and
+# its unread-key warnings, and the key list of `experiment --help`, which
+# the README quotes.  Missing keys are reported in row order.
+_REQUIRED = object()
+
+_COUNT_GRID = (_is_grid(_is_count), "a nonempty list of distinct positive ints below 2**63")
+
+_CONFIG_FIELDS = (
+    ("generator", _OBJECT, _REQUIRED,
+     "the data generator (keys below); its d and seed are set per trial"),
+    ("m_values", _COUNT_GRID, _REQUIRED, "training sample sizes, one axis of the grid"),
+    ("d_values", _COUNT_GRID, _REQUIRED, "feature dimensions, one axis of the grid"),
+    ("norm_kinds", (_is_grid(_NORM_KIND[0]), "a nonempty list of distinct norm kinds"), _REQUIRED,
+     "regularizers, one axis of the grid: " + ", ".join(kind.value for kind in NormKind)),
+    ("lambda", _POSITIVE, _REQUIRED, "weight of the norm penalty in stage one"),
+    ("margin", _POSITIVE, _REQUIRED,
+     "margin r of stage one's hinge; 1/r is the separator's L1 radius"),
+    ("delta", _PROBABILITY, _REQUIRED, "each bound holds with probability at least 1 - delta"),
+    ("trials", _COUNT, _REQUIRED, "runs per (m, d, norm kind) cell"),
+    ("mc_draws", _COUNT, _REQUIRED, "Monte-Carlo draws per Rademacher estimate"),
+    ("seed", _INT, _REQUIRED, "master seed of the per-trial seeds"),
+    ("holdout_m", _COUNT, 10000, "fresh holdout examples per trial"),
+    ("max_iters", _COUNT, 500, "iteration cap of both solvers"),
+    ("step0", _POSITIVE, 1.0, "step scale of both solvers"),
+    ("output_dir", (lambda value: isinstance(value, str), "a string"), _REQUIRED,
+     "directory for results.csv and summary.json"),
+)
+
+_GENERATOR_FIELDS = (
+    ("kind", _GENERATOR_KIND, _REQUIRED, " or ".join(kind.value for kind in GeneratorKind)),
+    ("mean_separation", _NUMBER, _REQUIRED, "distance between the two class means"),
+    ("noise_sigma", _POSITIVE, _REQUIRED, "standard deviation of the noise in every coordinate"),
+    ("irrelevant_dims", _NONNEGATIVE_INT, 0,
+     "pure-noise coordinates: below each d for sparse_blobs, else 0"),
+)
+
+
+def _key_list(rows, prefix=""):
+    """The help's lines for a table: the key, its rule and its default, then
+    what it sets."""
+    return "".join(
+        f"  {prefix}{name}: {rule[1]}; "
+        f"{'required' if default is _REQUIRED else f'default {json.dumps(default)}'}\n"
+        f"      {sets}\n"
+        for name, rule, default, sets in rows
+    )
+
+
 _EXPERIMENT_HELP = f"""\
-Config JSON fields:
-  generator     {{"kind": "two_gaussians"|"sparse_blobs", "mean_separation": f,
-                 "noise_sigma": f, "irrelevant_dims": n}}
-                (dimension and seed are filled in per cell)
-  m_values      nonempty list of distinct positive ints below 2**63
-  d_values      nonempty list of distinct positive ints below 2**63
-  norm_kinds    nonempty list of distinct kinds from {{l1, fro, mixed21, trace}}
-  lambda, margin, delta    positive reals, 0 < delta < 1
-  trials        runs per (m, d, norm) cell
-  mc_draws      Monte-Carlo draws per Rademacher estimate
-  seed          master seed; per-trial seeds are derived by hashing
-                (seed, m, d, norm, trial, role) so cells never interact
-  holdout_m     fresh holdout size per trial (default 10000)
-  max_iters     solver iteration cap for both stages (default 500)
-  step0         solver step scale (default 1.0)
-  output_dir    directory for results.csv and summary.json
-  Any other key is not read; stderr names each one in a warning line.
+Config JSON keys, each with its rule, its default and what it sets:
+{_key_list(_CONFIG_FIELDS)}{_key_list(_GENERATOR_FIELDS, "generator.")}
+Any other key is not read; stderr names each one in a warning line.
+Per-trial seeds are derived by hashing (seed, m, d, norm kind, trial, role),
+so cells never interact.
 
 results.csv columns, in order:
 {textwrap.indent(textwrap.fill(", ".join(EXPERIMENT_CSV_COLUMNS), 74), "  ")}
@@ -118,18 +145,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _norm_flag(parser):
-    parser.add_argument(
-        "--norm",
-        required=True,
-        choices=[kind.value for kind in NormKind],
-        help="matrix-norm regularizer",
-    )
-
-
 def _solver_flags(parser):
-    parser.add_argument("--max-iters", type=int, default=2000)
-    parser.add_argument("--step0", type=float, default=1.0)
+    parser.add_argument("--max-iters", type=int)
+    parser.add_argument("--step0", type=float)
+
+
+def _given(args, *names):
+    """The named flags that were given, as keyword arguments: an omitted
+    flag is left out, and so the library's default holds."""
+    return {name: getattr(args, name) for name in names if name in args}
 
 
 def build_parser():
@@ -139,29 +163,32 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_train = sub.add_parser("train", help="learn a similarity matrix from CSV data")
+    # These four leave an omitted optional flag out of args; see _given.
+    library = {"argument_default": argparse.SUPPRESS}
+    p_train = sub.add_parser("train", help="learn a similarity matrix from CSV data", **library)
     p_train.add_argument("--data", required=True, help="training CSV (label,feat_1,...,feat_d)")
-    _norm_flag(p_train)
+    p_train.add_argument("--norm", required=True, choices=[kind.value for kind in NormKind],
+                         help="matrix-norm regularizer")
     p_train.add_argument("--lambda", dest="lam", type=float, required=True)
     p_train.add_argument("--margin", type=float, required=True)
     _solver_flags(p_train)
-    p_train.add_argument("--rel-tol", type=float, default=1e-8)
+    p_train.add_argument("--rel-tol", type=float)
     p_train.add_argument("--out", required=True, help="output model JSON path")
     p_train.set_defaults(func=cmd_train)
 
-    p_sep = sub.add_parser("separator", help="train the L1-constrained separator")
+    p_sep = sub.add_parser("separator", help="train the L1-constrained separator", **library)
     p_sep.add_argument("--model", required=True, help="similarity model JSON")
     p_sep.add_argument("--data", required=True)
     _solver_flags(p_sep)
     p_sep.add_argument("--out", required=True, help="output separator JSON path")
     p_sep.set_defaults(func=cmd_separator)
 
-    p_bounds = sub.add_parser("bounds", help="emit a certificate report for a model")
+    p_bounds = sub.add_parser("bounds", help="emit a certificate report for a model", **library)
     p_bounds.add_argument("--model", required=True)
     p_bounds.add_argument("--data", required=True)
-    p_bounds.add_argument("--delta", type=float, default=0.05)
-    p_bounds.add_argument("--mc-draws", type=int, default=1000)
-    p_bounds.add_argument("--seed", type=int, default=0)
+    p_bounds.add_argument("--delta", type=float)
+    p_bounds.add_argument("--mc-draws", type=int)
+    p_bounds.add_argument("--seed", type=int)
     p_bounds.add_argument("--out", required=True, help="output report JSON path")
     p_bounds.set_defaults(func=cmd_bounds)
 
@@ -181,13 +208,13 @@ def build_parser():
     p_exp.add_argument("--config", required=True, help="experiment config JSON")
     p_exp.set_defaults(func=cmd_experiment)
 
-    p_khi = sub.add_parser("khinchin", help="moment-comparison check for Rademacher sums")
+    p_khi = sub.add_parser("khinchin", help="moment-comparison check for Rademacher sums", **library)
     p_khi.add_argument("--f", required=True, help="comma-separated coefficients")
     p_khi.add_argument("--p", type=float, required=True)
     p_khi.add_argument("--q", type=float, required=True)
-    p_khi.add_argument("--mode", choices=["exact", "mc"], default="exact")
-    p_khi.add_argument("--mc-draws", type=int, default=100000)
-    p_khi.add_argument("--seed", type=int, default=0)
+    p_khi.add_argument("--mode", choices=["exact", "mc"])
+    p_khi.add_argument("--mc-draws", type=int)
+    p_khi.add_argument("--seed", type=int)
     p_khi.set_defaults(func=cmd_khinchin)
 
     return parser
@@ -199,9 +226,7 @@ def cmd_train(args):
         lam=args.lam,
         margin=args.margin,
         norm_kind=NormKind(args.norm),
-        max_iters=args.max_iters,
-        step0=args.step0,
-        rel_tol=args.rel_tol,
+        **_given(args, "max_iters", "step0", "rel_tol"),
     )
     model = train_similarity(data, config)
     save_model(model, args.out)
@@ -212,7 +237,7 @@ def cmd_train(args):
 def cmd_separator(args):
     model = load_model(args.model)
     data = load_csv(args.data)
-    sep = train_separator(model, data, max_iters=args.max_iters, step0=args.step0)
+    sep = train_separator(model, data, **_given(args, "max_iters", "step0"))
     save_separator(sep, args.out)
     print(f"hinge_error {empirical_hinge_error(sep, data)!r}")
     return 0
@@ -221,13 +246,9 @@ def cmd_separator(args):
 def cmd_bounds(args):
     model = load_model(args.model)
     data = load_csv(args.data)
-    report = build_bound_report(
-        model, data, delta=args.delta, mc_draws=args.mc_draws, seed=args.seed
-    )
+    report = build_bound_report(model, data, **_given(args, "delta", "mc_draws", "seed"))
     save_report(report, args.out)
-    print(
-        f"theorem1_bound {report.theorem1_bound!r} theorem2_bound {report.theorem2_bound!r}"
-    )
+    print(f"theorem1_bound {report.theorem1_bound!r} theorem2_bound {report.theorem2_bound!r}")
     return 0
 
 
@@ -260,43 +281,18 @@ def derive_seed(master_seed, *parts):
     return int.from_bytes(digest, "little")
 
 
-# Types only: GeneratorSpec, built at load, checks the ranges.
-_GENERATOR_CHECKS = (
-    ("kind", _GENERATOR_KIND),
-    ("mean_separation", _NUMBER),
-    ("noise_sigma", _NUMBER),
-    ("irrelevant_dims", _INT),
-)
-
-_COUNT_GRID = (_is_grid(_is_count), "a nonempty list of distinct positive ints below 2**63")
-
-# Missing fields are reported in this order.
-_CONFIG_CHECKS = (
-    ("generator", _OBJECT),
-    ("m_values", _COUNT_GRID),
-    ("d_values", _COUNT_GRID),
-    ("norm_kinds", (_is_grid(_NORM_KIND[0]), "a nonempty list of distinct norm kinds")),
-    ("lambda", _NUMBER),
-    ("margin", _NUMBER),
-    ("delta", _PROBABILITY),
-    ("trials", _COUNT),
-    ("mc_draws", _COUNT),
-    ("seed", _INT),
-    ("holdout_m", _COUNT),
-    ("max_iters", _COUNT),
-    ("step0", _NUMBER),
-    ("output_dir", (lambda value: isinstance(value, str), "a string")),
-)
-
-
-def _warn_unread(block, checks, context):
-    """One stderr line per field of block that no row of checks names: a
-    misspelled optional key would otherwise leave its default in force
-    without a word."""
-    read = {name for name, _ in checks}
+def _warn_unread(block, rows, context):
+    """One stderr line per field of block that no row names: a misspelled
+    optional key would otherwise leave its default in force without a
+    word."""
+    read = {name for name, *_ in rows}
     for name in block:
         if name not in read:
             print(f"warning: {context} field {name!r} is not read", file=sys.stderr)
+
+
+def _defaults(rows):
+    return {name: default for name, _, default, _ in rows if default is not _REQUIRED}
 
 
 def _load_experiment_config(path):
@@ -304,28 +300,21 @@ def _load_experiment_config(path):
     ``settings`` (a SimilarityConfig per norm kind), built here so that
     their range checks run before anything is written."""
     doc = _checked(
-        _read_json(path),
-        _CONFIG_CHECKS,
-        {"holdout_m": 10000, "max_iters": 500, "step0": 1.0},
-        "experiment config",
+        _read_json(path), _CONFIG_FIELDS, _defaults(_CONFIG_FIELDS), "experiment config"
     )
     gen = _checked(
-        doc["generator"], _GENERATOR_CHECKS, {"irrelevant_dims": 0}, "generator block", "generator."
+        doc["generator"], _GENERATOR_FIELDS, _defaults(_GENERATOR_FIELDS), "generator block",
+        "generator.",
     )
-    _warn_unread(doc, _CONFIG_CHECKS, "experiment config")
-    _warn_unread(gen, _GENERATOR_CHECKS, "generator")
+    _warn_unread(doc, _CONFIG_FIELDS, "experiment config")
+    _warn_unread(gen, _GENERATOR_FIELDS, "generator")
     doc["specs"] = {
-        d: GeneratorSpec(d=d, **{field: gen[field] for field, _ in _GENERATOR_CHECKS})
+        d: GeneratorSpec(d=d, **{name: gen[name] for name, *_ in _GENERATOR_FIELDS})
         for d in doc["d_values"]
     }
     doc["settings"] = [
-        SimilarityConfig(
-            lam=doc["lambda"],
-            margin=doc["margin"],
-            norm_kind=kind,
-            max_iters=doc["max_iters"],
-            step0=doc["step0"],
-        )
+        SimilarityConfig(lam=doc["lambda"], margin=doc["margin"], norm_kind=kind,
+                         max_iters=doc["max_iters"], step0=doc["step0"])
         for kind in doc["norm_kinds"]
     ]
     return doc
@@ -422,7 +411,7 @@ def cmd_khinchin(args):
     except ValueError:
         raise ValueError(f"could not parse --f {args.f!r} as comma-separated floats") from None
     lhs, rhs, holds = khinchin_check(
-        f, args.p, args.q, mode=args.mode, mc_draws=args.mc_draws, seed=args.seed
+        f, args.p, args.q, **_given(args, "mode", "mc_draws", "seed")
     )
     _write_json({"lhs": lhs, "rhs": rhs, "holds": holds})
     return 0

@@ -18,7 +18,8 @@ from .data import (
 )
 from .errors import NumericalError
 from .similarity import (
-    SimilarityModel, _hinge_error, _signed_features, model_from_json_dict, model_to_json_dict,
+    SimilarityModel, _check_dim, _hinge_error, _signed_features, model_from_json_dict,
+    model_to_json_dict,
 )
 
 __all__ = [
@@ -140,8 +141,7 @@ def train_separator(model, data, max_iters=2000, step0=1.0):
     matrix-vector products, plus one sort of m magnitudes when the step
     leaves the ball.
     """
-    if model.d != data.d:
-        raise ValueError(f"model dimension {model.d} does not match data dimension {data.d}")
+    _check_dim("model", model.d, data)
     _require("max_iters", max_iters, _COUNT)
     _require("step0", step0, _POSITIVE)
     margin = model.config.margin

@@ -80,10 +80,15 @@ class SimilarityModel:
         return self.matrix.shape[0]
 
 
+def _check_dim(name, dim, data):
+    # name is the matrix or model whose dimension dim is.
+    if dim != data.d:
+        raise ValueError(f"{name} dimension {dim} does not match data dimension {data.d}")
+
+
 def _check_data_dims(a, data):
     a = require_symmetric(a)
-    if a.shape[0] != data.d:
-        raise ValueError(f"matrix dimension {a.shape[0]} does not match data dimension {data.d}")
+    _check_dim("matrix", a.shape[0], data)
     return a
 
 

@@ -344,9 +344,18 @@ def test_khinchin_exact_mode_builds_no_generator(monkeypatch):
             khinchin_check([1.0, 1.0], 2.0, 4.0, seed=seed)
 
 
-def test_build_report_internal_consistency():
+def test_build_report_internal_consistency(monkeypatch):
+    import simbound.bounds as bounds
+
     model, data = _trained_pair(520)
+    calls = []
+    monkeypatch.setattr(bounds, "x_star", lambda *args: calls.append(args) or x_star(*args))
     report = build_bound_report(model, data, delta=0.05, mc_draws=300, seed=4)
+    # X* is computed once, and the analytic estimate reuses it.
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert report.x_star == x_star(data, model.config.norm_kind)
+    assert report.r_m_analytic == rademacher_analytic(data, model.config.norm_kind)
     assert report.r_m_used == min(report.r_m_empirical, report.r_m_analytic)
     assert report.theorem1_bound == theorem1_bound(
         report.x_star, report.r_m_used, report.margin, report.lam, report.delta, report.m

@@ -8,7 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
-from simbound import khinchin_check, load_model, load_separator, norm, save_csv
+from simbound import (
+    SimilarityConfig, build_bound_report, khinchin_check, load_csv, load_model, load_separator,
+    norm, save_csv, save_model, save_report, save_separator, train_separator, train_similarity,
+)
 from simbound.cli import EXPERIMENT_CSV_COLUMNS, _parser, derive_seed, main
 from conftest import make_rng, random_dataset
 
@@ -328,6 +331,27 @@ def test_malformed_artifact_exits_1(train_csv, tmp_path, capsys, artifact, field
     assert not out.exists()
 
 
+def test_omitted_flags_take_the_library_defaults(train_csv, tmp_path, capsys):
+    # The CLI states no default of its own: each command without its
+    # optional flags writes the bytes of the library call without them.
+    data = load_csv(train_csv)
+    out = {name: tmp_path / f"{name}.json" for name in ("model", "sep", "report", "expected")}
+    assert run_cli(["train", "--data", str(train_csv), "--norm", "fro", "--lambda", "0.1",
+                    "--margin", "1.0", "--out", str(out["model"])]) == 0
+    model = train_similarity(data, SimilarityConfig(0.1, 1.0, "fro"))
+    save_model(model, out["expected"])
+    assert out["model"].read_bytes() == out["expected"].read_bytes()
+    assert run_cli(["separator", "--model", str(out["model"]), "--data", str(train_csv),
+                    "--out", str(out["sep"])]) == 0
+    save_separator(train_separator(model, data), out["expected"])
+    assert out["sep"].read_bytes() == out["expected"].read_bytes()
+    assert run_cli(["bounds", "--model", str(out["model"]), "--data", str(train_csv),
+                    "--out", str(out["report"])]) == 0
+    save_report(build_bound_report(model, data), out["expected"])
+    assert out["report"].read_bytes() == out["expected"].read_bytes()
+    capsys.readouterr()
+
+
 def test_derive_seed_is_stable_and_spread():
     assert derive_seed(7, 10, 2, "fro", 0) == derive_seed(7, 10, 2, "fro", 0)
     seen = {derive_seed(7, m, d, kind, t)
@@ -508,14 +532,14 @@ def test_experiment_mistyped_config(tmp_path, capsys, field, value):
     ({"lambda": -1}, "lambda must be positive and finite, got -1"),
     ({"margin": 0}, "margin must be positive and finite, got 0"),
     ({"step0": -1}, "step0 must be positive and finite, got -1"),
-    ({"generator.noise_sigma": 0}, "noise_sigma must be positive and finite, got 0"),
-    ({"generator.irrelevant_dims": -1}, "irrelevant_dims must be a nonnegative int, got -1"),
+    ({"generator.noise_sigma": 0}, "generator.noise_sigma must be positive and finite, got 0"),
+    ({"generator.irrelevant_dims": -1}, "generator.irrelevant_dims must be a nonnegative int, got -1"),
     ({"generator.kind": "sparse_blobs", "generator.irrelevant_dims": 1, "d_values": [3, 1]},
      "irrelevant_dims must be below d for sparse blobs, got 1 with d=1"),
     ({"generator.irrelevant_dims": 7}, "irrelevant_dims must be 0 for two_gaussians, got 7"),
     # json.load reads any run of digits as an int; one beyond the float
     # range is no finite number.
-    ({"margin": 10 ** 400}, f"margin must be a finite number, got {10 ** 400}"),
+    ({"margin": 10 ** 400}, f"margin must be positive and finite, got {10 ** 400}"),
     ({"generator.mean_separation": -10 ** 400},
      f"generator.mean_separation must be a finite number, got {-10 ** 400}"),
     # A count must fit the int64 that numpy sizes arrays with.
@@ -604,8 +628,14 @@ def test_repeated_calls_share_one_parser_without_leaking_flags(capsys):
     first = json.loads(capsys.readouterr().out)
     assert run_cli(argv) == 0
     second = json.loads(capsys.readouterr().out)
+    # Omitted flags take khinchin_check's defaults: exact mode, and in mc
+    # mode its draw count and seed.
+    assert run_cli(argv + ["--mode", "mc"]) == 0
+    third = json.loads(capsys.readouterr().out)
     mc = khinchin_check(np.array([1.0, 2.0]), 2.0, 4.0, mode="mc", mc_draws=500, seed=3)
     exact = khinchin_check(np.array([1.0, 2.0]), 2.0, 4.0)
-    assert mc != exact
+    mc_defaults = khinchin_check(np.array([1.0, 2.0]), 2.0, 4.0, mode="mc")
+    assert len({mc, exact, mc_defaults}) == 3
     assert (first["lhs"], first["rhs"], first["holds"]) == mc
     assert (second["lhs"], second["rhs"], second["holds"]) == exact
+    assert (third["lhs"], third["rhs"], third["holds"]) == mc_defaults

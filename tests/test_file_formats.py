@@ -2,7 +2,9 @@
 table: every field the writer emits is checked by the loader, and the
 README's field lists are the tables'.  Likewise each public name is stated
 once, in the ``__all__`` of the module that defines it, and the README's
-Python API lists are those."""
+Python API lists are those; and each key of the experiment config is
+stated once, by a row of its block's table in ``cli.py``, and the README's
+key list is those rows."""
 
 import dataclasses
 import json
@@ -13,6 +15,7 @@ import pytest
 
 import simbound
 from simbound import BoundReport, SimilarityConfig, load_separator, train_separator, train_similarity
+from simbound.cli import _CONFIG_FIELDS, _GENERATOR_FIELDS, _REQUIRED, _load_experiment_config
 from simbound.data import _DATASET_FIELDS, _write_json, dataset_from_json_dict, dataset_to_json_dict
 from simbound.separator import _SEPARATOR_FIELDS, separator_to_json_dict
 from simbound.similarity import _MODEL_FIELDS, model_from_json_dict, model_to_json_dict
@@ -62,9 +65,13 @@ def test_every_field_is_checked_on_load(tmp_path, document, field):
             round_trip({**written, field: wrong})
 
 
+def _readme_section(title):
+    return README.read_text(encoding="utf-8").split(f"\n## {title}\n")[1].split("\n## ")[0]
+
+
 def _readme_field_lists():
     """Each "<document> JSON ... has exactly these fields:" list of File formats."""
-    section = README.read_text(encoding="utf-8").split("\n## File formats\n")[1].split("\n## ")[0]
+    section = _readme_section("File formats")
     found = re.findall(r"^(\w[\w ]*?) JSON\b[^\n]*?has exactly these fields:\n\n```\n(.*?)```",
                        section, re.MULTILINE | re.DOTALL)
     return {document: re.split(r",\s*", names.strip()) for document, names in found}
@@ -83,7 +90,7 @@ def test_readme_field_lists_are_the_tables():
 
 def _readme_api_lists():
     """Each "- `simbound.<module>` ...: `name`, ..." list of the Python API."""
-    section = README.read_text(encoding="utf-8").split("\n## Python API\n")[1].split("\n## ")[0]
+    section = _readme_section("Python API")
     found = re.findall(r"^- `simbound\.(\w+)`[^:\n]*:(.*?)(?=\n- |\n\n)",
                        section, re.MULTILINE | re.DOTALL)
     return [(module, re.findall(r"`(\w+)`", names)) for module, names in found]
@@ -103,3 +110,24 @@ def test_each_public_name_has_one_owner():
             assert getattr(simbound, name) is getattr(module, name), name
     assert _readme_api_lists() == [(module.__name__.split(".")[1], module.__all__)
                                    for module in modules]
+
+
+def test_readme_config_keys_are_the_tables():
+    # Each key is a line "  <key>: <rule>; required" or "...; default
+    # <JSON value>", and the next line says what it sets.
+    found = re.findall(r"^  ([\w.]+): (.+); (required|default .+)\n      (.+)$",
+                       _readme_section("CLI"), re.MULTILINE)
+    rows = [(prefix + name, rule[1],
+             "required" if default is _REQUIRED else f"default {json.dumps(default)}", sets)
+            for prefix, table in (("", _CONFIG_FIELDS), ("generator.", _GENERATOR_FIELDS))
+            for name, rule, default, sets in table]
+    assert found == rows
+
+
+def test_readme_minimal_config_loads_without_warning(tmp_path, capsys):
+    config = re.search(r"A minimal\s+config:\n\n```json\n(.*?)```", _readme_section("CLI"),
+                       re.DOTALL).group(1)
+    path = tmp_path / "config.json"
+    path.write_text(config, encoding="utf-8")
+    assert _load_experiment_config(path)["output_dir"] == "out"
+    assert capsys.readouterr().err == ""
