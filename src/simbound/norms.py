@@ -12,7 +12,8 @@ max row Euclidean norm, and the largest singular value respectively.
 
 Every proximal operator is exact over the symmetric subspace: l1, fro and
 trace in closed form, mixed21 by a Newton iteration that stops on a
-duality-gap certificate (see ``prox``).  Eigendecompositions go to LAPACK.
+duality-gap certificate (see ``prox``).  Eigendecompositions go to LAPACK,
+except that the float kernels take a 1x1 or 2x2 one in closed form.
 
 Stage one calls the kernels in two sets: ``_prox`` on arrays, and
 ``_prox_floats`` on lists of Python floats for small matrices (see
@@ -258,8 +259,11 @@ def _prox_floats(rows, tau, kind, spectrum=None):
     Stage one's float kernel set calls it on small matrices, where a NumPy
     call costs more than its arithmetic.  Returns the prox point as rows,
     its norm, and for trace the spectrum as two lists.  l1 and fro shrink
-    entry by entry; trace calls ``_eigh`` only when no spectrum is given
-    and rebuilds A from the thresholded spectrum; mixed21 runs
+    entry by entry; trace decomposes only when no spectrum is given, by
+    ``_spectrum_floats`` (one Jacobi rotation up to d = 2, ``_eigh``
+    above), and rebuilds A from the thresholded spectrum, at d = 2 by the
+    rebuild loop written out with the same operations in the same order,
+    so a finite d <= 2 trace prox makes no NumPy call; mixed21 runs
     ``_newton_mixed21_floats``.  Every sum accumulates with += in index
     order, from 0.0, which puts -0.0 where ``_prox`` puts it; nonzero
     entries and the norm may differ from ``_prox`` in the last bits.
@@ -284,10 +288,39 @@ def _prox_floats(rows, tau, kind, spectrum=None):
         return a, _fro_floats(a), None
     if kind is NormKind.MIXED21:
         return (*_newton_mixed21_floats(rows, tau), None)
-    if spectrum is None:
-        eigenvalues, vectors = _eigh(np.array(rows))
-        spectrum = eigenvalues.tolist(), vectors.tolist()
-    eigenvalues, vectors = spectrum
+    eigenvalues, vectors = _spectrum_floats(rows) if spectrum is None else spectrum
+    if len(vectors) == 2:
+        # _soft_threshold_floats and the loop below, written out for two
+        # eigenpairs.
+        x_0, x_1 = eigenvalues
+        total = 0.0
+        shrunk = abs(x_0) - tau
+        if shrunk <= 0.0:
+            t_0 = -0.0 if x_0 < 0.0 else 0.0
+        else:
+            total += shrunk
+            t_0 = x_0 - tau if x_0 > 0.0 else x_0 + tau
+        shrunk = abs(x_1) - tau
+        if shrunk <= 0.0:
+            t_1 = -0.0 if x_1 < 0.0 else 0.0
+        else:
+            total += shrunk
+            t_1 = x_1 - tau if x_1 > 0.0 else x_1 + tau
+        thresholded = [t_0, t_1]
+        (v_00, v_01), (v_10, v_11) = vectors
+        w_00 = v_00 * t_0
+        w_01 = v_01 * t_1
+        w_10 = v_10 * t_0
+        w_11 = v_11 * t_1
+        p_00 = 0.0 + w_00 * v_00 + w_01 * v_01
+        p_01 = 0.0 + w_00 * v_10 + w_01 * v_11
+        p_10 = 0.0 + w_10 * v_00 + w_11 * v_01
+        p_11 = 0.0 + w_10 * v_10 + w_11 * v_11
+        a = [
+            [(p_00 + p_00) / 2.0, (p_01 + p_10) / 2.0],
+            [(p_10 + p_01) / 2.0, (p_11 + p_11) / 2.0],
+        ]
+        return a, total, (thresholded, vectors)
     (thresholded,), total = _soft_threshold_floats((eigenvalues,), tau)
     # P = (vectors * thresholded) @ vectors.T, then A = (P + P^T) / 2.
     span = range(len(vectors))
@@ -311,6 +344,51 @@ def _prox_floats(rows, tau, kind, spectrum=None):
             a_i.append((product_i[j] + product[j][i]) / 2.0)
         a.append(a_i)
     return a, total, (thresholded, vectors)
+
+
+def _spectrum_floats(rows):
+    """Eigenvalues, ascending, and eigenvector rows of a symmetric matrix of rows.
+
+    Up to d = 2 with + - * / and ``math.sqrt`` only, so the bits do not
+    depend on the interpreter.  At d = 1 the entry is the eigenvalue, with
+    vector 1.  At d = 2 one Jacobi rotation (Golub & Van Loan, sym.schur2)
+    diagonalizes [[a, b], [b, c]]: with zeta = (c - a) / (2b) and
+    t = sign(zeta) / (|zeta| + sqrt(1 + zeta^2)), the smaller root of
+    t^2 + 2 zeta t - 1 = 0, the eigenvalues are a - t b and c + t b, with
+    eigenvectors the columns of [[cs, sn], [-sn, cs]], cs = 1 / sqrt(1 + t^2)
+    and sn = t cs.  A zeta^2 that overflows gives t = 0 and the diagonal:
+    the exact shift t b, about b^2 / (c - a), is then below 1e-308 |c - a|,
+    far under an ulp of the larger diagonal entry.  b = 0 gives the
+    diagonal.  Like ``_eigh``, b is read from the lower triangle.  A
+    non-finite entry, a 2b or c - a that overflows, and d >= 3 go to
+    ``_eigh``.
+    """
+    if len(rows) == 1:
+        x = rows[0][0]
+        if -math.inf < x < math.inf:
+            return [x], [[1.0]]
+    elif len(rows) == 2:
+        (a, _), (b, c) = rows
+        two_b = 2.0 * b
+        diff = c - a
+        # Both finite exactly when a, b and c are and neither overflows.
+        if -math.inf < two_b < math.inf and -math.inf < diff < math.inf:
+            if b == 0.0:
+                if c < a:
+                    return [c, a], [[0.0, 1.0], [1.0, 0.0]]
+                return [a, c], [[1.0, 0.0], [0.0, 1.0]]
+            zeta = diff / two_b
+            root = math.sqrt(1.0 + zeta * zeta)
+            t = 1.0 / (zeta + root) if zeta >= 0.0 else -1.0 / (root - zeta)
+            cs = 1.0 / math.sqrt(1.0 + t * t)
+            sn = t * cs
+            low = a - t * b
+            high = c + t * b
+            if high < low:
+                return [high, low], [[sn, cs], [cs, -sn]]
+            return [low, high], [[cs, sn], [-sn, cs]]
+    eigenvalues, vectors = _eigh(np.array(rows))
+    return eigenvalues.tolist(), vectors.tolist()
 
 
 def _soft_threshold_floats(rows, tau):

@@ -604,8 +604,9 @@ def reference_prox_floats(rows, tau, kind, spectrum=None):
     Returns (rows, norm, spectrum).  Every sum accumulates with += in index
     order from 0.0.  Soft thresholds are sign(x) max(|x| - tau, 0) with
     sign(0) = 0.  A given trace spectrum (thresholded eigenvalues,
-    eigenvector rows) is thresholded again instead of decomposing; mixed21
-    runs ``_reference_prox_mixed21`` on the array of the rows.
+    eigenvector rows) is thresholded again instead of decomposing, and
+    otherwise ``reference_spectrum_floats`` decomposes; mixed21 runs
+    ``_reference_prox_mixed21`` on the array of the rows.
     """
     d = len(rows)
     rng = range(d)
@@ -628,8 +629,7 @@ def reference_prox_floats(rows, tau, kind, spectrum=None):
         a, total = _reference_prox_mixed21(np.array(rows), tau)
         return a.tolist(), total, None
     if spectrum is None:
-        values, vectors = np.linalg.eigh(np.array(rows))
-        spectrum = values.tolist(), vectors.tolist()
+        spectrum = reference_spectrum_floats(rows)
     values, vectors = spectrum
     thresholded = [_float_sign(x) * max(abs(x) - tau, 0.0) for x in values]
     total = 0.0
@@ -641,6 +641,43 @@ def reference_prox_floats(rows, tau, kind, spectrum=None):
     ]
     a = [[(product[i][j] + product[j][i]) / 2.0 for j in rng] for i in rng]
     return a, total, (thresholded, vectors)
+
+
+def reference_spectrum_floats(rows):
+    """Eigenvalues, ascending, and eigenvector rows of a symmetric list of rows.
+
+    d = 1: the entry, with vector 1.  d = 2, when every entry, 2b and c - a
+    are finite: b = 0 gives the diagonal; otherwise one Jacobi rotation
+    (Golub & Van Loan, sym.schur2) with zeta = (c - a) / (2b), sign(0) = +1,
+    t = sign(zeta) / (|zeta| + sqrt(1 + zeta^2)), cs = 1 / sqrt(1 + t^2),
+    sn = t cs gives the eigenpairs (a - t b, (cs, -sn)) and
+    (c + t b, (sn, cs)).  The pairs are sorted by eigenvalue, stably, and
+    b is the lower-triangle entry, as LAPACK reads it.  Anything else goes
+    to np.linalg.eigh.
+    """
+    d = len(rows)
+    finite = all(math.isfinite(x) for row in rows for x in row)
+    if d == 1 and finite:
+        return [rows[0][0]], [[1.0]]
+    if d == 2 and finite:
+        a, b, c = rows[0][0], rows[1][0], rows[1][1]
+        if math.isfinite(2.0 * b) and math.isfinite(c - a):
+            if b == 0.0:
+                pairs = [(a, [1.0, 0.0]), (c, [0.0, 1.0])]
+            else:
+                zeta = (c - a) / (2.0 * b)
+                sign = -1.0 if zeta < 0.0 else 1.0
+                t = sign / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
+                cs = 1.0 / math.sqrt(1.0 + t * t)
+                sn = t * cs
+                pairs = [(a - t * b, [cs, -sn]), (c + t * b, [sn, cs])]
+            pairs.sort(key=lambda pair: pair[0])
+            values = [value for value, _ in pairs]
+            # Eigenvectors are the columns.
+            vectors = [[vector[i] for _, vector in pairs] for i in range(2)]
+            return values, vectors
+    values, vectors = np.linalg.eigh(np.array(rows))
+    return values.tolist(), vectors.tolist()
 
 
 def _float_sign(x):

@@ -230,6 +230,8 @@ def test_prox_matches_reference_bits(rng):
                 assert rows_norm == expected_norm and type(rows_norm) is float, kind
                 if spectrum is None:
                     continue
+                for part, expected_part in zip(spectrum, expected_spectrum):
+                    _assert_same_bits(part, expected_part)
                 again, again_norm, _ = _prox_floats(rows, 0.05, NormKind.TRACE, spectrum)
                 expected, expected_norm, _ = reference_prox_floats(
                     expected, 0.05, kind, expected_spectrum
@@ -242,6 +244,153 @@ def _assert_same_bits(out, expected):
     assert type(out) is type(expected)
     out, expected = np.asarray(out), np.asarray(expected)
     assert out.tobytes() == expected.tobytes(), (out, expected)
+
+
+def _no_eigh(a):
+    raise AssertionError(f"_eigh called on shape {a.shape}")
+
+
+def _spectrum_inputs(rng):
+    """Entries (a, b, c) of [[a, b], [b, c]]: random ones, then adversarial ones."""
+    for _ in range(2000):
+        yield tuple((rng.standard_normal(3) * 10.0 ** rng.uniform(-8.0, 8.0, 3)).tolist())
+    yield from [
+        # a = c, where zeta = 0 and t = 1.
+        (1.0, 0.5, 1.0), (-3.0, -2.0, -3.0), (0.0, 1.0, 0.0), (0.0, -1.0, -0.0),
+        # b = +-0.0: the diagonal, in order or swapped.
+        (1.0, 0.0, 2.0), (2.0, -0.0, 1.0), (-0.0, 0.0, 0.0), (1.0, -0.0, 1.0),
+        # Subnormal b, with a = c and with zeta^2 overflowing.
+        (1.0, 5e-324, 1.0), (1.0, -1e-310, 2.0), (0.0, 2.5e-320, -0.0),
+        # Near the top of the range, with 2b and c - a still finite.
+        (1e308, 5e307, -5e307), (-1e308, 8e307, 0.0), (1.5e308, -1e307, 1.5e308),
+        (-8e307, 8.9e307, 8e307),
+        # Near the bottom of the range.
+        (1e-300, 3e-300, -2e-300), (-1e-300, 1e-300, -1e-300), (1e-300, -2e-300, 1e-300),
+        # One huge entry with tiny ones.
+        (1e300, 1e-300, 1e-300), (1e-300, 1e-300, -1e300), (1e-300, 1e300, 0.0),
+        (1e300, -1e-300, -1e300), (5e-324, 1e300, 5e-324),
+    ]
+
+
+def test_spectrum_floats_matches_eigh(monkeypatch, rng):
+    # Eigenpairs of a 2x2 matrix by one rotation, with no LAPACK call:
+    # ascending, and within a few ulps of max|entry| of eigh's eigenvalues,
+    # of B rebuilt and of orthonormal, checked on B scaled by a power of two
+    # near its largest entry so that nothing overflows or underflows.
+    monkeypatch.setattr(norms, "_eigh", _no_eigh)
+    eps = 2.0 ** -52
+    for a, b, c in _spectrum_inputs(rng):
+        rows = [[a, b], [b, c]]
+        eigenvalues, vectors = norms._spectrum_floats(rows)
+        assert eigenvalues[0] <= eigenvalues[1], rows
+        assert all(type(x) is float for x in [*eigenvalues, *vectors[0], *vectors[1]])
+        w, v, matrix = np.array(eigenvalues), np.array(vectors), np.array(rows)
+        exponent = math.frexp(float(np.abs(matrix).max()))[1]
+        rebuilt = (v * np.ldexp(w, -exponent)) @ v.T
+        assert np.abs(rebuilt - np.ldexp(matrix, -exponent)).max() <= 4 * eps, rows
+        assert np.abs(v.T @ v - np.eye(2)).max() <= 4 * eps, rows
+        expected = np.linalg.eigh(matrix)[0]
+        assert np.abs(np.ldexp(w - expected, -exponent)).max() <= 4 * eps, rows
+    for x in (2.5, -0.0, 5e-324, -1e308):
+        assert norms._spectrum_floats([[x]]) == ([x], [[1.0]])
+
+
+def test_spectrum_floats_leaves_the_rest_to_eigh(monkeypatch):
+    # Non-finite entries, a 2b or c - a that overflows, and d >= 3.
+    calls = []
+    eigh = norms._eigh
+
+    def recorded(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(norms, "_eigh", recorded)
+    nan, inf = math.nan, math.inf
+    cases = [
+        [[nan]], [[inf]], [[-inf]],
+        [[nan, 0.0], [0.0, 1.0]], [[1.0, nan], [nan, 1.0]], [[1.0, 0.0], [0.0, inf]],
+        [[-inf, 1.0], [1.0, 0.0]], [[1.0, inf], [inf, 1.0]], [[inf, 0.0], [0.0, inf]],
+        # 2b overflows; c - a overflows.
+        [[0.0, 1e308], [1e308, 0.0]], [[1e308, 1.0], [1.0, -1e308]],
+        np.eye(3).tolist(), [[1.0, 0.5, 0.0], [0.5, 2.0, 0.25], [0.0, 0.25, 0.5]],
+    ]
+    with np.errstate(invalid="ignore"):
+        for rows in cases:
+            calls.clear()
+            eigenvalues, vectors = norms._spectrum_floats(rows)
+            assert calls == [(len(rows), len(rows))], rows
+            expected = np.linalg.eigh(np.array(rows))
+            _assert_same_bits(eigenvalues, expected[0].tolist())
+            _assert_same_bits(vectors, expected[1].tolist())
+
+
+def _hex(x):
+    """x with every float written by float.hex, in nested lists and tuples."""
+    if isinstance(x, float):
+        return x.hex()
+    return type(x)(map(_hex, x))
+
+
+# 2x2 trace proxes whose bits are literals: a rotation whose pairs swap and
+# whose small eigenvalue shrinks to -0.0; a = c (zeta = 0); a rotation in
+# order.  The kernel uses + - * / and math.sqrt, all correctly rounded, so
+# these bits hold on every interpreter (the built-in sum or math.hypot
+# would not promise that).  Each case: rows, tau, the eigenvalues and
+# eigenvector rows, the prox rows, its norm and the thresholded eigenvalues.
+_TRACE_GOLDEN = [
+    (
+        [[0.75, -0.3], [-0.3, 0.1]], 0.2,
+        ["-0x1.1b5d1e414d798p-6", "0x1.bc0e1c253d9f0p-1"],
+        [
+            ["0x1.74e13ce3fe1b7p-2", "0x1.dcd920490771cp-1"],
+            ["0x1.dcd920490771cp-1", "-0x1.74e13ce3fe1b7p-2"],
+        ],
+        [
+            ["0x1.285a2c3271cfbp-1", "-0x1.cf79c9d016e52p-3"],
+            ["-0x1.cf79c9d016e52p-3", "0x1.6a6c4c632b474p-4"],
+        ],
+        "0x1.55a7b5bed738ap-1",
+        ["-0x0.0p+0", "0x1.55a7b5bed738ap-1"],
+    ),
+    (
+        [[1.5, 0.25], [0.25, 1.5]], 0.1,
+        ["0x1.4000000000000p+0", "0x1.c000000000000p+0"],
+        [
+            ["0x1.6a09e667f3bccp-1", "0x1.6a09e667f3bccp-1"],
+            ["-0x1.6a09e667f3bccp-1", "0x1.6a09e667f3bccp-1"],
+        ],
+        [
+            ["0x1.6666666666665p+0", "0x1.0000000000000p-2"],
+            ["0x1.0000000000000p-2", "0x1.6666666666665p+0"],
+        ],
+        "0x1.6666666666666p+1",
+        ["0x1.2666666666666p+0", "0x1.a666666666666p+0"],
+    ),
+    (
+        [[-2.0, 0.1], [0.1, 3.0]], 0.5,
+        ["-0x1.00418282ae9e0p+1", "0x1.80418282ae9e0p+1"],
+        [
+            ["0x1.ffe5d07c7fe29p-1", "0x1.477bcce06039bp-6"],
+            ["-0x1.477bcce06039bp-6", "0x1.ffe5d07c7fe29p-1"],
+        ],
+        [
+            ["-0x1.801a2ed8143bbp+0", "0x1.47bed64cd9bfcp-4"],
+            ["0x1.47bed64cd9bfcp-4", "0x1.400d176c0a1dep+1"],
+        ],
+        "0x1.00418282ae9e0p+2",
+        ["-0x1.808305055d3c0p+0", "0x1.40418282ae9e0p+1"],
+    ),
+]
+
+
+def test_trace_prox_d2_golden_bits(monkeypatch):
+    monkeypatch.setattr(norms, "_eigh", _no_eigh)
+    for rows, tau, eigenvalues, vectors, prox_rows, prox_norm, thresholded in _TRACE_GOLDEN:
+        assert _hex(norms._spectrum_floats(rows)) == (eigenvalues, vectors)
+        a, total, spectrum = _prox_floats(rows, tau, NormKind.TRACE)
+        assert _hex(a) == prox_rows
+        assert total.hex() == prox_norm
+        assert _hex(spectrum) == (thresholded, vectors)
 
 
 # Certified on its third evaluation, after two Newton steps.

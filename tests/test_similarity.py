@@ -295,6 +295,38 @@ def test_train_json_matches_reference_loop(monkeypatch, kind):
         assert kind == "l1" or model.iterations_run < config.max_iters
 
 
+def test_float_trace_fits_call_lapack_only_from_d3(monkeypatch):
+    # Check-02-shaped trace fits (d = 2) decompose in closed form, so they
+    # run with norms._eigh refusing; a d = 3 fit of the float set calls it.
+    eigh = norms._eigh
+
+    def refuse(a):
+        raise AssertionError(f"_eigh called on shape {a.shape}")
+
+    monkeypatch.setattr(norms, "_eigh", refuse)
+    rng = make_rng(541)
+    for m in range(1, 7):
+        config = SimilarityConfig(
+            lam=(0.05, 0.2)[m % 2], margin=1.0, norm_kind="trace", max_iters=2000, step0=2.0,
+            rel_tol=0.0,
+        )
+        data = _tiny_dataset(rng, m)
+        assert similarity._uses_floats(m, 2)
+        model = train_similarity(data, config)
+        assert model.iterations_run == 2000 and math.isfinite(model.final_objective)
+    calls = []
+
+    def recorded(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(norms, "_eigh", recorded)
+    config = SimilarityConfig(lam=0.1, margin=1.0, norm_kind="trace", max_iters=50)
+    assert similarity._uses_floats(6, 3)
+    train_similarity(random_dataset(rng, 6, 3), config)
+    assert calls and set(calls) == {(3, 3)}
+
+
 def test_train_chooses_kernel_set_by_size(monkeypatch):
     # Floats up to d = 4 and m * d = _FLOAT_MAX_MD, arrays beyond either.
     chosen = []
