@@ -152,9 +152,11 @@ _LABEL_TOKENS = {"-1": -1.0, "1": 1.0, "+1": 1.0}
 def load_csv(path):
     """Read a dataset, enforcing the strict label policy.
 
-    Errors name the offending row by its line number in the file.
+    Errors name the offending row by its line number in the file.  A UTF-8
+    byte-order mark at the start of the file, as spreadsheet exports write
+    one, is skipped.
     """
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         lines = handle.read().splitlines()
     rows = []
     line_numbers = []

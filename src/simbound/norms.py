@@ -477,10 +477,10 @@ def _prox_mixed21(b, tau):
     then takes over from the last H.
 
     Up to d = ``_MIXED21_FLOAT_MAX_D`` (5) the Newton phase runs on Python
-    floats (``_newton_mixed21_floats``), above it on arrays
-    (``_newton_mixed21_arrays``), whose cost grows more slowly with d.  The
-    two round differently: dot products and the Newton solve may differ in
-    the last bits.
+    floats (``_newton_mixed21_floats``, written out with no inner loop at
+    d = 2), above it on arrays (``_newton_mixed21_arrays``), whose cost
+    grows more slowly with d.  The two round differently: dot products and
+    the Newton solve may differ in the last bits.
 
     Where ||B||_{2,1} leaves [_NORM_MIN, _NORM_MAX], both phases solve the
     problem rescaled instead (``_rescaled_prox_mixed21``).
@@ -581,8 +581,120 @@ def _newton_mixed21_floats(rows, tau):
     is solved by ``_solve_floats`` instead of LAPACK.  The cold paths
     (rescaling, the dual phase) run on arrays.  The loops index their
     lists: in Python 3.11 a zip over a few entries costs more.
+
+    At d = 2 the loops are written out, with the same operations in the
+    same order, and the Newton system of one or two unknowns is solved in
+    place by ``_solve_floats``' pivot rule (the first largest pivot on a
+    tie).  The products that a row's Jacobian shares with its evaluation
+    are kept, not formed again.  The written-out phase's cold paths, a
+    row-norm sum out of range and no certificate within
+    ``_MIXED21_NEWTON_STEPS``, hand the same input to the loops, which
+    repeat the same steps.
     """
     sqrt = math.sqrt
+    if len(rows) == 2:
+        (b_00, b_01), (b_10, b_11) = rows
+        t_00 = b_00 + b_00
+        t_01 = b_01 + b_01
+        t_10 = b_10 + b_10
+        t_11 = b_11 + b_11
+        r_0 = sqrt(0.0 + b_00 * b_00 + b_01 * b_01)
+        r_1 = sqrt(0.0 + b_10 * b_10 + b_11 * b_11)
+        scale = 0.0 + r_0 + r_1
+        if _NORM_MIN <= scale <= _NORM_MAX:
+            s_0 = 1.0 - tau / (tau if tau > r_0 else r_0)
+            s_1 = 1.0 - tau / (tau if tau > r_1 else r_1)
+            for _ in range(_MIXED21_NEWTON_STEPS):
+                # x_ij is h_ij; a dead pair's p_ij becomes 1 for the output
+                # and the Jacobian.
+                p_00 = s_0 + s_0
+                if p_00 > 0.0:
+                    x_00 = t_00 * (s_0 / p_00)
+                else:
+                    p_00 = 1.0
+                    x_00 = t_00 * 0.5
+                p_01 = s_0 + s_1
+                if p_01 > 0.0:
+                    x_01 = t_01 * (s_1 / p_01)
+                    x_10 = t_10 * (s_0 / p_01)
+                else:
+                    p_01 = 1.0
+                    x_01 = t_01 * 0.5
+                    x_10 = t_10 * 0.5
+                p_11 = s_1 + s_1
+                if p_11 > 0.0:
+                    x_11 = t_11 * (s_1 / p_11)
+                else:
+                    p_11 = 1.0
+                    x_11 = t_11 * 0.5
+                n_0 = sqrt(0.0 + x_00 * x_00 + x_01 * x_01)
+                n_1 = sqrt(0.0 + x_10 * x_10 + x_11 * x_11)
+                below = 0.0
+                if tau > n_0:
+                    clipped_0 = tau
+                    below += (s_0 * n_0) * (tau - n_0)
+                else:
+                    clipped_0 = n_0
+                if tau > n_1:
+                    clipped_1 = tau
+                    below += (s_1 * n_1) * (tau - n_1)
+                else:
+                    clipped_1 = n_1
+                target_0 = 1.0 - tau / clipped_0
+                target_1 = 1.0 - tau / clipped_1
+                e_0 = s_0 - target_0
+                e_1 = s_1 - target_1
+                weighted_0 = e_0 * r_0
+                weighted_1 = e_1 * r_1
+                gap = 0.0 + weighted_0 * weighted_0 + weighted_1 * weighted_1 + below
+                total = 0.0 + s_0 * n_0 + s_1 * n_1
+                if gap <= tau * MIXED21_GAP_RTOL * (total + scale):
+                    # s_0 s_1 = s_1 s_0 exactly.
+                    q_01 = s_0 * s_1 / p_01
+                    return [
+                        [t_00 * (s_0 * s_0 / p_00), t_01 * q_01],
+                        [t_10 * q_01, t_11 * (s_1 * s_1 / p_11)],
+                    ], total
+                # The Newton system [M | e] over the live rows, with
+                # C_ij = h_ij 2 b_ij / p_ij^2.
+                live_0 = target_0 > 0.0
+                live_1 = target_1 > 0.0
+                if live_0:
+                    weight = tau / (clipped_0 * clipped_0 * clipped_0)
+                    weighted_s = weight * s_0
+                    c_00 = x_00 * t_00 / (p_00 * p_00)
+                    c_01 = x_01 * t_01 / (p_01 * p_01)
+                    c_s = 0.0 + c_00 * s_0 + c_01 * s_1
+                    m_00 = (0.0 - weighted_s * c_00) + (1.0 + weight * c_s)
+                    m_01 = 0.0 - weighted_s * c_01
+                if live_1:
+                    weight = tau / (clipped_1 * clipped_1 * clipped_1)
+                    weighted_s = weight * s_1
+                    c_10 = x_10 * t_10 / (p_01 * p_01)
+                    c_11 = x_11 * t_11 / (p_11 * p_11)
+                    c_s = 0.0 + c_10 * s_0 + c_11 * s_1
+                    m_10 = 0.0 - weighted_s * c_10
+                    m_11 = (0.0 - weighted_s * c_11) + (1.0 + weight * c_s)
+                if live_0 and live_1:
+                    if abs(m_10) > abs(m_00):
+                        m_00, m_01, e_0, m_10, m_11, e_1 = m_10, m_11, e_1, m_00, m_01, e_0
+                    factor = m_10 / m_00
+                    step_1 = (e_1 - factor * e_0) / (m_11 - factor * m_01)
+                    step_0 = (e_0 - m_01 * step_1) / m_00
+                elif live_0:
+                    step_0 = e_0 / m_00
+                elif live_1:
+                    step_1 = e_1 / m_11
+                # Live rows take the clamped Newton step, dead ones their target.
+                if live_0:
+                    x = s_0 - step_0
+                    target_0 = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+                if live_1:
+                    x = s_1 - step_1
+                    target_1 = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+                s_0 = target_0
+                s_1 = target_1
+        # The cold paths: the loops below take the same steps from the start.
     span = range(len(rows))
     twice = []
     b_rows = []
@@ -702,22 +814,9 @@ def _solve_floats(system):
 
     Gaussian elimination with partial pivoting (the first largest pivot on
     ties), then back substitution; each row is a list of floats and may be
-    overwritten.  One and two unknowns skip the loops, with the same
-    operations.
+    overwritten.
     """
     size = len(system)
-    if size == 1:
-        pivot, rhs = system[0]
-        return [rhs / pivot]
-    if size == 2:
-        (a, b, r), (c, e, t) = system
-        if abs(c) > abs(a):
-            a, b, r, c, e, t = c, e, t, a, b, r
-        factor = c / a
-        e -= factor * b
-        t -= factor * r
-        x_1 = t / e
-        return [(r - b * x_1) / a, x_1]
     for k in range(size):
         best = k
         largest = abs(system[k][k])

@@ -188,7 +188,10 @@ def train_similarity(data, config):
     The loop runs on one of two kernel sets, chosen once per fit by
     ``_uses_floats``: ``_array_kernels`` on NumPy arrays, or, for tiny
     problems, ``_float_kernels`` on lists of Python floats.  The two round
-    differently, so their models may differ in the last bits.
+    differently, so their models may differ in the last bits.  At d = 2
+    the float set's hinge, step, trace prox and mixed21 Newton phase run
+    written out, with no inner loop and the same operations in the same
+    order as their loops, so no bit moves.
     """
     kind = config.norm_kind
     lam = config.lam
@@ -289,6 +292,10 @@ def _float_kernels(scaled, w):
     bits to the interpreter); the prox is ``norms._prox_floats``.  The loops
     are written out over index ranges: in Python 3.11 a list comprehension
     costs a call, and a zip over a few entries costs more than indexing.
+    At d = 2 (acceptance check 02's fits and the benchmark's solver_tiny),
+    hinge, step, the trace prox and the mixed21 Newton phase drop the
+    index loops too and name each entry, with the same operations in the
+    same order.
     """
     rows = scaled.tolist()
     columns = scaled.T.tolist()
@@ -309,8 +316,28 @@ def _float_kernels(scaled, w):
 def _hinge_floats(a, rows, w, active):
     """The slack 1 - rows (A w) on lists, summed over its positive entries.
 
-    Sets active to the indices of those entries, the hinge mask.
+    Sets active to the indices of those entries, the hinge mask.  At d = 2
+    the products are written out, with the same operations in the same
+    order as the loops: each sum starts at 0.0, which puts -0.0 where the
+    loops put it.
     """
+    active.clear()
+    total = 0.0
+    if len(w) == 2:
+        (a_00, a_01), (a_10, a_11) = a
+        w_0, w_1 = w
+        image_0 = 0.0 + a_00 * w_0 + a_01 * w_1
+        image_1 = 0.0 + a_10 * w_0 + a_11 * w_1
+        i = 0
+        for r_0, r_1 in rows:
+            slack = 1.0 - (0.0 + r_0 * image_0 + r_1 * image_1)
+            if slack > 0.0:
+                total += slack
+                active.append(i)
+            else:
+                total += slack * 0.0
+            i += 1
+        return total
     span = range(len(w))
     image = []
     for a_k in a:
@@ -318,8 +345,6 @@ def _hinge_floats(a, rows, w, active):
         for k in span:
             acc += a_k[k] * w[k]
         image.append(acc)
-    active.clear()
-    total = 0.0
     i = 0
     for row in rows:
         acc = 0.0
@@ -342,8 +367,24 @@ def _step_floats(a, columns, active, w, factor):
     scaled rows: the step of ``_array_kernels`` with factor eta / (-2 m).
 
     Entries (k, l) and (l, k) add the same two products, so the step is
-    exactly symmetric.
+    exactly symmetric.  At d = 2 the loops are written out, with the same
+    operations in the same order; the two off-diagonal entries share their
+    sum, which addition, being commutative, rounds the same either way.
     """
+    if len(w) == 2:
+        c_0, c_1 = columns
+        u_0 = 0.0
+        u_1 = 0.0
+        for i in active:
+            u_0 += c_0[i]
+            u_1 += c_1[i]
+        (a_00, a_01), (a_10, a_11) = a
+        w_0, w_1 = w
+        cross = (u_0 * w_1 + u_1 * w_0) * factor
+        return [
+            [a_00 - (u_0 * w_0 + u_0 * w_0) * factor, a_01 - cross],
+            [a_10 - cross, a_11 - (u_1 * w_1 + u_1 * w_1) * factor],
+        ]
     span = range(len(w))
     u = []
     for column in columns:

@@ -58,6 +58,17 @@ def test_load_csv_header_and_plus_token(tmp_path):
     assert np.array_equal(data.labels, [1.0, -1.0])
 
 
+def test_load_csv_skips_a_byte_order_mark(tmp_path):
+    # Excel's "CSV UTF-8" export and PowerShell 5's Out-File -Encoding utf8
+    # start the file with one, before the header if there is one.
+    for text in ("label,f1\n+1,3.5\n-1,-2.0\n", "1,3.5\n-1,-2.0\n"):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        data = load_csv(path)
+        assert np.array_equal(data.labels, [1.0, -1.0])
+        assert np.array_equal(data.features, [[3.5], [-2.0]])
+
+
 def test_load_csv_strict_labels(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("0,1.0,2.0\n")

@@ -396,6 +396,79 @@ def test_trace_prox_d2_golden_bits(monkeypatch):
 # Certified on its third evaluation, after two Newton steps.
 _TWO_STEP_B = np.array([[1.0, 0.5, 0.0], [0.5, 2.0, 0.25], [0.0, 0.25, 0.5]])
 _TWO_STEP_TAU = 0.5
+# Certified on its second evaluation at tau = 0.5, after one Newton step
+# with both rows live.
+_ONE_STEP_ROWS = [[-1.5, 0.1], [0.1, 0.75]]
+
+
+def _reviving(d):
+    # At tau = 0.5 row 0 starts dead (norm 0.45) and comes back to life:
+    # with row 1 live, its row of H has norm 0.9.
+    b = np.diag([0.0, 1.5, 2.25, 1.0, 1.75][:d])
+    b[0, 1] = b[1, 0] = 0.45
+    return b
+
+
+# d = 2 mixed21 proxes at tau = 0.5 whose bits are literals: certified at
+# the first evaluation with row 0 dead; _ONE_STEP_ROWS; one live row, a 1x1
+# Newton system; and a dead row that comes back to life.  The d = 2 Newton
+# phase uses + - * / and math.sqrt only, so these bits hold on every
+# interpreter.  Each case: rows, the Newton steps before the certificate,
+# the unknowns of the first Newton system, the prox rows and its norm.
+_MIXED21_GOLDEN = [
+    (
+        [[0.3, -0.001], [-0.001, -2.0]], 0, 0,
+        [["0x0.0p+0", "-0x0.0p+0"], ["-0x0.0p+0", "-0x1.8000010c6f76cp+0"]],
+        "0x1.8000010c6f76cp+0",
+    ),
+    (
+        _ONE_STEP_ROWS, 1, 2,
+        [
+            ["-0x1.00219866e32c2p+0", "0x1.736e45ab965d7p-5"],
+            ["0x1.736e45ab965d7p-5", "0x1.07c0aab3119adp-2"],
+        ],
+        "0x1.4358988ae2697p+0",
+    ),
+    (
+        [[0.25, -0.15], [-0.15, -1.5]], 1, 1,
+        [["0x0.0p+0", "-0x0.0p+0"], ["-0x0.0p+0", "-0x1.0000000000000p+0"]],
+        "0x1.0000000000000p+0",
+    ),
+    (
+        _reviving(2).tolist(), 3, 2,
+        [
+            ["0x0.0p+0", "0x1.48e7d15e1b5d2p-3"],
+            ["0x1.48e7d15e1b5d2p-3", "0x1.019988afc4b84p+0"],
+        ],
+        "0x1.2df920df53492p+0",
+    ),
+]
+
+
+def test_mixed21_prox_d2_golden_bits(monkeypatch):
+    # The bits, then each case's path: capped at steps + 1 evaluations it
+    # gives the same bits, and capped at one it hands over to the loops,
+    # whose first Newton system has the stated unknowns (none if the first
+    # evaluation certifies).  At d = 2 only the loops call _solve_floats.
+    systems = []
+    solve = norms._solve_floats
+
+    def recorded(system):
+        systems.append(len(system))
+        return solve(system)
+
+    monkeypatch.setattr(norms, "_solve_floats", recorded)
+    for rows, steps, unknowns, prox_rows, prox_norm in _MIXED21_GOLDEN:
+        out = norms._newton_mixed21_floats(rows, 0.5)
+        assert _hex(out) == (prox_rows, prox_norm)
+        assert systems == []
+        with monkeypatch.context() as patch:
+            patch.setattr(norms, "_MIXED21_NEWTON_STEPS", steps + 1)
+            assert _hex(norms._newton_mixed21_floats(rows, 0.5)) == _hex(out)
+            patch.setattr(norms, "_MIXED21_NEWTON_STEPS", 1)
+            norms._newton_mixed21_floats(rows, 0.5)
+        assert systems == ([unknowns] if unknowns else [])
+        systems.clear()
 
 
 def test_mixed21_newton_phase_chosen_by_dimension(monkeypatch):
@@ -412,30 +485,42 @@ def test_mixed21_newton_phase_chosen_by_dimension(monkeypatch):
 
 
 def test_mixed21_float_newton_hands_over_to_dual_phase(monkeypatch):
-    # Capped at one Newton step, the float phase at d = 3 hands its H to
-    # the dual phase, which certifies the gap (it raises otherwise) and
-    # matches the reference run with the same cap.
+    # Capped at one Newton step, the float phase at d = 3 and d = 2 hands
+    # the H of its last evaluation to the dual phase, bit for bit the
+    # reference's H.  The dual phase certifies the gap (it raises otherwise)
+    # and matches the reference run with the same cap.  At d = 2 the
+    # written-out phase hands over to the loops, which take the same step.
     handovers = []
-    dual = norms._dual_mixed21
 
-    def counted(*args):
-        handovers.append(args[0].shape[0])
-        return dual(*args)
+    def recorded(dual):
+        def recorded_dual(b, tau, h, *rest):
+            handovers.append(h)
+            return dual(b, tau, h, *rest)
 
-    monkeypatch.setattr(norms, "_dual_mixed21", counted)
-    b, tau = _TWO_STEP_B, _TWO_STEP_TAU
-    full, _ = norms._prox_mixed21(b, tau)
-    assert handovers == []
-    monkeypatch.setattr(norms, "_MIXED21_NEWTON_STEPS", 1)
-    out, out_norm = norms._prox_mixed21(b, tau)
-    assert handovers == [3]
-    expected, expected_norm = _reference_prox_mixed21(b, tau, newton_steps=1)
-    np.testing.assert_array_equal(out, expected)
-    np.testing.assert_array_equal(np.signbit(out), np.signbit(expected))
-    assert out_norm == expected_norm and type(out_norm) is float
-    assert np.array_equal(out, out.T)
-    bound = _mixed21_distance_bound(out, b, tau) + _mixed21_distance_bound(full, b, tau)
-    assert np.linalg.norm(out - full) <= bound
+        return recorded_dual
+
+    monkeypatch.setattr(norms, "_dual_mixed21", recorded(norms._dual_mixed21))
+    monkeypatch.setattr(
+        oracles, "_reference_dual_mixed21", recorded(oracles._reference_dual_mixed21)
+    )
+    tau = _TWO_STEP_TAU
+    for b in (_TWO_STEP_B, np.array(_ONE_STEP_ROWS)):
+        handovers.clear()
+        full, _ = norms._prox_mixed21(b, tau)
+        assert handovers == []
+        with monkeypatch.context() as patch:
+            patch.setattr(norms, "_MIXED21_NEWTON_STEPS", 1)
+            out, out_norm = norms._prox_mixed21(b, tau)
+        assert len(handovers) == 1
+        expected, expected_norm = _reference_prox_mixed21(b, tau, newton_steps=1)
+        h, expected_h = handovers
+        assert h.shape == b.shape and h.tobytes() == expected_h.tobytes()
+        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(np.signbit(out), np.signbit(expected))
+        assert out_norm == expected_norm and type(out_norm) is float
+        assert np.array_equal(out, out.T)
+        bound = _mixed21_distance_bound(out, b, tau) + _mixed21_distance_bound(full, b, tau)
+        assert np.linalg.norm(out - full) <= bound
 
 
 def test_mixed21_float_newton_calls_numpy_once(monkeypatch):
@@ -463,14 +548,6 @@ def test_mixed21_float_newton_calls_numpy_once(monkeypatch):
         assert out_norm == expected_norm
 
 
-def _reviving(d):
-    # At tau = 0.5 row 0 starts dead (norm 0.45) and comes back to life:
-    # with row 1 live, its row of H has norm 0.9.
-    b = np.diag([0.0, 1.5, 2.25, 1.0, 1.75][:d])
-    b[0, 1] = b[1, 0] = 0.45
-    return b
-
-
 def test_mixed21_newton_phases_agree(rng):
     # Both phases certify a duality gap, so each lies within sqrt(2 gap)
     # of the exact prox, and they lie within the sum of those of each other.
@@ -495,6 +572,10 @@ def test_mixed21_newton_phases_agree(rng):
 # Rows 1 and 2 mirror each other, so the first column of the Newton system
 # holds two largest entries of equal magnitude below a smaller pivot.
 _TIED_PIVOT_B = np.array([[-1.0, -1.0, 1.0], [-1.0, 0.0, 0.25], [1.0, 0.25, 0.0]])
+# At tau = 0.5 rows 0 and 1 stay dead, and rows 2 and 3 are live.
+_TWO_DEAD_B = np.array(
+    [[0.2, 0.1, 0.0, 0.0], [0.1, -0.25, 0.05, 0.0], [0.0, 0.05, 2.0, 0.3], [0.0, 0.0, 0.3, -1.5]]
+)
 # Newton does not certify this d = 5 input in its 8 steps at tau = 1.2.
 _HANDOVER_B = np.array([
     [0.5, -0.15, -0.37, -0.92, 0.83],
@@ -557,6 +638,8 @@ def test_mixed21_float_newton_matches_reference_bits(rng, monkeypatch):
             cases += [(b, tau) for tau in (0.1, 0.5, abs(float(b[0, -1]))) if tau]
     cases += [(_reviving(d), 0.5) for d in (2, 3, 4, 5)]
     cases += [(_TIED_PIVOT_B, 1.0), (_HANDOVER_B, 1.2)]
+    # Two dead rows leave one unknown at d = 3 and two at d = 4.
+    cases += [(_TWO_DEAD_B[:d, :d], 0.5) for d in (3, 4)]
     for b, tau in cases:
         handed.clear()
         rows, rows_norm = norms._newton_mixed21_floats(b.tolist(), tau)
