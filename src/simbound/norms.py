@@ -15,9 +15,11 @@ trace in closed form, mixed21 by a Newton iteration that stops on a
 duality-gap certificate (see ``prox``).  Eigendecompositions go to LAPACK,
 except that the float kernels take a 1x1 or 2x2 one in closed form.
 
-Stage one calls the kernels in two sets: ``_prox`` on arrays, and
-``_prox_floats`` on lists of Python floats for small matrices (see
-``similarity.train_similarity``).
+Each kind's prox is its own kernel, in two sets: ``_PROX`` on arrays, and
+``_PROX_FLOATS`` on lists of Python floats for small matrices.  Both tables
+are keyed by ``NormKind``; ``prox`` and stage one
+(``similarity.train_similarity``) look a kernel up once per call or fit, so
+no prox call tests the kind.
 """
 
 import math
@@ -89,8 +91,8 @@ def _norm(a, kind):
 # overflow, and the squares that underflowed were too small against it to
 # matter.  Out of that range (or at exactly 0) the kernels compute it again
 # on the matrix scaled by a power of two near its largest entry, which is
-# exact down to subnormals: the cold path of ``_rescaled_norm`` and
-# ``_rescaled_prox_mixed21``.  The hot path pays one scalar compare.
+# exact down to subnormals: the cold path of ``_rescaled_norm``.  The hot
+# path pays one scalar compare.
 _NORM_MIN = 2.0 ** -400
 _NORM_MAX = 2.0 ** 400
 
@@ -196,46 +198,55 @@ def prox(b, tau, kind):
     kind = _norm_kind(kind)
     # A sum of squares that overflows is detected and recomputed rescaled.
     with np.errstate(over="ignore"):
-        return _prox(b, float(tau), kind)[0]
+        return _PROX[kind](b, float(tau))[0]
 
 
-def _prox(b, tau, kind, spectrum=None):
-    """``prox`` on an already validated symmetric B and tau >= 0.
+# The prox kernels, one per kind, on an already validated symmetric B and
+# tau >= 0: kernel(b, tau, spectrum=None) returns the prox point, its norm,
+# and for trace its spectrum: the thresholded eigenvalues and the
+# eigenvectors, from which the point was rebuilt (None for the other
+# kinds).  At tau = 0 each returns a copy of B, ``_norm(b, kind)`` and the
+# spectrum it was given.  For fro both the shrink factor and the returned
+# norm come from ``_fro``, which rounds as ``norm`` does; l1, mixed21 and
+# trace return the value their own computation already produced (shrunk
+# magnitudes, row norms, thresholded eigenvalues), which spares trace a
+# second eigendecomposition.
+#
+# ``spectrum``, if given, is the spectrum that a trace prox returned
+# together with B itself.  The trace prox then thresholds it by tau and
+# skips the eigendecomposition.  This is the prox of B because spectral
+# soft-thresholds compose: thresholding by tau1 and then by tau2 is
+# thresholding by tau1 + tau2.  Stage one passes it on every zero step,
+# where the prox input is the previous prox output.  The mixed21 prox does
+# not compose that way, so it takes no such shortcut.
+#
+# B and the spectrum are never written to.  ``_PROX``, at the end of the
+# module, holds these kernels by kind.
 
-    Returns the prox point, its norm, and for trace its spectrum: the
-    thresholded eigenvalues and the eigenvectors, from which the point was
-    rebuilt (None for the other kinds).  For fro both the shrink factor and
-    the returned norm come from ``_fro``, which rounds as ``norm`` does; l1,
-    mixed21 and trace return the value their own computation already
-    produced (shrunk magnitudes, row norms, thresholded eigenvalues), which
-    spares trace a second eigendecomposition.
 
-    ``spectrum``, if given, is the spectrum that a trace prox returned
-    together with B itself.  The trace prox then thresholds it by tau and
-    skips the eigendecomposition.  This is the prox of B because spectral
-    soft-thresholds compose: thresholding by tau1 and then by tau2 is
-    thresholding by tau1 + tau2.  Stage one passes it on every zero step,
-    where the prox input is the previous prox output.  The mixed21 prox
-    does not compose that way, so it takes no such shortcut.
-
-    B and the spectrum are never written to.
-    """
+def _prox_l1(b, tau, spectrum=None):
     if tau == 0.0:
-        return b.copy(), _norm(b, kind), spectrum
-    if kind is NormKind.L1:
-        # |a| is exactly the shrunk magnitudes, so their sum is norm(a).
-        shrunk = _shrunk_magnitudes(b, tau)
-        a = np.sign(b)
-        a *= shrunk
-        return a, float(np.add.reduce(shrunk, axis=None)), None
-    if kind is NormKind.FROBENIUS:
-        total = _fro(b)
-        if total <= tau:
-            return np.zeros_like(b), 0.0, None
-        a = b * (1.0 - tau / total)
-        return a, _fro(a), None
-    if kind is NormKind.MIXED21:
-        return (*_prox_mixed21(b, tau), None)
+        return b.copy(), _norm(b, NormKind.L1), spectrum
+    # |a| is exactly the shrunk magnitudes, so their sum is norm(a).
+    shrunk = _shrunk_magnitudes(b, tau)
+    a = np.sign(b)
+    a *= shrunk
+    return a, float(np.add.reduce(shrunk, axis=None)), None
+
+
+def _prox_fro(b, tau, spectrum=None):
+    if tau == 0.0:
+        return b.copy(), _norm(b, NormKind.FROBENIUS), spectrum
+    total = _fro(b)
+    if total <= tau:
+        return np.zeros_like(b), 0.0, None
+    a = b * (1.0 - tau / total)
+    return a, _fro(a), None
+
+
+def _prox_trace(b, tau, spectrum=None):
+    if tau == 0.0:
+        return b.copy(), _norm(b, NormKind.TRACE), spectrum
     eigenvalues, vectors = _eigh(b) if spectrum is None else spectrum
     shrunk = _shrunk_magnitudes(eigenvalues, tau)
     thresholded = np.sign(eigenvalues)
@@ -253,41 +264,57 @@ def _shrunk_magnitudes(x, tau):
     return np.maximum(shrunk, 0.0, out=shrunk)
 
 
-def _prox_floats(rows, tau, kind, spectrum=None):
-    """``_prox`` on a symmetric matrix held as a list of rows of floats.
+# The float kernel set: the prox kernels on a symmetric matrix held as a
+# list of rows of floats.  Stage one calls them on small matrices, where a
+# NumPy call costs more than its arithmetic.  Each returns the prox point
+# as rows, its norm, and for trace the spectrum as two lists; at tau = 0,
+# the rows themselves.  Every sum accumulates with += in index order, from
+# 0.0, which puts -0.0 where the array kernels put it; nonzero entries and
+# the norm may differ from theirs in the last bits.  Sums of squares out of
+# the safe range go to the array kernels, which rescale.  Neither the rows
+# nor the spectrum are written to.  ``_PROX_FLOATS``, at the end of the
+# module, holds these kernels by kind.
 
-    Stage one's float kernel set calls it on small matrices, where a NumPy
-    call costs more than its arithmetic.  Returns the prox point as rows,
-    its norm, and for trace the spectrum as two lists.  l1 and fro shrink
-    entry by entry; trace decomposes only when no spectrum is given, by
-    ``_spectrum_floats`` (one Jacobi rotation up to d = 2, ``_eigh``
-    above), and rebuilds A from the thresholded spectrum, at d = 2 by the
-    rebuild loop written out with the same operations in the same order,
-    so a finite d <= 2 trace prox makes no NumPy call; mixed21 runs
-    ``_newton_mixed21_floats``.  Every sum accumulates with += in index
-    order, from 0.0, which puts -0.0 where ``_prox`` puts it; nonzero
-    entries and the norm may differ from ``_prox`` in the last bits.
-    Sums of squares out of the safe range go to the array kernels, which
-    rescale.  Neither the rows nor the spectrum are written to.
+
+def _prox_l1_floats(rows, tau, spectrum=None):
+    if tau == 0.0:
+        return rows, _norm(np.array(rows), NormKind.L1), spectrum
+    return (*_soft_threshold_floats(rows, tau), None)
+
+
+def _prox_fro_floats(rows, tau, spectrum=None):
+    if tau == 0.0:
+        return rows, _norm(np.array(rows), NormKind.FROBENIUS), spectrum
+    total = _fro_floats(rows)
+    if total <= tau:
+        return [[0.0] * len(rows) for _ in rows], 0.0, None
+    factor = 1.0 - tau / total
+    a = []
+    for row in rows:
+        a_i = []
+        for x in row:
+            a_i.append(x * factor)
+        a.append(a_i)
+    return a, _fro_floats(a), None
+
+
+def _prox_mixed21_floats(rows, tau, spectrum=None):
+    if tau == 0.0:
+        return rows, _norm(np.array(rows), NormKind.MIXED21), spectrum
+    return (*_newton_mixed21_floats(rows, tau), None)
+
+
+def _prox_trace_floats(rows, tau, spectrum=None):
+    """The trace prox of the float set.
+
+    Decomposes only when no spectrum is given, by ``_spectrum_floats`` (one
+    Jacobi rotation up to d = 2, ``_eigh`` above), and rebuilds A from the
+    thresholded spectrum, at d = 2 by the rebuild loop written out with the
+    same operations in the same order, so a finite d <= 2 trace prox makes
+    no NumPy call.
     """
     if tau == 0.0:
-        return rows, _norm(np.array(rows), kind), spectrum
-    if kind is NormKind.L1:
-        return (*_soft_threshold_floats(rows, tau), None)
-    if kind is NormKind.FROBENIUS:
-        total = _fro_floats(rows)
-        if total <= tau:
-            return [[0.0] * len(rows) for _ in rows], 0.0, None
-        factor = 1.0 - tau / total
-        a = []
-        for row in rows:
-            a_i = []
-            for x in row:
-                a_i.append(x * factor)
-            a.append(a_i)
-        return a, _fro_floats(a), None
-    if kind is NormKind.MIXED21:
-        return (*_newton_mixed21_floats(rows, tau), None)
+        return rows, _norm(np.array(rows), NormKind.TRACE), spectrum
     eigenvalues, vectors = _spectrum_floats(rows) if spectrum is None else spectrum
     if len(vectors) == 2:
         # _soft_threshold_floats and the loop below, written out for two
@@ -395,7 +422,7 @@ def _soft_threshold_floats(rows, tau):
     """sign(x) max(|x| - tau, 0) for each entry of rows, and the sum of the
     shrunk magnitudes.
 
-    Rounds as ``_prox`` does: a negative entry that shrinks to zero becomes
+    Rounds as ``_prox_l1`` does: a negative entry that shrinks to zero becomes
     -0.0, and sign(x) (|x| - tau) is x - tau or x + tau exactly.
     """
     total = 0.0
@@ -440,6 +467,15 @@ _MIXED21_DUAL_STEPS = 200000
 # 1.1-1.2x at d = 6 and 0.9x at d = 8.  d = 6 and above stay on arrays:
 # float work grows faster with d, and floats lose by d = 8.
 _MIXED21_FLOAT_MAX_D = 5
+# The Newton phase weighs a live row by tau / ||h_i||^3, and ||h_i|| is at
+# most twice the row norm of B.  It runs where the largest row norm of B
+# is at least _NEWTON_MIN and their sum at most _NEWTON_MAX, which also
+# turns away a non-finite row; there, for a tau on the scale of B, the cube
+# stays a normal float (it is one from 2^-340 to 2^340).  Elsewhere the
+# problem is solved rescaled by a power of two (``_rescaled_prox_mixed21``),
+# which is exact down to subnormals.
+_NEWTON_MIN = 2.0 ** -300
+_NEWTON_MAX = 2.0 ** 300
 
 
 def _row_norms(x):
@@ -447,8 +483,8 @@ def _row_norms(x):
     return np.sqrt(np.add.reduce(x * x, axis=1))
 
 
-def _prox_mixed21(b, tau):
-    """Exact mixed21 prox over symmetric matrices, and the norm of the result.
+def _prox_mixed21(b, tau, spectrum=None):
+    """Exact mixed21 prox over symmetric matrices: the kernel of ``_PROX``.
 
     The dual of min 0.5||A - B||^2 + tau ||A||_{2,1} over symmetric A is
     max 0.5||B||^2 - 0.5||B - tau sym(G)||^2 over G whose rows lie in the
@@ -482,13 +518,16 @@ def _prox_mixed21(b, tau):
     grows more slowly with d.  The two round differently: dot products and
     the Newton solve may differ in the last bits.
 
-    Where ||B||_{2,1} leaves [_NORM_MIN, _NORM_MAX], both phases solve the
-    problem rescaled instead (``_rescaled_prox_mixed21``).
+    Where the row norms of B leave the Newton range (``_NEWTON_MIN``,
+    ``_NEWTON_MAX``), both phases solve the problem rescaled instead
+    (``_rescaled_prox_mixed21``).
     """
+    if tau == 0.0:
+        return b.copy(), _norm(b, NormKind.MIXED21), spectrum
     if b.shape[0] <= _MIXED21_FLOAT_MAX_D:
         rows, total = _newton_mixed21_floats(b.tolist(), tau)
-        return np.array(rows), total
-    return _newton_mixed21_arrays(b, tau)
+        return np.array(rows), total, None
+    return (*_newton_mixed21_arrays(b, tau), None)
 
 
 def _rescaled_prox_mixed21(b, tau):
@@ -516,7 +555,7 @@ def _newton_mixed21_arrays(b, tau):
     """The Newton phase of ``_prox_mixed21`` on d x d arrays."""
     b_rows = _row_norms(b)
     scale = np.add.reduce(b_rows)
-    if not _NORM_MIN <= scale <= _NORM_MAX:
+    if not (_NEWTON_MIN <= np.maximum.reduce(b_rows) and scale <= _NEWTON_MAX):
         return _rescaled_prox_mixed21(b, tau)
     twice_b = b + b
     s = 1.0 - tau / np.maximum(b_rows, tau)
@@ -586,8 +625,8 @@ def _newton_mixed21_floats(rows, tau):
     same order, and the Newton system of one or two unknowns is solved in
     place by ``_solve_floats``' pivot rule (the first largest pivot on a
     tie).  The products that a row's Jacobian shares with its evaluation
-    are kept, not formed again.  The written-out phase's cold paths, a
-    row-norm sum out of range and no certificate within
+    are kept, not formed again.  The written-out phase's cold paths, row
+    norms out of the Newton range and no certificate within
     ``_MIXED21_NEWTON_STEPS``, hand the same input to the loops, which
     repeat the same steps.
     """
@@ -601,7 +640,7 @@ def _newton_mixed21_floats(rows, tau):
         r_0 = sqrt(0.0 + b_00 * b_00 + b_01 * b_01)
         r_1 = sqrt(0.0 + b_10 * b_10 + b_11 * b_11)
         scale = 0.0 + r_0 + r_1
-        if _NORM_MIN <= scale <= _NORM_MAX:
+        if _NEWTON_MIN <= (r_0 if r_0 > r_1 else r_1) and scale <= _NEWTON_MAX:
             s_0 = 1.0 - tau / (tau if tau > r_0 else r_0)
             s_1 = 1.0 - tau / (tau if tau > r_1 else r_1)
             for _ in range(_MIXED21_NEWTON_STEPS):
@@ -709,7 +748,7 @@ def _newton_mixed21_floats(rows, tau):
         norm_i = sqrt(acc)
         b_rows.append(norm_i)
         scale += norm_i
-    if not _NORM_MIN <= scale <= _NORM_MAX:
+    if not (_NEWTON_MIN <= max(b_rows) and scale <= _NEWTON_MAX):
         a, total = _rescaled_prox_mixed21(np.array(rows), tau)
         return a.tolist(), total
     # max(x, tau) is written tau if tau > x else x, NaN included.
@@ -890,3 +929,18 @@ def _eigh(a):
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
     return eigenvalues, vectors
+
+
+# The prox kernels by kind: ``prox`` and stage one look theirs up once.
+_PROX = {
+    NormKind.L1: _prox_l1,
+    NormKind.FROBENIUS: _prox_fro,
+    NormKind.MIXED21: _prox_mixed21,
+    NormKind.TRACE: _prox_trace,
+}
+_PROX_FLOATS = {
+    NormKind.L1: _prox_l1_floats,
+    NormKind.FROBENIUS: _prox_fro_floats,
+    NormKind.MIXED21: _prox_mixed21_floats,
+    NormKind.TRACE: _prox_trace_floats,
+}

@@ -156,7 +156,9 @@ def train_separator(model, data, max_iters=2000, step0=1.0):
     best_alpha = alpha
     slack = 1.0 - signed.dot(features_t.dot(alpha))
     # The mask slack > 0 serves an iterate's hinge error and the next step.
-    active = np.greater(slack, 0.0, out=np.empty(m))
+    # heaviside writes it as 0.0/1.0 with no cast from bools; a NaN slack
+    # gives NaN, not 0, and the hinge error is NaN either way.
+    active = np.heaviside(slack, 0.0, out=np.empty(m))
     best_err = _hinge_error(slack, active)
     if not math.isfinite(best_err):
         raise NumericalError("non-finite hinge error at the starting point")
@@ -182,7 +184,7 @@ def train_separator(model, data, max_iters=2000, step0=1.0):
         alpha = _project_l1_ball(stepped, magnitudes, mass, radius, counts)
         signed.dot(features_t.dot(alpha), slack)
         np.subtract(1.0, slack, out=slack)
-        np.greater(slack, 0.0, out=active)
+        np.heaviside(slack, 0.0, out=active)
         err = _hinge_error(slack, active)
         if not math.isfinite(err):
             raise NumericalError(

@@ -21,7 +21,9 @@ from .data import (
     _require, _write_json,
 )
 from .errors import NumericalError
-from .norms import _NORM_KIND, NormKind, _norm_kind, _prox, _prox_floats, norm, require_symmetric
+from .norms import (
+    _NORM_KIND, _PROX, _PROX_FLOATS, NormKind, _norm_kind, norm, require_symmetric,
+)
 
 # Stage one calls the unchecked kernels; the public prox stays bound here
 # so that tools which rebind it by module (perfbench/spans.py) still find it.
@@ -179,7 +181,7 @@ def train_similarity(data, config):
     formed in place.  An iterate whose hinge mask is empty has a zero
     subgradient, so the next step skips the subgradient and hands the
     iterate itself to the prox; trace then thresholds the spectrum its last
-    prox returned, with no eigendecomposition (see ``norms._prox``).  On
+    prox returned, with no eigendecomposition (see ``norms._prox_trace``).  On
     separable data the iterates zig-zag across the hinge kink: in the
     benchmark, 69-74% of the iterations of the check-02-shaped
     2000-iteration fits are zero steps, against none of those of the
@@ -188,18 +190,21 @@ def train_similarity(data, config):
     The loop runs on one of two kernel sets, chosen once per fit by
     ``_uses_floats``: ``_array_kernels`` on NumPy arrays, or, for tiny
     problems, ``_float_kernels`` on lists of Python floats.  The two round
-    differently, so their models may differ in the last bits.  At d = 2
-    the float set's hinge, step, trace prox and mixed21 Newton phase run
-    written out, with no inner loop and the same operations in the same
-    order as their loops, so no bit moves.
+    differently, so their models may differ in the last bits.  Everything
+    that depends only on the norm kind and d is decided once per fit, not
+    per iteration: the prox kernel is looked up in the set's table
+    (``norms._PROX`` or ``norms._PROX_FLOATS``) by the norm kind, and at
+    d = 2 the float set hands out its written-out hinge and step.  Those,
+    the trace prox and the mixed21 Newton phase run with no inner loop and
+    the same operations in the same order as their loops, so no bit moves.
     """
-    kind = config.norm_kind
     lam = config.lam
     m = data.m
     kernels = _float_kernels if _uses_floats(m, data.d) else _array_kernels
-    a, hinge, step, prox_kernel = kernels(
+    a, hinge, step, prox_table = kernels(
         _scaled_features(data, config.margin), _label_sum(data)
     )
+    prox_kernel = prox_table[config.norm_kind]
     # hinge(a) forms the slack of iterate a and its mask slack > 0, which
     # serve its objective and the next step, and returns the summed positive
     # slack.  That sum is 0 exactly when the mask is empty, even where the
@@ -212,19 +217,22 @@ def train_similarity(data, config):
     window = 50
     window_best = best_obj
     iterations = 0
+    step0 = config.step0
+    sqrt = math.sqrt
+    isfinite = math.isfinite
     for t in range(1, config.max_iters + 1):
-        eta = config.step0 / math.sqrt(t)
+        eta = step0 / sqrt(t)
         if hinge_sum:
             a = step(a, eta)
             spectrum = None
         # A zero step hands the iterate itself, and its spectrum, to the
         # prox, which never writes them; best_a may alias it.
-        a, a_norm, spectrum = prox_kernel(a, eta * lam, kind, spectrum)
+        a, a_norm, spectrum = prox_kernel(a, eta * lam, spectrum)
         hinge_sum = hinge(a)
         obj = float(hinge_sum / m) + lam * a_norm
-        if not math.isfinite(obj):
+        if not isfinite(obj):
             raise NumericalError(
-                f"non-finite objective at iteration {t}; try a smaller step0 than {config.step0}"
+                f"non-finite objective at iteration {t}; try a smaller step0 than {step0}"
             )
         if obj < best_obj:
             best_obj = obj
@@ -260,12 +268,16 @@ def _uses_floats(m, d):
 
 
 def _array_kernels(scaled, w):
-    """Stage one's kernels on NumPy arrays: (zero start, hinge, step, prox).
+    """Stage one's kernels on NumPy arrays: (zero start, hinge, step, prox table).
 
     hinge(a) forms the slack and the 0/1 hinge mask of iterate a in reused
     buffers and returns the summed positive slack; step(a, eta) is a minus
     eta times the hinge subgradient at the iterate hinge saw last, formed in
-    place; the prox is ``norms._prox``.
+    place; the prox table is ``norms._PROX``.  The mask is
+    heaviside(slack, 0), which writes 0.0 and 1.0 into the float buffer
+    with no cast from bools, and rounds as slack > 0 does for every finite,
+    signed-zero or infinite slack; a NaN slack gives NaN, where the bools
+    gave 0, and the hinge sum is NaN either way.
     """
     m, d = scaled.shape
     scaled_t = scaled.T
@@ -274,14 +286,14 @@ def _array_kernels(scaled, w):
 
     def hinge(a):
         _slack(a, scaled, w, slack)
-        np.greater(slack, 0.0, out=active)
+        np.heaviside(slack, 0.0, out=active)
         return slack.dot(active)
 
     def step(a, eta):
         g = _subgradient(active, scaled_t, w, eta)
         return np.subtract(a, g, out=g)
 
-    return np.zeros((d, d)), hinge, step, _prox
+    return np.zeros((d, d)), hinge, step, _PROX
 
 
 def _float_kernels(scaled, w):
@@ -289,13 +301,16 @@ def _float_kernels(scaled, w):
 
     The same arithmetic with every sum accumulated with += in index order
     (the built-in sum compensates from Python 3.12 on, which would tie the
-    bits to the interpreter); the prox is ``norms._prox_floats``.  The loops
-    are written out over index ranges: in Python 3.11 a list comprehension
-    costs a call, and a zip over a few entries costs more than indexing.
-    At d = 2 (acceptance check 02's fits and the benchmark's solver_tiny),
-    hinge, step, the trace prox and the mixed21 Newton phase drop the
-    index loops too and name each entry, with the same operations in the
-    same order.
+    bits to the interpreter); the prox table is ``norms._PROX_FLOATS``.  The
+    loops are written out over index ranges: in Python 3.11 a list
+    comprehension costs a call, and a zip over a few entries costs more than
+    indexing.  At d = 2 (acceptance check 02's fits and the benchmark's
+    solver_tiny) hinge and step are the written-out closures below, which
+    drop the index loops of ``_hinge_floats`` and ``_step_floats`` and name
+    each entry, with the same operations in the same order: each sum starts
+    at 0.0, which puts -0.0 where the loops put it, and the step's two
+    off-diagonal entries share their sum, which addition, being
+    commutative, rounds the same either way.
     """
     rows = scaled.tolist()
     columns = scaled.T.tolist()
@@ -303,29 +318,24 @@ def _float_kernels(scaled, w):
     d = len(w)
     minus_twice_m = -2.0 * len(rows)
     active = []
+    start = [[0.0] * d for _ in range(d)]
+    if d != 2:
+
+        def hinge(a):
+            return _hinge_floats(a, rows, w, active)
+
+        def step(a, eta):
+            return _step_floats(a, columns, active, w, eta / minus_twice_m)
+
+        return start, hinge, step, _PROX_FLOATS
+
+    w_0, w_1 = w
+    c_0, c_1 = columns
 
     def hinge(a):
-        return _hinge_floats(a, rows, w, active)
-
-    def step(a, eta):
-        return _step_floats(a, columns, active, w, eta / minus_twice_m)
-
-    return [[0.0] * d for _ in range(d)], hinge, step, _prox_floats
-
-
-def _hinge_floats(a, rows, w, active):
-    """The slack 1 - rows (A w) on lists, summed over its positive entries.
-
-    Sets active to the indices of those entries, the hinge mask.  At d = 2
-    the products are written out, with the same operations in the same
-    order as the loops: each sum starts at 0.0, which puts -0.0 where the
-    loops put it.
-    """
-    active.clear()
-    total = 0.0
-    if len(w) == 2:
+        active.clear()
+        total = 0.0
         (a_00, a_01), (a_10, a_11) = a
-        w_0, w_1 = w
         image_0 = 0.0 + a_00 * w_0 + a_01 * w_1
         image_1 = 0.0 + a_10 * w_0 + a_11 * w_1
         i = 0
@@ -338,6 +348,31 @@ def _hinge_floats(a, rows, w, active):
                 total += slack * 0.0
             i += 1
         return total
+
+    def step(a, eta):
+        factor = eta / minus_twice_m
+        u_0 = 0.0
+        u_1 = 0.0
+        for i in active:
+            u_0 += c_0[i]
+            u_1 += c_1[i]
+        (a_00, a_01), (a_10, a_11) = a
+        cross = (u_0 * w_1 + u_1 * w_0) * factor
+        return [
+            [a_00 - (u_0 * w_0 + u_0 * w_0) * factor, a_01 - cross],
+            [a_10 - cross, a_11 - (u_1 * w_1 + u_1 * w_1) * factor],
+        ]
+
+    return start, hinge, step, _PROX_FLOATS
+
+
+def _hinge_floats(a, rows, w, active):
+    """The slack 1 - rows (A w) on lists, summed over its positive entries.
+
+    Sets active to the indices of those entries, the hinge mask.
+    """
+    active.clear()
+    total = 0.0
     span = range(len(w))
     image = []
     for a_k in a:
@@ -367,24 +402,8 @@ def _step_floats(a, columns, active, w, factor):
     scaled rows: the step of ``_array_kernels`` with factor eta / (-2 m).
 
     Entries (k, l) and (l, k) add the same two products, so the step is
-    exactly symmetric.  At d = 2 the loops are written out, with the same
-    operations in the same order; the two off-diagonal entries share their
-    sum, which addition, being commutative, rounds the same either way.
+    exactly symmetric.
     """
-    if len(w) == 2:
-        c_0, c_1 = columns
-        u_0 = 0.0
-        u_1 = 0.0
-        for i in active:
-            u_0 += c_0[i]
-            u_1 += c_1[i]
-        (a_00, a_01), (a_10, a_11) = a
-        w_0, w_1 = w
-        cross = (u_0 * w_1 + u_1 * w_0) * factor
-        return [
-            [a_00 - (u_0 * w_0 + u_0 * w_0) * factor, a_01 - cross],
-            [a_10 - cross, a_11 - (u_1 * w_1 + u_1 * w_1) * factor],
-        ]
     span = range(len(w))
     u = []
     for column in columns:

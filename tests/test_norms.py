@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from simbound import (
     sym_eigendecomposition,
 )
 import simbound.norms as norms
-from simbound.norms import MIXED21_GAP_RTOL, _prox, _prox_floats
+from simbound.norms import _PROX, _PROX_FLOATS, MIXED21_GAP_RTOL
 from conftest import symmetric_part
 import oracles
 from oracles import (
@@ -216,13 +217,13 @@ def test_prox_matches_reference_bits(rng):
     for b in _signed_zero_inputs(rng):
         for tau in (0.0, 0.1, 0.5, abs(float(b[0, -1])), 10.0):
             for kind in ALL_KINDS:
-                out, out_norm, spectrum = _prox(b, tau, NormKind(kind))
+                out, out_norm, spectrum = _PROX[NormKind(kind)](b, tau)
                 expected, expected_norm = reference_prox(b, tau, kind)
                 _assert_same_bits(out, expected)
                 assert out_norm == expected_norm and type(out_norm) is float, kind
                 if b.shape[0] > 4:
                     continue
-                rows, rows_norm, spectrum = _prox_floats(b.tolist(), tau, NormKind(kind))
+                rows, rows_norm, spectrum = _PROX_FLOATS[NormKind(kind)](b.tolist(), tau)
                 expected, expected_norm, expected_spectrum = reference_prox_floats(
                     b.tolist(), tau, kind
                 )
@@ -232,7 +233,7 @@ def test_prox_matches_reference_bits(rng):
                     continue
                 for part, expected_part in zip(spectrum, expected_spectrum):
                     _assert_same_bits(part, expected_part)
-                again, again_norm, _ = _prox_floats(rows, 0.05, NormKind.TRACE, spectrum)
+                again, again_norm, _ = _PROX_FLOATS[NormKind.TRACE](rows, 0.05, spectrum)
                 expected, expected_norm, _ = reference_prox_floats(
                     expected, 0.05, kind, expected_spectrum
                 )
@@ -387,7 +388,7 @@ def test_trace_prox_d2_golden_bits(monkeypatch):
     monkeypatch.setattr(norms, "_eigh", _no_eigh)
     for rows, tau, eigenvalues, vectors, prox_rows, prox_norm, thresholded in _TRACE_GOLDEN:
         assert _hex(norms._spectrum_floats(rows)) == (eigenvalues, vectors)
-        a, total, spectrum = _prox_floats(rows, tau, NormKind.TRACE)
+        a, total, spectrum = _PROX_FLOATS[NormKind.TRACE](rows, tau)
         assert _hex(a) == prox_rows
         assert total.hex() == prox_norm
         assert _hex(spectrum) == (thresholded, vectors)
@@ -506,11 +507,11 @@ def test_mixed21_float_newton_hands_over_to_dual_phase(monkeypatch):
     tau = _TWO_STEP_TAU
     for b in (_TWO_STEP_B, np.array(_ONE_STEP_ROWS)):
         handovers.clear()
-        full, _ = norms._prox_mixed21(b, tau)
+        full, _, _ = norms._prox_mixed21(b, tau)
         assert handovers == []
         with monkeypatch.context() as patch:
             patch.setattr(norms, "_MIXED21_NEWTON_STEPS", 1)
-            out, out_norm = norms._prox_mixed21(b, tau)
+            out, out_norm, _ = norms._prox_mixed21(b, tau)
         assert len(handovers) == 1
         expected, expected_norm = _reference_prox_mixed21(b, tau, newton_steps=1)
         h, expected_h = handovers
@@ -536,13 +537,13 @@ def test_mixed21_float_newton_calls_numpy_once(monkeypatch):
             return np.array(value)
 
     for b, tau in ((_TWO_STEP_B, _TWO_STEP_TAU), (_reviving(5), 0.5)):
-        expected, expected_norm = norms._prox_mixed21(b, tau)
+        expected, expected_norm, _ = norms._prox_mixed21(b, tau)
         calls.clear()
         with monkeypatch.context() as patch:
             patch.setattr(norms, "np", ArrayOnly)
             rows, rows_norm = norms._newton_mixed21_floats(b.tolist(), tau)
             assert calls == [] and type(rows) is list and rows_norm == expected_norm
-            out, out_norm = norms._prox_mixed21(b, tau)
+            out, out_norm, _ = norms._prox_mixed21(b, tau)
         assert len(calls) == 1
         assert out.tobytes() == expected.tobytes() == np.array(rows).tobytes()
         assert out_norm == expected_norm
@@ -560,7 +561,7 @@ def test_mixed21_newton_phases_agree(rng):
         dead[0] = dead[:, 0] = 0.0
         cases += [(dead, 0.1), (dead, 0.5), (_reviving(d), 0.5)]
     for b, tau in cases:
-        floats, floats_norm = norms._prox_mixed21(b, tau)
+        floats, floats_norm, _ = norms._prox_mixed21(b, tau)
         arrays, _ = norms._newton_mixed21_arrays(b, tau)
         bound = _mixed21_distance_bound(floats, b, tau) + _mixed21_distance_bound(arrays, b, tau)
         assert np.linalg.norm(floats - arrays) <= bound
@@ -691,19 +692,19 @@ def test_prox_leaves_input_bits(rng):
         for tau in (0.0, 0.1, 0.5, 10.0):
             for kind in ALL_KINDS:
                 if b.shape[0] <= 4:
-                    _, _, spectrum = _prox_floats(rows, tau, NormKind(kind))
+                    _, _, spectrum = _PROX_FLOATS[NormKind(kind)](rows, tau)
                     assert np.array(rows).tobytes() == before, kind
                     if spectrum is not None:
                         saved = [np.array(part).tobytes() for part in spectrum]
-                        _prox_floats(rows, 0.05, NormKind.TRACE, spectrum)
+                        _PROX_FLOATS[NormKind.TRACE](rows, 0.05, spectrum)
                         assert [np.array(part).tobytes() for part in spectrum] == saved
-                out, _, spectrum = _prox(b, tau, NormKind(kind))
+                out, _, spectrum = _PROX[NormKind(kind)](b, tau)
                 assert b.tobytes() == before, kind
                 assert (spectrum is not None) == (kind == "trace" and tau > 0.0)
             if spectrum is None:
                 continue
             saved = out.tobytes(), [part.tobytes() for part in spectrum]
-            again, again_norm, _ = _prox(out, 0.05, NormKind.TRACE, spectrum)
+            again, again_norm, _ = _PROX[NormKind.TRACE](out, 0.05, spectrum)
             assert (out.tobytes(), [part.tobytes() for part in spectrum]) == saved
             expected = prox(out, 0.05, "trace")
             assert np.max(np.abs(again - expected)) <= 1e-12 * max(1.0, norm(out, "trace"))
@@ -738,7 +739,7 @@ def test_norm_and_prox_at_extreme_scales(kind):
             if b.shape[0] > 4:
                 continue
             with np.errstate(over="ignore"):
-                rows, rows_norm, _ = _prox_floats((scale * b).tolist(), scale * tau, NormKind(kind))
+                rows, rows_norm, _ = _PROX_FLOATS[NormKind(kind)]((scale * b).tolist(), scale * tau)
             assert np.max(np.abs(np.array(rows) - scale * expected)) <= 1e-13 * scale
             assert rows_norm == pytest.approx(norm(out, kind), rel=1e-14)
     assert norm(1e200 * np.eye(2), "fro") == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
@@ -753,6 +754,33 @@ def test_norm_and_prox_at_extreme_scales(kind):
     assert dual_norm_rank1([1e200, 1e200], [1.0, 0.0], "fro") == pytest.approx(
         math.sqrt(2.0) * 1e200, rel=1e-15
     )
+
+
+def test_mixed21_prox_far_from_unit_scale_stays_in_its_certificate(rng):
+    # The Newton phase weighs a live row by tau / ||h_i||^3.  Row norms near
+    # 1e-110 cube to 0, and the float phase raised ZeroDivisionError (the
+    # first case); near 2^-380 most proxes did at d <= 5, and at d = 6 the
+    # array phase warned and fell back to the dual phase.  Out of the Newton
+    # range the prox is solved rescaled by a power of two, with no warning,
+    # and lands within the gap certificate of the prox at scale 1.
+    cases = [(np.array([[1e-110, 3e-111], [3e-111, 2e-110]]), 1e-111)]
+    for k in (-380, 380):
+        for d in (2, 3, 5, 6):
+            for _ in range(10):
+                b = symmetric_part(rng.standard_normal((d, d)))
+                cases.append((np.ldexp(b, k), math.ldexp(float(rng.uniform(0.1, 2.0)), k)))
+    for b, tau in cases:
+        exponent = -math.frexp(float(np.abs(b).max()))[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = np.ldexp(prox(b, tau, "mixed21"), exponent)
+        unit_b, unit_tau = np.ldexp(b, exponent), math.ldexp(tau, exponent)
+        expected = prox(unit_b, unit_tau, "mixed21")
+        assert np.array_equal(out, out.T)
+        bound = _mixed21_distance_bound(out, unit_b, unit_tau) + _mixed21_distance_bound(
+            expected, unit_b, unit_tau
+        )
+        assert np.linalg.norm(out - expected) <= bound
 
 
 def test_empty_inputs_are_refused_by_name():

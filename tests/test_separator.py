@@ -483,6 +483,19 @@ def test_train_non_finite_raises():
     model = make_model(np.eye(2))
     with np.errstate(all="ignore"), pytest.raises(NumericalError):
         train_separator(model, data, max_iters=10)
+    # The anchor sum X^T alpha0 overflows to inf in both entries, and the
+    # rows of y x^T A = (x_1, -x_2) meet it with opposite signs: every
+    # starting slack is NaN, and so is the hinge mask.
+    data = Dataset(np.array([[10.0, 10.0], [20.0, 20.0]]), np.array([1.0, 1.0]))
+    model = make_model(np.diag([1.0, -1.0]), margin=1e-308)
+    with np.errstate(all="ignore"):
+        anchor_sum = data.features.T.dot(anchor_coefficients(data.labels, 1e-308))
+        slack = 1.0 - (data.labels[:, None] * data.features @ model.matrix).dot(anchor_sum)
+    assert np.isinf(anchor_sum).all() and np.isnan(slack).all()
+    with np.errstate(all="ignore"), pytest.raises(
+        NumericalError, match="non-finite hinge error at the starting point"
+    ):
+        train_separator(model, data, max_iters=10)
     # A finite start whose first step overflows the coefficients.
     data = random_dataset(make_rng(476), m=50, d=3)
     with np.errstate(all="ignore"), pytest.raises(

@@ -7,6 +7,7 @@ import pytest
 from simbound import (
     Dataset,
     GeneratorSpec,
+    NormKind,
     NumericalError,
     SimilarityConfig,
     SimilarityModel,
@@ -227,16 +228,32 @@ def test_train_early_stop_with_loose_tolerance():
 
 
 def test_train_non_finite_raises(monkeypatch):
-    # The first step overflows A, in every kind and both kernel sets.
+    # The first step overflows A, in every kind and both kernel sets, and
+    # the objective of that iterate stops the fit.  Its slack holds NaN in
+    # the array set, whose hinge mask is then NaN where slack > 0 gave 0:
+    # the hinge sum is NaN either way, so the error and its iteration stay.
     data = Dataset(np.array([[1e8, 0.0], [0.0, 1e8]]), np.array([1.0, -1.0]))
+    slack = similarity._slack
+    nan_slack = []
+
+    def recorded(*args):
+        out = slack(*args)
+        nan_slack.append(bool(np.isnan(out).any()))
+        return out
+
+    monkeypatch.setattr(similarity, "_slack", recorded)
     for float_max_md, *_ in KERNEL_SETS.values():
         monkeypatch.setattr(similarity, "_FLOAT_MAX_MD", float_max_md)
         for kind in ("l1", "fro", "mixed21", "trace"):
             config = SimilarityConfig(
                 lam=0.1, margin=1.0, norm_kind=kind, max_iters=10, step0=1e300
             )
-            with np.errstate(all="ignore"), pytest.raises(NumericalError):
+            nan_slack.clear()
+            with np.errstate(all="ignore"), pytest.raises(
+                NumericalError, match=r"non-finite objective at iteration 1; try a smaller step0"
+            ):
                 train_similarity(data, config)
+            assert nan_slack == ([False, True] if float_max_md == 0 else [])
 
 
 def _assert_json_matches_reference(data, config):
@@ -260,11 +277,11 @@ def _tiny_dataset(rng, m):
     return Dataset(labels[:, None] * mu + 0.15 * rng.standard_normal((m, 2)), labels)
 
 
-# Each stage-one kernel set: the float set's size bound that forces it, and
-# the module names of its slack pass and its step.
+# Each stage-one kernel set: the float set's size bound that forces it, the
+# module name of the function that makes its kernels, and its prox table.
 KERNEL_SETS = {
-    "arrays": (0, "_slack", "_subgradient"),
-    "floats": (10 ** 9, "_hinge_floats", "_step_floats"),
+    "arrays": (0, "_array_kernels", norms._PROX),
+    "floats": (10 ** 9, "_float_kernels", norms._PROX_FLOATS),
 }
 
 
@@ -409,23 +426,32 @@ def _watch_prox(monkeypatch):
     """Record every prox stage one makes, in either kernel set, checking that
     none writes its input.
 
-    Each record is (input, tau, whether a spectrum was passed, output).
+    Wraps every entry of both prox tables, which stage one reads once per
+    fit.  Each record is (input, tau, whether a spectrum was passed, output).
     """
     calls = []
-    for name in ("_prox", "_prox_floats"):
-        prox_kernel = getattr(similarity, name)
+    for _, _, table in KERNEL_SETS.values():
+        for kind, prox_kernel in table.items():
 
-        def watched(b, tau, kind, spectrum=None, prox_kernel=prox_kernel):
-            before = _snapshot(b)
-            saved = None if spectrum is None else [_snapshot(part) for part in spectrum]
-            result = prox_kernel(b, tau, kind, spectrum)
-            assert _snapshot(b) == before
-            assert saved is None or [_snapshot(part) for part in spectrum] == saved
-            calls.append((b, tau, spectrum is not None, result[0]))
-            return result
+            def watched(b, tau, spectrum=None, prox_kernel=prox_kernel):
+                before = _snapshot(b)
+                saved = None if spectrum is None else [_snapshot(part) for part in spectrum]
+                result = prox_kernel(b, tau, spectrum)
+                assert _snapshot(b) == before
+                assert saved is None or [_snapshot(part) for part in spectrum] == saved
+                calls.append((b, tau, spectrum is not None, result[0]))
+                return result
 
-        monkeypatch.setattr(similarity, name, watched)
+            monkeypatch.setitem(table, kind, watched)
     return calls
+
+
+def test_prox_tables_hold_every_kind():
+    # Stage one and the public prox look their kernel up by kind, in the
+    # array table or the float table.
+    for _, _, table in KERNEL_SETS.values():
+        assert list(table) == list(NormKind)
+        assert len(set(table.values())) == len(NormKind)
 
 
 def test_train_json_matches_reference_loop_mixed21_dual_fallback(monkeypatch):
@@ -455,30 +481,33 @@ def test_train_json_matches_reference_loop_mixed21_dual_fallback(monkeypatch):
 def test_train_zero_step_skips_subgradient(monkeypatch, kind):
     # On check-02-shaped data most iterates meet every margin.  An empty
     # hinge mask means a zero subgradient: the next step computes none and
-    # hands the iterate itself to the prox.  Both kernel sets.
-    for float_max_md, slack_name, step_name in KERNEL_SETS.values():
+    # hands the iterate itself to the prox.  Both kernel sets; the hinge
+    # and step that each set hands out are wrapped.
+    for float_max_md, kernels_name, _ in KERNEL_SETS.values():
         with monkeypatch.context() as patch:
             patch.setattr(similarity, "_FLOAT_MAX_MD", float_max_md)
             nonempty = []
-            slack_kernel = getattr(similarity, slack_name)
-
-            def recorded_slack(*args, slack_kernel=slack_kernel):
-                # The array pass returns the slack, the float pass the
-                # summed positive slack.
-                result = slack_kernel(*args)
-                nonempty.append(bool(np.any(np.asarray(result) > 0.0)))
-                return result
-
             steps = 0
-            step_kernel = getattr(similarity, step_name)
+            make_kernels = getattr(similarity, kernels_name)
 
-            def counted_step(*args, step_kernel=step_kernel):
-                nonlocal steps
-                steps += 1
-                return step_kernel(*args)
+            def watched_kernels(scaled, w, make_kernels=make_kernels):
+                start, hinge, step, table = make_kernels(scaled, w)
 
-            patch.setattr(similarity, slack_name, recorded_slack)
-            patch.setattr(similarity, step_name, counted_step)
+                def recorded_hinge(a):
+                    # The summed positive slack, 0 exactly when no margin
+                    # is violated.
+                    total = hinge(a)
+                    nonempty.append(bool(total > 0.0))
+                    return total
+
+                def counted_step(a, eta):
+                    nonlocal steps
+                    steps += 1
+                    return step(a, eta)
+
+                return start, recorded_hinge, counted_step, table
+
+            patch.setattr(similarity, kernels_name, watched_kernels)
             calls = _watch_prox(patch)
             config = SimilarityConfig(
                 lam=0.05, margin=1.0, norm_kind=kind, max_iters=400, step0=2.0, rel_tol=0.0
