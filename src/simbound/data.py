@@ -152,12 +152,15 @@ _LABEL_TOKENS = {"-1": -1.0, "1": 1.0, "+1": 1.0}
 def load_csv(path):
     """Read a dataset, enforcing the strict label policy.
 
-    Errors name the offending row by its line number in the file.  A UTF-8
-    byte-order mark at the start of the file, as spreadsheet exports write
-    one, is skipped.
+    Errors name the offending row by its line number in the file, and a
+    file that is not UTF-8 by its path.  A UTF-8 byte-order mark at the
+    start of the file, as spreadsheet exports write one, is skipped.
     """
     with open(path, "r", encoding="utf-8-sig") as handle:
-        lines = handle.read().splitlines()
+        try:
+            lines = handle.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     rows = []
     line_numbers = []
     expected_d = None
@@ -231,8 +234,13 @@ def _write_json(doc, path=None):
 
 
 def _read_json(path):
+    # The decoder's errors say where in the file, not which file: a CLI
+    # command reads up to three.
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _is_int(value):

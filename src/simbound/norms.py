@@ -13,10 +13,11 @@ max row Euclidean norm, and the largest singular value respectively.
 Every proximal operator is exact over the symmetric subspace: l1, fro and
 trace in closed form, mixed21 by a Newton iteration that stops on a
 duality-gap certificate (see ``prox``).  Eigendecompositions go to LAPACK,
-except that the float kernels take a 1x1 or 2x2 one in closed form.
+except that the float kernels take their 2x2 one in closed form.
 
 Each kind's prox is its own kernel, in two sets: ``_PROX`` on arrays, and
-``_PROX_FLOATS`` on lists of Python floats for small matrices.  Both tables
+``_PROX_FLOATS`` on a 2x2 matrix held as the three Python floats
+(a_00, a_01, a_11), the shape of stage one's tiny fits.  Both tables
 are keyed by ``NormKind``; ``prox`` and stage one
 (``similarity.train_similarity``) look a kernel up once per call or fit, so
 no prox call tests the kind.
@@ -264,193 +265,157 @@ def _shrunk_magnitudes(x, tau):
     return np.maximum(shrunk, 0.0, out=shrunk)
 
 
-# The float kernel set: the prox kernels on a symmetric matrix held as a
-# list of rows of floats.  Stage one calls them on small matrices, where a
-# NumPy call costs more than its arithmetic.  Each returns the prox point
-# as rows, its norm, and for trace the spectrum as two lists; at tau = 0,
-# the rows themselves.  Every sum accumulates with += in index order, from
-# 0.0, which puts -0.0 where the array kernels put it; nonzero entries and
-# the norm may differ from theirs in the last bits.  Sums of squares out of
-# the safe range go to the array kernels, which rescale.  Neither the rows
-# nor the spectrum are written to.  ``_PROX_FLOATS``, at the end of the
-# module, holds these kernels by kind.
+# The float kernel set: the prox kernels on a symmetric 2x2 matrix held as
+# the triple (a_00, a_01, a_11) of Python floats, the shape of every fit
+# that stage one runs on floats.  There a NumPy call costs more than the
+# arithmetic.  Each kernel returns the prox point as a triple, its norm,
+# and for trace the spectrum as the flat floats (x_0, x_1, v_00, v_01,
+# v_10, v_11): the thresholded eigenvalues, then the eigenvector rows; at
+# tau = 0, the triple itself and ``_norm`` of its array.  The off-diagonal
+# entry stands for a_01 and a_10: an entrywise kernel acts on it once and
+# adds its term to the norm twice, in index order, and the trace rebuild
+# takes (p_01 + p_10) / 2 for both, which rounds as (p_10 + p_01) / 2
+# does, so each kernel rounds as it would on the 2x2 matrix entry by
+# entry in index order.  Every sum starts at 0.0, which puts -0.0 where
+# the array kernels put it; nonzero entries and the norm may differ from
+# theirs in the last bits.  Sums of squares out of the safe range go to
+# the array kernels, which rescale.  Neither the triple nor the spectrum is
+# written to.  ``_PROX_FLOATS``, at the end of the module, holds these
+# kernels by kind; the mixed21 one, ``_prox_mixed21_triple``, follows the
+# float Newton loops it hands its cold paths to.
 
 
-def _prox_l1_floats(rows, tau, spectrum=None):
+def _triple_array(a):
+    """The symmetric 2x2 array of the triple (a_00, a_01, a_11)."""
+    a_00, a_01, a_11 = a
+    return np.array([[a_00, a_01], [a_01, a_11]])
+
+
+def _prox_l1_triple(a, tau, spectrum=None):
+    # sign(x) max(|x| - tau, 0) entry by entry, which makes a negative entry
+    # that shrinks to zero -0.0 and is x - tau or x + tau exactly, as
+    # ``_prox_l1`` rounds.  A NaN takes the else branch and propagates, as
+    # np.maximum makes it.
     if tau == 0.0:
-        return rows, _norm(np.array(rows), NormKind.L1), spectrum
-    return (*_soft_threshold_floats(rows, tau), None)
+        return a, _norm(_triple_array(a), NormKind.L1), spectrum
+    a_00, a_01, a_11 = a
+    total = 0.0
+    shrunk = abs(a_00) - tau
+    if shrunk <= 0.0:
+        a_00 = -0.0 if a_00 < 0.0 else 0.0
+    else:
+        total += shrunk
+        a_00 = a_00 - tau if a_00 > 0.0 else a_00 + tau
+    shrunk = abs(a_01) - tau
+    if shrunk <= 0.0:
+        a_01 = -0.0 if a_01 < 0.0 else 0.0
+    else:
+        total += shrunk
+        total += shrunk
+        a_01 = a_01 - tau if a_01 > 0.0 else a_01 + tau
+    shrunk = abs(a_11) - tau
+    if shrunk <= 0.0:
+        a_11 = -0.0 if a_11 < 0.0 else 0.0
+    else:
+        total += shrunk
+        a_11 = a_11 - tau if a_11 > 0.0 else a_11 + tau
+    return (a_00, a_01, a_11), total, None
 
 
-def _prox_fro_floats(rows, tau, spectrum=None):
+def _prox_fro_triple(a, tau, spectrum=None):
+    # Each norm is _fro's sum of squares with += in index order.  A square
+    # is never -0.0, so the sum needs no 0.0 to start from.
     if tau == 0.0:
-        return rows, _norm(np.array(rows), NormKind.FROBENIUS), spectrum
-    total = _fro_floats(rows)
+        return a, _norm(_triple_array(a), NormKind.FROBENIUS), spectrum
+    a_00, a_01, a_11 = a
+    square = a_01 * a_01
+    total = math.sqrt(a_00 * a_00 + square + square + a_11 * a_11)
+    if not _NORM_MIN <= total <= _NORM_MAX:
+        total = _fro(_triple_array(a))
     if total <= tau:
-        return [[0.0] * len(rows) for _ in rows], 0.0, None
+        return (0.0, 0.0, 0.0), 0.0, None
     factor = 1.0 - tau / total
-    a = []
-    for row in rows:
-        a_i = []
-        for x in row:
-            a_i.append(x * factor)
-        a.append(a_i)
-    return a, _fro_floats(a), None
+    a = (a_00 * factor, a_01 * factor, a_11 * factor)
+    a_00, a_01, a_11 = a
+    square = a_01 * a_01
+    total = math.sqrt(a_00 * a_00 + square + square + a_11 * a_11)
+    if not _NORM_MIN <= total <= _NORM_MAX:
+        total = _fro(_triple_array(a))
+    return a, total, None
 
 
-def _prox_mixed21_floats(rows, tau, spectrum=None):
-    if tau == 0.0:
-        return rows, _norm(np.array(rows), NormKind.MIXED21), spectrum
-    return (*_newton_mixed21_floats(rows, tau), None)
-
-
-def _prox_trace_floats(rows, tau, spectrum=None):
+def _prox_trace_triple(a, tau, spectrum=None):
     """The trace prox of the float set.
 
-    Decomposes only when no spectrum is given, by ``_spectrum_floats`` (one
-    Jacobi rotation up to d = 2, ``_eigh`` above), and rebuilds A from the
-    thresholded spectrum, at d = 2 by the rebuild loop written out with the
-    same operations in the same order, so a finite d <= 2 trace prox makes
-    no NumPy call.
+    Decomposes only when no spectrum is given, by ``_spectrum_floats``, and
+    rebuilds A = (P + P^T) / 2 with P = (V * thresholded) V^T from the
+    thresholded spectrum, so a finite trace prox makes no NumPy call.
     """
     if tau == 0.0:
-        return rows, _norm(np.array(rows), NormKind.TRACE), spectrum
-    eigenvalues, vectors = _spectrum_floats(rows) if spectrum is None else spectrum
-    if len(vectors) == 2:
-        # _soft_threshold_floats and the loop below, written out for two
-        # eigenpairs.
-        x_0, x_1 = eigenvalues
-        total = 0.0
-        shrunk = abs(x_0) - tau
-        if shrunk <= 0.0:
-            t_0 = -0.0 if x_0 < 0.0 else 0.0
-        else:
-            total += shrunk
-            t_0 = x_0 - tau if x_0 > 0.0 else x_0 + tau
-        shrunk = abs(x_1) - tau
-        if shrunk <= 0.0:
-            t_1 = -0.0 if x_1 < 0.0 else 0.0
-        else:
-            total += shrunk
-            t_1 = x_1 - tau if x_1 > 0.0 else x_1 + tau
-        thresholded = [t_0, t_1]
-        (v_00, v_01), (v_10, v_11) = vectors
-        w_00 = v_00 * t_0
-        w_01 = v_01 * t_1
-        w_10 = v_10 * t_0
-        w_11 = v_11 * t_1
-        p_00 = 0.0 + w_00 * v_00 + w_01 * v_01
-        p_01 = 0.0 + w_00 * v_10 + w_01 * v_11
-        p_10 = 0.0 + w_10 * v_00 + w_11 * v_01
-        p_11 = 0.0 + w_10 * v_10 + w_11 * v_11
-        a = [
-            [(p_00 + p_00) / 2.0, (p_01 + p_10) / 2.0],
-            [(p_10 + p_01) / 2.0, (p_11 + p_11) / 2.0],
-        ]
-        return a, total, (thresholded, vectors)
-    (thresholded,), total = _soft_threshold_floats((eigenvalues,), tau)
-    # P = (vectors * thresholded) @ vectors.T, then A = (P + P^T) / 2.
-    span = range(len(vectors))
-    product = []
-    for v_i in vectors:
-        weighted = []
-        for k in span:
-            weighted.append(v_i[k] * thresholded[k])
-        product_i = []
-        for v_j in vectors:
-            acc = 0.0
-            for k in span:
-                acc += weighted[k] * v_j[k]
-            product_i.append(acc)
-        product.append(product_i)
-    a = []
-    for i in span:
-        product_i = product[i]
-        a_i = []
-        for j in span:
-            a_i.append((product_i[j] + product[j][i]) / 2.0)
-        a.append(a_i)
-    return a, total, (thresholded, vectors)
+        return a, _norm(_triple_array(a), NormKind.TRACE), spectrum
+    x_0, x_1, v_00, v_01, v_10, v_11 = _spectrum_floats(a) if spectrum is None else spectrum
+    total = 0.0
+    shrunk = abs(x_0) - tau
+    if shrunk <= 0.0:
+        x_0 = -0.0 if x_0 < 0.0 else 0.0
+    else:
+        total += shrunk
+        x_0 = x_0 - tau if x_0 > 0.0 else x_0 + tau
+    shrunk = abs(x_1) - tau
+    if shrunk <= 0.0:
+        x_1 = -0.0 if x_1 < 0.0 else 0.0
+    else:
+        total += shrunk
+        x_1 = x_1 - tau if x_1 > 0.0 else x_1 + tau
+    w_00 = v_00 * x_0
+    w_01 = v_01 * x_1
+    w_10 = v_10 * x_0
+    w_11 = v_11 * x_1
+    p_00 = 0.0 + w_00 * v_00 + w_01 * v_01
+    p_01 = 0.0 + w_00 * v_10 + w_01 * v_11
+    p_10 = 0.0 + w_10 * v_00 + w_11 * v_01
+    p_11 = 0.0 + w_10 * v_10 + w_11 * v_11
+    a = ((p_00 + p_00) / 2.0, (p_01 + p_10) / 2.0, (p_11 + p_11) / 2.0)
+    return a, total, (x_0, x_1, v_00, v_01, v_10, v_11)
 
 
-def _spectrum_floats(rows):
-    """Eigenvalues, ascending, and eigenvector rows of a symmetric matrix of rows.
+def _spectrum_floats(triple):
+    """Eigenvalues, ascending, and eigenvector rows of a triple, flat.
 
-    Up to d = 2 with + - * / and ``math.sqrt`` only, so the bits do not
-    depend on the interpreter.  At d = 1 the entry is the eigenvalue, with
-    vector 1.  At d = 2 one Jacobi rotation (Golub & Van Loan, sym.schur2)
-    diagonalizes [[a, b], [b, c]]: with zeta = (c - a) / (2b) and
+    Returns (x_0, x_1, v_00, v_01, v_10, v_11), with + - * / and
+    ``math.sqrt`` only, so the bits do not depend on the interpreter.  One
+    Jacobi rotation (Golub & Van Loan, sym.schur2) diagonalizes
+    [[a, b], [b, c]]: with zeta = (c - a) / (2b) and
     t = sign(zeta) / (|zeta| + sqrt(1 + zeta^2)), the smaller root of
     t^2 + 2 zeta t - 1 = 0, the eigenvalues are a - t b and c + t b, with
     eigenvectors the columns of [[cs, sn], [-sn, cs]], cs = 1 / sqrt(1 + t^2)
     and sn = t cs.  A zeta^2 that overflows gives t = 0 and the diagonal:
     the exact shift t b, about b^2 / (c - a), is then below 1e-308 |c - a|,
     far under an ulp of the larger diagonal entry.  b = 0 gives the
-    diagonal.  Like ``_eigh``, b is read from the lower triangle.  A
-    non-finite entry, a 2b or c - a that overflows, and d >= 3 go to
+    diagonal.  A non-finite entry and a 2b or c - a that overflows go to
     ``_eigh``.
     """
-    if len(rows) == 1:
-        x = rows[0][0]
-        if -math.inf < x < math.inf:
-            return [x], [[1.0]]
-    elif len(rows) == 2:
-        (a, _), (b, c) = rows
-        two_b = 2.0 * b
-        diff = c - a
-        # Both finite exactly when a, b and c are and neither overflows.
-        if -math.inf < two_b < math.inf and -math.inf < diff < math.inf:
-            if b == 0.0:
-                if c < a:
-                    return [c, a], [[0.0, 1.0], [1.0, 0.0]]
-                return [a, c], [[1.0, 0.0], [0.0, 1.0]]
-            zeta = diff / two_b
-            root = math.sqrt(1.0 + zeta * zeta)
-            t = 1.0 / (zeta + root) if zeta >= 0.0 else -1.0 / (root - zeta)
-            cs = 1.0 / math.sqrt(1.0 + t * t)
-            sn = t * cs
-            low = a - t * b
-            high = c + t * b
-            if high < low:
-                return [high, low], [[sn, cs], [cs, -sn]]
-            return [low, high], [[cs, sn], [-sn, cs]]
-    eigenvalues, vectors = _eigh(np.array(rows))
-    return eigenvalues.tolist(), vectors.tolist()
-
-
-def _soft_threshold_floats(rows, tau):
-    """sign(x) max(|x| - tau, 0) for each entry of rows, and the sum of the
-    shrunk magnitudes.
-
-    Rounds as ``_prox_l1`` does: a negative entry that shrinks to zero becomes
-    -0.0, and sign(x) (|x| - tau) is x - tau or x + tau exactly.
-    """
-    total = 0.0
-    out = []
-    for row in rows:
-        out_row = []
-        for x in row:
-            shrunk = abs(x) - tau
-            if shrunk <= 0.0:
-                out_row.append(-0.0 if x < 0.0 else 0.0)
-            else:
-                # A NaN lands here and propagates, as np.maximum makes it.
-                total += shrunk
-                out_row.append(x - tau if x > 0.0 else x + tau)
-        out.append(out_row)
-    return out, total
-
-
-def _fro_floats(rows):
-    """``_fro`` on a list of rows, summed with += in index order."""
-    acc = 0.0
-    for row in rows:
-        for x in row:
-            acc += x * x
-    value = math.sqrt(acc)
-    if _NORM_MIN <= value <= _NORM_MAX:
-        return value
-    return _fro(np.array(rows))
+    a, b, c = triple
+    two_b = 2.0 * b
+    diff = c - a
+    # Both finite exactly when a, b and c are and neither overflows.
+    if -math.inf < two_b < math.inf and -math.inf < diff < math.inf:
+        if b == 0.0:
+            if c < a:
+                return c, a, 0.0, 1.0, 1.0, 0.0
+            return a, c, 1.0, 0.0, 0.0, 1.0
+        zeta = diff / two_b
+        root = math.sqrt(1.0 + zeta * zeta)
+        t = 1.0 / (zeta + root) if zeta >= 0.0 else -1.0 / (root - zeta)
+        cs = 1.0 / math.sqrt(1.0 + t * t)
+        sn = t * cs
+        low = a - t * b
+        high = c + t * b
+        if high < low:
+            return high, low, sn, cs, cs, -sn
+        return low, high, cs, sn, -sn, cs
+    eigenvalues, vectors = _eigh(_triple_array(triple))
+    return (*eigenvalues.tolist(), *vectors.ravel().tolist())
 
 
 # Relative duality-gap tolerance of the mixed21 prox and the step caps of
@@ -513,10 +478,11 @@ def _prox_mixed21(b, tau, spectrum=None):
     then takes over from the last H.
 
     Up to d = ``_MIXED21_FLOAT_MAX_D`` (5) the Newton phase runs on Python
-    floats (``_newton_mixed21_floats``, written out with no inner loop at
-    d = 2), above it on arrays (``_newton_mixed21_arrays``), whose cost
-    grows more slowly with d.  The two round differently: dot products and
-    the Newton solve may differ in the last bits.
+    floats (``_newton_mixed21_floats``; the float set's d = 2 kernel
+    ``_prox_mixed21_triple`` is it written out), above it on arrays
+    (``_newton_mixed21_arrays``), whose cost grows more slowly with d.  The
+    two round differently: dot products and the Newton solve may differ in
+    the last bits.
 
     Where the row norms of B leave the Newton range (``_NEWTON_MIN``,
     ``_NEWTON_MAX``), both phases solve the problem rescaled instead
@@ -621,119 +587,10 @@ def _newton_mixed21_floats(rows, tau):
     (rescaling, the dual phase) run on arrays.  The loops index their
     lists: in Python 3.11 a zip over a few entries costs more.
 
-    At d = 2 the loops are written out, with the same operations in the
-    same order, and the Newton system of one or two unknowns is solved in
-    place by ``_solve_floats``' pivot rule (the first largest pivot on a
-    tie).  The products that a row's Jacobian shares with its evaluation
-    are kept, not formed again.  The written-out phase's cold paths, row
-    norms out of the Newton range and no certificate within
-    ``_MIXED21_NEWTON_STEPS``, hand the same input to the loops, which
-    repeat the same steps.
+    At d = 2 the float set's kernel ``_prox_mixed21_triple`` runs these
+    steps written out, and hands its cold paths back to these loops.
     """
     sqrt = math.sqrt
-    if len(rows) == 2:
-        (b_00, b_01), (b_10, b_11) = rows
-        t_00 = b_00 + b_00
-        t_01 = b_01 + b_01
-        t_10 = b_10 + b_10
-        t_11 = b_11 + b_11
-        r_0 = sqrt(0.0 + b_00 * b_00 + b_01 * b_01)
-        r_1 = sqrt(0.0 + b_10 * b_10 + b_11 * b_11)
-        scale = 0.0 + r_0 + r_1
-        if _NEWTON_MIN <= (r_0 if r_0 > r_1 else r_1) and scale <= _NEWTON_MAX:
-            s_0 = 1.0 - tau / (tau if tau > r_0 else r_0)
-            s_1 = 1.0 - tau / (tau if tau > r_1 else r_1)
-            for _ in range(_MIXED21_NEWTON_STEPS):
-                # x_ij is h_ij; a dead pair's p_ij becomes 1 for the output
-                # and the Jacobian.
-                p_00 = s_0 + s_0
-                if p_00 > 0.0:
-                    x_00 = t_00 * (s_0 / p_00)
-                else:
-                    p_00 = 1.0
-                    x_00 = t_00 * 0.5
-                p_01 = s_0 + s_1
-                if p_01 > 0.0:
-                    x_01 = t_01 * (s_1 / p_01)
-                    x_10 = t_10 * (s_0 / p_01)
-                else:
-                    p_01 = 1.0
-                    x_01 = t_01 * 0.5
-                    x_10 = t_10 * 0.5
-                p_11 = s_1 + s_1
-                if p_11 > 0.0:
-                    x_11 = t_11 * (s_1 / p_11)
-                else:
-                    p_11 = 1.0
-                    x_11 = t_11 * 0.5
-                n_0 = sqrt(0.0 + x_00 * x_00 + x_01 * x_01)
-                n_1 = sqrt(0.0 + x_10 * x_10 + x_11 * x_11)
-                below = 0.0
-                if tau > n_0:
-                    clipped_0 = tau
-                    below += (s_0 * n_0) * (tau - n_0)
-                else:
-                    clipped_0 = n_0
-                if tau > n_1:
-                    clipped_1 = tau
-                    below += (s_1 * n_1) * (tau - n_1)
-                else:
-                    clipped_1 = n_1
-                target_0 = 1.0 - tau / clipped_0
-                target_1 = 1.0 - tau / clipped_1
-                e_0 = s_0 - target_0
-                e_1 = s_1 - target_1
-                weighted_0 = e_0 * r_0
-                weighted_1 = e_1 * r_1
-                gap = 0.0 + weighted_0 * weighted_0 + weighted_1 * weighted_1 + below
-                total = 0.0 + s_0 * n_0 + s_1 * n_1
-                if gap <= tau * MIXED21_GAP_RTOL * (total + scale):
-                    # s_0 s_1 = s_1 s_0 exactly.
-                    q_01 = s_0 * s_1 / p_01
-                    return [
-                        [t_00 * (s_0 * s_0 / p_00), t_01 * q_01],
-                        [t_10 * q_01, t_11 * (s_1 * s_1 / p_11)],
-                    ], total
-                # The Newton system [M | e] over the live rows, with
-                # C_ij = h_ij 2 b_ij / p_ij^2.
-                live_0 = target_0 > 0.0
-                live_1 = target_1 > 0.0
-                if live_0:
-                    weight = tau / (clipped_0 * clipped_0 * clipped_0)
-                    weighted_s = weight * s_0
-                    c_00 = x_00 * t_00 / (p_00 * p_00)
-                    c_01 = x_01 * t_01 / (p_01 * p_01)
-                    c_s = 0.0 + c_00 * s_0 + c_01 * s_1
-                    m_00 = (0.0 - weighted_s * c_00) + (1.0 + weight * c_s)
-                    m_01 = 0.0 - weighted_s * c_01
-                if live_1:
-                    weight = tau / (clipped_1 * clipped_1 * clipped_1)
-                    weighted_s = weight * s_1
-                    c_10 = x_10 * t_10 / (p_01 * p_01)
-                    c_11 = x_11 * t_11 / (p_11 * p_11)
-                    c_s = 0.0 + c_10 * s_0 + c_11 * s_1
-                    m_10 = 0.0 - weighted_s * c_10
-                    m_11 = (0.0 - weighted_s * c_11) + (1.0 + weight * c_s)
-                if live_0 and live_1:
-                    if abs(m_10) > abs(m_00):
-                        m_00, m_01, e_0, m_10, m_11, e_1 = m_10, m_11, e_1, m_00, m_01, e_0
-                    factor = m_10 / m_00
-                    step_1 = (e_1 - factor * e_0) / (m_11 - factor * m_01)
-                    step_0 = (e_0 - m_01 * step_1) / m_00
-                elif live_0:
-                    step_0 = e_0 / m_00
-                elif live_1:
-                    step_1 = e_1 / m_11
-                # Live rows take the clamped Newton step, dead ones their target.
-                if live_0:
-                    x = s_0 - step_0
-                    target_0 = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
-                if live_1:
-                    x = s_1 - step_1
-                    target_1 = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
-                s_0 = target_0
-                s_1 = target_1
-        # The cold paths: the loops below take the same steps from the start.
     span = range(len(rows))
     twice = []
     b_rows = []
@@ -848,6 +705,124 @@ def _newton_mixed21_floats(rows, tau):
     return a.tolist(), total
 
 
+def _prox_mixed21_triple(a, tau, spectrum=None):
+    """The mixed21 prox of the float set: ``_newton_mixed21_floats`` at d = 2,
+    written out.
+
+    The same operations in the same order, with no inner loop, and the
+    Newton system of one or two unknowns solved in place by
+    ``_solve_floats``' pivot rule (the first largest pivot on a tie).  The
+    off-diagonal entries b_01 = b_10 share their products, and the output
+    entries t_01 q_01 and t_10 q_01 are one.  The products that a row's
+    Jacobian shares with its evaluation are kept, not formed again.  The
+    cold paths, row norms out of the Newton range and no certificate within
+    ``_MIXED21_NEWTON_STEPS``, hand the same input to the loops, which
+    repeat the same steps.
+    """
+    if tau == 0.0:
+        return a, _norm(_triple_array(a), NormKind.MIXED21), spectrum
+    sqrt = math.sqrt
+    b_00, b_01, b_11 = a
+    t_00 = b_00 + b_00
+    t_01 = b_01 + b_01
+    t_11 = b_11 + b_11
+    r_0 = sqrt(0.0 + b_00 * b_00 + b_01 * b_01)
+    r_1 = sqrt(0.0 + b_01 * b_01 + b_11 * b_11)
+    scale = 0.0 + r_0 + r_1
+    if _NEWTON_MIN <= (r_0 if r_0 > r_1 else r_1) and scale <= _NEWTON_MAX:
+        s_0 = 1.0 - tau / (tau if tau > r_0 else r_0)
+        s_1 = 1.0 - tau / (tau if tau > r_1 else r_1)
+        for _ in range(_MIXED21_NEWTON_STEPS):
+            # x_ij is h_ij; a dead pair's p_ij becomes 1 for the output and
+            # the Jacobian.
+            p_00 = s_0 + s_0
+            if p_00 > 0.0:
+                x_00 = t_00 * (s_0 / p_00)
+            else:
+                p_00 = 1.0
+                x_00 = t_00 * 0.5
+            p_01 = s_0 + s_1
+            if p_01 > 0.0:
+                x_01 = t_01 * (s_1 / p_01)
+                x_10 = t_01 * (s_0 / p_01)
+            else:
+                p_01 = 1.0
+                x_01 = x_10 = t_01 * 0.5
+            p_11 = s_1 + s_1
+            if p_11 > 0.0:
+                x_11 = t_11 * (s_1 / p_11)
+            else:
+                p_11 = 1.0
+                x_11 = t_11 * 0.5
+            n_0 = sqrt(0.0 + x_00 * x_00 + x_01 * x_01)
+            n_1 = sqrt(0.0 + x_10 * x_10 + x_11 * x_11)
+            below = 0.0
+            if tau > n_0:
+                clipped_0 = tau
+                below += (s_0 * n_0) * (tau - n_0)
+            else:
+                clipped_0 = n_0
+            if tau > n_1:
+                clipped_1 = tau
+                below += (s_1 * n_1) * (tau - n_1)
+            else:
+                clipped_1 = n_1
+            target_0 = 1.0 - tau / clipped_0
+            target_1 = 1.0 - tau / clipped_1
+            e_0 = s_0 - target_0
+            e_1 = s_1 - target_1
+            weighted_0 = e_0 * r_0
+            weighted_1 = e_1 * r_1
+            gap = 0.0 + weighted_0 * weighted_0 + weighted_1 * weighted_1 + below
+            total = 0.0 + s_0 * n_0 + s_1 * n_1
+            if gap <= tau * MIXED21_GAP_RTOL * (total + scale):
+                # s_0 s_1 = s_1 s_0 exactly.
+                a_01 = t_01 * (s_0 * s_1 / p_01)
+                return (t_00 * (s_0 * s_0 / p_00), a_01, t_11 * (s_1 * s_1 / p_11)), total, None
+            # The Newton system [M | e] over the live rows, with
+            # C_ij = h_ij 2 b_ij / p_ij^2.
+            live_0 = target_0 > 0.0
+            live_1 = target_1 > 0.0
+            if live_0:
+                weight = tau / (clipped_0 * clipped_0 * clipped_0)
+                weighted_s = weight * s_0
+                c_00 = x_00 * t_00 / (p_00 * p_00)
+                c_01 = x_01 * t_01 / (p_01 * p_01)
+                c_s = 0.0 + c_00 * s_0 + c_01 * s_1
+                m_00 = (0.0 - weighted_s * c_00) + (1.0 + weight * c_s)
+                m_01 = 0.0 - weighted_s * c_01
+            if live_1:
+                weight = tau / (clipped_1 * clipped_1 * clipped_1)
+                weighted_s = weight * s_1
+                c_10 = x_10 * t_01 / (p_01 * p_01)
+                c_11 = x_11 * t_11 / (p_11 * p_11)
+                c_s = 0.0 + c_10 * s_0 + c_11 * s_1
+                m_10 = 0.0 - weighted_s * c_10
+                m_11 = (0.0 - weighted_s * c_11) + (1.0 + weight * c_s)
+            if live_0 and live_1:
+                if abs(m_10) > abs(m_00):
+                    m_00, m_01, e_0, m_10, m_11, e_1 = m_10, m_11, e_1, m_00, m_01, e_0
+                factor = m_10 / m_00
+                step_1 = (e_1 - factor * e_0) / (m_11 - factor * m_01)
+                step_0 = (e_0 - m_01 * step_1) / m_00
+            elif live_0:
+                step_0 = e_0 / m_00
+            elif live_1:
+                step_1 = e_1 / m_11
+            # Live rows take the clamped Newton step, dead ones their target.
+            if live_0:
+                x = s_0 - step_0
+                target_0 = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+            if live_1:
+                x = s_1 - step_1
+                target_1 = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+            s_0 = target_0
+            s_1 = target_1
+    rows, total = _newton_mixed21_floats([[b_00, b_01], [b_01, b_11]], tau)
+    (a_00, a_01), (_, a_11) = rows
+    return (a_00, a_01, a_11), total, None
+
+
 def _solve_floats(system):
     """Solution of the augmented system [M | r], as a list.
 
@@ -939,8 +914,8 @@ _PROX = {
     NormKind.TRACE: _prox_trace,
 }
 _PROX_FLOATS = {
-    NormKind.L1: _prox_l1_floats,
-    NormKind.FROBENIUS: _prox_fro_floats,
-    NormKind.MIXED21: _prox_mixed21_floats,
-    NormKind.TRACE: _prox_trace_floats,
+    NormKind.L1: _prox_l1_triple,
+    NormKind.FROBENIUS: _prox_fro_triple,
+    NormKind.MIXED21: _prox_mixed21_triple,
+    NormKind.TRACE: _prox_trace_triple,
 }

@@ -22,7 +22,8 @@ from .data import (
 )
 from .errors import NumericalError
 from .norms import (
-    _NORM_KIND, _PROX, _PROX_FLOATS, NormKind, _norm_kind, norm, require_symmetric,
+    _NORM_KIND, _PROX, _PROX_FLOATS, NormKind, _norm_kind, _triple_array, norm,
+    require_symmetric,
 )
 
 # Stage one calls the unchecked kernels; the public prox stays bound here
@@ -189,19 +190,20 @@ def train_similarity(data, config):
 
     The loop runs on one of two kernel sets, chosen once per fit by
     ``_uses_floats``: ``_array_kernels`` on NumPy arrays, or, for tiny
-    problems, ``_float_kernels`` on lists of Python floats.  The two round
-    differently, so their models may differ in the last bits.  Everything
-    that depends only on the norm kind and d is decided once per fit, not
-    per iteration: the prox kernel is looked up in the set's table
-    (``norms._PROX`` or ``norms._PROX_FLOATS``) by the norm kind, and at
-    d = 2 the float set hands out its written-out hinge and step.  Those,
-    the trace prox and the mixed21 Newton phase run with no inner loop and
-    the same operations in the same order as their loops, so no bit moves.
+    problems at d = 2, ``_float_kernels`` on Python floats, with each
+    iterate held as the triple (a_00, a_01, a_11) of its entries.  The two
+    round differently, so their models may differ in the last bits.
+    Everything that depends only on the norm kind and d is decided once per
+    fit, not per iteration: the prox kernel is looked up in the set's table
+    (``norms._PROX`` or ``norms._PROX_FLOATS``) by the norm kind, and the
+    set hands out matrix(a), which makes the model's array of the best
+    iterate.  The float set's kernels name each entry and loop only over
+    the examples.
     """
     lam = config.lam
     m = data.m
     kernels = _float_kernels if _uses_floats(m, data.d) else _array_kernels
-    a, hinge, step, prox_table = kernels(
+    a, hinge, step, prox_table, matrix = kernels(
         _scaled_features(data, config.margin), _label_sum(data)
     )
     prox_kernel = prox_table[config.norm_kind]
@@ -243,41 +245,42 @@ def train_similarity(data, config):
                 break
             window_best = best_obj
     return SimilarityModel(
-        matrix=np.array(best_a),
+        matrix=matrix(best_a),
         config=config,
         final_objective=best_obj,
         iterations_run=iterations,
     )
 
 
-# The largest d and m * d that stage one runs on Python floats.  Float work
-# grows with m * d, while an array call costs about the same at every small
-# size.  Over 300-iteration fits on two-cluster data (2-vCPU host, Python
-# 3.11, numpy 2.4), the float kernels ran 1.04-4.9x as fast as the array
-# kernels for every kind and d <= 4 up to m * d = 24, and fro lost from
-# m * d = 32 (0.96x at d = 4); the README lists the scan.  The mixed21 prox
-# runs its Newton phase on floats one d further (norms._MIXED21_FLOAT_MAX_D),
-# which the scan did not measure for the whole kernel set.
-_FLOAT_MAX_D = 4
+# The largest m * d that stage one runs on Python floats, at d = 2.  Float
+# work grows with m * d, while an array call costs about the same at every
+# small size.  Over 300-iteration fits on two-cluster data (2-vCPU host,
+# Python 3.11, numpy 2.4, three runs), the float kernels ran 2.8-7.5x as
+# fast as the array kernels for every kind up to m * d = 24, and 1.9-3.9x
+# at m * d = 64; the README lists the scan.  Every gated workload and
+# acceptance check that runs stage one on floats fits at d = 2 with
+# m * d <= 12, so other d run the array set, and a higher bound would
+# speed up no gated fit while it moved the bits of fits that run arrays.
 _FLOAT_MAX_MD = 24
 
 
 def _uses_floats(m, d):
     """Whether a fit on m examples in d dimensions runs the float kernels."""
-    return d <= _FLOAT_MAX_D and m * d <= _FLOAT_MAX_MD
+    return d == 2 and m * d <= _FLOAT_MAX_MD
 
 
 def _array_kernels(scaled, w):
-    """Stage one's kernels on NumPy arrays: (zero start, hinge, step, prox table).
+    """Stage one's kernels on NumPy arrays: (zero start, hinge, step, prox
+    table, matrix).
 
     hinge(a) forms the slack and the 0/1 hinge mask of iterate a in reused
     buffers and returns the summed positive slack; step(a, eta) is a minus
     eta times the hinge subgradient at the iterate hinge saw last, formed in
-    place; the prox table is ``norms._PROX``.  The mask is
-    heaviside(slack, 0), which writes 0.0 and 1.0 into the float buffer
-    with no cast from bools, and rounds as slack > 0 does for every finite,
-    signed-zero or infinite slack; a NaN slack gives NaN, where the bools
-    gave 0, and the hinge sum is NaN either way.
+    place; the prox table is ``norms._PROX``; matrix(a) is the model's copy
+    of iterate a.  The mask is heaviside(slack, 0), which writes 0.0 and 1.0
+    into the float buffer with no cast from bools, and rounds as slack > 0
+    does for every finite, signed-zero or infinite slack; a NaN slack gives
+    NaN, where the bools gave 0, and the hinge sum is NaN either way.
     """
     m, d = scaled.shape
     scaled_t = scaled.T
@@ -293,51 +296,37 @@ def _array_kernels(scaled, w):
         g = _subgradient(active, scaled_t, w, eta)
         return np.subtract(a, g, out=g)
 
-    return np.zeros((d, d)), hinge, step, _PROX
+    return np.zeros((d, d)), hinge, step, _PROX, np.array
 
 
 def _float_kernels(scaled, w):
-    """``_array_kernels`` on lists of Python floats, A as a list of rows.
+    """``_array_kernels`` at d = 2 on Python floats, A as the triple
+    (a_00, a_01, a_11).
 
-    The same arithmetic with every sum accumulated with += in index order
-    (the built-in sum compensates from Python 3.12 on, which would tie the
-    bits to the interpreter); the prox table is ``norms._PROX_FLOATS``.  The
-    loops are written out over index ranges: in Python 3.11 a list
-    comprehension costs a call, and a zip over a few entries costs more than
-    indexing.  At d = 2 (acceptance check 02's fits and the benchmark's
-    solver_tiny) hinge and step are the written-out closures below, which
-    drop the index loops of ``_hinge_floats`` and ``_step_floats`` and name
-    each entry, with the same operations in the same order: each sum starts
-    at 0.0, which puts -0.0 where the loops put it, and the step's two
-    off-diagonal entries share their sum, which addition, being
-    commutative, rounds the same either way.
+    Every iterate is exactly symmetric, so the triple holds all of it.  The
+    arithmetic is the array set's with every sum accumulated with += in
+    index order from 0.0 (the built-in sum compensates from Python 3.12 on,
+    which would tie the bits to the interpreter), which puts -0.0 where the
+    array set puts it.  Each entry is named, and the only loops run over the
+    examples.  The step's two off-diagonal entries add the same two
+    products, which addition, being commutative, rounds the same either
+    way, so they share one sum.  The prox table is ``norms._PROX_FLOATS``,
+    and matrix(a) is the 2x2 array of a triple.
     """
     rows = scaled.tolist()
-    columns = scaled.T.tolist()
-    w = w.tolist()
-    d = len(w)
+    c_0, c_1 = scaled.T.tolist()
+    w_0, w_1 = w.tolist()
     minus_twice_m = -2.0 * len(rows)
     active = []
-    start = [[0.0] * d for _ in range(d)]
-    if d != 2:
-
-        def hinge(a):
-            return _hinge_floats(a, rows, w, active)
-
-        def step(a, eta):
-            return _step_floats(a, columns, active, w, eta / minus_twice_m)
-
-        return start, hinge, step, _PROX_FLOATS
-
-    w_0, w_1 = w
-    c_0, c_1 = columns
 
     def hinge(a):
+        # Sets active to the indices of the positive slack entries, the
+        # hinge mask.
         active.clear()
         total = 0.0
-        (a_00, a_01), (a_10, a_11) = a
+        a_00, a_01, a_11 = a
         image_0 = 0.0 + a_00 * w_0 + a_01 * w_1
-        image_1 = 0.0 + a_10 * w_0 + a_11 * w_1
+        image_1 = 0.0 + a_01 * w_0 + a_11 * w_1
         i = 0
         for r_0, r_1 in rows:
             slack = 1.0 - (0.0 + r_0 * image_0 + r_1 * image_1)
@@ -345,82 +334,29 @@ def _float_kernels(scaled, w):
                 total += slack
                 active.append(i)
             else:
+                # Adds 0 for a finite slack; a non-finite one makes the sum
+                # NaN, as the array kernels' slack . mask does.
                 total += slack * 0.0
             i += 1
         return total
 
     def step(a, eta):
+        # A minus factor (u w^T + w u^T), with u the sum of the active
+        # scaled rows and factor eta / (-2 m).
         factor = eta / minus_twice_m
         u_0 = 0.0
         u_1 = 0.0
         for i in active:
             u_0 += c_0[i]
             u_1 += c_1[i]
-        (a_00, a_01), (a_10, a_11) = a
-        cross = (u_0 * w_1 + u_1 * w_0) * factor
-        return [
-            [a_00 - (u_0 * w_0 + u_0 * w_0) * factor, a_01 - cross],
-            [a_10 - cross, a_11 - (u_1 * w_1 + u_1 * w_1) * factor],
-        ]
+        a_00, a_01, a_11 = a
+        return (
+            a_00 - (u_0 * w_0 + u_0 * w_0) * factor,
+            a_01 - (u_0 * w_1 + u_1 * w_0) * factor,
+            a_11 - (u_1 * w_1 + u_1 * w_1) * factor,
+        )
 
-    return start, hinge, step, _PROX_FLOATS
-
-
-def _hinge_floats(a, rows, w, active):
-    """The slack 1 - rows (A w) on lists, summed over its positive entries.
-
-    Sets active to the indices of those entries, the hinge mask.
-    """
-    active.clear()
-    total = 0.0
-    span = range(len(w))
-    image = []
-    for a_k in a:
-        acc = 0.0
-        for k in span:
-            acc += a_k[k] * w[k]
-        image.append(acc)
-    i = 0
-    for row in rows:
-        acc = 0.0
-        for k in span:
-            acc += row[k] * image[k]
-        slack = 1.0 - acc
-        if slack > 0.0:
-            total += slack
-            active.append(i)
-        else:
-            # Adds 0 for a finite slack; a non-finite one makes the sum NaN,
-            # as the array kernels' slack . mask does.
-            total += slack * 0.0
-        i += 1
-    return total
-
-
-def _step_floats(a, columns, active, w, factor):
-    """A minus factor (u w^T + w u^T) on lists, with u the sum of the active
-    scaled rows: the step of ``_array_kernels`` with factor eta / (-2 m).
-
-    Entries (k, l) and (l, k) add the same two products, so the step is
-    exactly symmetric.
-    """
-    span = range(len(w))
-    u = []
-    for column in columns:
-        acc = 0.0
-        for i in active:
-            acc += column[i]
-        u.append(acc)
-    out = []
-    for k in span:
-        a_k = a[k]
-        u_k = u[k]
-        w_k = w[k]
-        out_k = []
-        for l in span:
-            out_k.append(a_k[l] - (u_k * w[l] + u[l] * w_k) * factor)
-        out.append(out_k)
-    return out
+    return (0.0, 0.0, 0.0), hinge, step, _PROX_FLOATS, _triple_array
 
 
 # The model document's fields (see data._checked); entries are row-major.

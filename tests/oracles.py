@@ -599,7 +599,8 @@ def _reference_dual_mixed21(b, tau, h, scale, gap_rtol, dual_steps):
 
 
 def reference_prox_floats(rows, tau, kind, spectrum=None):
-    """``reference_prox`` on a list of rows of floats, and the trace spectrum.
+    """``reference_prox`` on a symmetric 2x2 list of rows of floats, and the
+    trace spectrum.
 
     Returns (rows, norm, spectrum).  Every sum accumulates with += in index
     order from 0.0.  Soft thresholds are sign(x) max(|x| - tau, 0) with
@@ -609,6 +610,7 @@ def reference_prox_floats(rows, tau, kind, spectrum=None):
     ``_reference_prox_mixed21`` on the array of the rows.
     """
     d = len(rows)
+    assert d == 2, "the float kernel set is 2x2"
     rng = range(d)
     if tau == 0.0:
         return rows, _reference_norm(np.array(rows), kind), spectrum
@@ -644,22 +646,19 @@ def reference_prox_floats(rows, tau, kind, spectrum=None):
 
 
 def reference_spectrum_floats(rows):
-    """Eigenvalues, ascending, and eigenvector rows of a symmetric list of rows.
+    """Eigenvalues, ascending, and eigenvector rows of a symmetric 2x2 list of
+    rows.
 
-    d = 1: the entry, with vector 1.  d = 2, when every entry, 2b and c - a
-    are finite: b = 0 gives the diagonal; otherwise one Jacobi rotation
-    (Golub & Van Loan, sym.schur2) with zeta = (c - a) / (2b), sign(0) = +1,
+    When every entry, 2b and c - a are finite: b = 0 gives the diagonal;
+    otherwise one Jacobi rotation (Golub & Van Loan, sym.schur2) with
+    zeta = (c - a) / (2b), sign(0) = +1,
     t = sign(zeta) / (|zeta| + sqrt(1 + zeta^2)), cs = 1 / sqrt(1 + t^2),
     sn = t cs gives the eigenpairs (a - t b, (cs, -sn)) and
     (c + t b, (sn, cs)).  The pairs are sorted by eigenvalue, stably, and
     b is the lower-triangle entry, as LAPACK reads it.  Anything else goes
     to np.linalg.eigh.
     """
-    d = len(rows)
-    finite = all(math.isfinite(x) for row in rows for x in row)
-    if d == 1 and finite:
-        return [rows[0][0]], [[1.0]]
-    if d == 2 and finite:
+    if all(math.isfinite(x) for row in rows for x in row):
         a, b, c = rows[0][0], rows[1][0], rows[1][1]
         if math.isfinite(2.0 * b) and math.isfinite(c - a):
             if b == 0.0:
@@ -700,7 +699,8 @@ def reference_train_similarity(
     previous prox returned instead of decomposing again.  Returns (matrix,
     objective, iterations run).
 
-    With floats set, A is a list of rows of Python floats: the products are
+    With floats set (d = 2, the float kernel set's shape), A is a list of
+    rows of Python floats, not the kernel set's triple: the products are
     dot products summed with += in index order, the hinge sum adds each
     slack times its 0/1 mask in index order, and the prox is
     ``reference_prox_floats``.  Otherwise A is an array, and the prox is

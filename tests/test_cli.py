@@ -297,6 +297,27 @@ def test_non_finite_flag_exits_1(train_csv, tmp_path, capsys, command, flag, val
     assert captured.err.startswith("error: ") and f"{named} must be" in captured.err
 
 
+@pytest.mark.parametrize("bad_input, content", [
+    ("model", b"not json"),
+    ("model", b"\xff{}"),
+    ("separator", b"{not json"),
+    ("data", b"\xff1,0.5\n"),
+], ids=["model-not-json", "model-not-utf8", "separator-not-json", "data-not-utf8"])
+def test_unreadable_input_file_is_named(train_csv, tmp_path, capsys, bad_input, content):
+    # eval reads up to three files; a decode error must say which one.
+    model_path, sep_path = trained_artifacts(train_csv, tmp_path)
+    paths = {"data": train_csv, "model": model_path, "separator": sep_path}
+    bad = tmp_path / f"bad_{bad_input}"
+    bad.write_bytes(content)
+    paths[bad_input] = bad
+    argv = ["eval", "--data", str(paths["data"]), "--model", str(paths["model"]),
+            "--separator", str(paths["separator"])]
+    capsys.readouterr()
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("artifact, field, corrupt", [
     ("model", "margin", lambda old: math.inf),
     ("model", "dim", lambda old: None),

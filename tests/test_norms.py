@@ -209,11 +209,31 @@ def _signed_zero_inputs(rng):
     yield np.array([[0.0, 0.45, 0.0], [0.45, 1.5, 0.375], [0.0, 0.375, 2.25]])
 
 
+def _triple(rows):
+    """The float set's triple (a_00, a_01, a_11) of a symmetric 2x2 matrix."""
+    (a_00, a_01), (_, a_11) = np.asarray(rows, dtype=float).tolist()
+    return a_00, a_01, a_11
+
+
+def _rows(a):
+    """The rows of the float set's triple a."""
+    a_00, a_01, a_11 = a
+    return [[a_00, a_01], [a_01, a_11]]
+
+
+def _flat_spectrum(spectrum):
+    """A (eigenvalues, eigenvector rows) pair as the float set's flat floats."""
+    eigenvalues, vectors = spectrum
+    return (*eigenvalues, *vectors[0], *vectors[1])
+
+
 def test_prox_matches_reference_bits(rng):
     # assert_array_equal takes -0.0 and +0.0 as equal; signbit does not.
     # Thresholds hit an entry exactly, shrink every entry to zero, and skip
-    # the prox (tau = 0).  Both kernel sets: the float kernels up to d = 4,
-    # where stage one runs them, trace also from a given spectrum.
+    # the prox (tau = 0).  Both kernel sets: the float kernels at d = 2,
+    # where stage one runs them, trace also from a given spectrum.  The
+    # reference takes and returns rows, so the triple's off-diagonal entry
+    # stands for both of its entries.
     for b in _signed_zero_inputs(rng):
         for tau in (0.0, 0.1, 0.5, abs(float(b[0, -1])), 10.0):
             for kind in ALL_KINDS:
@@ -221,23 +241,23 @@ def test_prox_matches_reference_bits(rng):
                 expected, expected_norm = reference_prox(b, tau, kind)
                 _assert_same_bits(out, expected)
                 assert out_norm == expected_norm and type(out_norm) is float, kind
-                if b.shape[0] > 4:
+                if b.shape[0] != 2:
                     continue
-                rows, rows_norm, spectrum = _PROX_FLOATS[NormKind(kind)](b.tolist(), tau)
+                a, a_norm, spectrum = _PROX_FLOATS[NormKind(kind)](_triple(b), tau)
                 expected, expected_norm, expected_spectrum = reference_prox_floats(
                     b.tolist(), tau, kind
                 )
-                _assert_same_bits(rows, expected)
-                assert rows_norm == expected_norm and type(rows_norm) is float, kind
+                assert type(a) is tuple
+                _assert_same_bits(_rows(a), expected)
+                assert a_norm == expected_norm and type(a_norm) is float, kind
                 if spectrum is None:
                     continue
-                for part, expected_part in zip(spectrum, expected_spectrum):
-                    _assert_same_bits(part, expected_part)
-                again, again_norm, _ = _PROX_FLOATS[NormKind.TRACE](rows, 0.05, spectrum)
+                _assert_same_bits(spectrum, _flat_spectrum(expected_spectrum))
+                again, again_norm, _ = _PROX_FLOATS[NormKind.TRACE](a, 0.05, spectrum)
                 expected, expected_norm, _ = reference_prox_floats(
                     expected, 0.05, kind, expected_spectrum
                 )
-                _assert_same_bits(again, expected)
+                _assert_same_bits(_rows(again), expected)
                 assert again_norm == expected_norm
 
 
@@ -273,6 +293,12 @@ def _spectrum_inputs(rng):
     ]
 
 
+def _split_spectrum(spectrum):
+    """The float set's flat spectrum as (eigenvalues, eigenvector rows)."""
+    x_0, x_1, v_00, v_01, v_10, v_11 = spectrum
+    return [x_0, x_1], [[v_00, v_01], [v_10, v_11]]
+
+
 def test_spectrum_floats_matches_eigh(monkeypatch, rng):
     # Eigenpairs of a 2x2 matrix by one rotation, with no LAPACK call:
     # ascending, and within a few ulps of max|entry| of eigh's eigenvalues,
@@ -282,9 +308,10 @@ def test_spectrum_floats_matches_eigh(monkeypatch, rng):
     eps = 2.0 ** -52
     for a, b, c in _spectrum_inputs(rng):
         rows = [[a, b], [b, c]]
-        eigenvalues, vectors = norms._spectrum_floats(rows)
+        spectrum = norms._spectrum_floats((a, b, c))
+        assert type(spectrum) is tuple and all(type(x) is float for x in spectrum)
+        eigenvalues, vectors = _split_spectrum(spectrum)
         assert eigenvalues[0] <= eigenvalues[1], rows
-        assert all(type(x) is float for x in [*eigenvalues, *vectors[0], *vectors[1]])
         w, v, matrix = np.array(eigenvalues), np.array(vectors), np.array(rows)
         exponent = math.frexp(float(np.abs(matrix).max()))[1]
         rebuilt = (v * np.ldexp(w, -exponent)) @ v.T
@@ -292,12 +319,10 @@ def test_spectrum_floats_matches_eigh(monkeypatch, rng):
         assert np.abs(v.T @ v - np.eye(2)).max() <= 4 * eps, rows
         expected = np.linalg.eigh(matrix)[0]
         assert np.abs(np.ldexp(w - expected, -exponent)).max() <= 4 * eps, rows
-    for x in (2.5, -0.0, 5e-324, -1e308):
-        assert norms._spectrum_floats([[x]]) == ([x], [[1.0]])
 
 
 def test_spectrum_floats_leaves_the_rest_to_eigh(monkeypatch):
-    # Non-finite entries, a 2b or c - a that overflows, and d >= 3.
+    # Non-finite entries, and a 2b or c - a that overflows.
     calls = []
     eigh = norms._eigh
 
@@ -308,21 +333,19 @@ def test_spectrum_floats_leaves_the_rest_to_eigh(monkeypatch):
     monkeypatch.setattr(norms, "_eigh", recorded)
     nan, inf = math.nan, math.inf
     cases = [
-        [[nan]], [[inf]], [[-inf]],
         [[nan, 0.0], [0.0, 1.0]], [[1.0, nan], [nan, 1.0]], [[1.0, 0.0], [0.0, inf]],
         [[-inf, 1.0], [1.0, 0.0]], [[1.0, inf], [inf, 1.0]], [[inf, 0.0], [0.0, inf]],
         # 2b overflows; c - a overflows.
         [[0.0, 1e308], [1e308, 0.0]], [[1e308, 1.0], [1.0, -1e308]],
-        np.eye(3).tolist(), [[1.0, 0.5, 0.0], [0.5, 2.0, 0.25], [0.0, 0.25, 0.5]],
     ]
     with np.errstate(invalid="ignore"):
         for rows in cases:
             calls.clear()
-            eigenvalues, vectors = norms._spectrum_floats(rows)
-            assert calls == [(len(rows), len(rows))], rows
-            expected = np.linalg.eigh(np.array(rows))
-            _assert_same_bits(eigenvalues, expected[0].tolist())
-            _assert_same_bits(vectors, expected[1].tolist())
+            spectrum = norms._spectrum_floats(_triple(rows))
+            assert calls == [(2, 2)], rows
+            eigenvalues, vectors = np.linalg.eigh(np.array(rows))
+            assert type(spectrum) is tuple
+            _assert_same_bits(spectrum, (*eigenvalues.tolist(), *vectors.ravel().tolist()))
 
 
 def _hex(x):
@@ -385,13 +408,88 @@ _TRACE_GOLDEN = [
 
 
 def test_trace_prox_d2_golden_bits(monkeypatch):
+    # The float set's kernel takes the triple and keeps the spectrum as
+    # flat floats; the literals are its rows and its (eigenvalues,
+    # eigenvector rows).
     monkeypatch.setattr(norms, "_eigh", _no_eigh)
     for rows, tau, eigenvalues, vectors, prox_rows, prox_norm, thresholded in _TRACE_GOLDEN:
-        assert _hex(norms._spectrum_floats(rows)) == (eigenvalues, vectors)
-        a, total, spectrum = _PROX_FLOATS[NormKind.TRACE](rows, tau)
-        assert _hex(a) == prox_rows
+        spectrum = norms._spectrum_floats(_triple(rows))
+        assert _hex(_split_spectrum(spectrum)) == (eigenvalues, vectors)
+        a, total, spectrum = _PROX_FLOATS[NormKind.TRACE](_triple(rows), tau)
+        assert _hex(_rows(a)) == prox_rows
         assert total.hex() == prox_norm
-        assert _hex(spectrum) == (thresholded, vectors)
+        assert _hex(_split_spectrum(spectrum)) == (thresholded, vectors)
+
+
+# 2x2 l1 proxes whose bits are literals: a negative diagonal entry that
+# shrinks to -0.0, with the off-diagonal entry's shrunk magnitude counted
+# twice in the norm; a negative off-diagonal entry that shrinks to -0.0;
+# and tau = 0, where the kernel returns its input and ``_norm`` of its
+# array.  Each case: the triple, tau, the prox triple and its norm.
+_L1_GOLDEN = [
+    (
+        (-0.05, 0.3, 1.25), 0.1,
+        ["-0x0.0p+0", "0x1.9999999999999p-3", "0x1.2666666666666p+0"], "0x1.8ccccccccccccp+0",
+    ),
+    (
+        (0.5, -0.08, -2.0), 0.1,
+        ["0x1.999999999999ap-2", "-0x0.0p+0", "-0x1.e666666666666p+0"], "0x1.2666666666666p+1",
+    ),
+    (
+        (0.75, -0.25, 0.5), 0.0,
+        ["0x1.8000000000000p-1", "-0x1.0000000000000p-2", "0x1.0000000000000p-1"],
+        "0x1.c000000000000p+0",
+    ),
+]
+# 2x2 fro proxes whose bits are literals: a shrink; a norm equal to tau and
+# one below it, which give zero; tau = 0; and sums of squares that overflow
+# and underflow, whose norms come from ``_fro``'s rescaled path.  Their
+# entries are small integers times a power of two, so the first norm is
+# sqrt(18) scaled, whatever order the array sum takes; the second one is
+# pinned to ``_fro`` itself, whose sum of four squares is up to BLAS.
+_FRO_GOLDEN = [
+    (
+        (0.75, -0.3, 0.1), 0.2,
+        ["0x1.27776813bd512p-1", "-0x1.d8bf0cec621b5p-3", "0x1.3b2a089d96bcfp-4"],
+        "0x1.55be4f7ad70f8p-1",
+    ),
+    ((3.0, 0.0, 4.0), 5.0, ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0"], "0x0.0p+0"),
+    ((0.1, -0.05, 0.02), 1.0, ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0"], "0x0.0p+0"),
+    (
+        (0.75, -0.25, 0.5), 0.0,
+        ["0x1.8000000000000p-1", "-0x1.0000000000000p-2", "0x1.0000000000000p-1"],
+        "0x1.efbdeb14f4edap-1",
+    ),
+    (
+        (math.ldexp(3.0, 600), math.ldexp(2.0, 600), math.ldexp(1.0, 600)), math.ldexp(1.0, 600),
+        ["0x1.257d86660310cp+601", "0x1.8752088804166p+600", "0x1.8752088804166p+599"], None,
+    ),
+    (
+        (math.ldexp(3.0, -600), math.ldexp(-2.0, -600), math.ldexp(1.0, -600)),
+        math.ldexp(1.0, -600),
+        ["0x1.257d86660310cp-599", "-0x1.8752088804166p-600", "0x1.8752088804166p-601"], None,
+    ),
+]
+
+
+@pytest.mark.parametrize("kind, golden", [("l1", _L1_GOLDEN), ("fro", _FRO_GOLDEN)])
+def test_entrywise_prox_d2_golden_bits(kind, golden):
+    # The float set's l1 and fro kernels use + - * / and math.sqrt only, so
+    # these bits hold on every interpreter.  At tau = 0 each returns its
+    # input itself.
+    kernel = _PROX_FLOATS[NormKind(kind)]
+    for a, tau, prox_triple, prox_norm in golden:
+        with np.errstate(over="ignore"):
+            out, total, spectrum = kernel(a, tau)
+            expected_norm = norms._fro(norms._triple_array(out)) if kind == "fro" else None
+        assert type(out) is tuple and _hex(out) == tuple(prox_triple) and spectrum is None
+        assert (out is a) == (tau == 0.0)
+        if tau == 0.0:
+            assert total == norms._norm(norms._triple_array(a), NormKind(kind))
+        if prox_norm is None:
+            assert total == expected_norm and total != 0.0
+        else:
+            assert total.hex() == prox_norm
 
 
 # Certified on its third evaluation, after two Newton steps.
@@ -447,10 +545,12 @@ _MIXED21_GOLDEN = [
 
 
 def test_mixed21_prox_d2_golden_bits(monkeypatch):
-    # The bits, then each case's path: capped at steps + 1 evaluations it
-    # gives the same bits, and capped at one it hands over to the loops,
-    # whose first Newton system has the stated unknowns (none if the first
-    # evaluation certifies).  At d = 2 only the loops call _solve_floats.
+    # The float set's kernel on the triple: the bits, then each case's
+    # path.  Capped at steps + 1 evaluations it gives the same bits, and
+    # capped at one it hands over to the loops, whose first Newton system
+    # has the stated unknowns (none if the first evaluation certifies).
+    # Only the loops call _solve_floats, and at d = 2 they give the same
+    # bits.
     systems = []
     solve = norms._solve_floats
 
@@ -459,16 +559,18 @@ def test_mixed21_prox_d2_golden_bits(monkeypatch):
         return solve(system)
 
     monkeypatch.setattr(norms, "_solve_floats", recorded)
+    kernel = _PROX_FLOATS[NormKind.MIXED21]
     for rows, steps, unknowns, prox_rows, prox_norm in _MIXED21_GOLDEN:
-        out = norms._newton_mixed21_floats(rows, 0.5)
-        assert _hex(out) == (prox_rows, prox_norm)
+        a, total, spectrum = kernel(_triple(rows), 0.5)
+        assert (_hex(_rows(a)), total.hex(), spectrum) == (prox_rows, prox_norm, None)
         assert systems == []
         with monkeypatch.context() as patch:
             patch.setattr(norms, "_MIXED21_NEWTON_STEPS", steps + 1)
-            assert _hex(norms._newton_mixed21_floats(rows, 0.5)) == _hex(out)
+            assert _hex(kernel(_triple(rows), 0.5)[:2]) == _hex((a, total))
             patch.setattr(norms, "_MIXED21_NEWTON_STEPS", 1)
-            norms._newton_mixed21_floats(rows, 0.5)
+            kernel(_triple(rows), 0.5)
         assert systems == ([unknowns] if unknowns else [])
+        assert _hex(norms._newton_mixed21_floats(rows, 0.5)) == (prox_rows, prox_norm)
         systems.clear()
 
 
@@ -489,8 +591,7 @@ def test_mixed21_float_newton_hands_over_to_dual_phase(monkeypatch):
     # Capped at one Newton step, the float phase at d = 3 and d = 2 hands
     # the H of its last evaluation to the dual phase, bit for bit the
     # reference's H.  The dual phase certifies the gap (it raises otherwise)
-    # and matches the reference run with the same cap.  At d = 2 the
-    # written-out phase hands over to the loops, which take the same step.
+    # and matches the reference run with the same cap.
     handovers = []
 
     def recorded(dual):
@@ -688,16 +789,16 @@ def test_prox_leaves_input_bits(rng):
     # dual phase.)
     for b in _signed_zero_inputs(rng):
         before = b.tobytes()
-        rows = b.tolist()
+        triple = _triple(b) if b.shape[0] == 2 else None
         for tau in (0.0, 0.1, 0.5, 10.0):
             for kind in ALL_KINDS:
-                if b.shape[0] <= 4:
-                    _, _, spectrum = _PROX_FLOATS[NormKind(kind)](rows, tau)
-                    assert np.array(rows).tobytes() == before, kind
+                if triple is not None:
+                    _, _, spectrum = _PROX_FLOATS[NormKind(kind)](triple, tau)
+                    assert np.array(_rows(triple)).tobytes() == before, kind
                     if spectrum is not None:
-                        saved = [np.array(part).tobytes() for part in spectrum]
-                        _PROX_FLOATS[NormKind.TRACE](rows, 0.05, spectrum)
-                        assert [np.array(part).tobytes() for part in spectrum] == saved
+                        saved = np.array(spectrum).tobytes()
+                        _PROX_FLOATS[NormKind.TRACE](triple, 0.05, spectrum)
+                        assert np.array(spectrum).tobytes() == saved
                 out, _, spectrum = _PROX[NormKind(kind)](b, tau)
                 assert b.tobytes() == before, kind
                 assert (spectrum is not None) == (kind == "trace" and tau > 0.0)
@@ -736,12 +837,12 @@ def test_norm_and_prox_at_extreme_scales(kind):
                 assert dual_norm_rank1(*pair, kind) == pytest.approx(expected_rank1, rel=1e-14)
             out = prox(scale * b, scale * tau, kind)
             assert np.max(np.abs(out - scale * expected)) <= 1e-13 * scale
-            if b.shape[0] > 4:
+            if b.shape[0] != 2:
                 continue
             with np.errstate(over="ignore"):
-                rows, rows_norm, _ = _PROX_FLOATS[NormKind(kind)]((scale * b).tolist(), scale * tau)
-            assert np.max(np.abs(np.array(rows) - scale * expected)) <= 1e-13 * scale
-            assert rows_norm == pytest.approx(norm(out, kind), rel=1e-14)
+                a, a_norm, _ = _PROX_FLOATS[NormKind(kind)](_triple(scale * b), scale * tau)
+            assert np.max(np.abs(np.array(_rows(a)) - scale * expected)) <= 1e-13 * scale
+            assert a_norm == pytest.approx(norm(out, kind), rel=1e-14)
     assert norm(1e200 * np.eye(2), "fro") == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
     assert norm(1e200 * np.eye(2), "mixed21") == pytest.approx(2e200, rel=1e-15)
     shrunk = prox(1e-170 * np.eye(2), 1e-175, "fro")

@@ -314,7 +314,8 @@ def test_train_json_matches_reference_loop(monkeypatch, kind):
 
 def test_float_trace_fits_call_lapack_only_from_d3(monkeypatch):
     # Check-02-shaped trace fits (d = 2) decompose in closed form, so they
-    # run with norms._eigh refusing; a d = 3 fit of the float set calls it.
+    # run with norms._eigh refusing; a d = 3 fit, which runs the array set,
+    # calls it.
     eigh = norms._eigh
 
     def refuse(a):
@@ -339,13 +340,39 @@ def test_float_trace_fits_call_lapack_only_from_d3(monkeypatch):
 
     monkeypatch.setattr(norms, "_eigh", recorded)
     config = SimilarityConfig(lam=0.1, margin=1.0, norm_kind="trace", max_iters=50)
-    assert similarity._uses_floats(6, 3)
+    assert not similarity._uses_floats(6, 3)
     train_similarity(random_dataset(rng, 6, 3), config)
     assert calls and set(calls) == {(3, 3)}
 
 
+@pytest.mark.parametrize("kind", ["l1", "fro", "mixed21", "trace"])
+def test_float_fits_take_no_array_path(monkeypatch, kind):
+    # Check-02-shaped fits run the float set from start to end: the array
+    # kernels, LAPACK and every cold path that the float set's prox kernels
+    # hand over to (the mixed21 Newton loops, the rescaled fro norm, the
+    # tau = 0 norm) refuse, so a fit that fell back to any of them would
+    # fail here, not only run slower.
+    def refuse(*args):
+        raise AssertionError("a d = 2 float fit left the float kernels")
+
+    monkeypatch.setattr(similarity, "_array_kernels", refuse)
+    for name in ("_eigh", "_newton_mixed21_floats", "_fro", "_norm"):
+        monkeypatch.setattr(norms, name, refuse)
+    rng = make_rng(542)
+    for m in (4, 5, 6):
+        data = _tiny_dataset(rng, m)
+        for lam in (0.05, 0.2):
+            config = SimilarityConfig(
+                lam=lam, margin=1.0, norm_kind=kind, max_iters=2000, step0=2.0, rel_tol=0.0
+            )
+            assert similarity._uses_floats(m, 2)
+            model = train_similarity(data, config)
+            assert model.iterations_run == 2000 and model.final_objective < 1.0
+
+
 def test_train_chooses_kernel_set_by_size(monkeypatch):
-    # Floats up to d = 4 and m * d = _FLOAT_MAX_MD, arrays beyond either.
+    # Floats at d = 2 up to m * d = _FLOAT_MAX_MD, arrays beyond it and at
+    # every other d, however small m * d is.
     chosen = []
     for name in ("_float_kernels", "_array_kernels"):
         kernels = getattr(similarity, name)
@@ -356,15 +383,15 @@ def test_train_chooses_kernel_set_by_size(monkeypatch):
 
         monkeypatch.setattr(similarity, name, recorded)
     limit = similarity._FLOAT_MAX_MD
-    d_max = similarity._FLOAT_MAX_D
     shapes = {
-        (limit, 1): "_float_kernels",
-        (limit + 1, 1): "_array_kernels",
+        (1, 2): "_float_kernels",
         (limit // 2, 2): "_float_kernels",
         (limit // 2 + 1, 2): "_array_kernels",
-        (limit // d_max, d_max): "_float_kernels",
-        (limit // d_max + 1, d_max): "_array_kernels",
-        (1, d_max + 1): "_array_kernels",
+        (1, 1): "_array_kernels",
+        (limit, 1): "_array_kernels",
+        (1, 3): "_array_kernels",
+        (limit // 4, 4): "_array_kernels",
+        (1, 5): "_array_kernels",
     }
     rng = make_rng(533)
     for (m, d), name in shapes.items():
@@ -377,10 +404,10 @@ def test_train_chooses_kernel_set_by_size(monkeypatch):
 
 def test_mixed21_at_d5_keeps_the_array_kernel_set(monkeypatch):
     # The mixed21 prox runs its Newton phase on floats up to d = 5, but
-    # stage one keeps the d <= 4 bound of its own scan: m = 4, d = 5 is
-    # within _FLOAT_MAX_MD and still runs the array set.
-    assert similarity._FLOAT_MAX_D == 4 < norms._MIXED21_FLOAT_MAX_D == 5
-    assert 4 * 5 <= similarity._FLOAT_MAX_MD
+    # stage one runs floats at d = 2 only: m = 4, d = 5 is within
+    # _FLOAT_MAX_MD and still runs the array set.
+    assert norms._MIXED21_FLOAT_MAX_D == 5
+    assert 4 * 5 <= similarity._FLOAT_MAX_MD and not similarity._uses_floats(4, 5)
     chosen = []
     for name in ("_float_kernels", "_array_kernels"):
         kernels = getattr(similarity, name)
@@ -418,8 +445,14 @@ def test_kernel_sets_agree(monkeypatch, kind):
 
 
 def _snapshot(x):
-    # The bytes of an array or of a list of rows, signs of zero included.
+    # The bytes of an array or of a tuple of floats, signs of zero included.
     return np.asarray(x, dtype=float).tobytes()
+
+
+def _as_matrix(a):
+    # The matrix of an iterate of either kernel set: an array, or the float
+    # set's triple (a_00, a_01, a_11).
+    return norms._triple_array(a) if type(a) is tuple else a
 
 
 def _watch_prox(monkeypatch):
@@ -491,7 +524,7 @@ def test_train_zero_step_skips_subgradient(monkeypatch, kind):
             make_kernels = getattr(similarity, kernels_name)
 
             def watched_kernels(scaled, w, make_kernels=make_kernels):
-                start, hinge, step, table = make_kernels(scaled, w)
+                start, hinge, step, table, matrix = make_kernels(scaled, w)
 
                 def recorded_hinge(a):
                     # The summed positive slack, 0 exactly when no margin
@@ -505,7 +538,7 @@ def test_train_zero_step_skips_subgradient(monkeypatch, kind):
                     steps += 1
                     return step(a, eta)
 
-                return start, recorded_hinge, counted_step, table
+                return start, recorded_hinge, counted_step, table, matrix
 
             patch.setattr(similarity, kernels_name, watched_kernels)
             calls = _watch_prox(patch)
@@ -543,9 +576,9 @@ def test_train_trace_spectrum_reuse_is_the_prox(monkeypatch):
         reused = [(b, tau, a) for b, tau, spectrum, a in calls if spectrum]
         assert len(reused) > len(calls) // 2
         for b, tau, a in reused:
-            a = np.array(a)
+            a = _as_matrix(a)
             tolerance = 1e-12 * max(1.0, norm(a, "trace"))
-            assert float(np.max(np.abs(a - prox(np.array(b), tau, "trace")))) <= tolerance
+            assert float(np.max(np.abs(a - prox(_as_matrix(b), tau, "trace")))) <= tolerance
 
 
 def test_config_validation():
