@@ -222,28 +222,33 @@ def train_similarity(data, config):
     step0 = config.step0
     sqrt = math.sqrt
     isfinite = math.isfinite
-    for t in range(1, config.max_iters + 1):
-        eta = step0 / sqrt(t)
-        if hinge_sum:
-            a = step(a, eta)
-            spectrum = None
-        # A zero step hands the iterate itself, and its spectrum, to the
-        # prox, which never writes them; best_a may alias it.
-        a, a_norm, spectrum = prox_kernel(a, eta * lam, spectrum)
-        hinge_sum = hinge(a)
-        obj = float(hinge_sum / m) + lam * a_norm
-        if not isfinite(obj):
-            raise NumericalError(
-                f"non-finite objective at iteration {t}; try a smaller step0 than {step0}"
-            )
-        if obj < best_obj:
-            best_obj = obj
-            best_a = a
-        iterations = t
-        if t % window == 0:
-            if window_best - best_obj < config.rel_tol * abs(window_best):
-                break
-            window_best = best_obj
+    # NumPy warns of no overflow: a sum of squares that overflows is
+    # recomputed rescaled, as in ``norm`` and ``prox``.  Nor of an invalid
+    # value: a step that overflows makes inf and NaN entries, and the
+    # non-finite objective raises NumericalError below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, config.max_iters + 1):
+            eta = step0 / sqrt(t)
+            if hinge_sum:
+                a = step(a, eta)
+                spectrum = None
+            # A zero step hands the iterate itself, and its spectrum, to the
+            # prox, which never writes them; best_a may alias it.
+            a, a_norm, spectrum = prox_kernel(a, eta * lam, spectrum)
+            hinge_sum = hinge(a)
+            obj = float(hinge_sum / m) + lam * a_norm
+            if not isfinite(obj):
+                raise NumericalError(
+                    f"non-finite objective at iteration {t}; try a smaller step0 than {step0}"
+                )
+            if obj < best_obj:
+                best_obj = obj
+                best_a = a
+            iterations = t
+            if t % window == 0:
+                if window_best - best_obj < config.rel_tol * abs(window_best):
+                    break
+                window_best = best_obj
     return SimilarityModel(
         matrix=matrix(best_a),
         config=config,

@@ -444,8 +444,13 @@ def _reference_prox_mixed21(b, tau, gap_rtol=1e-12, newton_steps=8, dual_steps=2
     sets the others to 0, and stops on the duality-gap bound.  The fallback
     is accelerated projected gradient with gradient restart on the skew part
     of the dual.  Up to d = 5 the Newton phase is
-    ``_reference_prox_mixed21_floats``.
+    ``_reference_prox_mixed21_floats``.  At d = 2 a row that the KKT
+    conditions kill skips both phases (``_reference_mixed21_dead_row``).
     """
+    if b.shape[0] == 2:
+        dead = _reference_mixed21_dead_row(b, tau)
+        if dead is not None:
+            return dead
     if b.shape[0] <= 5:
         return _reference_prox_mixed21_floats(b, tau, gap_rtol, newton_steps, dual_steps)
     b_rows = _reference_row_norms(b)
@@ -484,6 +489,26 @@ def _reference_prox_mixed21(b, tau, gap_rtol=1e-12, newton_steps=8, dual_steps=2
             target[idx] = np.minimum(np.maximum(s[idx] - step, 0.0), 1.0)
         s = target
     return _reference_dual_mixed21(b, tau, h, scale, gap_rtol, dual_steps)
+
+
+def _reference_mixed21_dead_row(b, tau):
+    """The exact mixed21 prox of a 2x2 B with a dead row, or None.
+
+    Row i, with partner j, is zero at the minimizer if its row of H at
+    s_i = 0, (h_i0, h_i1) with h_ii = b_ii and h_ij = 2 b_ij, has norm at
+    most tau: then (b_ii, 2 b_ij) / tau is a dual row in the unit ball, and
+    the KKT conditions leave a_jj = copysign(max(|b_jj| - tau, 0), b_jj).
+    Every other entry is a zero with its entry of B's sign.  Row 0 is
+    tested first; the norm is max(|b_jj| - tau, 0).
+    """
+    rows = b.tolist()
+    for i, j in ((0, 1), (1, 0)):
+        if _float_norm([x if k == i else 2.0 * x for k, x in enumerate(rows[i])]) <= tau:
+            shrunk = max(abs(rows[j][j]) - tau, 0.0)
+            a = [[math.copysign(0.0, x) for x in row] for row in rows]
+            a[j][j] = math.copysign(shrunk, rows[j][j])
+            return np.array(a), shrunk
+    return None
 
 
 def _float_dot(x, y):

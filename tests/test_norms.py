@@ -508,17 +508,26 @@ def _reviving(d):
     return b
 
 
-# d = 2 mixed21 proxes at tau = 0.5 whose bits are literals: certified at
-# the first evaluation with row 0 dead; _ONE_STEP_ROWS; one live row, a 1x1
-# Newton system; and a dead row that comes back to life.  The d = 2 Newton
-# phase uses + - * / and math.sqrt only, so these bits hold on every
-# interpreter.  Each case: rows, the Newton steps before the certificate,
-# the unknowns of the first Newton system, the prox rows and its norm.
+# d = 2 mixed21 proxes at tau = 0.5 whose bits are literals: a dead row 0
+# by its KKT test, which the loops' Newton phase certifies at its first
+# evaluation; _ONE_STEP_ROWS; a dead row 0 by its KKT test, for which the
+# loops' Newton system has one unknown; and a dead row that comes back to
+# life.  The d = 2 kernel solves the two dead rows in closed form, the
+# others by the Newton phase; the loops take no closed form.  Both use
+# + - * / and math.sqrt only, so these bits hold on every interpreter.
+# Each case: rows, the loops' Newton steps before the certificate, the
+# unknowns of their first Newton system, the kernel's prox rows and norm,
+# and for a closed form the loops' rows and norm (None where the kernel
+# runs the same Newton phase).
 _MIXED21_GOLDEN = [
     (
         [[0.3, -0.001], [-0.001, -2.0]], 0, 0,
-        [["0x0.0p+0", "-0x0.0p+0"], ["-0x0.0p+0", "-0x1.8000010c6f76cp+0"]],
-        "0x1.8000010c6f76cp+0",
+        [["0x0.0p+0", "-0x0.0p+0"], ["-0x0.0p+0", "-0x1.8000000000000p+0"]],
+        "0x1.8000000000000p+0",
+        (
+            [["0x0.0p+0", "-0x0.0p+0"], ["-0x0.0p+0", "-0x1.8000010c6f76cp+0"]],
+            "0x1.8000010c6f76cp+0",
+        ),
     ),
     (
         _ONE_STEP_ROWS, 1, 2,
@@ -527,11 +536,16 @@ _MIXED21_GOLDEN = [
             ["0x1.736e45ab965d7p-5", "0x1.07c0aab3119adp-2"],
         ],
         "0x1.4358988ae2697p+0",
+        None,
     ),
     (
         [[0.25, -0.15], [-0.15, -1.5]], 1, 1,
         [["0x0.0p+0", "-0x0.0p+0"], ["-0x0.0p+0", "-0x1.0000000000000p+0"]],
         "0x1.0000000000000p+0",
+        (
+            [["0x0.0p+0", "-0x0.0p+0"], ["-0x0.0p+0", "-0x1.0000000000000p+0"]],
+            "0x1.0000000000000p+0",
+        ),
     ),
     (
         _reviving(2).tolist(), 3, 2,
@@ -540,17 +554,19 @@ _MIXED21_GOLDEN = [
             ["0x1.48e7d15e1b5d2p-3", "0x1.019988afc4b84p+0"],
         ],
         "0x1.2df920df53492p+0",
+        None,
     ),
 ]
 
 
 def test_mixed21_prox_d2_golden_bits(monkeypatch):
-    # The float set's kernel on the triple: the bits, then each case's
-    # path.  Capped at steps + 1 evaluations it gives the same bits, and
-    # capped at one it hands over to the loops, whose first Newton system
-    # has the stated unknowns (none if the first evaluation certifies).
-    # Only the loops call _solve_floats, and at d = 2 they give the same
-    # bits.
+    # The d = 2 kernel on the triple and the loops on the rows: the bits,
+    # then each case's path.  Capped at steps + 1 evaluations both give the
+    # same bits.  Capped at one, a closed form gives the same bits and
+    # solves no system, and the kernel's Newton phase hands over to the
+    # loops; the loops' first Newton system has the stated unknowns (none
+    # if the first evaluation certifies).  Only the loops call
+    # _solve_floats.
     systems = []
     solve = norms._solve_floats
 
@@ -560,31 +576,146 @@ def test_mixed21_prox_d2_golden_bits(monkeypatch):
 
     monkeypatch.setattr(norms, "_solve_floats", recorded)
     kernel = _PROX_FLOATS[NormKind.MIXED21]
-    for rows, steps, unknowns, prox_rows, prox_norm in _MIXED21_GOLDEN:
+    for rows, steps, unknowns, prox_rows, prox_norm, newton in _MIXED21_GOLDEN:
         a, total, spectrum = kernel(_triple(rows), 0.5)
         assert (_hex(_rows(a)), total.hex(), spectrum) == (prox_rows, prox_norm, None)
         assert systems == []
+        loops = newton or (prox_rows, prox_norm)
+        assert _hex(norms._newton_mixed21_floats(rows, 0.5)) == loops
+        first = [unknowns] if unknowns else []
+        systems.clear()
         with monkeypatch.context() as patch:
             patch.setattr(norms, "_MIXED21_NEWTON_STEPS", steps + 1)
             assert _hex(kernel(_triple(rows), 0.5)[:2]) == _hex((a, total))
+            assert _hex(norms._newton_mixed21_floats(rows, 0.5)) == loops
+            systems.clear()
             patch.setattr(norms, "_MIXED21_NEWTON_STEPS", 1)
-            kernel(_triple(rows), 0.5)
-        assert systems == ([unknowns] if unknowns else [])
-        assert _hex(norms._newton_mixed21_floats(rows, 0.5)) == (prox_rows, prox_norm)
+            capped = kernel(_triple(rows), 0.5)
+            assert systems == ([] if newton else first)
+            systems.clear()
+            norms._newton_mixed21_floats(rows, 0.5)
+        assert systems == first
+        if newton:
+            assert _hex(capped[:2]) == _hex((a, total))
         systems.clear()
 
 
 def test_mixed21_newton_phase_chosen_by_dimension(monkeypatch):
+    # d = 2 runs the float set's kernel, d = 3 to 5 the float loops and
+    # d = 6 the array phase.
     chosen = []
-    for name in ("_newton_mixed21_floats", "_newton_mixed21_arrays"):
-        def recorded(b, tau, name=name):
+    for name in ("_prox_mixed21_triple", "_newton_mixed21_floats", "_newton_mixed21_arrays"):
+        def recorded(b, tau, spectrum=None, name=name):
             chosen.append(name)
-            return b, 0.0
+            return (b, 0.0, None) if name == "_prox_mixed21_triple" else (b, 0.0)
 
         monkeypatch.setattr(norms, name, recorded)
     for d in (2, 3, 4, 5, 6):
         norms._prox_mixed21(np.eye(d), 0.5)
-    assert chosen == ["_newton_mixed21_floats"] * 4 + ["_newton_mixed21_arrays"]
+    assert chosen == (
+        ["_prox_mixed21_triple"] + ["_newton_mixed21_floats"] * 3 + ["_newton_mixed21_arrays"]
+    )
+
+
+def _dead_row_inputs(rng):
+    """(triple, tau) pairs of the d = 2 mixed21 kernel around its dead-row
+    test.
+
+    ||(b_00, 2 b_01)|| (row 0) or ||(2 b_01, b_11)|| (row 1), in the
+    kernel's arithmetic, exactly tau and one ulp either side of it; b_01 =
+    +-0.0, also with |b_ii| = tau, where the Newton phase rounds
+    differently; both rows under tau; two rows that die together although
+    neither test holds; random triples.
+    """
+    # sqrt(0.75^2 + 1.0^2) = 1.25 exactly.
+    cases = [((0.75, 0.5, 1.5), 1.25), ((-1.5, -0.5, -0.75), 1.25)]
+    for _ in range(30):
+        b_00, b_01, b_11 = rng.standard_normal(3).tolist()
+        t_01 = b_01 + b_01
+        for diagonal in (b_00, b_11):
+            edge = math.sqrt(0.0 + diagonal * diagonal + t_01 * t_01)
+            for tau in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)):
+                cases.append(((b_00, b_01, b_11), tau))
+    for b_01 in (0.0, -0.0):
+        for b_00, b_11, tau in (
+            (0.3, -1.7, 0.5), (-2.0, 0.4, 0.5), (1.5, -2.5, 0.5), (0.2, -0.3, 1.0),
+            (-0.7, 0.9, 0.7), (1.1, -2.3, 1.1), (0.9, -0.7, 0.7), (1.7, 1.1, 1.1),
+        ):
+            cases.append(((b_00, b_01, b_11), tau))
+    cases += [((0.2, 0.1, -0.3), 1.0), ((-0.0, -0.2, 0.1), 2.0), ((-0.0, 0.3, 0.0), 0.5)]
+    for _ in range(200):
+        b = rng.standard_normal(3) * rng.uniform(0.5, 3.0)
+        cases.append((tuple(b.tolist()), float(rng.uniform(0.01, 2.0))))
+    return cases
+
+
+def test_mixed21_d2_closed_form_stays_in_certificate(rng):
+    # The d = 2 kernel matches the reference bit for bit, closed form
+    # included, and lies within the certificate of the reference's Newton
+    # phase, which takes no closed form; so does the kernel at 2^+-380,
+    # which it solves rescaled, scaled back.
+    kernel = _PROX_FLOATS[NormKind.MIXED21]
+    closed = 0
+    cases = _dead_row_inputs(rng)
+    for triple, tau in cases:
+        b = np.array(_rows(triple))
+        a, a_norm, _ = kernel(triple, tau)
+        out = np.array(_rows(a))
+        expected, expected_norm = _reference_prox_mixed21(b, tau)
+        _assert_same_bits(out, expected)
+        assert a_norm == expected_norm and type(a_norm) is float
+        newton, _ = _reference_prox_mixed21_floats(
+            b, tau, MIXED21_GAP_RTOL, norms._MIXED21_NEWTON_STEPS, norms._MIXED21_DUAL_STEPS
+        )
+        bound = _mixed21_distance_bound(out, b, tau) + _mixed21_distance_bound(newton, b, tau)
+        assert np.linalg.norm(out - newton) <= bound, (triple, tau)
+        for k in (-380, 380):
+            scaled, _, _ = kernel(tuple(math.ldexp(x, k) for x in triple), math.ldexp(tau, k))
+            assert np.linalg.norm(np.ldexp(_rows(scaled), -k) - newton) <= bound, (triple, tau, k)
+        closed += oracles._reference_mixed21_dead_row(b, tau) is not None
+    assert 0 < closed < len(cases)
+
+
+def test_mixed21_d2_dead_row_runs_no_newton(monkeypatch):
+    # With the Newton loops and solver refusing and no Newton step allowed,
+    # a dead row, row 0 or row 1 or both, still gets its prox from the
+    # kernel and from prox; a both-live input goes to the Newton phase.
+    def refuse(*args):
+        raise AssertionError("the Newton phase ran")
+
+    monkeypatch.setattr(norms, "_newton_mixed21_floats", refuse)
+    monkeypatch.setattr(norms, "_solve_floats", refuse)
+    monkeypatch.setattr(norms, "_MIXED21_NEWTON_STEPS", 0)
+    kernel = _PROX_FLOATS[NormKind.MIXED21]
+    dead = [
+        (_MIXED21_GOLDEN[0][0], 0.5), (_MIXED21_GOLDEN[2][0], 0.5),
+        ([[-2.0, 0.1], [0.1, 0.2]], 0.5), ([[0.3, -0.0], [-0.0, 0.1]], 0.5),
+    ]
+    for rows, tau in dead:
+        a, a_norm, _ = kernel(_triple(rows), tau)
+        assert prox(np.array(rows), tau, "mixed21").tobytes() == np.array(_rows(a)).tobytes()
+    for rows, tau in ((_ONE_STEP_ROWS, 0.5), (_reviving(2).tolist(), 0.5)):
+        with pytest.raises(AssertionError, match="the Newton phase ran"):
+            kernel(_triple(rows), tau)
+        with pytest.raises(AssertionError, match="the Newton phase ran"):
+            prox(np.array(rows), tau, "mixed21")
+
+
+def test_mixed21_d2_prox_is_the_float_kernel(rng):
+    # prox, and the array set, at d = 2 return the float set's kernel
+    # output bit for bit, and a closed form's norm is norm(A) exactly.
+    kernel = _PROX_FLOATS[NormKind.MIXED21]
+    for triple, tau in _dead_row_inputs(rng):
+        b = np.array(_rows(triple))
+        a, a_norm, _ = kernel(triple, tau)
+        expected = np.array(_rows(a))
+        out = prox(b, tau, "mixed21")
+        _assert_same_bits(out, expected)
+        array_out, array_norm, _ = _PROX[NormKind.MIXED21](b, tau)
+        _assert_same_bits(array_out, expected)
+        assert array_norm == a_norm
+        if oracles._reference_mixed21_dead_row(b, tau) is not None:
+            assert a_norm == norm(out, "mixed21")
 
 
 def test_mixed21_float_newton_hands_over_to_dual_phase(monkeypatch):

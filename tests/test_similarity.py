@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -254,6 +255,26 @@ def test_train_non_finite_raises(monkeypatch):
             ):
                 train_similarity(data, config)
             assert nan_slack == ([False, True] if float_max_md == 0 else [])
+
+
+def test_train_overflow_raises_without_warning(monkeypatch):
+    # A step that overflows A: the fro prox's sum of squares overflows
+    # before its rescaled retry, and the array set's slack holds inf and
+    # NaN.  numpy warned of both; stage one silences them, as norm and prox
+    # do, and raises NumericalError, at d = 2 in both kernel sets and at
+    # d = 5.
+    for d in (2, 5):
+        features = np.zeros((2, d))
+        features[0, 0] = features[1, 1] = 1e150
+        data = Dataset(features, np.array([1.0, -1.0]))
+        for float_max_md, *_ in KERNEL_SETS.values():
+            monkeypatch.setattr(similarity, "_FLOAT_MAX_MD", float_max_md)
+            for kind in ("l1", "fro", "mixed21", "trace"):
+                config = SimilarityConfig(lam=0.1, margin=1.0, norm_kind=kind)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(NumericalError, match="non-finite objective at iteration 1"):
+                        train_similarity(data, config)
 
 
 def _assert_json_matches_reference(data, config):
