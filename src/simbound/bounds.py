@@ -22,6 +22,7 @@ from .data import (
     _COUNT, _NONNEGATIVE, _NUMBER, _POSITIVE, _PROBABILITY, _SEED, _finite_vector,
     _rademacher_signs, _require, _write_json, philox_generator,
 )
+from .errors import NumericalError
 from .norms import NormKind, _norm_kind, _rank1_factors
 from .similarity import _check_dim, _signed_features, empirical_similarity_error
 
@@ -189,9 +190,15 @@ def khinchin_check(f, p, q, mode="exact", mc_draws=100000, seed=0):
     magnitudes = np.abs(sums)
     top = float(np.max(magnitudes)) or 1.0
     ratios = magnitudes / top
-    scale = math.ldexp(top, exponent)
-    lhs = scale * float(np.mean(ratios ** q) ** (1.0 / q))
-    rhs = scale * math.sqrt((q - 1.0) / (p - 1.0)) * float(np.mean(ratios ** p) ** (1.0 / p))
+    lhs = top * float(np.mean(ratios ** q) ** (1.0 / q))
+    rhs = top * math.sqrt((q - 1.0) / (p - 1.0)) * float(np.mean(ratios ** p) ** (1.0 / p))
+    # Scaled back last, so that every finite root comes back.  The larger
+    # root is the first to leave the float range.
+    try:
+        lhs, rhs = math.ldexp(lhs, exponent), math.ldexp(rhs, exponent)
+    except OverflowError:
+        name = "lhs" if lhs > rhs else "rhs"
+        raise NumericalError(f"the Khinchin {name} root is beyond the float range") from None
     return lhs, rhs, bool(lhs <= rhs + 1e-12)
 
 

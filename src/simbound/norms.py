@@ -22,6 +22,13 @@ Each kind's prox is its own kernel, in two sets: ``_PROX`` on arrays, and
 are keyed by ``NormKind``; ``prox`` and stage one
 (``similarity.train_similarity``) look a kernel up once per call or fit, so
 no prox call tests the kind.
+
+Each fro and mixed21 kernel tests the norm or row norms it computes
+against one safe range, and out of it solves its own problem on B and tau
+scaled by a power of two (``_rescaled``).  So every norm and prox obeys
+prox(2^k B, 2^k tau) = 2^k prox(B, tau) bit for bit wherever no entry is
+subnormal or infinite, except trace on arrays, which LAPACK rescales by its
+own rule.
 """
 
 import math
@@ -89,14 +96,15 @@ def _norm(a, kind):
     return float(np.abs(_eigh(a)[0]).sum())
 
 
-# A norm in [_NORM_MIN, _NORM_MAX] comes from sums of squares that did not
-# overflow, and the squares that underflowed were too small against it to
-# matter.  Out of that range (or at exactly 0) the kernels compute it again
-# on the matrix scaled by a power of two near its largest entry, which is
-# exact down to subnormals: the cold path of ``_rescaled_norm``.  The hot
-# path pays one scalar compare.
-_NORM_MIN = 2.0 ** -400
-_NORM_MAX = 2.0 ** 400
+# The safe range.  A norm in [_SAFE_MIN, _SAFE_MAX] comes from sums of
+# squares that did not overflow, and the squares that underflowed were too
+# small against it to matter.  The mixed21 Newton phase also weighs a live
+# row by tau / ||h_i||^3, with ||h_i|| at most twice the row norm of B;
+# where the largest row norm is at least _SAFE_MIN and their sum at most
+# _SAFE_MAX, the cube stays a normal float for a tau on the scale of B (it
+# is one from 2^-340 to 2^340).  The hot path pays one or two compares.
+_SAFE_MIN = 2.0 ** -300
+_SAFE_MAX = 2.0 ** 300
 
 
 def _fro(a):
@@ -104,32 +112,43 @@ def _fro(a):
     # dot product of the flat array with itself), without its wrapper.
     flat = a.ravel(order="K")
     value = math.sqrt(flat.dot(flat))
-    if _NORM_MIN <= value <= _NORM_MAX:
+    if _SAFE_MIN <= value <= _SAFE_MAX:
         return value
-    return _rescaled_norm(_fro, a)
+    return _rescaled(_fro, a)
 
 
 def _mixed21(a, reduce=np.add.reduce):
     # The sum of the row norms; np.maximum.reduce gives the dual norm.
     value = float(reduce(_row_norms(a)))
-    if _NORM_MIN <= value <= _NORM_MAX:
+    if _SAFE_MIN <= value <= _SAFE_MAX:
         return value
-    return _rescaled_norm(lambda scaled: _mixed21(scaled, reduce), a)
+    return _rescaled(lambda scaled: _mixed21(scaled, reduce), a)
 
 
-def _rescaled_norm(kernel, a):
-    """kernel(a) for a norm kernel, computed on A scaled by a power of two.
+def _rescaled(kernel, b, tau=None):
+    """kernel(b), a norm, or kernel(b, tau)[:2], a prox point and its norm,
+    solved on B and tau scaled by the power of two near max|b_ij|.
 
-    A zero A has norm 0; a non-finite one (a diverging stage one) has no
-    scale to take out, and its norm is not finite either.
+    The kernels are positively homogeneous and scaling by 2^k is exact down
+    to subnormals, so this is the answer for B itself.  B is an array, rows
+    or a triple, and the point comes back in its form; scaled, its largest
+    entry is in [0.5, 1).  tau is capped at len(b) max|b_ij| >= ||B||_F,
+    above which the prox is 0 either way; the cap keeps the scaled tau
+    finite.  Scaled back as by np.ldexp, a norm beyond the float range is
+    inf.  B = 0 is its own prox, and a non-finite B (a diverging stage one)
+    comes back as it is, with a non-finite norm.
     """
-    largest = float(np.abs(a).max())
-    if not largest:
-        return 0.0
-    if not math.isfinite(largest):
-        return largest
+    form = np.asarray if isinstance(b, np.ndarray) else lambda x: type(b)(x.tolist())
+    largest = float(np.abs(b).max())
+    if not 0.0 < largest < math.inf:
+        return largest if tau is None else (form(np.array(b)), largest)
     exponent = math.frexp(largest)[1]
-    return float(np.ldexp(kernel(np.ldexp(a, -exponent)), exponent))
+    scaled = form(np.ldexp(b, -exponent))
+    with np.errstate(over="ignore"):
+        if tau is None:
+            return float(np.ldexp(kernel(scaled), exponent))
+        a, total = kernel(scaled, math.ldexp(min(tau, len(b) * largest), -exponent))[:2]
+        return form(np.ldexp(a, exponent)), float(np.ldexp(total, exponent))
 
 
 def dual_norm(b, kind):
@@ -165,7 +184,7 @@ def dual_norm_rank1(v, x, kind):
     v_factor, x_factor = _rank1_factors(_norm_kind(kind))
     # Each factor is homogeneous, so it is computed on its vector scaled by
     # a power of two, with no sum of squares out of range, and scaled back.
-    return _rescaled_norm(v_factor, v) * _rescaled_norm(x_factor, x)
+    return _rescaled(v_factor, v) * _rescaled(x_factor, x)
 
 
 def _rank1_factors(kind):
@@ -244,6 +263,10 @@ def _prox_fro(b, tau, spectrum=None):
     total = _fro(b)
     if total <= tau:
         return np.zeros_like(b), 0.0, None
+    # A finite total from _fro is exact, and so are the shrink and _fro(a)
+    # at any scale; only a norm beyond the float range needs B rescaled.
+    if total == math.inf:
+        return (*_rescaled(_prox_fro, b, tau), None)
     a = b * (1.0 - tau / total)
     return a, _fro(a), None
 
@@ -281,11 +304,10 @@ def _shrunk_magnitudes(x, tau):
 # does, so each kernel rounds as it would on the 2x2 matrix entry by
 # entry in index order.  Every sum starts at 0.0, which puts -0.0 where
 # the array kernels put it; nonzero entries and the norm may differ from
-# theirs in the last bits.  Sums of squares out of the safe range go to
-# the array kernels, which rescale.  Neither the triple nor the spectrum is
-# written to.  ``_PROX_FLOATS``, at the end of the module, holds these
-# kernels by kind; the mixed21 one, ``_prox_mixed21_triple``, follows the
-# float Newton loops it hands its cold paths to.
+# theirs in the last bits.  Neither the triple nor the spectrum is written
+# to.  ``_PROX_FLOATS``, at the end of the module, holds these kernels by
+# kind; the mixed21 one, ``_prox_mixed21_triple``, follows the float Newton
+# loops that it writes out.
 
 
 def _triple_array(a):
@@ -327,24 +349,23 @@ def _prox_l1_triple(a, tau, spectrum=None):
 
 def _prox_fro_triple(a, tau, spectrum=None):
     # Each norm is _fro's sum of squares with += in index order.  A square
-    # is never -0.0, so the sum needs no 0.0 to start from.
+    # is never -0.0, so the sum needs no 0.0 to start from.  A zero triple
+    # gets the zeros of ``_prox_fro``.  The shrunk norm, total - tau >=
+    # 2^-53 total > 2^-353, has a normal largest square: it needs no test.
     if tau == 0.0:
         return a, _norm(_triple_array(a), NormKind.FROBENIUS), spectrum
     a_00, a_01, a_11 = a
     square = a_01 * a_01
     total = math.sqrt(a_00 * a_00 + square + square + a_11 * a_11)
-    if not _NORM_MIN <= total <= _NORM_MAX:
-        total = _fro(_triple_array(a))
+    if not _SAFE_MIN <= total <= _SAFE_MAX and (a_00 or a_01 or a_11):
+        return (*_rescaled(_prox_fro_triple, a, tau), None)
     if total <= tau:
         return (0.0, 0.0, 0.0), 0.0, None
     factor = 1.0 - tau / total
     a = (a_00 * factor, a_01 * factor, a_11 * factor)
     a_00, a_01, a_11 = a
     square = a_01 * a_01
-    total = math.sqrt(a_00 * a_00 + square + square + a_11 * a_11)
-    if not _NORM_MIN <= total <= _NORM_MAX:
-        total = _fro(_triple_array(a))
-    return a, total, None
+    return a, math.sqrt(a_00 * a_00 + square + square + a_11 * a_11), None
 
 
 def _prox_trace_triple(a, tau, spectrum=None):
@@ -435,15 +456,6 @@ _MIXED21_DUAL_STEPS = 200000
 # 1.1-1.2x at d = 6 and 0.9x at d = 8.  d = 6 and above stay on arrays:
 # float work grows faster with d, and floats lose by d = 8.
 _MIXED21_FLOAT_MAX_D = 5
-# The Newton phase weighs a live row by tau / ||h_i||^3, and ||h_i|| is at
-# most twice the row norm of B.  It runs where the largest row norm of B
-# is at least _NEWTON_MIN and their sum at most _NEWTON_MAX, which also
-# turns away a non-finite row; there, for a tau on the scale of B, the cube
-# stays a normal float (it is one from 2^-340 to 2^340).  Elsewhere the
-# problem is solved rescaled by a power of two (``_rescaled_prox_mixed21``),
-# which is exact down to subnormals.
-_NEWTON_MIN = 2.0 ** -300
-_NEWTON_MAX = 2.0 ** 300
 
 
 def _row_norms(x):
@@ -489,9 +501,9 @@ def _prox_mixed21(b, tau, spectrum=None):
     two round differently: dot products and the Newton solve may differ in
     the last bits.
 
-    Where the row norms of B leave the Newton range (``_NEWTON_MIN``,
-    ``_NEWTON_MAX``), both phases solve the problem rescaled instead
-    (``_rescaled_prox_mixed21``).
+    Where the row norms of B leave the safe range, which also turns away a
+    non-finite row, each Newton phase solves its problem rescaled
+    (``_rescaled``).
     """
     if tau == 0.0:
         return b.copy(), _norm(b, NormKind.MIXED21), spectrum
@@ -505,33 +517,12 @@ def _prox_mixed21(b, tau, spectrum=None):
     return (*_newton_mixed21_arrays(b, tau), None)
 
 
-def _rescaled_prox_mixed21(b, tau):
-    """``_newton_mixed21_arrays`` on B and tau scaled by a power of two.
-
-    The prox is homogeneous, prox(c B, c tau) = c prox(B, tau), so this
-    is the prox of B, exact down to subnormals.  A tau above d max|b_ij|,
-    which bounds every row norm of B, gives A = 0 as the cap on it does,
-    and the cap keeps the scaled tau finite.  The prox of B = 0 is B, and
-    a non-finite B (a diverging stage one) has a non-finite norm.
-    """
-    largest = float(np.abs(b).max())
-    if not largest:
-        return b.copy(), 0.0
-    if not math.isfinite(largest):
-        return b.copy(), largest
-    exponent = math.frexp(largest)[1]
-    a, total = _newton_mixed21_arrays(
-        np.ldexp(b, -exponent), math.ldexp(min(tau, b.shape[0] * largest), -exponent)
-    )
-    return np.ldexp(a, exponent), float(np.ldexp(total, exponent))
-
-
 def _newton_mixed21_arrays(b, tau):
     """The Newton phase of ``_prox_mixed21`` on d x d arrays."""
     b_rows = _row_norms(b)
     scale = np.add.reduce(b_rows)
-    if not (_NEWTON_MIN <= np.maximum.reduce(b_rows) and scale <= _NEWTON_MAX):
-        return _rescaled_prox_mixed21(b, tau)
+    if not (_SAFE_MIN <= np.maximum.reduce(b_rows) and scale <= _SAFE_MAX):
+        return _rescaled(_newton_mixed21_arrays, b, tau)
     twice_b = b + b
     s = 1.0 - tau / np.maximum(b_rows, tau)
     for _ in range(_MIXED21_NEWTON_STEPS):
@@ -592,12 +583,12 @@ def _newton_mixed21_floats(rows, tau):
     the total, and keeps no entry of H.  An iterate that does not certify
     forms its Jacobian rows from the same products again, and so, after
     the last step, does the H handed to the dual phase.  The Newton system
-    is solved by ``_solve_floats`` instead of LAPACK.  The cold paths
-    (rescaling, the dual phase) run on arrays.  The loops index their
-    lists: in Python 3.11 a zip over a few entries costs more.
+    is solved by ``_solve_floats`` instead of LAPACK.  The dual phase runs
+    on arrays.  The loops index their lists: in Python 3.11 a zip over a
+    few entries costs more.
 
-    They run d in {1, 3, 4, 5} and the cold paths of the d = 2 kernel
-    ``_prox_mixed21_triple``, which runs these steps written out.
+    They run d in {1, 3, 4, 5}; the d = 2 kernel ``_prox_mixed21_triple``
+    runs these steps written out.
     """
     sqrt = math.sqrt
     span = range(len(rows))
@@ -614,9 +605,8 @@ def _newton_mixed21_floats(rows, tau):
         norm_i = sqrt(acc)
         b_rows.append(norm_i)
         scale += norm_i
-    if not (_NEWTON_MIN <= max(b_rows) and scale <= _NEWTON_MAX):
-        a, total = _rescaled_prox_mixed21(np.array(rows), tau)
-        return a.tolist(), total
+    if not (_SAFE_MIN <= max(b_rows) and scale <= _SAFE_MAX):
+        return _rescaled(_newton_mixed21_floats, rows, tau)
     # max(x, tau) is written tau if tau > x else x, NaN included.
     s = []
     for norm_i in b_rows:
@@ -718,7 +708,7 @@ def _prox_mixed21_triple(a, tau, spectrum=None):
     """The mixed21 prox of every 2x2 matrix: the float set's kernel, which
     ``_prox_mixed21`` also runs at d = 2.
 
-    Inside the Newton range it first solves by cases.  Row i, with partner
+    Inside the safe range it first solves by cases.  Row i, with partner
     j, is dead at the minimizer whenever ||(b_ii, 2 b_ij)||, the row of H
     at s_i = 0, is at most tau (and, while row j lives, only then): the
     KKT conditions hold at A with row i zero and
@@ -736,127 +726,129 @@ def _prox_mixed21_triple(a, tau, spectrum=None):
     pivot rule (the first largest pivot on a tie).  The off-diagonal
     entries b_01 = b_10 share their products, and the output entries
     t_01 q_01 and t_10 q_01 are one.  The products that a row's Jacobian
-    shares with its evaluation are kept, not formed again.  The cold paths,
-    row norms out of the Newton range and no certificate within
-    ``_MIXED21_NEWTON_STEPS``, hand the same input to the loops, which
-    repeat the Newton steps; the loops take no closed form.
+    shares with its evaluation are kept, not formed again.  With no
+    certificate within ``_MIXED21_NEWTON_STEPS``, ``_dual_mixed21`` takes
+    over from the last H, as it does from the loops'.  Row norms out of the
+    safe range solve this kernel's problem rescaled.
     """
     if tau == 0.0:
         return a, _norm(_triple_array(a), NormKind.MIXED21), spectrum
     sqrt = math.sqrt
     b_00, b_01, b_11 = a
-    t_01 = b_01 + b_01
     r_0 = sqrt(0.0 + b_00 * b_00 + b_01 * b_01)
     r_1 = sqrt(0.0 + b_01 * b_01 + b_11 * b_11)
     scale = 0.0 + r_0 + r_1
-    if _NEWTON_MIN <= (r_0 if r_0 > r_1 else r_1) and scale <= _NEWTON_MAX:
-        # A dead row: the partner's diagonal entry soft-thresholded, and
-        # zeros with the signs of B's entries.  r_i rounds to at most the
-        # norm of the test, so r_i > tau rules row i out without it.
-        if r_0 <= tau and sqrt(0.0 + b_00 * b_00 + t_01 * t_01) <= tau:
-            total = abs(b_11) - tau
-            if total <= 0.0:
-                return (b_00 * 0.0, b_01 * 0.0, b_11 * 0.0), 0.0, None
-            a_11 = b_11 - tau if b_11 > 0.0 else b_11 + tau
-            return (b_00 * 0.0, b_01 * 0.0, a_11), total, None
-        if r_1 <= tau and sqrt(0.0 + t_01 * t_01 + b_11 * b_11) <= tau:
-            total = abs(b_00) - tau
-            if total <= 0.0:
-                return (b_00 * 0.0, b_01 * 0.0, b_11 * 0.0), 0.0, None
-            a_00 = b_00 - tau if b_00 > 0.0 else b_00 + tau
-            return (a_00, b_01 * 0.0, b_11 * 0.0), total, None
-        t_00 = b_00 + b_00
-        t_11 = b_11 + b_11
-        s_0 = 1.0 - tau / (tau if tau > r_0 else r_0)
-        s_1 = 1.0 - tau / (tau if tau > r_1 else r_1)
-        for _ in range(_MIXED21_NEWTON_STEPS):
-            # x_ij is h_ij; a dead pair's p_ij becomes 1 for the output and
-            # the Jacobian.
-            p_00 = s_0 + s_0
-            if p_00 > 0.0:
-                x_00 = t_00 * (s_0 / p_00)
-            else:
-                p_00 = 1.0
-                x_00 = t_00 * 0.5
-            p_01 = s_0 + s_1
-            if p_01 > 0.0:
-                x_01 = t_01 * (s_1 / p_01)
-                x_10 = t_01 * (s_0 / p_01)
-            else:
-                p_01 = 1.0
-                x_01 = x_10 = t_01 * 0.5
-            p_11 = s_1 + s_1
-            if p_11 > 0.0:
-                x_11 = t_11 * (s_1 / p_11)
-            else:
-                p_11 = 1.0
-                x_11 = t_11 * 0.5
-            n_0 = sqrt(0.0 + x_00 * x_00 + x_01 * x_01)
-            n_1 = sqrt(0.0 + x_10 * x_10 + x_11 * x_11)
-            below = 0.0
-            if tau > n_0:
-                clipped_0 = tau
-                below += (s_0 * n_0) * (tau - n_0)
-            else:
-                clipped_0 = n_0
-            if tau > n_1:
-                clipped_1 = tau
-                below += (s_1 * n_1) * (tau - n_1)
-            else:
-                clipped_1 = n_1
-            target_0 = 1.0 - tau / clipped_0
-            target_1 = 1.0 - tau / clipped_1
-            e_0 = s_0 - target_0
-            e_1 = s_1 - target_1
-            weighted_0 = e_0 * r_0
-            weighted_1 = e_1 * r_1
-            gap = 0.0 + weighted_0 * weighted_0 + weighted_1 * weighted_1 + below
-            total = 0.0 + s_0 * n_0 + s_1 * n_1
-            if gap <= tau * MIXED21_GAP_RTOL * (total + scale):
-                # s_0 s_1 = s_1 s_0 exactly.
-                a_01 = t_01 * (s_0 * s_1 / p_01)
-                return (t_00 * (s_0 * s_0 / p_00), a_01, t_11 * (s_1 * s_1 / p_11)), total, None
-            # The Newton system [M | e] over the live rows, with
-            # C_ij = h_ij 2 b_ij / p_ij^2.
-            live_0 = target_0 > 0.0
-            live_1 = target_1 > 0.0
-            if live_0:
-                weight = tau / (clipped_0 * clipped_0 * clipped_0)
-                weighted_s = weight * s_0
-                c_00 = x_00 * t_00 / (p_00 * p_00)
-                c_01 = x_01 * t_01 / (p_01 * p_01)
-                c_s = 0.0 + c_00 * s_0 + c_01 * s_1
-                m_00 = (0.0 - weighted_s * c_00) + (1.0 + weight * c_s)
-                m_01 = 0.0 - weighted_s * c_01
-            if live_1:
-                weight = tau / (clipped_1 * clipped_1 * clipped_1)
-                weighted_s = weight * s_1
-                c_10 = x_10 * t_01 / (p_01 * p_01)
-                c_11 = x_11 * t_11 / (p_11 * p_11)
-                c_s = 0.0 + c_10 * s_0 + c_11 * s_1
-                m_10 = 0.0 - weighted_s * c_10
-                m_11 = (0.0 - weighted_s * c_11) + (1.0 + weight * c_s)
-            if live_0 and live_1:
-                if abs(m_10) > abs(m_00):
-                    m_00, m_01, e_0, m_10, m_11, e_1 = m_10, m_11, e_1, m_00, m_01, e_0
-                factor = m_10 / m_00
-                step_1 = (e_1 - factor * e_0) / (m_11 - factor * m_01)
-                step_0 = (e_0 - m_01 * step_1) / m_00
-            elif live_0:
-                step_0 = e_0 / m_00
-            elif live_1:
-                step_1 = e_1 / m_11
-            # Live rows take the clamped Newton step, dead ones their target.
-            if live_0:
-                x = s_0 - step_0
-                target_0 = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
-            if live_1:
-                x = s_1 - step_1
-                target_1 = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
-            s_0 = target_0
-            s_1 = target_1
-    rows, total = _newton_mixed21_floats([[b_00, b_01], [b_01, b_11]], tau)
-    (a_00, a_01), (_, a_11) = rows
+    if not (_SAFE_MIN <= (r_0 if r_0 > r_1 else r_1) and scale <= _SAFE_MAX):
+        return (*_rescaled(_prox_mixed21_triple, a, tau), None)
+    t_01 = b_01 + b_01
+    # A dead row: the partner's diagonal entry soft-thresholded, and
+    # zeros with the signs of B's entries.  r_i rounds to at most the
+    # norm of the test, so r_i > tau rules row i out without it.
+    if r_0 <= tau and sqrt(0.0 + b_00 * b_00 + t_01 * t_01) <= tau:
+        total = abs(b_11) - tau
+        if total <= 0.0:
+            return (b_00 * 0.0, b_01 * 0.0, b_11 * 0.0), 0.0, None
+        a_11 = b_11 - tau if b_11 > 0.0 else b_11 + tau
+        return (b_00 * 0.0, b_01 * 0.0, a_11), total, None
+    if r_1 <= tau and sqrt(0.0 + t_01 * t_01 + b_11 * b_11) <= tau:
+        total = abs(b_00) - tau
+        if total <= 0.0:
+            return (b_00 * 0.0, b_01 * 0.0, b_11 * 0.0), 0.0, None
+        a_00 = b_00 - tau if b_00 > 0.0 else b_00 + tau
+        return (a_00, b_01 * 0.0, b_11 * 0.0), total, None
+    t_00 = b_00 + b_00
+    t_11 = b_11 + b_11
+    s_0 = 1.0 - tau / (tau if tau > r_0 else r_0)
+    s_1 = 1.0 - tau / (tau if tau > r_1 else r_1)
+    for _ in range(_MIXED21_NEWTON_STEPS):
+        # x_ij is h_ij; a dead pair's p_ij becomes 1 for the output and
+        # the Jacobian.
+        p_00 = s_0 + s_0
+        if p_00 > 0.0:
+            x_00 = t_00 * (s_0 / p_00)
+        else:
+            p_00 = 1.0
+            x_00 = t_00 * 0.5
+        p_01 = s_0 + s_1
+        if p_01 > 0.0:
+            x_01 = t_01 * (s_1 / p_01)
+            x_10 = t_01 * (s_0 / p_01)
+        else:
+            p_01 = 1.0
+            x_01 = x_10 = t_01 * 0.5
+        p_11 = s_1 + s_1
+        if p_11 > 0.0:
+            x_11 = t_11 * (s_1 / p_11)
+        else:
+            p_11 = 1.0
+            x_11 = t_11 * 0.5
+        n_0 = sqrt(0.0 + x_00 * x_00 + x_01 * x_01)
+        n_1 = sqrt(0.0 + x_10 * x_10 + x_11 * x_11)
+        below = 0.0
+        if tau > n_0:
+            clipped_0 = tau
+            below += (s_0 * n_0) * (tau - n_0)
+        else:
+            clipped_0 = n_0
+        if tau > n_1:
+            clipped_1 = tau
+            below += (s_1 * n_1) * (tau - n_1)
+        else:
+            clipped_1 = n_1
+        target_0 = 1.0 - tau / clipped_0
+        target_1 = 1.0 - tau / clipped_1
+        e_0 = s_0 - target_0
+        e_1 = s_1 - target_1
+        weighted_0 = e_0 * r_0
+        weighted_1 = e_1 * r_1
+        gap = 0.0 + weighted_0 * weighted_0 + weighted_1 * weighted_1 + below
+        total = 0.0 + s_0 * n_0 + s_1 * n_1
+        if gap <= tau * MIXED21_GAP_RTOL * (total + scale):
+            # s_0 s_1 = s_1 s_0 exactly.
+            a_01 = t_01 * (s_0 * s_1 / p_01)
+            return (t_00 * (s_0 * s_0 / p_00), a_01, t_11 * (s_1 * s_1 / p_11)), total, None
+        # The Newton system [M | e] over the live rows, with
+        # C_ij = h_ij 2 b_ij / p_ij^2.
+        live_0 = target_0 > 0.0
+        live_1 = target_1 > 0.0
+        if live_0:
+            weight = tau / (clipped_0 * clipped_0 * clipped_0)
+            weighted_s = weight * s_0
+            c_00 = x_00 * t_00 / (p_00 * p_00)
+            c_01 = x_01 * t_01 / (p_01 * p_01)
+            c_s = 0.0 + c_00 * s_0 + c_01 * s_1
+            m_00 = (0.0 - weighted_s * c_00) + (1.0 + weight * c_s)
+            m_01 = 0.0 - weighted_s * c_01
+        if live_1:
+            weight = tau / (clipped_1 * clipped_1 * clipped_1)
+            weighted_s = weight * s_1
+            c_10 = x_10 * t_01 / (p_01 * p_01)
+            c_11 = x_11 * t_11 / (p_11 * p_11)
+            c_s = 0.0 + c_10 * s_0 + c_11 * s_1
+            m_10 = 0.0 - weighted_s * c_10
+            m_11 = (0.0 - weighted_s * c_11) + (1.0 + weight * c_s)
+        if live_0 and live_1:
+            if abs(m_10) > abs(m_00):
+                m_00, m_01, e_0, m_10, m_11, e_1 = m_10, m_11, e_1, m_00, m_01, e_0
+            factor = m_10 / m_00
+            step_1 = (e_1 - factor * e_0) / (m_11 - factor * m_01)
+            step_0 = (e_0 - m_01 * step_1) / m_00
+        elif live_0:
+            step_0 = e_0 / m_00
+        elif live_1:
+            step_1 = e_1 / m_11
+        # Live rows take the clamped Newton step, dead ones their target.
+        if live_0:
+            x = s_0 - step_0
+            target_0 = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+        if live_1:
+            x = s_1 - step_1
+            target_1 = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+        s_0 = target_0
+        s_1 = target_1
+    # No certificate: the dual phase takes over from the last H.
+    a, total = _dual_mixed21(_triple_array(a), tau, np.array([[x_00, x_01], [x_10, x_11]]), scale)
+    (a_00, a_01), (_, a_11) = a.tolist()
     return (a_00, a_01, a_11), total, None
 
 

@@ -11,6 +11,7 @@ import pytest
 from simbound import (
     BoundReport,
     Dataset,
+    NumericalError,
     SimilarityConfig,
     SimilarityModel,
     build_bound_report,
@@ -245,6 +246,23 @@ def test_khinchin_single_entry_and_zero():
     assert holds
     lhs, rhs, holds = khinchin_check(np.zeros(3), 2.0, 4.0)
     assert lhs == 0.0 and rhs == 0.0 and holds
+
+
+def test_khinchin_roots_near_the_top_of_the_float_range():
+    # f = (1e308, 1e308): the largest |sum| is 2e308, beyond the float
+    # range, but both roots are finite, 2^(1/2) 1e308 and
+    # sqrt(2) 2^(-2/3) 2e308; they are those of f scaled by 2^-1024,
+    # scaled back, bit for bit.  f = (1.7e308, 1.7e308) at p = 2, q = 4 has
+    # both roots beyond the range; the larger, rhs, is named.
+    f = np.array([1e308, 1e308])
+    lhs, rhs, holds = khinchin_check(f, 1.5, 2.0)
+    assert lhs == pytest.approx(math.sqrt(2.0) * 1e308, rel=1e-15)
+    assert rhs == pytest.approx(math.sqrt(2.0) * 0.5 ** (1 / 1.5) * 2.0 * 1e308, rel=1e-15)
+    assert holds
+    unit_lhs, unit_rhs, _ = khinchin_check(np.ldexp(f, -1024), 1.5, 2.0)
+    assert (lhs, rhs) == (math.ldexp(unit_lhs, 1024), math.ldexp(unit_rhs, 1024))
+    with pytest.raises(NumericalError, match="the Khinchin rhs root is beyond the float range"):
+        khinchin_check([1.7e308, 1.7e308], 2.0, 4.0)
 
 
 def test_khinchin_matches_brute_force():

@@ -225,6 +225,20 @@ def test_khinchin_large_coefficients(capsys):
         assert doc["rhs"] == pytest.approx(rhs, rel=1e-12)
 
 
+def test_khinchin_roots_beyond_the_float_range_are_a_numeric_failure(capsys):
+    # Both roots of (1e308, 1e308) at p = 1.5, q = 2 are finite, though
+    # the largest |sum| is not; those of (1.7e308, 1.7e308) at p = 2, q = 4
+    # are not, which exits 2 with a numeric failure and no traceback.
+    assert run_cli(["khinchin", "--f", "1e308,1e308", "--p", "1.5", "--q", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["lhs"] == pytest.approx(math.sqrt(2.0) * 1e308, rel=1e-15)
+    assert math.isfinite(doc["rhs"]) and doc["holds"] is True
+    assert run_cli(["khinchin", "--f", "1.7e308,1.7e308", "--p", "2", "--q", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numeric failure: the Khinchin rhs root is beyond the float range\n"
+
+
 def test_khinchin_bad_vector():
     assert run_cli(["khinchin", "--f", "1,oops", "--p", "2", "--q", "4"]) == 1
 

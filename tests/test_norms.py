@@ -443,10 +443,8 @@ _L1_GOLDEN = [
 ]
 # 2x2 fro proxes whose bits are literals: a shrink; a norm equal to tau and
 # one below it, which give zero; tau = 0; and sums of squares that overflow
-# and underflow, whose norms come from ``_fro``'s rescaled path.  Their
-# entries are small integers times a power of two, so the first norm is
-# sqrt(18) scaled, whatever order the array sum takes; the second one is
-# pinned to ``_fro`` itself, whose sum of four squares is up to BLAS.
+# and underflow, which the kernel solves rescaled: their bits are those of
+# (3, +-2, 1) at tau = 1, times 2^+-600.
 _FRO_GOLDEN = [
     (
         (0.75, -0.3, 0.1), 0.2,
@@ -462,12 +460,14 @@ _FRO_GOLDEN = [
     ),
     (
         (math.ldexp(3.0, 600), math.ldexp(2.0, 600), math.ldexp(1.0, 600)), math.ldexp(1.0, 600),
-        ["0x1.257d86660310cp+601", "0x1.8752088804166p+600", "0x1.8752088804166p+599"], None,
+        ["0x1.257d86660310cp+601", "0x1.8752088804166p+600", "0x1.8752088804166p+599"],
+        "0x1.9f0ed99bed9b2p+601",
     ),
     (
         (math.ldexp(3.0, -600), math.ldexp(-2.0, -600), math.ldexp(1.0, -600)),
         math.ldexp(1.0, -600),
-        ["0x1.257d86660310cp-599", "-0x1.8752088804166p-600", "0x1.8752088804166p-601"], None,
+        ["0x1.257d86660310cp-599", "-0x1.8752088804166p-600", "0x1.8752088804166p-601"],
+        "0x1.9f0ed99bed9b2p-599",
     ),
 ]
 
@@ -479,17 +479,12 @@ def test_entrywise_prox_d2_golden_bits(kind, golden):
     # input itself.
     kernel = _PROX_FLOATS[NormKind(kind)]
     for a, tau, prox_triple, prox_norm in golden:
-        with np.errstate(over="ignore"):
-            out, total, spectrum = kernel(a, tau)
-            expected_norm = norms._fro(norms._triple_array(out)) if kind == "fro" else None
+        out, total, spectrum = kernel(a, tau)
         assert type(out) is tuple and _hex(out) == tuple(prox_triple) and spectrum is None
         assert (out is a) == (tau == 0.0)
         if tau == 0.0:
             assert total == norms._norm(norms._triple_array(a), NormKind(kind))
-        if prox_norm is None:
-            assert total == expected_norm and total != 0.0
-        else:
-            assert total.hex() == prox_norm
+        assert type(total) is float and total.hex() == prox_norm
 
 
 # Certified on its third evaluation, after two Newton steps.
@@ -562,19 +557,27 @@ _MIXED21_GOLDEN = [
 def test_mixed21_prox_d2_golden_bits(monkeypatch):
     # The d = 2 kernel on the triple and the loops on the rows: the bits,
     # then each case's path.  Capped at steps + 1 evaluations both give the
-    # same bits.  Capped at one, a closed form gives the same bits and
-    # solves no system, and the kernel's Newton phase hands over to the
-    # loops; the loops' first Newton system has the stated unknowns (none
-    # if the first evaluation certifies).  Only the loops call
-    # _solve_floats.
+    # same bits and hand nothing to the dual phase.  Capped at one, a
+    # closed form gives the same bits and hands nothing over, and the
+    # kernel's Newton phase hands the dual phase the same B, H and
+    # ||B||_{2,1} as the loops, bit for bit, and gets the same prox back;
+    # the loops' first Newton system has the stated unknowns (none if the
+    # first evaluation certifies).  Only the loops call _solve_floats.
     systems = []
+    handed = []
     solve = norms._solve_floats
+    dual = norms._dual_mixed21
 
     def recorded(system):
         systems.append(len(system))
         return solve(system)
 
+    def recorded_dual(b, tau, h, scale):
+        handed.append((b.tobytes(), tau, h.tobytes(), scale.hex()))
+        return dual(b, tau, h, scale)
+
     monkeypatch.setattr(norms, "_solve_floats", recorded)
+    monkeypatch.setattr(norms, "_dual_mixed21", recorded_dual)
     kernel = _PROX_FLOATS[NormKind.MIXED21]
     for rows, steps, unknowns, prox_rows, prox_norm, newton in _MIXED21_GOLDEN:
         a, total, spectrum = kernel(_triple(rows), 0.5)
@@ -588,15 +591,21 @@ def test_mixed21_prox_d2_golden_bits(monkeypatch):
             patch.setattr(norms, "_MIXED21_NEWTON_STEPS", steps + 1)
             assert _hex(kernel(_triple(rows), 0.5)[:2]) == _hex((a, total))
             assert _hex(norms._newton_mixed21_floats(rows, 0.5)) == loops
+            assert handed == []
             systems.clear()
             patch.setattr(norms, "_MIXED21_NEWTON_STEPS", 1)
             capped = kernel(_triple(rows), 0.5)
-            assert systems == ([] if newton else first)
-            systems.clear()
-            norms._newton_mixed21_floats(rows, 0.5)
+            assert systems == []
+            from_kernel = handed[:]
+            handed.clear()
+            capped_loops = norms._newton_mixed21_floats(rows, 0.5)
         assert systems == first
         if newton:
-            assert _hex(capped[:2]) == _hex((a, total))
+            assert _hex(capped[:2]) == _hex((a, total)) and from_kernel == []
+        else:
+            assert len(from_kernel) == 1 and from_kernel == handed
+            assert _hex((_rows(capped[0]), capped[1])) == _hex(capped_loops)
+        handed.clear()
         systems.clear()
 
 
@@ -652,8 +661,9 @@ def _dead_row_inputs(rng):
 def test_mixed21_d2_closed_form_stays_in_certificate(rng):
     # The d = 2 kernel matches the reference bit for bit, closed form
     # included, and lies within the certificate of the reference's Newton
-    # phase, which takes no closed form; so does the kernel at 2^+-380,
-    # which it solves rescaled, scaled back.
+    # phase, which takes no closed form.  At 2^+-380, which it solves
+    # rescaled, the kernel's prox and norm, scaled back, are its bits at
+    # scale 1.
     kernel = _PROX_FLOATS[NormKind.MIXED21]
     closed = 0
     cases = _dead_row_inputs(rng)
@@ -670,22 +680,33 @@ def test_mixed21_d2_closed_form_stays_in_certificate(rng):
         bound = _mixed21_distance_bound(out, b, tau) + _mixed21_distance_bound(newton, b, tau)
         assert np.linalg.norm(out - newton) <= bound, (triple, tau)
         for k in (-380, 380):
-            scaled, _, _ = kernel(tuple(math.ldexp(x, k) for x in triple), math.ldexp(tau, k))
-            assert np.linalg.norm(np.ldexp(_rows(scaled), -k) - newton) <= bound, (triple, tau, k)
+            scaled, scaled_norm, _ = kernel(
+                tuple(math.ldexp(x, k) for x in triple), math.ldexp(tau, k)
+            )
+            assert np.ldexp(_rows(scaled), -k).tobytes() == out.tobytes(), (triple, tau, k)
+            assert math.ldexp(scaled_norm, -k).hex() == a_norm.hex(), (triple, tau, k)
         closed += oracles._reference_mixed21_dead_row(b, tau) is not None
     assert 0 < closed < len(cases)
 
 
+class _RefusedSteps:
+    """A Newton step cap that raises once a Newton loop reads it."""
+
+    def __index__(self):
+        raise AssertionError("the Newton phase ran")
+
+
 def test_mixed21_d2_dead_row_runs_no_newton(monkeypatch):
-    # With the Newton loops and solver refusing and no Newton step allowed,
-    # a dead row, row 0 or row 1 or both, still gets its prox from the
-    # kernel and from prox; a both-live input goes to the Newton phase.
+    # With the Newton loops, the solver and the dual phase refusing, and a
+    # step cap that refuses to be read, a dead row, row 0 or row 1 or both,
+    # still gets its prox from the kernel and from prox; a both-live input
+    # starts the Newton phase.
     def refuse(*args):
         raise AssertionError("the Newton phase ran")
 
-    monkeypatch.setattr(norms, "_newton_mixed21_floats", refuse)
-    monkeypatch.setattr(norms, "_solve_floats", refuse)
-    monkeypatch.setattr(norms, "_MIXED21_NEWTON_STEPS", 0)
+    for name in ("_newton_mixed21_floats", "_solve_floats", "_dual_mixed21"):
+        monkeypatch.setattr(norms, name, refuse)
+    monkeypatch.setattr(norms, "_MIXED21_NEWTON_STEPS", _RefusedSteps())
     kernel = _PROX_FLOATS[NormKind.MIXED21]
     dead = [
         (_MIXED21_GOLDEN[0][0], 0.5), (_MIXED21_GOLDEN[2][0], 0.5),
@@ -943,37 +964,22 @@ def test_prox_leaves_input_bits(rng):
             assert again_norm == pytest.approx(norm(expected, "trace"), rel=1e-12, abs=1e-12)
 
 
+def _extreme_inputs():
+    b5 = np.diag([2.0, -1.0, 0.5, 1.5, -0.75])
+    b5[0, 1:] = b5[1:, 0] = 0.25
+    return [(np.array([[1.0, -0.5], [-0.5, 2.0]]), 0.3), (b5, 0.3)]
+
+
+_EXTREME_INPUTS = _extreme_inputs()
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_norm_and_prox_at_extreme_scales(kind):
     # Entries near 1e+-200 have sums of squares beyond the float range.  fro
     # and mixed21 used to return inf as the norm, and zero as the prox of
     # 1e-170 I (fro) or 1e-300 I (mixed21); they rescale now, and so do the
-    # dual norms.  All of these are homogeneous, so the scaled answers are
-    # the scaled answers at 1.  d = 2 runs the mixed21 Newton on floats,
-    # d = 5 on arrays; the float kernels of stage one go through their cold
-    # path too.
-    b5 = np.diag([2.0, -1.0, 0.5, 1.5, -0.75])
-    b5[0, 1:] = b5[1:, 0] = 0.25
-    for b in (np.array([[1.0, -0.5], [-0.5, 2.0]]), b5):
-        tau = 0.3
-        expected = prox(b, tau, kind)
-        v, x = b[0], b[-1]
-        for scale in (1e200, 1e-200, 1e-300):
-            assert norm(scale * b, kind) == pytest.approx(scale * norm(b, kind), rel=1e-14)
-            assert dual_norm(scale * b, kind) == pytest.approx(scale * dual_norm(b, kind), rel=1e-14)
-            rank1 = dual_norm_rank1(v, x, kind)
-            for pair, expected_rank1 in (((scale * v, x), scale * rank1),
-                                         ((v, scale * x), scale * rank1),
-                                         ((scale * v, x / scale), rank1)):
-                assert dual_norm_rank1(*pair, kind) == pytest.approx(expected_rank1, rel=1e-14)
-            out = prox(scale * b, scale * tau, kind)
-            assert np.max(np.abs(out - scale * expected)) <= 1e-13 * scale
-            if b.shape[0] != 2:
-                continue
-            with np.errstate(over="ignore"):
-                a, a_norm, _ = _PROX_FLOATS[NormKind(kind)](_triple(scale * b), scale * tau)
-            assert np.max(np.abs(np.array(_rows(a)) - scale * expected)) <= 1e-13 * scale
-            assert a_norm == pytest.approx(norm(out, kind), rel=1e-14)
+    # dual norms.  test_kernels_are_exact_under_powers_of_two holds every
+    # kernel to its answer at scale 1 under 2^k; these are literal answers.
     assert norm(1e200 * np.eye(2), "fro") == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
     assert norm(1e200 * np.eye(2), "mixed21") == pytest.approx(2e200, rel=1e-15)
     shrunk = prox(1e-170 * np.eye(2), 1e-175, "fro")
@@ -986,15 +992,34 @@ def test_norm_and_prox_at_extreme_scales(kind):
     assert dual_norm_rank1([1e200, 1e200], [1.0, 0.0], "fro") == pytest.approx(
         math.sqrt(2.0) * 1e200, rel=1e-15
     )
+    # A rank-1 dual norm is homogeneous in v and x apart, so scaling v by
+    # 2^k and x by 2^-k leaves it as it is, bit for bit.
+    for b, _ in _EXTREME_INPUTS:
+        v, x = b[0], b[-1]
+        for k in (665, -665, -997):
+            scaled = dual_norm_rank1(np.ldexp(v, k), np.ldexp(x, -k), kind)
+            assert scaled == dual_norm_rank1(v, x, kind)
+    # The Frobenius norm of 1.7e308 I is beyond the float range.  Its prox
+    # used to come back unshrunk, its shrink factor reading that norm as
+    # inf; both kernel sets shrink it now, and its norm comes back inf.
+    shrink = 1.7e308 - 1e306 / math.sqrt(2.0)
+    with np.errstate(over="ignore"):
+        out, out_norm, _ = _PROX[NormKind.FROBENIUS](1.7e308 * np.eye(2), 1e306)
+        a, a_norm, _ = _PROX_FLOATS[NormKind.FROBENIUS]((1.7e308, 0.0, 1.7e308), 1e306)
+    np.testing.assert_allclose(out, shrink * np.eye(2), rtol=1e-15)
+    np.testing.assert_array_equal(prox(1.7e308 * np.eye(2), 1e306, "fro"), out)
+    np.testing.assert_allclose(_rows(a), shrink * np.eye(2), rtol=1e-15)
+    assert out_norm == a_norm == math.inf
 
 
 def test_mixed21_prox_far_from_unit_scale_stays_in_its_certificate(rng):
     # The Newton phase weighs a live row by tau / ||h_i||^3.  Row norms near
     # 1e-110 cube to 0, and the float phase raised ZeroDivisionError (the
     # first case); near 2^-380 most proxes did at d <= 5, and at d = 6 the
-    # array phase warned and fell back to the dual phase.  Out of the Newton
-    # range the prox is solved rescaled by a power of two, with no warning,
-    # and lands within the gap certificate of the prox at scale 1.
+    # array phase warned and fell back to the dual phase.  Out of the safe
+    # range each phase solves its own problem rescaled by a power of two,
+    # with no warning: scaled back, its prox is the prox at scale 1 bit for
+    # bit, so it lies in that prox's gap certificate.
     cases = [(np.array([[1e-110, 3e-111], [3e-111, 2e-110]]), 1e-111)]
     for k in (-380, 380):
         for d in (2, 3, 5, 6):
@@ -1009,10 +1034,126 @@ def test_mixed21_prox_far_from_unit_scale_stays_in_its_certificate(rng):
         unit_b, unit_tau = np.ldexp(b, exponent), math.ldexp(tau, exponent)
         expected = prox(unit_b, unit_tau, "mixed21")
         assert np.array_equal(out, out.T)
-        bound = _mixed21_distance_bound(out, unit_b, unit_tau) + _mixed21_distance_bound(
-            expected, unit_b, unit_tau
-        )
-        assert np.linalg.norm(out - expected) <= bound
+        assert out.tobytes() == expected.tobytes()
+
+
+# The powers k of the scaling property: a stride over [-1000, 1000], the
+# edges of the safe range 2^+-300, +-600, +-665 (near 1e+-200) and -997
+# (near 1e-300).
+_POWERS = sorted({
+    *range(-1000, 1001, 40), *(s * k for k in (299, 300, 301, 600, 665) for s in (1, -1)), -997,
+})
+
+
+def _finite_and_normal(values):
+    """Whether no entry of the arrays and floats in values is subnormal or
+    infinite; zeros are allowed."""
+    x = np.abs(np.concatenate([np.ravel(np.asarray(v, dtype=float)) for v in values]))
+    return not np.any(np.isinf(x) | ((x > 0.0) & (x < np.finfo(float).tiny)))
+
+
+def _scaling_checks(rng):
+    """(name, inputs, kernel, slack): kernel(*inputs) returns a tuple of
+    floats and arrays, each homogeneous of degree 1 in the inputs.
+
+    The prox of every kind on arrays at d = 1 to 8 and on the float set's
+    triple at d = 2, with its norm; norm, dual_norm (on B plus a skew part)
+    and dual_norm_rank1 (of B's first and last rows, each scaled alone).
+    The inputs are random symmetric B, more of them at d = 2, with signed
+    zeros, a dead mixed21 row, a tau above d max|b_ij|, which the rescaled
+    kernels cap, and _EXTREME_INPUTS.
+    slack is None but for the trace kernels on arrays, which LAPACK
+    decomposes: slack(b, expected) is how far an output may move beyond
+    |k| = 300, 1e-14 relative for a norm and 1e-14 d max|b_ij| for a prox.
+    """
+    inputs = []
+    for d in range(1, 9):
+        for _ in range(12 if d == 2 else 2):
+            b = symmetric_part(rng.standard_normal((d, d)) * rng.uniform(0.5, 3.0))
+            inputs.append((b, float(rng.uniform(0.1, 2.0))))
+        signed = symmetric_part(rng.standard_normal((d, d)))
+        signed[0] = signed[:, 0] = -0.0
+        inputs += [(signed, 0.3), (signed, 2.0 * d * float(np.abs(signed).max()) + 1.0)]
+    inputs += [(np.array(rows), 0.5) for rows in ([[0.3, -0.001], [-0.001, -2.0]], _ONE_STEP_ROWS)]
+    inputs += _EXTREME_INPUTS
+    checks = []
+    for b, tau in inputs:
+        skew = rng.standard_normal(b.shape)
+        for kind in map(NormKind, ALL_KINDS):
+            trace = kind is NormKind.TRACE
+            prox_slack, norm_slack = (_trace_prox_slack, _trace_norm_slack) if trace else (None,) * 2
+            checks.append((
+                f"_PROX {kind.value}", (b, tau),
+                lambda b, tau, k=kind: _PROX[k](b, tau)[:2], prox_slack,
+            ))
+            checks.append((f"norm {kind.value}", (b,), lambda b, k=kind: (norm(b, k),), norm_slack))
+            checks.append((
+                f"dual_norm {kind.value}", (b + skew - skew.T,),
+                lambda b, k=kind: (dual_norm(b, k),), norm_slack,
+            ))
+            checks.append((
+                f"dual_norm_rank1 {kind.value} in v", (b[0],),
+                lambda v, x=b[-1], k=kind: (dual_norm_rank1(v, x, k),), None,
+            ))
+            checks.append((
+                f"dual_norm_rank1 {kind.value} in x", (b[-1],),
+                lambda x, v=b[0], k=kind: (dual_norm_rank1(v, x, k),), None,
+            ))
+            if b.shape[0] == 2:
+                checks.append((
+                    f"_PROX_FLOATS {kind.value}", (b, tau),
+                    lambda b, tau, k=kind: _rows_and_norm(_PROX_FLOATS[k](_triple(b), tau)),
+                    None,
+                ))
+    return checks
+
+
+def _trace_norm_slack(b, expected):
+    return 1e-14 * abs(float(expected))
+
+
+def _trace_prox_slack(b, expected):
+    return 1e-14 * len(b) * float(np.abs(b).max())
+
+
+def _rows_and_norm(out):
+    a, total, _ = out
+    return np.array(_rows(a)), total
+
+
+def test_kernels_are_exact_under_powers_of_two(rng):
+    # Every norm and prox is positively homogeneous, and scaling by 2^k is
+    # exact, so the answer to the problem scaled by 2^k, scaled back by
+    # 2^-k, equals the answer at scale 1 bit for bit, signed zeros included,
+    # wherever no input or output entry at either scale is subnormal or
+    # infinite.  The one exception is trace on arrays: LAPACK scales a
+    # matrix by its own rule, so beyond |k| = 300 its answer may move, by at
+    # most 1e-14 relative for a norm and 1e-14 d max|b_ij| for a prox (both
+    # read below 8e-16 on these inputs).
+    compared = 0
+    for name, inputs, kernel, slack in _scaling_checks(rng):
+        with np.errstate(over="ignore"):
+            unit = kernel(*inputs)
+        if not _finite_and_normal([*inputs, *unit]):
+            continue
+        for k in _POWERS:
+            with np.errstate(over="ignore", under="ignore"):
+                scaled = [np.ldexp(x, k) if np.ndim(x) else float(np.ldexp(x, k)) for x in inputs]
+            if not _finite_and_normal(scaled):
+                continue
+            with np.errstate(over="ignore"):
+                out = kernel(*scaled)
+            if not _finite_and_normal(out):
+                continue
+            compared += 1
+            for got, expected in zip(out, unit):
+                back = np.ldexp(np.asarray(got, dtype=float), -k)
+                expected = np.asarray(expected, dtype=float)
+                if slack and abs(k) > 300:
+                    assert np.max(np.abs(back - expected)) <= slack(inputs[0], expected), (name, k)
+                else:
+                    assert back.tobytes() == expected.tobytes(), (name, inputs, k)
+    assert compared > 20000
 
 
 def test_empty_inputs_are_refused_by_name():

@@ -277,6 +277,46 @@ def test_train_overflow_raises_without_warning(monkeypatch):
                         train_similarity(data, config)
 
 
+@pytest.mark.parametrize("kind", ["l1", "fro", "mixed21", "trace"])
+def test_fit_is_exact_under_powers_of_two(monkeypatch, kind):
+    # Features times 2^k, lambda times 2^2k and step0 times 2^-4k give the
+    # same hinge terms and steps and thresholds times 2^-2k, so stage one
+    # returns 2^-2k times the unit model and the same objective, bit for
+    # bit.  At k = +-200 the iterates sit near 2^-+400, out of the norms'
+    # safe range, where the fro and mixed21 proxes solve their problems
+    # rescaled: those fits do reach ``norms._rescaled``.  The float set
+    # fits at d = 2, m = 5, the arrays at d = 5, m = 100.
+    rescaled = norms._rescaled
+    calls = []
+
+    def recorded(*args):
+        calls.append(args[0].__name__)
+        return rescaled(*args)
+
+    monkeypatch.setattr(norms, "_rescaled", recorded)
+    rng = make_rng(1729)
+    for m, d, lam, step0 in ((5, 2, 0.2, 2.0), (100, 5, 0.1, 1.0)):
+        for _ in range(3):
+            data = _tiny_dataset(rng, m) if d == 2 else random_dataset(rng, m, d)
+
+            def fit(k):
+                config = SimilarityConfig(
+                    lam=math.ldexp(lam, 2 * k), margin=1.0, norm_kind=kind, max_iters=300,
+                    step0=math.ldexp(step0, -4 * k), rel_tol=0.0,
+                )
+                return train_similarity(Dataset(np.ldexp(data.features, k), data.labels), config)
+
+            assert similarity._uses_floats(m, d) == (d == 2)
+            unit = fit(0)
+            assert unit.iterations_run == 300 and unit.final_objective < 1.0
+            for k in (-200, 200):
+                calls.clear()
+                model = fit(k)
+                assert np.ldexp(model.matrix, 2 * k).tobytes() == unit.matrix.tobytes(), (m, k)
+                assert model.final_objective.hex() == unit.final_objective.hex(), (m, k)
+                assert bool(calls) == (kind in ("fro", "mixed21")), (m, k)
+
+
 def _assert_json_matches_reference(data, config):
     # The JSON text tells -0.0 from +0.0, which assert_array_equal does not.
     model = train_similarity(data, config)
@@ -369,15 +409,16 @@ def test_float_trace_fits_call_lapack_only_from_d3(monkeypatch):
 @pytest.mark.parametrize("kind", ["l1", "fro", "mixed21", "trace"])
 def test_float_fits_take_no_array_path(monkeypatch, kind):
     # Check-02-shaped fits run the float set from start to end: the array
-    # kernels, LAPACK and every cold path that the float set's prox kernels
-    # hand over to (the mixed21 Newton loops, the rescaled fro norm, the
-    # tau = 0 norm) refuse, so a fit that fell back to any of them would
-    # fail here, not only run slower.
+    # kernels, LAPACK and every cold path of the float set's prox kernels
+    # (the rescaled problem, the mixed21 dual phase, the tau = 0 norm)
+    # refuse, and so do the mixed21 Newton loops and the array fro norm, so
+    # a fit that fell back to any of them would fail here, not only run
+    # slower.
     def refuse(*args):
         raise AssertionError("a d = 2 float fit left the float kernels")
 
     monkeypatch.setattr(similarity, "_array_kernels", refuse)
-    for name in ("_eigh", "_newton_mixed21_floats", "_fro", "_norm"):
+    for name in ("_eigh", "_rescaled", "_dual_mixed21", "_newton_mixed21_floats", "_fro", "_norm"):
         monkeypatch.setattr(norms, name, refuse)
     rng = make_rng(542)
     for m in (4, 5, 6):
