@@ -142,7 +142,10 @@ def generate(spec, m):
     mean = np.zeros(spec.d)
     informative = spec.d - spec.irrelevant_dims if spec.kind is GeneratorKind.SPARSE_BLOBS else spec.d
     mean[:informative] = spec.mean_separation / (2.0 * math.sqrt(spec.d))
-    features = labels[:, None] * mean[None, :] + spec.noise_sigma * noise
+    # The products y_i mu_k formed d x m and transposed: the same products
+    # and sums as labels[:, None] * mean[None, :], without numpy's slow
+    # broadcast of a column by a row, and the sum comes out C-contiguous.
+    features = (mean[:, None] * labels).T + spec.noise_sigma * noise
     return Dataset(features, labels)
 
 

@@ -23,12 +23,13 @@ are keyed by ``NormKind``; ``prox`` and stage one
 (``similarity.train_similarity``) look a kernel up once per call or fit, so
 no prox call tests the kind.
 
-Each fro and mixed21 kernel tests the norm or row norms it computes
-against one safe range, and out of it solves its own problem on B and tau
-scaled by a power of two (``_rescaled``).  So every norm and prox obeys
+Each fro and mixed21 kernel tests the norm or row norms it computes, and
+each trace kernel on arrays the spectral norm that LAPACK returned (LAPACK
+scales a matrix by its own thresholds), against one safe range, and out of
+it solves its own problem on B and tau scaled by a power of two
+(``_rescaled``).  So every norm and prox obeys
 prox(2^k B, 2^k tau) = 2^k prox(B, tau) bit for bit wherever no entry is
-subnormal or infinite, except trace on arrays, which LAPACK rescales by its
-own rule.
+subnormal or infinite.
 """
 
 import math
@@ -93,7 +94,7 @@ def _norm(a, kind):
         return _fro(a)
     if kind is NormKind.MIXED21:
         return _mixed21(a)
-    return float(np.abs(_eigh(a)[0]).sum())
+    return _trace(a)
 
 
 # The safe range.  A norm in [_SAFE_MIN, _SAFE_MAX] comes from sums of
@@ -123,6 +124,36 @@ def _mixed21(a, reduce=np.add.reduce):
     if _SAFE_MIN <= value <= _SAFE_MAX:
         return value
     return _rescaled(lambda scaled: _mixed21(scaled, reduce), a)
+
+
+def _trace(a):
+    # The sum of the eigenvalue magnitudes.
+    eigenvalues = _eigh(a)[0]
+    if _lapack_in_range(max(-eigenvalues.item(0), eigenvalues.item(-1)), len(a)):
+        return float(np.abs(eigenvalues).sum())
+    return _rescaled(_trace, a)
+
+
+def _spectral(b):
+    # The largest singular value, as np.linalg.norm(b, 2) computes it.
+    value = float(np.linalg.norm(b, 2))
+    if _lapack_in_range(value, len(b)):
+        return value
+    return _rescaled(_spectral, b)
+
+
+def _lapack_in_range(top, d):
+    """Whether LAPACK's answer for a d x d B of spectral norm top keeps its
+    bits under powers of two.
+
+    LAPACK scales a matrix by its own thresholds (from about 2^-405 and
+    2^460 on), so its answers are exact under 2^k only while max|b_ij|
+    stays inside the safe range.  The spectral norm lies in
+    [max|b_ij|, d max|b_ij|], so top in [d _SAFE_MIN, _SAFE_MAX] holds it
+    there.  The test reads a value LAPACK already returned: no pass over B.
+    B = 0 passes, so its prox keeps the zeros it computes.
+    """
+    return top == 0.0 or d * _SAFE_MIN <= top <= _SAFE_MAX
 
 
 def _rescaled(kernel, b, tau=None):
@@ -162,7 +193,7 @@ def dual_norm(b, kind):
     if kind is NormKind.L1:
         return float(np.abs(b).max())
     if kind is NormKind.TRACE:
-        return float(np.linalg.norm(b, 2))
+        return _spectral(b)
     # Sums of squares out of range are detected and recomputed rescaled.
     with np.errstate(over="ignore"):
         return _fro(b) if kind is NormKind.FROBENIUS else _mixed21(b, np.maximum.reduce)
@@ -274,7 +305,13 @@ def _prox_fro(b, tau, spectrum=None):
 def _prox_trace(b, tau, spectrum=None):
     if tau == 0.0:
         return b.copy(), _norm(b, NormKind.TRACE), spectrum
-    eigenvalues, vectors = _eigh(b) if spectrum is None else spectrum
+    if spectrum is None:
+        eigenvalues, vectors = _eigh(b)
+        if not _lapack_in_range(max(-eigenvalues.item(0), eigenvalues.item(-1)), len(b)):
+            return (*_rescaled(_prox_trace, b, tau), None)
+    else:
+        # Thresholding a given spectrum calls no LAPACK, so it needs no test.
+        eigenvalues, vectors = spectrum
     shrunk = _shrunk_magnitudes(eigenvalues, tau)
     thresholded = np.sign(eigenvalues)
     thresholded *= shrunk
@@ -717,7 +754,7 @@ def _prox_mixed21_triple(a, tau, spectrum=None):
     norm max(|b_jj| - tau, 0) and duality gap 0; it covers both rows dead,
     where |b_jj| <= tau.  Its zeros take the signs of B's entries, as the
     Newton output's do, and the test computes each norm in the Newton
-    phase's sqrt(0.0 + x*x + y*y) form.  In the benchmark's ``solver_tiny``
+    phase's sqrt(x*x + y*y) form.  In the benchmark's ``solver_tiny``
     fits, 51% of the mixed21 proxes end here.
 
     Otherwise it runs ``_newton_mixed21_floats`` at d = 2, written out: the
@@ -726,7 +763,14 @@ def _prox_mixed21_triple(a, tau, spectrum=None):
     pivot rule (the first largest pivot on a tie).  The off-diagonal
     entries b_01 = b_10 share their products, and the output entries
     t_01 q_01 and t_10 q_01 are one.  The products that a row's Jacobian
-    shares with its evaluation are kept, not formed again.  With no
+    shares with its evaluation are kept, not formed again.  It leaves out
+    what no bit depends on.  H's diagonal is B's: with t_ii = b_ii + b_ii,
+    h_ii is t_ii (s_i / (s_i + s_i)) for a live row and t_ii 0.5 for a
+    dead one, both b_ii exactly in the safe range.  So the kernel squares
+    b_ii once per prox and forms p_ii = s_i + s_i (1 for a dead row) only
+    for the Jacobian and the output.  And the sums of squares, row norms
+    and totals hold no -0.0 term, so they start from their first term, not
+    from 0.0 as in the loops.  With no
     certificate within ``_MIXED21_NEWTON_STEPS``, ``_dual_mixed21`` takes
     over from the last H, as it does from the loops'.  Row norms out of the
     safe range solve this kernel's problem rescaled.
@@ -735,22 +779,25 @@ def _prox_mixed21_triple(a, tau, spectrum=None):
         return a, _norm(_triple_array(a), NormKind.MIXED21), spectrum
     sqrt = math.sqrt
     b_00, b_01, b_11 = a
-    r_0 = sqrt(0.0 + b_00 * b_00 + b_01 * b_01)
-    r_1 = sqrt(0.0 + b_01 * b_01 + b_11 * b_11)
-    scale = 0.0 + r_0 + r_1
+    sq_00 = b_00 * b_00
+    sq_01 = b_01 * b_01
+    sq_11 = b_11 * b_11
+    r_0 = sqrt(sq_00 + sq_01)
+    r_1 = sqrt(sq_01 + sq_11)
+    scale = r_0 + r_1
     if not (_SAFE_MIN <= (r_0 if r_0 > r_1 else r_1) and scale <= _SAFE_MAX):
         return (*_rescaled(_prox_mixed21_triple, a, tau), None)
     t_01 = b_01 + b_01
     # A dead row: the partner's diagonal entry soft-thresholded, and
     # zeros with the signs of B's entries.  r_i rounds to at most the
     # norm of the test, so r_i > tau rules row i out without it.
-    if r_0 <= tau and sqrt(0.0 + b_00 * b_00 + t_01 * t_01) <= tau:
+    if r_0 <= tau and sqrt(sq_00 + t_01 * t_01) <= tau:
         total = abs(b_11) - tau
         if total <= 0.0:
             return (b_00 * 0.0, b_01 * 0.0, b_11 * 0.0), 0.0, None
         a_11 = b_11 - tau if b_11 > 0.0 else b_11 + tau
         return (b_00 * 0.0, b_01 * 0.0, a_11), total, None
-    if r_1 <= tau and sqrt(0.0 + t_01 * t_01 + b_11 * b_11) <= tau:
+    if r_1 <= tau and sqrt(t_01 * t_01 + sq_11) <= tau:
         total = abs(b_00) - tau
         if total <= 0.0:
             return (b_00 * 0.0, b_01 * 0.0, b_11 * 0.0), 0.0, None
@@ -758,17 +805,14 @@ def _prox_mixed21_triple(a, tau, spectrum=None):
         return (a_00, b_01 * 0.0, b_11 * 0.0), total, None
     t_00 = b_00 + b_00
     t_11 = b_11 + b_11
+    # h_ii * t_ii, the numerator of C_ii, with h_ii = b_ii (see above).
+    ht_00 = b_00 * t_00
+    ht_11 = b_11 * t_11
     s_0 = 1.0 - tau / (tau if tau > r_0 else r_0)
     s_1 = 1.0 - tau / (tau if tau > r_1 else r_1)
     for _ in range(_MIXED21_NEWTON_STEPS):
-        # x_ij is h_ij; a dead pair's p_ij becomes 1 for the output and
-        # the Jacobian.
-        p_00 = s_0 + s_0
-        if p_00 > 0.0:
-            x_00 = t_00 * (s_0 / p_00)
-        else:
-            p_00 = 1.0
-            x_00 = t_00 * 0.5
+        # x_01 and x_10 are h_01 and h_10; a dead pair's p_ij becomes 1
+        # for the output and the Jacobian.
         p_01 = s_0 + s_1
         if p_01 > 0.0:
             x_01 = t_01 * (s_1 / p_01)
@@ -776,14 +820,8 @@ def _prox_mixed21_triple(a, tau, spectrum=None):
         else:
             p_01 = 1.0
             x_01 = x_10 = t_01 * 0.5
-        p_11 = s_1 + s_1
-        if p_11 > 0.0:
-            x_11 = t_11 * (s_1 / p_11)
-        else:
-            p_11 = 1.0
-            x_11 = t_11 * 0.5
-        n_0 = sqrt(0.0 + x_00 * x_00 + x_01 * x_01)
-        n_1 = sqrt(0.0 + x_10 * x_10 + x_11 * x_11)
+        n_0 = sqrt(sq_00 + x_01 * x_01)
+        n_1 = sqrt(x_10 * x_10 + sq_11)
         below = 0.0
         if tau > n_0:
             clipped_0 = tau
@@ -801,29 +839,40 @@ def _prox_mixed21_triple(a, tau, spectrum=None):
         e_1 = s_1 - target_1
         weighted_0 = e_0 * r_0
         weighted_1 = e_1 * r_1
-        gap = 0.0 + weighted_0 * weighted_0 + weighted_1 * weighted_1 + below
-        total = 0.0 + s_0 * n_0 + s_1 * n_1
+        gap = weighted_0 * weighted_0 + weighted_1 * weighted_1 + below
+        total = s_0 * n_0 + s_1 * n_1
         if gap <= tau * MIXED21_GAP_RTOL * (total + scale):
             # s_0 s_1 = s_1 s_0 exactly.
-            a_01 = t_01 * (s_0 * s_1 / p_01)
-            return (t_00 * (s_0 * s_0 / p_00), a_01, t_11 * (s_1 * s_1 / p_11)), total, None
+            p_00 = s_0 + s_0
+            p_11 = s_1 + s_1
+            return (
+                t_00 * (s_0 * s_0 / (p_00 if p_00 > 0.0 else 1.0)),
+                t_01 * (s_0 * s_1 / p_01),
+                t_11 * (s_1 * s_1 / (p_11 if p_11 > 0.0 else 1.0)),
+            ), total, None
         # The Newton system [M | e] over the live rows, with
         # C_ij = h_ij 2 b_ij / p_ij^2.
         live_0 = target_0 > 0.0
         live_1 = target_1 > 0.0
         if live_0:
+            p_00 = s_0 + s_0
+            if not p_00 > 0.0:
+                p_00 = 1.0
             weight = tau / (clipped_0 * clipped_0 * clipped_0)
             weighted_s = weight * s_0
-            c_00 = x_00 * t_00 / (p_00 * p_00)
+            c_00 = ht_00 / (p_00 * p_00)
             c_01 = x_01 * t_01 / (p_01 * p_01)
             c_s = 0.0 + c_00 * s_0 + c_01 * s_1
             m_00 = (0.0 - weighted_s * c_00) + (1.0 + weight * c_s)
             m_01 = 0.0 - weighted_s * c_01
         if live_1:
+            p_11 = s_1 + s_1
+            if not p_11 > 0.0:
+                p_11 = 1.0
             weight = tau / (clipped_1 * clipped_1 * clipped_1)
             weighted_s = weight * s_1
             c_10 = x_10 * t_01 / (p_01 * p_01)
-            c_11 = x_11 * t_11 / (p_11 * p_11)
+            c_11 = ht_11 / (p_11 * p_11)
             c_s = 0.0 + c_10 * s_0 + c_11 * s_1
             m_10 = 0.0 - weighted_s * c_10
             m_11 = (0.0 - weighted_s * c_11) + (1.0 + weight * c_s)
@@ -847,7 +896,7 @@ def _prox_mixed21_triple(a, tau, spectrum=None):
         s_0 = target_0
         s_1 = target_1
     # No certificate: the dual phase takes over from the last H.
-    a, total = _dual_mixed21(_triple_array(a), tau, np.array([[x_00, x_01], [x_10, x_11]]), scale)
+    a, total = _dual_mixed21(_triple_array(a), tau, np.array([[b_00, x_01], [x_10, b_11]]), scale)
     (a_00, a_01), (_, a_11) = a.tolist()
     return (a_00, a_01, a_11), total, None
 

@@ -198,7 +198,9 @@ def train_similarity(data, config):
     (``norms._PROX`` or ``norms._PROX_FLOATS``) by the norm kind, and the
     set hands out matrix(a), which makes the model's array of the best
     iterate.  The float set's kernels name each entry and loop only over
-    the examples.
+    the examples.  Both sets' hinge returns a Python float, so the loop
+    forms each objective with no conversion and no NumPy scalar; dividing
+    by the int m rounds as NumPy does.
     """
     lam = config.lam
     m = data.m
@@ -209,19 +211,19 @@ def train_similarity(data, config):
     prox_kernel = prox_table[config.norm_kind]
     # hinge(a) forms the slack of iterate a and its mask slack > 0, which
     # serve its objective and the next step, and returns the summed positive
-    # slack.  That sum is 0 exactly when the mask is empty, even where the
-    # hinge average would round a subnormal slack to 0.  The zero start has
-    # norm 0.  Every iterate is symmetric by construction.
+    # slack as a Python float.  That sum is 0 exactly when the mask is
+    # empty, even where the hinge average would round a subnormal slack to
+    # 0.  The zero start has norm 0.  Every iterate is symmetric by
+    # construction.
     hinge_sum = hinge(a)
     best_a = a
-    best_obj = float(hinge_sum / m)
+    best_obj = hinge_sum / m
     spectrum = None
     window = 50
     window_best = best_obj
-    iterations = 0
     step0 = config.step0
     sqrt = math.sqrt
-    isfinite = math.isfinite
+    inf = math.inf
     # NumPy warns of no overflow: a sum of squares that overflows is
     # recomputed rescaled, as in ``norm`` and ``prox``.  Nor of an invalid
     # value: a step that overflows makes inf and NaN entries, and the
@@ -236,24 +238,25 @@ def train_similarity(data, config):
             # prox, which never writes them; best_a may alias it.
             a, a_norm, spectrum = prox_kernel(a, eta * lam, spectrum)
             hinge_sum = hinge(a)
-            obj = float(hinge_sum / m) + lam * a_norm
-            if not isfinite(obj):
+            obj = hinge_sum / m + lam * a_norm
+            # obj is >= 0, +inf or NaN, so this is not isfinite(obj).
+            if not obj < inf:
                 raise NumericalError(
                     f"non-finite objective at iteration {t}; try a smaller step0 than {step0}"
                 )
             if obj < best_obj:
                 best_obj = obj
                 best_a = a
-            iterations = t
             if t % window == 0:
                 if window_best - best_obj < config.rel_tol * abs(window_best):
                     break
                 window_best = best_obj
+    # max_iters >= 1, so the loop ran and t is the last iteration.
     return SimilarityModel(
         matrix=matrix(best_a),
         config=config,
         final_objective=best_obj,
-        iterations_run=iterations,
+        iterations_run=t,
     )
 
 
@@ -279,13 +282,14 @@ def _array_kernels(scaled, w):
     table, matrix).
 
     hinge(a) forms the slack and the 0/1 hinge mask of iterate a in reused
-    buffers and returns the summed positive slack; step(a, eta) is a minus
-    eta times the hinge subgradient at the iterate hinge saw last, formed in
-    place; the prox table is ``norms._PROX``; matrix(a) is the model's copy
-    of iterate a.  The mask is heaviside(slack, 0), which writes 0.0 and 1.0
-    into the float buffer with no cast from bools, and rounds as slack > 0
-    does for every finite, signed-zero or infinite slack; a NaN slack gives
-    NaN, where the bools gave 0, and the hinge sum is NaN either way.
+    buffers and returns the summed positive slack as a Python float;
+    step(a, eta) is a minus eta times the hinge subgradient at the iterate
+    hinge saw last, formed in place; the prox table is ``norms._PROX``;
+    matrix(a) is the model's copy of iterate a.  The mask is
+    heaviside(slack, 0), which writes 0.0 and 1.0 into the float buffer
+    with no cast from bools, and rounds as slack > 0 does for every finite,
+    signed-zero or infinite slack; a NaN slack gives NaN, where the bools
+    gave 0, and the hinge sum is NaN either way.
     """
     m, d = scaled.shape
     scaled_t = scaled.T
@@ -295,7 +299,7 @@ def _array_kernels(scaled, w):
     def hinge(a):
         _slack(a, scaled, w, slack)
         np.heaviside(slack, 0.0, out=active)
-        return slack.dot(active)
+        return float(slack.dot(active))
 
     def step(a, eta):
         g = _subgradient(active, scaled_t, w, eta)
@@ -310,18 +314,35 @@ def _float_kernels(scaled, w):
 
     Every iterate is exactly symmetric, so the triple holds all of it.  The
     arithmetic is the array set's with every sum accumulated with += in
-    index order from 0.0 (the built-in sum compensates from Python 3.12 on,
-    which would tie the bits to the interpreter), which puts -0.0 where the
-    array set puts it.  Each entry is named, and the only loops run over the
-    examples.  The step's two off-diagonal entries add the same two
-    products, which addition, being commutative, rounds the same either
-    way, so they share one sum.  The prox table is ``norms._PROX_FLOATS``,
-    and matrix(a) is the 2x2 array of a triple.
+    index order (the built-in sum compensates from Python 3.12 on, which
+    would tie the bits to the interpreter).  A sum that can put a signed
+    zero into A starts from 0.0, which puts -0.0 where the array set puts
+    it: the step's sums over the active rows.  The hinge pass's sums start
+    from their first term: an image or a margin only enters 1 - margin, and
+    1 - (-0.0) is 1 - 0.0, so a signed zero there moves no bit.  Each entry
+    is named, and the only loops run over the examples.  The step's two
+    off-diagonal entries add the same two products, which addition, being
+    commutative, rounds the same either way, so they share one sum.  The
+    prox table is ``norms._PROX_FLOATS``, and matrix(a) is the 2x2 array of
+    a triple.
+
+    The hinge pass adds a slack <= 0 only where it can change the total.
+    Once per fit, bound = 2^1000 / max_i (|r_i0| + |r_i1|) over the scaled
+    rows r_i (inf for an all-zero sample).  While |image_0| + |image_1| <
+    bound, every margin is below about 2^1000, so every slack is finite,
+    and adding slack * 0.0, a signed zero, to a total that is +0.0 or
+    positive changes nothing: the pass skips it.  At or above the bound,
+    or for a NaN image, it adds slack * 0.0 for every slack <= 0, which
+    makes the total NaN for a non-finite one, as the array set's
+    slack . mask does.
     """
     rows = scaled.tolist()
+    indexed = [(i, r_0, r_1) for i, (r_0, r_1) in enumerate(rows)]
     c_0, c_1 = scaled.T.tolist()
     w_0, w_1 = w.tolist()
     minus_twice_m = -2.0 * len(rows)
+    largest = max(abs(r_0) + abs(r_1) for r_0, r_1 in rows)
+    bound = 2.0 ** 1000 / largest if largest else math.inf
     active = []
 
     def hinge(a):
@@ -330,19 +351,24 @@ def _float_kernels(scaled, w):
         active.clear()
         total = 0.0
         a_00, a_01, a_11 = a
-        image_0 = 0.0 + a_00 * w_0 + a_01 * w_1
-        image_1 = 0.0 + a_01 * w_0 + a_11 * w_1
-        i = 0
-        for r_0, r_1 in rows:
-            slack = 1.0 - (0.0 + r_0 * image_0 + r_1 * image_1)
+        image_0 = a_00 * w_0 + a_01 * w_1
+        image_1 = a_01 * w_0 + a_11 * w_1
+        if abs(image_0) + abs(image_1) < bound:
+            for i, r_0, r_1 in indexed:
+                slack = 1.0 - (r_0 * image_0 + r_1 * image_1)
+                if slack > 0.0:
+                    total += slack
+                    active.append(i)
+            return total
+        for i, r_0, r_1 in indexed:
+            slack = 1.0 - (r_0 * image_0 + r_1 * image_1)
             if slack > 0.0:
                 total += slack
                 active.append(i)
             else:
                 # Adds 0 for a finite slack; a non-finite one makes the sum
-                # NaN, as the array kernels' slack . mask does.
+                # NaN.
                 total += slack * 0.0
-            i += 1
         return total
 
     def step(a, eta):

@@ -708,6 +708,24 @@ def _float_sign(x):
     return 1.0 if x > 0.0 else -1.0 if x < 0.0 else 0.0
 
 
+def reference_hinge_floats(a, rows, w):
+    """The summed positive slack of A (a list of rows of floats) and its 0/1
+    mask, as bools, on Python floats.
+
+    rows are the scaled label-signed features and w the label sum, both as
+    lists.  The images A w and the margins are dot products summed with +=
+    in index order from 0.0, and the sum adds each slack times its mask in
+    index order, so a non-finite slack at or below 0 makes it NaN.
+    """
+    image = [_float_dot(a_k, w) for a_k in a]
+    slack = [1.0 - _float_dot(row, image) for row in rows]
+    active = [x > 0.0 for x in slack]
+    total = 0.0
+    for x, on in zip(slack, active):
+        total += x * float(on)
+    return total, active
+
+
 def reference_train_similarity(
     features, labels, lam, margin, kind, max_iters, step0, rel_tol, floats=False
 ):
@@ -741,13 +759,7 @@ def reference_train_similarity(
         w_list = w.tolist()
 
         def hinge(a):
-            image = [_float_dot(a_k, w_list) for a_k in a]
-            slack = [1.0 - _float_dot(row, image) for row in rows]
-            active = [x > 0.0 for x in slack]
-            total = 0.0
-            for x, on in zip(slack, active):
-                total += x * float(on)
-            return total, active
+            return reference_hinge_floats(a, rows, w_list)
 
         def step(a, active, eta):
             u = [0.0] * d

@@ -6,7 +6,8 @@ import pytest
 
 from simbound import Dataset, GeneratorKind, GeneratorSpec, generate, load_csv, save_csv
 from simbound.data import (
-    _NUMBER_ROWS, _NUMBERS, _require, dataset_from_json_dict, dataset_to_json_dict, philox_generator,
+    _NUMBER_ROWS, _NUMBERS, _rademacher_signs, _require, dataset_from_json_dict,
+    dataset_to_json_dict, philox_generator,
 )
 
 
@@ -222,6 +223,41 @@ def test_sparse_blobs_irrelevant_coordinates():
     # the one informative coordinate really separates
     informative = float(np.corrcoef(data.labels, data.features[:, 0])[0, 1])
     assert informative > 0.5
+
+
+def test_generate_keeps_the_broadcast_bits():
+    # generate forms y_i mu_k as a d x m product, transposed; the features
+    # equal the broadcast labels[:, None] * mean[None, :] + sigma * noise
+    # bit for bit, signed zeros included, for both kinds (sparse_blobs'
+    # zero means among them, also with noise that rounds to signed zeros),
+    # and come out C-contiguous.
+    specs = [
+        GeneratorSpec(kind="two_gaussians", d=5, mean_separation=2.0, noise_sigma=1.0, seed=4),
+        GeneratorSpec(kind="two_gaussians", d=1, mean_separation=-3.0, noise_sigma=0.5, seed=5),
+        GeneratorSpec(
+            kind="sparse_blobs", d=6, mean_separation=4.0, noise_sigma=1.0, irrelevant_dims=4,
+            seed=6,
+        ),
+        GeneratorSpec(
+            kind="sparse_blobs", d=3, mean_separation=1.0, noise_sigma=5e-324, irrelevant_dims=2,
+            seed=7,
+        ),
+    ]
+    for spec in specs:
+        for m in (1, 7, 1000):
+            rng = philox_generator(spec.seed)
+            labels = _rademacher_signs(rng, m)
+            noise = rng.standard_normal((m, spec.d))
+            mean = np.zeros(spec.d)
+            informative = spec.d
+            if spec.kind is GeneratorKind.SPARSE_BLOBS:
+                informative -= spec.irrelevant_dims
+            mean[:informative] = spec.mean_separation / (2.0 * math.sqrt(spec.d))
+            expected = labels[:, None] * mean[None, :] + spec.noise_sigma * noise
+            data = generate(spec, m)
+            assert data.features.flags.c_contiguous
+            assert data.features.tobytes() == expected.tobytes(), (spec, m)
+            assert data.labels.tobytes() == labels.tobytes()
 
 
 def test_generator_spec_validation():

@@ -283,9 +283,10 @@ def test_fit_is_exact_under_powers_of_two(monkeypatch, kind):
     # same hinge terms and steps and thresholds times 2^-2k, so stage one
     # returns 2^-2k times the unit model and the same objective, bit for
     # bit.  At k = +-200 the iterates sit near 2^-+400, out of the norms'
-    # safe range, where the fro and mixed21 proxes solve their problems
-    # rescaled: those fits do reach ``norms._rescaled``.  The float set
-    # fits at d = 2, m = 5, the arrays at d = 5, m = 100.
+    # safe range, where the fro and mixed21 proxes and the trace prox on
+    # arrays solve their problems rescaled: those fits do reach
+    # ``norms._rescaled``; the float set's trace prox needs no LAPACK.  The
+    # float set fits at d = 2, m = 5, the arrays at d = 5, m = 100.
     rescaled = norms._rescaled
     calls = []
 
@@ -314,7 +315,8 @@ def test_fit_is_exact_under_powers_of_two(monkeypatch, kind):
                 model = fit(k)
                 assert np.ldexp(model.matrix, 2 * k).tobytes() == unit.matrix.tobytes(), (m, k)
                 assert model.final_objective.hex() == unit.final_objective.hex(), (m, k)
-                assert bool(calls) == (kind in ("fro", "mixed21")), (m, k)
+                rescales = kind in ("fro", "mixed21") or (kind == "trace" and d != 2)
+                assert bool(calls) == rescales, (m, k)
 
 
 def _assert_json_matches_reference(data, config):
@@ -504,6 +506,71 @@ def test_kernel_sets_agree(monkeypatch, kind):
             assert floats.iterations_run == arrays.iterations_run
             assert abs(floats.final_objective - arrays.final_objective) <= 1e-12
             assert np.max(np.abs(floats.matrix - arrays.matrix)) <= 1e-12
+
+
+def _hinge_images(rng, bound):
+    """(triple, w) pairs for the float hinge around its per-fit bound.
+
+    With w = (1, 0) the images are (a_00, a_01) exactly, so |image_0| +
+    |image_1| is a_00's magnitude: one ulp below the bound, at it and one
+    ulp above, then 2^j times it, where the margins of large rows overflow;
+    images that overflow to +-inf, and NaN images; random triples at the
+    scale of the bound and at scale 1, with a random w.
+    """
+    pairs = []
+    unit = (1.0, 0.0)
+    if bound < math.inf:
+        for x in (math.nextafter(bound, 0.0), bound, math.nextafter(bound, math.inf)):
+            for sign in (1.0, -1.0):
+                pairs.append(((sign * x, 0.0, 0.0), unit))
+                pairs.append(((sign * x / 2.0, sign * x / 2.0, 1.0), unit))
+        for j in range(1, 40, 3):
+            x = bound * 2.0 ** j
+            if x < math.inf:
+                pairs += [((x, 0.0, -x), unit), ((-x, -0.0, x), unit)]
+    for x in (math.inf, -math.inf, math.nan):
+        pairs += [((x, 0.0, 0.0), unit), ((0.0, x, 1.0), unit)]
+    pairs.append(((1e308, 1e308, 0.0), (4.0, 4.0)))
+    for scale in (1.0, min(bound, 1e300)):
+        for _ in range(20):
+            triple = tuple(float(x) for x in rng.standard_normal(3) * scale)
+            pairs.append((triple, tuple(rng.standard_normal(2).tolist())))
+    return pairs
+
+
+def _closure_value(fn, name):
+    # The variable name that the closure fn reads from its enclosing call.
+    return fn.__closure__[fn.__code__.co_freevars.index(name)].cell_contents
+
+
+def test_float_hinge_matches_reference_hinge():
+    # The float set's hinge skips its slack * 0.0 terms while the images
+    # are below the per-fit bound, and sums with no leading 0.0; the
+    # reference adds every term from 0.0.  The totals agree bit for bit
+    # (NaN as NaN) and so do the masks, below the bound, above it, for
+    # infinite and NaN images and for rows that are all zero.
+    rng = make_rng(563)
+    seen = set()
+    for m in range(1, 13):
+        for row_scale in (1.0, 2.0 ** 500, 2.0 ** -30, 0.0):
+            scaled = rng.standard_normal((m, 2)) * row_scale
+            scaled[rng.random((m, 2)) < 0.1] = -0.0
+            largest = float(np.abs(scaled).sum(axis=1).max())
+            bound = 2.0 ** 1000 / largest if largest else math.inf
+            for triple, w in _hinge_images(rng, bound):
+                _, hinge, *_ = similarity._float_kernels(scaled, np.array(w))
+                total = hinge(triple)
+                mask = list(_closure_value(hinge, "active"))
+                a_00, a_01, a_11 = triple
+                expected, active = oracles.reference_hinge_floats(
+                    [[a_00, a_01], [a_01, a_11]], scaled.tolist(), list(w)
+                )
+                assert type(total) is float
+                assert (total.hex(), mask) == (
+                    expected.hex(), [i for i, on in enumerate(active) if on]
+                ), (scaled.tolist(), triple, w)
+                seen.add("nan" if math.isnan(total) else "inf" if total == math.inf else "finite")
+    assert seen == {"nan", "inf", "finite"}
 
 
 def _snapshot(x):
