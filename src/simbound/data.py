@@ -142,11 +142,14 @@ def generate(spec, m):
     mean = np.zeros(spec.d)
     informative = spec.d - spec.irrelevant_dims if spec.kind is GeneratorKind.SPARSE_BLOBS else spec.d
     mean[:informative] = spec.mean_separation / (2.0 * math.sqrt(spec.d))
-    # The products y_i mu_k formed d x m and transposed: the same products
-    # and sums as labels[:, None] * mean[None, :], without numpy's slow
-    # broadcast of a column by a row, and the sum comes out C-contiguous.
-    features = (mean[:, None] * labels).T + spec.noise_sigma * noise
-    return Dataset(features, labels)
+    # sigma * noise + y_i mu_k, formed in the noise buffer: the same
+    # products and sums as labels[:, None] * mean[None, :] + sigma * noise
+    # (both operations commute), with no m x d temporary.  The products
+    # y_i mu_k are formed d x m and transposed, without numpy's slow
+    # broadcast of a column by a row.
+    noise *= spec.noise_sigma
+    noise += (mean[:, None] * labels).T
+    return Dataset(noise, labels)
 
 
 _LABEL_TOKENS = {"-1": -1.0, "1": 1.0, "+1": 1.0}

@@ -536,7 +536,12 @@ def _prox_mixed21(b, tau, spectrum=None):
     (``_newton_mixed21_floats``), above it on arrays
     (``_newton_mixed21_arrays``), whose cost grows more slowly with d.  The
     two round differently: dot products and the Newton solve may differ in
-    the last bits.
+    the last bits.  At d = 3 to 5 the float phase runs written out first,
+    one kernel per d compiled on its first use
+    (``_newton_mixed21_source``), with the float loops' bits: while every
+    row stays live and no pivot swaps, which is every prox of the
+    benchmark's certify trials, it certifies alone; otherwise the loops go
+    on from its state.
 
     Where the row norms of B leave the safe range, which also turns away a
     non-finite row, each Newton phase solves its problem rescaled
@@ -616,6 +621,15 @@ def _newton_mixed21_floats(rows, tau):
     pair 1, so the output entry (b_ij + b_ij) * (s_i s_j / pair_ij) keeps
     the array phase's signed zeros and is exactly symmetric.
 
+    At d in {3, 4, 5} the kernel that ``_written_newton_mixed21`` writes
+    out for d runs first.  It makes these loops' operations on named
+    floats while every row stays live and the elimination needs no pivot
+    swap, and returns their bits; otherwise it hands over its state (2B,
+    the row norms, ||B||_{2,1}, s and the evaluations left), and the loops
+    continue from it.  So the loops run d in {1, 2}, what the kernel hands
+    over, and the reference that the tests hold the kernel to; the d = 2
+    kernel ``_prox_mixed21_triple`` runs them written out too.
+
     Each evaluation makes one pass over H for its row norms, the gap and
     the total, and keeps no entry of H.  An iterate that does not certify
     forms its Jacobian rows from the same products again, and so, after
@@ -623,32 +637,37 @@ def _newton_mixed21_floats(rows, tau):
     is solved by ``_solve_floats`` instead of LAPACK.  The dual phase runs
     on arrays.  The loops index their lists: in Python 3.11 a zip over a
     few entries costs more.
-
-    They run d in {1, 3, 4, 5}; the d = 2 kernel ``_prox_mixed21_triple``
-    runs these steps written out.
     """
     sqrt = math.sqrt
     span = range(len(rows))
-    twice = []
-    b_rows = []
-    scale = 0.0
-    for row in rows:
-        twice_i = []
-        acc = 0.0
-        for x in row:
-            twice_i.append(x + x)
-            acc += x * x
-        twice.append(twice_i)
-        norm_i = sqrt(acc)
-        b_rows.append(norm_i)
-        scale += norm_i
-    if not (_SAFE_MIN <= max(b_rows) and scale <= _SAFE_MAX):
-        return _rescaled(_newton_mixed21_floats, rows, tau)
-    # max(x, tau) is written tau if tau > x else x, NaN included.
-    s = []
-    for norm_i in b_rows:
-        s.append(1.0 - tau / (tau if tau > norm_i else norm_i))
-    for _ in range(_MIXED21_NEWTON_STEPS):
+    if 2 < len(rows) <= _MIXED21_FLOAT_MAX_D:
+        state = _written_newton_mixed21(len(rows))(rows, tau, _MIXED21_NEWTON_STEPS)
+        if len(state) == 2:
+            return state
+        twice, b_rows, scale, s, steps = state
+    else:
+        twice = []
+        b_rows = []
+        scale = 0.0
+        for row in rows:
+            twice_i = []
+            acc = 0.0
+            for x in row:
+                twice_i.append(x + x)
+                acc += x * x
+            twice.append(twice_i)
+            norm_i = sqrt(acc)
+            b_rows.append(norm_i)
+            scale += norm_i
+        if not (_SAFE_MIN <= max(b_rows) and scale <= _SAFE_MAX):
+            return _rescaled(_newton_mixed21_floats, rows, tau)
+        # max(x, tau) is written tau if tau > x else x, NaN included.
+        s = []
+        for norm_i in b_rows:
+            s.append(1.0 - tau / (tau if tau > norm_i else norm_i))
+        steps = _MIXED21_NEWTON_STEPS
+    evaluated = s
+    for _ in range(steps):
         clipped = []
         target = []
         gap = 0.0
@@ -739,6 +758,195 @@ def _newton_mixed21_floats(rows, tau):
         h.append(h_i)
     a, total = _dual_mixed21(np.array(rows), tau, np.array(h), scale)
     return a.tolist(), total
+
+
+# The written-out Newton kernels by d, each compiled on its first use.
+_WRITTEN_NEWTON = {}
+
+
+def _written_newton_mixed21(d):
+    """The float loops' Newton path at d, written out: kernel(rows, tau, steps).
+
+    The kernel returns (A as rows, its norm) where the loops would, or
+    hands the loops its state.  It is compiled from
+    ``_newton_mixed21_source(d)`` on the first call for d, not at import:
+    a build costs milliseconds.
+    """
+    kernel = _WRITTEN_NEWTON.get(d)
+    if kernel is None:
+        namespace = {}
+        source = _newton_mixed21_source(d)
+        exec(compile(source, f"<mixed21 Newton, d = {d}>", "exec"), globals(), namespace)
+        kernel = _WRITTEN_NEWTON[d] = namespace["newton"]
+    return kernel
+
+
+# The written-out kernel with each d-dependent part a field: a run of
+# statements, one per line, or of terms.  STATE is what goes to the loops:
+# 2B, the row norms, ||B||_{2,1} and s, then the evaluations left.  Each
+# pass of the loop is one evaluation and one Newton step, and steps counts
+# the evaluations left, this one included.
+_NEWTON_MIXED21_SKELETON = """\
+def newton(rows, tau, steps):
+    sqrt = math.sqrt
+    {unpack} = rows
+    {twice}
+    {squares}
+    {row_norms}
+    scale = {scale}
+    if not (({in_range}) and scale <= _SAFE_MAX):
+        return _rescaled(_newton_mixed21_floats, rows, tau)
+    {start}
+    {diagonal_numerators}
+    bound = tau * MIXED21_GAP_RTOL
+    for steps in range(steps, 0, -1):
+        if not ({all_live}):
+            return STATE, steps
+        {pair_sums}
+        {h}
+        {h_norms}
+        if not ({all_above_tau}):
+            return STATE, steps
+        {residuals}
+        {weighted}
+        total = {total}
+        if {gap} <= bound * (total + scale):
+            {diagonal_pair_sums}
+            {shares}
+            return [{a}], total
+        if steps == 1:
+            break
+        {squared_pair_sums}
+        {jacobian}
+        {elimination}
+        {back_substitution}
+        {step}
+    return STATE, 0
+"""
+
+
+def _newton_mixed21_source(d):
+    """Source of ``_newton_mixed21_floats``' Newton path at d, written out.
+
+    Each entry of B, 2B (t), H, the Jacobian M and the augmented column e
+    is a named local, and so is each pair sum p_ij = s_i + s_j, formed once
+    per pair; each h_ij is kept for the Jacobian.  Every operation is the
+    loops' own, in their order, so the kernel returns their bits.  It
+    leaves out what no bit depends on, as ``_prox_mixed21_triple`` does:
+    H's diagonal is B's, exactly in the safe range, so b_ii^2 and
+    b_ii t_ii are formed once per prox; sums whose terms are never -0.0
+    start from their first term; and with every row above tau the loops'
+    gap term for rows below it is 0.0.
+
+    That path is the one where every row is live: it needs every s_i > 0
+    and every ||h_i|| > tau, which is what makes each target positive, and
+    ``_solve_floats``' elimination with no pivot swap, where
+    |m_ik| > |m_kk| for some i > k means one.  Otherwise the kernel returns
+    (2B, the row norms, ||B||_{2,1}, s, the evaluations left), and the loops
+    evaluate s again and go on.  After its last evaluation it takes no
+    Newton step: it hands over s with no evaluation left, and the loops
+    hand the H at s to the dual phase.  Row norms out of the safe range
+    solve the problem rescaled, as the loops do.
+    """
+    span = range(d)
+    full = [(i, j) for i in span for j in span]
+    diagonal = [(i, i) for i in span]
+    pairs = [(i, j) for i, j in full if i < j]
+    off = [(i, j) for i, j in full if i != j]
+
+    def each(template, over, sep=", "):
+        # template for each (i, j) in over; {ij} names what (i, j) shares
+        # with (j, i).
+        return sep.join(
+            template.format(i=i, j=j, ij="%d%d" % (min(i, j), max(i, j))) for i, j in over
+        )
+
+    def rows(template, brackets="[]"):
+        return ", ".join(
+            brackets[0] + each(template, [(i, j) for j in span]) + brackets[1] for i in span
+        )
+
+    def row_norm(i, name):
+        # The root of the row's squares in index order, the diagonal one sq_ii.
+        return "sqrt(%s)" % " + ".join(
+            "sq%d%d" % (i, i) if j == i else "%s%d%d * %s%d%d" % (name, i, j, name, i, j)
+            for j in span
+        )
+
+    def m(i, j):
+        # Entry (i, j) of the augmented system [M | e].
+        return "e%d" % i if j == d else "m%d%d" % (i, j)
+
+    # The Jacobian row by row: weight, weight * s_i, C_ij and M_ij.
+    jacobian = []
+    for i in span:
+        others = [(i, j) for j in span if j != i]
+        jacobian += [
+            each("k{i} = tau / (n{i} * n{i} * n{i})\nv{i} = k{i} * s{i}", [(i, i)]),
+            each("p{i}{i} = s{i} + s{i}\nc{i}{i} = ht{i}{i} / (p{i}{i} * p{i}{i})", [(i, i)]),
+            each("c{i}{j} = h{i}{j} * t{i}{j} / q{ij}", others, "\n"),
+            "m%d%d = (0.0 - v%d * c%d%d) + (1.0 + k%d * (%s))"
+            % (i, i, i, i, i, i, each("c{i}{j} * s{j}", [(i, j) for j in span], " + ")),
+            each("m{i}{j} = 0.0 - v{i} * c{i}{j}", others, "\n"),
+        ]
+    # Elimination, column by column, with no pivot swap.
+    elimination = []
+    for k in span:
+        later = range(k + 1, d)
+        if later:
+            elimination += [
+                "pivot = abs(m%d%d)" % (k, k),
+                "if %s:" % " or ".join("abs(m%d%d) > pivot" % (i, k) for i in later),
+                "    return STATE, steps",
+            ]
+        for i in later:
+            elimination.append("f%d%d = m%d%d / m%d%d" % (i, k, i, k, k, k))
+            elimination += [
+                "%s -= f%d%d * %s" % (m(i, j), i, k, m(k, j)) for j in range(k + 1, d + 1)
+            ]
+    back_substitution = [
+        "x%d = (%s) / m%d%d"
+        % (k, " - ".join(["e%d" % k] + ["m%d%d * x%d" % (k, j, j) for j in range(k + 1, d)]), k, k)
+        for k in reversed(span)
+    ]
+    fields = {
+        "unpack": rows("b{i}{j}", "()"),
+        "twice": each("t{i}{j} = b{i}{j} + b{i}{j}", full, "\n"),
+        "squares": each("sq{i}{i} = b{i}{i} * b{i}{i}", diagonal, "\n"),
+        "row_norms": "\n".join("r%d = %s" % (i, row_norm(i, "b")) for i in span),
+        "scale": each("r{i}", diagonal, " + "),
+        "in_range": each("_SAFE_MIN <= r{i}", diagonal, " or "),
+        "start": each("s{i} = 1.0 - tau / (tau if tau > r{i} else r{i})", diagonal, "\n"),
+        "diagonal_numerators": each("ht{i}{i} = b{i}{i} * t{i}{i}", diagonal, "\n"),
+        "all_live": each("s{i} > 0.0", diagonal, " and "),
+        "pair_sums": each("p{i}{j} = s{i} + s{j}", pairs, "\n"),
+        "h": each("h{i}{j} = t{i}{j} * (s{j} / p{ij})", off, "\n"),
+        "h_norms": "\n".join("n%d = %s" % (i, row_norm(i, "h")) for i in span),
+        "all_above_tau": each("n{i} > tau", diagonal, " and "),
+        "residuals": each("e{i} = s{i} - (1.0 - tau / n{i})", diagonal, "\n"),
+        "weighted": each("w{i} = e{i} * r{i}", diagonal, "\n"),
+        "total": each("s{i} * n{i}", diagonal, " + "),
+        "gap": each("w{i} * w{i}", diagonal, " + "),
+        "diagonal_pair_sums": each("p{i}{i} = s{i} + s{i}", diagonal, "\n"),
+        "shares": each("u{i}{j} = s{i} * s{j} / p{i}{j}", diagonal + pairs, "\n"),
+        "a": rows("t{i}{j} * u{ij}"),
+        "squared_pair_sums": each("q{i}{j} = p{i}{j} * p{i}{j}", pairs, "\n"),
+        "jacobian": "\n".join(jacobian),
+        "elimination": "\n".join(elimination),
+        "back_substitution": "\n".join(back_substitution),
+        "step": each(
+            "s{i} -= x{i}\ns{i} = 0.0 if s{i} < 0.0 else 1.0 if s{i} > 1.0 else s{i}",
+            diagonal, "\n",
+        ),
+    }
+    state = "[%s], [%s], scale, [%s]" % (
+        rows("t{i}{j}"), each("r{i}", diagonal), each("s{i}", diagonal)
+    )
+    lines = []
+    for line in _NEWTON_MIXED21_SKELETON.splitlines():
+        indent = line[: len(line) - len(line.lstrip())]
+        lines.append(line.format(**fields).replace("\n", "\n" + indent))
+    return "\n".join(lines).replace("STATE", state) + "\n"
 
 
 def _prox_mixed21_triple(a, tau, spectrum=None):

@@ -226,14 +226,20 @@ def test_sparse_blobs_irrelevant_coordinates():
 
 
 def test_generate_keeps_the_broadcast_bits():
-    # generate forms y_i mu_k as a d x m product, transposed; the features
-    # equal the broadcast labels[:, None] * mean[None, :] + sigma * noise
-    # bit for bit, signed zeros included, for both kinds (sparse_blobs'
-    # zero means among them, also with noise that rounds to signed zeros),
-    # and come out C-contiguous.
+    # generate scales the noise and adds y_i mu_k, a d x m product
+    # transposed, in the noise buffer; the features equal the broadcast
+    # labels[:, None] * mean[None, :] + sigma * noise bit for bit, signed
+    # zeros included, for both kinds at sigma = 1 and sigma != 1
+    # (sparse_blobs' zero means among them, also with noise that rounds to
+    # signed zeros), and come out C-contiguous.
     specs = [
         GeneratorSpec(kind="two_gaussians", d=5, mean_separation=2.0, noise_sigma=1.0, seed=4),
         GeneratorSpec(kind="two_gaussians", d=1, mean_separation=-3.0, noise_sigma=0.5, seed=5),
+        GeneratorSpec(kind="two_gaussians", d=5, mean_separation=2.0, noise_sigma=0.37, seed=8),
+        GeneratorSpec(
+            kind="sparse_blobs", d=5, mean_separation=2.0, noise_sigma=0.37, irrelevant_dims=2,
+            seed=9,
+        ),
         GeneratorSpec(
             kind="sparse_blobs", d=6, mean_separation=4.0, noise_sigma=1.0, irrelevant_dims=4,
             seed=6,
@@ -244,7 +250,7 @@ def test_generate_keeps_the_broadcast_bits():
         ),
     ]
     for spec in specs:
-        for m in (1, 7, 1000):
+        for m in (1, 7, 1000, 10000):
             rng = philox_generator(spec.seed)
             labels = _rademacher_signs(rng, m)
             noise = rng.standard_normal((m, spec.d))

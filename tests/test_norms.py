@@ -1,19 +1,27 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import simbound
 from simbound import (
+    GeneratorSpec,
     NormKind,
     NumericalError,
     SimilarityConfig,
     SimilarityModel,
     dual_norm,
     dual_norm_rank1,
+    generate,
     norm,
     prox,
     sym_eigendecomposition,
+    train_similarity,
 )
 import simbound.norms as norms
 from simbound.norms import _PROX, _PROX_FLOATS, MIXED21_GAP_RTOL
@@ -929,6 +937,247 @@ def test_mixed21_float_newton_matches_reference_bits(rng, monkeypatch):
     sizes = {len(system) for system in systems}
     assert {1, 2} <= sizes and max(sizes) >= 3
     assert any(map(_has_tied_pivot, systems))
+
+
+def _newton_loops(monkeypatch, rows, tau):
+    """The float Newton loops alone: ``_newton_mixed21_floats`` runs a
+    written-out kernel only at 2 < d <= _MIXED21_FLOAT_MAX_D."""
+    with monkeypatch.context() as patch:
+        patch.setattr(norms, "_MIXED21_FLOAT_MAX_D", 2)
+        return norms._newton_mixed21_floats(rows, tau)
+
+
+def _watch_written(monkeypatch):
+    """Record what each written-out Newton kernel returns: A and its norm,
+    or the state (2B, row norms, scale, s, evaluations left) it hands the
+    loops."""
+    returned = []
+    build = norms._written_newton_mixed21
+
+    def watched(d):
+        kernel = build(d)
+
+        def recorded(rows, tau, steps):
+            out = kernel(rows, tau, steps)
+            returned.append(out)
+            return out
+
+        return recorded
+
+    monkeypatch.setattr(norms, "_written_newton_mixed21", watched)
+    return returned
+
+
+def _written_newton_inputs(rng):
+    """(rows, tau) at d = 3 to 5: random symmetric B at 2^k for k at the
+    edges of the safe range and beyond it, tau from 0.01 to 2 times
+    max|b_ij|; B with a near-dead row, tau a hair either side of a row
+    norm, and -0.0 entries."""
+    cases = []
+    for d in (3, 4, 5):
+        for k in (0, 299, -299, 300, -300, 301, -301, 320, -320, 600, -600):
+            for variant in range(5):
+                b = symmetric_part(rng.standard_normal((d, d)) * rng.uniform(0.5, 3.0))
+                tau = float(rng.uniform(0.01, 2.0)) * float(np.abs(b).max())
+                if variant == 1:
+                    b[0] *= 1e-3
+                    b[:, 0] *= 1e-3
+                elif variant == 2:
+                    row = float(np.sqrt(np.sum(b[-1] * b[-1])))
+                    tau = row * (1.0 + float(rng.choice([-1e-9, -1e-15, 1e-15])))
+                elif variant == 3:
+                    zero = np.triu(rng.random((d, d)) < 0.4)
+                    b[zero | zero.T] = -0.0
+                    b[0] = b[:, 0] = -0.0
+                cases.append((np.ldexp(b, k).tolist(), math.ldexp(tau, k)))
+    return cases
+
+
+def _hex_prox(out):
+    rows, total = out
+    return _hex(rows), total.hex()
+
+
+def test_mixed21_written_newton_matches_loops(rng, monkeypatch):
+    # At d = 3 to 5 the Newton phase, written out, returns the loops' bits,
+    # -0.0 included, where it certifies and where it hands over, and out of
+    # the safe range, where both solve rescaled.
+    returned = _watch_written(monkeypatch)
+    certified = handed = 0
+    for rows, tau in _written_newton_inputs(rng):
+        returned.clear()
+        with np.errstate(over="ignore"):
+            out = norms._newton_mixed21_floats(rows, tau)
+            expected = _newton_loops(monkeypatch, rows, tau)
+        assert _hex_prox(out) == _hex_prox(expected), (rows, tau)
+        assert type(out[1]) is float and returned
+        certified += len(returned[-1]) == 2
+        handed += len(returned[-1]) == 5
+    assert certified > 100 and handed > 20
+
+
+# Inputs at d = 3 on which the written-out kernel leaves its path: row 0
+# dead at the start; a row whose target drops to 0 after one Newton step;
+# the elimination needing a pivot swap at the first Newton system, and
+# after one step.
+_DIES_AFTER_A_STEP = ([[1.0, 1.0, 0.125], [1.0, -0.0, -0.125], [0.125, -0.125, -1.25]], 1.0)
+_SWAPS = [
+    ([[-0.5, -1.5, 0.125], [-1.5, -0.25, 0.875], [0.125, 0.875, -1.0]], 1.25),
+    ([[1.25, -0.25, -1.0], [-0.25, 1.25, 0.125], [-1.0, 0.125, -0.0]], 1.0),
+]
+
+
+def _needs_swap(system):
+    """Whether ``_solve_floats``' partial pivoting swaps rows of [M | r]."""
+    system = [list(row) for row in system]
+    size = len(system)
+    for k in range(size):
+        if any(abs(system[i][k]) > abs(system[k][k]) for i in range(k + 1, size)):
+            return True
+        for i in range(k + 1, size):
+            factor = system[i][k] / system[k][k]
+            for j in range(k + 1, size + 1):
+                system[i][j] -= factor * system[k][j]
+    return False
+
+
+def _h_row_norms(twice, s):
+    """The row norms of H at s, every row live."""
+    s = np.array(s)
+    return np.sqrt(np.sum((np.array(twice) * (s / (s[:, None] + s))) ** 2, axis=1))
+
+
+def test_mixed21_written_newton_exits(monkeypatch):
+    # Each way off the written-out path hands the loops its state, and the
+    # loops continue from it to their own bits: a dead row at the start,
+    # with every evaluation left; a target that drops to 0 after a step,
+    # with every row live; a pivot swap, with every row's target positive,
+    # which the loops' next Newton system makes.
+    steps = norms._MIXED21_NEWTON_STEPS
+    returned = _watch_written(monkeypatch)
+    systems = []
+    solve = norms._solve_floats
+
+    def recorded(system):
+        systems.append([list(row) for row in system])
+        return solve(system)
+
+    monkeypatch.setattr(norms, "_solve_floats", recorded)
+    cases = [("dead", _reviving(3).tolist(), 0.5), ("dies", *_DIES_AFTER_A_STEP)]
+    cases += [("swap", rows, tau) for rows, tau in _SWAPS]
+    left = set()
+    for way, rows, tau in cases:
+        returned.clear()
+        systems.clear()
+        out = norms._newton_mixed21_floats(rows, tau)
+        assert len(returned) == 1 and len(returned[0]) == 5, way
+        twice, b_rows, scale, s, evaluations = returned[0]
+        assert twice == [[x + x for x in row] for row in rows]
+        assert 0 < evaluations <= steps
+        left.add(evaluations)
+        if way == "dead":
+            assert evaluations == steps and min(s) == 0.0
+        else:
+            assert min(s) > 0.0
+            live = _h_row_norms(twice, s) > tau
+            assert live.all() == (way == "swap"), way
+        if way == "swap":
+            assert systems and _needs_swap(systems[0])
+        assert _hex_prox(out) == _hex_prox(_newton_loops(monkeypatch, rows, tau))
+    assert left == {steps, steps - 1}
+
+
+def test_mixed21_written_newton_out_of_range_solves_rescaled(rng, monkeypatch):
+    # Row norms beyond the safe range: the kernel solves its problem
+    # rescaled, by the written-out kernel again, to the loops' bits, which
+    # are 2^k times its bits at scale 1.
+    returned = _watch_written(monkeypatch)
+    rescaled = []
+    rescale = norms._rescaled
+
+    def recorded(kernel, b, tau=None):
+        rescaled.append(kernel)
+        return rescale(kernel, b, tau)
+
+    monkeypatch.setattr(norms, "_rescaled", recorded)
+    b = symmetric_part(rng.standard_normal((4, 4)))
+    unit = norms._newton_mixed21_floats(b.tolist(), 0.25)
+    for k in (-400, 400):
+        returned.clear()
+        rescaled.clear()
+        rows, tau = np.ldexp(b, k).tolist(), math.ldexp(0.25, k)
+        out = norms._newton_mixed21_floats(rows, tau)
+        assert rescaled == [norms._newton_mixed21_floats]
+        assert [len(x) for x in returned] == [2, 2]
+        assert _hex_prox(out) == _hex_prox(_newton_loops(monkeypatch, rows, tau))
+        assert np.ldexp(out[0], -k).tobytes() == np.array(unit[0]).tobytes()
+
+
+def test_mixed21_written_newton_hands_capped_steps_to_dual_phase(monkeypatch):
+    # Capped at one evaluation, the kernel takes no Newton step and hands
+    # the loops s with no evaluation left; they hand the dual phase the
+    # same B, H and ||B||_{2,1} as the loops alone, bit for bit, and get
+    # the same prox back.
+    returned = _watch_written(monkeypatch)
+    handed = []
+    dual = norms._dual_mixed21
+
+    def recorded_dual(b, tau, h, scale):
+        handed.append((b.tobytes(), tau, h.tobytes(), scale.hex()))
+        return dual(b, tau, h, scale)
+
+    monkeypatch.setattr(norms, "_dual_mixed21", recorded_dual)
+    monkeypatch.setattr(norms, "_MIXED21_NEWTON_STEPS", 1)
+    cases = [(_TWO_STEP_B, _TWO_STEP_TAU), (_reviving(4) + np.eye(4), 0.5), (_HANDOVER_B, 0.5)]
+    for b, tau in cases:
+        returned.clear()
+        handed.clear()
+        out = norms._newton_mixed21_floats(b.tolist(), tau)
+        loops = _newton_loops(monkeypatch, b.tolist(), tau)
+        assert len(returned) == 1 and len(returned[0]) == 5 and returned[0][4] == 0
+        assert len(handed) == 2 and handed[0] == handed[1]
+        assert _hex_prox(out) == _hex_prox(loops)
+
+
+def test_certify_shaped_mixed21_proxes_stay_written_out(monkeypatch):
+    # The benchmark's certify trials fit mixed21 at m = 100, d = 5 and
+    # lambda = 0.1.  Every one of those proxes certifies inside the
+    # written-out kernel: none hands the loops its state, so none solves
+    # a Newton system by _solve_floats or reaches the dual phase.
+    returned = _watch_written(monkeypatch)
+
+    def refuse(*args):
+        raise AssertionError("a certify-shaped prox left the written-out kernel")
+
+    for name in ("_solve_floats", "_dual_mixed21", "_rescaled"):
+        monkeypatch.setattr(norms, name, refuse)
+    for seed in range(3):
+        spec = GeneratorSpec(
+            kind="two_gaussians", d=5, mean_separation=2.0, noise_sigma=1.0, seed=seed
+        )
+        config = SimilarityConfig(lam=0.1, margin=1.0, norm_kind="mixed21")
+        train_similarity(generate(spec, 100), config)
+    assert len(returned) > 500 and all(len(out) == 2 for out in returned)
+
+
+def test_import_builds_no_written_newton_kernel():
+    # A build costs milliseconds, which every set-up would pay: a fresh
+    # interpreter's import compiles none; the first prox at d compiles d's.
+    source_root = str(Path(simbound.__file__).resolve().parents[1])
+    code = (
+        "import numpy, simbound, simbound.norms as norms; "
+        "print(len(norms._WRITTEN_NEWTON)); "
+        "simbound.prox(numpy.eye(4), 0.5, 'mixed21'); "
+        "print(sorted(norms._WRITTEN_NEWTON))"
+    )
+    env = dict(os.environ)
+    inherited = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = source_root + (os.pathsep + inherited if inherited else "")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n[4]\n"
 
 
 def test_solve_floats_matches_reference_bits(rng):
