@@ -19,9 +19,11 @@ take their 2x2 one in closed form.
 Each kind's prox is its own kernel, in two sets: ``_PROX`` on arrays, and
 ``_PROX_FLOATS`` on a 2x2 matrix held as the three Python floats
 (a_00, a_01, a_11), the shape of stage one's tiny fits.  Both tables
-are keyed by ``NormKind``; ``prox`` and stage one
-(``similarity.train_similarity``) look a kernel up once per call or fit, so
-no prox call tests the kind.
+are keyed by ``NormKind``; ``prox`` and stage one's array loop
+(``similarity._train_arrays``) look a kernel up once per call or fit, so
+no prox call tests the kind.  Stage one's float loop
+(``similarity._train_floats``) runs the l1, fro and trace kernels' hot
+paths inline and calls the float kernels for the rest.
 
 Each fro and mixed21 kernel tests the norm or row norms it computes, and
 each trace kernel on arrays the spectral norm that LAPACK returned (LAPACK
@@ -331,7 +333,10 @@ def _shrunk_magnitudes(x, tau):
 # The float kernel set: the prox kernels on a symmetric 2x2 matrix held as
 # the triple (a_00, a_01, a_11) of Python floats, the shape of every fit
 # that stage one runs on floats.  There a NumPy call costs more than the
-# arithmetic.  Each kernel returns the prox point as a triple, its norm,
+# arithmetic.  Stage one's float loop makes the l1, fro and trace kernels'
+# in-range operations inline, in their order, so a change to one of them
+# belongs in ``similarity._train_floats`` too; the tests hold both to the
+# reference's bits.  Each kernel returns the prox point as a triple, its norm,
 # and for trace the spectrum as the flat floats (x_0, x_1, v_00, v_01,
 # v_10, v_11): the thresholded eigenvalues, then the eigenvector rows; at
 # tau = 0, the triple itself and ``_norm`` of its array.  The off-diagonal

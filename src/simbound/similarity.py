@@ -22,8 +22,8 @@ from .data import (
 )
 from .errors import NumericalError
 from .norms import (
-    _NORM_KIND, _PROX, _PROX_FLOATS, NormKind, _norm_kind, _triple_array, norm,
-    require_symmetric,
+    _NORM_KIND, _PROX, _PROX_FLOATS, _SAFE_MAX, _SAFE_MIN, NormKind, _norm_kind,
+    _spectrum_floats, _triple_array, norm, require_symmetric,
 )
 
 # Stage one calls the unchecked kernels; the public prox stays bound here
@@ -188,27 +188,35 @@ def train_similarity(data, config):
     2000-iteration fits are zero steps, against none of those of the
     experiment fits at m=100, d=5 and of the CLI fits at m=800.
 
-    The loop runs on one of two kernel sets, chosen once per fit by
-    ``_uses_floats``: ``_array_kernels`` on NumPy arrays, or, for tiny
-    problems at d = 2, ``_float_kernels`` on Python floats, with each
-    iterate held as the triple (a_00, a_01, a_11) of its entries.  The two
-    round differently, so their models may differ in the last bits.
+    The loop runs in one of two fit functions, chosen once per fit by
+    ``_uses_floats``: ``_train_arrays`` on NumPy arrays, or, for tiny
+    problems at d = 2, ``_train_floats`` on Python floats.  Both make the
+    same steps, but they round differently, so their models may differ in
+    the last bits.
+    """
+    fit = _train_floats if _uses_floats(data.m, data.d) else _train_arrays
+    matrix, objective, iterations = fit(
+        _scaled_features(data, config.margin), _label_sum(data), config
+    )
+    return SimilarityModel(
+        matrix=matrix, config=config, final_objective=objective, iterations_run=iterations
+    )
+
+
+def _train_arrays(scaled, w, config):
+    """Stage one on NumPy arrays: (the best iterate's matrix, its objective,
+    the iterations run).
+
     Everything that depends only on the norm kind and d is decided once per
-    fit, not per iteration: the prox kernel is looked up in the set's table
-    (``norms._PROX`` or ``norms._PROX_FLOATS``) by the norm kind, and the
-    set hands out matrix(a), which makes the model's array of the best
-    iterate.  The float set's kernels name each entry and loop only over
-    the examples.  Both sets' hinge returns a Python float, so the loop
-    forms each objective with no conversion and no NumPy scalar; dividing
-    by the int m rounds as NumPy does.
+    fit, not per iteration: the prox kernel is looked up in ``norms._PROX``
+    by the norm kind.  The hinge returns a Python float, so the loop forms
+    each objective with no conversion and no NumPy scalar; dividing by the
+    int m rounds as NumPy does.
     """
     lam = config.lam
-    m = data.m
-    kernels = _float_kernels if _uses_floats(m, data.d) else _array_kernels
-    a, hinge, step, prox_table, matrix = kernels(
-        _scaled_features(data, config.margin), _label_sum(data)
-    )
-    prox_kernel = prox_table[config.norm_kind]
+    m = len(scaled)
+    a, hinge, step = _array_kernels(scaled, w)
+    prox_kernel = _PROX[config.norm_kind]
     # hinge(a) forms the slack of iterate a and its mask slack > 0, which
     # serve its objective and the next step, and returns the summed positive
     # slack as a Python float.  That sum is 0 exactly when the mask is
@@ -252,20 +260,15 @@ def train_similarity(data, config):
                     break
                 window_best = best_obj
     # max_iters >= 1, so the loop ran and t is the last iteration.
-    return SimilarityModel(
-        matrix=matrix(best_a),
-        config=config,
-        final_objective=best_obj,
-        iterations_run=t,
-    )
+    return np.array(best_a), best_obj, t
 
 
 # The largest m * d that stage one runs on Python floats, at d = 2.  Float
 # work grows with m * d, while an array call costs about the same at every
 # small size.  Over 300-iteration fits on two-cluster data (2-vCPU host,
-# Python 3.11, numpy 2.4, three runs), the float kernels ran 2.8-7.5x as
-# fast as the array kernels for every kind up to m * d = 24, and 1.9-3.9x
-# at m * d = 64; the README lists the scan.  Every gated workload and
+# Python 3.11, numpy 2.4, three runs), the float loop ran 2.7-10.5x as
+# fast as the array loop for every kind up to m * d = 24, and 1.9-5.7x at
+# m * d = 64; the README lists the scan.  Every gated workload and
 # acceptance check that runs stage one on floats fits at d = 2 with
 # m * d <= 12, so other d run the array set, and a higher bound would
 # speed up no gated fit while it moved the bits of fits that run arrays.
@@ -273,23 +276,21 @@ _FLOAT_MAX_MD = 24
 
 
 def _uses_floats(m, d):
-    """Whether a fit on m examples in d dimensions runs the float kernels."""
+    """Whether a fit on m examples in d dimensions runs ``_train_floats``."""
     return d == 2 and m * d <= _FLOAT_MAX_MD
 
 
 def _array_kernels(scaled, w):
-    """Stage one's kernels on NumPy arrays: (zero start, hinge, step, prox
-    table, matrix).
+    """Stage one's kernels on NumPy arrays: (zero start, hinge, step).
 
     hinge(a) forms the slack and the 0/1 hinge mask of iterate a in reused
     buffers and returns the summed positive slack as a Python float;
     step(a, eta) is a minus eta times the hinge subgradient at the iterate
-    hinge saw last, formed in place; the prox table is ``norms._PROX``;
-    matrix(a) is the model's copy of iterate a.  The mask is
-    heaviside(slack, 0), which writes 0.0 and 1.0 into the float buffer
-    with no cast from bools, and rounds as slack > 0 does for every finite,
-    signed-zero or infinite slack; a NaN slack gives NaN, where the bools
-    gave 0, and the hinge sum is NaN either way.
+    hinge saw last, formed in place.  The mask is heaviside(slack, 0), which
+    writes 0.0 and 1.0 into the float buffer with no cast from bools, and
+    rounds as slack > 0 does for every finite, signed-zero or infinite
+    slack; a NaN slack gives NaN, where the bools gave 0, and the hinge sum
+    is NaN either way.
     """
     m, d = scaled.shape
     scaled_t = scaled.T
@@ -305,89 +306,198 @@ def _array_kernels(scaled, w):
         g = _subgradient(active, scaled_t, w, eta)
         return np.subtract(a, g, out=g)
 
-    return np.zeros((d, d)), hinge, step, _PROX, np.array
+    return np.zeros((d, d)), hinge, step
 
 
-def _float_kernels(scaled, w):
-    """``_array_kernels`` at d = 2 on Python floats, A as the triple
-    (a_00, a_01, a_11).
+def _train_floats(scaled, w, config):
+    """``_train_arrays`` at d = 2 on Python floats, with A held as the three
+    locals (a_00, a_01, a_11).
 
-    Every iterate is exactly symmetric, so the triple holds all of it.  The
-    arithmetic is the array set's with every sum accumulated with += in
-    index order (the built-in sum compensates from Python 3.12 on, which
-    would tie the bits to the interpreter).  A sum that can put a signed
-    zero into A starts from 0.0, which puts -0.0 where the array set puts
-    it: the step's sums over the active rows.  The hinge pass's sums start
-    from their first term: an image or a margin only enters 1 - margin, and
-    1 - (-0.0) is 1 - 0.0, so a signed zero there moves no bit.  Each entry
-    is named, and the only loops run over the examples.  The step's two
-    off-diagonal entries add the same two products, which addition, being
-    commutative, rounds the same either way, so they share one sum.  The
-    prox table is ``norms._PROX_FLOATS``, and matrix(a) is the 2x2 array of
-    a triple.
+    Every iterate is exactly symmetric, so the three entries hold all of
+    it; the loop builds the triple only to record a new best iterate and to
+    call a prox kernel.  The arithmetic is the array loop's with every sum
+    accumulated with += in index order (the built-in sum compensates from
+    Python 3.12 on, which would tie the bits to the interpreter).  A sum
+    that can put a signed zero into A starts from 0.0, which puts -0.0
+    where the array loop puts it: the step's sums over the active rows.
+    Each entry is named, and the only loops run over the examples.
 
-    The hinge pass adds a slack <= 0 only where it can change the total.
-    Once per fit, bound = 2^1000 / max_i (|r_i0| + |r_i1|) over the scaled
-    rows r_i (inf for an all-zero sample).  While |image_0| + |image_1| <
-    bound, every margin is below about 2^1000, so every slack is finite,
-    and adding slack * 0.0, a signed zero, to a total that is +0.0 or
-    positive changes nothing: the pass skips it.  At or above the bound,
-    or for a NaN image, it adds slack * 0.0 for every slack <= 0, which
-    makes the total NaN for a non-finite one, as the array set's
-    slack . mask does.
+    The hinge pass forms, with the summed positive slack, the sums u_0 and
+    u_1 of the scaled rows whose slack is positive, from 0.0 in index
+    order: the step's sums.  The step is then A minus factor (u w^T + w u^T),
+    with factor eta / (-2 m); its two off-diagonal entries add the same two
+    products, which addition, being commutative, rounds the same either
+    way, so they share one sum.  The pass adds a slack <= 0 only where it
+    can change the total.  Once per fit,
+    bound = 2^1000 / max_i (|r_i0| + |r_i1|) over the scaled rows r_i (inf
+    for an all-zero sample).  While |image_0| + |image_1| < bound, every
+    margin is below about 2^1000, so every slack is finite, and adding
+    slack * 0.0, a signed zero, to a total that is +0.0 or positive changes
+    nothing: the pass skips it.  At or above the bound, or for a NaN image,
+    ``_hinge_floats`` adds it, as it does for the zero start.
+
+    The l1, fro and trace proxes run inline with the operations of
+    ``norms._prox_l1_triple``, ``_prox_fro_triple`` and
+    ``_prox_trace_triple`` in their order; trace keeps its spectrum as six
+    locals and decomposes, by ``norms._spectrum_floats``, only after a
+    non-zero step.  Everything else calls the kind's kernel in
+    ``norms._PROX_FLOATS``: tau = 0, fro out of the safe range (the kernel
+    solves it rescaled) and every mixed21 prox.
     """
     rows = scaled.tolist()
-    indexed = [(i, r_0, r_1) for i, (r_0, r_1) in enumerate(rows)]
-    c_0, c_1 = scaled.T.tolist()
     w_0, w_1 = w.tolist()
-    minus_twice_m = -2.0 * len(rows)
+    m = len(rows)
+    minus_twice_m = -2.0 * m
     largest = max(abs(r_0) + abs(r_1) for r_0, r_1 in rows)
     bound = 2.0 ** 1000 / largest if largest else math.inf
-    active = []
-
-    def hinge(a):
-        # Sets active to the indices of the positive slack entries, the
-        # hinge mask.
-        active.clear()
-        total = 0.0
-        a_00, a_01, a_11 = a
-        image_0 = a_00 * w_0 + a_01 * w_1
-        image_1 = a_01 * w_0 + a_11 * w_1
-        if abs(image_0) + abs(image_1) < bound:
-            for i, r_0, r_1 in indexed:
-                slack = 1.0 - (r_0 * image_0 + r_1 * image_1)
-                if slack > 0.0:
-                    total += slack
-                    active.append(i)
-            return total
-        for i, r_0, r_1 in indexed:
-            slack = 1.0 - (r_0 * image_0 + r_1 * image_1)
-            if slack > 0.0:
-                total += slack
-                active.append(i)
+    kind = config.norm_kind
+    prox_kernel = _PROX_FLOATS[kind]
+    l1 = kind is NormKind.L1
+    fro = kind is NormKind.FROBENIUS
+    trace = kind is NormKind.TRACE
+    lam = config.lam
+    step0 = config.step0
+    rel_tol = config.rel_tol
+    sqrt = math.sqrt
+    inf = math.inf
+    a_00 = a_01 = a_11 = 0.0
+    best = (a_00, a_01, a_11)
+    # The zero start has norm 0, and its images are +-0.0.
+    hinge_sum, u_0, u_1 = _hinge_floats(rows, 0.0, 0.0)
+    best_obj = hinge_sum / m
+    window = 50
+    window_best = best_obj
+    decompose = True
+    # As in _train_arrays: a step that overflows makes inf and NaN entries,
+    # and the non-finite objective raises NumericalError below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, config.max_iters + 1):
+            eta = step0 / sqrt(t)
+            if hinge_sum:
+                factor = eta / minus_twice_m
+                a_00 = a_00 - (u_0 * w_0 + u_0 * w_0) * factor
+                a_01 = a_01 - (u_0 * w_1 + u_1 * w_0) * factor
+                a_11 = a_11 - (u_1 * w_1 + u_1 * w_1) * factor
+                decompose = True
+            tau = eta * lam
+            if l1 and tau:
+                # sign(x) max(|x| - tau, 0) entry by entry; the off-diagonal
+                # entry adds its term to the norm twice.
+                a_norm = 0.0
+                shrunk = abs(a_00) - tau
+                if shrunk <= 0.0:
+                    a_00 = -0.0 if a_00 < 0.0 else 0.0
+                else:
+                    a_norm += shrunk
+                    a_00 = a_00 - tau if a_00 > 0.0 else a_00 + tau
+                shrunk = abs(a_01) - tau
+                if shrunk <= 0.0:
+                    a_01 = -0.0 if a_01 < 0.0 else 0.0
+                else:
+                    a_norm += shrunk
+                    a_norm += shrunk
+                    a_01 = a_01 - tau if a_01 > 0.0 else a_01 + tau
+                shrunk = abs(a_11) - tau
+                if shrunk <= 0.0:
+                    a_11 = -0.0 if a_11 < 0.0 else 0.0
+                else:
+                    a_norm += shrunk
+                    a_11 = a_11 - tau if a_11 > 0.0 else a_11 + tau
+            elif fro and tau:
+                square = a_01 * a_01
+                total = sqrt(a_00 * a_00 + square + square + a_11 * a_11)
+                if not _SAFE_MIN <= total <= _SAFE_MAX and (a_00 or a_01 or a_11):
+                    (a_00, a_01, a_11), a_norm, _ = prox_kernel((a_00, a_01, a_11), tau)
+                elif total <= tau:
+                    a_00 = a_01 = a_11 = a_norm = 0.0
+                else:
+                    factor = 1.0 - tau / total
+                    a_00 = a_00 * factor
+                    a_01 = a_01 * factor
+                    a_11 = a_11 * factor
+                    square = a_01 * a_01
+                    a_norm = sqrt(a_00 * a_00 + square + square + a_11 * a_11)
+            elif trace and tau:
+                # The spectrum (x_0, x_1, v_00, v_01, v_10, v_11) is the
+                # thresholded eigenvalues and the eigenvector rows; a zero
+                # step thresholds the one the last prox kept.
+                if decompose:
+                    x_0, x_1, v_00, v_01, v_10, v_11 = _spectrum_floats((a_00, a_01, a_11))
+                    decompose = False
+                a_norm = 0.0
+                shrunk = abs(x_0) - tau
+                if shrunk <= 0.0:
+                    x_0 = -0.0 if x_0 < 0.0 else 0.0
+                else:
+                    a_norm += shrunk
+                    x_0 = x_0 - tau if x_0 > 0.0 else x_0 + tau
+                shrunk = abs(x_1) - tau
+                if shrunk <= 0.0:
+                    x_1 = -0.0 if x_1 < 0.0 else 0.0
+                else:
+                    a_norm += shrunk
+                    x_1 = x_1 - tau if x_1 > 0.0 else x_1 + tau
+                q_00 = v_00 * x_0
+                q_01 = v_01 * x_1
+                q_10 = v_10 * x_0
+                q_11 = v_11 * x_1
+                p_00 = 0.0 + q_00 * v_00 + q_01 * v_01
+                p_01 = 0.0 + q_00 * v_10 + q_01 * v_11
+                p_10 = 0.0 + q_10 * v_00 + q_11 * v_01
+                p_11 = 0.0 + q_10 * v_10 + q_11 * v_11
+                a_00 = (p_00 + p_00) / 2.0
+                a_01 = (p_01 + p_10) / 2.0
+                a_11 = (p_11 + p_11) / 2.0
             else:
-                # Adds 0 for a finite slack; a non-finite one makes the sum
-                # NaN.
-                total += slack * 0.0
-        return total
+                # At tau = 0 the kernel returns A itself, and trace keeps
+                # its spectrum.
+                (a_00, a_01, a_11), a_norm, _ = prox_kernel((a_00, a_01, a_11), tau)
+            image_0 = a_00 * w_0 + a_01 * w_1
+            image_1 = a_01 * w_0 + a_11 * w_1
+            if abs(image_0) + abs(image_1) < bound:
+                hinge_sum = u_0 = u_1 = 0.0
+                for r_0, r_1 in rows:
+                    slack = 1.0 - (r_0 * image_0 + r_1 * image_1)
+                    if slack > 0.0:
+                        hinge_sum += slack
+                        u_0 += r_0
+                        u_1 += r_1
+            else:
+                hinge_sum, u_0, u_1 = _hinge_floats(rows, image_0, image_1)
+            obj = hinge_sum / m + lam * a_norm
+            if not obj < inf:
+                raise NumericalError(
+                    f"non-finite objective at iteration {t}; try a smaller step0 than {step0}"
+                )
+            if obj < best_obj:
+                best_obj = obj
+                best = (a_00, a_01, a_11)
+            if t % window == 0:
+                if window_best - best_obj < rel_tol * abs(window_best):
+                    break
+                window_best = best_obj
+    return _triple_array(best), best_obj, t
 
-    def step(a, eta):
-        # A minus factor (u w^T + w u^T), with u the sum of the active
-        # scaled rows and factor eta / (-2 m).
-        factor = eta / minus_twice_m
-        u_0 = 0.0
-        u_1 = 0.0
-        for i in active:
-            u_0 += c_0[i]
-            u_1 += c_1[i]
-        a_00, a_01, a_11 = a
-        return (
-            a_00 - (u_0 * w_0 + u_0 * w_0) * factor,
-            a_01 - (u_0 * w_1 + u_1 * w_0) * factor,
-            a_11 - (u_1 * w_1 + u_1 * w_1) * factor,
-        )
 
-    return (0.0, 0.0, 0.0), hinge, step, _PROX_FLOATS, _triple_array
+def _hinge_floats(rows, image_0, image_1):
+    """(total, u_0, u_1) of ``_train_floats``' hinge pass, adding every term.
+
+    rows are the scaled rows as lists and (image_0, image_1) is A w.  total
+    is the summed positive slack, and u_0, u_1 are the sums of the rows
+    whose slack is positive, all from 0.0 in index order.  Every slack <= 0
+    adds slack * 0.0: 0 for a finite one, while a non-finite one makes the
+    total NaN, as the array set's slack . mask does.
+    """
+    total = u_0 = u_1 = 0.0
+    for r_0, r_1 in rows:
+        slack = 1.0 - (r_0 * image_0 + r_1 * image_1)
+        if slack > 0.0:
+            total += slack
+            u_0 += r_0
+            u_1 += r_1
+        else:
+            total += slack * 0.0
+    return total, u_0, u_1
 
 
 # The model document's fields (see data._checked); entries are row-major.

@@ -727,7 +727,7 @@ def reference_hinge_floats(a, rows, w):
 
 
 def reference_train_similarity(
-    features, labels, lam, margin, kind, max_iters, step0, rel_tol, floats=False
+    features, labels, lam, margin, kind, max_iters, step0, rel_tol, floats=False, proxes=None
 ):
     """Best iterate of proximal subgradient descent on the similarity objective.
 
@@ -748,6 +748,10 @@ def reference_train_similarity(
     slack times its 0/1 mask in index order, and the prox is
     ``reference_prox_floats``.  Otherwise A is an array, and the prox is
     ``reference_prox`` (``reference_trace_prox`` for trace).
+
+    With proxes a list, each iteration appends (stepped, b, tau, reused, a):
+    whether it took a subgradient step, the prox input and threshold,
+    whether the prox was handed a spectrum, and the prox output.
     """
     m = labels.shape[0]
     d = features.shape[1]
@@ -800,10 +804,14 @@ def reference_train_similarity(
     iterations = 0
     for t in range(1, max_iters + 1):
         eta = step0 / math.sqrt(t)
-        if hinge_sum > 0.0:
+        stepped = hinge_sum > 0.0
+        if stepped:
             a = step(a, active, eta)
             spectrum = None
+        b, reused = a, spectrum is not None
         a, a_norm, spectrum = prox(a, eta * lam, spectrum)
+        if proxes is not None:
+            proxes.append((stepped, b, eta * lam, reused, a))
         hinge_sum, active = hinge(a)
         obj = float(hinge_sum / m) + lam * a_norm
         if obj < best_obj:

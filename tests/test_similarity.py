@@ -319,13 +319,14 @@ def test_fit_is_exact_under_powers_of_two(monkeypatch, kind):
                 assert bool(calls) == rescales, (m, k)
 
 
-def _assert_json_matches_reference(data, config):
+def _assert_json_matches_reference(data, config, proxes=None):
     # The JSON text tells -0.0 from +0.0, which assert_array_equal does not.
+    # proxes, if given, collects the reference loop's prox records.
     model = train_similarity(data, config)
     matrix, objective, iterations = reference_train_similarity(
         data.features, data.labels, config.lam, config.margin, config.norm_kind.value,
         config.max_iters, config.step0, config.rel_tol,
-        floats=similarity._uses_floats(data.m, data.d),
+        floats=similarity._uses_floats(data.m, data.d), proxes=proxes,
     )
     expected = SimilarityModel(matrix, config, final_objective=objective, iterations_run=iterations)
     assert json.dumps(model_to_json_dict(model)) == json.dumps(model_to_json_dict(expected))
@@ -340,11 +341,11 @@ def _tiny_dataset(rng, m):
     return Dataset(labels[:, None] * mu + 0.15 * rng.standard_normal((m, 2)), labels)
 
 
-# Each stage-one kernel set: the float set's size bound that forces it, the
-# module name of the function that makes its kernels, and its prox table.
+# Each stage-one kernel set: the float set's size bound that forces it and
+# the module name of the function that fits with it.
 KERNEL_SETS = {
-    "arrays": (0, "_array_kernels", norms._PROX),
-    "floats": (10 ** 9, "_float_kernels", norms._PROX_FLOATS),
+    "arrays": (0, "_train_arrays"),
+    "floats": (10 ** 9, "_train_floats"),
 }
 
 
@@ -373,6 +374,119 @@ def test_train_json_matches_reference_loop(monkeypatch, kind):
         config = SimilarityConfig(lam=0.1, margin=1.0, norm_kind=kind, max_iters=500)
         model = _assert_json_matches_reference(generate(spec, 100), config)
         assert kind == "l1" or model.iterations_run < config.max_iters
+
+
+# A solver_tiny-shaped fit per kind on the float set (m = 5, d = 2, 2000
+# iterations, rel_tol 0): (lambda, entries row-major, final_objective), as
+# float.hex.
+_PINNED_FEATURES = [
+    [0.8539945817460073, -1.1273846933890512],
+    [0.7167430204839509, -1.2918873426604986],
+    [-0.7986468445607734, 0.9889379345927549],
+    [-1.2018205659418568, 1.2636364978412915],
+    [0.9951957746746648, -0.8746187052200813],
+]
+_PINNED_LABELS = [-1.0, -1.0, 1.0, 1.0, -1.0]
+_PINNED_FITS = {
+    "l1": (
+        0.05,
+        ["0x1.8f27fdaf7c128p-10", "-0x1.4424f4ae9d9d1p-3", "-0x1.4424f4ae9d9d1p-3",
+         "0x1.70173fc918a31p-1"],
+        "0x1.a8c10b4c328c8p-5",
+    ),
+    "fro": (
+        0.2,
+        ["0x1.bfc63c7fef0afp-3", "-0x1.1295e5d4eb9f7p-2", "-0x1.1295e5d4eb9f7p-2",
+         "0x1.50bba95141817p-2"],
+        "0x1.c08818b63631dp-4",
+    ),
+    "mixed21": (
+        0.05,
+        ["0x1.59d851943b13ap-3", "-0x1.010b2d93c279dp-2", "-0x1.010b2d93c279dp-2",
+         "0x1.8f4144535023cp-2"],
+        "0x1.39db97dcc6cafp-5",
+    ),
+    "trace": (
+        0.2,
+        ["0x1.bfc9de08cc1b1p-3", "-0x1.129433b29da45p-2", "-0x1.129433b29da45p-2",
+         "0x1.50bcc7ab665c4p-2"],
+        "0x1.c08845748cf7ep-4",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", ["l1", "fro", "mixed21", "trace"])
+def test_float_fit_pins(kind):
+    # The float fit is checked against the reference loop, and both could
+    # drift together; these bits cannot.  The fit uses + - * / and
+    # math.sqrt only, which round correctly, so they hold on every Python.
+    lam, entries, objective = _PINNED_FITS[kind]
+    data = Dataset(np.array(_PINNED_FEATURES), np.array(_PINNED_LABELS))
+    assert similarity._uses_floats(data.m, data.d)
+    config = SimilarityConfig(
+        lam=lam, margin=1.0, norm_kind=kind, max_iters=2000, step0=2.0, rel_tol=0.0
+    )
+    model = train_similarity(data, config)
+    assert [x.hex() for x in model.matrix.ravel().tolist()] == entries
+    assert model.final_objective.hex() == objective
+    assert model.iterations_run == 2000
+
+
+def test_fro_models_are_lifts_of_the_label_sum():
+    # Every fro iterate is v w^T + w v^T, with w = sum_j y_j x_j: the zero
+    # start is, a step subtracts factor (u w^T + w u^T), and the prox
+    # scales A.  So is every trained fro model, with v recovered from
+    # A w = |w|^2 v + (v . w) w, where w^T A w = 2 |w|^2 (v . w).  On the
+    # float set at d = 2, where the lifts are a plane of the 3-d symmetric
+    # matrices, and on the array set at d = 5 and 20.
+    rng = make_rng(577)
+    datasets = [_tiny_dataset(rng, m) for m in (4, 5, 6)]
+    for seed, d in ((2031, 5), (2033, 5), (2035, 20)):
+        spec = GeneratorSpec(
+            kind="two_gaussians", d=d, mean_separation=2.0, noise_sigma=1.0, seed=seed
+        )
+        datasets.append(generate(spec, 100))
+    for data in datasets:
+        w = data.features.T @ data.labels
+        for lam in (0.05, 0.2):
+            config = SimilarityConfig(
+                lam=lam, margin=1.0, norm_kind="fro", max_iters=500, step0=2.0, rel_tol=0.0
+            )
+            a = train_similarity(data, config).matrix
+            assert np.any(a)
+            u = a @ w
+            ww = w @ w
+            v = (u - (w @ u) / (2.0 * ww) * w) / ww
+            residual = np.max(np.abs(a - np.outer(v, w) - np.outer(w, v)))
+            assert residual <= 1e-13 * np.max(np.abs(a)), (data.m, data.d, lam)
+
+
+@pytest.mark.parametrize("kind", ["l1", "fro", "mixed21", "trace"])
+def test_float_fits_match_reference_loop_off_check02(kind):
+    # The float fit runs its l1, fro and trace proxes inline, so only whole
+    # fits hold that code to the reference.  Beyond check 02's shape:
+    # loose clusters, features that are exactly zero, which make signed
+    # zeros, and steps from 0.5 to 20, where entries shrink to zero and
+    # thresholds hit them often.  Each sample runs again with its columns
+    # swapped, which trades the roles of a_00 and a_11.
+    rng = make_rng(583)
+    for m in (2, 4, 5, 8, 10, 11):
+        for trial in range(3):
+            labels = np.where(rng.random(m) < 0.5, 1.0, -1.0)
+            features = labels[:, None] * rng.standard_normal(2)
+            features += rng.uniform(0.05, 1.0) * rng.standard_normal((m, 2))
+            if trial == 2:
+                features[rng.random((m, 2)) < 0.3] = 0.0
+            assert similarity._uses_floats(m, 2)
+            for data in (Dataset(features, labels), Dataset(features[:, ::-1], labels)):
+                for lam, step0, rel_tol in (
+                    (0.05, 2.0, 0.0), (0.2, 0.5, 1e-4), (1e-3, 20.0, 0.0), (1.0, 2.0, 0.0)
+                ):
+                    config = SimilarityConfig(
+                        lam=lam, margin=1.0, norm_kind=kind, max_iters=300, step0=step0,
+                        rel_tol=rel_tol,
+                    )
+                    _assert_json_matches_reference(data, config)
 
 
 def test_float_trace_fits_call_lapack_only_from_d3(monkeypatch):
@@ -438,24 +552,24 @@ def test_train_chooses_kernel_set_by_size(monkeypatch):
     # Floats at d = 2 up to m * d = _FLOAT_MAX_MD, arrays beyond it and at
     # every other d, however small m * d is.
     chosen = []
-    for name in ("_float_kernels", "_array_kernels"):
-        kernels = getattr(similarity, name)
+    for _, name in KERNEL_SETS.values():
+        fit = getattr(similarity, name)
 
-        def recorded(scaled, w, name=name, kernels=kernels):
+        def recorded(scaled, w, config, name=name, fit=fit):
             chosen.append((name, scaled.shape))
-            return kernels(scaled, w)
+            return fit(scaled, w, config)
 
         monkeypatch.setattr(similarity, name, recorded)
     limit = similarity._FLOAT_MAX_MD
     shapes = {
-        (1, 2): "_float_kernels",
-        (limit // 2, 2): "_float_kernels",
-        (limit // 2 + 1, 2): "_array_kernels",
-        (1, 1): "_array_kernels",
-        (limit, 1): "_array_kernels",
-        (1, 3): "_array_kernels",
-        (limit // 4, 4): "_array_kernels",
-        (1, 5): "_array_kernels",
+        (1, 2): "_train_floats",
+        (limit // 2, 2): "_train_floats",
+        (limit // 2 + 1, 2): "_train_arrays",
+        (1, 1): "_train_arrays",
+        (limit, 1): "_train_arrays",
+        (1, 3): "_train_arrays",
+        (limit // 4, 4): "_train_arrays",
+        (1, 5): "_train_arrays",
     }
     rng = make_rng(533)
     for (m, d), name in shapes.items():
@@ -473,17 +587,17 @@ def test_mixed21_at_d5_keeps_the_array_kernel_set(monkeypatch):
     assert norms._MIXED21_FLOAT_MAX_D == 5
     assert 4 * 5 <= similarity._FLOAT_MAX_MD and not similarity._uses_floats(4, 5)
     chosen = []
-    for name in ("_float_kernels", "_array_kernels"):
-        kernels = getattr(similarity, name)
+    for _, name in KERNEL_SETS.values():
+        fit = getattr(similarity, name)
 
-        def recorded(scaled, w, name=name, kernels=kernels):
+        def recorded(scaled, w, config, name=name, fit=fit):
             chosen.append(name)
-            return kernels(scaled, w)
+            return fit(scaled, w, config)
 
         monkeypatch.setattr(similarity, name, recorded)
     config = SimilarityConfig(lam=0.1, margin=1.0, norm_kind="mixed21", max_iters=3)
     model = train_similarity(random_dataset(make_rng(534), 4, 5), config)
-    assert chosen == ["_array_kernels"] and model.matrix.shape == (5, 5)
+    assert chosen == ["_train_arrays"] and model.matrix.shape == (5, 5)
 
 
 @pytest.mark.parametrize("kind", ["l1", "fro", "mixed21", "trace"])
@@ -538,37 +652,50 @@ def _hinge_images(rng, bound):
     return pairs
 
 
-def _closure_value(fn, name):
-    # The variable name that the closure fn reads from its enclosing call.
-    return fn.__closure__[fn.__code__.co_freevars.index(name)].cell_contents
-
-
 def test_float_hinge_matches_reference_hinge():
-    # The float set's hinge skips its slack * 0.0 terms while the images
-    # are below the per-fit bound, and sums with no leading 0.0; the
-    # reference adds every term from 0.0.  The totals agree bit for bit
-    # (NaN as NaN) and so do the masks, below the bound, above it, for
-    # infinite and NaN images and for rows that are all zero.
+    # _hinge_floats, the float fit's hinge pass at or above its per-fit
+    # bound and at the zero start, adds every slack * 0.0 term from 0.0, as
+    # the reference does.  Its total (NaN as NaN) and the step's sums u_0
+    # and u_1 over the rows of positive slack agree with the reference's
+    # total and mask bit for bit, below the bound, above it, for infinite
+    # and NaN images and for rows that are all zero.  Below the bound every
+    # slack is finite, and the fit's own pass, which skips the slack * 0.0
+    # terms, forms the same total.
     rng = make_rng(563)
     seen = set()
     for m in range(1, 13):
         for row_scale in (1.0, 2.0 ** 500, 2.0 ** -30, 0.0):
             scaled = rng.standard_normal((m, 2)) * row_scale
             scaled[rng.random((m, 2)) < 0.1] = -0.0
+            rows = scaled.tolist()
             largest = float(np.abs(scaled).sum(axis=1).max())
             bound = 2.0 ** 1000 / largest if largest else math.inf
             for triple, w in _hinge_images(rng, bound):
-                _, hinge, *_ = similarity._float_kernels(scaled, np.array(w))
-                total = hinge(triple)
-                mask = list(_closure_value(hinge, "active"))
                 a_00, a_01, a_11 = triple
+                w_0, w_1 = w
+                # The images as the fit forms them.
+                image_0 = a_00 * w_0 + a_01 * w_1
+                image_1 = a_01 * w_0 + a_11 * w_1
+                total, u_0, u_1 = similarity._hinge_floats(rows, image_0, image_1)
                 expected, active = oracles.reference_hinge_floats(
-                    [[a_00, a_01], [a_01, a_11]], scaled.tolist(), list(w)
+                    [[a_00, a_01], [a_01, a_11]], rows, list(w)
                 )
+                expected_u = [0.0, 0.0]
+                for row, on in zip(rows, active):
+                    if on:
+                        expected_u = [u + x for u, x in zip(expected_u, row)]
                 assert type(total) is float
-                assert (total.hex(), mask) == (
-                    expected.hex(), [i for i, on in enumerate(active) if on]
-                ), (scaled.tolist(), triple, w)
+                assert [x.hex() for x in (total, u_0, u_1)] == [
+                    x.hex() for x in (expected, *expected_u)
+                ], (rows, triple, w)
+                if abs(image_0) + abs(image_1) < bound:
+                    skipped = 0.0
+                    for r_0, r_1 in rows:
+                        slack = 1.0 - (r_0 * image_0 + r_1 * image_1)
+                        assert math.isfinite(slack)
+                        if slack > 0.0:
+                            skipped += slack
+                    assert skipped.hex() == total.hex(), (rows, triple, w)
                 seen.add("nan" if math.isnan(total) else "inf" if total == math.inf else "finite")
     assert seen == {"nan", "inf", "finite"}
 
@@ -578,40 +705,35 @@ def _snapshot(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
-def _as_matrix(a):
-    # The matrix of an iterate of either kernel set: an array, or the float
-    # set's triple (a_00, a_01, a_11).
-    return norms._triple_array(a) if type(a) is tuple else a
-
-
 def _watch_prox(monkeypatch):
-    """Record every prox stage one makes, in either kernel set, checking that
-    none writes its input.
+    """Record every prox the array fit makes, checking that none writes its
+    input.
 
-    Wraps every entry of both prox tables, which stage one reads once per
-    fit.  Each record is (input, tau, whether a spectrum was passed, output).
+    Wraps every entry of the array prox table, which the array fit reads
+    once per fit.  Each record is (input, tau, whether a spectrum was
+    passed, output).
     """
     calls = []
-    for _, _, table in KERNEL_SETS.values():
-        for kind, prox_kernel in table.items():
+    for kind, prox_kernel in norms._PROX.items():
 
-            def watched(b, tau, spectrum=None, prox_kernel=prox_kernel):
-                before = _snapshot(b)
-                saved = None if spectrum is None else [_snapshot(part) for part in spectrum]
-                result = prox_kernel(b, tau, spectrum)
-                assert _snapshot(b) == before
-                assert saved is None or [_snapshot(part) for part in spectrum] == saved
-                calls.append((b, tau, spectrum is not None, result[0]))
-                return result
+        def watched(b, tau, spectrum=None, prox_kernel=prox_kernel):
+            before = _snapshot(b)
+            saved = None if spectrum is None else [_snapshot(part) for part in spectrum]
+            result = prox_kernel(b, tau, spectrum)
+            assert _snapshot(b) == before
+            assert saved is None or [_snapshot(part) for part in spectrum] == saved
+            calls.append((b, tau, spectrum is not None, result[0]))
+            return result
 
-            monkeypatch.setitem(table, kind, watched)
+        monkeypatch.setitem(norms._PROX, kind, watched)
     return calls
 
 
 def test_prox_tables_hold_every_kind():
-    # Stage one and the public prox look their kernel up by kind, in the
-    # array table or the float table.
-    for _, _, table in KERNEL_SETS.values():
+    # The public prox and the array fit look their kernel up by kind in the
+    # array table, and the float fit its kernel for the cold paths and
+    # mixed21 in the float table.
+    for table in (norms._PROX, norms._PROX_FLOATS):
         assert list(table) == list(NormKind)
         assert len(set(table.values())) == len(NormKind)
 
@@ -643,56 +765,93 @@ def test_train_json_matches_reference_loop_mixed21_dual_fallback(monkeypatch):
 def test_train_zero_step_skips_subgradient(monkeypatch, kind):
     # On check-02-shaped data most iterates meet every margin.  An empty
     # hinge mask means a zero subgradient: the next step computes none and
-    # hands the iterate itself to the prox.  Both kernel sets; the hinge
-    # and step that each set hands out are wrapped.
-    for float_max_md, kernels_name, _ in KERNEL_SETS.values():
-        with monkeypatch.context() as patch:
-            patch.setattr(similarity, "_FLOAT_MAX_MD", float_max_md)
-            nonempty = []
-            steps = 0
-            make_kernels = getattr(similarity, kernels_name)
+    # hands the iterate itself to the prox.  The array set's hinge and step
+    # are wrapped.  The float fit runs its hinge, step and most proxes
+    # inline, so the reference loop, whose model it matches bit for bit,
+    # records the steps, and the float fit is held to them where it calls
+    # out: trace decomposes once per non-zero step, on the reference's prox
+    # input, and every mixed21 prox gets the reference's input.
+    config = SimilarityConfig(
+        lam=0.05, margin=1.0, norm_kind=kind, max_iters=400, step0=2.0, rel_tol=0.0
+    )
+    data = _tiny_dataset(make_rng(531), 6)
+    with monkeypatch.context() as patch:
+        patch.setattr(similarity, "_FLOAT_MAX_MD", 0)
+        nonempty = []
+        steps = 0
+        make_kernels = similarity._array_kernels
 
-            def watched_kernels(scaled, w, make_kernels=make_kernels):
-                start, hinge, step, table, matrix = make_kernels(scaled, w)
+        def watched_kernels(scaled, w):
+            start, hinge, step = make_kernels(scaled, w)
 
-                def recorded_hinge(a):
-                    # The summed positive slack, 0 exactly when no margin
-                    # is violated.
-                    total = hinge(a)
-                    nonempty.append(bool(total > 0.0))
-                    return total
+            def recorded_hinge(a):
+                # The summed positive slack, 0 exactly when no margin is
+                # violated.
+                total = hinge(a)
+                nonempty.append(bool(total > 0.0))
+                return total
 
-                def counted_step(a, eta):
-                    nonlocal steps
-                    steps += 1
-                    return step(a, eta)
+            def counted_step(a, eta):
+                nonlocal steps
+                steps += 1
+                return step(a, eta)
 
-                return start, recorded_hinge, counted_step, table, matrix
+            return start, recorded_hinge, counted_step
 
-            patch.setattr(similarity, kernels_name, watched_kernels)
-            calls = _watch_prox(patch)
-            config = SimilarityConfig(
-                lam=0.05, margin=1.0, norm_kind=kind, max_iters=400, step0=2.0, rel_tol=0.0
-            )
-            model = train_similarity(_tiny_dataset(make_rng(531), 6), config)
-        # One mask per iterate, the start included; the last one takes no step.
-        assert len(nonempty) == len(calls) + 1 == model.iterations_run + 1
-        assert steps == sum(nonempty[:-1])
-        assert steps < model.iterations_run
-        previous = None
-        for (b, _, reused, a), stepped in zip(calls, nonempty):
-            assert (b is previous) == (not stepped)
-            # Only trace keeps a spectrum, and only a zero step passes it back.
-            assert reused == (kind == "trace" and not stepped)
-            previous = a
+        patch.setattr(similarity, "_array_kernels", watched_kernels)
+        calls = _watch_prox(patch)
+        model = train_similarity(data, config)
+    # One mask per iterate, the start included; the last one takes no step.
+    assert len(nonempty) == len(calls) + 1 == model.iterations_run + 1
+    assert steps == sum(nonempty[:-1])
+    assert steps < model.iterations_run
+    previous = None
+    for (b, _, reused, a), stepped in zip(calls, nonempty):
+        assert (b is previous) == (not stepped)
+        # Only trace keeps a spectrum, and only a zero step passes it back.
+        assert reused == (kind == "trace" and not stepped)
+        previous = a
+
+    decomposed = []
+    mixed21_inputs = []
+    spectrum_floats = similarity._spectrum_floats
+    mixed21_kernel = norms._PROX_FLOATS[NormKind.MIXED21]
+
+    def counted_spectrum(triple):
+        decomposed.append(triple)
+        return spectrum_floats(triple)
+
+    def watched_mixed21(b, tau, spectrum=None):
+        mixed21_inputs.append(b)
+        return mixed21_kernel(b, tau, spectrum)
+
+    proxes = []
+    with monkeypatch.context() as patch:
+        patch.setattr(similarity, "_spectrum_floats", counted_spectrum)
+        patch.setitem(norms._PROX_FLOATS, NormKind.MIXED21, watched_mixed21)
+        assert similarity._uses_floats(data.m, data.d)
+        model = _assert_json_matches_reference(data, config, proxes)
+    assert len(proxes) == model.iterations_run
+    stepped_inputs = [_snapshot(b) for stepped, b, *_ in proxes if stepped]
+    assert 0 < len(stepped_inputs) < model.iterations_run
+    previous = None
+    for stepped, b, _, reused, a in proxes:
+        assert (b is previous) == (not stepped)
+        assert reused == (kind == "trace" and not stepped)
+        previous = a
+    triples = [_snapshot(norms._triple_array(t)) for t in decomposed]
+    assert triples == (stepped_inputs if kind == "trace" else [])
+    triples = [_snapshot(norms._triple_array(b)) for b in mixed21_inputs]
+    assert triples == ([_snapshot(b) for _, b, *_ in proxes] if kind == "mixed21" else [])
 
 
 def test_train_trace_spectrum_reuse_is_the_prox(monkeypatch):
     # On a zero step the trace prox thresholds the spectrum its previous
     # call returned.  Spectral soft-thresholds compose, so that is the prox
     # of the previous output; check it against a fresh eigendecomposition,
-    # in both kernel sets.
-    for float_max_md, *_ in KERNEL_SETS.values():
+    # in the array fit's prox calls and in the reference loop's, which the
+    # float fit matches bit for bit.
+    for float_max_md, _ in KERNEL_SETS.values():
         with monkeypatch.context() as patch:
             patch.setattr(similarity, "_FLOAT_MAX_MD", float_max_md)
             calls = _watch_prox(patch)
@@ -701,13 +860,19 @@ def test_train_trace_spectrum_reuse_is_the_prox(monkeypatch):
                 config = SimilarityConfig(
                     lam=lam, margin=1.0, norm_kind="trace", max_iters=500, step0=2.0, rel_tol=0.0
                 )
-                train_similarity(_tiny_dataset(rng, m), config)
+                data = _tiny_dataset(rng, m)
+                if similarity._uses_floats(m, 2):
+                    proxes = []
+                    _assert_json_matches_reference(data, config, proxes)
+                    calls += [(b, tau, reused, a) for _, b, tau, reused, a in proxes]
+                else:
+                    train_similarity(data, config)
         reused = [(b, tau, a) for b, tau, spectrum, a in calls if spectrum]
         assert len(reused) > len(calls) // 2
         for b, tau, a in reused:
-            a = _as_matrix(a)
+            a = np.asarray(a)
             tolerance = 1e-12 * max(1.0, norm(a, "trace"))
-            assert float(np.max(np.abs(a - prox(_as_matrix(b), tau, "trace")))) <= tolerance
+            assert float(np.max(np.abs(a - prox(np.asarray(b), tau, "trace")))) <= tolerance
 
 
 def test_config_validation():
