@@ -13,22 +13,22 @@ max row Euclidean norm, and the largest singular value respectively.
 Every proximal operator is exact over the symmetric subspace: l1, fro and
 trace in closed form, mixed21 by a Newton iteration that stops on a
 duality-gap certificate (see ``prox``), or at d = 2 in closed form when a
-row dies.  Eigendecompositions go to LAPACK, except that the float kernels
-take their 2x2 one in closed form.
+row dies.  Eigendecompositions go to LAPACK, except that stage one's float
+loop takes its 2x2 one in closed form (``_spectrum_floats``).
 
-Each kind's prox is its own kernel, in two sets: ``_PROX`` on arrays, and
-``_PROX_FLOATS`` on a 2x2 matrix held as the three Python floats
-(a_00, a_01, a_11), the shape of stage one's tiny fits.  Both tables
-are keyed by ``NormKind``; ``prox`` and stage one's array loop
-(``similarity._train_arrays``) look a kernel up once per call or fit, so
-no prox call tests the kind.  Stage one's float loop
-(``similarity._train_floats``) runs the l1, fro and trace kernels' hot
-paths inline and calls the float kernels for the rest.
+Each kind's prox is its own kernel on arrays, held by kind in ``_PROX``;
+``prox`` and stage one's array loop (``similarity._train_arrays``) look a
+kernel up once per call or fit, so no prox call tests the kind.  Stage
+one's float loop (``similarity._train_floats``) holds a 2x2 matrix as the
+three Python floats (a_00, a_01, a_11), the shape of its tiny fits, and
+runs the l1, fro and trace proxes inline.  Two kernels take that triple:
+``_prox_fro_triple``, for fro out of the safe range, and
+``_prox_mixed21_triple``, every 2x2 mixed21 prox.
 
 Each fro and mixed21 kernel tests the norm or row norms it computes, and
-each trace kernel on arrays the spectral norm that LAPACK returned (LAPACK
-scales a matrix by its own thresholds), against one safe range, and out of
-it solves its own problem on B and tau scaled by a power of two
+the trace kernel the spectral norm that LAPACK returned (LAPACK scales a
+matrix by its own thresholds), against one safe range, and out of it
+solves its own problem on B and tau scaled by a power of two
 (``_rescaled``).  So every norm and prox obeys
 prox(2^k B, 2^k tau) = 2^k prox(B, tau) bit for bit wherever no entry is
 subnormal or infinite.
@@ -330,26 +330,20 @@ def _shrunk_magnitudes(x, tau):
     return np.maximum(shrunk, 0.0, out=shrunk)
 
 
-# The float kernel set: the prox kernels on a symmetric 2x2 matrix held as
-# the triple (a_00, a_01, a_11) of Python floats, the shape of every fit
-# that stage one runs on floats.  There a NumPy call costs more than the
-# arithmetic.  Stage one's float loop makes the l1, fro and trace kernels'
-# in-range operations inline, in their order, so a change to one of them
-# belongs in ``similarity._train_floats`` too; the tests hold both to the
-# reference's bits.  Each kernel returns the prox point as a triple, its norm,
-# and for trace the spectrum as the flat floats (x_0, x_1, v_00, v_01,
-# v_10, v_11): the thresholded eigenvalues, then the eigenvector rows; at
-# tau = 0, the triple itself and ``_norm`` of its array.  The off-diagonal
-# entry stands for a_01 and a_10: an entrywise kernel acts on it once and
-# adds its term to the norm twice, in index order, and the trace rebuild
-# takes (p_01 + p_10) / 2 for both, which rounds as (p_10 + p_01) / 2
-# does, so each kernel rounds as it would on the 2x2 matrix entry by
-# entry in index order.  Every sum starts at 0.0, which puts -0.0 where
-# the array kernels put it; nonzero entries and the norm may differ from
-# theirs in the last bits.  Neither the triple nor the spectrum is written
-# to.  ``_PROX_FLOATS``, at the end of the module, holds these kernels by
-# kind; the mixed21 one, ``_prox_mixed21_triple``, follows the float Newton
-# loops that it writes out.
+# Stage one's d = 2 proxes on floats.  The float loop
+# (``similarity._train_floats``) holds a symmetric 2x2 matrix as the triple
+# (a_00, a_01, a_11) of Python floats, where a NumPy call costs more than
+# the arithmetic, and states the l1, fro and trace proxes inline.  The two
+# kernels here, for fro out of the safe range and for every 2x2 mixed21
+# prox, take the triple and tau and return the prox triple and its norm;
+# at tau = 0, the triple itself and ``_norm`` of its array.  The
+# off-diagonal entry stands for a_01 and a_10: an entrywise prox acts on it
+# once and adds its term to the norm twice, in index order, and the trace
+# rebuild takes (p_01 + p_10) / 2 for both, which rounds as
+# (p_10 + p_01) / 2 does, so each prox rounds as it would on the 2x2
+# matrix entry by entry in index order.  Nonzero entries and the norm may
+# differ from the array kernels' in the last bits.  The triple is never
+# written to.
 
 
 def _triple_array(a):
@@ -358,91 +352,25 @@ def _triple_array(a):
     return np.array([[a_00, a_01], [a_01, a_11]])
 
 
-def _prox_l1_triple(a, tau, spectrum=None):
-    # sign(x) max(|x| - tau, 0) entry by entry, which makes a negative entry
-    # that shrinks to zero -0.0 and is x - tau or x + tau exactly, as
-    # ``_prox_l1`` rounds.  A NaN takes the else branch and propagates, as
-    # np.maximum makes it.
-    if tau == 0.0:
-        return a, _norm(_triple_array(a), NormKind.L1), spectrum
-    a_00, a_01, a_11 = a
-    total = 0.0
-    shrunk = abs(a_00) - tau
-    if shrunk <= 0.0:
-        a_00 = -0.0 if a_00 < 0.0 else 0.0
-    else:
-        total += shrunk
-        a_00 = a_00 - tau if a_00 > 0.0 else a_00 + tau
-    shrunk = abs(a_01) - tau
-    if shrunk <= 0.0:
-        a_01 = -0.0 if a_01 < 0.0 else 0.0
-    else:
-        total += shrunk
-        total += shrunk
-        a_01 = a_01 - tau if a_01 > 0.0 else a_01 + tau
-    shrunk = abs(a_11) - tau
-    if shrunk <= 0.0:
-        a_11 = -0.0 if a_11 < 0.0 else 0.0
-    else:
-        total += shrunk
-        a_11 = a_11 - tau if a_11 > 0.0 else a_11 + tau
-    return (a_00, a_01, a_11), total, None
-
-
-def _prox_fro_triple(a, tau, spectrum=None):
+def _prox_fro_triple(a, tau):
     # Each norm is _fro's sum of squares with += in index order.  A square
     # is never -0.0, so the sum needs no 0.0 to start from.  A zero triple
     # gets the zeros of ``_prox_fro``.  The shrunk norm, total - tau >=
     # 2^-53 total > 2^-353, has a normal largest square: it needs no test.
     if tau == 0.0:
-        return a, _norm(_triple_array(a), NormKind.FROBENIUS), spectrum
+        return a, _norm(_triple_array(a), NormKind.FROBENIUS)
     a_00, a_01, a_11 = a
     square = a_01 * a_01
     total = math.sqrt(a_00 * a_00 + square + square + a_11 * a_11)
     if not _SAFE_MIN <= total <= _SAFE_MAX and (a_00 or a_01 or a_11):
-        return (*_rescaled(_prox_fro_triple, a, tau), None)
+        return _rescaled(_prox_fro_triple, a, tau)
     if total <= tau:
-        return (0.0, 0.0, 0.0), 0.0, None
+        return (0.0, 0.0, 0.0), 0.0
     factor = 1.0 - tau / total
     a = (a_00 * factor, a_01 * factor, a_11 * factor)
     a_00, a_01, a_11 = a
     square = a_01 * a_01
-    return a, math.sqrt(a_00 * a_00 + square + square + a_11 * a_11), None
-
-
-def _prox_trace_triple(a, tau, spectrum=None):
-    """The trace prox of the float set.
-
-    Decomposes only when no spectrum is given, by ``_spectrum_floats``, and
-    rebuilds A = (P + P^T) / 2 with P = (V * thresholded) V^T from the
-    thresholded spectrum, so a finite trace prox makes no NumPy call.
-    """
-    if tau == 0.0:
-        return a, _norm(_triple_array(a), NormKind.TRACE), spectrum
-    x_0, x_1, v_00, v_01, v_10, v_11 = _spectrum_floats(a) if spectrum is None else spectrum
-    total = 0.0
-    shrunk = abs(x_0) - tau
-    if shrunk <= 0.0:
-        x_0 = -0.0 if x_0 < 0.0 else 0.0
-    else:
-        total += shrunk
-        x_0 = x_0 - tau if x_0 > 0.0 else x_0 + tau
-    shrunk = abs(x_1) - tau
-    if shrunk <= 0.0:
-        x_1 = -0.0 if x_1 < 0.0 else 0.0
-    else:
-        total += shrunk
-        x_1 = x_1 - tau if x_1 > 0.0 else x_1 + tau
-    w_00 = v_00 * x_0
-    w_01 = v_01 * x_1
-    w_10 = v_10 * x_0
-    w_11 = v_11 * x_1
-    p_00 = 0.0 + w_00 * v_00 + w_01 * v_01
-    p_01 = 0.0 + w_00 * v_10 + w_01 * v_11
-    p_10 = 0.0 + w_10 * v_00 + w_11 * v_01
-    p_11 = 0.0 + w_10 * v_10 + w_11 * v_11
-    a = ((p_00 + p_00) / 2.0, (p_01 + p_10) / 2.0, (p_11 + p_11) / 2.0)
-    return a, total, (x_0, x_1, v_00, v_01, v_10, v_11)
+    return a, math.sqrt(a_00 * a_00 + square + square + a_11 * a_11)
 
 
 def _spectrum_floats(triple):
@@ -534,7 +462,7 @@ def _prox_mixed21(b, tau, spectrum=None):
     free in this parametrization and Newton may stall; ``_dual_mixed21``
     then takes over from the last H.
 
-    A 2x2 B goes to the float set's kernel ``_prox_mixed21_triple``, which
+    A 2x2 B goes to the triple kernel ``_prox_mixed21_triple``, which
     solves a dead row in closed form and otherwise runs the Newton phase
     written out, so every d = 2 mixed21 prox is the same.  Up to
     d = ``_MIXED21_FLOAT_MAX_D`` (5) the Newton phase runs on Python floats
@@ -556,7 +484,7 @@ def _prox_mixed21(b, tau, spectrum=None):
         return b.copy(), _norm(b, NormKind.MIXED21), spectrum
     if b.shape[0] == 2:
         (b_00, b_01), (_, b_11) = b.tolist()
-        a, total, _ = _prox_mixed21_triple((b_00, b_01, b_11), tau)
+        a, total = _prox_mixed21_triple((b_00, b_01, b_11), tau)
         return _triple_array(a), total, None
     if b.shape[0] <= _MIXED21_FLOAT_MAX_D:
         rows, total = _newton_mixed21_floats(b.tolist(), tau)
@@ -954,9 +882,9 @@ def _newton_mixed21_source(d):
     return "\n".join(lines).replace("STATE", state) + "\n"
 
 
-def _prox_mixed21_triple(a, tau, spectrum=None):
-    """The mixed21 prox of every 2x2 matrix: the float set's kernel, which
-    ``_prox_mixed21`` also runs at d = 2.
+def _prox_mixed21_triple(a, tau):
+    """The mixed21 prox of every 2x2 matrix, on the triple: stage one's float
+    loop calls it, and ``_prox_mixed21`` runs it at d = 2.
 
     Inside the safe range it first solves by cases.  Row i, with partner
     j, is dead at the minimizer whenever ||(b_ii, 2 b_ij)||, the row of H
@@ -989,7 +917,7 @@ def _prox_mixed21_triple(a, tau, spectrum=None):
     safe range solve this kernel's problem rescaled.
     """
     if tau == 0.0:
-        return a, _norm(_triple_array(a), NormKind.MIXED21), spectrum
+        return a, _norm(_triple_array(a), NormKind.MIXED21)
     sqrt = math.sqrt
     b_00, b_01, b_11 = a
     sq_00 = b_00 * b_00
@@ -999,7 +927,7 @@ def _prox_mixed21_triple(a, tau, spectrum=None):
     r_1 = sqrt(sq_01 + sq_11)
     scale = r_0 + r_1
     if not (_SAFE_MIN <= (r_0 if r_0 > r_1 else r_1) and scale <= _SAFE_MAX):
-        return (*_rescaled(_prox_mixed21_triple, a, tau), None)
+        return _rescaled(_prox_mixed21_triple, a, tau)
     t_01 = b_01 + b_01
     # A dead row: the partner's diagonal entry soft-thresholded, and
     # zeros with the signs of B's entries.  r_i rounds to at most the
@@ -1007,15 +935,15 @@ def _prox_mixed21_triple(a, tau, spectrum=None):
     if r_0 <= tau and sqrt(sq_00 + t_01 * t_01) <= tau:
         total = abs(b_11) - tau
         if total <= 0.0:
-            return (b_00 * 0.0, b_01 * 0.0, b_11 * 0.0), 0.0, None
+            return (b_00 * 0.0, b_01 * 0.0, b_11 * 0.0), 0.0
         a_11 = b_11 - tau if b_11 > 0.0 else b_11 + tau
-        return (b_00 * 0.0, b_01 * 0.0, a_11), total, None
+        return (b_00 * 0.0, b_01 * 0.0, a_11), total
     if r_1 <= tau and sqrt(t_01 * t_01 + sq_11) <= tau:
         total = abs(b_00) - tau
         if total <= 0.0:
-            return (b_00 * 0.0, b_01 * 0.0, b_11 * 0.0), 0.0, None
+            return (b_00 * 0.0, b_01 * 0.0, b_11 * 0.0), 0.0
         a_00 = b_00 - tau if b_00 > 0.0 else b_00 + tau
-        return (a_00, b_01 * 0.0, b_11 * 0.0), total, None
+        return (a_00, b_01 * 0.0, b_11 * 0.0), total
     t_00 = b_00 + b_00
     t_11 = b_11 + b_11
     # h_ii * t_ii, the numerator of C_ii, with h_ii = b_ii (see above).
@@ -1062,7 +990,7 @@ def _prox_mixed21_triple(a, tau, spectrum=None):
                 t_00 * (s_0 * s_0 / (p_00 if p_00 > 0.0 else 1.0)),
                 t_01 * (s_0 * s_1 / p_01),
                 t_11 * (s_1 * s_1 / (p_11 if p_11 > 0.0 else 1.0)),
-            ), total, None
+            ), total
         # The Newton system [M | e] over the live rows, with
         # C_ij = h_ij 2 b_ij / p_ij^2.
         live_0 = target_0 > 0.0
@@ -1111,7 +1039,7 @@ def _prox_mixed21_triple(a, tau, spectrum=None):
     # No certificate: the dual phase takes over from the last H.
     a, total = _dual_mixed21(_triple_array(a), tau, np.array([[b_00, x_01], [x_10, b_11]]), scale)
     (a_00, a_01), (_, a_11) = a.tolist()
-    return (a_00, a_01, a_11), total, None
+    return (a_00, a_01, a_11), total
 
 
 def _solve_floats(system):
@@ -1197,16 +1125,11 @@ def _eigh(a):
     return eigenvalues, vectors
 
 
-# The prox kernels by kind: ``prox`` and stage one look theirs up once.
+# The prox kernels by kind: ``prox`` and stage one's array loop look theirs
+# up once.
 _PROX = {
     NormKind.L1: _prox_l1,
     NormKind.FROBENIUS: _prox_fro,
     NormKind.MIXED21: _prox_mixed21,
     NormKind.TRACE: _prox_trace,
-}
-_PROX_FLOATS = {
-    NormKind.L1: _prox_l1_triple,
-    NormKind.FROBENIUS: _prox_fro_triple,
-    NormKind.MIXED21: _prox_mixed21_triple,
-    NormKind.TRACE: _prox_trace_triple,
 }

@@ -22,8 +22,8 @@ from .data import (
 )
 from .errors import NumericalError
 from .norms import (
-    _NORM_KIND, _PROX, _PROX_FLOATS, _SAFE_MAX, _SAFE_MIN, NormKind, _norm_kind,
-    _spectrum_floats, _triple_array, norm, require_symmetric,
+    _NORM_KIND, _PROX, _SAFE_MAX, _SAFE_MIN, NormKind, _norm, _norm_kind, _prox_fro_triple,
+    _prox_mixed21_triple, _spectrum_floats, _triple_array, norm, require_symmetric,
 )
 
 # Stage one calls the unchecked kernels; the public prox stays bound here
@@ -314,13 +314,14 @@ def _train_floats(scaled, w, config):
     locals (a_00, a_01, a_11).
 
     Every iterate is exactly symmetric, so the three entries hold all of
-    it; the loop builds the triple only to record a new best iterate and to
-    call a prox kernel.  The arithmetic is the array loop's with every sum
-    accumulated with += in index order (the built-in sum compensates from
-    Python 3.12 on, which would tie the bits to the interpreter).  A sum
-    that can put a signed zero into A starts from 0.0, which puts -0.0
-    where the array loop puts it: the step's sums over the active rows.
-    Each entry is named, and the only loops run over the examples.
+    it; the loop builds the triple only to record a new best iterate, to
+    take a norm at tau = 0 and to call a prox kernel.  The arithmetic is
+    the array loop's with every sum accumulated with += in index order (the
+    built-in sum compensates from Python 3.12 on, which would tie the bits
+    to the interpreter).  A sum that can put a signed zero into A starts
+    from 0.0, which puts -0.0 where the array loop puts it: the step's sums
+    over the active rows.  Each entry is named, and the only loops run over
+    the examples.
 
     The hinge pass forms, with the summed positive slack, the sums u_0 and
     u_1 of the scaled rows whose slack is positive, from 0.0 in index
@@ -336,13 +337,15 @@ def _train_floats(scaled, w, config):
     nothing: the pass skips it.  At or above the bound, or for a NaN image,
     ``_hinge_floats`` adds it, as it does for the zero start.
 
-    The l1, fro and trace proxes run inline with the operations of
-    ``norms._prox_l1_triple``, ``_prox_fro_triple`` and
-    ``_prox_trace_triple`` in their order; trace keeps its spectrum as six
-    locals and decomposes, by ``norms._spectrum_floats``, only after a
-    non-zero step.  Everything else calls the kind's kernel in
-    ``norms._PROX_FLOATS``: tau = 0, fro out of the safe range (the kernel
-    solves it rescaled) and every mixed21 prox.
+    At tau = 0 the prox is A itself, of norm ``norms._norm`` of its array.
+    Otherwise the l1, fro and trace proxes run inline, and are stated only
+    here: l1 soft-thresholds the entries, fro shrinks A by
+    1 - tau / ||A||_F, and trace soft-thresholds the eigenvalues and
+    rebuilds A = (P + P^T) / 2 with P = (V * thresholded) V^T.  Trace keeps
+    its spectrum as six locals and decomposes, by
+    ``norms._spectrum_floats``, only after a non-zero step.  Where fro's
+    norm leaves the safe range, ``norms._prox_fro_triple`` solves the prox
+    rescaled, and every mixed21 prox is ``norms._prox_mixed21_triple``.
     """
     rows = scaled.tolist()
     w_0, w_1 = w.tolist()
@@ -351,7 +354,6 @@ def _train_floats(scaled, w, config):
     largest = max(abs(r_0) + abs(r_1) for r_0, r_1 in rows)
     bound = 2.0 ** 1000 / largest if largest else math.inf
     kind = config.norm_kind
-    prox_kernel = _PROX_FLOATS[kind]
     l1 = kind is NormKind.L1
     fro = kind is NormKind.FROBENIUS
     trace = kind is NormKind.TRACE
@@ -380,9 +382,15 @@ def _train_floats(scaled, w, config):
                 a_11 = a_11 - (u_1 * w_1 + u_1 * w_1) * factor
                 decompose = True
             tau = eta * lam
-            if l1 and tau:
-                # sign(x) max(|x| - tau, 0) entry by entry; the off-diagonal
-                # entry adds its term to the norm twice.
+            if not tau:
+                # A itself, and trace keeps its spectrum.
+                a_norm = _norm(_triple_array((a_00, a_01, a_11)), kind)
+            elif l1:
+                # sign(x) max(|x| - tau, 0) entry by entry, which makes a
+                # negative entry that shrinks to zero -0.0 and is x - tau or
+                # x + tau exactly, as ``norms._prox_l1`` rounds; a NaN takes
+                # the else branch and propagates.  The off-diagonal entry
+                # adds its term to the norm twice.
                 a_norm = 0.0
                 shrunk = abs(a_00) - tau
                 if shrunk <= 0.0:
@@ -403,11 +411,14 @@ def _train_floats(scaled, w, config):
                 else:
                     a_norm += shrunk
                     a_11 = a_11 - tau if a_11 > 0.0 else a_11 + tau
-            elif fro and tau:
+            elif fro:
+                # The norm is ``norms._fro``'s sum of squares, in index
+                # order; the kernel solves a norm out of the safe range
+                # rescaled.
                 square = a_01 * a_01
                 total = sqrt(a_00 * a_00 + square + square + a_11 * a_11)
                 if not _SAFE_MIN <= total <= _SAFE_MAX and (a_00 or a_01 or a_11):
-                    (a_00, a_01, a_11), a_norm, _ = prox_kernel((a_00, a_01, a_11), tau)
+                    (a_00, a_01, a_11), a_norm = _prox_fro_triple((a_00, a_01, a_11), tau)
                 elif total <= tau:
                     a_00 = a_01 = a_11 = a_norm = 0.0
                 else:
@@ -417,23 +428,25 @@ def _train_floats(scaled, w, config):
                     a_11 = a_11 * factor
                     square = a_01 * a_01
                     a_norm = sqrt(a_00 * a_00 + square + square + a_11 * a_11)
-            elif trace and tau:
+            elif trace:
                 # The spectrum (x_0, x_1, v_00, v_01, v_10, v_11) is the
                 # thresholded eigenvalues and the eigenvector rows; a zero
-                # step thresholds the one the last prox kept.
+                # step thresholds the one the last prox kept.  An eigenvalue
+                # that shrinks to zero is +0.0: each p_ij starts from 0.0,
+                # so no sign of a zero reaches A.
                 if decompose:
                     x_0, x_1, v_00, v_01, v_10, v_11 = _spectrum_floats((a_00, a_01, a_11))
                     decompose = False
                 a_norm = 0.0
                 shrunk = abs(x_0) - tau
                 if shrunk <= 0.0:
-                    x_0 = -0.0 if x_0 < 0.0 else 0.0
+                    x_0 = 0.0
                 else:
                     a_norm += shrunk
                     x_0 = x_0 - tau if x_0 > 0.0 else x_0 + tau
                 shrunk = abs(x_1) - tau
                 if shrunk <= 0.0:
-                    x_1 = -0.0 if x_1 < 0.0 else 0.0
+                    x_1 = 0.0
                 else:
                     a_norm += shrunk
                     x_1 = x_1 - tau if x_1 > 0.0 else x_1 + tau
@@ -449,9 +462,7 @@ def _train_floats(scaled, w, config):
                 a_01 = (p_01 + p_10) / 2.0
                 a_11 = (p_11 + p_11) / 2.0
             else:
-                # At tau = 0 the kernel returns A itself, and trace keeps
-                # its spectrum.
-                (a_00, a_01, a_11), a_norm, _ = prox_kernel((a_00, a_01, a_11), tau)
+                (a_00, a_01, a_11), a_norm = _prox_mixed21_triple((a_00, a_01, a_11), tau)
             image_0 = a_00 * w_0 + a_01 * w_1
             image_1 = a_01 * w_0 + a_11 * w_1
             if abs(image_0) + abs(image_1) < bound:

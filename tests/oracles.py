@@ -635,7 +635,7 @@ def reference_prox_floats(rows, tau, kind, spectrum=None):
     ``_reference_prox_mixed21`` on the array of the rows.
     """
     d = len(rows)
-    assert d == 2, "the float kernel set is 2x2"
+    assert d == 2, "the float loop is 2x2"
     rng = range(d)
     if tau == 0.0:
         return rows, _reference_norm(np.array(rows), kind), spectrum
@@ -742,12 +742,12 @@ def reference_train_similarity(
     previous prox returned instead of decomposing again.  Returns (matrix,
     objective, iterations run).
 
-    With floats set (d = 2, the float kernel set's shape), A is a list of
-    rows of Python floats, not the kernel set's triple: the products are
+    With floats set (d = 2, the float loop's shape), A is a list of rows
+    of Python floats, not the float loop's triple: the products are
     dot products summed with += in index order, the hinge sum adds each
     slack times its 0/1 mask in index order, and the prox is
     ``reference_prox_floats``.  Otherwise A is an array, and the prox is
-    ``reference_prox`` (``reference_trace_prox`` for trace).
+    ``reference_prox`` (``reference_trace_prox`` for trace at tau > 0).
 
     With proxes a list, each iteration appends (stepped, b, tau, reused, a):
     whether it took a subgradient step, the prox input and threshold,
@@ -791,8 +791,10 @@ def reference_train_similarity(
             return a - (eta / (-2.0 * m)) * (outer + outer.T)
 
         def prox(a, tau, spectrum):
-            if kind != "trace":
-                return (*reference_prox(a, tau, kind), None)
+            # At tau = 0 the prox is a copy of A, and trace keeps the
+            # spectrum it was given, as in reference_prox_floats.
+            if kind != "trace" or tau == 0.0:
+                return (*reference_prox(a, tau, kind), spectrum)
             return reference_trace_prox(np.linalg.eigh(a) if spectrum is None else spectrum, tau)
 
         a = np.zeros((d, d))

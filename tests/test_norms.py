@@ -24,7 +24,7 @@ from simbound import (
     train_similarity,
 )
 import simbound.norms as norms
-from simbound.norms import _PROX, _PROX_FLOATS, MIXED21_GAP_RTOL
+from simbound.norms import _PROX, MIXED21_GAP_RTOL
 from conftest import symmetric_part
 import oracles
 from oracles import (
@@ -218,30 +218,29 @@ def _signed_zero_inputs(rng):
 
 
 def _triple(rows):
-    """The float set's triple (a_00, a_01, a_11) of a symmetric 2x2 matrix."""
+    """The triple (a_00, a_01, a_11) of a symmetric 2x2 matrix."""
     (a_00, a_01), (_, a_11) = np.asarray(rows, dtype=float).tolist()
     return a_00, a_01, a_11
 
 
 def _rows(a):
-    """The rows of the float set's triple a."""
+    """The rows of the triple a."""
     a_00, a_01, a_11 = a
     return [[a_00, a_01], [a_01, a_11]]
 
 
-def _flat_spectrum(spectrum):
-    """A (eigenvalues, eigenvector rows) pair as the float set's flat floats."""
-    eigenvalues, vectors = spectrum
-    return (*eigenvalues, *vectors[0], *vectors[1])
+def _triple_kernel(kind):
+    """The 2x2 kernel on the triple of fro or mixed21, or None: stage one's
+    float loop states the l1 and trace proxes inline."""
+    return {"fro": norms._prox_fro_triple, "mixed21": norms._prox_mixed21_triple}.get(kind)
 
 
 def test_prox_matches_reference_bits(rng):
     # assert_array_equal takes -0.0 and +0.0 as equal; signbit does not.
     # Thresholds hit an entry exactly, shrink every entry to zero, and skip
-    # the prox (tau = 0).  Both kernel sets: the float kernels at d = 2,
-    # where stage one runs them, trace also from a given spectrum.  The
-    # reference takes and returns rows, so the triple's off-diagonal entry
-    # stands for both of its entries.
+    # the prox (tau = 0).  The array kernels, and at d = 2 the fro and
+    # mixed21 kernels on the triple.  The reference takes and returns rows,
+    # so the triple's off-diagonal entry stands for both of its entries.
     for b in _signed_zero_inputs(rng):
         for tau in (0.0, 0.1, 0.5, abs(float(b[0, -1])), 10.0):
             for kind in ALL_KINDS:
@@ -249,24 +248,14 @@ def test_prox_matches_reference_bits(rng):
                 expected, expected_norm = reference_prox(b, tau, kind)
                 _assert_same_bits(out, expected)
                 assert out_norm == expected_norm and type(out_norm) is float, kind
-                if b.shape[0] != 2:
+                kernel = _triple_kernel(kind)
+                if b.shape[0] != 2 or kernel is None:
                     continue
-                a, a_norm, spectrum = _PROX_FLOATS[NormKind(kind)](_triple(b), tau)
-                expected, expected_norm, expected_spectrum = reference_prox_floats(
-                    b.tolist(), tau, kind
-                )
+                a, a_norm = kernel(_triple(b), tau)
+                expected, expected_norm, _ = reference_prox_floats(b.tolist(), tau, kind)
                 assert type(a) is tuple
                 _assert_same_bits(_rows(a), expected)
                 assert a_norm == expected_norm and type(a_norm) is float, kind
-                if spectrum is None:
-                    continue
-                _assert_same_bits(spectrum, _flat_spectrum(expected_spectrum))
-                again, again_norm, _ = _PROX_FLOATS[NormKind.TRACE](a, 0.05, spectrum)
-                expected, expected_norm, _ = reference_prox_floats(
-                    expected, 0.05, kind, expected_spectrum
-                )
-                _assert_same_bits(_rows(again), expected)
-                assert again_norm == expected_norm
 
 
 def _assert_same_bits(out, expected):
@@ -302,7 +291,7 @@ def _spectrum_inputs(rng):
 
 
 def _split_spectrum(spectrum):
-    """The float set's flat spectrum as (eigenvalues, eigenvector rows)."""
+    """``_spectrum_floats``' flat spectrum as (eigenvalues, eigenvector rows)."""
     x_0, x_1, v_00, v_01, v_10, v_11 = spectrum
     return [x_0, x_1], [[v_00, v_01], [v_10, v_11]]
 
@@ -365,10 +354,11 @@ def _hex(x):
 
 # 2x2 trace proxes whose bits are literals: a rotation whose pairs swap and
 # whose small eigenvalue shrinks to -0.0; a = c (zeta = 0); a rotation in
-# order.  The kernel uses + - * / and math.sqrt, all correctly rounded, so
-# these bits hold on every interpreter (the built-in sum or math.hypot
-# would not promise that).  Each case: rows, tau, the eigenvalues and
-# eigenvector rows, the prox rows, its norm and the thresholded eigenvalues.
+# order.  ``_spectrum_floats`` and the reference's float prox use
+# + - * / and math.sqrt, all correctly rounded, so these bits hold on every
+# interpreter (the built-in sum or math.hypot would not promise that).
+# Each case: rows, tau, the eigenvalues and eigenvector rows, the prox
+# rows, its norm and the thresholded eigenvalues.
 _TRACE_GOLDEN = [
     (
         [[0.75, -0.3], [-0.3, 0.1]], 0.2,
@@ -416,24 +406,25 @@ _TRACE_GOLDEN = [
 
 
 def test_trace_prox_d2_golden_bits(monkeypatch):
-    # The float set's kernel takes the triple and keeps the spectrum as
-    # flat floats; the literals are its rows and its (eigenvalues,
-    # eigenvector rows).
+    # ``_spectrum_floats`` takes the triple and returns the spectrum as
+    # flat floats; the literals are its (eigenvalues, eigenvector rows).
+    # The prox is the reference's on floats, which stage one's float loop
+    # matches bit for bit (test_similarity holds the fits to it).
     monkeypatch.setattr(norms, "_eigh", _no_eigh)
     for rows, tau, eigenvalues, vectors, prox_rows, prox_norm, thresholded in _TRACE_GOLDEN:
         spectrum = norms._spectrum_floats(_triple(rows))
         assert _hex(_split_spectrum(spectrum)) == (eigenvalues, vectors)
-        a, total, spectrum = _PROX_FLOATS[NormKind.TRACE](_triple(rows), tau)
-        assert _hex(_rows(a)) == prox_rows
+        a, total, spectrum = reference_prox_floats(rows, tau, "trace")
+        assert _hex(a) == prox_rows
         assert total.hex() == prox_norm
-        assert _hex(_split_spectrum(spectrum)) == (thresholded, vectors)
+        assert _hex(spectrum) == (thresholded, vectors)
 
 
 # 2x2 l1 proxes whose bits are literals: a negative diagonal entry that
 # shrinks to -0.0, with the off-diagonal entry's shrunk magnitude counted
 # twice in the norm; a negative off-diagonal entry that shrinks to -0.0;
-# and tau = 0, where the kernel returns its input and ``_norm`` of its
-# array.  Each case: the triple, tau, the prox triple and its norm.
+# and tau = 0, where the prox is its input, of norm ``_norm`` of its array.
+# Each case: the triple, tau, the prox triple and its norm.
 _L1_GOLDEN = [
     (
         (-0.05, 0.3, 1.25), 0.1,
@@ -482,14 +473,19 @@ _FRO_GOLDEN = [
 
 @pytest.mark.parametrize("kind, golden", [("l1", _L1_GOLDEN), ("fro", _FRO_GOLDEN)])
 def test_entrywise_prox_d2_golden_bits(kind, golden):
-    # The float set's l1 and fro kernels use + - * / and math.sqrt only, so
-    # these bits hold on every interpreter.  At tau = 0 each returns its
-    # input itself.
-    kernel = _PROX_FLOATS[NormKind(kind)]
+    # fro's kernel on the triple and the reference's l1 prox on floats,
+    # which stage one's float loop matches bit for bit, use + - * / and
+    # math.sqrt only, so these bits hold on every interpreter.  At tau = 0
+    # each returns its input itself.
     for a, tau, prox_triple, prox_norm in golden:
-        out, total, spectrum = kernel(a, tau)
-        assert type(out) is tuple and _hex(out) == tuple(prox_triple) and spectrum is None
-        assert (out is a) == (tau == 0.0)
+        if kind == "fro":
+            out, total = norms._prox_fro_triple(a, tau)
+            assert type(out) is tuple and (out is a) == (tau == 0.0)
+        else:
+            rows, total, spectrum = reference_prox_floats(_rows(a), tau, kind)
+            assert spectrum is None
+            out = _triple(rows)
+        assert _hex(out) == tuple(prox_triple)
         if tau == 0.0:
             assert total == norms._norm(norms._triple_array(a), NormKind(kind))
         assert type(total) is float and total.hex() == prox_norm
@@ -607,10 +603,10 @@ def test_mixed21_prox_d2_golden_bits(monkeypatch):
 
     monkeypatch.setattr(norms, "_solve_floats", recorded)
     monkeypatch.setattr(norms, "_dual_mixed21", recorded_dual)
-    kernel = _PROX_FLOATS[NormKind.MIXED21]
+    kernel = norms._prox_mixed21_triple
     for rows, steps, unknowns, prox_rows, prox_norm, newton in _MIXED21_GOLDEN:
-        a, total, spectrum = kernel(_triple(rows), 0.5)
-        assert (_hex(_rows(a)), total.hex(), spectrum) == (prox_rows, prox_norm, None)
+        a, total = kernel(_triple(rows), 0.5)
+        assert (_hex(_rows(a)), total.hex()) == (prox_rows, prox_norm)
         assert systems == []
         loops = newton or (prox_rows, prox_norm)
         assert _hex(norms._newton_mixed21_floats(rows, 0.5)) == loops
@@ -618,7 +614,7 @@ def test_mixed21_prox_d2_golden_bits(monkeypatch):
         systems.clear()
         with monkeypatch.context() as patch:
             patch.setattr(norms, "_MIXED21_NEWTON_STEPS", steps + 1)
-            assert _hex(kernel(_triple(rows), 0.5)[:2]) == _hex((a, total))
+            assert _hex(kernel(_triple(rows), 0.5)) == _hex((a, total))
             assert _hex(norms._newton_mixed21_floats(rows, 0.5)) == loops
             assert handed == []
             systems.clear()
@@ -630,7 +626,7 @@ def test_mixed21_prox_d2_golden_bits(monkeypatch):
             capped_loops = norms._newton_mixed21_floats(rows, 0.5)
         assert systems == first
         if newton:
-            assert _hex(capped[:2]) == _hex((a, total)) and from_kernel == []
+            assert _hex(capped) == _hex((a, total)) and from_kernel == []
         else:
             assert len(from_kernel) == 1 and from_kernel == handed
             assert _hex((_rows(capped[0]), capped[1])) == _hex(capped_loops)
@@ -639,13 +635,13 @@ def test_mixed21_prox_d2_golden_bits(monkeypatch):
 
 
 def test_mixed21_newton_phase_chosen_by_dimension(monkeypatch):
-    # d = 2 runs the float set's kernel, d = 3 to 5 the float loops and
+    # d = 2 runs the kernel on the triple, d = 3 to 5 the float loops and
     # d = 6 the array phase.
     chosen = []
     for name in ("_prox_mixed21_triple", "_newton_mixed21_floats", "_newton_mixed21_arrays"):
-        def recorded(b, tau, spectrum=None, name=name):
+        def recorded(b, tau, name=name):
             chosen.append(name)
-            return (b, 0.0, None) if name == "_prox_mixed21_triple" else (b, 0.0)
+            return b, 0.0
 
         monkeypatch.setattr(norms, name, recorded)
     for d in (2, 3, 4, 5, 6):
@@ -693,12 +689,12 @@ def test_mixed21_d2_closed_form_stays_in_certificate(rng):
     # phase, which takes no closed form.  At 2^+-380, which it solves
     # rescaled, the kernel's prox and norm, scaled back, are its bits at
     # scale 1.
-    kernel = _PROX_FLOATS[NormKind.MIXED21]
+    kernel = norms._prox_mixed21_triple
     closed = 0
     cases = _dead_row_inputs(rng)
     for triple, tau in cases:
         b = np.array(_rows(triple))
-        a, a_norm, _ = kernel(triple, tau)
+        a, a_norm = kernel(triple, tau)
         out = np.array(_rows(a))
         expected, expected_norm = _reference_prox_mixed21(b, tau)
         _assert_same_bits(out, expected)
@@ -709,7 +705,7 @@ def test_mixed21_d2_closed_form_stays_in_certificate(rng):
         bound = _mixed21_distance_bound(out, b, tau) + _mixed21_distance_bound(newton, b, tau)
         assert np.linalg.norm(out - newton) <= bound, (triple, tau)
         for k in (-380, 380):
-            scaled, scaled_norm, _ = kernel(
+            scaled, scaled_norm = kernel(
                 tuple(math.ldexp(x, k) for x in triple), math.ldexp(tau, k)
             )
             assert np.ldexp(_rows(scaled), -k).tobytes() == out.tobytes(), (triple, tau, k)
@@ -736,13 +732,13 @@ def test_mixed21_d2_dead_row_runs_no_newton(monkeypatch):
     for name in ("_newton_mixed21_floats", "_solve_floats", "_dual_mixed21"):
         monkeypatch.setattr(norms, name, refuse)
     monkeypatch.setattr(norms, "_MIXED21_NEWTON_STEPS", _RefusedSteps())
-    kernel = _PROX_FLOATS[NormKind.MIXED21]
+    kernel = norms._prox_mixed21_triple
     dead = [
         (_MIXED21_GOLDEN[0][0], 0.5), (_MIXED21_GOLDEN[2][0], 0.5),
         ([[-2.0, 0.1], [0.1, 0.2]], 0.5), ([[0.3, -0.0], [-0.0, 0.1]], 0.5),
     ]
     for rows, tau in dead:
-        a, a_norm, _ = kernel(_triple(rows), tau)
+        a, _ = kernel(_triple(rows), tau)
         assert prox(np.array(rows), tau, "mixed21").tobytes() == np.array(_rows(a)).tobytes()
     for rows, tau in ((_ONE_STEP_ROWS, 0.5), (_reviving(2).tolist(), 0.5)):
         with pytest.raises(AssertionError, match="the Newton phase ran"):
@@ -752,12 +748,12 @@ def test_mixed21_d2_dead_row_runs_no_newton(monkeypatch):
 
 
 def test_mixed21_d2_prox_is_the_float_kernel(rng):
-    # prox, and the array set, at d = 2 return the float set's kernel
+    # prox, and the array kernel, at d = 2 return the triple kernel's
     # output bit for bit, and a closed form's norm is norm(A) exactly.
-    kernel = _PROX_FLOATS[NormKind.MIXED21]
+    kernel = norms._prox_mixed21_triple
     for triple, tau in _dead_row_inputs(rng):
         b = np.array(_rows(triple))
-        a, a_norm, _ = kernel(triple, tau)
+        a, a_norm = kernel(triple, tau)
         expected = np.array(_rows(a))
         out = prox(b, tau, "mixed21")
         _assert_same_bits(out, expected)
@@ -1214,13 +1210,10 @@ def test_prox_leaves_input_bits(rng):
         triple = _triple(b) if b.shape[0] == 2 else None
         for tau in (0.0, 0.1, 0.5, 10.0):
             for kind in ALL_KINDS:
-                if triple is not None:
-                    _, _, spectrum = _PROX_FLOATS[NormKind(kind)](triple, tau)
+                kernel = _triple_kernel(kind)
+                if triple is not None and kernel is not None:
+                    kernel(triple, tau)
                     assert np.array(_rows(triple)).tobytes() == before, kind
-                    if spectrum is not None:
-                        saved = np.array(spectrum).tobytes()
-                        _PROX_FLOATS[NormKind.TRACE](triple, 0.05, spectrum)
-                        assert np.array(spectrum).tobytes() == saved
                 out, _, spectrum = _PROX[NormKind(kind)](b, tau)
                 assert b.tobytes() == before, kind
                 assert (spectrum is not None) == (kind == "trace" and tau > 0.0)
@@ -1271,11 +1264,12 @@ def test_norm_and_prox_at_extreme_scales(kind):
             assert scaled == dual_norm_rank1(v, x, kind)
     # The Frobenius norm of 1.7e308 I is beyond the float range.  Its prox
     # used to come back unshrunk, its shrink factor reading that norm as
-    # inf; both kernel sets shrink it now, and its norm comes back inf.
+    # inf; the array and triple kernels shrink it now, and its norm comes
+    # back inf.
     shrink = 1.7e308 - 1e306 / math.sqrt(2.0)
     with np.errstate(over="ignore"):
         out, out_norm, _ = _PROX[NormKind.FROBENIUS](1.7e308 * np.eye(2), 1e306)
-        a, a_norm, _ = _PROX_FLOATS[NormKind.FROBENIUS]((1.7e308, 0.0, 1.7e308), 1e306)
+        a, a_norm = norms._prox_fro_triple((1.7e308, 0.0, 1.7e308), 1e306)
     np.testing.assert_allclose(out, shrink * np.eye(2), rtol=1e-15)
     np.testing.assert_array_equal(prox(1.7e308 * np.eye(2), 1e306, "fro"), out)
     np.testing.assert_allclose(_rows(a), shrink * np.eye(2), rtol=1e-15)
@@ -1326,8 +1320,8 @@ def _scaling_checks(rng):
     """(name, inputs, kernel): kernel(*inputs) returns a tuple of floats
     and arrays, each homogeneous of degree 1 in the inputs.
 
-    The prox of every kind on arrays at d = 1 to 8 and on the float set's
-    triple at d = 2, with its norm; norm, dual_norm (on B plus a skew part)
+    The prox of every kind on arrays at d = 1 to 8 and of fro and mixed21
+    on the triple at d = 2, with its norm; norm, dual_norm (on B plus a skew part)
     and dual_norm_rank1 (of B's first and last rows, each scaled alone).
     The inputs are random symmetric B, more of them at d = 2, with signed
     zeros, a dead mixed21 row, a tau above d max|b_ij|, which the rescaled
@@ -1363,16 +1357,17 @@ def _scaling_checks(rng):
                 f"dual_norm_rank1 {kind.value} in x", (b[-1],),
                 lambda x, v=b[0], k=kind: (dual_norm_rank1(v, x, k),),
             ))
-            if b.shape[0] == 2:
+            triple_kernel = _triple_kernel(kind.value)
+            if b.shape[0] == 2 and triple_kernel is not None:
                 checks.append((
-                    f"_PROX_FLOATS {kind.value}", (b, tau),
-                    lambda b, tau, k=kind: _rows_and_norm(_PROX_FLOATS[k](_triple(b), tau)),
+                    f"_prox_{kind.value}_triple", (b, tau),
+                    lambda b, tau, f=triple_kernel: _rows_and_norm(f(_triple(b), tau)),
                 ))
     return checks
 
 
 def _rows_and_norm(out):
-    a, total, _ = out
+    a, total = out
     return np.array(_rows(a)), total
 
 

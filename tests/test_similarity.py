@@ -285,7 +285,7 @@ def test_fit_is_exact_under_powers_of_two(monkeypatch, kind):
     # bit.  At k = +-200 the iterates sit near 2^-+400, out of the norms'
     # safe range, where the fro and mixed21 proxes and the trace prox on
     # arrays solve their problems rescaled: those fits do reach
-    # ``norms._rescaled``; the float set's trace prox needs no LAPACK.  The
+    # ``norms._rescaled``; the float loop's trace prox needs no LAPACK.  The
     # float set fits at d = 2, m = 5, the arrays at d = 5, m = 100.
     rescaled = norms._rescaled
     calls = []
@@ -351,19 +351,22 @@ KERNEL_SETS = {
 
 @pytest.mark.parametrize("kind", ["l1", "fro", "mixed21", "trace"])
 def test_train_json_matches_reference_loop(monkeypatch, kind):
-    # Check-02-shaped fits run the float kernels, and again the array
-    # kernels with the float set switched off.
+    # Check-02-shaped fits run the float loop, and again the array loop
+    # with the float set switched off.  At lambda 5e-324 and step0 1e-10
+    # every threshold eta lambda underflows to 0, so every prox is the
+    # tau = 0 one: A itself and its norm.
     for float_max_md, *_ in KERNEL_SETS.values():
         monkeypatch.setattr(similarity, "_FLOAT_MAX_MD", float_max_md)
         rng = make_rng(530)
         for m in range(1, 7):
-            config = SimilarityConfig(
-                lam=(0.05, 0.2)[m % 2], margin=1.0, norm_kind=kind, max_iters=2000, step0=2.0,
-                rel_tol=0.0,
-            )
             data = _tiny_dataset(rng, m)
             assert similarity._uses_floats(m, 2) == bool(float_max_md)
-            _assert_json_matches_reference(data, config)
+            for lam, step0 in (((0.05, 0.2)[m % 2], 2.0), (5e-324, 1e-10)):
+                config = SimilarityConfig(
+                    lam=lam, margin=1.0, norm_kind=kind, max_iters=2000, step0=step0,
+                    rel_tol=0.0,
+                )
+                _assert_json_matches_reference(data, config)
     monkeypatch.undo()
     # Experiment-shaped fits run the array kernels: fro, mixed21 and trace
     # end on the window stop, l1 runs to the iteration cap.
@@ -461,6 +464,42 @@ def test_fro_models_are_lifts_of_the_label_sum():
             assert residual <= 1e-13 * np.max(np.abs(a)), (data.m, data.d, lam)
 
 
+def _least_l1_lift(u, w):
+    """The least l1 norm of a symmetric 2x2 A with A w = u, for w_0, w_1 != 0.
+
+    A w = u leaves t = a_01 free, with a_00 = (u_0 - t w_1) / w_0 and
+    a_11 = (u_1 - t w_0) / w_1, so |a_00| + 2 |t| + |a_11| is convex and
+    piecewise linear in t, least at one of its kinks t = 0, u_0 / w_1
+    (a_00 = 0) and u_1 / w_0 (a_11 = 0).
+    """
+    (u_0, u_1), (w_0, w_1) = u, w
+    return min(
+        abs(u_0 - t * w_1) / abs(w_0) + 2.0 * abs(t) + abs(u_1 - t * w_0) / abs(w_1)
+        for t in (0.0, u_0 / w_1, u_1 / w_0)
+    )
+
+
+def test_l1_models_are_no_smaller_than_the_least_lift(monkeypatch):
+    # The objective sees A only through u = A w, so no l1 model can have a
+    # norm below the least l1 lift of its own image.  Check-02-shaped fits
+    # of both loops at d = 2, to a relative 1e-12.
+    rng = make_rng(589)
+    for m in range(2, 13):
+        for _ in range(2):
+            data = _tiny_dataset(rng, m)
+            w = data.features.T @ data.labels
+            assert np.all(w != 0.0)
+            for lam in (0.02, 0.05, 0.1, 0.2):
+                config = SimilarityConfig(
+                    lam=lam, margin=1.0, norm_kind="l1", max_iters=2000, step0=2.0, rel_tol=0.0
+                )
+                for float_max_md, *_ in KERNEL_SETS.values():
+                    monkeypatch.setattr(similarity, "_FLOAT_MAX_MD", float_max_md)
+                    a = train_similarity(data, config).matrix
+                    least = _least_l1_lift((a @ w).tolist(), w.tolist())
+                    assert norm(a, "l1") >= least * (1.0 - 1e-12), (m, lam, float_max_md)
+
+
 @pytest.mark.parametrize("kind", ["l1", "fro", "mixed21", "trace"])
 def test_float_fits_match_reference_loop_off_check02(kind):
     # The float fit runs its l1, fro and trace proxes inline, so only whole
@@ -525,15 +564,15 @@ def test_float_trace_fits_call_lapack_only_from_d3(monkeypatch):
 @pytest.mark.parametrize("kind", ["l1", "fro", "mixed21", "trace"])
 def test_float_fits_take_no_array_path(monkeypatch, kind):
     # Check-02-shaped fits run the float set from start to end: the array
-    # kernels, LAPACK and every cold path of the float set's prox kernels
-    # (the rescaled problem, the mixed21 dual phase, the tau = 0 norm)
-    # refuse, and so do the mixed21 Newton loops and the array fro norm, so
-    # a fit that fell back to any of them would fail here, not only run
-    # slower.
+    # kernels, LAPACK and every cold path of the float loop's proxes (the
+    # rescaled problem, the mixed21 dual phase, the tau = 0 norm) refuse,
+    # and so do the mixed21 Newton loops and the array fro norm, so a fit
+    # that fell back to any of them would fail here, not only run slower.
     def refuse(*args):
-        raise AssertionError("a d = 2 float fit left the float kernels")
+        raise AssertionError("a d = 2 float fit left the float loop")
 
-    monkeypatch.setattr(similarity, "_array_kernels", refuse)
+    for name in ("_array_kernels", "_norm"):
+        monkeypatch.setattr(similarity, name, refuse)
     for name in ("_eigh", "_rescaled", "_dual_mixed21", "_newton_mixed21_floats", "_fro", "_norm"):
         monkeypatch.setattr(norms, name, refuse)
     rng = make_rng(542)
@@ -731,11 +770,9 @@ def _watch_prox(monkeypatch):
 
 def test_prox_tables_hold_every_kind():
     # The public prox and the array fit look their kernel up by kind in the
-    # array table, and the float fit its kernel for the cold paths and
-    # mixed21 in the float table.
-    for table in (norms._PROX, norms._PROX_FLOATS):
-        assert list(table) == list(NormKind)
-        assert len(set(table.values())) == len(NormKind)
+    # one prox table.
+    assert list(norms._PROX) == list(NormKind)
+    assert len(set(norms._PROX.values())) == len(NormKind)
 
 
 def test_train_json_matches_reference_loop_mixed21_dual_fallback(monkeypatch):
@@ -815,20 +852,20 @@ def test_train_zero_step_skips_subgradient(monkeypatch, kind):
     decomposed = []
     mixed21_inputs = []
     spectrum_floats = similarity._spectrum_floats
-    mixed21_kernel = norms._PROX_FLOATS[NormKind.MIXED21]
+    mixed21_kernel = similarity._prox_mixed21_triple
 
     def counted_spectrum(triple):
         decomposed.append(triple)
         return spectrum_floats(triple)
 
-    def watched_mixed21(b, tau, spectrum=None):
+    def watched_mixed21(b, tau):
         mixed21_inputs.append(b)
-        return mixed21_kernel(b, tau, spectrum)
+        return mixed21_kernel(b, tau)
 
     proxes = []
     with monkeypatch.context() as patch:
         patch.setattr(similarity, "_spectrum_floats", counted_spectrum)
-        patch.setitem(norms._PROX_FLOATS, NormKind.MIXED21, watched_mixed21)
+        patch.setattr(similarity, "_prox_mixed21_triple", watched_mixed21)
         assert similarity._uses_floats(data.m, data.d)
         model = _assert_json_matches_reference(data, config, proxes)
     assert len(proxes) == model.iterations_run
