@@ -19,7 +19,8 @@ loop takes its 2x2 one in closed form (``_spectrum_floats``).
 Each kind's prox is its own kernel on arrays, held by kind in ``_PROX``;
 ``prox`` and stage one's array loop (``similarity._train_arrays``) look a
 kernel up once per call or fit, so no prox call tests the kind.  Stage
-one's float loop (``similarity._train_floats``) holds a 2x2 matrix as the
+one's float loop (``similarity._train_floats``, written out per sample
+size m and compiled on the first fit at m) holds a 2x2 matrix as the
 three Python floats (a_00, a_01, a_11), the shape of its tiny fits, and
 runs the l1, fro and trace proxes inline.  Two kernels take that triple:
 ``_prox_fro_triple``, for fro out of the safe range, and
@@ -331,12 +332,13 @@ def _shrunk_magnitudes(x, tau):
 
 
 # Stage one's d = 2 proxes on floats.  The float loop
-# (``similarity._train_floats``) holds a symmetric 2x2 matrix as the triple
-# (a_00, a_01, a_11) of Python floats, where a NumPy call costs more than
-# the arithmetic, and states the l1, fro and trace proxes inline.  The two
-# kernels here, for fro out of the safe range and for every 2x2 mixed21
-# prox, take the triple and tau and return the prox triple and its norm;
-# at tau = 0, the triple itself and ``_norm`` of its array.  The
+# (``similarity._train_floats``, one skeleton written out per sample size)
+# holds a symmetric 2x2 matrix as the triple (a_00, a_01, a_11) of Python
+# floats, where a NumPy call costs more than the arithmetic, and states
+# the l1, fro and trace proxes inline.  The two kernels here, for fro out
+# of the safe range and for every 2x2 mixed21 prox, take the triple and
+# tau and return the prox triple and its norm; at tau = 0, the triple
+# itself and ``_norm`` of its array.  The
 # off-diagonal entry stands for a_01 and a_10: an entrywise prox acts on it
 # once and adds its term to the norm twice, in index order, and the trace
 # rebuild takes (p_01 + p_10) / 2 for both, which rounds as
@@ -875,11 +877,22 @@ def _newton_mixed21_source(d):
     state = "[%s], [%s], scale, [%s]" % (
         rows("t{i}{j}"), each("r{i}", diagonal), each("s{i}", diagonal)
     )
+    return _fill_skeleton(_NEWTON_MIXED21_SKELETON, fields).replace("STATE", state)
+
+
+def _fill_skeleton(skeleton, fields):
+    """The source of a written-out kernel: skeleton with each {field} filled.
+
+    A field may hold several lines; each one after the first takes the
+    indent of the skeleton line that names it, so a run of statements, or
+    a block, sits where its field stands.  ``_newton_mixed21_source`` and
+    ``similarity._float_loop_source`` fill their skeletons with it.
+    """
     lines = []
-    for line in _NEWTON_MIXED21_SKELETON.splitlines():
+    for line in skeleton.splitlines():
         indent = line[: len(line) - len(line.lstrip())]
         lines.append(line.format(**fields).replace("\n", "\n" + indent))
-    return "\n".join(lines).replace("STATE", state) + "\n"
+    return "\n".join(lines) + "\n"
 
 
 def _prox_mixed21_triple(a, tau):

@@ -22,8 +22,9 @@ from .data import (
 )
 from .errors import NumericalError
 from .norms import (
-    _NORM_KIND, _PROX, _SAFE_MAX, _SAFE_MIN, NormKind, _norm, _norm_kind, _prox_fro_triple,
-    _prox_mixed21_triple, _spectrum_floats, _triple_array, norm, require_symmetric,
+    _NORM_KIND, _PROX, _SAFE_MAX, _SAFE_MIN, NormKind, _fill_skeleton, _norm, _norm_kind,
+    _prox_fro_triple, _prox_mixed21_triple, _spectrum_floats, _triple_array, norm,
+    require_symmetric,
 )
 
 # Stage one calls the unchecked kernels; the public prox stays bound here
@@ -249,9 +250,7 @@ def _train_arrays(scaled, w, config):
             obj = hinge_sum / m + lam * a_norm
             # obj is >= 0, +inf or NaN, so this is not isfinite(obj).
             if not obj < inf:
-                raise NumericalError(
-                    f"non-finite objective at iteration {t}; try a smaller step0 than {step0}"
-                )
+                raise _non_finite_objective(t, step0)
             if obj < best_obj:
                 best_obj = obj
                 best_a = a
@@ -263,11 +262,18 @@ def _train_arrays(scaled, w, config):
     return np.array(best_a), best_obj, t
 
 
+def _non_finite_objective(t, step0):
+    """The error both loops raise when iteration t's objective is not finite."""
+    return NumericalError(
+        f"non-finite objective at iteration {t}; try a smaller step0 than {step0}"
+    )
+
+
 # The largest m * d that stage one runs on Python floats, at d = 2.  Float
 # work grows with m * d, while an array call costs about the same at every
 # small size.  Over 300-iteration fits on two-cluster data (2-vCPU host,
-# Python 3.11, numpy 2.4, three runs), the float loop ran 2.7-10.5x as
-# fast as the array loop for every kind up to m * d = 24, and 1.9-5.7x at
+# Python 3.11, numpy 2.4, three runs), the float loop ran 2.1-12.2x as
+# fast as the array loop for every kind up to m * d = 24, and 2.1-6.0x at
 # m * d = 64; the README lists the scan.  Every gated workload and
 # acceptance check that runs stage one on floats fits at d = 2 with
 # m * d <= 12, so other d run the array set, and a higher bound would
@@ -320,8 +326,12 @@ def _train_floats(scaled, w, config):
     built-in sum compensates from Python 3.12 on, which would tie the bits
     to the interpreter).  A sum that can put a signed zero into A starts
     from 0.0, which puts -0.0 where the array loop puts it: the step's sums
-    over the active rows.  Each entry is named, and the only loops run over
-    the examples.
+    over the active rows.  Each entry is named, and so is each entry of the
+    m scaled rows, (r_i_0, r_i_1): the loop is written out per m
+    (``_float_loop_source``), compiled on the first fit at m and kept in
+    ``_WRITTEN_FLOAT_LOOPS``, so no loop runs over the examples.  It is
+    compiled in this module's globals, so it looks up every function it
+    calls here, at each call.
 
     The hinge pass forms, with the summed positive slack, the sums u_0 and
     u_1 of the scaled rows whose slack is positive, from 0.0 in index
@@ -347,7 +357,27 @@ def _train_floats(scaled, w, config):
     norm leaves the safe range, ``norms._prox_fro_triple`` solves the prox
     rescaled, and every mixed21 prox is ``norms._prox_mixed21_triple``.
     """
+    m = len(scaled)
+    fit = _WRITTEN_FLOAT_LOOPS.get(m)
+    if fit is None:
+        namespace = {}
+        source = _float_loop_source(m)
+        exec(compile(source, f"<stage-one float loop, m = {m}>", "exec"), globals(), namespace)
+        fit = _WRITTEN_FLOAT_LOOPS[m] = namespace["fit"]
+    return fit(scaled, w, config)
+
+
+# The written-out float loops by m, each compiled on its first fit: a build
+# costs milliseconds, which an import would pay for every m.
+_WRITTEN_FLOAT_LOOPS = {}
+
+
+# The written-out float loop with its two m-dependent fields: the unpack of
+# the scaled rows into named locals, and the hinge pass over them.
+_FLOAT_LOOP_SKELETON = """\
+def fit(scaled, w, config):
     rows = scaled.tolist()
+    {unpack} = rows
     w_0, w_1 = w.tolist()
     m = len(rows)
     minus_twice_m = -2.0 * m
@@ -432,8 +462,14 @@ def _train_floats(scaled, w, config):
                 # The spectrum (x_0, x_1, v_00, v_01, v_10, v_11) is the
                 # thresholded eigenvalues and the eigenvector rows; a zero
                 # step thresholds the one the last prox kept.  An eigenvalue
-                # that shrinks to zero is +0.0: each p_ij starts from 0.0,
-                # so no sign of a zero reaches A.
+                # that shrinks to zero is +0.0, and so are its terms.
+                # p_00 = v_00^2 x_0 + v_01^2 x_1 is -0.0 only if both terms
+                # are, which needs both x_j < 0 and both terms to round to
+                # zero; but a row of V is a unit vector, with an entry of
+                # magnitude about 1/sqrt(2) or more, whose term cannot.  So
+                # p_00, and p_11 on V's second row, start from their first
+                # term.  p_01 starts from 0.0, so neither it nor
+                # a_01 = (p_01 + p_10) / 2 is ever -0.0.
                 if decompose:
                     x_0, x_1, v_00, v_01, v_10, v_11 = _spectrum_floats((a_00, a_01, a_11))
                     decompose = False
@@ -454,10 +490,10 @@ def _train_floats(scaled, w, config):
                 q_01 = v_01 * x_1
                 q_10 = v_10 * x_0
                 q_11 = v_11 * x_1
-                p_00 = 0.0 + q_00 * v_00 + q_01 * v_01
+                p_00 = q_00 * v_00 + q_01 * v_01
                 p_01 = 0.0 + q_00 * v_10 + q_01 * v_11
-                p_10 = 0.0 + q_10 * v_00 + q_11 * v_01
-                p_11 = 0.0 + q_10 * v_10 + q_11 * v_11
+                p_10 = q_10 * v_00 + q_11 * v_01
+                p_11 = q_10 * v_10 + q_11 * v_11
                 a_00 = (p_00 + p_00) / 2.0
                 a_01 = (p_01 + p_10) / 2.0
                 a_11 = (p_11 + p_11) / 2.0
@@ -467,19 +503,12 @@ def _train_floats(scaled, w, config):
             image_1 = a_01 * w_0 + a_11 * w_1
             if abs(image_0) + abs(image_1) < bound:
                 hinge_sum = u_0 = u_1 = 0.0
-                for r_0, r_1 in rows:
-                    slack = 1.0 - (r_0 * image_0 + r_1 * image_1)
-                    if slack > 0.0:
-                        hinge_sum += slack
-                        u_0 += r_0
-                        u_1 += r_1
+                {hinge_pass}
             else:
                 hinge_sum, u_0, u_1 = _hinge_floats(rows, image_0, image_1)
             obj = hinge_sum / m + lam * a_norm
             if not obj < inf:
-                raise NumericalError(
-                    f"non-finite objective at iteration {t}; try a smaller step0 than {step0}"
-                )
+                raise _non_finite_objective(t, step0)
             if obj < best_obj:
                 best_obj = obj
                 best = (a_00, a_01, a_11)
@@ -488,6 +517,29 @@ def _train_floats(scaled, w, config):
                     break
                 window_best = best_obj
     return _triple_array(best), best_obj, t
+"""
+
+
+def _float_loop_source(m):
+    """Source of ``_train_floats``' loop at m examples, written out.
+
+    The scaled rows are unpacked once per fit into the named locals
+    (r_i_0, r_i_1), and the hinge pass is one block per row, in index
+    order, that adds the row's slack and entries where the slack is
+    positive.
+    """
+    span = range(m)
+    return _fill_skeleton(_FLOAT_LOOP_SKELETON, {
+        "unpack": " ".join("(r_%d_0, r_%d_1)," % (i, i) for i in span),
+        "hinge_pass": "\n".join(
+            "slack = 1.0 - (r_{i}_0 * image_0 + r_{i}_1 * image_1)\n"
+            "if slack > 0.0:\n"
+            "    hinge_sum += slack\n"
+            "    u_0 += r_{i}_0\n"
+            "    u_1 += r_{i}_1".format(i=i)
+            for i in span
+        ),
+    })
 
 
 def _hinge_floats(rows, image_0, image_1):

@@ -1156,16 +1156,10 @@ def test_certify_shaped_mixed21_proxes_stay_written_out(monkeypatch):
     assert len(returned) > 500 and all(len(out) == 2 for out in returned)
 
 
-def test_import_builds_no_written_newton_kernel():
-    # A build costs milliseconds, which every set-up would pay: a fresh
-    # interpreter's import compiles none; the first prox at d compiles d's.
+def _run_fresh(code):
+    """The stdout of code run in a fresh interpreter that imports this
+    source tree's simbound."""
     source_root = str(Path(simbound.__file__).resolve().parents[1])
-    code = (
-        "import numpy, simbound, simbound.norms as norms; "
-        "print(len(norms._WRITTEN_NEWTON)); "
-        "simbound.prox(numpy.eye(4), 0.5, 'mixed21'); "
-        "print(sorted(norms._WRITTEN_NEWTON))"
-    )
     env = dict(os.environ)
     inherited = env.get("PYTHONPATH")
     env["PYTHONPATH"] = source_root + (os.pathsep + inherited if inherited else "")
@@ -1173,7 +1167,34 @@ def test_import_builds_no_written_newton_kernel():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0\n[4]\n"
+    return proc.stdout
+
+
+def test_import_builds_no_written_newton_kernel():
+    # A build costs milliseconds, which every set-up would pay: a fresh
+    # interpreter's import compiles none; the first prox at d compiles d's.
+    code = (
+        "import numpy, simbound, simbound.norms as norms; "
+        "print(len(norms._WRITTEN_NEWTON)); "
+        "simbound.prox(numpy.eye(4), 0.5, 'mixed21'); "
+        "print(sorted(norms._WRITTEN_NEWTON))"
+    )
+    assert _run_fresh(code) == "0\n[4]\n"
+
+
+def test_import_builds_no_written_float_loop():
+    # Stage one's d = 2 float loop is written out per m, at a build cost of
+    # milliseconds: a fresh interpreter's import compiles none; the first
+    # fit at m compiles m's.
+    code = (
+        "import numpy, simbound, simbound.similarity as similarity; "
+        "print(len(similarity._WRITTEN_FLOAT_LOOPS)); "
+        "data = simbound.Dataset(numpy.array([[1.0, 0.5], [-1.0, 0.2], [0.8, -0.1]]), "
+        "numpy.array([1.0, -1.0, 1.0])); "
+        "simbound.train_similarity(data, simbound.SimilarityConfig(0.1, 1.0, 'fro', 10)); "
+        "print(sorted(similarity._WRITTEN_FLOAT_LOOPS))"
+    )
+    assert _run_fresh(code) == "0\n[3]\n"
 
 
 def test_solve_floats_matches_reference_bits(rng):

@@ -351,22 +351,42 @@ KERNEL_SETS = {
 
 @pytest.mark.parametrize("kind", ["l1", "fro", "mixed21", "trace"])
 def test_train_json_matches_reference_loop(monkeypatch, kind):
-    # Check-02-shaped fits run the float loop, and again the array loop
-    # with the float set switched off.  At lambda 5e-324 and step0 1e-10
+    # Check-02-shaped fits run the float loop at every m it takes, each
+    # with its own written-out loop, and again the array loop, with the
+    # float set switched off, up to m = 6.  At lambda 5e-324 and step0 1e-10
     # every threshold eta lambda underflows to 0, so every prox is the
-    # tau = 0 one: A itself and its norm.
+    # tau = 0 one: A itself and its norm.  At step0 1e301 the images reach
+    # the float loop's per-fit bound, where it hands the hinge pass to
+    # _hinge_floats, which the wrapper counts past the zero start's call;
+    # there the reference squares entries beyond 1e154, with no range
+    # rule, and numpy warns of the overflow.
+    hinge_floats = similarity._hinge_floats
+    cold = []
+
+    def counted(*args):
+        cold.append(args)
+        return hinge_floats(*args)
+
+    monkeypatch.setattr(similarity, "_hinge_floats", counted)
+    assert similarity._FLOAT_MAX_MD // 2 == 12
     for float_max_md, *_ in KERNEL_SETS.values():
         monkeypatch.setattr(similarity, "_FLOAT_MAX_MD", float_max_md)
         rng = make_rng(530)
-        for m in range(1, 7):
+        for m in range(1, 13 if float_max_md else 7):
             data = _tiny_dataset(rng, m)
             assert similarity._uses_floats(m, 2) == bool(float_max_md)
-            for lam, step0 in (((0.05, 0.2)[m % 2], 2.0), (5e-324, 1e-10)):
+            configs = [((0.05, 0.2)[m % 2], 2.0), (5e-324, 1e-10)]
+            if float_max_md and m in (1, 5, 12):
+                configs.append((0.5, 1e301))
+            for lam, step0 in configs:
                 config = SimilarityConfig(
                     lam=lam, margin=1.0, norm_kind=kind, max_iters=2000, step0=step0,
                     rel_tol=0.0,
                 )
-                _assert_json_matches_reference(data, config)
+                cold.clear()
+                with np.errstate(over="ignore" if step0 == 1e301 else "warn"):
+                    _assert_json_matches_reference(data, config)
+                assert (len(cold) > 1) == (step0 == 1e301), (m, step0)
     monkeypatch.undo()
     # Experiment-shaped fits run the array kernels: fro, mixed21 and trace
     # end on the window stop, l1 runs to the iteration cap.
@@ -617,6 +637,28 @@ def test_train_chooses_kernel_set_by_size(monkeypatch):
         assert chosen.pop() == (name, (m, d))
         assert type(model.matrix) is np.ndarray and model.matrix.shape == (d, d)
     assert chosen == []
+
+
+def test_float_loop_is_built_once_per_m(monkeypatch):
+    # The first fit at m compiles m's written-out loop; a later fit at m,
+    # of any kind, reuses it, and a fit at another m builds its own.
+    monkeypatch.setattr(similarity, "_WRITTEN_FLOAT_LOOPS", {})
+    source = similarity._float_loop_source
+    built = []
+
+    def recorded(m):
+        built.append(m)
+        return source(m)
+
+    monkeypatch.setattr(similarity, "_float_loop_source", recorded)
+    rng = make_rng(535)
+    loops = {}
+    for m, kind in ((3, "l1"), (5, "fro"), (3, "trace"), (5, "mixed21"), (3, "l1")):
+        config = SimilarityConfig(lam=0.1, margin=1.0, norm_kind=kind, max_iters=50)
+        train_similarity(_tiny_dataset(rng, m), config)
+        loops.setdefault(m, similarity._WRITTEN_FLOAT_LOOPS[m])
+        assert similarity._WRITTEN_FLOAT_LOOPS == loops
+    assert built == [3, 5]
 
 
 def test_mixed21_at_d5_keeps_the_array_kernel_set(monkeypatch):
