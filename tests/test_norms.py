@@ -1183,18 +1183,31 @@ def test_import_builds_no_written_newton_kernel():
 
 
 def test_import_builds_no_written_float_loop():
-    # Stage one's d = 2 float loop is written out per m, at a build cost of
-    # milliseconds: a fresh interpreter's import compiles none; the first
-    # fit at m compiles m's.
+    # Stage one's d = 2 float loop is written out per (m, kind), and the
+    # mixed21 kernel on the triple once, each at a build cost of
+    # milliseconds: a fresh interpreter's import compiles none.  The first
+    # fit at (m, kind) compiles its loop; a mixed21 fit runs the block
+    # inline and builds no triple kernel; the first 2x2 mixed21 prox builds
+    # it, and a second one reuses it.
     code = (
-        "import numpy, simbound, simbound.similarity as similarity; "
-        "print(len(similarity._WRITTEN_FLOAT_LOOPS)); "
+        "import numpy, simbound, simbound.similarity as similarity, simbound.norms as norms; "
+        "print(len(similarity._WRITTEN_FLOAT_LOOPS), len(norms._WRITTEN_TRIPLE)); "
         "data = simbound.Dataset(numpy.array([[1.0, 0.5], [-1.0, 0.2], [0.8, -0.1]]), "
         "numpy.array([1.0, -1.0, 1.0])); "
-        "simbound.train_similarity(data, simbound.SimilarityConfig(0.1, 1.0, 'fro', 10)); "
-        "print(sorted(similarity._WRITTEN_FLOAT_LOOPS))"
+        "[simbound.train_similarity(data, simbound.SimilarityConfig(0.1, 1.0, kind, 10)) "
+        "for kind in ('fro', 'mixed21')]; "
+        "print([(m, kind.value) for m, kind in similarity._WRITTEN_FLOAT_LOOPS]); "
+        "print(len(norms._WRITTEN_TRIPLE)); "
+        "kernel = norms._prox_mixed21_triple; "
+        "simbound.prox(numpy.eye(2), 0.5, 'mixed21'); "
+        "built = list(norms._WRITTEN_TRIPLE.values()); "
+        "simbound.prox(numpy.eye(2), 0.25, 'mixed21'); "
+        "print(list(norms._WRITTEN_TRIPLE), list(norms._WRITTEN_TRIPLE.values()) == built, "
+        "norms._prox_mixed21_triple is kernel)"
     )
-    assert _run_fresh(code) == "0\n[3]\n"
+    assert _run_fresh(code) == (
+        "0 0\n[(3, 'fro'), (3, 'mixed21')]\n0\n[<NormKind.MIXED21: 'mixed21'>] True True\n"
+    )
 
 
 def test_solve_floats_matches_reference_bits(rng):

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import warnings
@@ -285,8 +286,10 @@ def test_fit_is_exact_under_powers_of_two(monkeypatch, kind):
     # bit.  At k = +-200 the iterates sit near 2^-+400, out of the norms'
     # safe range, where the fro and mixed21 proxes and the trace prox on
     # arrays solve their problems rescaled: those fits do reach
-    # ``norms._rescaled``; the float loop's trace prox needs no LAPACK.  The
-    # float set fits at d = 2, m = 5, the arrays at d = 5, m = 100.
+    # ``_rescaled``, which the float loop's mixed21 block reads in
+    # similarity and every kernel in norms; the float loop's trace prox
+    # needs no LAPACK.  The float set fits at d = 2, m = 5, the arrays at
+    # d = 5, m = 100.
     rescaled = norms._rescaled
     calls = []
 
@@ -294,7 +297,8 @@ def test_fit_is_exact_under_powers_of_two(monkeypatch, kind):
         calls.append(args[0].__name__)
         return rescaled(*args)
 
-    monkeypatch.setattr(norms, "_rescaled", recorded)
+    for module in (norms, similarity):
+        monkeypatch.setattr(module, "_rescaled", recorded)
     rng = make_rng(1729)
     for m, d, lam, step0 in ((5, 2, 0.2, 2.0), (100, 5, 0.1, 1.0)):
         for _ in range(3):
@@ -521,14 +525,29 @@ def test_l1_models_are_no_smaller_than_the_least_lift(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["l1", "fro", "mixed21", "trace"])
-def test_float_fits_match_reference_loop_off_check02(kind):
-    # The float fit runs its l1, fro and trace proxes inline, so only whole
-    # fits hold that code to the reference.  Beyond check 02's shape:
-    # loose clusters, features that are exactly zero, which make signed
-    # zeros, and steps from 0.5 to 20, where entries shrink to zero and
-    # thresholds hit them often.  Each sample runs again with its columns
-    # swapped, which trades the roles of a_00 and a_11.
+def test_float_fits_match_reference_loop_off_check02(monkeypatch, kind):
+    # The float fit runs its proxes inline, so only whole fits hold that
+    # code to the reference.  Beyond check 02's shape: loose clusters,
+    # features that are exactly zero, which make signed zeros, and steps
+    # from 0.5 to 20, where entries shrink to zero and thresholds hit them
+    # often.  Each sample runs again with its columns swapped, which trades
+    # the roles of a_00 and a_11.  Trace's iterates are held too: after
+    # each non-zero step at tau > 0 the fit decomposes the reference's prox
+    # input, bit for bit.  The last sample, two points whose second
+    # features are 2^-600 and cancel in w, makes a_01 < 0 so small that
+    # the rotation's zeta^2 overflows while x_0 < 0: there the rebuild's
+    # p_01 = 0.0 + ... keeps a_01 at +0.0, and the next step's iterate
+    # keeps that zero's sign.
+    decomposed = []
+    spectrum_floats = similarity._spectrum_floats
+
+    def recorded(triple):
+        decomposed.append(triple)
+        return spectrum_floats(triple)
+
+    monkeypatch.setattr(similarity, "_spectrum_floats", recorded)
     rng = make_rng(583)
+    samples = []
     for m in (2, 4, 5, 8, 10, 11):
         for trial in range(3):
             labels = np.where(rng.random(m) < 0.5, 1.0, -1.0)
@@ -536,16 +555,64 @@ def test_float_fits_match_reference_loop_off_check02(kind):
             features += rng.uniform(0.05, 1.0) * rng.standard_normal((m, 2))
             if trial == 2:
                 features[rng.random((m, 2)) < 0.3] = 0.0
-            assert similarity._uses_floats(m, 2)
-            for data in (Dataset(features, labels), Dataset(features[:, ::-1], labels)):
-                for lam, step0, rel_tol in (
-                    (0.05, 2.0, 0.0), (0.2, 0.5, 1e-4), (1e-3, 20.0, 0.0), (1.0, 2.0, 0.0)
-                ):
-                    config = SimilarityConfig(
-                        lam=lam, margin=1.0, norm_kind=kind, max_iters=300, step0=step0,
-                        rel_tol=rel_tol,
-                    )
-                    _assert_json_matches_reference(data, config)
+            samples.append((features, labels))
+    samples.append((np.array([[1.25, 2.0 ** -600], [2.0, 2.0 ** -600]]), np.array([1.0, -1.0])))
+    for features, labels in samples:
+        assert similarity._uses_floats(len(labels), 2)
+        for data in (Dataset(features, labels), Dataset(features[:, ::-1], labels)):
+            for lam, step0, rel_tol in (
+                (0.05, 2.0, 0.0), (0.2, 0.5, 1e-4), (1e-3, 20.0, 0.0), (1.0, 2.0, 0.0),
+                (0.05, 20.0, 0.0),
+            ):
+                config = SimilarityConfig(
+                    lam=lam, margin=1.0, norm_kind=kind, max_iters=300, step0=step0,
+                    rel_tol=rel_tol,
+                )
+                decomposed.clear()
+                proxes = []
+                _assert_json_matches_reference(data, config, proxes)
+                expected = [_snapshot(b) for stepped, b, tau, *_ in proxes if stepped and tau]
+                assert [_snapshot(norms._triple_array(t)) for t in decomposed] == (
+                    expected if kind == "trace" else []
+                )
+
+
+def test_float_mixed21_fit_hands_capped_newton_to_dual_phase(monkeypatch):
+    # With the Newton cap lowered to 1, in the float loop's mixed21 block
+    # and in the reference prox, a live prox whose first evaluation does
+    # not certify hands its H to the dual phase inside the fit.  Both hand
+    # over the same B, tau, H and ||B||_{2,1}, bit for bit, and the fit
+    # still matches the reference loop.
+    handed = {"floats": [], "reference": []}
+
+    def recorded(name, dual):
+        def recorded_dual(b, tau, h, scale, *rest):
+            handed[name].append((b.tobytes(), tau.hex(), h.tobytes(), scale.hex()))
+            return dual(b, tau, h, scale, *rest)
+
+        return recorded_dual
+
+    monkeypatch.setattr(similarity, "_MIXED21_NEWTON_STEPS", 1)
+    monkeypatch.setattr(similarity, "_dual_mixed21", recorded("floats", similarity._dual_mixed21))
+    monkeypatch.setattr(
+        oracles, "_reference_prox_mixed21",
+        functools.partial(oracles._reference_prox_mixed21, newton_steps=1),
+    )
+    monkeypatch.setattr(
+        oracles, "_reference_dual_mixed21",
+        recorded("reference", oracles._reference_dual_mixed21),
+    )
+    rng = make_rng(593)
+    for m in (2, 5, 9):
+        data = _tiny_dataset(rng, m)
+        for lam in (0.05, 0.2):
+            config = SimilarityConfig(
+                lam=lam, margin=1.0, norm_kind="mixed21", max_iters=100, step0=2.0, rel_tol=0.0
+            )
+            for found in handed.values():
+                found.clear()
+            _assert_json_matches_reference(data, config)
+            assert handed["floats"] and handed["floats"] == handed["reference"], (m, lam)
 
 
 def test_float_trace_fits_call_lapack_only_from_d3(monkeypatch):
@@ -586,12 +653,17 @@ def test_float_fits_take_no_array_path(monkeypatch, kind):
     # Check-02-shaped fits run the float set from start to end: the array
     # kernels, LAPACK and every cold path of the float loop's proxes (the
     # rescaled problem, the mixed21 dual phase, the tau = 0 norm) refuse,
-    # and so do the mixed21 Newton loops and the array fro norm, so a fit
-    # that fell back to any of them would fail here, not only run slower.
+    # and so do the mixed21 kernel on the triple, the mixed21 Newton loops
+    # and the array fro norm, so a fit that fell back to any of them would
+    # fail here, not only run slower.  The loop reads its names in
+    # similarity, so they refuse there as well as in norms.
     def refuse(*args):
         raise AssertionError("a d = 2 float fit left the float loop")
 
-    for name in ("_array_kernels", "_norm"):
+    for name in (
+        "_array_kernels", "_norm", "_rescaled", "_dual_mixed21", "_prox_mixed21_triple",
+        "_prox_fro_triple",
+    ):
         monkeypatch.setattr(similarity, name, refuse)
     for name in ("_eigh", "_rescaled", "_dual_mixed21", "_newton_mixed21_floats", "_fro", "_norm"):
         monkeypatch.setattr(norms, name, refuse)
@@ -640,25 +712,37 @@ def test_train_chooses_kernel_set_by_size(monkeypatch):
 
 
 def test_float_loop_is_built_once_per_m(monkeypatch):
-    # The first fit at m compiles m's written-out loop; a later fit at m,
-    # of any kind, reuses it, and a fit at another m builds its own.
+    # The first fit at (m, kind) compiles its written-out loop, which holds
+    # that kind's prox alone; a later fit at (m, kind) reuses it, and a fit
+    # of another kind or at another m builds its own.
     monkeypatch.setattr(similarity, "_WRITTEN_FLOAT_LOOPS", {})
     source = similarity._float_loop_source
     built = []
 
-    def recorded(m):
-        built.append(m)
-        return source(m)
+    def recorded(key):
+        built.append(key)
+        return source(key)
 
     monkeypatch.setattr(similarity, "_float_loop_source", recorded)
     rng = make_rng(535)
     loops = {}
-    for m, kind in ((3, "l1"), (5, "fro"), (3, "trace"), (5, "mixed21"), (3, "l1")):
+    fits = [(3, "l1"), (5, "fro"), (3, "trace"), (5, "mixed21"), (3, "l1"), (5, "mixed21")]
+    for m, kind in fits + [(3, "fro"), (5, "l1")]:
         config = SimilarityConfig(lam=0.1, margin=1.0, norm_kind=kind, max_iters=50)
         train_similarity(_tiny_dataset(rng, m), config)
-        loops.setdefault(m, similarity._WRITTEN_FLOAT_LOOPS[m])
+        key = (m, NormKind(kind))
+        loops.setdefault(key, similarity._WRITTEN_FLOAT_LOOPS[key])
         assert similarity._WRITTEN_FLOAT_LOOPS == loops
-    assert built == [3, 5]
+    assert [(m, kind.value) for m, kind in built] == [
+        (3, "l1"), (5, "fro"), (3, "trace"), (5, "mixed21"), (3, "fro"), (5, "l1")
+    ]
+    # Each loop holds its own kind's prox and no other's.
+    marks = {"l1": "a_01 = -0.0 if a_01", "fro": "_prox_fro_triple", "trace": "_spectrum_floats",
+             "mixed21": "_dual_mixed21"}
+    for m, kind in loops:
+        text = source((m, kind))
+        assert [name for name, mark in marks.items() if mark in text] == [kind.value]
+        assert " is NormKind." not in text
 
 
 def test_mixed21_at_d5_keeps_the_array_kernel_set(monkeypatch):
@@ -845,11 +929,13 @@ def test_train_zero_step_skips_subgradient(monkeypatch, kind):
     # On check-02-shaped data most iterates meet every margin.  An empty
     # hinge mask means a zero subgradient: the next step computes none and
     # hands the iterate itself to the prox.  The array set's hinge and step
-    # are wrapped.  The float fit runs its hinge, step and most proxes
-    # inline, so the reference loop, whose model it matches bit for bit,
-    # records the steps, and the float fit is held to them where it calls
-    # out: trace decomposes once per non-zero step, on the reference's prox
-    # input, and every mixed21 prox gets the reference's input.
+    # are wrapped.  The float fit runs its hinge, step and proxes inline,
+    # so the reference loop, whose model it matches bit for bit, records
+    # the steps, and the float fit is held to them where it calls out or
+    # reads a name: trace decomposes once per non-zero step, on the
+    # reference's prox input, and mixed21 reads its Newton cap once per
+    # prox that the reference solves by Newton, not by a dead row, and
+    # calls no kernel.
     config = SimilarityConfig(
         lam=0.05, margin=1.0, norm_kind=kind, max_iters=400, step0=2.0, rel_tol=0.0
     )
@@ -892,22 +978,22 @@ def test_train_zero_step_skips_subgradient(monkeypatch, kind):
         previous = a
 
     decomposed = []
-    mixed21_inputs = []
     spectrum_floats = similarity._spectrum_floats
-    mixed21_kernel = similarity._prox_mixed21_triple
 
     def counted_spectrum(triple):
         decomposed.append(triple)
         return spectrum_floats(triple)
 
-    def watched_mixed21(b, tau):
-        mixed21_inputs.append(b)
-        return mixed21_kernel(b, tau)
+    def refuse(*args):
+        raise AssertionError("the float loop called a mixed21 kernel")
 
+    newton = _CountedSteps(similarity._MIXED21_NEWTON_STEPS)
     proxes = []
     with monkeypatch.context() as patch:
         patch.setattr(similarity, "_spectrum_floats", counted_spectrum)
-        patch.setattr(similarity, "_prox_mixed21_triple", watched_mixed21)
+        patch.setattr(similarity, "_MIXED21_NEWTON_STEPS", newton)
+        for name in ("_prox_mixed21_triple", "_rescaled", "_dual_mixed21"):
+            patch.setattr(similarity, name, refuse)
         assert similarity._uses_floats(data.m, data.d)
         model = _assert_json_matches_reference(data, config, proxes)
     assert len(proxes) == model.iterations_run
@@ -920,8 +1006,26 @@ def test_train_zero_step_skips_subgradient(monkeypatch, kind):
         previous = a
     triples = [_snapshot(norms._triple_array(t)) for t in decomposed]
     assert triples == (stepped_inputs if kind == "trace" else [])
-    triples = [_snapshot(norms._triple_array(b)) for b in mixed21_inputs]
-    assert triples == ([_snapshot(b) for _, b, *_ in proxes] if kind == "mixed21" else [])
+    if kind == "mixed21":
+        solved = [
+            oracles._reference_mixed21_dead_row(np.array(b), tau) is None
+            for _, b, tau, *_ in proxes
+        ]
+        assert 0 < sum(solved) < len(solved) and newton.reads == sum(solved)
+    else:
+        assert newton.reads == 0
+
+
+class _CountedSteps:
+    """A Newton step cap that counts the Newton phases that read it."""
+
+    def __init__(self, steps):
+        self.steps = steps
+        self.reads = 0
+
+    def __index__(self):
+        self.reads += 1
+        return self.steps
 
 
 def test_train_trace_spectrum_reuse_is_the_prox(monkeypatch):
