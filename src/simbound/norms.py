@@ -22,12 +22,12 @@ kernel up once per call or fit, so no prox call tests the kind.  Stage
 one's float loop (``similarity._train_floats``, written out per sample
 size m and norm kind and compiled on the first fit at (m, kind)) holds a
 2x2 matrix as the three Python floats (a_00, a_01, a_11), the shape of
-its tiny fits, and runs its kind's prox inline.  The d = 2 mixed21 prox
-is stated once, as the block ``_PROX_MIXED21_BLOCK``, which that loop
-holds and from which ``_prox_mixed21_triple``, every other 2x2 mixed21
-prox, is compiled on its first call.  ``_prox_fro_triple`` solves a fro
-prox on the triple out of the safe range.  ``_written`` builds every
-written-out function; an import builds none.
+its tiny fits, and runs its kind's prox inline.  Every d = 2 prox is
+stated once, as a block in ``_PROX_BLOCKS``, which that loop holds and
+from which the kernels on the triple (``_prox_fro_triple``,
+``_prox_mixed21_triple``) are compiled.  ``_written`` builds every
+written-out function, with its text in ``linecache``; an import builds
+none.
 
 Each fro and mixed21 kernel tests the norm or row norms it computes, and
 the trace kernel the spectral norm that LAPACK returned (LAPACK scales a
@@ -38,6 +38,7 @@ prox(2^k B, 2^k tau) = 2^k prox(B, tau) bit for bit wherever no entry is
 subnormal or infinite.
 """
 
+import linecache
 import math
 from enum import Enum
 
@@ -338,45 +339,22 @@ def _shrunk_magnitudes(x, tau):
 # (``similarity._train_floats``, one skeleton written out per sample size
 # and kind) holds a symmetric 2x2 matrix as the triple (a_00, a_01, a_11)
 # of Python floats, where a NumPy call costs more than the arithmetic,
-# and states the l1, fro and trace proxes inline; its mixed21 prox is
-# ``_PROX_MIXED21_BLOCK``, below.  The two kernels on the triple, for fro
-# out of the safe range and for every other 2x2 mixed21 prox, take the
-# triple and tau and return the prox triple and its norm; at tau = 0, the
-# triple itself and ``_norm`` of its array.  The off-diagonal entry
-# stands for a_01 and a_10: an entrywise prox acts on it once and adds its
-# term to the norm twice, in index order, and the trace rebuild takes
-# (p_01 + p_10) / 2 for both, which rounds as (p_10 + p_01) / 2 does, so
-# each prox rounds as it would on the 2x2 matrix entry by entry in index
-# order.  Nonzero entries and the norm may
-# differ from the array kernels' in the last bits.  The triple is never
-# written to.
+# and runs its kind's block of ``_PROX_BLOCKS`` inline.  The fro and
+# mixed21 kernels on the triple, built from their blocks, return the prox
+# triple and its norm; at tau = 0, the triple itself and ``_norm`` of its
+# array.  The off-diagonal entry stands for a_01 and a_10: an
+# entrywise prox acts on it once and adds its term to the norm twice, in
+# index order, and the trace rebuild takes (p_01 + p_10) / 2 for both,
+# which rounds as (p_10 + p_01) / 2 does, so each prox rounds as it would
+# on the 2x2 matrix entry by entry in index order.  Nonzero entries and
+# the norm may differ from the array kernels' in the last bits.  The
+# triple is never written to.
 
 
 def _triple_array(a):
     """The symmetric 2x2 array of the triple (a_00, a_01, a_11)."""
     a_00, a_01, a_11 = a
     return np.array([[a_00, a_01], [a_01, a_11]])
-
-
-def _prox_fro_triple(a, tau):
-    # Each norm is _fro's sum of squares with += in index order.  A square
-    # is never -0.0, so the sum needs no 0.0 to start from.  A zero triple
-    # gets the zeros of ``_prox_fro``.  The shrunk norm, total - tau >=
-    # 2^-53 total > 2^-353, has a normal largest square: it needs no test.
-    if tau == 0.0:
-        return a, _norm(_triple_array(a), NormKind.FROBENIUS)
-    a_00, a_01, a_11 = a
-    square = a_01 * a_01
-    total = math.sqrt(a_00 * a_00 + square + square + a_11 * a_11)
-    if not _SAFE_MIN <= total <= _SAFE_MAX and (a_00 or a_01 or a_11):
-        return _rescaled(_prox_fro_triple, a, tau)
-    if total <= tau:
-        return (0.0, 0.0, 0.0), 0.0
-    factor = 1.0 - tau / total
-    a = (a_00 * factor, a_01 * factor, a_11 * factor)
-    a_00, a_01, a_11 = a
-    square = a_01 * a_01
-    return a, math.sqrt(a_00 * a_00 + square + square + a_11 * a_11)
 
 
 def _spectrum_floats(triple):
@@ -470,8 +448,8 @@ def _prox_mixed21(b, tau, spectrum=None):
 
     A 2x2 B goes to the triple kernel ``_prox_mixed21_triple``, which
     solves a dead row in closed form and otherwise runs the Newton phase
-    written out (``_PROX_MIXED21_BLOCK``, which stage one's float loop
-    also runs), so every d = 2 mixed21 prox is the same.  Up to
+    written out (the mixed21 block of ``_PROX_BLOCKS``, which stage one's
+    float loop also runs), so every d = 2 mixed21 prox is the same.  Up to
     d = ``_MIXED21_FLOAT_MAX_D`` (5) the Newton phase runs on Python floats
     (``_newton_mixed21_floats``), above it on arrays
     (``_newton_mixed21_arrays``), whose cost grows more slowly with d.  The
@@ -567,8 +545,9 @@ def _newton_mixed21_floats(rows, tau):
     swap, and returns their bits; otherwise it hands over its state (2B,
     the row norms, ||B||_{2,1}, s and the evaluations left), and the loops
     continue from it.  So the loops run d in {1, 2}, what the kernel hands
-    over, and the reference that the tests hold the kernel to; the d = 2
-    block ``_PROX_MIXED21_BLOCK`` runs them written out too.
+    over, and the reference that the tests hold the kernel to.  The d = 2
+    mixed21 block of ``_PROX_BLOCKS`` runs them written out too, and hands
+    them, from the start, a prox that it does not certify within the cap.
 
     Each evaluation makes one pass over H for its row norms, the gap and
     the total, and keeps no entry of H.  An iterate that does not certify
@@ -765,7 +744,7 @@ def _newton_mixed21_source(d):
     is a named local, and so is each pair sum p_ij = s_i + s_j, formed once
     per pair; each h_ij is kept for the Jacobian.  Every operation is the
     loops' own, in their order, so the kernel returns their bits.  It
-    leaves out what no bit depends on, as ``_PROX_MIXED21_BLOCK`` does:
+    leaves out what no bit depends on, as the d = 2 mixed21 block does:
     H's diagonal is B's, exactly in the safe range, so b_ii^2 and
     b_ii t_ii are formed once per prox; sums whose terms are never -0.0
     start from their first term; and with every row above tau the loops'
@@ -885,14 +864,17 @@ def _written(cache, key, source, namespace):
     namespace is a module's globals, not a copy, so the function reads that
     module's names at each call, and a test that patches one reaches it.
     A build costs milliseconds, which an import would pay for every key, so
-    none runs at import.  The written-out Newton kernels, the mixed21
-    kernel on the triple and stage one's float loops are built here.
+    none runs at import.  The text goes into ``linecache`` under its
+    compile name, for tracebacks, pdb and ``inspect.getsource``; an entry
+    with no mtime survives ``linecache.checkcache``.
     """
     kernel = cache.get(key)
     if kernel is None:
+        text = source(key)
+        filename = f"<{source.__name__}: {key!r}>"
+        linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
         defined = {}
-        code = compile(source(key), f"<{source.__name__}: {key!r}>", "exec")
-        exec(code, namespace, defined)
+        exec(compile(text, filename, "exec"), namespace, defined)
         (kernel,) = defined.values()
         cache[key] = kernel
     return kernel
@@ -913,211 +895,39 @@ def _fill_skeleton(skeleton, fields):
     return "\n".join(lines) + "\n"
 
 
-# The written-out mixed21 kernel on the triple, under its kind, compiled on
-# its first use.
+# The two written-out kernels on the triple, by kind, each compiled on its
+# first use.
 _WRITTEN_TRIPLE = {}
 
 
-def _prox_mixed21_triple(a, tau):
-    """The d = 2 mixed21 prox on the triple: (A, its norm).
+def _prox_fro_triple(a, tau):
+    """The d = 2 fro prox on the triple, (A, its norm), which the fro block
+    runs rescaled: that block, compiled on the first call."""
+    return _written(_WRITTEN_TRIPLE, NormKind.FROBENIUS, _prox_triple_source, globals())(a, tau)
 
-    ``_prox_mixed21``, and so ``prox``, runs it at d = 2, and the float
-    loop's block solves its rescaled problem with it.  It is
-    ``_PROX_MIXED21_BLOCK`` between the tau = 0 rule and the return,
-    compiled on the first call (``_prox_triple_source``).
-    """
+
+def _prox_mixed21_triple(a, tau):
+    """The d = 2 mixed21 prox on the triple, (A, its norm), which
+    ``_prox_mixed21`` runs at d = 2 and the mixed21 block runs rescaled:
+    that block, compiled on the first call."""
     return _written(_WRITTEN_TRIPLE, NormKind.MIXED21, _prox_triple_source, globals())(a, tau)
 
 
 def _prox_triple_source(kind):
-    """Source of kind's written-out prox kernel on the triple: mixed21's."""
-    return _fill_skeleton(_PROX_TRIPLE_SKELETON, {"kind": kind.name, "prox": _PROX_MIXED21_BLOCK})
+    """Source of fro's or mixed21's written-out prox kernel on the triple."""
+    return _fill_skeleton(_PROX_TRIPLE_SKELETON, {"kind": kind.name, "prox": _PROX_BLOCKS[kind]})
 
 
+# newton_steps is the mixed21 block's Newton cap, read once per call.
 _PROX_TRIPLE_SKELETON = """\
 def kernel(a, tau):
     if tau == 0.0:
         return a, _norm(_triple_array(a), NormKind.{kind})
     sqrt = math.sqrt
-    b_00, b_01, b_11 = a
+    newton_steps = _MIXED21_NEWTON_STEPS
+    a_00, a_01, a_11 = a
     {prox}
     return (a_00, a_01, a_11), a_norm
-"""
-
-
-# The d = 2 mixed21 prox at tau > 0, stated once: a block of statements
-# that reads b_00, b_01, b_11, tau and the local sqrt = math.sqrt, and sets
-# a_00, a_01, a_11 and a_norm.  ``_prox_mixed21_triple`` and stage one's
-# float loop (``similarity._float_loop_source``) are built from it, each
-# compiled in its own module's globals, whose names it reads at each run.
-#
-# Inside the safe range it first solves by cases.  Row i, with partner j,
-# is dead at the minimizer whenever ||(b_ii, 2 b_ij)||, the row of H at
-# s_i = 0, is at most tau (and, while row j lives, only then): the KKT
-# conditions hold at A with row i zero and
-# a_jj = sign(b_jj) max(|b_jj| - tau, 0), with (b_ii, 2 b_ij) / tau as row
-# i's dual row, inside the unit ball.  That A is the exact prox, of norm
-# max(|b_jj| - tau, 0) and duality gap 0; it covers both rows dead, where
-# |b_jj| <= tau.  Its zeros take the signs of B's entries, as the Newton
-# output's do, and the test computes each norm in the Newton phase's
-# sqrt(x*x + y*y) form.  In the benchmark's ``solver_tiny`` fits, 51% of
-# the mixed21 proxes end here.
-#
-# Otherwise it runs ``_newton_mixed21_floats`` at d = 2, written out: the
-# same operations in the same order, with no inner loop, and the Newton
-# system of one or two unknowns solved in place by ``_solve_floats``' pivot
-# rule (the first largest pivot on a tie).  The off-diagonal entries
-# b_01 = b_10 share their products, and the output entries a_01 and a_10
-# are one, t_01 (s_0 s_1 / p_01).  The products that a row's Jacobian shares with its
-# evaluation are kept, not formed again.  It leaves out what no bit
-# depends on.  H's diagonal is B's: with t_ii = b_ii + b_ii, h_ii is
-# t_ii (s_i / (s_i + s_i)) for a live row and t_ii 0.5 for a dead one,
-# both b_ii exactly in the safe range.  So the block squares b_ii once per
-# prox and forms p_ii = s_i + s_i (1 for a dead row) only for the Jacobian
-# and the output.  And the sums of squares, row norms, totals and C s hold
-# no -0.0 term, so they start from their first term, not from 0.0 as in
-# the loops.  With no certificate within ``_MIXED21_NEWTON_STEPS``, the
-# ``for`` loop's ``else`` hands the last H to ``_dual_mixed21``, as the
-# loops do.  Row norms out of the safe range solve the problem rescaled,
-# by ``_prox_mixed21_triple``.
-_PROX_MIXED21_BLOCK = """\
-sq_00 = b_00 * b_00
-sq_01 = b_01 * b_01
-sq_11 = b_11 * b_11
-r_0 = sqrt(sq_00 + sq_01)
-r_1 = sqrt(sq_01 + sq_11)
-scale = r_0 + r_1
-if not (_SAFE_MIN <= (r_0 if r_0 > r_1 else r_1) and scale <= _SAFE_MAX):
-    (a_00, a_01, a_11), a_norm = _rescaled(_prox_mixed21_triple, (b_00, b_01, b_11), tau)
-else:
-    t_01 = b_01 + b_01
-    # A dead row: the partner's diagonal entry soft-thresholded, and
-    # zeros with the signs of B's entries.  r_i rounds to at most the
-    # norm of the test, so r_i > tau rules row i out without it.
-    if r_0 <= tau and sqrt(sq_00 + t_01 * t_01) <= tau:
-        a_norm = abs(b_11) - tau
-        a_00 = b_00 * 0.0
-        a_01 = b_01 * 0.0
-        if a_norm <= 0.0:
-            a_11 = b_11 * 0.0
-            a_norm = 0.0
-        else:
-            a_11 = b_11 - tau if b_11 > 0.0 else b_11 + tau
-    elif r_1 <= tau and sqrt(t_01 * t_01 + sq_11) <= tau:
-        a_norm = abs(b_00) - tau
-        a_01 = b_01 * 0.0
-        a_11 = b_11 * 0.0
-        if a_norm <= 0.0:
-            a_00 = b_00 * 0.0
-            a_norm = 0.0
-        else:
-            a_00 = b_00 - tau if b_00 > 0.0 else b_00 + tau
-    else:
-        t_00 = b_00 + b_00
-        t_11 = b_11 + b_11
-        # h_ii * t_ii, the numerator of C_ii, with h_ii = b_ii (see above).
-        ht_00 = b_00 * t_00
-        ht_11 = b_11 * t_11
-        s_0 = 1.0 - tau / (tau if tau > r_0 else r_0)
-        s_1 = 1.0 - tau / (tau if tau > r_1 else r_1)
-        # Once per prox: the certificate's product rounds left to right.
-        tolerance = tau * MIXED21_GAP_RTOL
-        for _ in range(_MIXED21_NEWTON_STEPS):
-            # x_01 and x_10 are h_01 and h_10; a dead pair's p_ij becomes 1
-            # for the output and the Jacobian.
-            p_01 = s_0 + s_1
-            if p_01 > 0.0:
-                x_01 = t_01 * (s_1 / p_01)
-                x_10 = t_01 * (s_0 / p_01)
-            else:
-                p_01 = 1.0
-                x_01 = x_10 = t_01 * 0.5
-            n_0 = sqrt(sq_00 + x_01 * x_01)
-            n_1 = sqrt(x_10 * x_10 + sq_11)
-            below = 0.0
-            if tau > n_0:
-                clipped_0 = tau
-                below += (s_0 * n_0) * (tau - n_0)
-            else:
-                clipped_0 = n_0
-            if tau > n_1:
-                clipped_1 = tau
-                below += (s_1 * n_1) * (tau - n_1)
-            else:
-                clipped_1 = n_1
-            target_0 = 1.0 - tau / clipped_0
-            target_1 = 1.0 - tau / clipped_1
-            e_0 = s_0 - target_0
-            e_1 = s_1 - target_1
-            weighted_0 = e_0 * r_0
-            weighted_1 = e_1 * r_1
-            gap = weighted_0 * weighted_0 + weighted_1 * weighted_1 + below
-            a_norm = s_0 * n_0 + s_1 * n_1
-            if gap <= tolerance * (a_norm + scale):
-                # s_0 s_1 = s_1 s_0 exactly.
-                p_00 = s_0 + s_0
-                p_11 = s_1 + s_1
-                a_00 = t_00 * (s_0 * s_0 / (p_00 if p_00 > 0.0 else 1.0))
-                a_01 = t_01 * (s_0 * s_1 / p_01)
-                a_11 = t_11 * (s_1 * s_1 / (p_11 if p_11 > 0.0 else 1.0))
-                break
-            # The Newton system [M | e] over the live rows, with
-            # C_ij = h_ij 2 b_ij / p_ij^2.
-            live_0 = target_0 > 0.0
-            live_1 = target_1 > 0.0
-            # Once per step: c_01 and c_10 divide by the same p_01^2.
-            q_01 = p_01 * p_01
-            if live_0:
-                p_00 = s_0 + s_0
-                if not p_00 > 0.0:
-                    p_00 = 1.0
-                weight = tau / (clipped_0 * clipped_0 * clipped_0)
-                weighted_s = weight * s_0
-                c_00 = ht_00 / (p_00 * p_00)
-                c_01 = x_01 * t_01 / q_01
-                # No 0.0 to start from: ht_00 and x_01 t_01 are products of
-                # equal-signed factors and s_i is never -0.0.
-                c_s = c_00 * s_0 + c_01 * s_1
-                m_00 = (0.0 - weighted_s * c_00) + (1.0 + weight * c_s)
-                m_01 = 0.0 - weighted_s * c_01
-            if live_1:
-                p_11 = s_1 + s_1
-                if not p_11 > 0.0:
-                    p_11 = 1.0
-                weight = tau / (clipped_1 * clipped_1 * clipped_1)
-                weighted_s = weight * s_1
-                c_10 = x_10 * t_01 / q_01
-                c_11 = ht_11 / (p_11 * p_11)
-                # No 0.0 to start from, as for row 0.
-                c_s = c_10 * s_0 + c_11 * s_1
-                m_10 = 0.0 - weighted_s * c_10
-                m_11 = (0.0 - weighted_s * c_11) + (1.0 + weight * c_s)
-            if live_0 and live_1:
-                if abs(m_10) > abs(m_00):
-                    m_00, m_01, e_0, m_10, m_11, e_1 = m_10, m_11, e_1, m_00, m_01, e_0
-                factor = m_10 / m_00
-                step_1 = (e_1 - factor * e_0) / (m_11 - factor * m_01)
-                step_0 = (e_0 - m_01 * step_1) / m_00
-            elif live_0:
-                step_0 = e_0 / m_00
-            elif live_1:
-                step_1 = e_1 / m_11
-            # Live rows take the clamped Newton step, dead ones their target.
-            if live_0:
-                x = s_0 - step_0
-                target_0 = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
-            if live_1:
-                x = s_1 - step_1
-                target_1 = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
-            s_0 = target_0
-            s_1 = target_1
-        else:
-            # No certificate: the dual phase takes over from the last H.
-            dual, a_norm = _dual_mixed21(
-                np.array([[b_00, b_01], [b_01, b_11]]), tau,
-                np.array([[b_00, x_01], [x_10, b_11]]), scale,
-            )
-            (a_00, a_01), (_, a_11) = dual.tolist()
 """
 
 
@@ -1211,4 +1021,271 @@ _PROX = {
     NormKind.FROBENIUS: _prox_fro,
     NormKind.MIXED21: _prox_mixed21,
     NormKind.TRACE: _prox_trace,
+}
+
+
+# The d = 2 proxes at tau > 0 by kind, each stated once: a block that
+# reads the triple a_00, a_01, a_11, tau and the local sqrt = math.sqrt,
+# sets the triple and a_norm, and reads other names from the module it is
+# compiled in.  Trace also keeps the float loop's spectrum locals, and
+# mixed21 solves on a copy B of the triple, within the cap newton_steps.
+_PROX_BLOCKS = {
+    # sign(x) max(|x| - tau, 0) entry by entry, which makes a negative
+    # entry that shrinks to zero -0.0 and is x - tau or x + tau exactly, as
+    # ``_prox_l1`` rounds; a NaN takes the else branch and propagates.  The
+    # off-diagonal entry adds its term to the norm twice.
+    NormKind.L1: """\
+a_norm = 0.0
+shrunk = abs(a_00) - tau
+if shrunk <= 0.0:
+    a_00 = -0.0 if a_00 < 0.0 else 0.0
+else:
+    a_norm += shrunk
+    a_00 = a_00 - tau if a_00 > 0.0 else a_00 + tau
+shrunk = abs(a_01) - tau
+if shrunk <= 0.0:
+    a_01 = -0.0 if a_01 < 0.0 else 0.0
+else:
+    a_norm += shrunk
+    a_norm += shrunk
+    a_01 = a_01 - tau if a_01 > 0.0 else a_01 + tau
+shrunk = abs(a_11) - tau
+if shrunk <= 0.0:
+    a_11 = -0.0 if a_11 < 0.0 else 0.0
+else:
+    a_norm += shrunk
+    a_11 = a_11 - tau if a_11 > 0.0 else a_11 + tau
+""",
+    # Each norm is ``_fro``'s sum of squares, in index order.  A square is
+    # never -0.0, so the sum needs no 0.0 to start from.  A zero triple
+    # gets the zeros of ``_prox_fro``.  The shrunk norm,
+    # total - tau >= 2^-53 total > 2^-353, has a normal largest square: it
+    # needs no test.  A norm out of the safe range solves the problem
+    # rescaled, by ``_prox_fro_triple``.
+    NormKind.FROBENIUS: """\
+square = a_01 * a_01
+total = sqrt(a_00 * a_00 + square + square + a_11 * a_11)
+if not _SAFE_MIN <= total <= _SAFE_MAX and (a_00 or a_01 or a_11):
+    (a_00, a_01, a_11), a_norm = _rescaled(_prox_fro_triple, (a_00, a_01, a_11), tau)
+elif total <= tau:
+    a_00 = a_01 = a_11 = a_norm = 0.0
+else:
+    factor = 1.0 - tau / total
+    a_00 = a_00 * factor
+    a_01 = a_01 * factor
+    a_11 = a_11 * factor
+    square = a_01 * a_01
+    a_norm = sqrt(a_00 * a_00 + square + square + a_11 * a_11)
+""",
+    # Inside the safe range it first solves by cases.  Row i, with partner
+    # j, is dead at the minimizer whenever ||(b_ii, 2 b_ij)||, the row of H
+    # at s_i = 0, is at most tau (and, while row j lives, only then): the
+    # KKT conditions hold at A with row i zero and
+    # a_jj = sign(b_jj) max(|b_jj| - tau, 0), with (b_ii, 2 b_ij) / tau as
+    # row i's dual row, inside the unit ball.  That A is the exact prox, of
+    # norm max(|b_jj| - tau, 0) and duality gap 0; it covers both rows
+    # dead, where |b_jj| <= tau.  Its zeros take the signs of B's entries,
+    # as the Newton output's do, and the test computes each norm in the
+    # Newton phase's sqrt(x*x + y*y) form.  In the benchmark's
+    # ``solver_tiny`` fits, 51% of the mixed21 proxes end here.
+    #
+    # Otherwise it runs ``_newton_mixed21_floats`` at d = 2, written out:
+    # the same operations in the same order, with no inner loop, and the
+    # Newton system of one or two unknowns solved in place by
+    # ``_solve_floats``' pivot rule (the first largest pivot on a tie).
+    # The off-diagonal entries b_01 = b_10 share their products, and the
+    # output entries a_01 and a_10 are one, t_01 (s_0 s_1 / p_01).  The
+    # products that a row's Jacobian shares with its evaluation are kept,
+    # not formed again.  It leaves out what no bit depends on.  H's
+    # diagonal is B's: with t_ii = b_ii + b_ii, h_ii is
+    # t_ii (s_i / (s_i + s_i)) for a live row and t_ii 0.5 for a dead one,
+    # both b_ii exactly in the safe range.  So the block squares b_ii once
+    # per prox and forms p_ii = s_i + s_i (1 for a dead row) only for the
+    # Jacobian and the output.  And the sums of squares, row norms, totals
+    # and C s hold no -0.0 term, so they start from their first term, not
+    # from 0.0 as in the loops.  With no certificate within the cap, the
+    # ``for`` loop's ``else`` hands B to the loops, which redo the steps and
+    # hand their own last H to ``_dual_mixed21``, so the block reads nothing
+    # of its loop after it (at a cap of 0 too).  Row norms out of the safe
+    # range solve the problem rescaled, by ``_prox_mixed21_triple``.
+    NormKind.MIXED21: """\
+b_00, b_01, b_11 = a_00, a_01, a_11
+sq_00 = b_00 * b_00
+sq_01 = b_01 * b_01
+sq_11 = b_11 * b_11
+r_0 = sqrt(sq_00 + sq_01)
+r_1 = sqrt(sq_01 + sq_11)
+scale = r_0 + r_1
+if not (_SAFE_MIN <= (r_0 if r_0 > r_1 else r_1) and scale <= _SAFE_MAX):
+    (a_00, a_01, a_11), a_norm = _rescaled(_prox_mixed21_triple, (b_00, b_01, b_11), tau)
+else:
+    t_01 = b_01 + b_01
+    # A dead row: the partner's diagonal entry soft-thresholded, and
+    # zeros with the signs of B's entries.  r_i rounds to at most the
+    # norm of the test, so r_i > tau rules row i out without it.
+    if r_0 <= tau and sqrt(sq_00 + t_01 * t_01) <= tau:
+        a_norm = abs(b_11) - tau
+        a_00 = b_00 * 0.0
+        a_01 = b_01 * 0.0
+        if a_norm <= 0.0:
+            a_11 = b_11 * 0.0
+            a_norm = 0.0
+        else:
+            a_11 = b_11 - tau if b_11 > 0.0 else b_11 + tau
+    elif r_1 <= tau and sqrt(t_01 * t_01 + sq_11) <= tau:
+        a_norm = abs(b_00) - tau
+        a_01 = b_01 * 0.0
+        a_11 = b_11 * 0.0
+        if a_norm <= 0.0:
+            a_00 = b_00 * 0.0
+            a_norm = 0.0
+        else:
+            a_00 = b_00 - tau if b_00 > 0.0 else b_00 + tau
+    else:
+        t_00 = b_00 + b_00
+        t_11 = b_11 + b_11
+        # h_ii * t_ii, the numerator of C_ii, with h_ii = b_ii (see above).
+        ht_00 = b_00 * t_00
+        ht_11 = b_11 * t_11
+        s_0 = 1.0 - tau / (tau if tau > r_0 else r_0)
+        s_1 = 1.0 - tau / (tau if tau > r_1 else r_1)
+        # Once per prox: the certificate's product rounds left to right.
+        tolerance = tau * MIXED21_GAP_RTOL
+        for _ in range(newton_steps):
+            # x_01 and x_10 are h_01 and h_10; a dead pair's p_ij becomes 1
+            # for the output and the Jacobian.
+            p_01 = s_0 + s_1
+            if p_01 > 0.0:
+                x_01 = t_01 * (s_1 / p_01)
+                x_10 = t_01 * (s_0 / p_01)
+            else:
+                p_01 = 1.0
+                x_01 = x_10 = t_01 * 0.5
+            n_0 = sqrt(sq_00 + x_01 * x_01)
+            n_1 = sqrt(x_10 * x_10 + sq_11)
+            below = 0.0
+            if tau > n_0:
+                clipped_0 = tau
+                below += (s_0 * n_0) * (tau - n_0)
+            else:
+                clipped_0 = n_0
+            if tau > n_1:
+                clipped_1 = tau
+                below += (s_1 * n_1) * (tau - n_1)
+            else:
+                clipped_1 = n_1
+            target_0 = 1.0 - tau / clipped_0
+            target_1 = 1.0 - tau / clipped_1
+            e_0 = s_0 - target_0
+            e_1 = s_1 - target_1
+            weighted_0 = e_0 * r_0
+            weighted_1 = e_1 * r_1
+            gap = weighted_0 * weighted_0 + weighted_1 * weighted_1 + below
+            a_norm = s_0 * n_0 + s_1 * n_1
+            if gap <= tolerance * (a_norm + scale):
+                # s_0 s_1 = s_1 s_0 exactly.
+                p_00 = s_0 + s_0
+                p_11 = s_1 + s_1
+                a_00 = t_00 * (s_0 * s_0 / (p_00 if p_00 > 0.0 else 1.0))
+                a_01 = t_01 * (s_0 * s_1 / p_01)
+                a_11 = t_11 * (s_1 * s_1 / (p_11 if p_11 > 0.0 else 1.0))
+                break
+            # The Newton system [M | e] over the live rows, with
+            # C_ij = h_ij 2 b_ij / p_ij^2.
+            live_0 = target_0 > 0.0
+            live_1 = target_1 > 0.0
+            # Once per step: c_01 and c_10 divide by the same p_01^2.
+            q_01 = p_01 * p_01
+            if live_0:
+                p_00 = s_0 + s_0
+                if not p_00 > 0.0:
+                    p_00 = 1.0
+                weight = tau / (clipped_0 * clipped_0 * clipped_0)
+                weighted_s = weight * s_0
+                c_00 = ht_00 / (p_00 * p_00)
+                c_01 = x_01 * t_01 / q_01
+                # No 0.0 to start from: ht_00 and x_01 t_01 are products of
+                # equal-signed factors and s_i is never -0.0.
+                c_s = c_00 * s_0 + c_01 * s_1
+                m_00 = (0.0 - weighted_s * c_00) + (1.0 + weight * c_s)
+                m_01 = 0.0 - weighted_s * c_01
+            if live_1:
+                p_11 = s_1 + s_1
+                if not p_11 > 0.0:
+                    p_11 = 1.0
+                weight = tau / (clipped_1 * clipped_1 * clipped_1)
+                weighted_s = weight * s_1
+                c_10 = x_10 * t_01 / q_01
+                c_11 = ht_11 / (p_11 * p_11)
+                # No 0.0 to start from, as for row 0.
+                c_s = c_10 * s_0 + c_11 * s_1
+                m_10 = 0.0 - weighted_s * c_10
+                m_11 = (0.0 - weighted_s * c_11) + (1.0 + weight * c_s)
+            if live_0 and live_1:
+                if abs(m_10) > abs(m_00):
+                    m_00, m_01, e_0, m_10, m_11, e_1 = m_10, m_11, e_1, m_00, m_01, e_0
+                factor = m_10 / m_00
+                step_1 = (e_1 - factor * e_0) / (m_11 - factor * m_01)
+                step_0 = (e_0 - m_01 * step_1) / m_00
+            elif live_0:
+                step_0 = e_0 / m_00
+            elif live_1:
+                step_1 = e_1 / m_11
+            # Live rows take the clamped Newton step, dead ones their target.
+            if live_0:
+                x = s_0 - step_0
+                target_0 = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+            if live_1:
+                x = s_1 - step_1
+                target_1 = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+            s_0 = target_0
+            s_1 = target_1
+        else:
+            # No certificate: the loops take B from the start.
+            ((a_00, a_01), (_, a_11)), a_norm = _newton_mixed21_floats(
+                [[b_00, b_01], [b_01, b_11]], tau
+            )
+""",
+    # The spectrum (x_0, x_1, v_00, v_01, v_10, v_11) is the thresholded
+    # eigenvalues and the eigenvector rows; a zero step thresholds the one
+    # the last prox kept.  An eigenvalue that shrinks to zero is +0.0, and
+    # so are its terms.  p_00 = v_00^2 x_0 + v_01^2 x_1 is -0.0 only if
+    # both terms are, which needs both x_j < 0 and both terms to round to
+    # zero; but a row of V is a unit vector, with an entry of magnitude
+    # about 1/sqrt(2) or more, whose term cannot.  So p_00, and p_11 on
+    # V's second row, start from their first term.  p_01 starts from 0.0,
+    # so neither it nor a_01 = (p_01 + p_10) / 2 is ever -0.0.  Without
+    # that add a_01 is -0.0 where V's entries are 0.0 and +-1.0 and both
+    # of p_01's terms are -0.0: a diagonal A with both x_j < 0, or an
+    # a_01 < 0 so small that zeta^2 overflows (t = +-0.0) with
+    # x_0 < 0 < x_1.
+    NormKind.TRACE: """\
+if decompose:
+    x_0, x_1, v_00, v_01, v_10, v_11 = _spectrum_floats((a_00, a_01, a_11))
+    decompose = False
+a_norm = 0.0
+shrunk = abs(x_0) - tau
+if shrunk <= 0.0:
+    x_0 = 0.0
+else:
+    a_norm += shrunk
+    x_0 = x_0 - tau if x_0 > 0.0 else x_0 + tau
+shrunk = abs(x_1) - tau
+if shrunk <= 0.0:
+    x_1 = 0.0
+else:
+    a_norm += shrunk
+    x_1 = x_1 - tau if x_1 > 0.0 else x_1 + tau
+q_00 = v_00 * x_0
+q_01 = v_01 * x_1
+q_10 = v_10 * x_0
+q_11 = v_11 * x_1
+p_00 = q_00 * v_00 + q_01 * v_01
+p_01 = 0.0 + q_00 * v_10 + q_01 * v_11
+p_10 = q_10 * v_00 + q_11 * v_01
+p_11 = q_10 * v_10 + q_11 * v_11
+a_00 = (p_00 + p_00) / 2.0
+a_01 = (p_01 + p_10) / 2.0
+a_11 = (p_11 + p_11) / 2.0
+""",
 }

@@ -21,11 +21,12 @@ from .data import (
     _require, _write_json,
 )
 from .errors import NumericalError
+from . import norms
 from .norms import (
-    _MIXED21_NEWTON_STEPS, _NORM_KIND, _PROX, _PROX_MIXED21_BLOCK, _SAFE_MAX, _SAFE_MIN,
-    MIXED21_GAP_RTOL, NormKind, _dual_mixed21, _fill_skeleton, _norm, _norm_kind,
-    _prox_fro_triple, _prox_mixed21_triple, _rescaled, _spectrum_floats, _triple_array,
-    _written, norm, require_symmetric,
+    _NORM_KIND, _PROX, _PROX_BLOCKS, _SAFE_MAX, _SAFE_MIN, MIXED21_GAP_RTOL, NormKind,
+    _fill_skeleton, _newton_mixed21_floats, _norm, _norm_kind, _prox_fro_triple,
+    _prox_mixed21_triple, _rescaled, _spectrum_floats, _triple_array, _written, norm,
+    require_symmetric,
 )
 
 # Stage one calls the unchecked kernels; the public prox stays bound here
@@ -349,19 +350,19 @@ def _train_floats(scaled, w, config):
     ``_hinge_floats`` adds it, as it does for the zero start.
 
     At tau = 0 the prox is A itself, of norm ``norms._norm`` of its array.
-    Otherwise the loop's own kind's prox runs inline.  The l1, fro and
-    trace proxes are stated only here: l1 soft-thresholds the entries, fro
-    shrinks A by 1 - tau / ||A||_F, and trace soft-thresholds the
+    Otherwise the loop's own kind's block of ``norms._PROX_BLOCKS``, where
+    every d = 2 prox is stated once, runs inline: l1 soft-thresholds the
+    entries, fro shrinks A by 1 - tau / ||A||_F, trace soft-thresholds the
     eigenvalues and rebuilds A = (P + P^T) / 2 with
-    P = (V * thresholded) V^T.  Trace keeps its spectrum as six locals and
-    decomposes, by ``norms._spectrum_floats``, only after a non-zero step.
-    Where fro's norm leaves the safe range, ``norms._prox_fro_triple``
-    solves the prox rescaled.  The mixed21 prox is
-    ``norms._PROX_MIXED21_BLOCK``, the statement that
-    ``norms._prox_mixed21_triple`` is also built from, on a copy of A: its
-    cold paths, row norms out of the safe range and no certificate within
-    the Newton cap, call ``_rescaled`` and ``_dual_mixed21`` as read here,
-    and it reads its cap here as ``_MIXED21_NEWTON_STEPS``.
+    P = (V * thresholded) V^T, and mixed21 solves by a dead row's closed
+    form or by Newton on a copy of A.  Trace keeps its spectrum as six
+    locals and decomposes, by ``norms._spectrum_floats``, only after a
+    non-zero step.  The cold paths call out by the names read here: fro
+    and mixed21 out of the safe range solve rescaled (``_rescaled`` with
+    ``_prox_fro_triple`` or ``_prox_mixed21_triple``, built from the same
+    blocks), and a mixed21 prox with no certificate within the Newton cap
+    goes to ``_newton_mixed21_floats``.  The loop reads that cap,
+    ``norms._MIXED21_NEWTON_STEPS``, once per fit.
     """
     key = (len(scaled), config.norm_kind)
     return _written(_WRITTEN_FLOAT_LOOPS, key, _float_loop_source, globals())(scaled, w, config)
@@ -373,7 +374,8 @@ _WRITTEN_FLOAT_LOOPS = {}
 
 # The written-out float loop.  Its m-dependent fields are the unpack of the
 # scaled rows into named locals and the hinge pass over them; its
-# kind-dependent one is the prox at tau > 0, from ``_FLOAT_PROXES``.
+# kind-dependent one is the prox at tau > 0, kind's block of
+# ``norms._PROX_BLOCKS``.
 _FLOAT_LOOP_SKELETON = """\
 def fit(scaled, w, config):
     rows = scaled.tolist()
@@ -397,6 +399,8 @@ def fit(scaled, w, config):
     window = 50
     window_best = best_obj
     decompose = True
+    # The mixed21 block's Newton cap, read once per fit.
+    newton_steps = norms._MIXED21_NEWTON_STEPS
     # As in _train_arrays: a step that overflows makes inf and NaN entries,
     # and the non-finite objective raises NumericalError below.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -435,103 +439,6 @@ def fit(scaled, w, config):
 """
 
 
-# sign(x) max(|x| - tau, 0) entry by entry, which makes a negative entry
-# that shrinks to zero -0.0 and is x - tau or x + tau exactly, as
-# ``norms._prox_l1`` rounds; a NaN takes the else branch and propagates.
-# The off-diagonal entry adds its term to the norm twice.
-_L1_PROX = """\
-a_norm = 0.0
-shrunk = abs(a_00) - tau
-if shrunk <= 0.0:
-    a_00 = -0.0 if a_00 < 0.0 else 0.0
-else:
-    a_norm += shrunk
-    a_00 = a_00 - tau if a_00 > 0.0 else a_00 + tau
-shrunk = abs(a_01) - tau
-if shrunk <= 0.0:
-    a_01 = -0.0 if a_01 < 0.0 else 0.0
-else:
-    a_norm += shrunk
-    a_norm += shrunk
-    a_01 = a_01 - tau if a_01 > 0.0 else a_01 + tau
-shrunk = abs(a_11) - tau
-if shrunk <= 0.0:
-    a_11 = -0.0 if a_11 < 0.0 else 0.0
-else:
-    a_norm += shrunk
-    a_11 = a_11 - tau if a_11 > 0.0 else a_11 + tau
-"""
-
-# The norm is ``norms._fro``'s sum of squares, in index order; the kernel
-# solves a norm out of the safe range rescaled.
-_FRO_PROX = """\
-square = a_01 * a_01
-total = sqrt(a_00 * a_00 + square + square + a_11 * a_11)
-if not _SAFE_MIN <= total <= _SAFE_MAX and (a_00 or a_01 or a_11):
-    (a_00, a_01, a_11), a_norm = _prox_fro_triple((a_00, a_01, a_11), tau)
-elif total <= tau:
-    a_00 = a_01 = a_11 = a_norm = 0.0
-else:
-    factor = 1.0 - tau / total
-    a_00 = a_00 * factor
-    a_01 = a_01 * factor
-    a_11 = a_11 * factor
-    square = a_01 * a_01
-    a_norm = sqrt(a_00 * a_00 + square + square + a_11 * a_11)
-"""
-
-# The spectrum (x_0, x_1, v_00, v_01, v_10, v_11) is the thresholded
-# eigenvalues and the eigenvector rows; a zero step thresholds the one the
-# last prox kept.  An eigenvalue that shrinks to zero is +0.0, and so are
-# its terms.  p_00 = v_00^2 x_0 + v_01^2 x_1 is -0.0 only if both terms
-# are, which needs both x_j < 0 and both terms to round to zero; but a row
-# of V is a unit vector, with an entry of magnitude about 1/sqrt(2) or
-# more, whose term cannot.  So p_00, and p_11 on V's second row, start
-# from their first term.  p_01 starts from 0.0, so neither it nor
-# a_01 = (p_01 + p_10) / 2 is ever -0.0.  Without that add a_01 is -0.0
-# where V's entries are 0.0 and +-1.0 and both of p_01's terms are -0.0:
-# a diagonal A with both x_j < 0, or an a_01 < 0 so small that zeta^2
-# overflows (t = +-0.0) with x_0 < 0 < x_1.
-_TRACE_PROX = """\
-if decompose:
-    x_0, x_1, v_00, v_01, v_10, v_11 = _spectrum_floats((a_00, a_01, a_11))
-    decompose = False
-a_norm = 0.0
-shrunk = abs(x_0) - tau
-if shrunk <= 0.0:
-    x_0 = 0.0
-else:
-    a_norm += shrunk
-    x_0 = x_0 - tau if x_0 > 0.0 else x_0 + tau
-shrunk = abs(x_1) - tau
-if shrunk <= 0.0:
-    x_1 = 0.0
-else:
-    a_norm += shrunk
-    x_1 = x_1 - tau if x_1 > 0.0 else x_1 + tau
-q_00 = v_00 * x_0
-q_01 = v_01 * x_1
-q_10 = v_10 * x_0
-q_11 = v_11 * x_1
-p_00 = q_00 * v_00 + q_01 * v_01
-p_01 = 0.0 + q_00 * v_10 + q_01 * v_11
-p_10 = q_10 * v_00 + q_11 * v_01
-p_11 = q_10 * v_10 + q_11 * v_11
-a_00 = (p_00 + p_00) / 2.0
-a_01 = (p_01 + p_10) / 2.0
-a_11 = (p_11 + p_11) / 2.0
-"""
-
-# Each kind's prox in the float loop; mixed21 runs
-# ``norms._PROX_MIXED21_BLOCK`` on a copy of A.
-_FLOAT_PROXES = {
-    NormKind.L1: _L1_PROX,
-    NormKind.FROBENIUS: _FRO_PROX,
-    NormKind.MIXED21: "b_00, b_01, b_11 = a_00, a_01, a_11\n" + _PROX_MIXED21_BLOCK,
-    NormKind.TRACE: _TRACE_PROX,
-}
-
-
 def _float_loop_source(key):
     """Source of ``_train_floats``' loop for key = (m, kind), written out.
 
@@ -552,7 +459,7 @@ def _float_loop_source(key):
             "    u_1 += r_{i}_1".format(i=i)
             for i in span
         ),
-        "prox": _FLOAT_PROXES[kind],
+        "prox": _PROX_BLOCKS[kind],
     })
 
 

@@ -564,6 +564,11 @@ def _reference_prox_mixed21_floats(b, tau, gap_rtol, newton_steps, dual_steps):
     for r in b_rows:
         scale += r
     s = [1.0 - tau / max(b_rows[i], tau) for i in rng]
+    # With no Newton step allowed, the dual phase starts from H at s.
+    h = [
+        [twice_b[i][j] * (s[j] / (s[i] + s[j]) if s[i] + s[j] > 0.0 else 0.5) for j in rng]
+        for i in rng
+    ]
     for _ in range(newton_steps):
         pair = [[s[i] + s[j] for j in rng] for i in rng]
         if min(s) > 0.0:

@@ -1,7 +1,12 @@
+import builtins
+import inspect
+import linecache
 import math
 import os
 import subprocess
+import symtable
 import sys
+import traceback
 import warnings
 from pathlib import Path
 
@@ -10,6 +15,7 @@ import pytest
 
 import simbound
 from simbound import (
+    Dataset,
     GeneratorSpec,
     NormKind,
     NumericalError,
@@ -24,6 +30,7 @@ from simbound import (
     train_similarity,
 )
 import simbound.norms as norms
+import simbound.similarity as similarity
 from simbound.norms import _PROX, MIXED21_GAP_RTOL
 from conftest import symmetric_part
 import oracles
@@ -582,12 +589,13 @@ _MIXED21_GOLDEN = [
 def test_mixed21_prox_d2_golden_bits(monkeypatch):
     # The d = 2 kernel on the triple and the loops on the rows: the bits,
     # then each case's path.  Capped at steps + 1 evaluations both give the
-    # same bits and hand nothing to the dual phase.  Capped at one, a
-    # closed form gives the same bits and hands nothing over, and the
-    # kernel's Newton phase hands the dual phase the same B, H and
-    # ||B||_{2,1} as the loops, bit for bit, and gets the same prox back;
-    # the loops' first Newton system has the stated unknowns (none if the
-    # first evaluation certifies).  Only the loops call _solve_floats.
+    # same bits and hand nothing to the dual phase, and the kernel calls no
+    # _solve_floats.  Capped at one, a closed form gives the same bits and
+    # hands nothing over, and the kernel's uncertified Newton phase hands B
+    # to the loops, so it solves the loops' Newton systems and hands the
+    # dual phase the same B, H and ||B||_{2,1} as the loops, bit for bit,
+    # and gets the same prox back; the loops' first Newton system has the
+    # stated unknowns (none if the first evaluation certifies).
     systems = []
     handed = []
     solve = norms._solve_floats
@@ -620,15 +628,15 @@ def test_mixed21_prox_d2_golden_bits(monkeypatch):
             systems.clear()
             patch.setattr(norms, "_MIXED21_NEWTON_STEPS", 1)
             capped = kernel(_triple(rows), 0.5)
-            assert systems == []
-            from_kernel = handed[:]
+            from_kernel = handed[:], systems[:]
             handed.clear()
+            systems.clear()
             capped_loops = norms._newton_mixed21_floats(rows, 0.5)
         assert systems == first
         if newton:
-            assert _hex(capped) == _hex((a, total)) and from_kernel == []
+            assert _hex(capped) == _hex((a, total)) and from_kernel == ([], [])
         else:
-            assert len(from_kernel) == 1 and from_kernel == handed
+            assert len(handed) == 1 and from_kernel == (handed, systems)
             assert _hex((_rows(capped[0]), capped[1])) == _hex(capped_loops)
         handed.clear()
         systems.clear()
@@ -800,6 +808,45 @@ def test_mixed21_float_newton_hands_over_to_dual_phase(monkeypatch):
         assert np.array_equal(out, out.T)
         bound = _mixed21_distance_bound(out, b, tau) + _mixed21_distance_bound(full, b, tau)
         assert np.linalg.norm(out - full) <= bound
+
+
+def test_mixed21_d2_newton_cap_zero_hands_start_scales_to_dual_phase(monkeypatch):
+    # At a Newton cap of 0 the d = 2 kernel on the triple, prox and the
+    # loops return the reference's prox with the same cap, bit for bit: the
+    # dual phase starts from the H of the start scales, which each hands it
+    # as the reference does.  The kernel's block used to hand over H from
+    # locals that only its Newton loop sets, and raised UnboundLocalError.
+    # A dead row still takes its closed form and hands nothing over.
+    handed = []
+
+    def recorded(dual):
+        def recorded_dual(b, tau, h, *rest):
+            handed.append(h.tobytes())
+            return dual(b, tau, h, *rest)
+
+        return recorded_dual
+
+    monkeypatch.setattr(norms, "_dual_mixed21", recorded(norms._dual_mixed21))
+    monkeypatch.setattr(
+        oracles, "_reference_dual_mixed21", recorded(oracles._reference_dual_mixed21)
+    )
+    monkeypatch.setattr(norms, "_MIXED21_NEWTON_STEPS", 0)
+    cases = [_ONE_STEP_ROWS, _reviving(2).tolist(), _MIXED21_GOLDEN[0][0]]
+    for rows in cases:
+        b = np.array(rows)
+        handed.clear()
+        expected, expected_norm = _reference_prox_mixed21(b, 0.5, newton_steps=0)
+        a, total = norms._prox_mixed21_triple(_triple(rows), 0.5)
+        out = prox(b, 0.5, "mixed21")
+        _assert_same_bits(np.array(_rows(a)), expected)
+        _assert_same_bits(out, expected)
+        assert total == expected_norm and type(total) is float
+        loops = norms._newton_mixed21_floats(rows, 0.5)
+        if oracles._reference_mixed21_dead_row(b, 0.5) is None:
+            assert _hex(loops) == _hex((_rows(a), total))
+            assert len(handed) == 4 and len(set(handed)) == 1
+        else:
+            assert len(handed) == 1
 
 
 def test_mixed21_float_newton_calls_numpy_once(monkeypatch):
@@ -1208,6 +1255,80 @@ def test_import_builds_no_written_float_loop():
     assert _run_fresh(code) == (
         "0 0\n[(3, 'fro'), (3, 'mixed21')]\n0\n[<NormKind.MIXED21: 'mixed21'>] True True\n"
     )
+
+
+def _written_sources():
+    """Every written-out source, with the module it is compiled in: the 48
+    float loops (m 1 to 12, four kinds), the d = 3 to 5 Newton kernels and
+    the two kernels on the triple."""
+    sources = [
+        ((m, kind), similarity._float_loop_source((m, kind)), similarity)
+        for m in range(1, 13) for kind in NormKind
+    ]
+    sources += [(d, norms._newton_mixed21_source(d), norms) for d in (3, 4, 5)]
+    sources += [
+        (kind, norms._prox_triple_source(kind), norms)
+        for kind in (NormKind.FROBENIUS, NormKind.MIXED21)
+    ]
+    return sources
+
+
+def test_written_sources_read_only_names_their_module_holds():
+    # No linter reads the written-out sources, and a name that only a cold
+    # path reads fails only when that path runs.  symtable finds every
+    # global name each source reads, in every scope, and each must be a
+    # builtin or a name of the module the source runs in.
+    sources = _written_sources()
+    assert len(sources) == 53
+    for key, text, module in sources:
+        missing = set()
+        tables = [symtable.symtable(text, "<written>", "exec")]
+        while tables:
+            table = tables.pop()
+            tables += table.get_children()
+            for symbol in table.get_symbols():
+                name = symbol.get_name()
+                if symbol.is_global() and symbol.is_referenced() and not (
+                    hasattr(builtins, name) or name in vars(module)
+                ):
+                    missing.add(name)
+        assert not missing, (module.__name__, key, missing)
+
+
+def test_written_sources_show_in_tracebacks(monkeypatch):
+    # A written-out function's text is in linecache, under the name it is
+    # compiled with, and stays there through checkcache: an error inside a
+    # float loop or a d = 5 Newton kernel shows its failing line, and
+    # inspect.getsource returns the kernel's text.
+    monkeypatch.setattr(similarity, "_WRITTEN_FLOAT_LOOPS", {})
+    monkeypatch.setattr(norms, "_WRITTEN_NEWTON", {})
+    monkeypatch.setattr(similarity, "_hinge_floats", None)
+    monkeypatch.setattr(norms, "MIXED21_GAP_RTOL", None)
+    data = Dataset(np.array([[1.0, 0.5], [-1.0, 0.2]]), np.array([1.0, -1.0]))
+    config = SimilarityConfig(0.1, 1.0, "mixed21", 10)
+    b = symmetric_part(np.arange(25.0).reshape(5, 5) / 25.0 + np.eye(5))
+    for run, filename, line in (
+        (
+            lambda: train_similarity(data, config),
+            "<_float_loop_source: (2, <NormKind.MIXED21: 'mixed21'>)>",
+            "hinge_sum, u_0, u_1 = _hinge_floats(rows, 0.0, 0.0)",
+        ),
+        (
+            lambda: norms._newton_mixed21_floats(b.tolist(), 0.5),
+            "<_newton_mixed21_source: 5>",
+            "bound = tau * MIXED21_GAP_RTOL",
+        ),
+    ):
+        for _ in range(2):
+            shown = ""
+            try:
+                run()
+            except TypeError:
+                shown = traceback.format_exc()
+            assert f'File "{filename}"' in shown and f"\n    {line}\n" in shown, shown
+            linecache.checkcache()
+    kernel = norms._WRITTEN_NEWTON[5]
+    assert inspect.getsource(kernel) == norms._newton_mixed21_source(5)
 
 
 def test_solve_floats_matches_reference_bits(rng):

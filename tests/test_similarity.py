@@ -578,11 +578,12 @@ def test_float_fits_match_reference_loop_off_check02(monkeypatch, kind):
 
 
 def test_float_mixed21_fit_hands_capped_newton_to_dual_phase(monkeypatch):
-    # With the Newton cap lowered to 1, in the float loop's mixed21 block
-    # and in the reference prox, a live prox whose first evaluation does
-    # not certify hands its H to the dual phase inside the fit.  Both hand
-    # over the same B, tau, H and ||B||_{2,1}, bit for bit, and the fit
-    # still matches the reference loop.
+    # With the Newton cap lowered to 1, in norms, whose one cap the float
+    # loop's mixed21 block and the Newton loops read, and in the reference
+    # prox, a live prox whose first evaluation does not certify goes to the
+    # loops, which hand their H to the dual phase inside the fit.  Both
+    # hand over the same B, tau, H and ||B||_{2,1}, bit for bit, and the
+    # fit still matches the reference loop.
     handed = {"floats": [], "reference": []}
 
     def recorded(name, dual):
@@ -592,8 +593,8 @@ def test_float_mixed21_fit_hands_capped_newton_to_dual_phase(monkeypatch):
 
         return recorded_dual
 
-    monkeypatch.setattr(similarity, "_MIXED21_NEWTON_STEPS", 1)
-    monkeypatch.setattr(similarity, "_dual_mixed21", recorded("floats", similarity._dual_mixed21))
+    monkeypatch.setattr(norms, "_MIXED21_NEWTON_STEPS", 1)
+    monkeypatch.setattr(norms, "_dual_mixed21", recorded("floats", norms._dual_mixed21))
     monkeypatch.setattr(
         oracles, "_reference_prox_mixed21",
         functools.partial(oracles._reference_prox_mixed21, newton_steps=1),
@@ -613,6 +614,35 @@ def test_float_mixed21_fit_hands_capped_newton_to_dual_phase(monkeypatch):
                 found.clear()
             _assert_json_matches_reference(data, config)
             assert handed["floats"] and handed["floats"] == handed["reference"], (m, lam)
+
+
+def test_float_mixed21_fit_at_newton_cap_zero(monkeypatch):
+    # At a Newton cap of 0 a d = 2 mixed21 fit returns, where the float
+    # loop's block used to raise UnboundLocalError: each prox that no dead
+    # row solves goes to the Newton loops, which hand the dual phase the H
+    # of the start scales, and the fit matches the reference loop with the
+    # same cap bit for bit.
+    handed = []
+    dual = norms._dual_mixed21
+
+    def recorded_dual(*args):
+        handed.append(args)
+        return dual(*args)
+
+    monkeypatch.setattr(norms, "_MIXED21_NEWTON_STEPS", 0)
+    monkeypatch.setattr(norms, "_dual_mixed21", recorded_dual)
+    monkeypatch.setattr(
+        oracles, "_reference_prox_mixed21",
+        functools.partial(oracles._reference_prox_mixed21, newton_steps=0),
+    )
+    rng = make_rng(597)
+    for m in (2, 5):
+        config = SimilarityConfig(
+            lam=0.2, margin=1.0, norm_kind="mixed21", max_iters=60, step0=2.0, rel_tol=0.0
+        )
+        handed.clear()
+        _assert_json_matches_reference(_tiny_dataset(rng, m), config)
+        assert handed, m
 
 
 def test_float_trace_fits_call_lapack_only_from_d3(monkeypatch):
@@ -652,17 +682,18 @@ def test_float_trace_fits_call_lapack_only_from_d3(monkeypatch):
 def test_float_fits_take_no_array_path(monkeypatch, kind):
     # Check-02-shaped fits run the float set from start to end: the array
     # kernels, LAPACK and every cold path of the float loop's proxes (the
-    # rescaled problem, the mixed21 dual phase, the tau = 0 norm) refuse,
-    # and so do the mixed21 kernel on the triple, the mixed21 Newton loops
-    # and the array fro norm, so a fit that fell back to any of them would
-    # fail here, not only run slower.  The loop reads its names in
-    # similarity, so they refuse there as well as in norms.
+    # rescaled problem, the mixed21 Newton loops that an uncertified prox
+    # goes to, the tau = 0 norm) refuse, and so do the two kernels on the
+    # triple, the mixed21 dual phase and the array fro norm, so a fit that
+    # fell back to any of them would fail here, not only run slower.  The
+    # loop reads its names in similarity, so they refuse there as well as
+    # in norms.
     def refuse(*args):
         raise AssertionError("a d = 2 float fit left the float loop")
 
     for name in (
-        "_array_kernels", "_norm", "_rescaled", "_dual_mixed21", "_prox_mixed21_triple",
-        "_prox_fro_triple",
+        "_array_kernels", "_norm", "_rescaled", "_newton_mixed21_floats",
+        "_prox_mixed21_triple", "_prox_fro_triple",
     ):
         monkeypatch.setattr(similarity, name, refuse)
     for name in ("_eigh", "_rescaled", "_dual_mixed21", "_newton_mixed21_floats", "_fro", "_norm"):
@@ -738,7 +769,7 @@ def test_float_loop_is_built_once_per_m(monkeypatch):
     ]
     # Each loop holds its own kind's prox and no other's.
     marks = {"l1": "a_01 = -0.0 if a_01", "fro": "_prox_fro_triple", "trace": "_spectrum_floats",
-             "mixed21": "_dual_mixed21"}
+             "mixed21": "_newton_mixed21_floats"}
     for m, kind in loops:
         text = source((m, kind))
         assert [name for name, mark in marks.items() if mark in text] == [kind.value]
@@ -987,12 +1018,12 @@ def test_train_zero_step_skips_subgradient(monkeypatch, kind):
     def refuse(*args):
         raise AssertionError("the float loop called a mixed21 kernel")
 
-    newton = _CountedSteps(similarity._MIXED21_NEWTON_STEPS)
+    newton = _CountedSteps(norms._MIXED21_NEWTON_STEPS)
     proxes = []
     with monkeypatch.context() as patch:
         patch.setattr(similarity, "_spectrum_floats", counted_spectrum)
-        patch.setattr(similarity, "_MIXED21_NEWTON_STEPS", newton)
-        for name in ("_prox_mixed21_triple", "_rescaled", "_dual_mixed21"):
+        patch.setattr(norms, "_MIXED21_NEWTON_STEPS", newton)
+        for name in ("_prox_mixed21_triple", "_rescaled", "_newton_mixed21_floats"):
             patch.setattr(similarity, name, refuse)
         assert similarity._uses_floats(data.m, data.d)
         model = _assert_json_matches_reference(data, config, proxes)
