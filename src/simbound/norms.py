@@ -18,16 +18,20 @@ loop takes its 2x2 one in closed form (``_spectrum_floats``).
 
 Each kind's prox is its own kernel on arrays, held by kind in ``_PROX``;
 ``prox`` and stage one's array loop (``similarity._train_arrays``) look a
-kernel up once per call or fit, so no prox call tests the kind.  Stage
-one's float loop (``similarity._train_floats``, written out per sample
-size m and norm kind and compiled on the first fit at (m, kind)) holds a
-2x2 matrix as the three Python floats (a_00, a_01, a_11), the shape of
-its tiny fits, and runs its kind's prox inline.  Every d = 2 prox is
-stated once, as a block in ``_PROX_BLOCKS``, which that loop holds and
-from which the kernels on the triple (``_prox_fro_triple``,
-``_prox_mixed21_triple``) are compiled.  ``_written`` builds every
-written-out function, with its text in ``linecache``; an import builds
-none.
+kernel up once per call or fit, so no prox call tests the kind.  Every
+prox kernel, on arrays or on the triple, is kernel(b, tau) -> (A, ||A||),
+and the trace kernel on arrays decomposes on every call.  Stage one's
+float loop (``similarity._train_floats``, written out per sample size m
+and norm kind and compiled on the first fit at (m, kind)) holds a 2x2
+matrix as the three Python floats (a_00, a_01, a_11), the shape of its
+tiny fits, and runs its kind's prox inline.  Every d = 2 prox is stated
+once, as a block in ``_PROX_BLOCKS``, which that loop holds and from
+which the kernels on the triple (``_prox_fro_triple``,
+``_prox_mixed21_triple``) are compiled.  Only that loop reuses a
+spectrum: its trace block keeps the last one in six floats, and a zero
+step thresholds it again, since spectral soft-thresholds compose.
+``_written`` builds every written-out function, with its text in
+``linecache``; an import builds none.
 
 Each fro and mixed21 kernel tests the norm or row norms it computes, and
 the trace kernel the spectral norm that LAPACK returned (LAPACK scales a
@@ -164,7 +168,7 @@ def _lapack_in_range(top, d):
 
 
 def _rescaled(kernel, b, tau=None):
-    """kernel(b), a norm, or kernel(b, tau)[:2], a prox point and its norm,
+    """kernel(b), a norm, or kernel(b, tau), a prox point and its norm,
     solved on B and tau scaled by the power of two near max|b_ij|.
 
     The kernels are positively homogeneous and scaling by 2^k is exact down
@@ -185,7 +189,7 @@ def _rescaled(kernel, b, tau=None):
     with np.errstate(over="ignore"):
         if tau is None:
             return float(np.ldexp(kernel(scaled), exponent))
-        a, total = kernel(scaled, math.ldexp(min(tau, len(b) * largest), -exponent))[:2]
+        a, total = kernel(scaled, math.ldexp(min(tau, len(b) * largest), -exponent))
         return form(np.ldexp(a, exponent)), float(np.ldexp(total, exponent))
 
 
@@ -263,69 +267,54 @@ def prox(b, tau, kind):
 
 
 # The prox kernels, one per kind, on an already validated symmetric B and
-# tau >= 0: kernel(b, tau, spectrum=None) returns the prox point, its norm,
-# and for trace its spectrum: the thresholded eigenvalues and the
-# eigenvectors, from which the point was rebuilt (None for the other
-# kinds).  At tau = 0 each returns a copy of B, ``_norm(b, kind)`` and the
-# spectrum it was given.  For fro both the shrink factor and the returned
-# norm come from ``_fro``, which rounds as ``norm`` does; l1, mixed21 and
-# trace return the value their own computation already produced (shrunk
+# tau >= 0: kernel(b, tau) returns the prox point and its norm, as the
+# kernels on the triple do.  At tau = 0 each returns a copy of B and
+# ``_norm(b, kind)``.  For fro both the shrink factor and the returned norm
+# come from ``_fro``, which rounds as ``norm`` does; l1, mixed21 and trace
+# return the value their own computation already produced (shrunk
 # magnitudes, row norms, thresholded eigenvalues), which spares trace a
-# second eigendecomposition.
-#
-# ``spectrum``, if given, is the spectrum that a trace prox returned
-# together with B itself.  The trace prox then thresholds it by tau and
-# skips the eigendecomposition.  This is the prox of B because spectral
-# soft-thresholds compose: thresholding by tau1 and then by tau2 is
-# thresholding by tau1 + tau2.  Stage one passes it on every zero step,
-# where the prox input is the previous prox output.  The mixed21 prox does
-# not compose that way, so it takes no such shortcut.
-#
-# B and the spectrum are never written to.  ``_PROX``, at the end of the
-# module, holds these kernels by kind.
+# second eigendecomposition.  B is never written to: stage one's array
+# loop hands a zero step's iterate itself to the prox.  ``_PROX``, at the
+# end of the module, holds these kernels by kind.
 
 
-def _prox_l1(b, tau, spectrum=None):
+def _prox_l1(b, tau):
     if tau == 0.0:
-        return b.copy(), _norm(b, NormKind.L1), spectrum
+        return b.copy(), _norm(b, NormKind.L1)
     # |a| is exactly the shrunk magnitudes, so their sum is norm(a).
     shrunk = _shrunk_magnitudes(b, tau)
     a = np.sign(b)
     a *= shrunk
-    return a, float(np.add.reduce(shrunk, axis=None)), None
+    return a, float(np.add.reduce(shrunk, axis=None))
 
 
-def _prox_fro(b, tau, spectrum=None):
+def _prox_fro(b, tau):
     if tau == 0.0:
-        return b.copy(), _norm(b, NormKind.FROBENIUS), spectrum
+        return b.copy(), _norm(b, NormKind.FROBENIUS)
     total = _fro(b)
     if total <= tau:
-        return np.zeros_like(b), 0.0, None
+        return np.zeros_like(b), 0.0
     # A finite total from _fro is exact, and so are the shrink and _fro(a)
     # at any scale; only a norm beyond the float range needs B rescaled.
     if total == math.inf:
-        return (*_rescaled(_prox_fro, b, tau), None)
+        return _rescaled(_prox_fro, b, tau)
     a = b * (1.0 - tau / total)
-    return a, _fro(a), None
+    return a, _fro(a)
 
 
-def _prox_trace(b, tau, spectrum=None):
+def _prox_trace(b, tau):
     if tau == 0.0:
-        return b.copy(), _norm(b, NormKind.TRACE), spectrum
-    if spectrum is None:
-        eigenvalues, vectors = _eigh(b)
-        if not _lapack_in_range(max(-eigenvalues.item(0), eigenvalues.item(-1)), len(b)):
-            return (*_rescaled(_prox_trace, b, tau), None)
-    else:
-        # Thresholding a given spectrum calls no LAPACK, so it needs no test.
-        eigenvalues, vectors = spectrum
+        return b.copy(), _norm(b, NormKind.TRACE)
+    eigenvalues, vectors = _eigh(b)
+    if not _lapack_in_range(max(-eigenvalues.item(0), eigenvalues.item(-1)), len(b)):
+        return _rescaled(_prox_trace, b, tau)
     shrunk = _shrunk_magnitudes(eigenvalues, tau)
     thresholded = np.sign(eigenvalues)
     thresholded *= shrunk
     product = (vectors * thresholded) @ vectors.T
     a = product + product.T
     a /= 2.0
-    return a, float(np.add.reduce(shrunk)), (thresholded, vectors)
+    return a, float(np.add.reduce(shrunk))
 
 
 def _shrunk_magnitudes(x, tau):
@@ -417,7 +406,7 @@ def _row_norms(x):
     return np.sqrt(np.add.reduce(x * x, axis=1))
 
 
-def _prox_mixed21(b, tau, spectrum=None):
+def _prox_mixed21(b, tau):
     """Exact mixed21 prox over symmetric matrices: the kernel of ``_PROX``.
 
     The dual of min 0.5||A - B||^2 + tau ||A||_{2,1} over symmetric A is
@@ -466,15 +455,15 @@ def _prox_mixed21(b, tau, spectrum=None):
     (``_rescaled``).
     """
     if tau == 0.0:
-        return b.copy(), _norm(b, NormKind.MIXED21), spectrum
+        return b.copy(), _norm(b, NormKind.MIXED21)
     if b.shape[0] == 2:
         (b_00, b_01), (_, b_11) = b.tolist()
         a, total = _prox_mixed21_triple((b_00, b_01, b_11), tau)
-        return _triple_array(a), total, None
+        return _triple_array(a), total
     if b.shape[0] <= _MIXED21_FLOAT_MAX_D:
         rows, total = _newton_mixed21_floats(b.tolist(), tau)
-        return np.array(rows), total, None
-    return (*_newton_mixed21_arrays(b, tau), None)
+        return np.array(rows), total
+    return _newton_mixed21_arrays(b, tau)
 
 
 def _newton_mixed21_arrays(b, tau):
@@ -485,6 +474,7 @@ def _newton_mixed21_arrays(b, tau):
         return _rescaled(_newton_mixed21_arrays, b, tau)
     twice_b = b + b
     s = 1.0 - tau / np.maximum(b_rows, tau)
+    h = None
     for _ in range(_MIXED21_NEWTON_STEPS):
         pair = s[:, None] + s
         all_live = np.minimum.reduce(s) > 0.0
@@ -526,6 +516,11 @@ def _newton_mixed21_arrays(b, tau):
             step = np.linalg.solve(jacobian[np.ix_(idx, idx)], residual[idx])
             target[idx] = np.minimum(np.maximum(s[idx] - step, 0.0), 1.0)
         s = target
+    if h is None:
+        # No Newton step ran (a cap of 0): the H of the start scales, as
+        # the loop would form it.
+        live = s[:, None] + s > 0.0
+        h = twice_b * np.where(live, s / np.where(live, s[:, None] + s, 1.0), 0.5)
     return _dual_mixed21(b, tau, h, scale)
 
 

@@ -184,12 +184,12 @@ def train_similarity(data, config):
     scaled once, each iterate forms its hinge mask once, and the step is
     formed in place.  An iterate whose hinge mask is empty has a zero
     subgradient, so the next step skips the subgradient and hands the
-    iterate itself to the prox; trace then thresholds the spectrum its last
-    prox returned, with no eigendecomposition (see ``norms._prox_trace``).  On
-    separable data the iterates zig-zag across the hinge kink: in the
-    benchmark, 69-74% of the iterations of the check-02-shaped
-    2000-iteration fits are zero steps, against none of those of the
-    experiment fits at m=100, d=5 and of the CLI fits at m=800.
+    iterate itself to the prox.  On separable data the iterates zig-zag
+    across the hinge kink: in the benchmark, 69-74% of the iterations of
+    the check-02-shaped 2000-iteration fits are zero steps, against none
+    of those of the experiment fits at m=100, d=5 and of the CLI fits at
+    m=800.  So only the float loop reuses the trace spectrum on a zero
+    step (see ``_train_floats``); the array loop's decomposes every time.
 
     The loop runs in one of two fit functions, chosen once per fit by
     ``_uses_floats``: ``_train_arrays`` on NumPy arrays, or, for tiny
@@ -229,7 +229,6 @@ def _train_arrays(scaled, w, config):
     hinge_sum = hinge(a)
     best_a = a
     best_obj = hinge_sum / m
-    spectrum = None
     window = 50
     window_best = best_obj
     step0 = config.step0
@@ -244,10 +243,9 @@ def _train_arrays(scaled, w, config):
             eta = step0 / sqrt(t)
             if hinge_sum:
                 a = step(a, eta)
-                spectrum = None
-            # A zero step hands the iterate itself, and its spectrum, to the
-            # prox, which never writes them; best_a may alias it.
-            a, a_norm, spectrum = prox_kernel(a, eta * lam, spectrum)
+            # A zero step hands the iterate itself to the prox, which never
+            # writes it; best_a may alias it.
+            a, a_norm = prox_kernel(a, eta * lam)
             hinge_sum = hinge(a)
             obj = hinge_sum / m + lam * a_norm
             # obj is >= 0, +inf or NaN, so this is not isfinite(obj).

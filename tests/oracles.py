@@ -419,20 +419,10 @@ def reference_prox(b, tau, kind):
         return a, _reference_norm(a, kind)
     if kind == "mixed21":
         return _reference_prox_mixed21(b, tau)
-    return reference_trace_prox(np.linalg.eigh(b), tau)[:2]
-
-
-def reference_trace_prox(spectrum, tau):
-    """Trace prox of the matrix with eigenpairs ``spectrum``, by threshold.
-
-    Returns the prox point, its norm and its own (thresholded eigenvalues,
-    eigenvectors); thresholding those again by tau2 gives the prox of the
-    first matrix with threshold tau + tau2.
-    """
-    eigenvalues, vectors = spectrum
+    eigenvalues, vectors = np.linalg.eigh(b)
     thresholded = np.sign(eigenvalues) * np.maximum(np.abs(eigenvalues) - tau, 0.0)
     product = (vectors * thresholded) @ vectors.T
-    return (product + product.T) / 2.0, float(np.abs(thresholded).sum()), (thresholded, vectors)
+    return (product + product.T) / 2.0, float(np.abs(thresholded).sum())
 
 
 def _reference_prox_mixed21(b, tau, gap_rtol=1e-12, newton_steps=8, dual_steps=200000):
@@ -457,6 +447,9 @@ def _reference_prox_mixed21(b, tau, gap_rtol=1e-12, newton_steps=8, dual_steps=2
     scale = b_rows.sum()
     twice_b = b + b
     s = 1.0 - tau / np.maximum(b_rows, tau)
+    # With no Newton step allowed, the dual phase starts from H at s.
+    live = s[:, None] + s > 0.0
+    h = twice_b * np.where(live, s / np.where(live, s[:, None] + s, 1.0), 0.5)
     for _ in range(newton_steps):
         pair = s[:, None] + s
         all_live = s.min() > 0.0
@@ -743,16 +736,16 @@ def reference_train_similarity(
     are divided by m margin once, the subgradient's 1/(-2 m) is folded into
     the step factor, and the hinge sum is the slack dotted with its 0/1
     mask.  An iterate whose summed positive slack is 0 takes no step: the
-    prox gets the iterate itself, and trace thresholds the spectrum its
-    previous prox returned instead of decomposing again.  Returns (matrix,
-    objective, iterations run).
+    prox gets the iterate itself, and with floats set trace thresholds the
+    spectrum its previous prox returned instead of decomposing again, as
+    the float loop does.  Returns (matrix, objective, iterations run).
 
     With floats set (d = 2, the float loop's shape), A is a list of rows
     of Python floats, not the float loop's triple: the products are
     dot products summed with += in index order, the hinge sum adds each
     slack times its 0/1 mask in index order, and the prox is
     ``reference_prox_floats``.  Otherwise A is an array, and the prox is
-    ``reference_prox`` (``reference_trace_prox`` for trace at tau > 0).
+    ``reference_prox``, which hands back no spectrum.
 
     With proxes a list, each iteration appends (stepped, b, tau, reused, a):
     whether it took a subgradient step, the prox input and threshold,
@@ -796,11 +789,8 @@ def reference_train_similarity(
             return a - (eta / (-2.0 * m)) * (outer + outer.T)
 
         def prox(a, tau, spectrum):
-            # At tau = 0 the prox is a copy of A, and trace keeps the
-            # spectrum it was given, as in reference_prox_floats.
-            if kind != "trace" or tau == 0.0:
-                return (*reference_prox(a, tau, kind), spectrum)
-            return reference_trace_prox(np.linalg.eigh(a) if spectrum is None else spectrum, tau)
+            # Every prox decomposes afresh: the array loop keeps no spectrum.
+            return (*reference_prox(a, tau, kind), None)
 
         a = np.zeros((d, d))
     hinge_sum, active = hinge(a)

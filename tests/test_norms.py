@@ -251,7 +251,7 @@ def test_prox_matches_reference_bits(rng):
     for b in _signed_zero_inputs(rng):
         for tau in (0.0, 0.1, 0.5, abs(float(b[0, -1])), 10.0):
             for kind in ALL_KINDS:
-                out, out_norm, spectrum = _PROX[NormKind(kind)](b, tau)
+                out, out_norm = _PROX[NormKind(kind)](b, tau)
                 expected, expected_norm = reference_prox(b, tau, kind)
                 _assert_same_bits(out, expected)
                 assert out_norm == expected_norm and type(out_norm) is float, kind
@@ -765,7 +765,7 @@ def test_mixed21_d2_prox_is_the_float_kernel(rng):
         expected = np.array(_rows(a))
         out = prox(b, tau, "mixed21")
         _assert_same_bits(out, expected)
-        array_out, array_norm, _ = _PROX[NormKind.MIXED21](b, tau)
+        array_out, array_norm = _PROX[NormKind.MIXED21](b, tau)
         _assert_same_bits(array_out, expected)
         assert array_norm == a_norm
         if oracles._reference_mixed21_dead_row(b, tau) is not None:
@@ -793,11 +793,11 @@ def test_mixed21_float_newton_hands_over_to_dual_phase(monkeypatch):
     tau = _TWO_STEP_TAU
     for b in (_TWO_STEP_B, np.array(_ONE_STEP_ROWS)):
         handovers.clear()
-        full, _, _ = norms._prox_mixed21(b, tau)
+        full, _ = norms._prox_mixed21(b, tau)
         assert handovers == []
         with monkeypatch.context() as patch:
             patch.setattr(norms, "_MIXED21_NEWTON_STEPS", 1)
-            out, out_norm, _ = norms._prox_mixed21(b, tau)
+            out, out_norm = norms._prox_mixed21(b, tau)
         assert len(handovers) == 1
         expected, expected_norm = _reference_prox_mixed21(b, tau, newton_steps=1)
         h, expected_h = handovers
@@ -849,6 +849,39 @@ def test_mixed21_d2_newton_cap_zero_hands_start_scales_to_dual_phase(monkeypatch
             assert len(handed) == 1
 
 
+def test_mixed21_newton_cap_zero_hands_start_scales_at_every_d(monkeypatch, rng):
+    # At a Newton cap of 0, prox at d = 3 to 8 returns the reference's prox
+    # with the same cap, bit for bit, from the H of the start scales that
+    # each hands the dual phase.  The array phase (d >= 6) used to hand
+    # over an H that only its Newton loop sets, and raised
+    # UnboundLocalError.  Each d has a case with a row dead at the start.
+    handed = []
+
+    def recorded(dual):
+        def recorded_dual(b, tau, h, *rest):
+            handed.append(h.tobytes())
+            return dual(b, tau, h, *rest)
+
+        return recorded_dual
+
+    monkeypatch.setattr(norms, "_dual_mixed21", recorded(norms._dual_mixed21))
+    monkeypatch.setattr(
+        oracles, "_reference_dual_mixed21", recorded(oracles._reference_dual_mixed21)
+    )
+    monkeypatch.setattr(norms, "_MIXED21_NEWTON_STEPS", 0)
+    for d in range(3, 9):
+        dead = symmetric_part(rng.standard_normal((d, d)))
+        dead[0] = dead[:, 0] = 0.01
+        for b in (np.eye(d) + 0.1, symmetric_part(rng.standard_normal((d, d))), dead):
+            handed.clear()
+            expected, expected_norm = _reference_prox_mixed21(b, 0.5, newton_steps=0)
+            out = prox(b, 0.5, "mixed21")
+            _assert_same_bits(out, expected)
+            _, total = norms._prox_mixed21(b, 0.5)
+            assert total == expected_norm and type(total) is float
+            assert len(handed) == 3 and len(set(handed)) == 1, d
+
+
 def test_mixed21_float_newton_calls_numpy_once(monkeypatch):
     # Up to d = 5 the Newton loop takes and returns rows and calls no NumPy
     # function; the prox's one call is the array built from its rows.  The
@@ -862,13 +895,13 @@ def test_mixed21_float_newton_calls_numpy_once(monkeypatch):
             return np.array(value)
 
     for b, tau in ((_TWO_STEP_B, _TWO_STEP_TAU), (_reviving(5), 0.5)):
-        expected, expected_norm, _ = norms._prox_mixed21(b, tau)
+        expected, expected_norm = norms._prox_mixed21(b, tau)
         calls.clear()
         with monkeypatch.context() as patch:
             patch.setattr(norms, "np", ArrayOnly)
             rows, rows_norm = norms._newton_mixed21_floats(b.tolist(), tau)
             assert calls == [] and type(rows) is list and rows_norm == expected_norm
-            out, out_norm, _ = norms._prox_mixed21(b, tau)
+            out, out_norm = norms._prox_mixed21(b, tau)
         assert len(calls) == 1
         assert out.tobytes() == expected.tobytes() == np.array(rows).tobytes()
         assert out_norm == expected_norm
@@ -886,7 +919,7 @@ def test_mixed21_newton_phases_agree(rng):
         dead[0] = dead[:, 0] = 0.0
         cases += [(dead, 0.1), (dead, 0.5), (_reviving(d), 0.5)]
     for b, tau in cases:
-        floats, floats_norm, _ = norms._prox_mixed21(b, tau)
+        floats, floats_norm = norms._prox_mixed21(b, tau)
         arrays, _ = norms._newton_mixed21_arrays(b, tau)
         bound = _mixed21_distance_bound(floats, b, tau) + _mixed21_distance_bound(arrays, b, tau)
         assert np.linalg.norm(floats - arrays) <= bound
@@ -1355,11 +1388,8 @@ def test_solve_floats_matches_reference_bits(rng):
 
 def test_prox_leaves_input_bits(rng):
     # Stage one hands its live iterate to the prox on a zero step, so no
-    # kind may write its input, signs of zero included.  The trace output is
-    # also thresholded again from its own spectrum, which must match the
-    # prox from a fresh eigendecomposition and leave both inputs as they
-    # were.  (The d=50 stage-one pin in test_similarity covers the mixed21
-    # dual phase.)
+    # kind may write its input, signs of zero included.  (The d=50
+    # stage-one pin in test_similarity covers the mixed21 dual phase.)
     for b in _signed_zero_inputs(rng):
         before = b.tobytes()
         triple = _triple(b) if b.shape[0] == 2 else None
@@ -1369,17 +1399,8 @@ def test_prox_leaves_input_bits(rng):
                 if triple is not None and kernel is not None:
                     kernel(triple, tau)
                     assert np.array(_rows(triple)).tobytes() == before, kind
-                out, _, spectrum = _PROX[NormKind(kind)](b, tau)
+                _PROX[NormKind(kind)](b, tau)
                 assert b.tobytes() == before, kind
-                assert (spectrum is not None) == (kind == "trace" and tau > 0.0)
-            if spectrum is None:
-                continue
-            saved = out.tobytes(), [part.tobytes() for part in spectrum]
-            again, again_norm, _ = _PROX[NormKind.TRACE](out, 0.05, spectrum)
-            assert (out.tobytes(), [part.tobytes() for part in spectrum]) == saved
-            expected = prox(out, 0.05, "trace")
-            assert np.max(np.abs(again - expected)) <= 1e-12 * max(1.0, norm(out, "trace"))
-            assert again_norm == pytest.approx(norm(expected, "trace"), rel=1e-12, abs=1e-12)
 
 
 def _extreme_inputs():
@@ -1423,7 +1444,7 @@ def test_norm_and_prox_at_extreme_scales(kind):
     # back inf.
     shrink = 1.7e308 - 1e306 / math.sqrt(2.0)
     with np.errstate(over="ignore"):
-        out, out_norm, _ = _PROX[NormKind.FROBENIUS](1.7e308 * np.eye(2), 1e306)
+        out, out_norm = _PROX[NormKind.FROBENIUS](1.7e308 * np.eye(2), 1e306)
         a, a_norm = norms._prox_fro_triple((1.7e308, 0.0, 1.7e308), 1e306)
     np.testing.assert_allclose(out, shrink * np.eye(2), rtol=1e-15)
     np.testing.assert_array_equal(prox(1.7e308 * np.eye(2), 1e306, "fro"), out)
@@ -1496,9 +1517,7 @@ def _scaling_checks(rng):
     for b, tau in inputs:
         skew = rng.standard_normal(b.shape)
         for kind in map(NormKind, ALL_KINDS):
-            checks.append((
-                f"_PROX {kind.value}", (b, tau), lambda b, tau, k=kind: _PROX[k](b, tau)[:2],
-            ))
+            checks.append((f"_PROX {kind.value}", (b, tau), _PROX[kind]))
             checks.append((f"norm {kind.value}", (b,), lambda b, k=kind: (norm(b, k),)))
             checks.append((
                 f"dual_norm {kind.value}", (b + skew - skew.T,),

@@ -1,4 +1,5 @@
 import functools
+import inspect
 import json
 import math
 import warnings
@@ -906,19 +907,16 @@ def _watch_prox(monkeypatch):
     input.
 
     Wraps every entry of the array prox table, which the array fit reads
-    once per fit.  Each record is (input, tau, whether a spectrum was
-    passed, output).
+    once per fit.  Each record is (input, tau, output).
     """
     calls = []
     for kind, prox_kernel in norms._PROX.items():
 
-        def watched(b, tau, spectrum=None, prox_kernel=prox_kernel):
+        def watched(b, tau, prox_kernel=prox_kernel):
             before = _snapshot(b)
-            saved = None if spectrum is None else [_snapshot(part) for part in spectrum]
-            result = prox_kernel(b, tau, spectrum)
+            result = prox_kernel(b, tau)
             assert _snapshot(b) == before
-            assert saved is None or [_snapshot(part) for part in spectrum] == saved
-            calls.append((b, tau, spectrum is not None, result[0]))
+            calls.append((b, tau, result[0]))
             return result
 
         monkeypatch.setitem(norms._PROX, kind, watched)
@@ -927,9 +925,27 @@ def _watch_prox(monkeypatch):
 
 def test_prox_tables_hold_every_kind():
     # The public prox and the array fit look their kernel up by kind in the
-    # one prox table.
+    # one prox table.  Every prox kernel, on arrays or on the triple, is
+    # kernel(b, tau) -> (A, ||A||): at tau = 0, at tau > 0, and rescaled
+    # out of the safe range, at d = 2 (the triple kernels) and d = 3.
     assert list(norms._PROX) == list(NormKind)
     assert len(set(norms._PROX.values())) == len(NormKind)
+    b3 = np.array([[1.0, 0.5, -0.25], [0.5, -2.0, 0.75], [-0.25, 0.75, 0.5]])
+    cases = [(scale * b, scale * tau) for b in (b3[:2, :2], b3)
+             for scale in (1.0, 2.0 ** -1000) for tau in (0.0, 0.3)]
+    for kernel in norms._PROX.values():
+        assert list(inspect.signature(kernel).parameters) == ["b", "tau"]
+        for b, tau in cases:
+            result = kernel(b, tau)
+            assert type(result) is tuple and len(result) == 2, kernel
+            a, a_norm = result
+            assert type(a) is np.ndarray and a.shape == b.shape and type(a_norm) is float
+    for kernel in (norms._prox_fro_triple, norms._prox_mixed21_triple):
+        for b, tau in [(b, tau) for b, tau in cases if len(b) == 2]:
+            result = kernel(tuple(b[np.triu_indices(2)].tolist()), tau)
+            assert type(result) is tuple and len(result) == 2, kernel
+            a, a_norm = result
+            assert type(a) is tuple and len(a) == 3 and type(a_norm) is float
 
 
 def test_train_json_matches_reference_loop_mixed21_dual_fallback(monkeypatch):
@@ -994,7 +1010,16 @@ def test_train_zero_step_skips_subgradient(monkeypatch, kind):
 
             return start, recorded_hinge, counted_step
 
+        eigh = norms._eigh
+        eigh_calls = 0
+
+        def counted_eigh(a):
+            nonlocal eigh_calls
+            eigh_calls += 1
+            return eigh(a)
+
         patch.setattr(similarity, "_array_kernels", watched_kernels)
+        patch.setattr(norms, "_eigh", counted_eigh)
         calls = _watch_prox(patch)
         model = train_similarity(data, config)
     # One mask per iterate, the start included; the last one takes no step.
@@ -1002,11 +1027,12 @@ def test_train_zero_step_skips_subgradient(monkeypatch, kind):
     assert steps == sum(nonempty[:-1])
     assert steps < model.iterations_run
     previous = None
-    for (b, _, reused, a), stepped in zip(calls, nonempty):
+    for (b, _, a), stepped in zip(calls, nonempty):
         assert (b is previous) == (not stepped)
-        # Only trace keeps a spectrum, and only a zero step passes it back.
-        assert reused == (kind == "trace" and not stepped)
         previous = a
+    # The array loop keeps no spectrum: trace decomposes once per prox,
+    # zero steps included, and no other kind decomposes.
+    assert eigh_calls == (len(calls) if kind == "trace" else 0)
 
     decomposed = []
     spectrum_floats = similarity._spectrum_floats
@@ -1059,34 +1085,26 @@ class _CountedSteps:
         return self.steps
 
 
-def test_train_trace_spectrum_reuse_is_the_prox(monkeypatch):
-    # On a zero step the trace prox thresholds the spectrum its previous
-    # call returned.  Spectral soft-thresholds compose, so that is the prox
-    # of the previous output; check it against a fresh eigendecomposition,
-    # in the array fit's prox calls and in the reference loop's, which the
-    # float fit matches bit for bit.
-    for float_max_md, _ in KERNEL_SETS.values():
-        with monkeypatch.context() as patch:
-            patch.setattr(similarity, "_FLOAT_MAX_MD", float_max_md)
-            calls = _watch_prox(patch)
-            rng = make_rng(532)
-            for m, lam in ((4, 0.05), (5, 0.2), (6, 0.05)):
-                config = SimilarityConfig(
-                    lam=lam, margin=1.0, norm_kind="trace", max_iters=500, step0=2.0, rel_tol=0.0
-                )
-                data = _tiny_dataset(rng, m)
-                if similarity._uses_floats(m, 2):
-                    proxes = []
-                    _assert_json_matches_reference(data, config, proxes)
-                    calls += [(b, tau, reused, a) for _, b, tau, reused, a in proxes]
-                else:
-                    train_similarity(data, config)
-        reused = [(b, tau, a) for b, tau, spectrum, a in calls if spectrum]
-        assert len(reused) > len(calls) // 2
-        for b, tau, a in reused:
-            a = np.asarray(a)
-            tolerance = 1e-12 * max(1.0, norm(a, "trace"))
-            assert float(np.max(np.abs(a - prox(np.asarray(b), tau, "trace")))) <= tolerance
+def test_train_trace_spectrum_reuse_is_the_prox():
+    # On a zero step the float loop's trace prox thresholds the spectrum its
+    # previous prox kept.  Spectral soft-thresholds compose, so that is the
+    # prox of the previous output; check it against a fresh
+    # eigendecomposition in the reference loop's prox calls, which the float
+    # fit matches bit for bit.
+    rng = make_rng(532)
+    calls = []
+    for m, lam in ((4, 0.05), (5, 0.2), (6, 0.05)):
+        config = SimilarityConfig(
+            lam=lam, margin=1.0, norm_kind="trace", max_iters=500, step0=2.0, rel_tol=0.0
+        )
+        assert similarity._uses_floats(m, 2)
+        _assert_json_matches_reference(_tiny_dataset(rng, m), config, calls)
+    reused = [(b, tau, a) for _, b, tau, spectrum, a in calls if spectrum]
+    assert len(reused) > len(calls) // 2
+    for b, tau, a in reused:
+        a = np.asarray(a)
+        tolerance = 1e-12 * max(1.0, norm(a, "trace"))
+        assert float(np.max(np.abs(a - prox(np.asarray(b), tau, "trace")))) <= tolerance
 
 
 def test_config_validation():
