@@ -433,7 +433,7 @@ def _prox_mixed21(b, tau):
 
     When two rows vanish, the split of the dual between them is no longer
     free in this parametrization and Newton may stall; ``_dual_mixed21``
-    then takes over from the last H.
+    then takes over from the last evaluated scales s.
 
     A 2x2 B goes to the triple kernel ``_prox_mixed21_triple``, which
     solves a dead row in closed form and otherwise runs the Newton phase
@@ -443,12 +443,11 @@ def _prox_mixed21(b, tau):
     (``_newton_mixed21_floats``), above it on arrays
     (``_newton_mixed21_arrays``), whose cost grows more slowly with d.  The
     two round differently: dot products and the Newton solve may differ in
-    the last bits.  At d = 3 to 5 the float phase runs written out first,
-    one kernel per d compiled on its first use
-    (``_newton_mixed21_source``), with the float loops' bits: while every
+    the last bits.  The float phase runs written out first, one kernel per
+    d compiled on its first use (``_newton_mixed21_source``): while every
     row stays live and no pivot swaps, which is every prox of the
-    benchmark's certify trials, it certifies alone; otherwise the loops go
-    on from its state.
+    benchmark's certify trials, it certifies alone; otherwise the loops
+    resume from its state.
 
     Where the row norms of B leave the safe range, which also turns away a
     non-finite row, each Newton phase solves its problem rescaled
@@ -474,8 +473,7 @@ def _newton_mixed21_arrays(b, tau):
         return _rescaled(_newton_mixed21_arrays, b, tau)
     twice_b = b + b
     s = 1.0 - tau / np.maximum(b_rows, tau)
-    h = None
-    for _ in range(_MIXED21_NEWTON_STEPS):
+    for steps in range(_MIXED21_NEWTON_STEPS, 0, -1):
         pair = s[:, None] + s
         all_live = np.minimum.reduce(s) > 0.0
         if all_live:
@@ -495,6 +493,8 @@ def _newton_mixed21_arrays(b, tau):
         total = float(s.dot(n))
         if gap <= tau * MIXED21_GAP_RTOL * (total + scale):
             return twice_b * (s[:, None] * s / pair), total
+        if steps == 1:
+            break
         # d||h_i||/ds_k = (C_ik s_i - [i = k] (C s)_i) / ||h_i|| with
         # C = H * 2B / (s_i + s_j)^2; the diagonal of C cancels.  Rows with
         # ||h_i|| <= tau get a finite stand-in weight; they are not solved for.
@@ -516,12 +516,7 @@ def _newton_mixed21_arrays(b, tau):
             step = np.linalg.solve(jacobian[np.ix_(idx, idx)], residual[idx])
             target[idx] = np.minimum(np.maximum(s[idx] - step, 0.0), 1.0)
         s = target
-    if h is None:
-        # No Newton step ran (a cap of 0): the H of the start scales, as
-        # the loop would form it.
-        live = s[:, None] + s > 0.0
-        h = twice_b * np.where(live, s / np.where(live, s[:, None] + s, 1.0), 0.5)
-    return _dual_mixed21(b, tau, h, scale)
+    return _dual_mixed21(b, tau, s, scale)
 
 
 def _newton_mixed21_floats(rows, tau):
@@ -534,54 +529,28 @@ def _newton_mixed21_floats(rows, tau):
     pair 1, so the output entry (b_ij + b_ij) * (s_i s_j / pair_ij) keeps
     the array phase's signed zeros and is exactly symmetric.
 
-    At d in {3, 4, 5} the kernel that ``_written_newton_mixed21`` writes
-    out for d runs first.  It makes these loops' operations on named
-    floats while every row stays live and the elimination needs no pivot
-    swap, and returns their bits; otherwise it hands over its state (2B,
-    the row norms, ||B||_{2,1}, s and the evaluations left), and the loops
-    continue from it.  So the loops run d in {1, 2}, what the kernel hands
-    over, and the reference that the tests hold the kernel to.  The d = 2
-    mixed21 block of ``_PROX_BLOCKS`` runs them written out too, and hands
-    them, from the start, a prox that it does not certify within the cap.
+    The kernel that ``_written_newton_mixed21`` writes out for d runs
+    first, with the row norms, their range test and the start scales.  It
+    makes these loops' operations on named floats while every row stays
+    live and the elimination needs no pivot swap, and returns their bits;
+    otherwise it hands over its state (2B, the row norms, ||B||_{2,1}, s
+    and the evaluations left), and the loops only resume from it.
 
     Each evaluation makes one pass over H for its row norms, the gap and
     the total, and keeps no entry of H.  An iterate that does not certify
-    forms its Jacobian rows from the same products again, and so, after
-    the last step, does the H handed to the dual phase.  The Newton system
-    is solved by ``_solve_floats`` instead of LAPACK.  The dual phase runs
-    on arrays.  The loops index their lists: in Python 3.11 a zip over a
-    few entries costs more.
+    forms its Jacobian rows from the same products again; after the last
+    evaluation, s goes to the dual phase.  The Newton system is solved by
+    ``_solve_floats`` instead of LAPACK.  The dual phase runs on arrays.
+    The loops index their lists: in Python 3.11 a zip over a few entries
+    costs more.
     """
+    state = _written_newton_mixed21(len(rows))(rows, tau, _MIXED21_NEWTON_STEPS)
+    if len(state) == 2:
+        return state
+    twice, b_rows, scale, s, steps = state
     sqrt = math.sqrt
     span = range(len(rows))
-    if 2 < len(rows) <= _MIXED21_FLOAT_MAX_D:
-        state = _written_newton_mixed21(len(rows))(rows, tau, _MIXED21_NEWTON_STEPS)
-        if len(state) == 2:
-            return state
-        twice, b_rows, scale, s, steps = state
-    else:
-        twice = []
-        b_rows = []
-        scale = 0.0
-        for row in rows:
-            twice_i = []
-            acc = 0.0
-            for x in row:
-                twice_i.append(x + x)
-                acc += x * x
-            twice.append(twice_i)
-            norm_i = sqrt(acc)
-            b_rows.append(norm_i)
-            scale += norm_i
-        if not (_SAFE_MIN <= max(b_rows) and scale <= _SAFE_MAX):
-            return _rescaled(_newton_mixed21_floats, rows, tau)
-        # max(x, tau) is written tau if tau > x else x, NaN included.
-        s = []
-        for norm_i in b_rows:
-            s.append(1.0 - tau / (tau if tau > norm_i else norm_i))
-        steps = _MIXED21_NEWTON_STEPS
-    evaluated = s
-    for _ in range(steps):
+    for steps in range(steps, 0, -1):
         clipped = []
         target = []
         gap = 0.0
@@ -621,6 +590,8 @@ def _newton_mixed21_floats(rows, tau):
                     a_i.append(twice_i[j] * (s_i * s_j / (p if p > 0.0 else 1.0)))
                 a.append(a_i)
             return a, total
+        if steps == 1:
+            break
         # The array phase's Jacobian, restricted to the rows it solves for,
         # with C = H * 2B / pair^2 formed row by row from the same products.
         live = []
@@ -658,19 +629,8 @@ def _newton_mixed21_floats(rows, tau):
             i = live[row]
             x = s[i] - step[row]
             target[i] = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
-        evaluated, s = s, target
-    # The H of the last evaluation.
-    h = []
-    for i in span:
-        s_i = evaluated[i]
-        twice_i = twice[i]
-        h_i = []
-        for j in span:
-            s_j = evaluated[j]
-            p = s_i + s_j
-            h_i.append(twice_i[j] * (s_j / p) if p > 0.0 else twice_i[j] * 0.5)
-        h.append(h_i)
-    a, total = _dual_mixed21(np.array(rows), tau, np.array(h), scale)
+        s = target
+    a, total = _dual_mixed21(np.array(rows), tau, np.array(s), scale)
     return a.tolist(), total
 
 
@@ -752,8 +712,8 @@ def _newton_mixed21_source(d):
     (2B, the row norms, ||B||_{2,1}, s, the evaluations left), and the loops
     evaluate s again and go on.  After its last evaluation it takes no
     Newton step: it hands over s with no evaluation left, and the loops
-    hand the H at s to the dual phase.  Row norms out of the safe range
-    solve the problem rescaled, as the loops do.
+    hand s to the dual phase.  Row norms out of the safe range solve the
+    problem rescaled.  d = 1 differs only in how the rows unpack.
     """
     span = range(d)
     full = [(i, j) for i in span for j in span]
@@ -817,7 +777,7 @@ def _newton_mixed21_source(d):
         for k in reversed(span)
     ]
     fields = {
-        "unpack": rows("b{i}{j}", "()"),
+        "unpack": "(b00,)," if d == 1 else rows("b{i}{j}", "()"),
         "twice": each("t{i}{j} = b{i}{j} + b{i}{j}", full, "\n"),
         "squares": each("sq{i}{i} = b{i}{i} * b{i}{i}", diagonal, "\n"),
         "row_norms": "\n".join("r%d = %s" % (i, row_norm(i, "b")) for i in span),
@@ -961,15 +921,19 @@ def _solve_floats(system):
     return x
 
 
-def _dual_mixed21(b, tau, h, scale):
-    """The dual phase of ``_prox_mixed21``, warm-started at the Newton phase's H.
+def _dual_mixed21(b, tau, s, scale):
+    """The dual phase of ``_prox_mixed21``, warm-started at the H of scales s.
 
     Accelerated projected gradient on the dual (FISTA with gradient restart,
     Beck & Teboulle 2009), iterating in K = skew(G): G <- P_rows(B/tau + K)
     is projected gradient with step 1/tau^2, and momentum is applied to K.
     Its primal point A = B - tau sym(G) is exactly symmetric and has R = 0.
-    ``scale`` is ||B||_{2,1}.
+    H = 2B * s_j / (s_i + s_j), 0.5 for a dead pair, is formed as the
+    Newton phases form it.  ``scale`` is ||B||_{2,1}.
     """
+    pair = s[:, None] + s
+    live = pair > 0.0
+    h = (b + b) * np.where(live, s / np.where(live, pair, 1.0), 0.5)
     scaled = b / tau
     k = k_prev = (h - b) / tau
     t = 1.0
@@ -1099,10 +1063,11 @@ else:
     # Jacobian and the output.  And the sums of squares, row norms, totals
     # and C s hold no -0.0 term, so they start from their first term, not
     # from 0.0 as in the loops.  With no certificate within the cap, the
-    # ``for`` loop's ``else`` hands B to the loops, which redo the steps and
-    # hand their own last H to ``_dual_mixed21``, so the block reads nothing
-    # of its loop after it (at a cap of 0 too).  Row norms out of the safe
-    # range solve the problem rescaled, by ``_prox_mixed21_triple``.
+    # ``for`` loop's ``else`` hands B to ``_newton_mixed21_floats``, which
+    # redoes the steps and hands its last evaluated scales to
+    # ``_dual_mixed21``, so the block reads nothing of its loop after it (at
+    # a cap of 0 too).  Row norms out of the safe range solve the problem
+    # rescaled, by ``_prox_mixed21_triple``.
     NormKind.MIXED21: """\
 b_00, b_01, b_11 = a_00, a_01, a_11
 sq_00 = b_00 * b_00
@@ -1236,7 +1201,7 @@ else:
             s_0 = target_0
             s_1 = target_1
         else:
-            # No certificate: the loops take B from the start.
+            # No certificate: the float Newton phase takes B from the start.
             ((a_00, a_01), (_, a_11)), a_norm = _newton_mixed21_floats(
                 [[b_00, b_01], [b_01, b_11]], tau
             )

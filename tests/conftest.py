@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from simbound import Dataset, norm, similarity_objective
+import oracles
+from simbound import Dataset, norm, norms, similarity_objective
 
 
 def make_rng(seed):
@@ -30,6 +31,31 @@ def assert_model_invariants(model, data):
     obj = similarity_objective(model.matrix, data, model.config)
     assert obj <= 1.0 + 1e-9
     assert abs(obj - model.final_objective) <= 1e-12
+
+
+def watch_dual_starts(monkeypatch):
+    """Record where each mixed21 dual phase starts, as (phase, B, tau, H,
+    ||B||_{2,1}) in bytes and hex: "floats" for ``norms._dual_mixed21``,
+    with the H it forms at the scales it is handed, and "reference" for the
+    reference's dual phase, with the H it is handed."""
+    handed = []
+    dual = norms._dual_mixed21
+    reference_dual = oracles._reference_dual_mixed21
+
+    def recorded(name, b, tau, h, scale):
+        handed.append((name, b.tobytes(), float(tau).hex(), h.tobytes(), float(scale).hex()))
+
+    def floats(b, tau, s, scale):
+        recorded("floats", b, tau, oracles.reference_dual_start(b, s), scale)
+        return dual(b, tau, s, scale)
+
+    def reference(b, tau, h, scale, *rest):
+        recorded("reference", b, tau, h, scale)
+        return reference_dual(b, tau, h, scale, *rest)
+
+    monkeypatch.setattr(norms, "_dual_mixed21", floats)
+    monkeypatch.setattr(oracles, "_reference_dual_mixed21", reference)
+    return handed
 
 
 @pytest.fixture

@@ -448,8 +448,7 @@ def _reference_prox_mixed21(b, tau, gap_rtol=1e-12, newton_steps=8, dual_steps=2
     twice_b = b + b
     s = 1.0 - tau / np.maximum(b_rows, tau)
     # With no Newton step allowed, the dual phase starts from H at s.
-    live = s[:, None] + s > 0.0
-    h = twice_b * np.where(live, s / np.where(live, s[:, None] + s, 1.0), 0.5)
+    h = reference_dual_start(b, s)
     for _ in range(newton_steps):
         pair = s[:, None] + s
         all_live = s.min() > 0.0
@@ -482,6 +481,14 @@ def _reference_prox_mixed21(b, tau, gap_rtol=1e-12, newton_steps=8, dual_steps=2
             target[idx] = np.minimum(np.maximum(s[idx] - step, 0.0), 1.0)
         s = target
     return _reference_dual_mixed21(b, tau, h, scale, gap_rtol, dual_steps)
+
+
+def reference_dual_start(b, s):
+    """H = 2B * s_j / (s_i + s_j) at the scales s, 0.5 for a dead pair
+    (s_i = s_j = 0): the dual phase's warm start after a Newton phase whose
+    last evaluation was at s."""
+    live = s[:, None] + s > 0.0
+    return (b + b) * np.where(live, s / np.where(live, s[:, None] + s, 1.0), 0.5)
 
 
 def _reference_mixed21_dead_row(b, tau):

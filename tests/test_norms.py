@@ -32,7 +32,7 @@ from simbound import (
 import simbound.norms as norms
 import simbound.similarity as similarity
 from simbound.norms import _PROX, MIXED21_GAP_RTOL
-from conftest import symmetric_part
+from conftest import symmetric_part, watch_dual_starts
 import oracles
 from oracles import (
     _reference_prox_mixed21, _reference_prox_mixed21_floats, _reference_solve, closed_form_prox,
@@ -587,29 +587,38 @@ _MIXED21_GOLDEN = [
 
 
 def test_mixed21_prox_d2_golden_bits(monkeypatch):
-    # The d = 2 kernel on the triple and the loops on the rows: the bits,
-    # then each case's path.  Capped at steps + 1 evaluations both give the
-    # same bits and hand nothing to the dual phase, and the kernel calls no
-    # _solve_floats.  Capped at one, a closed form gives the same bits and
-    # hands nothing over, and the kernel's uncertified Newton phase hands B
-    # to the loops, so it solves the loops' Newton systems and hands the
-    # dual phase the same B, H and ||B||_{2,1} as the loops, bit for bit,
-    # and gets the same prox back; the loops' first Newton system has the
-    # stated unknowns (none if the first evaluation certifies).
+    # The d = 2 kernel on the triple and the float Newton phase on the
+    # rows: the bits, then each case's path.  The reference, capped at
+    # steps + 1 evaluations, gives the float phase's bits by steps Newton
+    # systems, the first with the stated unknowns.  Capped at steps + 1 the
+    # kernel and the float phase give the same bits and hand nothing to the
+    # dual phase, and the kernel calls no _solve_floats.  Capped at one, a
+    # closed form gives the same bits and hands nothing over, and the
+    # kernel's uncertified Newton phase hands B to the float phase, so it
+    # hands the dual phase the same B, scales and ||B||_{2,1} as that phase,
+    # bit for bit, and gets the same prox back.  At that cap no phase solves
+    # a Newton system: none takes a step after its last evaluation.
     systems = []
+    reference_systems = []
     handed = []
     solve = norms._solve_floats
+    reference_solve = oracles._reference_solve
     dual = norms._dual_mixed21
 
     def recorded(system):
         systems.append(len(system))
         return solve(system)
 
-    def recorded_dual(b, tau, h, scale):
-        handed.append((b.tobytes(), tau, h.tobytes(), scale.hex()))
-        return dual(b, tau, h, scale)
+    def recorded_reference(matrix, rhs):
+        reference_systems.append(len(rhs))
+        return reference_solve(matrix, rhs)
+
+    def recorded_dual(b, tau, s, scale):
+        handed.append((b.tobytes(), tau, s.tobytes(), scale.hex()))
+        return dual(b, tau, s, scale)
 
     monkeypatch.setattr(norms, "_solve_floats", recorded)
+    monkeypatch.setattr(oracles, "_reference_solve", recorded_reference)
     monkeypatch.setattr(norms, "_dual_mixed21", recorded_dual)
     kernel = norms._prox_mixed21_triple
     for rows, steps, unknowns, prox_rows, prox_norm, newton in _MIXED21_GOLDEN:
@@ -618,7 +627,12 @@ def test_mixed21_prox_d2_golden_bits(monkeypatch):
         assert systems == []
         loops = newton or (prox_rows, prox_norm)
         assert _hex(norms._newton_mixed21_floats(rows, 0.5)) == loops
-        first = [unknowns] if unknowns else []
+        reference_systems.clear()
+        reference, reference_norm = _reference_prox_mixed21_floats(
+            np.array(rows), 0.5, MIXED21_GAP_RTOL, steps + 1, norms._MIXED21_DUAL_STEPS
+        )
+        assert _hex((reference.tolist(), reference_norm)) == loops
+        assert len(reference_systems) == steps and reference_systems[:1] == [unknowns][:steps]
         systems.clear()
         with monkeypatch.context() as patch:
             patch.setattr(norms, "_MIXED21_NEWTON_STEPS", steps + 1)
@@ -628,18 +642,16 @@ def test_mixed21_prox_d2_golden_bits(monkeypatch):
             systems.clear()
             patch.setattr(norms, "_MIXED21_NEWTON_STEPS", 1)
             capped = kernel(_triple(rows), 0.5)
-            from_kernel = handed[:], systems[:]
+            from_kernel = handed[:]
             handed.clear()
-            systems.clear()
             capped_loops = norms._newton_mixed21_floats(rows, 0.5)
-        assert systems == first
+        assert systems == []
         if newton:
-            assert _hex(capped) == _hex((a, total)) and from_kernel == ([], [])
+            assert _hex(capped) == _hex((a, total)) and from_kernel == []
         else:
-            assert len(handed) == 1 and from_kernel == (handed, systems)
+            assert len(handed) == 1 and from_kernel == handed
             assert _hex((_rows(capped[0]), capped[1])) == _hex(capped_loops)
         handed.clear()
-        systems.clear()
 
 
 def test_mixed21_newton_phase_chosen_by_dimension(monkeypatch):
@@ -774,34 +786,22 @@ def test_mixed21_d2_prox_is_the_float_kernel(rng):
 
 def test_mixed21_float_newton_hands_over_to_dual_phase(monkeypatch):
     # Capped at one Newton step, the float phase at d = 3 and d = 2 hands
-    # the H of its last evaluation to the dual phase, bit for bit the
-    # reference's H.  The dual phase certifies the gap (it raises otherwise)
-    # and matches the reference run with the same cap.
-    handovers = []
-
-    def recorded(dual):
-        def recorded_dual(b, tau, h, *rest):
-            handovers.append(h)
-            return dual(b, tau, h, *rest)
-
-        return recorded_dual
-
-    monkeypatch.setattr(norms, "_dual_mixed21", recorded(norms._dual_mixed21))
-    monkeypatch.setattr(
-        oracles, "_reference_dual_mixed21", recorded(oracles._reference_dual_mixed21)
-    )
+    # the scales of its last evaluation to the dual phase, whose H at them
+    # is bit for bit the reference's H.  The dual phase certifies the gap
+    # (it raises otherwise) and matches the reference run with the same cap.
+    handed = watch_dual_starts(monkeypatch)
     tau = _TWO_STEP_TAU
     for b in (_TWO_STEP_B, np.array(_ONE_STEP_ROWS)):
-        handovers.clear()
+        handed.clear()
         full, _ = norms._prox_mixed21(b, tau)
-        assert handovers == []
+        assert handed == []
         with monkeypatch.context() as patch:
             patch.setattr(norms, "_MIXED21_NEWTON_STEPS", 1)
             out, out_norm = norms._prox_mixed21(b, tau)
-        assert len(handovers) == 1
+        assert len(handed) == 1
         expected, expected_norm = _reference_prox_mixed21(b, tau, newton_steps=1)
-        h, expected_h = handovers
-        assert h.shape == b.shape and h.tobytes() == expected_h.tobytes()
+        assert [name for name, *_ in handed] == ["floats", "reference"]
+        assert handed[0][1:] == handed[1][1:]
         np.testing.assert_array_equal(out, expected)
         np.testing.assert_array_equal(np.signbit(out), np.signbit(expected))
         assert out_norm == expected_norm and type(out_norm) is float
@@ -812,24 +812,13 @@ def test_mixed21_float_newton_hands_over_to_dual_phase(monkeypatch):
 
 def test_mixed21_d2_newton_cap_zero_hands_start_scales_to_dual_phase(monkeypatch):
     # At a Newton cap of 0 the d = 2 kernel on the triple, prox and the
-    # loops return the reference's prox with the same cap, bit for bit: the
-    # dual phase starts from the H of the start scales, which each hands it
-    # as the reference does.  The kernel's block used to hand over H from
-    # locals that only its Newton loop sets, and raised UnboundLocalError.
-    # A dead row still takes its closed form and hands nothing over.
-    handed = []
-
-    def recorded(dual):
-        def recorded_dual(b, tau, h, *rest):
-            handed.append(h.tobytes())
-            return dual(b, tau, h, *rest)
-
-        return recorded_dual
-
-    monkeypatch.setattr(norms, "_dual_mixed21", recorded(norms._dual_mixed21))
-    monkeypatch.setattr(
-        oracles, "_reference_dual_mixed21", recorded(oracles._reference_dual_mixed21)
-    )
+    # float phase return the reference's prox with the same cap, bit for
+    # bit: each hands the dual phase the start scales, from whose H it
+    # starts, as the reference's does.  The kernel's block used to hand over
+    # H from locals that only its Newton loop sets, and raised
+    # UnboundLocalError.  A dead row still takes its closed form and hands
+    # nothing over.
+    handed = watch_dual_starts(monkeypatch)
     monkeypatch.setattr(norms, "_MIXED21_NEWTON_STEPS", 0)
     cases = [_ONE_STEP_ROWS, _reviving(2).tolist(), _MIXED21_GOLDEN[0][0]]
     for rows in cases:
@@ -844,9 +833,9 @@ def test_mixed21_d2_newton_cap_zero_hands_start_scales_to_dual_phase(monkeypatch
         loops = norms._newton_mixed21_floats(rows, 0.5)
         if oracles._reference_mixed21_dead_row(b, 0.5) is None:
             assert _hex(loops) == _hex((_rows(a), total))
-            assert len(handed) == 4 and len(set(handed)) == 1
+            assert len(handed) == 4 and len({entry[1:] for entry in handed}) == 1
         else:
-            assert len(handed) == 1
+            assert [name for name, *_ in handed] == ["floats"]
 
 
 def test_mixed21_newton_cap_zero_hands_start_scales_at_every_d(monkeypatch, rng):
@@ -855,19 +844,7 @@ def test_mixed21_newton_cap_zero_hands_start_scales_at_every_d(monkeypatch, rng)
     # each hands the dual phase.  The array phase (d >= 6) used to hand
     # over an H that only its Newton loop sets, and raised
     # UnboundLocalError.  Each d has a case with a row dead at the start.
-    handed = []
-
-    def recorded(dual):
-        def recorded_dual(b, tau, h, *rest):
-            handed.append(h.tobytes())
-            return dual(b, tau, h, *rest)
-
-        return recorded_dual
-
-    monkeypatch.setattr(norms, "_dual_mixed21", recorded(norms._dual_mixed21))
-    monkeypatch.setattr(
-        oracles, "_reference_dual_mixed21", recorded(oracles._reference_dual_mixed21)
-    )
+    handed = watch_dual_starts(monkeypatch)
     monkeypatch.setattr(norms, "_MIXED21_NEWTON_STEPS", 0)
     for d in range(3, 9):
         dead = symmetric_part(rng.standard_normal((d, d)))
@@ -879,7 +856,7 @@ def test_mixed21_newton_cap_zero_hands_start_scales_at_every_d(monkeypatch, rng)
             _assert_same_bits(out, expected)
             _, total = norms._prox_mixed21(b, 0.5)
             assert total == expected_norm and type(total) is float
-            assert len(handed) == 3 and len(set(handed)) == 1, d
+            assert len(handed) == 3 and len({entry[1:] for entry in handed}) == 1, d
 
 
 def test_mixed21_float_newton_calls_numpy_once(monkeypatch):
@@ -968,7 +945,7 @@ def test_mixed21_float_newton_matches_reference_bits(rng, monkeypatch):
     # norm equal the reference's at d = 1 to 5.  The inputs make Newton
     # systems of 1, 2 and more unknowns, a tied pivot and a dead row that
     # comes back to life; at d = 5 the dual phase takes over, from the H of
-    # the last evaluation in both.
+    # the last evaluation in both: the float phase hands over its scales.
     systems = []
     solve = norms._solve_floats
 
@@ -976,20 +953,8 @@ def test_mixed21_float_newton_matches_reference_bits(rng, monkeypatch):
         systems.append([list(row) for row in system])
         return solve(system)
 
-    handed = {}
-
-    def handover(name, dual):
-        def recorded_dual(b, tau, h, *rest):
-            handed[name] = h.tobytes()
-            return dual(b, tau, h, *rest)
-
-        return recorded_dual
-
     monkeypatch.setattr(norms, "_solve_floats", recorded)
-    monkeypatch.setattr(norms, "_dual_mixed21", handover("floats", norms._dual_mixed21))
-    monkeypatch.setattr(
-        oracles, "_reference_dual_mixed21", handover("reference", oracles._reference_dual_mixed21)
-    )
+    handed = watch_dual_starts(monkeypatch)
     cases = [(np.array([[x]]), tau) for x in (1.5, -0.25, -0.0) for tau in (0.1, 1.0)]
     for b in _signed_zero_inputs(rng):
         if b.shape[0] <= 5:
@@ -1007,7 +972,8 @@ def test_mixed21_float_newton_matches_reference_bits(rng, monkeypatch):
         )
         _assert_same_bits(np.array(rows), expected)
         assert rows_norm == expected_norm and type(rows_norm) is float
-        assert handed.get("floats") == handed.get("reference")
+        floats = [entry[1:] for entry in handed if entry[0] == "floats"]
+        assert floats == [entry[1:] for entry in handed if entry[0] == "reference"]
         if b is _HANDOVER_B:
             assert len(handed) == 2
     sizes = {len(system) for system in systems}
@@ -1015,12 +981,26 @@ def test_mixed21_float_newton_matches_reference_bits(rng, monkeypatch):
     assert any(map(_has_tied_pivot, systems))
 
 
-def _newton_loops(monkeypatch, rows, tau):
-    """The float Newton loops alone: ``_newton_mixed21_floats`` runs a
-    written-out kernel only at 2 < d <= _MIXED21_FLOAT_MAX_D."""
-    with monkeypatch.context() as patch:
-        patch.setattr(norms, "_MIXED21_FLOAT_MAX_D", 2)
-        return norms._newton_mixed21_floats(rows, tau)
+def _reference_newton(rows, tau):
+    """The reference's float Newton phase on rows, at the prox's caps, as
+    (rows, norm).  Row norms out of the safe range solve the problem
+    rescaled by ``norms._rescaled``, as the written-out kernels do; the
+    reference itself does not rescale."""
+
+    def solve(rows, tau):
+        a, total = _reference_prox_mixed21_floats(
+            np.array(rows), tau, MIXED21_GAP_RTOL, norms._MIXED21_NEWTON_STEPS,
+            norms._MIXED21_DUAL_STEPS,
+        )
+        return a.tolist(), total
+
+    b_rows = [oracles._float_norm(row) for row in rows]
+    scale = 0.0
+    for row_norm in b_rows:
+        scale += row_norm
+    if norms._SAFE_MIN <= max(b_rows) and scale <= norms._SAFE_MAX:
+        return solve(rows, tau)
+    return norms._rescaled(solve, rows, tau)
 
 
 def _watch_written(monkeypatch):
@@ -1074,17 +1054,17 @@ def _hex_prox(out):
     return _hex(rows), total.hex()
 
 
-def test_mixed21_written_newton_matches_loops(rng, monkeypatch):
-    # At d = 3 to 5 the Newton phase, written out, returns the loops' bits,
-    # -0.0 included, where it certifies and where it hands over, and out of
-    # the safe range, where both solve rescaled.
+def test_mixed21_written_newton_matches_reference(rng, monkeypatch):
+    # At d = 3 to 5 the Newton phase, written out, returns the reference's
+    # bits, -0.0 included, where it certifies and where it hands over to the
+    # loops, and out of the safe range, where both solve rescaled.
     returned = _watch_written(monkeypatch)
     certified = handed = 0
     for rows, tau in _written_newton_inputs(rng):
         returned.clear()
         with np.errstate(over="ignore"):
             out = norms._newton_mixed21_floats(rows, tau)
-            expected = _newton_loops(monkeypatch, rows, tau)
+            expected = _reference_newton(rows, tau)
         assert _hex_prox(out) == _hex_prox(expected), (rows, tau)
         assert type(out[1]) is float and returned
         certified += len(returned[-1]) == 2
@@ -1125,7 +1105,7 @@ def _h_row_norms(twice, s):
 
 def test_mixed21_written_newton_exits(monkeypatch):
     # Each way off the written-out path hands the loops its state, and the
-    # loops continue from it to their own bits: a dead row at the start,
+    # loops resume from it to the reference's bits: a dead row at the start,
     # with every evaluation left; a target that drops to 0 after a step,
     # with every row live; a pivot swap, with every row's target positive,
     # which the loops' next Newton system makes.
@@ -1159,14 +1139,14 @@ def test_mixed21_written_newton_exits(monkeypatch):
             assert live.all() == (way == "swap"), way
         if way == "swap":
             assert systems and _needs_swap(systems[0])
-        assert _hex_prox(out) == _hex_prox(_newton_loops(monkeypatch, rows, tau))
+        assert _hex_prox(out) == _hex_prox(_reference_newton(rows, tau))
     assert left == {steps, steps - 1}
 
 
 def test_mixed21_written_newton_out_of_range_solves_rescaled(rng, monkeypatch):
     # Row norms beyond the safe range: the kernel solves its problem
-    # rescaled, by the written-out kernel again, to the loops' bits, which
-    # are 2^k times its bits at scale 1.
+    # rescaled, by the written-out kernel again, to the reference's bits
+    # rescaled, which are 2^k times its bits at scale 1.
     returned = _watch_written(monkeypatch)
     rescaled = []
     rescale = norms._rescaled
@@ -1185,34 +1165,65 @@ def test_mixed21_written_newton_out_of_range_solves_rescaled(rng, monkeypatch):
         out = norms._newton_mixed21_floats(rows, tau)
         assert rescaled == [norms._newton_mixed21_floats]
         assert [len(x) for x in returned] == [2, 2]
-        assert _hex_prox(out) == _hex_prox(_newton_loops(monkeypatch, rows, tau))
+        assert _hex_prox(out) == _hex_prox(_reference_newton(rows, tau))
         assert np.ldexp(out[0], -k).tobytes() == np.array(unit[0]).tobytes()
 
 
 def test_mixed21_written_newton_hands_capped_steps_to_dual_phase(monkeypatch):
     # Capped at one evaluation, the kernel takes no Newton step and hands
-    # the loops s with no evaluation left; they hand the dual phase the
-    # same B, H and ||B||_{2,1} as the loops alone, bit for bit, and get
-    # the same prox back.
+    # the loops s with no evaluation left; they hand the dual phase that s,
+    # whose H, with B and ||B||_{2,1}, is bit for bit the one the reference
+    # hands its dual phase, and get the reference's prox back.
     returned = _watch_written(monkeypatch)
-    handed = []
-    dual = norms._dual_mixed21
-
-    def recorded_dual(b, tau, h, scale):
-        handed.append((b.tobytes(), tau, h.tobytes(), scale.hex()))
-        return dual(b, tau, h, scale)
-
-    monkeypatch.setattr(norms, "_dual_mixed21", recorded_dual)
+    handed = watch_dual_starts(monkeypatch)
     monkeypatch.setattr(norms, "_MIXED21_NEWTON_STEPS", 1)
     cases = [(_TWO_STEP_B, _TWO_STEP_TAU), (_reviving(4) + np.eye(4), 0.5), (_HANDOVER_B, 0.5)]
     for b, tau in cases:
         returned.clear()
         handed.clear()
         out = norms._newton_mixed21_floats(b.tolist(), tau)
-        loops = _newton_loops(monkeypatch, b.tolist(), tau)
+        expected = _reference_newton(b.tolist(), tau)
         assert len(returned) == 1 and len(returned[0]) == 5 and returned[0][4] == 0
-        assert len(handed) == 2 and handed[0] == handed[1]
-        assert _hex_prox(out) == _hex_prox(loops)
+        assert len(handed) == 2 and handed[0][1:] == handed[1][1:]
+        assert _hex_prox(out) == _hex_prox(expected)
+
+
+def test_mixed21_written_newton_d1_d2_match_reference(monkeypatch):
+    # At d = 1 and d = 2 the written-out kernel runs first too: with the
+    # loops it hands over to, it returns the reference's bits, -0.0
+    # included, and hands the dual phase the scales at which the
+    # reference's H is formed.  d = 1 takes entries of both signs and
+    # -0.0, live and dead; d = 2 takes _ONE_STEP_ROWS, _reviving(2) and its
+    # mirror, whose dead row starts at s_i = 0 and lives at the minimizer,
+    # and a row that stays dead, at caps 1 to 3 and the default.
+    returned = _watch_written(monkeypatch)
+    handed = watch_dual_starts(monkeypatch)
+    cases = [([[x]], tau) for x in (1.5, -0.25, -0.0, 0.5) for tau in (0.1, 0.5, 1.0)]
+    cases += [
+        (rows, 0.5)
+        for rows in (
+            _ONE_STEP_ROWS, _reviving(2).tolist(), _reviving(2)[::-1, ::-1].tolist(),
+            _MIXED21_GOLDEN[2][0],
+        )
+    ]
+    ways = set()
+    for steps in (1, 2, 3, norms._MIXED21_NEWTON_STEPS):
+        with monkeypatch.context() as patch:
+            patch.setattr(norms, "_MIXED21_NEWTON_STEPS", steps)
+            for rows, tau in cases:
+                returned.clear()
+                handed.clear()
+                out = norms._newton_mixed21_floats(rows, tau)
+                assert _hex_prox(out) == _hex_prox(_reference_newton(rows, tau)), (rows, steps)
+                assert len(returned) == 1
+                if handed:
+                    assert [name for name, *_ in handed] == ["floats", "reference"]
+                    assert handed[0][1:] == handed[1][1:]
+                ways.add((len(rows), len(returned[0]), len(handed)))
+    # Each d certifies in its kernel and hands over; d = 2 also reaches the
+    # dual phase.
+    assert {(1, 2, 0), (1, 5, 0), (2, 2, 0), (2, 5, 0), (2, 5, 2)} <= ways
+    assert norms._WRITTEN_NEWTON[1] is not norms._WRITTEN_NEWTON[2]
 
 
 def test_certify_shaped_mixed21_proxes_stay_written_out(monkeypatch):
@@ -1292,13 +1303,13 @@ def test_import_builds_no_written_float_loop():
 
 def _written_sources():
     """Every written-out source, with the module it is compiled in: the 48
-    float loops (m 1 to 12, four kinds), the d = 3 to 5 Newton kernels and
+    float loops (m 1 to 12, four kinds), the d = 1 to 5 Newton kernels and
     the two kernels on the triple."""
     sources = [
         ((m, kind), similarity._float_loop_source((m, kind)), similarity)
         for m in range(1, 13) for kind in NormKind
     ]
-    sources += [(d, norms._newton_mixed21_source(d), norms) for d in (3, 4, 5)]
+    sources += [(d, norms._newton_mixed21_source(d), norms) for d in (1, 2, 3, 4, 5)]
     sources += [
         (kind, norms._prox_triple_source(kind), norms)
         for kind in (NormKind.FROBENIUS, NormKind.MIXED21)
@@ -1312,7 +1323,7 @@ def test_written_sources_read_only_names_their_module_holds():
     # global name each source reads, in every scope, and each must be a
     # builtin or a name of the module the source runs in.
     sources = _written_sources()
-    assert len(sources) == 53
+    assert len(sources) == 55
     for key, text, module in sources:
         missing = set()
         tables = [symtable.symtable(text, "<written>", "exec")]
@@ -1331,8 +1342,8 @@ def test_written_sources_read_only_names_their_module_holds():
 def test_written_sources_show_in_tracebacks(monkeypatch):
     # A written-out function's text is in linecache, under the name it is
     # compiled with, and stays there through checkcache: an error inside a
-    # float loop or a d = 5 Newton kernel shows its failing line, and
-    # inspect.getsource returns the kernel's text.
+    # float loop or a d = 1, 2 or 5 Newton kernel shows its failing line,
+    # and inspect.getsource returns each kernel's text.
     monkeypatch.setattr(similarity, "_WRITTEN_FLOAT_LOOPS", {})
     monkeypatch.setattr(norms, "_WRITTEN_NEWTON", {})
     monkeypatch.setattr(similarity, "_hinge_floats", None)
@@ -1340,18 +1351,22 @@ def test_written_sources_show_in_tracebacks(monkeypatch):
     data = Dataset(np.array([[1.0, 0.5], [-1.0, 0.2]]), np.array([1.0, -1.0]))
     config = SimilarityConfig(0.1, 1.0, "mixed21", 10)
     b = symmetric_part(np.arange(25.0).reshape(5, 5) / 25.0 + np.eye(5))
-    for run, filename, line in (
+    newton = [
+        (
+            lambda rows=rows: norms._newton_mixed21_floats(rows, 0.5),
+            f"<_newton_mixed21_source: {len(rows)}>",
+            "bound = tau * MIXED21_GAP_RTOL",
+        )
+        for rows in ([[1.5]], _ONE_STEP_ROWS, b.tolist())
+    ]
+    for run, filename, line in [
         (
             lambda: train_similarity(data, config),
             "<_float_loop_source: (2, <NormKind.MIXED21: 'mixed21'>)>",
             "hinge_sum, u_0, u_1 = _hinge_floats(rows, 0.0, 0.0)",
         ),
-        (
-            lambda: norms._newton_mixed21_floats(b.tolist(), 0.5),
-            "<_newton_mixed21_source: 5>",
-            "bound = tau * MIXED21_GAP_RTOL",
-        ),
-    ):
+        *newton,
+    ]:
         for _ in range(2):
             shown = ""
             try:
@@ -1360,8 +1375,8 @@ def test_written_sources_show_in_tracebacks(monkeypatch):
                 shown = traceback.format_exc()
             assert f'File "{filename}"' in shown and f"\n    {line}\n" in shown, shown
             linecache.checkcache()
-    kernel = norms._WRITTEN_NEWTON[5]
-    assert inspect.getsource(kernel) == norms._newton_mixed21_source(5)
+    for d in (1, 2, 5):
+        assert inspect.getsource(norms._WRITTEN_NEWTON[d]) == norms._newton_mixed21_source(d)
 
 
 def test_solve_floats_matches_reference_bits(rng):

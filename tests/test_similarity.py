@@ -28,7 +28,9 @@ from simbound import (
 from simbound import norms, similarity
 from simbound.similarity import model_to_json_dict
 import oracles
-from conftest import assert_model_invariants, make_rng, random_dataset, symmetric_part
+from conftest import (
+    assert_model_invariants, make_rng, random_dataset, symmetric_part, watch_dual_starts,
+)
 from oracles import (
     fd_inner_product,
     grid_similarity_oracle,
@@ -582,27 +584,15 @@ def test_float_mixed21_fit_hands_capped_newton_to_dual_phase(monkeypatch):
     # With the Newton cap lowered to 1, in norms, whose one cap the float
     # loop's mixed21 block and the Newton loops read, and in the reference
     # prox, a live prox whose first evaluation does not certify goes to the
-    # loops, which hand their H to the dual phase inside the fit.  Both
-    # hand over the same B, tau, H and ||B||_{2,1}, bit for bit, and the
-    # fit still matches the reference loop.
-    handed = {"floats": [], "reference": []}
-
-    def recorded(name, dual):
-        def recorded_dual(b, tau, h, scale, *rest):
-            handed[name].append((b.tobytes(), tau.hex(), h.tobytes(), scale.hex()))
-            return dual(b, tau, h, scale, *rest)
-
-        return recorded_dual
-
+    # float Newton phase, which hands the scales of that evaluation to the
+    # dual phase inside the fit.  The H at them, with B, tau and
+    # ||B||_{2,1}, is bit for bit what the reference hands its dual phase,
+    # and the fit still matches the reference loop.
+    handed = watch_dual_starts(monkeypatch)
     monkeypatch.setattr(norms, "_MIXED21_NEWTON_STEPS", 1)
-    monkeypatch.setattr(norms, "_dual_mixed21", recorded("floats", norms._dual_mixed21))
     monkeypatch.setattr(
         oracles, "_reference_prox_mixed21",
         functools.partial(oracles._reference_prox_mixed21, newton_steps=1),
-    )
-    monkeypatch.setattr(
-        oracles, "_reference_dual_mixed21",
-        recorded("reference", oracles._reference_dual_mixed21),
     )
     rng = make_rng(593)
     for m in (2, 5, 9):
@@ -611,17 +601,18 @@ def test_float_mixed21_fit_hands_capped_newton_to_dual_phase(monkeypatch):
             config = SimilarityConfig(
                 lam=lam, margin=1.0, norm_kind="mixed21", max_iters=100, step0=2.0, rel_tol=0.0
             )
-            for found in handed.values():
-                found.clear()
+            handed.clear()
             _assert_json_matches_reference(data, config)
-            assert handed["floats"] and handed["floats"] == handed["reference"], (m, lam)
+            floats = [entry[1:] for entry in handed if entry[0] == "floats"]
+            assert floats, (m, lam)
+            assert floats == [entry[1:] for entry in handed if entry[0] == "reference"], (m, lam)
 
 
 def test_float_mixed21_fit_at_newton_cap_zero(monkeypatch):
     # At a Newton cap of 0 a d = 2 mixed21 fit returns, where the float
     # loop's block used to raise UnboundLocalError: each prox that no dead
-    # row solves goes to the Newton loops, which hand the dual phase the H
-    # of the start scales, and the fit matches the reference loop with the
+    # row solves goes to the float Newton phase, which hands the dual phase
+    # the start scales, and the fit matches the reference loop with the
     # same cap bit for bit.
     handed = []
     dual = norms._dual_mixed21
