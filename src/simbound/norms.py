@@ -27,11 +27,14 @@ matrix as the three Python floats (a_00, a_01, a_11), the shape of its
 tiny fits, and runs its kind's prox inline.  Every d = 2 prox is stated
 once, as a block in ``_PROX_BLOCKS``, which that loop holds and from
 which the kernels on the triple (``_prox_fro_triple``,
-``_prox_mixed21_triple``) are compiled.  Only that loop reuses a
-spectrum: its trace block keeps the last one in six floats, and a zero
-step thresholds it again, since spectral soft-thresholds compose.
+``_prox_mixed21_triple``) are compiled.  The mixed21 block states only
+its range test, its dead-row closed form and its outputs: its Newton
+phase is the written-out d = 2 kernel's (``_newton_mixed21_source``),
+written in when a loop or kernel that holds it is built.  Only that loop
+reuses a spectrum: its trace block keeps the last one in six floats, and
+a zero step thresholds it again, since spectral soft-thresholds compose.
 ``_written`` builds every written-out function, with its text in
-``linecache``; an import builds none.
+``linecache``; an import builds none and writes no source.
 
 Each fro and mixed21 kernel tests the norm or row norms it computes, and
 the trace kernel the spectral norm that LAPACK returned (LAPACK scales a
@@ -435,19 +438,21 @@ def _prox_mixed21(b, tau):
     free in this parametrization and Newton may stall; ``_dual_mixed21``
     then takes over from the last evaluated scales s.
 
-    A 2x2 B goes to the triple kernel ``_prox_mixed21_triple``, which
-    solves a dead row in closed form and otherwise runs the Newton phase
-    written out (the mixed21 block of ``_PROX_BLOCKS``, which stage one's
-    float loop also runs), so every d = 2 mixed21 prox is the same.  Up to
-    d = ``_MIXED21_FLOAT_MAX_D`` (5) the Newton phase runs on Python floats
-    (``_newton_mixed21_floats``), above it on arrays
-    (``_newton_mixed21_arrays``), whose cost grows more slowly with d.  The
-    two round differently: dot products and the Newton solve may differ in
-    the last bits.  The float phase runs written out first, one kernel per
-    d compiled on its first use (``_newton_mixed21_source``): while every
-    row stays live and no pivot swaps, which is every prox of the
-    benchmark's certify trials, it certifies alone; otherwise the loops
-    resume from its state.
+    A 2x2 B goes to the triple kernel ``_prox_mixed21_triple``, built from
+    the mixed21 block of ``_PROX_BLOCKS``, which stage one's float loop
+    also runs, so every d = 2 mixed21 prox is the same: it solves a dead
+    row in closed form and otherwise runs the Newton phase of the
+    written-out d = 2 kernel inline.  Up to d = ``_MIXED21_FLOAT_MAX_D``
+    (5) the Newton phase runs on Python floats (``_newton_mixed21_floats``),
+    above it on arrays (``_newton_mixed21_arrays``), whose cost grows more
+    slowly with d.  The two round differently: dot products and the Newton
+    solve may differ in the last bits.  The float phase runs written out
+    first, one kernel per d compiled on its first use
+    (``_newton_mixed21_source``): while no pair is dead, every row of H
+    stays above tau and no pivot swaps, which is every prox of the
+    benchmark's certify trials, it certifies alone, a row that starts at
+    s_i = 0 and comes back to life included; otherwise the loops resume
+    from its state.
 
     Where the row norms of B leave the safe range, which also turns away a
     non-finite row, each Newton phase solves its problem rescaled
@@ -531,10 +536,12 @@ def _newton_mixed21_floats(rows, tau):
 
     The kernel that ``_written_newton_mixed21`` writes out for d runs
     first, with the row norms, their range test and the start scales.  It
-    makes these loops' operations on named floats while every row stays
-    live and the elimination needs no pivot swap, and returns their bits;
-    otherwise it hands over its state (2B, the row norms, ||B||_{2,1}, s
-    and the evaluations left), and the loops only resume from it.
+    makes these loops' operations on named floats while no pair is dead,
+    every ||h_i|| > tau and the elimination needs no pivot swap, and
+    returns their bits; otherwise it hands over its state (2B, the row
+    norms, ||B||_{2,1}, s and the evaluations left), and the loops only
+    resume from it.  The d = 2 mixed21 block runs the same Newton phase
+    inline and, off that path, hands B here.
 
     Each evaluation makes one pass over H for its row norms, the gap and
     the total, and keeps no entry of H.  An iterate that does not certify
@@ -639,7 +646,8 @@ _WRITTEN_NEWTON = {}
 
 
 def _written_newton_mixed21(d):
-    """The float loops' Newton path at d, written out: kernel(rows, tau, steps).
+    """The float loops' Newton path at d, written out:
+    kernel(rows, tau, newton_steps).
 
     The kernel returns (A as rows, its norm) where the loops would, or
     hands the loops its state.  It is compiled from
@@ -648,13 +656,50 @@ def _written_newton_mixed21(d):
     return _written(_WRITTEN_NEWTON, d, _newton_mixed21_source, globals())
 
 
-# The written-out kernel with each d-dependent part a field: a run of
-# statements, one per line, or of terms.  STATE is what goes to the loops:
-# 2B, the row norms, ||B||_{2,1} and s, then the evaluations left.  Each
-# pass of the loop is one evaluation and one Newton step, and steps counts
-# the evaluations left, this one included.
+# The written-out Newton phase, a block of statements with each
+# d-dependent part a field: a run of statements, one per line, or of
+# terms.  It reads B's diagonal and its squares, 2B (t), the row norms,
+# ||B||_{2,1} as scale, tau, sqrt and the cap newton_steps, and leaves
+# certified, with A's entries t_ij u_ij and its norm total, or the
+# evaluations left in steps.  Each pass of the loop is one evaluation and
+# one Newton step, and steps counts the evaluations left, this one
+# included; a cap of 0 leaves steps at 0.
 _NEWTON_MIXED21_SKELETON = """\
-def newton(rows, tau, steps):
+{start}
+{diagonal_numerators}
+tolerance = tau * MIXED21_GAP_RTOL
+certified = False
+steps = 0
+for steps in range(newton_steps, 0, -1):
+    {pair_sums}
+    if not ({all_pairs_live}):
+        break
+    {h}
+    {h_norms}
+    if not ({all_above_tau}):
+        break
+    {residuals}
+    {weighted}
+    total = {total}
+    if {gap} <= tolerance * (total + scale):
+        {diagonal_pair_sums}
+        {shares}
+        certified = True
+        break
+    if steps == 1:
+        steps = 0
+        break
+    {squared_pair_sums}
+    {jacobian}
+    {elimination}
+    {back_substitution}
+    {step}
+"""
+
+# The kernel around that block.  Off its path it hands the loops its
+# state: 2B, the row norms, ||B||_{2,1} and s, then the evaluations left.
+_NEWTON_MIXED21_FUNCTION = """\
+def newton(rows, tau, newton_steps):
     sqrt = math.sqrt
     {unpack} = rows
     {twice}
@@ -663,32 +708,10 @@ def newton(rows, tau, steps):
     scale = {scale}
     if not (({in_range}) and scale <= _SAFE_MAX):
         return _rescaled(_newton_mixed21_floats, rows, tau)
-    {start}
-    {diagonal_numerators}
-    bound = tau * MIXED21_GAP_RTOL
-    for steps in range(steps, 0, -1):
-        if not ({all_live}):
-            return STATE, steps
-        {pair_sums}
-        {h}
-        {h_norms}
-        if not ({all_above_tau}):
-            return STATE, steps
-        {residuals}
-        {weighted}
-        total = {total}
-        if {gap} <= bound * (total + scale):
-            {diagonal_pair_sums}
-            {shares}
-            return [{a}], total
-        if steps == 1:
-            break
-        {squared_pair_sums}
-        {jacobian}
-        {elimination}
-        {back_substitution}
-        {step}
-    return STATE, 0
+    {newton}
+    if certified:
+        return [{a}], total
+    return {state}, steps
 """
 
 
@@ -699,22 +722,33 @@ def _newton_mixed21_source(d):
     is a named local, and so is each pair sum p_ij = s_i + s_j, formed once
     per pair; each h_ij is kept for the Jacobian.  Every operation is the
     loops' own, in their order, so the kernel returns their bits.  It
-    leaves out what no bit depends on, as the d = 2 mixed21 block does:
-    H's diagonal is B's, exactly in the safe range, so b_ii^2 and
-    b_ii t_ii are formed once per prox; sums whose terms are never -0.0
-    start from their first term; and with every row above tau the loops'
-    gap term for rows below it is 0.0.
+    leaves out what no bit depends on: H's diagonal is B's, exactly in the
+    safe range (t_ii (s_i / p_ii) for a live row, t_ii 0.5 for a dead
+    one), so b_ii^2 and b_ii t_ii are formed once per prox; sums whose
+    terms are never -0.0 start from their first term; and with every row
+    above tau the loops' gap term for rows below it is 0.0.
 
-    That path is the one where every row is live: it needs every s_i > 0
-    and every ||h_i|| > tau, which is what makes each target positive, and
-    ``_solve_floats``' elimination with no pivot swap, where
-    |m_ik| > |m_kk| for some i > k means one.  Otherwise the kernel returns
-    (2B, the row norms, ||B||_{2,1}, s, the evaluations left), and the loops
-    evaluate s again and go on.  After its last evaluation it takes no
-    Newton step: it hands over s with no evaluation left, and the loops
-    hand s to the dual phase.  Row norms out of the safe range solve the
-    problem rescaled.  d = 1 differs only in how the rows unpack.
+    That path is the one where the loops solve for every row: it needs
+    no dead pair (every p_ij > 0 for i != j) and every ||h_i|| > tau,
+    which is what makes each target positive, and ``_solve_floats``'
+    elimination with no pivot swap, where |m_ik| > |m_kk| for some i > k
+    means one.  A row at s_i = 0 comes back to life on it: p_ii takes the
+    loops' stand-in 1 in the Jacobian and the output.  Otherwise the
+    kernel returns (2B, the row norms, ||B||_{2,1}, s, the evaluations
+    left), and the loops evaluate s again and go on.  After its last
+    evaluation it takes no Newton step: it hands over s with no evaluation
+    left, and the loops hand s to the dual phase.  Row norms out of the
+    safe range solve the problem rescaled.  d = 1 differs only in how the
+    rows unpack.  The Newton phase is a block of statements, the field
+    ``newton`` of ``_newton_mixed21_fields(d)``, which the d = 2 mixed21
+    prox block also runs inline (``_prox_block``).
     """
+    return _fill_skeleton(_NEWTON_MIXED21_FUNCTION, _newton_mixed21_fields(d))
+
+
+def _newton_mixed21_fields(d):
+    """The fields of the written-out Newton kernel at d, the filled block
+    ``newton`` among them."""
     span = range(d)
     full = [(i, j) for i in span for j in span]
     diagonal = [(i, i) for i in span]
@@ -744,13 +778,15 @@ def _newton_mixed21_source(d):
         # Entry (i, j) of the augmented system [M | e].
         return "e%d" % i if j == d else "m%d%d" % (i, j)
 
+    # p_ii = s_i + s_i, and the loops' stand-in 1 for a dead row.
+    diagonal_pair_sum = "p{i}{i} = s{i} + s{i}\nif not p{i}{i} > 0.0:\n    p{i}{i} = 1.0"
     # The Jacobian row by row: weight, weight * s_i, C_ij and M_ij.
     jacobian = []
     for i in span:
         others = [(i, j) for j in span if j != i]
         jacobian += [
             each("k{i} = tau / (n{i} * n{i} * n{i})\nv{i} = k{i} * s{i}", [(i, i)]),
-            each("p{i}{i} = s{i} + s{i}\nc{i}{i} = ht{i}{i} / (p{i}{i} * p{i}{i})", [(i, i)]),
+            each(diagonal_pair_sum + "\nc{i}{i} = ht{i}{i} / (p{i}{i} * p{i}{i})", [(i, i)]),
             each("c{i}{j} = h{i}{j} * t{i}{j} / q{ij}", others, "\n"),
             "m%d%d = (0.0 - v%d * c%d%d) + (1.0 + k%d * (%s))"
             % (i, i, i, i, i, i, each("c{i}{j} * s{j}", [(i, j) for j in span], " + ")),
@@ -764,7 +800,7 @@ def _newton_mixed21_source(d):
             elimination += [
                 "pivot = abs(m%d%d)" % (k, k),
                 "if %s:" % " or ".join("abs(m%d%d) > pivot" % (i, k) for i in later),
-                "    return STATE, steps",
+                "    break",
             ]
         for i in later:
             elimination.append("f%d%d = m%d%d / m%d%d" % (i, k, i, k, k, k))
@@ -785,8 +821,8 @@ def _newton_mixed21_source(d):
         "in_range": each("_SAFE_MIN <= r{i}", diagonal, " or "),
         "start": each("s{i} = 1.0 - tau / (tau if tau > r{i} else r{i})", diagonal, "\n"),
         "diagonal_numerators": each("ht{i}{i} = b{i}{i} * t{i}{i}", diagonal, "\n"),
-        "all_live": each("s{i} > 0.0", diagonal, " and "),
         "pair_sums": each("p{i}{j} = s{i} + s{j}", pairs, "\n"),
+        "all_pairs_live": each("p{i}{j} > 0.0", pairs, " and ") or "True",
         "h": each("h{i}{j} = t{i}{j} * (s{j} / p{ij})", off, "\n"),
         "h_norms": "\n".join("n%d = %s" % (i, row_norm(i, "h")) for i in span),
         "all_above_tau": each("n{i} > tau", diagonal, " and "),
@@ -794,7 +830,7 @@ def _newton_mixed21_source(d):
         "weighted": each("w{i} = e{i} * r{i}", diagonal, "\n"),
         "total": each("s{i} * n{i}", diagonal, " + "),
         "gap": each("w{i} * w{i}", diagonal, " + "),
-        "diagonal_pair_sums": each("p{i}{i} = s{i} + s{i}", diagonal, "\n"),
+        "diagonal_pair_sums": each(diagonal_pair_sum, diagonal, "\n"),
         "shares": each("u{i}{j} = s{i} * s{j} / p{i}{j}", diagonal + pairs, "\n"),
         "a": rows("t{i}{j} * u{ij}"),
         "squared_pair_sums": each("q{i}{j} = p{i}{j} * p{i}{j}", pairs, "\n"),
@@ -805,11 +841,12 @@ def _newton_mixed21_source(d):
             "s{i} -= x{i}\ns{i} = 0.0 if s{i} < 0.0 else 1.0 if s{i} > 1.0 else s{i}",
             diagonal, "\n",
         ),
+        "state": "[%s], [%s], scale, [%s]" % (
+            rows("t{i}{j}"), each("r{i}", diagonal), each("s{i}", diagonal)
+        ),
     }
-    state = "[%s], [%s], scale, [%s]" % (
-        rows("t{i}{j}"), each("r{i}", diagonal), each("s{i}", diagonal)
-    )
-    return _fill_skeleton(_NEWTON_MIXED21_SKELETON, fields).replace("STATE", state)
+    fields["newton"] = _fill_skeleton(_NEWTON_MIXED21_SKELETON, fields).rstrip("\n")
+    return fields
 
 
 def _written(cache, key, source, namespace):
@@ -870,7 +907,7 @@ def _prox_mixed21_triple(a, tau):
 
 def _prox_triple_source(kind):
     """Source of fro's or mixed21's written-out prox kernel on the triple."""
-    return _fill_skeleton(_PROX_TRIPLE_SKELETON, {"kind": kind.name, "prox": _PROX_BLOCKS[kind]})
+    return _fill_skeleton(_PROX_TRIPLE_SKELETON, {"kind": kind.name, "prox": _prox_block(kind)})
 
 
 # newton_steps is the mixed21 block's Newton cap, read once per call.
@@ -983,11 +1020,24 @@ _PROX = {
 }
 
 
+def _prox_block(kind):
+    """kind's d = 2 prox block (``_PROX_BLOCKS``), with mixed21's Newton
+    phase written in at d = 2.  Its text is built on each call, not at
+    import: the written-out sources that hold it are built once each."""
+    block = _PROX_BLOCKS[kind]
+    if kind is NormKind.MIXED21:
+        block = _fill_skeleton(block, {"newton": _newton_mixed21_fields(2)["newton"]})
+    return block
+
+
 # The d = 2 proxes at tau > 0 by kind, each stated once: a block that
 # reads the triple a_00, a_01, a_11, tau and the local sqrt = math.sqrt,
 # sets the triple and a_norm, and reads other names from the module it is
 # compiled in.  Trace also keeps the float loop's spectrum locals, and
-# mixed21 solves on a copy B of the triple, within the cap newton_steps.
+# mixed21 solves on a copy B of the triple, within the cap newton_steps;
+# its Newton phase is a field, {newton}, that ``_prox_block`` fills.  Inline
+# in the float loop a block's names are the loop's locals, so a block binds
+# none that the loop reads but the triple, a_norm and trace's spectrum.
 _PROX_BLOCKS = {
     # sign(x) max(|x| - tau, 0) entry by entry, which makes a negative
     # entry that shrinks to zero -0.0 and is x - tau or x + tau exactly, as
@@ -1029,10 +1079,10 @@ if not _SAFE_MIN <= total <= _SAFE_MAX and (a_00 or a_01 or a_11):
 elif total <= tau:
     a_00 = a_01 = a_11 = a_norm = 0.0
 else:
-    factor = 1.0 - tau / total
-    a_00 = a_00 * factor
-    a_01 = a_01 * factor
-    a_11 = a_11 * factor
+    shrink = 1.0 - tau / total
+    a_00 = a_00 * shrink
+    a_01 = a_01 * shrink
+    a_11 = a_11 * shrink
     square = a_01 * a_01
     a_norm = sqrt(a_00 * a_00 + square + square + a_11 * a_11)
 """,
@@ -1048,162 +1098,61 @@ else:
     # Newton phase's sqrt(x*x + y*y) form.  In the benchmark's
     # ``solver_tiny`` fits, 51% of the mixed21 proxes end here.
     #
-    # Otherwise it runs ``_newton_mixed21_floats`` at d = 2, written out:
-    # the same operations in the same order, with no inner loop, and the
-    # Newton system of one or two unknowns solved in place by
-    # ``_solve_floats``' pivot rule (the first largest pivot on a tie).
-    # The off-diagonal entries b_01 = b_10 share their products, and the
-    # output entries a_01 and a_10 are one, t_01 (s_0 s_1 / p_01).  The
-    # products that a row's Jacobian shares with its evaluation are kept,
-    # not formed again.  It leaves out what no bit depends on.  H's
-    # diagonal is B's: with t_ii = b_ii + b_ii, h_ii is
-    # t_ii (s_i / (s_i + s_i)) for a live row and t_ii 0.5 for a dead one,
-    # both b_ii exactly in the safe range.  So the block squares b_ii once
-    # per prox and forms p_ii = s_i + s_i (1 for a dead row) only for the
-    # Jacobian and the output.  And the sums of squares, row norms, totals
-    # and C s hold no -0.0 term, so they start from their first term, not
-    # from 0.0 as in the loops.  With no certificate within the cap, the
-    # ``for`` loop's ``else`` hands B to ``_newton_mixed21_floats``, which
-    # redoes the steps and hands its last evaluated scales to
-    # ``_dual_mixed21``, so the block reads nothing of its loop after it (at
-    # a cap of 0 too).  Row norms out of the safe range solve the problem
-    # rescaled, by ``_prox_mixed21_triple``.
+    # Otherwise it runs the Newton phase of the written-out d = 2 kernel
+    # (``_newton_mixed21_source(2)``), which ``_prox_block`` writes in at
+    # {newton}: the loops' operations in their order, on B's entries b_ij
+    # and 2B's t_ij, with b_01 = b_10 and t_01 = t_10.  Where it certifies,
+    # A is t_ij u_ij and its norm total.  Where it leaves its path, at a
+    # dead pair, a row of H at or below tau, a pivot swap or the cap,
+    # ``_newton_mixed21_floats`` takes B from the start: its d = 2 kernel
+    # leaves the path at the same point, and the loops go on from there.
+    # Row norms out of the safe range solve the problem rescaled, by
+    # ``_prox_mixed21_triple``.
     NormKind.MIXED21: """\
-b_00, b_01, b_11 = a_00, a_01, a_11
-sq_00 = b_00 * b_00
-sq_01 = b_01 * b_01
-sq_11 = b_11 * b_11
-r_0 = sqrt(sq_00 + sq_01)
-r_1 = sqrt(sq_01 + sq_11)
-scale = r_0 + r_1
-if not (_SAFE_MIN <= (r_0 if r_0 > r_1 else r_1) and scale <= _SAFE_MAX):
-    (a_00, a_01, a_11), a_norm = _rescaled(_prox_mixed21_triple, (b_00, b_01, b_11), tau)
+b00, b01, b11 = a_00, a_01, a_11
+sq00 = b00 * b00
+sq01 = b01 * b01
+sq11 = b11 * b11
+r0 = sqrt(sq00 + sq01)
+r1 = sqrt(sq01 + sq11)
+scale = r0 + r1
+if not (_SAFE_MIN <= (r0 if r0 > r1 else r1) and scale <= _SAFE_MAX):
+    (a_00, a_01, a_11), a_norm = _rescaled(_prox_mixed21_triple, (b00, b01, b11), tau)
 else:
-    t_01 = b_01 + b_01
+    t01 = t10 = b01 + b01
     # A dead row: the partner's diagonal entry soft-thresholded, and
     # zeros with the signs of B's entries.  r_i rounds to at most the
     # norm of the test, so r_i > tau rules row i out without it.
-    if r_0 <= tau and sqrt(sq_00 + t_01 * t_01) <= tau:
-        a_norm = abs(b_11) - tau
-        a_00 = b_00 * 0.0
-        a_01 = b_01 * 0.0
+    if r0 <= tau and sqrt(sq00 + t01 * t01) <= tau:
+        a_norm = abs(b11) - tau
+        a_00 = b00 * 0.0
+        a_01 = b01 * 0.0
         if a_norm <= 0.0:
-            a_11 = b_11 * 0.0
+            a_11 = b11 * 0.0
             a_norm = 0.0
         else:
-            a_11 = b_11 - tau if b_11 > 0.0 else b_11 + tau
-    elif r_1 <= tau and sqrt(t_01 * t_01 + sq_11) <= tau:
-        a_norm = abs(b_00) - tau
-        a_01 = b_01 * 0.0
-        a_11 = b_11 * 0.0
+            a_11 = b11 - tau if b11 > 0.0 else b11 + tau
+    elif r1 <= tau and sqrt(t01 * t01 + sq11) <= tau:
+        a_norm = abs(b00) - tau
+        a_01 = b01 * 0.0
+        a_11 = b11 * 0.0
         if a_norm <= 0.0:
-            a_00 = b_00 * 0.0
+            a_00 = b00 * 0.0
             a_norm = 0.0
         else:
-            a_00 = b_00 - tau if b_00 > 0.0 else b_00 + tau
+            a_00 = b00 - tau if b00 > 0.0 else b00 + tau
     else:
-        t_00 = b_00 + b_00
-        t_11 = b_11 + b_11
-        # h_ii * t_ii, the numerator of C_ii, with h_ii = b_ii (see above).
-        ht_00 = b_00 * t_00
-        ht_11 = b_11 * t_11
-        s_0 = 1.0 - tau / (tau if tau > r_0 else r_0)
-        s_1 = 1.0 - tau / (tau if tau > r_1 else r_1)
-        # Once per prox: the certificate's product rounds left to right.
-        tolerance = tau * MIXED21_GAP_RTOL
-        for _ in range(newton_steps):
-            # x_01 and x_10 are h_01 and h_10; a dead pair's p_ij becomes 1
-            # for the output and the Jacobian.
-            p_01 = s_0 + s_1
-            if p_01 > 0.0:
-                x_01 = t_01 * (s_1 / p_01)
-                x_10 = t_01 * (s_0 / p_01)
-            else:
-                p_01 = 1.0
-                x_01 = x_10 = t_01 * 0.5
-            n_0 = sqrt(sq_00 + x_01 * x_01)
-            n_1 = sqrt(x_10 * x_10 + sq_11)
-            below = 0.0
-            if tau > n_0:
-                clipped_0 = tau
-                below += (s_0 * n_0) * (tau - n_0)
-            else:
-                clipped_0 = n_0
-            if tau > n_1:
-                clipped_1 = tau
-                below += (s_1 * n_1) * (tau - n_1)
-            else:
-                clipped_1 = n_1
-            target_0 = 1.0 - tau / clipped_0
-            target_1 = 1.0 - tau / clipped_1
-            e_0 = s_0 - target_0
-            e_1 = s_1 - target_1
-            weighted_0 = e_0 * r_0
-            weighted_1 = e_1 * r_1
-            gap = weighted_0 * weighted_0 + weighted_1 * weighted_1 + below
-            a_norm = s_0 * n_0 + s_1 * n_1
-            if gap <= tolerance * (a_norm + scale):
-                # s_0 s_1 = s_1 s_0 exactly.
-                p_00 = s_0 + s_0
-                p_11 = s_1 + s_1
-                a_00 = t_00 * (s_0 * s_0 / (p_00 if p_00 > 0.0 else 1.0))
-                a_01 = t_01 * (s_0 * s_1 / p_01)
-                a_11 = t_11 * (s_1 * s_1 / (p_11 if p_11 > 0.0 else 1.0))
-                break
-            # The Newton system [M | e] over the live rows, with
-            # C_ij = h_ij 2 b_ij / p_ij^2.
-            live_0 = target_0 > 0.0
-            live_1 = target_1 > 0.0
-            # Once per step: c_01 and c_10 divide by the same p_01^2.
-            q_01 = p_01 * p_01
-            if live_0:
-                p_00 = s_0 + s_0
-                if not p_00 > 0.0:
-                    p_00 = 1.0
-                weight = tau / (clipped_0 * clipped_0 * clipped_0)
-                weighted_s = weight * s_0
-                c_00 = ht_00 / (p_00 * p_00)
-                c_01 = x_01 * t_01 / q_01
-                # No 0.0 to start from: ht_00 and x_01 t_01 are products of
-                # equal-signed factors and s_i is never -0.0.
-                c_s = c_00 * s_0 + c_01 * s_1
-                m_00 = (0.0 - weighted_s * c_00) + (1.0 + weight * c_s)
-                m_01 = 0.0 - weighted_s * c_01
-            if live_1:
-                p_11 = s_1 + s_1
-                if not p_11 > 0.0:
-                    p_11 = 1.0
-                weight = tau / (clipped_1 * clipped_1 * clipped_1)
-                weighted_s = weight * s_1
-                c_10 = x_10 * t_01 / q_01
-                c_11 = ht_11 / (p_11 * p_11)
-                # No 0.0 to start from, as for row 0.
-                c_s = c_10 * s_0 + c_11 * s_1
-                m_10 = 0.0 - weighted_s * c_10
-                m_11 = (0.0 - weighted_s * c_11) + (1.0 + weight * c_s)
-            if live_0 and live_1:
-                if abs(m_10) > abs(m_00):
-                    m_00, m_01, e_0, m_10, m_11, e_1 = m_10, m_11, e_1, m_00, m_01, e_0
-                factor = m_10 / m_00
-                step_1 = (e_1 - factor * e_0) / (m_11 - factor * m_01)
-                step_0 = (e_0 - m_01 * step_1) / m_00
-            elif live_0:
-                step_0 = e_0 / m_00
-            elif live_1:
-                step_1 = e_1 / m_11
-            # Live rows take the clamped Newton step, dead ones their target.
-            if live_0:
-                x = s_0 - step_0
-                target_0 = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
-            if live_1:
-                x = s_1 - step_1
-                target_1 = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
-            s_0 = target_0
-            s_1 = target_1
+        t00 = b00 + b00
+        t11 = b11 + b11
+        {newton}
+        if certified:
+            a_00 = t00 * u00
+            a_01 = t01 * u01
+            a_11 = t11 * u11
+            a_norm = total
         else:
-            # No certificate: the float Newton phase takes B from the start.
             ((a_00, a_01), (_, a_11)), a_norm = _newton_mixed21_floats(
-                [[b_00, b_01], [b_01, b_11]], tau
+                [[b00, b01], [b01, b11]], tau
             )
 """,
     # The spectrum (x_0, x_1, v_00, v_01, v_10, v_11) is the thresholded

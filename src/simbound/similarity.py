@@ -23,8 +23,8 @@ from .data import (
 from .errors import NumericalError
 from . import norms
 from .norms import (
-    _NORM_KIND, _PROX, _PROX_BLOCKS, _SAFE_MAX, _SAFE_MIN, MIXED21_GAP_RTOL, NormKind,
-    _fill_skeleton, _newton_mixed21_floats, _norm, _norm_kind, _prox_fro_triple,
+    _NORM_KIND, _PROX, _SAFE_MAX, _SAFE_MIN, MIXED21_GAP_RTOL, NormKind,
+    _fill_skeleton, _newton_mixed21_floats, _norm, _norm_kind, _prox_block, _prox_fro_triple,
     _prox_mixed21_triple, _rescaled, _spectrum_floats, _triple_array, _written, norm,
     require_symmetric,
 )
@@ -353,14 +353,15 @@ def _train_floats(scaled, w, config):
     entries, fro shrinks A by 1 - tau / ||A||_F, trace soft-thresholds the
     eigenvalues and rebuilds A = (P + P^T) / 2 with
     P = (V * thresholded) V^T, and mixed21 solves by a dead row's closed
-    form or by Newton on a copy of A.  Trace keeps its spectrum as six
-    locals and decomposes, by ``norms._spectrum_floats``, only after a
-    non-zero step.  The cold paths call out by the names read here: fro
-    and mixed21 out of the safe range solve rescaled (``_rescaled`` with
-    ``_prox_fro_triple`` or ``_prox_mixed21_triple``, built from the same
-    blocks), and a mixed21 prox with no certificate within the Newton cap
-    goes to ``_newton_mixed21_floats``.  The loop reads that cap,
-    ``norms._MIXED21_NEWTON_STEPS``, once per fit.
+    form or by the written-out d = 2 Newton phase on a copy of A.  Trace
+    keeps its spectrum as six locals and decomposes, by
+    ``norms._spectrum_floats``, only after a non-zero step.  The cold paths
+    call out by the names read here: fro and mixed21 out of the safe range
+    solve rescaled (``_rescaled`` with ``_prox_fro_triple`` or
+    ``_prox_mixed21_triple``, built from the same blocks), and a mixed21
+    prox that leaves the written-out Newton path, or finds no certificate
+    within the Newton cap, goes to ``_newton_mixed21_floats``.  The loop
+    reads that cap, ``norms._MIXED21_NEWTON_STEPS``, once per fit.
     """
     key = (len(scaled), config.norm_kind)
     return _written(_WRITTEN_FLOAT_LOOPS, key, _float_loop_source, globals())(scaled, w, config)
@@ -457,7 +458,7 @@ def _float_loop_source(key):
             "    u_1 += r_{i}_1".format(i=i)
             for i in span
         ),
-        "prox": _PROX_BLOCKS[kind],
+        "prox": _prox_block(kind),
     })
 
 

@@ -1,3 +1,4 @@
+import ast
 import builtins
 import inspect
 import linecache
@@ -1073,9 +1074,12 @@ def test_mixed21_written_newton_matches_reference(rng, monkeypatch):
 
 
 # Inputs at d = 3 on which the written-out kernel leaves its path: row 0
-# dead at the start; a row whose target drops to 0 after one Newton step;
-# the elimination needing a pivot swap at the first Newton system, and
-# after one step.
+# dead at the start, with its row of H at most tau there; rows 0 and 1
+# dead at the start, a dead pair; a row whose target drops to 0 after one
+# Newton step; the elimination needing a pivot swap at the first Newton
+# system, and after one step.
+_STAYS_DEAD = ([[0.0, 0.2, 0.0], [0.2, 1.5, 0.0], [0.0, 0.0, 2.25]], 0.5)
+_DEAD_PAIR = ([[0.1, 0.3, 0.0], [0.3, 0.1, 0.25], [0.0, 0.25, 2.25]], 0.5)
 _DIES_AFTER_A_STEP = ([[1.0, 1.0, 0.125], [1.0, -0.0, -0.125], [0.125, -0.125, -1.25]], 1.0)
 _SWAPS = [
     ([[-0.5, -1.5, 0.125], [-1.5, -0.25, 0.875], [0.125, 0.875, -1.0]], 1.25),
@@ -1105,10 +1109,11 @@ def _h_row_norms(twice, s):
 
 def test_mixed21_written_newton_exits(monkeypatch):
     # Each way off the written-out path hands the loops its state, and the
-    # loops resume from it to the reference's bits: a dead row at the start,
-    # with every evaluation left; a target that drops to 0 after a step,
-    # with every row live; a pivot swap, with every row's target positive,
-    # which the loops' next Newton system makes.
+    # loops resume from it to the reference's bits: a row that starts dead
+    # and stays below tau, and a dead pair, each with every evaluation
+    # left; a target that drops to 0 after a step, with every row live; a
+    # pivot swap, with every row's target positive, which the loops' next
+    # Newton system makes.
     steps = norms._MIXED21_NEWTON_STEPS
     returned = _watch_written(monkeypatch)
     systems = []
@@ -1119,7 +1124,8 @@ def test_mixed21_written_newton_exits(monkeypatch):
         return solve(system)
 
     monkeypatch.setattr(norms, "_solve_floats", recorded)
-    cases = [("dead", _reviving(3).tolist(), 0.5), ("dies", *_DIES_AFTER_A_STEP)]
+    cases = [("stays dead", *_STAYS_DEAD), ("dead pair", *_DEAD_PAIR)]
+    cases += [("dies", *_DIES_AFTER_A_STEP)]
     cases += [("swap", rows, tau) for rows, tau in _SWAPS]
     left = set()
     for way, rows, tau in cases:
@@ -1131,8 +1137,8 @@ def test_mixed21_written_newton_exits(monkeypatch):
         assert twice == [[x + x for x in row] for row in rows]
         assert 0 < evaluations <= steps
         left.add(evaluations)
-        if way == "dead":
-            assert evaluations == steps and min(s) == 0.0
+        if way in ("stays dead", "dead pair"):
+            assert evaluations == steps and s.count(0.0) == 1 + (way == "dead pair")
         else:
             assert min(s) > 0.0
             live = _h_row_norms(twice, s) > tau
@@ -1226,6 +1232,52 @@ def test_mixed21_written_newton_d1_d2_match_reference(monkeypatch):
     assert norms._WRITTEN_NEWTON[1] is not norms._WRITTEN_NEWTON[2]
 
 
+def test_mixed21_written_newton_revives_a_dead_row(monkeypatch):
+    # At d = 3 to 5, _reviving(d)'s row 0 starts at s_0 = 0 and comes back
+    # to life: with no dead pair and every row of H above tau, the
+    # written-out kernel keeps solving, p_00 taking the loops' stand-in 1,
+    # and certifies with no hand-over.  At caps 1 to 3 and the default its
+    # bits, and those of the loops where a cap runs out first, are the
+    # reference's.
+    returned = _watch_written(monkeypatch)
+    cap = norms._MIXED21_NEWTON_STEPS
+    for steps in (1, 2, 3, cap):
+        with monkeypatch.context() as patch:
+            patch.setattr(norms, "_MIXED21_NEWTON_STEPS", steps)
+            for d in (3, 4, 5):
+                rows = _reviving(d).tolist()
+                returned.clear()
+                out = norms._newton_mixed21_floats(rows, 0.5)
+                assert _hex_prox(out) == _hex_prox(_reference_newton(rows, 0.5))
+                (state,) = returned
+                assert len(state) == 2 or state[4] == 0, (d, steps)
+                if steps == cap:
+                    assert len(state) == 2 and out[0][0][1] > 0.0
+
+
+def test_d2_mixed21_block_runs_the_generated_newton():
+    # The d = 2 mixed21 block states no Newton step of its own: its
+    # hand-written text runs no loop and binds no name of the Newton
+    # phase, which the generator of the written-out kernels writes in, the
+    # same text that the d = 2 kernel runs.
+    template = norms._PROX_BLOCKS[NormKind.MIXED21]
+    assert template.count("{newton}") == 1
+    hand_written = ast.parse(template.replace("{newton}", "pass"))
+    assert not any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(hand_written))
+    newton = norms._newton_mixed21_fields(2)["newton"]
+    assert not _bound_names(hand_written) & _bound_names(ast.parse(newton))
+    holders = [(norms._prox_block(NormKind.MIXED21), 8), (norms._newton_mixed21_source(2), 4)]
+    for text, indent in holders:
+        assert " " * indent + newton.replace("\n", "\n" + " " * indent) in text
+
+
+def _bound_names(tree):
+    return {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    }
+
+
 def test_certify_shaped_mixed21_proxes_stay_written_out(monkeypatch):
     # The benchmark's certify trials fit mixed21 at m = 100, d = 5 and
     # lambda = 0.1.  Every one of those proxes certifies inside the
@@ -1263,14 +1315,20 @@ def _run_fresh(code):
 
 def test_import_builds_no_written_newton_kernel():
     # A build costs milliseconds, which every set-up would pay: a fresh
-    # interpreter's import compiles none; the first prox at d compiles d's.
+    # interpreter's import compiles none, and writes no source, the d = 2
+    # mixed21 block's included; the first prox at d compiles d's.
     code = (
+        "import sys; written = []; "
+        "sys.setprofile(lambda frame, event, arg: event == 'call' and frame.f_code.co_name in "
+        "('_fill_skeleton', '_newton_mixed21_fields', '_prox_block') "
+        "and written.append(frame.f_code.co_name)); "
         "import numpy, simbound, simbound.norms as norms; "
-        "print(len(norms._WRITTEN_NEWTON)); "
+        "sys.setprofile(None); "
+        "print(written, len(norms._WRITTEN_NEWTON)); "
         "simbound.prox(numpy.eye(4), 0.5, 'mixed21'); "
         "print(sorted(norms._WRITTEN_NEWTON))"
     )
-    assert _run_fresh(code) == "0\n[4]\n"
+    assert _run_fresh(code) == "[] 0\n[4]\n"
 
 
 def test_import_builds_no_written_float_loop():
@@ -1339,6 +1397,28 @@ def test_written_sources_read_only_names_their_module_holds():
         assert not missing, (module.__name__, key, missing)
 
 
+def test_d2_blocks_bind_no_name_the_float_loop_reads(monkeypatch):
+    # The float loop runs its kind's d = 2 block inline, so each name the
+    # block binds is a local of the loop.  None may be one that the loop
+    # itself reads, except the state they share: the triple, a_norm and
+    # trace's spectrum.  A block that clobbered the loop's per-fit hinge
+    # bound would send every hinge pass to _hinge_floats with the same
+    # bits, so only its speed would show it.
+    shared = {"a_00", "a_01", "a_11", "a_norm", "decompose"}
+    shared |= {"x_0", "x_1", "v_00", "v_01", "v_10", "v_11"}
+    for kind in NormKind:
+        with monkeypatch.context() as patch:
+            patch.setattr(similarity, "_prox_block", lambda kind: "pass")
+            loop = ast.parse(similarity._float_loop_source((3, kind)))
+        read = {
+            node.id for node in ast.walk(loop)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        assert "bound" in read and "factor" in read
+        clash = _bound_names(ast.parse(norms._prox_block(kind))) & read
+        assert clash <= shared, (kind, clash - shared)
+
+
 def test_written_sources_show_in_tracebacks(monkeypatch):
     # A written-out function's text is in linecache, under the name it is
     # compiled with, and stays there through checkcache: an error inside a
@@ -1355,7 +1435,7 @@ def test_written_sources_show_in_tracebacks(monkeypatch):
         (
             lambda rows=rows: norms._newton_mixed21_floats(rows, 0.5),
             f"<_newton_mixed21_source: {len(rows)}>",
-            "bound = tau * MIXED21_GAP_RTOL",
+            "tolerance = tau * MIXED21_GAP_RTOL",
         )
         for rows in ([[1.5]], _ONE_STEP_ROWS, b.tolist())
     ]
