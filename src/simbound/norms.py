@@ -12,9 +12,10 @@ max row Euclidean norm, and the largest singular value respectively.
 
 Every proximal operator is exact over the symmetric subspace: l1, fro and
 trace in closed form, mixed21 by a Newton iteration that stops on a
-duality-gap certificate (see ``prox``), or at d = 2 in closed form when a
-row dies.  Eigendecompositions go to LAPACK, except that stage one's float
-loop takes its 2x2 one in closed form (``_spectrum_floats``).
+duality-gap certificate (see ``prox``), after up to d = 5 a screen that
+solves the rows that die in closed form.  Eigendecompositions go to
+LAPACK, except that stage one's float loop takes its 2x2 one in closed
+form (``_spectrum_floats``).
 
 Each kind's prox is its own kernel on arrays, held by kind in ``_PROX``;
 ``prox`` and stage one's array loop (``similarity._train_arrays``) look a
@@ -257,9 +258,10 @@ def prox(b, tau, kind):
     solved by ``_prox_mixed21`` to a certified duality gap of at most
     ``tau * MIXED21_GAP_RTOL * (||A||_{2,1} + ||B||_{2,1})``.  Strong
     convexity puts the returned A within sqrt(2 * gap) of the exact
-    minimizer.  At d = 2, where ||(b_ii, 2 b_ij)|| <= tau for a row i, that
-    row of the minimizer is zero, and mixed21 returns the exact minimizer in
-    closed form (``_prox_mixed21_triple``).
+    minimizer.  Up to d = 5, where ||(b_ii, 2 b_ij for j != i)|| <= tau for
+    a row i, that row of the minimizer is zero: mixed21 sets it exactly and
+    solves the rest without it, in closed form where at most one row is
+    left (``_screen_mixed21``, and at d = 2 ``_prox_mixed21_triple``).
     """
     b = require_symmetric(b)
     _require("threshold", tau, _NONNEGATIVE)
@@ -394,13 +396,15 @@ def _spectrum_floats(triple):
 MIXED21_GAP_RTOL = 1e-12
 _MIXED21_NEWTON_STEPS = 8
 _MIXED21_DUAL_STEPS = 200000
-# The largest d whose mixed21 Newton phase runs on Python floats.  On small
-# matrices a NumPy call costs more than its arithmetic.  Per prox, on inputs
-# captured from stage-one fits (2-vCPU host, Python 3.11, numpy 2.4; three
-# interleaved runs, best of 7 rounds each), the float phase ran 6.4-6.6x as
-# fast as the array phase at d = 2, 2.1-2.2x at d = 4, 1.5-1.6x at d = 5,
-# 1.1-1.2x at d = 6 and 0.9x at d = 8.  d = 6 and above stay on arrays:
-# float work grows faster with d, and floats lose by d = 8.
+# The largest d whose mixed21 Newton phase runs on Python floats, in the
+# written-out kernel.  On small matrices a NumPy call costs more than its
+# arithmetic.  Per prox, on inputs captured from certify-shaped stage-one
+# fits (m = 100, lambda = 0.1; 2-vCPU host, Python 3.11, numpy 2.4; best of
+# 5 rounds, three runs), the kernel ran 3.2-3.3x as fast as the array phase
+# at d = 5 (14.1-14.4 against 45.2-47.0 us) and 2.2-2.4x at d = 6
+# (19.4-20.7 against 44.5-48.5 us); it still won 1.5-1.6x at d = 8 and
+# lost at d = 10 (0.8-0.9x), its text growing as d^3.  d = 6 and above
+# stay on arrays, which keeps the bits of every mixed21 fit at those d.
 _MIXED21_FLOAT_MAX_D = 5
 
 
@@ -443,16 +447,19 @@ def _prox_mixed21(b, tau):
     also runs, so every d = 2 mixed21 prox is the same: it solves a dead
     row in closed form and otherwise runs the Newton phase of the
     written-out d = 2 kernel inline.  Up to d = ``_MIXED21_FLOAT_MAX_D``
-    (5) the Newton phase runs on Python floats (``_newton_mixed21_floats``),
-    above it on arrays (``_newton_mixed21_arrays``), whose cost grows more
-    slowly with d.  The two round differently: dot products and the Newton
-    solve may differ in the last bits.  The float phase runs written out
-    first, one kernel per d compiled on its first use
-    (``_newton_mixed21_source``): while no pair is dead, every row of H
-    stays above tau and no pivot swaps, which is every prox of the
-    benchmark's certify trials, it certifies alone, a row that starts at
-    s_i = 0 and comes back to life included; otherwise the loops resume
-    from its state.
+    (5) the Newton phase runs first on Python floats, written out, one
+    kernel per d compiled on its first use (``_newton_mixed21_floats``).
+    A row whose ||(b_ii, 2 b_ij for j != i)|| is at most tau is dead at
+    the minimizer, and the kernel's screen solves the rest without it
+    (``_screen_mixed21``).  While no pair is dead, every row of H stays
+    above tau and no pivot swaps, which is every prox of the benchmark's
+    certify trials, the kernel certifies alone, a row that starts at
+    s_i = 0 and comes back to life included; otherwise the array Newton
+    loop (``_newton_mixed21_steps``) resumes from its state.  Above d = 5
+    the Newton phase runs on arrays from the start
+    (``_newton_mixed21_arrays``), whose cost grows more slowly with d.
+    The kernel and the array loop round differently: dot products and the
+    Newton solve may differ in the last bits.
 
     Where the row norms of B leave the safe range, which also turns away a
     non-finite row, each Newton phase solves its problem rescaled
@@ -476,9 +483,19 @@ def _newton_mixed21_arrays(b, tau):
     scale = np.add.reduce(b_rows)
     if not (_SAFE_MIN <= np.maximum.reduce(b_rows) and scale <= _SAFE_MAX):
         return _rescaled(_newton_mixed21_arrays, b, tau)
-    twice_b = b + b
     s = 1.0 - tau / np.maximum(b_rows, tau)
-    for steps in range(_MIXED21_NEWTON_STEPS, 0, -1):
+    return _newton_mixed21_steps(b, tau, b + b, b_rows, scale, s, _MIXED21_NEWTON_STEPS)
+
+
+def _newton_mixed21_steps(b, tau, twice_b, b_rows, scale, s, steps):
+    """The array Newton loop from the scales s, with steps evaluations
+    left, given 2B, the row norms of B and ||B||_{2,1}.
+
+    The array phase runs it from the start scales, and the written-out
+    kernels resume it from the state they hand over.  After its last
+    evaluation s goes to the dual phase.
+    """
+    for steps in range(steps, 0, -1):
         pair = s[:, None] + s
         all_live = np.minimum.reduce(s) > 0.0
         if all_live:
@@ -527,118 +544,62 @@ def _newton_mixed21_arrays(b, tau):
 def _newton_mixed21_floats(rows, tau):
     """The Newton phase of ``_prox_mixed21`` on Python floats, for small d.
 
-    Takes B as a list of rows and returns A as one, with the array phase's
-    steps entry by entry and no NumPy call.  Every sum accumulates with +=
-    in index order: the built-in sum compensates from Python 3.12 on, which
-    would tie the bits to the interpreter.  Dead pairs (s_i = s_j = 0) take
-    pair 1, so the output entry (b_ij + b_ij) * (s_i s_j / pair_ij) keeps
-    the array phase's signed zeros and is exactly symmetric.
-
-    The kernel that ``_written_newton_mixed21`` writes out for d runs
-    first, with the row norms, their range test and the start scales.  It
-    makes these loops' operations on named floats while no pair is dead,
-    every ||h_i|| > tau and the elimination needs no pivot swap, and
-    returns their bits; otherwise it hands over its state (2B, the row
-    norms, ||B||_{2,1}, s and the evaluations left), and the loops only
-    resume from it.  The d = 2 mixed21 block runs the same Newton phase
-    inline and, off that path, hands B here.
-
-    Each evaluation makes one pass over H for its row norms, the gap and
-    the total, and keeps no entry of H.  An iterate that does not certify
-    forms its Jacobian rows from the same products again; after the last
-    evaluation, s goes to the dual phase.  The Newton system is solved by
-    ``_solve_floats`` instead of LAPACK.  The dual phase runs on arrays.
-    The loops index their lists: in Python 3.11 a zip over a few entries
-    costs more.
+    Takes B as a list of rows and returns A as one.  It runs the kernel
+    that ``_written_newton_mixed21`` writes out for d, which certifies on
+    its path, screens out dead rows (``_screen_mixed21``), and otherwise
+    hands over its state: 2B, the row norms, ||B||_{2,1}, s and the
+    evaluations left, from which the array Newton loop
+    (``_newton_mixed21_steps``) resumes.  The d = 2 mixed21 block runs
+    the same Newton phase inline and, off its path, hands B here.
     """
     state = _written_newton_mixed21(len(rows))(rows, tau, _MIXED21_NEWTON_STEPS)
     if len(state) == 2:
         return state
     twice, b_rows, scale, s, steps = state
-    sqrt = math.sqrt
-    span = range(len(rows))
-    for steps in range(steps, 0, -1):
-        clipped = []
-        target = []
-        gap = 0.0
-        below = 0.0
-        total = 0.0
-        for i in span:
-            s_i = s[i]
-            twice_i = twice[i]
-            acc = 0.0
-            for j in span:
-                s_j = s[j]
-                p = s_i + s_j
-                x = twice_i[j] * (s_j / p) if p > 0.0 else twice_i[j] * 0.5
-                acc += x * x
-            n_i = sqrt(acc)
-            if tau > n_i:
-                clipped_i = tau
-                below += (s_i * n_i) * (tau - n_i)
-            else:
-                clipped_i = n_i
-            target_i = 1.0 - tau / clipped_i
-            weighted = (s_i - target_i) * b_rows[i]
-            gap += weighted * weighted
-            total += s_i * n_i
-            clipped.append(clipped_i)
-            target.append(target_i)
-        gap += below
-        if gap <= tau * MIXED21_GAP_RTOL * (total + scale):
-            a = []
-            for i in span:
-                s_i = s[i]
-                twice_i = twice[i]
-                a_i = []
-                for j in span:
-                    s_j = s[j]
-                    p = s_i + s_j
-                    a_i.append(twice_i[j] * (s_i * s_j / (p if p > 0.0 else 1.0)))
-                a.append(a_i)
-            return a, total
-        if steps == 1:
-            break
-        # The array phase's Jacobian, restricted to the rows it solves for,
-        # with C = H * 2B / pair^2 formed row by row from the same products.
-        live = []
-        for i in span:
-            if target[i] > 0.0:
-                live.append(i)
-        system = []
-        for row in range(len(live)):
-            i = live[row]
-            s_i = s[i]
-            twice_i = twice[i]
-            clipped_i = clipped[i]
-            weight = tau / (clipped_i * clipped_i * clipped_i)
-            weighted_s = weight * s_i
-            equation = []
-            c_s = 0.0
-            for j in span:
-                s_j = s[j]
-                p = s_i + s_j
-                if p > 0.0:
-                    x = twice_i[j] * (s_j / p)
-                else:
-                    p = 1.0
-                    x = twice_i[j] * 0.5
-                c = x * twice_i[j] / (p * p)
-                c_s += c * s_j
-                equation.append(0.0 - weighted_s * c)
-            if len(live) < len(span):
-                equation = [equation[j] for j in live]
-            equation[row] += 1.0 + weight * c_s
-            equation.append(s_i - target[i])
-            system.append(equation)
-        step = _solve_floats(system)
-        for row in range(len(live)):
-            i = live[row]
-            x = s[i] - step[row]
-            target[i] = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
-        s = target
-    a, total = _dual_mixed21(np.array(rows), tau, np.array(s), scale)
+    a, total = _newton_mixed21_steps(
+        np.array(rows), tau, np.array(twice), np.array(b_rows), scale, np.array(s), steps
+    )
     return a.tolist(), total
+
+
+def _screen_mixed21(rows, tau):
+    """The mixed21 prox of B, as rows, and its norm, where a row of B dies.
+
+    Row i is dead at the minimizer whenever ||(b_ii, 2 b_ij for j != i)||,
+    its row of H at s_i = 0, is at most tau: with (b_ii, 2 b_ij ...) / tau
+    as its dual row, inside the unit ball, the KKT conditions hold at A
+    with every such row and column zero and the prox of B without them in
+    the rest.  Each norm is the written-out kernel's test, in index order.
+    A dead row's entries are zeros with the signs of B's, as the Newton
+    output's are.  No row left gives A = 0; one row left is its diagonal
+    entry soft-thresholded, as the d = 2 mixed21 block does; more run
+    ``_newton_mixed21_floats`` on the smaller block, which screens again.
+    """
+    span = range(len(rows))
+    live = []
+    for i in span:
+        row = rows[i]
+        acc = 0.0
+        for j in span:
+            x = row[j] if j == i else row[j] + row[j]
+            acc += x * x
+        if math.sqrt(acc) > tau:
+            live.append(i)
+    a = [[x * 0.0 for x in row] for row in rows]
+    total = 0.0
+    if len(live) > 1:
+        block, total = _newton_mixed21_floats([[rows[i][j] for j in live] for i in live], tau)
+        for i, row in zip(live, block):
+            for j, x in zip(live, row):
+                a[i][j] = x
+    elif live:
+        (i,) = live
+        b_ii = rows[i][i]
+        shrunk = abs(b_ii) - tau
+        if shrunk > 0.0:
+            a[i][i] = b_ii - tau if b_ii > 0.0 else b_ii + tau
+            total = shrunk
+    return a, total
 
 
 # The written-out Newton kernels by d, each compiled on its first use.
@@ -646,12 +607,11 @@ _WRITTEN_NEWTON = {}
 
 
 def _written_newton_mixed21(d):
-    """The float loops' Newton path at d, written out:
-    kernel(rows, tau, newton_steps).
+    """The Newton phase at d, written out: kernel(rows, tau, newton_steps).
 
-    The kernel returns (A as rows, its norm) where the loops would, or
-    hands the loops its state.  It is compiled from
-    ``_newton_mixed21_source(d)`` on the first call for d.
+    The kernel returns (A as rows, its norm), or hands the array Newton
+    loop its state.  It is compiled from ``_newton_mixed21_source(d)`` on
+    the first call for d.
     """
     return _written(_WRITTEN_NEWTON, d, _newton_mixed21_source, globals())
 
@@ -696,8 +656,9 @@ for steps in range(newton_steps, 0, -1):
     {step}
 """
 
-# The kernel around that block.  Off its path it hands the loops its
-# state: 2B, the row norms, ||B||_{2,1} and s, then the evaluations left.
+# The kernel around that block.  A dead row goes to the screen; off its
+# path it hands the array Newton loop its state: 2B, the row norms,
+# ||B||_{2,1} and s, then the evaluations left.
 _NEWTON_MIXED21_FUNCTION = """\
 def newton(rows, tau, newton_steps):
     sqrt = math.sqrt
@@ -708,6 +669,8 @@ def newton(rows, tau, newton_steps):
     scale = {scale}
     if not (({in_range}) and scale <= _SAFE_MAX):
         return _rescaled(_newton_mixed21_floats, rows, tau)
+    if {any_dead}:
+        return _screen_mixed21(rows, tau)
     {newton}
     if certified:
         return [{a}], total
@@ -716,28 +679,31 @@ def newton(rows, tau, newton_steps):
 
 
 def _newton_mixed21_source(d):
-    """Source of ``_newton_mixed21_floats``' Newton path at d, written out.
+    """Source of ``_newton_mixed21_floats``' kernel at d, written out.
 
     Each entry of B, 2B (t), H, the Jacobian M and the augmented column e
     is a named local, and so is each pair sum p_ij = s_i + s_j, formed once
-    per pair; each h_ij is kept for the Jacobian.  Every operation is the
-    loops' own, in their order, so the kernel returns their bits.  It
+    per pair; each h_ij is kept for the Jacobian.  It makes the array
+    loop's evaluation and Newton step entry by entry, every sum with + in
+    index order, and solves the Newton system by Gaussian elimination.  It
     leaves out what no bit depends on: H's diagonal is B's, exactly in the
     safe range (t_ii (s_i / p_ii) for a live row, t_ii 0.5 for a dead
     one), so b_ii^2 and b_ii t_ii are formed once per prox; sums whose
     terms are never -0.0 start from their first term; and with every row
-    above tau the loops' gap term for rows below it is 0.0.
+    above tau the gap term for rows below it is 0.0.
 
-    That path is the one where the loops solve for every row: it needs
-    no dead pair (every p_ij > 0 for i != j) and every ||h_i|| > tau,
-    which is what makes each target positive, and ``_solve_floats``'
+    Right after the range test it screens: where a row's
+    ||(b_ii, 2 b_ij for j != i)|| is at most tau (r_i <= tau first, which
+    that norm is never below), ``_screen_mixed21`` solves the prox.  Its
+    path needs no dead pair (every p_ij > 0 for i != j) and every
+    ||h_i|| > tau, which is what makes each target positive, and an
     elimination with no pivot swap, where |m_ik| > |m_kk| for some i > k
     means one.  A row at s_i = 0 comes back to life on it: p_ii takes the
-    loops' stand-in 1 in the Jacobian and the output.  Otherwise the
-    kernel returns (2B, the row norms, ||B||_{2,1}, s, the evaluations
-    left), and the loops evaluate s again and go on.  After its last
-    evaluation it takes no Newton step: it hands over s with no evaluation
-    left, and the loops hand s to the dual phase.  Row norms out of the
+    stand-in 1 in the Jacobian and the output.  Otherwise the kernel
+    returns (2B, the row norms, ||B||_{2,1}, s, the evaluations left), and
+    ``_newton_mixed21_steps`` evaluates s again and goes on.  After its
+    last evaluation it takes no Newton step: it hands over s with no
+    evaluation left, which goes to the dual phase.  Row norms out of the
     safe range solve the problem rescaled.  d = 1 differs only in how the
     rows unpack.  The Newton phase is a block of statements, the field
     ``newton`` of ``_newton_mixed21_fields(d)``, which the d = 2 mixed21
@@ -778,7 +744,7 @@ def _newton_mixed21_fields(d):
         # Entry (i, j) of the augmented system [M | e].
         return "e%d" % i if j == d else "m%d%d" % (i, j)
 
-    # p_ii = s_i + s_i, and the loops' stand-in 1 for a dead row.
+    # p_ii = s_i + s_i, and the stand-in 1 for a dead row.
     diagonal_pair_sum = "p{i}{i} = s{i} + s{i}\nif not p{i}{i} > 0.0:\n    p{i}{i} = 1.0"
     # The Jacobian row by row: weight, weight * s_i, C_ij and M_ij.
     jacobian = []
@@ -819,6 +785,9 @@ def _newton_mixed21_fields(d):
         "row_norms": "\n".join("r%d = %s" % (i, row_norm(i, "b")) for i in span),
         "scale": each("r{i}", diagonal, " + "),
         "in_range": each("_SAFE_MIN <= r{i}", diagonal, " or "),
+        "any_dead": " or ".join(
+            "r%d <= tau and %s <= tau" % (i, row_norm(i, "t")) for i in span
+        ),
         "start": each("s{i} = 1.0 - tau / (tau if tau > r{i} else r{i})", diagonal, "\n"),
         "diagonal_numerators": each("ht{i}{i} = b{i}{i} * t{i}{i}", diagonal, "\n"),
         "pair_sums": each("p{i}{j} = s{i} + s{j}", pairs, "\n"),
@@ -921,41 +890,6 @@ def kernel(a, tau):
     {prox}
     return (a_00, a_01, a_11), a_norm
 """
-
-
-def _solve_floats(system):
-    """Solution of the augmented system [M | r], as a list.
-
-    Gaussian elimination with partial pivoting (the first largest pivot on
-    ties), then back substitution; each row is a list of floats and may be
-    overwritten.
-    """
-    size = len(system)
-    for k in range(size):
-        best = k
-        largest = abs(system[k][k])
-        for i in range(k + 1, size):
-            x = abs(system[i][k])
-            if x > largest:
-                best = i
-                largest = x
-        system[k], system[best] = system[best], system[k]
-        pivot_row = system[k]
-        pivot = pivot_row[k]
-        columns = range(k + 1, size + 1)
-        for i in range(k + 1, size):
-            row = system[i]
-            factor = row[k] / pivot
-            for j in columns:
-                row[j] -= factor * pivot_row[j]
-    x = [0.0] * size
-    for k in range(size - 1, -1, -1):
-        row = system[k]
-        acc = row[size]
-        for j in range(k + 1, size):
-            acc -= row[j] * x[j]
-        x[k] = acc / row[k]
-    return x
 
 
 def _dual_mixed21(b, tau, s, scale):
@@ -1100,12 +1034,14 @@ else:
     #
     # Otherwise it runs the Newton phase of the written-out d = 2 kernel
     # (``_newton_mixed21_source(2)``), which ``_prox_block`` writes in at
-    # {newton}: the loops' operations in their order, on B's entries b_ij
+    # {newton}: the kernel's operations in their order, on B's entries b_ij
     # and 2B's t_ij, with b_01 = b_10 and t_01 = t_10.  Where it certifies,
     # A is t_ij u_ij and its norm total.  Where it leaves its path, at a
     # dead pair, a row of H at or below tau, a pivot swap or the cap,
     # ``_newton_mixed21_floats`` takes B from the start: its d = 2 kernel
-    # leaves the path at the same point, and the loops go on from there.
+    # leaves the path at the same point, and the array Newton loop goes on
+    # from there.  The kernel's screen states the dead-row rule again, for
+    # every d up to 5, with the same tests and outputs.
     # Row norms out of the safe range solve the problem rescaled, by
     # ``_prox_mixed21_triple``.
     NormKind.MIXED21: """\

@@ -360,8 +360,9 @@ def _train_floats(scaled, w, config):
     solve rescaled (``_rescaled`` with ``_prox_fro_triple`` or
     ``_prox_mixed21_triple``, built from the same blocks), and a mixed21
     prox that leaves the written-out Newton path, or finds no certificate
-    within the Newton cap, goes to ``_newton_mixed21_floats``.  The loop
-    reads that cap, ``norms._MIXED21_NEWTON_STEPS``, once per fit.
+    within the Newton cap, goes to ``_newton_mixed21_floats``, whose d = 2
+    kernel hands it to the array Newton loop.  The loop reads that cap,
+    ``norms._MIXED21_NEWTON_STEPS``, once per fit.
     """
     key = (len(scaled), config.norm_kind)
     return _written(_WRITTEN_FLOAT_LOOPS, key, _float_loop_source, globals())(scaled, w, config)

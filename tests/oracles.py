@@ -433,23 +433,28 @@ def _reference_prox_mixed21(b, tau, gap_rtol=1e-12, newton_steps=8, dual_steps=2
     the rows whose right-hand side (target) is positive, dead rows included,
     sets the others to 0, and stops on the duality-gap bound.  The fallback
     is accelerated projected gradient with gradient restart on the skew part
-    of the dual.  Up to d = 5 the Newton phase is
-    ``_reference_prox_mixed21_floats``.  At d = 2 a row that the KKT
-    conditions kill skips both phases (``_reference_mixed21_dead_row``).
+    of the dual.  Up to d = 5 the rows that the KKT conditions kill are
+    screened out first (``_reference_mixed21_screen``), and the Newton phase
+    runs on Python floats (``_reference_prox_mixed21_floats``) until it
+    leaves the written-out kernel's path; it then resumes on arrays
+    (``_reference_newton_arrays``), where every larger d runs.
     """
-    if b.shape[0] == 2:
-        dead = _reference_mixed21_dead_row(b, tau)
-        if dead is not None:
-            return dead
     if b.shape[0] <= 5:
+        screened = _reference_mixed21_screen(b, tau, gap_rtol, newton_steps, dual_steps)
+        if screened is not None:
+            return screened
         return _reference_prox_mixed21_floats(b, tau, gap_rtol, newton_steps, dual_steps)
+    s = 1.0 - tau / np.maximum(_reference_row_norms(b), tau)
+    return _reference_newton_arrays(b, tau, s, newton_steps, gap_rtol, dual_steps)
+
+
+def _reference_newton_arrays(b, tau, s, steps, gap_rtol, dual_steps):
+    """The array Newton phase from the scales s, with steps evaluations
+    left; after the last one the dual phase starts from H at s."""
     b_rows = _reference_row_norms(b)
     scale = b_rows.sum()
     twice_b = b + b
-    s = 1.0 - tau / np.maximum(b_rows, tau)
-    # With no Newton step allowed, the dual phase starts from H at s.
-    h = reference_dual_start(b, s)
-    for _ in range(newton_steps):
+    for left in range(steps, 0, -1):
         pair = s[:, None] + s
         all_live = s.min() > 0.0
         if all_live:
@@ -469,6 +474,8 @@ def _reference_prox_mixed21(b, tau, gap_rtol=1e-12, newton_steps=8, dual_steps=2
         total = float(s @ n)
         if gap <= tau * gap_rtol * (total + scale):
             return twice_b * (s[:, None] * s / pair), total
+        if left == 1:
+            break
         c = h * twice_b / (pair * pair)
         weight = tau / (clipped * clipped * clipped)
         jacobian = np.diag(1.0 + weight * (c @ s)) - (weight * s)[:, None] * c
@@ -480,7 +487,9 @@ def _reference_prox_mixed21(b, tau, gap_rtol=1e-12, newton_steps=8, dual_steps=2
             step = np.linalg.solve(jacobian[np.ix_(idx, idx)], residual[idx])
             target[idx] = np.minimum(np.maximum(s[idx] - step, 0.0), 1.0)
         s = target
-    return _reference_dual_mixed21(b, tau, h, scale, gap_rtol, dual_steps)
+    return _reference_dual_mixed21(
+        b, tau, reference_dual_start(b, s), scale, gap_rtol, dual_steps
+    )
 
 
 def reference_dual_start(b, s):
@@ -491,24 +500,36 @@ def reference_dual_start(b, s):
     return (b + b) * np.where(live, s / np.where(live, s[:, None] + s, 1.0), 0.5)
 
 
-def _reference_mixed21_dead_row(b, tau):
-    """The exact mixed21 prox of a 2x2 B with a dead row, or None.
+def _reference_mixed21_screen(b, tau, *caps):
+    """The mixed21 prox of B with a dead row, and its norm, or None.
 
-    Row i, with partner j, is zero at the minimizer if its row of H at
-    s_i = 0, (h_i0, h_i1) with h_ii = b_ii and h_ij = 2 b_ij, has norm at
-    most tau: then (b_ii, 2 b_ij) / tau is a dual row in the unit ball, and
-    the KKT conditions leave a_jj = copysign(max(|b_jj| - tau, 0), b_jj).
-    Every other entry is a zero with its entry of B's sign.  Row 0 is
-    tested first; the norm is max(|b_jj| - tau, 0).
+    Row i is zero at the minimizer if its row of H at s_i = 0, with
+    h_ii = b_ii and h_ij = 2 b_ij, has norm at most tau: then
+    (b_ii, 2 b_ij ...) / tau is a dual row in the unit ball, and the KKT
+    conditions hold with every such row and column zero and the prox of B
+    without them in the rest.  No row left is A = 0; one row left, j,
+    gives a_jj = copysign(max(|b_jj| - tau, 0), b_jj); more are the prox
+    of the smaller block, under the same caps.  Every other entry is a zero
+    with its entry of B's sign.
     """
     rows = b.tolist()
-    for i, j in ((0, 1), (1, 0)):
-        if _float_norm([x if k == i else 2.0 * x for k, x in enumerate(rows[i])]) <= tau:
-            shrunk = max(abs(rows[j][j]) - tau, 0.0)
-            a = [[math.copysign(0.0, x) for x in row] for row in rows]
-            a[j][j] = math.copysign(shrunk, rows[j][j])
-            return np.array(a), shrunk
-    return None
+    span = range(len(rows))
+    live = [
+        i for i in span
+        if _float_norm([x if j == i else 2.0 * x for j, x in enumerate(rows[i])]) > tau
+    ]
+    if len(live) == len(rows):
+        return None
+    a = np.array([[math.copysign(0.0, x) for x in row] for row in rows])
+    total = 0.0
+    if len(live) == 1:
+        (j,) = live
+        total = max(abs(rows[j][j]) - tau, 0.0)
+        a[j, j] = math.copysign(total, rows[j][j])
+    elif live:
+        block, total = _reference_prox_mixed21(b[np.ix_(live, live)], tau, *caps)
+        a[np.ix_(live, live)] = block
+    return a, total
 
 
 def _float_dot(x, y):
@@ -523,17 +544,14 @@ def _float_norm(x):
 
 
 def _reference_solve(matrix, rhs):
-    """Gaussian elimination with partial pivoting on lists.
-
-    The pivot is the first entry of largest magnitude in its column.
-    """
+    """Gaussian elimination with no pivot swap on lists, or None where
+    partial pivoting would swap: some |m_ik| > |m_kk| below the pivot."""
     n = len(rhs)
     matrix = [list(row) for row in matrix]
     rhs = list(rhs)
     for k in range(n):
-        p = max(range(k, n), key=lambda i: abs(matrix[i][k]))
-        matrix[k], matrix[p] = matrix[p], matrix[k]
-        rhs[k], rhs[p] = rhs[p], rhs[k]
+        if any(abs(matrix[i][k]) > abs(matrix[k][k]) for i in range(k + 1, n)):
+            return None
         for i in range(k + 1, n):
             factor = matrix[i][k] / matrix[k][k]
             for j in range(k + 1, n):
@@ -549,11 +567,16 @@ def _reference_solve(matrix, rhs):
 
 
 def _reference_prox_mixed21_floats(b, tau, gap_rtol, newton_steps, dual_steps):
-    """``_reference_prox_mixed21``'s Newton phase with every entry a Python float.
+    """``_reference_prox_mixed21``'s Newton phase with every entry a Python
+    float, on the written-out kernel's path.
 
     Each array expression of the array form becomes a list comprehension
     over the same operands; sums and dot products accumulate in index order
-    with +=, and the Newton system is solved by ``_reference_solve``.
+    with +=, and the Newton system is solved by ``_reference_solve``.  Where
+    the kernel leaves its path, at a dead pair (s_i = s_j = 0, i != j), a
+    row of H at or below tau, or a pivot swap, the array phase evaluates s
+    again with the evaluations left; after the last evaluation it takes s
+    with none left, and hands it to the dual phase.
     """
     d = b.shape[0]
     rng = range(d)
@@ -563,48 +586,45 @@ def _reference_prox_mixed21_floats(b, tau, gap_rtol, newton_steps, dual_steps):
     scale = 0.0
     for r in b_rows:
         scale += r
+
+    def resume(s, left):
+        return _reference_newton_arrays(b, tau, np.array(s), left, gap_rtol, dual_steps)
+
     s = [1.0 - tau / max(b_rows[i], tau) for i in rng]
-    # With no Newton step allowed, the dual phase starts from H at s.
-    h = [
-        [twice_b[i][j] * (s[j] / (s[i] + s[j]) if s[i] + s[j] > 0.0 else 0.5) for j in rng]
-        for i in rng
-    ]
-    for _ in range(newton_steps):
+    for left in range(newton_steps, 0, -1):
         pair = [[s[i] + s[j] for j in rng] for i in rng]
-        if min(s) > 0.0:
-            h = [[twice_b[i][j] * (s[j] / pair[i][j]) for j in rng] for i in rng]
-        else:
-            live = [[pair[i][j] > 0.0 for j in rng] for i in rng]
-            pair = [[pair[i][j] if live[i][j] else 1.0 for j in rng] for i in rng]
-            h = [
-                [twice_b[i][j] * (s[j] / pair[i][j] if live[i][j] else 0.5) for j in rng]
-                for i in rng
-            ]
+        if any(not pair[i][j] > 0.0 for i in rng for j in rng if i != j):
+            return resume(s, left)
+        # Only p_ii = 0, a dead row, takes the stand-in 1 and h_ii = 0.5 t_ii.
+        live = [[pair[i][j] > 0.0 for j in rng] for i in rng]
+        pair = [[pair[i][j] if live[i][j] else 1.0 for j in rng] for i in rng]
+        h = [
+            [twice_b[i][j] * (s[j] / pair[i][j] if live[i][j] else 0.5) for j in rng]
+            for i in rng
+        ]
         n = [_float_norm(row) for row in h]
-        clipped = [max(n[i], tau) for i in rng]
-        target = [1.0 - tau / clipped[i] for i in rng]
+        if not min(n) > tau:
+            return resume(s, left)
+        target = [1.0 - tau / n[i] for i in rng]
         residual = [s[i] - target[i] for i in rng]
         weighted = [residual[i] * b_rows[i] for i in rng]
         gap = _float_dot(weighted, weighted)
-        if min(n) < tau:
-            gap += _float_dot([s[i] * n[i] for i in rng], [max(tau - n[i], 0.0) for i in rng])
         total = _float_dot(s, n)
         if gap <= tau * gap_rtol * (total + scale):
             a = [[twice_b[i][j] * (s[i] * s[j] / pair[i][j]) for j in rng] for i in rng]
             return np.array(a), total
+        if left == 1:
+            return resume(s, 0)
         c = [[h[i][j] * twice_b[i][j] / (pair[i][j] * pair[i][j]) for j in rng] for i in rng]
-        weight = [tau / (clipped[i] * clipped[i] * clipped[i]) for i in rng]
+        weight = [tau / (n[i] * n[i] * n[i]) for i in rng]
         jacobian = [[0.0 - weight[i] * s[i] * c[i][j] for j in rng] for i in rng]
         for i in rng:
             jacobian[i][i] += 1.0 + weight[i] * _float_dot(c[i], s)
-        idx = [i for i in rng if target[i] > 0.0]
-        step = _reference_solve(
-            [[jacobian[i][j] for j in idx] for i in idx], [residual[i] for i in idx]
-        )
-        for k, i in enumerate(idx):
-            target[i] = min(max(s[i] - step[k], 0.0), 1.0)
-        s = target
-    return _reference_dual_mixed21(b, tau, np.array(h), scale, gap_rtol, dual_steps)
+        step = _reference_solve(jacobian, residual)
+        if step is None:
+            return resume(s, left)
+        s = [min(max(s[i] - step[i], 0.0), 1.0) for i in rng]
+    return resume(s, 0)
 
 
 def _reference_dual_mixed21(b, tau, h, scale, gap_rtol, dual_steps):

@@ -36,7 +36,7 @@ from simbound.norms import _PROX, MIXED21_GAP_RTOL
 from conftest import symmetric_part, watch_dual_starts
 import oracles
 from oracles import (
-    _reference_prox_mixed21, _reference_prox_mixed21_floats, _reference_solve, closed_form_prox,
+    _reference_prox_mixed21, _reference_prox_mixed21_floats, closed_form_prox,
     prox_objective, prox_oracle, reference_prox, reference_prox_floats,
 )
 
@@ -516,19 +516,18 @@ def _reviving(d):
 
 
 # d = 2 mixed21 proxes at tau = 0.5 whose bits are literals: a dead row 0
-# by its KKT test, which the loops' Newton phase certifies at its first
+# by its KKT test, which the array Newton phase certifies at its first
 # evaluation; _ONE_STEP_ROWS; a dead row 0 by its KKT test, for which the
-# loops' Newton system has one unknown; and a dead row that comes back to
+# array Newton system has one unknown; and a dead row that comes back to
 # life, row 0, row 1 of its mirror and row 1 of a negative matrix: a
 # revived row's Newton equation, from s_i = 0 with a positive target, is
-# the one place where the Jacobian takes p_ii = 1.  The d = 2 kernel solves
-# the two dead rows in closed form, the others by the Newton phase; the
-# loops take no closed form.  Both use
-# + - * / and math.sqrt only, so these bits hold on every interpreter.
-# Each case: rows, the loops' Newton steps before the certificate, the
-# unknowns of their first Newton system, the kernel's prox rows and norm,
-# and for a closed form the loops' rows and norm (None where the kernel
-# runs the same Newton phase).
+# the one place where the Jacobian takes p_ii = 1.  The d = 2 kernels solve
+# the two dead rows in closed form, the others by the written-out Newton
+# phase, with + - * / and math.sqrt only, so these bits hold on every
+# interpreter.  The array Newton phase takes no closed form.  Each case:
+# rows, the Newton steps before the certificate, the unknowns of the first
+# Newton system, the kernels' prox rows and norm, and for a closed form the
+# array Newton phase's rows and norm (None where the kernels run Newton).
 _MIXED21_GOLDEN = [
     (
         [[0.3, -0.001], [-0.001, -2.0]], 0, 0,
@@ -588,27 +587,31 @@ _MIXED21_GOLDEN = [
 
 
 def test_mixed21_prox_d2_golden_bits(monkeypatch):
-    # The d = 2 kernel on the triple and the float Newton phase on the
-    # rows: the bits, then each case's path.  The reference, capped at
-    # steps + 1 evaluations, gives the float phase's bits by steps Newton
-    # systems, the first with the stated unknowns.  Capped at steps + 1 the
-    # kernel and the float phase give the same bits and hand nothing to the
-    # dual phase, and the kernel calls no _solve_floats.  Capped at one, a
-    # closed form gives the same bits and hands nothing over, and the
-    # kernel's uncertified Newton phase hands B to the float phase, so it
-    # hands the dual phase the same B, scales and ||B||_{2,1} as that phase,
-    # bit for bit, and gets the same prox back.  At that cap no phase solves
-    # a Newton system: none takes a step after its last evaluation.
+    # The d = 2 kernel on the triple, the written-out kernel on the rows,
+    # which screens a dead row, and the reference: the bits, then each
+    # case's path.  Where the kernels run Newton, the reference's float
+    # phase, capped at steps + 1 evaluations, gives their bits by steps
+    # Newton systems, the first with the stated unknowns, and no kernel
+    # calls LAPACK.  Where they take a closed form, the array Newton phase
+    # gives the stated Newton bits by steps LAPACK solves, the first with
+    # the stated unknowns.  Capped at steps + 1 the kernels give the same
+    # bits and hand nothing to the dual phase.  Capped at one, a closed
+    # form gives the same bits and hands nothing over, and the triple
+    # kernel's uncertified Newton phase hands B to the written-out kernel,
+    # so it hands the dual phase the same B, scales and ||B||_{2,1} as that
+    # kernel, bit for bit, and gets the same prox back.  At that cap no
+    # phase solves a Newton system: none takes a step after its last
+    # evaluation.
     systems = []
     reference_systems = []
     handed = []
-    solve = norms._solve_floats
+    solve = np.linalg.solve
     reference_solve = oracles._reference_solve
     dual = norms._dual_mixed21
 
-    def recorded(system):
-        systems.append(len(system))
-        return solve(system)
+    def recorded(matrix, rhs):
+        systems.append(len(rhs))
+        return solve(matrix, rhs)
 
     def recorded_reference(matrix, rhs):
         reference_systems.append(len(rhs))
@@ -618,40 +621,46 @@ def test_mixed21_prox_d2_golden_bits(monkeypatch):
         handed.append((b.tobytes(), tau, s.tobytes(), scale.hex()))
         return dual(b, tau, s, scale)
 
-    monkeypatch.setattr(norms, "_solve_floats", recorded)
+    monkeypatch.setattr(np.linalg, "solve", recorded)
     monkeypatch.setattr(oracles, "_reference_solve", recorded_reference)
     monkeypatch.setattr(norms, "_dual_mixed21", recorded_dual)
     kernel = norms._prox_mixed21_triple
     for rows, steps, unknowns, prox_rows, prox_norm, newton in _MIXED21_GOLDEN:
         a, total = kernel(_triple(rows), 0.5)
         assert (_hex(_rows(a)), total.hex()) == (prox_rows, prox_norm)
+        assert _hex(norms._newton_mixed21_floats(rows, 0.5)) == (prox_rows, prox_norm)
+        reference, reference_norm = _reference_prox_mixed21(np.array(rows), 0.5)
+        assert _hex((reference.tolist(), reference_norm)) == (prox_rows, prox_norm)
         assert systems == []
-        loops = newton or (prox_rows, prox_norm)
-        assert _hex(norms._newton_mixed21_floats(rows, 0.5)) == loops
         reference_systems.clear()
-        reference, reference_norm = _reference_prox_mixed21_floats(
-            np.array(rows), 0.5, MIXED21_GAP_RTOL, steps + 1, norms._MIXED21_DUAL_STEPS
-        )
-        assert _hex((reference.tolist(), reference_norm)) == loops
-        assert len(reference_systems) == steps and reference_systems[:1] == [unknowns][:steps]
+        if newton is None:
+            reference, reference_norm = _reference_prox_mixed21_floats(
+                np.array(rows), 0.5, MIXED21_GAP_RTOL, steps + 1, norms._MIXED21_DUAL_STEPS
+            )
+            assert _hex((reference.tolist(), reference_norm)) == (prox_rows, prox_norm)
+            newton_systems = reference_systems
+        else:
+            arrays, arrays_norm = norms._newton_mixed21_arrays(np.array(rows), 0.5)
+            assert _hex((arrays.tolist(), arrays_norm)) == newton
+            newton_systems = systems
+        assert len(newton_systems) == steps and newton_systems[:1] == [unknowns][:steps]
         systems.clear()
         with monkeypatch.context() as patch:
             patch.setattr(norms, "_MIXED21_NEWTON_STEPS", steps + 1)
             assert _hex(kernel(_triple(rows), 0.5)) == _hex((a, total))
-            assert _hex(norms._newton_mixed21_floats(rows, 0.5)) == loops
+            assert _hex(norms._newton_mixed21_floats(rows, 0.5)) == (prox_rows, prox_norm)
             assert handed == []
-            systems.clear()
             patch.setattr(norms, "_MIXED21_NEWTON_STEPS", 1)
             capped = kernel(_triple(rows), 0.5)
             from_kernel = handed[:]
             handed.clear()
-            capped_loops = norms._newton_mixed21_floats(rows, 0.5)
+            capped_rows = norms._newton_mixed21_floats(rows, 0.5)
         assert systems == []
         if newton:
             assert _hex(capped) == _hex((a, total)) and from_kernel == []
         else:
             assert len(handed) == 1 and from_kernel == handed
-            assert _hex((_rows(capped[0]), capped[1])) == _hex(capped_loops)
+            assert _hex((_rows(capped[0]), capped[1])) == _hex(capped_rows)
         handed.clear()
 
 
@@ -731,7 +740,7 @@ def test_mixed21_d2_closed_form_stays_in_certificate(rng):
             )
             assert np.ldexp(_rows(scaled), -k).tobytes() == out.tobytes(), (triple, tau, k)
             assert math.ldexp(scaled_norm, -k).hex() == a_norm.hex(), (triple, tau, k)
-        closed += oracles._reference_mixed21_dead_row(b, tau) is not None
+        closed += oracles._reference_mixed21_screen(b, tau) is not None
     assert 0 < closed < len(cases)
 
 
@@ -743,14 +752,14 @@ class _RefusedSteps:
 
 
 def test_mixed21_d2_dead_row_runs_no_newton(monkeypatch):
-    # With the Newton loops, the solver and the dual phase refusing, and a
+    # With the Newton phases and the dual phase refusing, and a
     # step cap that refuses to be read, a dead row, row 0 or row 1 or both,
     # still gets its prox from the kernel and from prox; a both-live input
     # starts the Newton phase.
     def refuse(*args):
         raise AssertionError("the Newton phase ran")
 
-    for name in ("_newton_mixed21_floats", "_solve_floats", "_dual_mixed21"):
+    for name in ("_newton_mixed21_floats", "_newton_mixed21_steps", "_dual_mixed21"):
         monkeypatch.setattr(norms, name, refuse)
     monkeypatch.setattr(norms, "_MIXED21_NEWTON_STEPS", _RefusedSteps())
     kernel = norms._prox_mixed21_triple
@@ -770,8 +779,13 @@ def test_mixed21_d2_dead_row_runs_no_newton(monkeypatch):
 
 def test_mixed21_d2_prox_is_the_float_kernel(rng):
     # prox, and the array kernel, at d = 2 return the triple kernel's
-    # output bit for bit, and a closed form's norm is norm(A) exactly.
+    # output bit for bit, and a closed form's norm is norm(A) exactly.  The
+    # dead-row rule is stated twice, by the d = 2 mixed21 block and by the
+    # written-out kernels' screen: on every input with a dead row, both
+    # rows dead and -0.0 entries included, the screen returns the triple
+    # kernel's bits and norm.
     kernel = norms._prox_mixed21_triple
+    both = negative_zero = 0
     for triple, tau in _dead_row_inputs(rng):
         b = np.array(_rows(triple))
         a, a_norm = kernel(triple, tau)
@@ -781,13 +795,55 @@ def test_mixed21_d2_prox_is_the_float_kernel(rng):
         array_out, array_norm = _PROX[NormKind.MIXED21](b, tau)
         _assert_same_bits(array_out, expected)
         assert array_norm == a_norm
-        if oracles._reference_mixed21_dead_row(b, tau) is not None:
+        if oracles._reference_mixed21_screen(b, tau) is not None:
             assert a_norm == norm(out, "mixed21")
+            screened, screened_norm = norms._screen_mixed21(_rows(triple), tau)
+            _assert_same_bits(np.array(screened), expected)
+            assert screened_norm.hex() == a_norm.hex() and type(screened_norm) is float
+            both += not expected.any()
+            negative_zero += bool(np.signbit(expected[expected == 0.0]).any())
+    assert both > 0 and negative_zero > 0
+
+
+# Row 0 of a B at d = 3, 4 and 5 whose ||(b_00, 2 b_0j ...)|| is exactly
+# the second number: every entry is a short binary fraction, so the squares
+# and their sum round to nothing.
+_SCREEN_EDGES = {
+    3: ([1.0, 1.0, -1.0], 3.0),
+    4: ([0.5, 0.25, -0.25, 0.25], 1.0),
+    5: ([0.75, 0.25, -0.25, 0.25, -0.25], 1.25),
+}
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_mixed21_screen_boundary(d, monkeypatch):
+    # The other rows of B are far above tau.  At tau on the edge and one
+    # ulp above it, the screen takes row 0, and its row and column of the
+    # prox are zeros with B's signs; one ulp below, the written-out kernel
+    # solves with row 0 live, and no entry of it is zero.  Each output is
+    # the reference's, bit for bit.
+    screened = _watch_screen(monkeypatch)
+    row, edge = _SCREEN_EDGES[d]
+    b = np.diag(edge * np.array([0.0, 2.5, -3.0, 3.5, 4.0][:d]))
+    b[0] = b[:, 0] = row
+    b[1, 2] = b[2, 1] = 0.25
+    for tau in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)):
+        screened.clear()
+        dead = tau >= edge
+        out, total = norms._prox_mixed21(b, tau)
+        assert bool(screened) == dead, tau
+        assert (out[0] == 0.0).all() == dead and (out[0] != 0.0).all() == (not dead)
+        if dead:
+            np.testing.assert_array_equal(np.signbit(out[0]), np.signbit(b[0]))
+        expected, expected_norm = _reference_prox_mixed21(b, tau)
+        _assert_same_bits(out, expected)
+        assert total == expected_norm
 
 
 def test_mixed21_float_newton_hands_over_to_dual_phase(monkeypatch):
-    # Capped at one Newton step, the float phase at d = 3 and d = 2 hands
-    # the scales of its last evaluation to the dual phase, whose H at them
+    # Capped at one Newton step, the written-out kernel at d = 3 and d = 2
+    # hands over the scales of its last evaluation with none left, and the
+    # array Newton loop hands them to the dual phase, whose H at them
     # is bit for bit the reference's H.  The dual phase certifies the gap
     # (it raises otherwise) and matches the reference run with the same cap.
     handed = watch_dual_starts(monkeypatch)
@@ -813,12 +869,12 @@ def test_mixed21_float_newton_hands_over_to_dual_phase(monkeypatch):
 
 def test_mixed21_d2_newton_cap_zero_hands_start_scales_to_dual_phase(monkeypatch):
     # At a Newton cap of 0 the d = 2 kernel on the triple, prox and the
-    # float phase return the reference's prox with the same cap, bit for
+    # written-out kernel on the rows return the reference's prox with the same cap, bit for
     # bit: each hands the dual phase the start scales, from whose H it
     # starts, as the reference's does.  The kernel's block used to hand over
     # H from locals that only its Newton loop sets, and raised
-    # UnboundLocalError.  A dead row still takes its closed form and hands
-    # nothing over.
+    # UnboundLocalError.  A dead row still takes its closed form, which the
+    # written-out kernel's screen gives too, and hands nothing over.
     handed = watch_dual_starts(monkeypatch)
     monkeypatch.setattr(norms, "_MIXED21_NEWTON_STEPS", 0)
     cases = [_ONE_STEP_ROWS, _reviving(2).tolist(), _MIXED21_GOLDEN[0][0]]
@@ -831,12 +887,12 @@ def test_mixed21_d2_newton_cap_zero_hands_start_scales_to_dual_phase(monkeypatch
         _assert_same_bits(np.array(_rows(a)), expected)
         _assert_same_bits(out, expected)
         assert total == expected_norm and type(total) is float
-        loops = norms._newton_mixed21_floats(rows, 0.5)
-        if oracles._reference_mixed21_dead_row(b, 0.5) is None:
-            assert _hex(loops) == _hex((_rows(a), total))
+        written = norms._newton_mixed21_floats(rows, 0.5)
+        assert _hex(written) == _hex((_rows(a), total))
+        if oracles._reference_mixed21_screen(b, 0.5) is None:
             assert len(handed) == 4 and len({entry[1:] for entry in handed}) == 1
         else:
-            assert [name for name, *_ in handed] == ["floats"]
+            assert handed == []
 
 
 def test_mixed21_newton_cap_zero_hands_start_scales_at_every_d(monkeypatch, rng):
@@ -923,38 +979,24 @@ _HANDOVER_B = np.array([
 ])
 
 
-def _has_tied_pivot(system):
-    """Whether partial pivoting on the augmented system [M | r] meets two
-    largest candidates of equal magnitude in some column."""
-    system = [list(row) for row in system]
-    size = len(system)
-    for k in range(size):
-        column = [abs(system[i][k]) for i in range(k, size)]
-        if column.count(max(column)) > 1:
-            return True
-        best = k + column.index(max(column))
-        system[k], system[best] = system[best], system[k]
-        for i in range(k + 1, size):
-            factor = system[i][k] / system[k][k]
-            for j in range(k + 1, size + 1):
-                system[i][j] -= factor * system[k][j]
-    return False
-
-
 def test_mixed21_float_newton_matches_reference_bits(rng, monkeypatch):
-    # Every bit of the float Newton phase's output, -0.0 included, and its
-    # norm equal the reference's at d = 1 to 5.  The inputs make Newton
-    # systems of 1, 2 and more unknowns, a tied pivot and a dead row that
-    # comes back to life; at d = 5 the dual phase takes over, from the H of
-    # the last evaluation in both: the float phase hands over its scales.
+    # Every bit of the written-out Newton phase's output, -0.0 included,
+    # and its norm equal the reference's at d = 1 to 5.  The inputs make
+    # Newton systems of 2 to 5 unknowns on the kernels' path, screen one
+    # and two dead rows, and make a dead row that comes back to life; a
+    # tied pivot below a smaller one hands the array Newton loop the
+    # kernel's state; at d = 5 the dual phase takes over, from the H of the
+    # last evaluation in both: the array loop hands over its scales.
     systems = []
-    solve = norms._solve_floats
+    reference_solve = oracles._reference_solve
 
-    def recorded(system):
-        systems.append([list(row) for row in system])
-        return solve(system)
+    def recorded(matrix, rhs):
+        systems.append(len(rhs))
+        return reference_solve(matrix, rhs)
 
-    monkeypatch.setattr(norms, "_solve_floats", recorded)
+    monkeypatch.setattr(oracles, "_reference_solve", recorded)
+    returned = _watch_written(monkeypatch)
+    screened = _watch_screen(monkeypatch)
     handed = watch_dual_starts(monkeypatch)
     cases = [(np.array([[x]]), tau) for x in (1.5, -0.25, -0.0) for tau in (0.1, 1.0)]
     for b in _signed_zero_inputs(rng):
@@ -963,33 +1005,36 @@ def test_mixed21_float_newton_matches_reference_bits(rng, monkeypatch):
             cases += [(b, tau) for tau in (0.1, 0.5, abs(float(b[0, -1]))) if tau]
     cases += [(_reviving(d), 0.5) for d in (2, 3, 4, 5)]
     cases += [(_TIED_PIVOT_B, 1.0), (_HANDOVER_B, 1.2)]
-    # Two dead rows leave one unknown at d = 3 and two at d = 4.
-    cases += [(_TWO_DEAD_B[:d, :d], 0.5) for d in (3, 4)]
+    # Two dead rows leave a 1x1 block at d = 3 and a 2x2 one at d = 4.
+    two_dead = [_TWO_DEAD_B[:d, :d] for d in (3, 4)]
+    cases += [(b, 0.5) for b in two_dead]
     for b, tau in cases:
         handed.clear()
+        returned.clear()
+        screened.clear()
         rows, rows_norm = norms._newton_mixed21_floats(b.tolist(), tau)
-        expected, expected_norm = _reference_prox_mixed21_floats(
-            b, tau, MIXED21_GAP_RTOL, norms._MIXED21_NEWTON_STEPS, norms._MIXED21_DUAL_STEPS
-        )
+        expected, expected_norm = _reference_prox_mixed21(b, tau)
         _assert_same_bits(np.array(rows), expected)
         assert rows_norm == expected_norm and type(rows_norm) is float
         floats = [entry[1:] for entry in handed if entry[0] == "floats"]
         assert floats == [entry[1:] for entry in handed if entry[0] == "reference"]
         if b is _HANDOVER_B:
             assert len(handed) == 2
-    sizes = {len(system) for system in systems}
-    assert {1, 2} <= sizes and max(sizes) >= 3
-    assert any(map(_has_tied_pivot, systems))
+        if b is _TIED_PIVOT_B:
+            assert [len(state) for state in returned] == [5] and not screened
+        if b is two_dead[1]:
+            assert screened == [4] and [len(state) for state in returned] == [2, 2]
+    assert {2, 3, 4, 5} <= set(systems)
 
 
 def _reference_newton(rows, tau):
-    """The reference's float Newton phase on rows, at the prox's caps, as
-    (rows, norm).  Row norms out of the safe range solve the problem
-    rescaled by ``norms._rescaled``, as the written-out kernels do; the
-    reference itself does not rescale."""
+    """The reference's prox on rows, at the prox's caps, as (rows, norm).
+    Row norms out of the safe range solve the problem rescaled by
+    ``norms._rescaled``, as the written-out kernels do; the reference
+    itself does not rescale."""
 
     def solve(rows, tau):
-        a, total = _reference_prox_mixed21_floats(
+        a, total = _reference_prox_mixed21(
             np.array(rows), tau, MIXED21_GAP_RTOL, norms._MIXED21_NEWTON_STEPS,
             norms._MIXED21_DUAL_STEPS,
         )
@@ -1007,7 +1052,7 @@ def _reference_newton(rows, tau):
 def _watch_written(monkeypatch):
     """Record what each written-out Newton kernel returns: A and its norm,
     or the state (2B, row norms, scale, s, evaluations left) it hands the
-    loops."""
+    array Newton loop."""
     returned = []
     build = norms._written_newton_mixed21
 
@@ -1023,6 +1068,19 @@ def _watch_written(monkeypatch):
 
     monkeypatch.setattr(norms, "_written_newton_mixed21", watched)
     return returned
+
+
+def _watch_screen(monkeypatch):
+    """Record the size of each B that the written-out kernels screen."""
+    screened = []
+    screen = norms._screen_mixed21
+
+    def recorded(rows, tau):
+        screened.append(len(rows))
+        return screen(rows, tau)
+
+    monkeypatch.setattr(norms, "_screen_mixed21", recorded)
+    return screened
 
 
 def _written_newton_inputs(rng):
@@ -1057,27 +1115,32 @@ def _hex_prox(out):
 
 def test_mixed21_written_newton_matches_reference(rng, monkeypatch):
     # At d = 3 to 5 the Newton phase, written out, returns the reference's
-    # bits, -0.0 included, where it certifies and where it hands over to the
-    # loops, and out of the safe range, where both solve rescaled.
+    # bits, -0.0 included, where it certifies, where it screens out dead
+    # rows and where the array Newton loop resumes from the state it hands
+    # over, and out of the safe range, where both solve rescaled.
     returned = _watch_written(monkeypatch)
-    certified = handed = 0
+    screened = _watch_screen(monkeypatch)
+    certified = screens = handed = 0
     for rows, tau in _written_newton_inputs(rng):
         returned.clear()
+        screened.clear()
         with np.errstate(over="ignore"):
             out = norms._newton_mixed21_floats(rows, tau)
             expected = _reference_newton(rows, tau)
         assert _hex_prox(out) == _hex_prox(expected), (rows, tau)
         assert type(out[1]) is float and returned
-        certified += len(returned[-1]) == 2
-        handed += len(returned[-1]) == 5
-    assert certified > 100 and handed > 20
+        # A screened block may hand over too; certified counts neither.
+        screens += bool(screened)
+        handed += any(len(state) == 5 for state in returned)
+        certified += not screened and all(len(state) == 2 for state in returned)
+    assert certified > 20 and screens > 50 and handed > 20
 
 
 # Inputs at d = 3 on which the written-out kernel leaves its path: row 0
-# dead at the start, with its row of H at most tau there; rows 0 and 1
-# dead at the start, a dead pair; a row whose target drops to 0 after one
-# Newton step; the elimination needing a pivot swap at the first Newton
-# system, and after one step.
+# dead at the start, with its row of H at most tau there, which the screen
+# takes; rows 0 and 1 dead at the start, a dead pair; a row whose target
+# drops to 0 after one Newton step; the elimination needing a pivot swap
+# at the first Newton system, and after one step.
 _STAYS_DEAD = ([[0.0, 0.2, 0.0], [0.2, 1.5, 0.0], [0.0, 0.0, 2.25]], 0.5)
 _DEAD_PAIR = ([[0.1, 0.3, 0.0], [0.3, 0.1, 0.25], [0.0, 0.25, 2.25]], 0.5)
 _DIES_AFTER_A_STEP = ([[1.0, 1.0, 0.125], [1.0, -0.0, -0.125], [0.125, -0.125, -1.25]], 1.0)
@@ -1087,20 +1150,6 @@ _SWAPS = [
 ]
 
 
-def _needs_swap(system):
-    """Whether ``_solve_floats``' partial pivoting swaps rows of [M | r]."""
-    system = [list(row) for row in system]
-    size = len(system)
-    for k in range(size):
-        if any(abs(system[i][k]) > abs(system[k][k]) for i in range(k + 1, size)):
-            return True
-        for i in range(k + 1, size):
-            factor = system[i][k] / system[k][k]
-            for j in range(k + 1, size + 1):
-                system[i][j] -= factor * system[k][j]
-    return False
-
-
 def _h_row_norms(twice, s):
     """The row norms of H at s, every row live."""
     s = np.array(s)
@@ -1108,44 +1157,62 @@ def _h_row_norms(twice, s):
 
 
 def test_mixed21_written_newton_exits(monkeypatch):
-    # Each way off the written-out path hands the loops its state, and the
-    # loops resume from it to the reference's bits: a row that starts dead
-    # and stays below tau, and a dead pair, each with every evaluation
-    # left; a target that drops to 0 after a step, with every row live; a
-    # pivot swap, with every row's target positive, which the loops' next
-    # Newton system makes.
+    # A row that starts dead and stays below tau goes to the screen, which
+    # solves the 2x2 rest by the d = 2 kernel.  Each way off the
+    # written-out path hands the array Newton loop the kernel's state, and
+    # the loop resumes from it to the reference's bits: a dead pair, with
+    # every evaluation left; a target that drops to 0 after a step, with
+    # every row live; a pivot swap, with every row's target positive,
+    # where the reference's elimination meets the swap at the handed-over
+    # scales.
     steps = norms._MIXED21_NEWTON_STEPS
     returned = _watch_written(monkeypatch)
-    systems = []
-    solve = norms._solve_floats
+    screened = _watch_screen(monkeypatch)
+    resumed = []
+    resume = norms._newton_mixed21_steps
 
-    def recorded(system):
-        systems.append([list(row) for row in system])
-        return solve(system)
+    def recorded(b, tau, twice_b, b_rows, scale, s, steps):
+        resumed.append((twice_b.tolist(), b_rows.tolist(), scale, s.tolist(), steps))
+        return resume(b, tau, twice_b, b_rows, scale, s, steps)
 
-    monkeypatch.setattr(norms, "_solve_floats", recorded)
-    cases = [("stays dead", *_STAYS_DEAD), ("dead pair", *_DEAD_PAIR)]
-    cases += [("dies", *_DIES_AFTER_A_STEP)]
+    monkeypatch.setattr(norms, "_newton_mixed21_steps", recorded)
+    solved = []
+    reference_solve = oracles._reference_solve
+
+    def recorded_reference(matrix, rhs):
+        out = reference_solve(matrix, rhs)
+        solved.append(out)
+        return out
+
+    monkeypatch.setattr(oracles, "_reference_solve", recorded_reference)
+    rows, tau = _STAYS_DEAD
+    out = norms._newton_mixed21_floats(rows, tau)
+    assert screened == [3] and [len(state) for state in returned] == [2, 2] and resumed == []
+    assert out[0][0] == [0.0, 0.0, 0.0]
+    assert _hex_prox(out) == _hex_prox(_reference_newton(rows, tau))
+    cases = [("dead pair", *_DEAD_PAIR), ("dies", *_DIES_AFTER_A_STEP)]
     cases += [("swap", rows, tau) for rows, tau in _SWAPS]
     left = set()
     for way, rows, tau in cases:
         returned.clear()
-        systems.clear()
+        resumed.clear()
         out = norms._newton_mixed21_floats(rows, tau)
         assert len(returned) == 1 and len(returned[0]) == 5, way
+        assert resumed == [tuple(returned[0])]
         twice, b_rows, scale, s, evaluations = returned[0]
         assert twice == [[x + x for x in row] for row in rows]
         assert 0 < evaluations <= steps
         left.add(evaluations)
-        if way in ("stays dead", "dead pair"):
-            assert evaluations == steps and s.count(0.0) == 1 + (way == "dead pair")
+        if way == "dead pair":
+            assert evaluations == steps and s.count(0.0) == 2
         else:
             assert min(s) > 0.0
             live = _h_row_norms(twice, s) > tau
             assert live.all() == (way == "swap"), way
-        if way == "swap":
-            assert systems and _needs_swap(systems[0])
+        solved.clear()
         assert _hex_prox(out) == _hex_prox(_reference_newton(rows, tau))
+        if way == "swap":
+            assert solved[-1] is None
     assert left == {steps, steps - 1}
 
 
@@ -1177,9 +1244,10 @@ def test_mixed21_written_newton_out_of_range_solves_rescaled(rng, monkeypatch):
 
 def test_mixed21_written_newton_hands_capped_steps_to_dual_phase(monkeypatch):
     # Capped at one evaluation, the kernel takes no Newton step and hands
-    # the loops s with no evaluation left; they hand the dual phase that s,
-    # whose H, with B and ||B||_{2,1}, is bit for bit the one the reference
-    # hands its dual phase, and get the reference's prox back.
+    # the array Newton loop s with no evaluation left; it hands the dual
+    # phase that s, whose H, with B and ||B||_{2,1}, is bit for bit the one
+    # the reference hands its dual phase, and gets the reference's prox
+    # back.
     returned = _watch_written(monkeypatch)
     handed = watch_dual_starts(monkeypatch)
     monkeypatch.setattr(norms, "_MIXED21_NEWTON_STEPS", 1)
@@ -1195,14 +1263,16 @@ def test_mixed21_written_newton_hands_capped_steps_to_dual_phase(monkeypatch):
 
 
 def test_mixed21_written_newton_d1_d2_match_reference(monkeypatch):
-    # At d = 1 and d = 2 the written-out kernel runs first too: with the
-    # loops it hands over to, it returns the reference's bits, -0.0
-    # included, and hands the dual phase the scales at which the
-    # reference's H is formed.  d = 1 takes entries of both signs and
-    # -0.0, live and dead; d = 2 takes _ONE_STEP_ROWS, _reviving(2) and its
-    # mirror, whose dead row starts at s_i = 0 and lives at the minimizer,
-    # and a row that stays dead, at caps 1 to 3 and the default.
+    # At d = 1 and d = 2 the written-out kernel runs first too: with its
+    # screen and the array Newton loop it hands over to, it returns the
+    # reference's bits, -0.0 included, and hands the dual phase the scales
+    # at which the reference's H is formed.  d = 1 takes entries of both
+    # signs and -0.0, live and dead; d = 2 takes _ONE_STEP_ROWS,
+    # _reviving(2) and its mirror, whose dead row starts at s_i = 0 and
+    # lives at the minimizer, and a row that stays dead, at caps 1 to 3
+    # and the default.
     returned = _watch_written(monkeypatch)
+    screened = _watch_screen(monkeypatch)
     handed = watch_dual_starts(monkeypatch)
     cases = [([[x]], tau) for x in (1.5, -0.25, -0.0, 0.5) for tau in (0.1, 0.5, 1.0)]
     cases += [
@@ -1218,6 +1288,7 @@ def test_mixed21_written_newton_d1_d2_match_reference(monkeypatch):
             patch.setattr(norms, "_MIXED21_NEWTON_STEPS", steps)
             for rows, tau in cases:
                 returned.clear()
+                screened.clear()
                 handed.clear()
                 out = norms._newton_mixed21_floats(rows, tau)
                 assert _hex_prox(out) == _hex_prox(_reference_newton(rows, tau)), (rows, steps)
@@ -1225,20 +1296,23 @@ def test_mixed21_written_newton_d1_d2_match_reference(monkeypatch):
                 if handed:
                     assert [name for name, *_ in handed] == ["floats", "reference"]
                     assert handed[0][1:] == handed[1][1:]
-                ways.add((len(rows), len(returned[0]), len(handed)))
-    # Each d certifies in its kernel and hands over; d = 2 also reaches the
-    # dual phase.
-    assert {(1, 2, 0), (1, 5, 0), (2, 2, 0), (2, 5, 0), (2, 5, 2)} <= ways
+                path = "screened" if screened else "certified" if len(returned[0]) == 2 else "handed"
+                ways.add((len(rows), path, len(handed)))
+    # d = 1 certifies at its first evaluation or screens; d = 2 also hands
+    # over, and reaches the dual phase.
+    assert {(1, "certified", 0), (1, "screened", 0), (2, "certified", 0)} <= ways
+    assert {(2, "screened", 0), (2, "handed", 2)} <= ways
+    assert all(way[:2] != (1, "handed") for way in ways)
     assert norms._WRITTEN_NEWTON[1] is not norms._WRITTEN_NEWTON[2]
 
 
 def test_mixed21_written_newton_revives_a_dead_row(monkeypatch):
     # At d = 3 to 5, _reviving(d)'s row 0 starts at s_0 = 0 and comes back
     # to life: with no dead pair and every row of H above tau, the
-    # written-out kernel keeps solving, p_00 taking the loops' stand-in 1,
-    # and certifies with no hand-over.  At caps 1 to 3 and the default its
-    # bits, and those of the loops where a cap runs out first, are the
-    # reference's.
+    # written-out kernel keeps solving, p_00 taking the stand-in 1, and
+    # certifies with no hand-over.  At caps 1 to 3 and the default its
+    # bits, and those of the array Newton loop where a cap runs out first,
+    # are the reference's.
     returned = _watch_written(monkeypatch)
     cap = norms._MIXED21_NEWTON_STEPS
     for steps in (1, 2, 3, cap):
@@ -1281,14 +1355,14 @@ def _bound_names(tree):
 def test_certify_shaped_mixed21_proxes_stay_written_out(monkeypatch):
     # The benchmark's certify trials fit mixed21 at m = 100, d = 5 and
     # lambda = 0.1.  Every one of those proxes certifies inside the
-    # written-out kernel: none hands the loops its state, so none solves
-    # a Newton system by _solve_floats or reaches the dual phase.
+    # written-out kernel: none has a dead row for the screen, and none
+    # hands its state to the array Newton loop or reaches the dual phase.
     returned = _watch_written(monkeypatch)
 
     def refuse(*args):
         raise AssertionError("a certify-shaped prox left the written-out kernel")
 
-    for name in ("_solve_floats", "_dual_mixed21", "_rescaled"):
+    for name in ("_screen_mixed21", "_newton_mixed21_steps", "_dual_mixed21", "_rescaled"):
         monkeypatch.setattr(norms, name, refuse)
     for seed in range(3):
         spec = GeneratorSpec(
@@ -1459,28 +1533,6 @@ def test_written_sources_show_in_tracebacks(monkeypatch):
         assert inspect.getsource(norms._WRITTEN_NEWTON[d]) == norms._newton_mixed21_source(d)
 
 
-def test_solve_floats_matches_reference_bits(rng):
-    # Sizes 1 to 3, with pivots that tie in magnitude (the first one wins):
-    # at size 2, and at size 3 in the first column and, after elimination,
-    # in the second.
-    systems = [
-        [[-2.0, -0.0]],
-        [[3.0, 0.1]],
-        [[1.0, 2.0, 3.0], [-1.0, 5.0, 7.0]],
-        [[1.0, 2.0, 3.0], [-2.0, 5.0, 7.0]],
-        [[0.5, 2.0, 3.0, 1.0], [-2.0, 5.0, 7.0, -0.0], [2.0, 1.0, -1.0, 4.0]],
-        [[4.0, 2.0, 2.0, 1.0], [1.0, 3.0, 3.0, 2.0], [1.0, -2.0, 1.0, -3.0]],
-    ]
-    for size in (1, 2, 3):
-        for _ in range(20):
-            systems.append(rng.standard_normal((size, size + 1)).tolist())
-    assert [i for i, system in enumerate(systems) if _has_tied_pivot(system)] == [2, 4, 5]
-    for system in systems:
-        expected = _reference_solve([row[:-1] for row in system], [row[-1] for row in system])
-        out = norms._solve_floats([list(row) for row in system])
-        assert np.array(out).tobytes() == np.array(expected).tobytes(), system
-
-
 def test_prox_leaves_input_bits(rng):
     # Stage one hands its live iterate to the prox on a zero step, so no
     # kind may write its input, signs of zero included.  (The d=50
@@ -1595,7 +1647,8 @@ def _scaling_checks(rng):
     on the triple at d = 2, with its norm; norm, dual_norm (on B plus a skew part)
     and dual_norm_rank1 (of B's first and last rows, each scaled alone).
     The inputs are random symmetric B, more of them at d = 2, with signed
-    zeros, a dead mixed21 row, a tau above d max|b_ij|, which the rescaled
+    zeros, a dead mixed21 row of zeros and one of small entries, which the
+    screen takes up to d = 5, a tau above d max|b_ij|, which the rescaled
     kernels cap, and _EXTREME_INPUTS.
     """
     inputs = []
@@ -1606,6 +1659,10 @@ def _scaling_checks(rng):
         signed = symmetric_part(rng.standard_normal((d, d)))
         signed[0] = signed[:, 0] = -0.0
         inputs += [(signed, 0.3), (signed, 2.0 * d * float(np.abs(signed).max()) + 1.0)]
+        small = symmetric_part(rng.standard_normal((d, d)) * 2.0)
+        small[0] *= 0.01
+        small[:, 0] *= 0.01
+        inputs.append((small, 0.25))
     inputs += [(np.array(rows), 0.5) for rows in ([[0.3, -0.001], [-0.001, -2.0]], _ONE_STEP_ROWS)]
     inputs += _EXTREME_INPUTS
     checks = []

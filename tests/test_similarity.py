@@ -582,12 +582,13 @@ def test_float_fits_match_reference_loop_off_check02(monkeypatch, kind):
 
 def test_float_mixed21_fit_hands_capped_newton_to_dual_phase(monkeypatch):
     # With the Newton cap lowered to 1, in norms, whose one cap the float
-    # loop's mixed21 block and the Newton loops read, and in the reference
-    # prox, a live prox whose first evaluation does not certify goes to the
-    # float Newton phase, which hands the scales of that evaluation to the
-    # dual phase inside the fit.  The H at them, with B, tau and
-    # ||B||_{2,1}, is bit for bit what the reference hands its dual phase,
-    # and the fit still matches the reference loop.
+    # loop's mixed21 block and the written-out Newton kernels read, and in
+    # the reference prox, a live prox whose first evaluation does not
+    # certify goes to the written-out d = 2 kernel, whose hand-over takes
+    # the scales of that evaluation to the dual phase inside the fit.  The
+    # H at them, with B, tau and ||B||_{2,1}, is bit for bit what the
+    # reference hands its dual phase, and the fit still matches the
+    # reference loop.
     handed = watch_dual_starts(monkeypatch)
     monkeypatch.setattr(norms, "_MIXED21_NEWTON_STEPS", 1)
     monkeypatch.setattr(
@@ -611,9 +612,9 @@ def test_float_mixed21_fit_hands_capped_newton_to_dual_phase(monkeypatch):
 def test_float_mixed21_fit_at_newton_cap_zero(monkeypatch):
     # At a Newton cap of 0 a d = 2 mixed21 fit returns, where the float
     # loop's block used to raise UnboundLocalError: each prox that no dead
-    # row solves goes to the float Newton phase, which hands the dual phase
-    # the start scales, and the fit matches the reference loop with the
-    # same cap bit for bit.
+    # row solves goes to the written-out d = 2 kernel, whose hand-over
+    # takes the start scales to the dual phase, and the fit matches the
+    # reference loop with the same cap bit for bit.
     handed = []
     dual = norms._dual_mixed21
 
@@ -674,7 +675,7 @@ def test_float_trace_fits_call_lapack_only_from_d3(monkeypatch):
 def test_float_fits_take_no_array_path(monkeypatch, kind):
     # Check-02-shaped fits run the float set from start to end: the array
     # kernels, LAPACK and every cold path of the float loop's proxes (the
-    # rescaled problem, the mixed21 Newton loops that an uncertified prox
+    # rescaled problem, the mixed21 Newton phase that an uncertified prox
     # goes to, the tau = 0 norm) refuse, and so do the two kernels on the
     # triple, the mixed21 dual phase and the array fro norm, so a fit that
     # fell back to any of them would fail here, not only run slower.  The
@@ -1056,7 +1057,7 @@ def test_train_zero_step_skips_subgradient(monkeypatch, kind):
     assert triples == (stepped_inputs if kind == "trace" else [])
     if kind == "mixed21":
         solved = [
-            oracles._reference_mixed21_dead_row(np.array(b), tau) is None
+            oracles._reference_mixed21_screen(np.array(b), tau) is None
             for _, b, tau, *_ in proxes
         ]
         assert 0 < sum(solved) < len(solved) and newton.reads == sum(solved)
